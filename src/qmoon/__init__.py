@@ -11,7 +11,6 @@ from .series import (
     exp_series,
     exponents_from_series,
     gbinom,
-    gcd,
     log_series,
     moebius,
     product_from_exponents,
@@ -31,7 +30,6 @@ __all__ = [
     "exp_series",
     "exponents_from_series",
     "gbinom",
-    "gcd",
     "log_series",
     "moebius",
     "product_from_exponents",

@@ -129,6 +129,13 @@ PRINTED_F6 = {-4: 1, 0: 6, 1: 504, 4: 143388, 5: 565760, 8: 184373000, 9: 511800
 _PRINTED = {"f_4": PRINTED_F4, "f_6": PRINTED_F6}
 
 
+def _eisenstein_over_delta4(weight: int, cap: int) -> QSeries:
+    """The weight-(weight - 12) unit E_weight(4t)/Delta(4t), pole at q^-4, through q^cap."""
+    m = cap // 4 + 4
+    d4_inv = forms.delta(m).scale_var(4).invert()
+    return (forms.eisenstein(weight, m).scale_var(4) * d4_inv).truncate(cap)
+
+
 @lru_cache(maxsize=None)
 def _pieces(cap: int):
     """Shared catalog ingredients at internal truncation cap.
@@ -140,21 +147,17 @@ def _pieces(cap: int):
     F = forms.F_oddsigma(cap)
     t4 = theta ** 4
     Q = F * theta * (t4 - 2 * F) * (t4 - 16 * F)
-    m = cap // 4 + 4
-    d4_inv = forms.delta(m).scale_var(4).invert()
-    G = (forms.eisenstein(6, m).scale_var(4) * d4_inv).truncate(cap)
-    j4 = forms.j_invariant(m).scale_var(4).truncate(cap)
-    return theta, Q, G, j4
+    j4 = forms.j_invariant(cap // 4 + 4).scale_var(4).truncate(cap)
+    return theta, Q, _eisenstein_over_delta4(6, cap), j4
 
 
 @lru_cache(maxsize=None)
 def _raw_catalog(name: str, order: int) -> QSeries:
     if name == "f_delta":
         return 12 * forms.theta_full(order)
-    cap = order + _PAD
-    theta, Q, G, j4 = _pieces(cap)
     if name == "f_j":
-        return (3 * (Q * G) + 168 * theta).truncate(order)
+        return _fj_variant(6, order)
+    theta, Q, G, j4 = _pieces(order + _PAD)
     if name == "f_6":
         return ((j4 - _F6_CONSTANT) * theta - 2 * (Q * G)).truncate(order)
     if name == "f_4":
@@ -239,12 +242,11 @@ def printed_coefficient_report(name: str) -> list:
 
 
 def _fj_variant(weight: int, order: int) -> QSeries:
+    """3 Q G + 168 theta with G = E_weight(4t)/Delta(4t); weight 6 is f_j as displayed."""
     cap = order + _PAD
-    theta, Q, G, j4 = _pieces(cap)
+    theta, Q, G, _ = _pieces(cap)
     if weight != 6:
-        m = cap // 4 + 4
-        d4_inv = forms.delta(m).scale_var(4).invert()
-        G = (forms.eisenstein(weight, m).scale_var(4) * d4_inv).truncate(cap)
+        G = _eisenstein_over_delta4(weight, cap)
     return (3 * (Q * G) + 168 * theta).truncate(order)
 
 

@@ -23,9 +23,12 @@ _ALGEBRA_NAMES = {"e10": "E10_level2", "E10_level2": "E10_level2",
 
 
 def _default_order(args, fallback=10):
-    if getattr(args, "order", None) is not None:
-        return args.order
-    return int(os.environ.get("QMOON_DEFAULT_ORDER", fallback))
+    order = getattr(args, "order", None)
+    if order is None:
+        order = int(os.environ.get("QMOON_DEFAULT_ORDER", fallback))
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return order
 
 
 def _emit(args, payload, lines) -> None:
@@ -43,10 +46,6 @@ def _load_json(path):
 
 def _parse_vector(text: str):
     return tuple(Fraction(tok.strip()) for tok in text.split(","))
-
-
-def _fmt(value) -> str:
-    return str(value)
 
 
 def _report_line(report) -> str:
@@ -102,8 +101,8 @@ def _cmd_lift(args) -> int:
 
 def _cmd_hurwitz(args) -> int:
     values = {n: borcherds.hurwitz(n) for n in range(args.max + 1)}
-    payload = {"max": args.max, "values": {str(n): _fmt(v) for n, v in values.items()}}
-    lines = [f"H({n}) = {_fmt(v)}" for n, v in values.items()]
+    payload = {"max": args.max, "values": {str(n): str(v) for n, v in values.items()}}
+    lines = [f"H({n}) = {v}" for n, v in values.items()]
     return _emit(args, payload, lines) or 0
 
 

@@ -141,14 +141,15 @@ def eta(order: int) -> QSeries:
     ).truncate(order)
 
 
+def _shape_exponents(shape: EtaShape, order: int) -> ExponentTable:
+    """The exponents e_n = sum_{a_i | n} b_i of the shape's unit product."""
+    return ExponentTable(0, {n: sum(b for a, b in shape.factors if n % a == 0)
+                             for n in range(1, order + 1)}, order)
+
+
 def eta_quotient(shape: EtaShape, order: int) -> QSeries:
     """prod_i eta(q^{a_i})^{b_i} with prefactor (sum a_i b_i)/24."""
-    exps = {}
-    for n in range(1, order + 1):
-        e = sum(b for a, b in shape.factors if n % a == 0)
-        if e:
-            exps[n] = e
-    unit = product_from_exponents(ExponentTable(0, exps, order))
+    unit = product_from_exponents(_shape_exponents(shape, order))
     return QSeries(unit.coeffs, order, prefactor=shape.prefactor_exponent())
 
 
@@ -269,12 +270,7 @@ def p_g_series(shape: EtaShape, order: int) -> QSeries:
     The fractional prefactor is dropped: this is the q-integral part whose
     coefficients generalize the 24-colored partition count.
     """
-    exps = {}
-    for n in range(1, order + 1):
-        e = sum(b for a, b in shape.factors if n % a == 0)
-        if e:
-            exps[n] = -e
-    return product_from_exponents(ExponentTable(0, exps, order)).truncate(order)
+    return product_from_exponents(_shape_exponents(shape, order).scaled(-1)).truncate(order)
 
 
 def j_g_series(shape: EtaShape, order: int) -> QSeries:

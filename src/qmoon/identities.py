@@ -68,43 +68,96 @@ class VerifyReport:
         return data
 
 
-# -- small builders -----------------------------------------------------------
-
-
-def _bi(coeffs, cap, window=None):
-    return BiSeries(coeffs, cap, vars=("q", "z"), window=window)
-
-
-def _factor(a, b, e, cap, sign=-1, window=None):
-    return BiSeries.pow_with_big_exponent(a, b, e, cap, sign=sign,
-                                          vars=("q", "z"), window=window)
-
-
-def _qs(coeffs, order, **kw):
-    return QSeries(coeffs, order, **kw)
-
-
 def _sigma_series(ell, order):
-    return QSeries({n: forms._sigma_table(ell, order)[n - 1]
-                    for n in range(1, order + 1)}, order)
+    return QSeries(dict(enumerate(forms._sigma_table(ell, order), 1)), order)
 
 
-# -- identity sides, one builder per label --------------------------------------
+# -- lattice sums against binomial products ---------------------------------------
+#
+# A lattice identity is a sum side, the monomials ((q-exponent, z-exponent),
+# coefficient) of each integer m, against a product side, a front monomial
+# times the factors (a, b, e, sign) = (1 + sign q^a z^b)^e of each n >= 1.
+
+
+def _lattice_sum(order, terms):
+    """Sum of terms(m) over all integers m, keeping q-exponents <= order.
+
+    Every sum side below has q-exponent at least m^2 - |m|, so |m| <=
+    isqrt(order) + 1 reaches every monomial under the cap.
+    """
+    r = isqrt(order) + 1
+    coeffs = {}
+    for m in range(-r, r + 1):
+        for key, c in terms(m):
+            if key[0] <= order:
+                coeffs[key] = coeffs.get(key, 0) + c
+    return BiSeries(coeffs, order)
+
+
+def _lattice_product(order, front, factors):
+    """front * prod of factors(n) with a <= order; every a >= n - 1, so n <= order + 1."""
+    return BiSeries(front, order).mul_binomials(
+        f for n in range(1, order + 2) for f in factors(n) if f[0] <= order)
+
+
+def _pentagonal(m):
+    return (3 * m * m + m) // 2
+
+
+# (sum side, front, product factors) for each pair of every lattice identity;
+# the theta rows drop the common factors q^{1/4} (and 1/i for the first one)
+# and keep zeta exponents literal, so they are even except in the first two
+_LATTICE = {
+    "triple": [(
+        lambda m: [((m * m, m), (-1) ** (m % 2))],
+        {(0, 0): 1},
+        lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 1, 1, -1), (2 * n - 1, -1, 1, -1)],
+    )],
+    "quintuple_w1": [(
+        lambda m: [((_pentagonal(m), 3 * m), 1), ((_pentagonal(m), -3 * m - 1), -1)],
+        {(0, 0): 1},
+        lambda n: [(n, 0, 1, -1), (n, 1, 1, -1), (n - 1, -1, 1, -1),
+                   (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)],
+    )],
+    # run exactly as printed; the outcome is recorded, not corrected
+    "quintuple_w2": [(
+        lambda m: [((m * (3 * m + 2), -3 * m), 1), ((m * (3 * m + 2), 3 * m + 2), -1)],
+        {(0, 0): 1},
+        lambda n: [(2 * n, 0, 1, -1), (2 * n, -2, 1, -1), (2 * n - 2, 2, 1, -1),
+                   (2 * n - 1, 1, -1, 1), (2 * n - 1, -1, 1, 1)],
+    )],
+    "theta_products": [
+        # theta1 over 1/i: sum (-1)^n q^{n^2+n} z^{2n+1} = (z - 1/z) prod ...
+        (lambda m: [((m * m + m, 2 * m + 1), (-1) ** (m % 2))],
+         {(0, 1): 1, (0, -1): -1},
+         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, -1), (2 * n, -2, 1, -1)]),
+        # theta2: sum q^{n^2+n} z^{2n+1} = z prod (1-q^{2n})(1+q^{2n}z^2)(1+q^{2n-2}z^-2)
+        (lambda m: [((m * m + m, 2 * m + 1), 1)],
+         {(0, 1): 1},
+         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, 1), (2 * n - 2, -2, 1, 1)]),
+        # theta3: sum q^{n^2} z^{2n} = prod (1-q^{2n})(1+q^{2n-1}z^2)(1+q^{2n-1}z^-2)
+        (lambda m: [((m * m, 2 * m), 1)],
+         {(0, 0): 1},
+         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, 1), (2 * n - 1, -2, 1, 1)]),
+        # theta4: sum (-1)^n q^{n^2} z^{2n} = prod (1-q^{2n})(1-q^{2n-1}z^2)(1-q^{2n-1}z^-2)
+        (lambda m: [((m * m, 2 * m), (-1) ** (m % 2))],
+         {(0, 0): 1},
+         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)]),
+    ],
+}
+
+
+# -- identity sides, one builder per remaining label ------------------------------
 
 
 def _euler1(order):
     # sum over n of (-1)^n q^{n(n+1)/2} z^n / ((1-q)...(1-q^n))
     lhs = BiSeries.one(order)
     inv = BiSeries.one(order)
-    n = 1
-    while n * (n + 1) // 2 <= order:
-        inv = inv * _factor(n, 0, -1, order)
-        sign = -1 if n % 2 else 1
-        lhs = lhs + _bi({(n * (n + 1) // 2, n): sign}, order) * inv
-        n += 1
-    rhs = BiSeries.one(order)
-    for m in range(1, order + 1):
-        rhs = rhs * _factor(m, 1, 1, order)
+    for n in range(1, (isqrt(8 * order + 1) + 1) // 2):  # n(n+1)/2 <= order
+        inv = inv.mul_binomials([(n, 0, -1, -1)])
+        lhs = lhs + BiSeries({(n * (n + 1) // 2, n): (-1) ** n}, order) * inv
+    rhs = BiSeries.one(order).mul_binomials((m, 1, 1, -1) for m in range(1, order + 1))
     return [(lhs, rhs)]
 
 
@@ -114,116 +167,29 @@ def _euler2(order):
     # explicit z-window (every z-exponent is nonnegative, so nothing that is
     # cut can ever flow back under the cap)
     win = (0, order)
-    lhs = BiSeries.one(order).restrict(window=win)
-    inv = BiSeries.one(order).restrict(window=win)
+    lhs = BiSeries.one(order, window=win)
+    inv = BiSeries.one(order, window=win)
     for n in range(1, order + 1):
-        inv = inv * _factor(n, 0, -1, order, window=win)
-        lhs = lhs + _bi({(0, n): 1}, order, window=win) * inv
-    rhs = BiSeries.one(order).restrict(window=win)
-    for m in range(0, order + 1):
-        rhs = rhs * _factor(m, 1, -1, order, window=win)
+        inv = inv.mul_binomials([(n, 0, -1, -1)])
+        lhs = lhs + BiSeries({(0, n): 1}, order, window=win) * inv
+    rhs = BiSeries.one(order, window=win).mul_binomials(
+        (m, 1, -1, -1) for m in range(order + 1))
     return [(lhs, rhs)]
 
 
 def _euler3(order):
     # pentagonal-type sum with prefactor q^{1/24} against q^{1/24} prod (1-q^n)
-    coeffs = {}
-    n = 0
-    while True:
-        hit = False
-        for m in (n, -n - 1):
-            e = (3 * m * m + m) // 2
-            if e <= order:
-                coeffs[e] = -1 if m % 2 else 1
-                hit = True
-        if not hit:
-            break
-        n += 1
-    lhs = _qs(coeffs, order, prefactor=Fraction(1, 24))
+    pentagonal = _lattice_sum(order, lambda m: [((_pentagonal(m), 0), (-1) ** (m % 2))])
+    lhs = QSeries({e: c for (e, _), c in pentagonal.coeffs.items()}, order,
+                  prefactor=Fraction(1, 24))
     return [(lhs, forms.eta(order))]
 
 
 def _gauss(order):
-    lhs = _qs({0: 1, **{n * n: 2 for n in range(1, isqrt(order) + 1)}}, order)
-    rhs = QSeries.one(order)
-    for n in range(1, order // 2 + 1):
-        rhs = rhs * _qs({0: 1, 2 * n: -1}, order)
-    for n in range(1, (order + 1) // 2 + 1):
-        odd = _qs({0: 1, 2 * n - 1: 1}, order)
-        rhs = rhs * odd * odd
-    return [(lhs, rhs)]
-
-
-def _triple(order):
-    coeffs = {}
-    for n in range(-isqrt(order) - 1, isqrt(order) + 2):
-        if n * n <= order:
-            coeffs[(n * n, n)] = -1 if n % 2 else 1
-    lhs = _bi(coeffs, order)
-    rhs = BiSeries.one(order)
-    for n in range(1, order // 2 + 2):
-        if 2 * n <= order:
-            rhs = rhs * _factor(2 * n, 0, 1, order)
-        if 2 * n - 1 <= order:
-            rhs = rhs * _factor(2 * n - 1, 1, 1, order)
-            rhs = rhs * _factor(2 * n - 1, -1, 1, order)
-    return [(lhs, rhs)]
-
-
-def _quintuple_w1(order):
-    coeffs = {}
-    n = 0
-    while True:
-        hit = False
-        for m in (n, -n - 1) if n >= 0 else ():
-            e = (3 * m * m + m) // 2
-            if e <= order:
-                coeffs[(e, 3 * m)] = coeffs.get((e, 3 * m), 0) + 1
-                coeffs[(e, -3 * m - 1)] = coeffs.get((e, -3 * m - 1), 0) - 1
-                hit = True
-        if not hit:
-            break
-        n += 1
-    lhs = _bi(coeffs, order)
-    rhs = BiSeries.one(order)
-    for n in range(1, order + 2):
-        if n <= order:
-            rhs = rhs * _factor(n, 0, 1, order)
-            rhs = rhs * _factor(n, 1, 1, order)
-        if n - 1 <= order:
-            rhs = rhs * _factor(n - 1, -1, 1, order)
-        if 2 * n - 1 <= order:
-            rhs = rhs * _factor(2 * n - 1, 2, 1, order)
-            rhs = rhs * _factor(2 * n - 1, -2, 1, order)
-    return [(lhs, rhs)]
-
-
-def _quintuple_w2(order):
-    # run exactly as printed; the outcome is recorded, not corrected
-    coeffs = {}
-    n = 0
-    while True:
-        hit = False
-        for m in (n, -n) if n else (0,):
-            e = m * (3 * m + 2)
-            if e <= order:
-                coeffs[(e, -3 * m)] = coeffs.get((e, -3 * m), 0) + 1
-                coeffs[(e, 3 * m + 2)] = coeffs.get((e, 3 * m + 2), 0) - 1
-                hit = True
-        if not hit:
-            break
-        n += 1
-    lhs = _bi(coeffs, order)
-    rhs = BiSeries.one(order)
-    for n in range(1, order + 2):
-        if 2 * n <= order:
-            rhs = rhs * _factor(2 * n, 0, 1, order)
-            rhs = rhs * _factor(2 * n, -2, 1, order)
-        if 2 * n - 2 <= order:
-            rhs = rhs * _factor(2 * n - 2, 2, 1, order)
-        if 2 * n - 1 <= order:
-            rhs = rhs * _factor(2 * n - 1, 1, -1, order, sign=1)
-            rhs = rhs * _factor(2 * n - 1, -1, 1, order, sign=1)
+    lhs = QSeries({0: 1, **{n * n: 2 for n in range(1, isqrt(order) + 1)}}, order)
+    rhs = QSeries.one(order).mul_binomials(
+        [(2 * n, 1, -1) for n in range(1, order // 2 + 1)]
+        + [(2 * n - 1, 2, 1) for n in range(1, (order + 1) // 2 + 1)])
     return [(lhs, rhs)]
 
 
@@ -246,112 +212,18 @@ def _jacobi_delta(order):
     return [(lhs, rhs)]
 
 
-def _theta_products(order):
-    # common factors q^{1/4} (and 1/i for the first one) are dropped from
-    # both sides; zeta exponents are kept literal, so they are even except in
-    # the first two rows
-    def sum_side(exponent, zeta, signed):
-        coeffs = {}
-        n = 0
-        while True:
-            hit = False
-            for m in {n, -n} if n else {0}:
-                e = exponent(m)
-                if e <= order:
-                    sign = -1 if (signed and m % 2) else 1
-                    key = (e, zeta(m))
-                    coeffs[key] = coeffs.get(key, 0) + sign
-                    hit = True
-            if not hit:
-                break
-            n += 1
-        return _bi(coeffs, order)
-
-    def half_sum(exponent, zeta, signed):
-        # index sets of the form n and -n-1 (exponents (n+1/2)^2 - 1/4)
-        coeffs = {}
-        n = 0
-        while True:
-            hit = False
-            for m in (n, -n - 1):
-                e = exponent(m)
-                if e <= order:
-                    sign = -1 if (signed and m % 2) else 1
-                    key = (e, zeta(m))
-                    coeffs[key] = coeffs.get(key, 0) + sign
-                    hit = True
-            if not hit:
-                break
-            n += 1
-        return _bi(coeffs, order)
-
-    def prod_side(factors):
-        acc = BiSeries.one(order)
-        for a, b, sign in factors:
-            if a <= order:
-                acc = acc * _factor(a, b, 1, order, sign=sign)
-        return acc
-
-    pairs = []
-    # theta1 over 1/i: sum (-1)^n q^{n^2+n} z^{2n+1} = (z - 1/z) prod ...
-    lhs1 = half_sum(lambda m: m * m + m, lambda m: 2 * m + 1, True)
-    fac1 = []
-    for n in range(1, order // 2 + 1):
-        fac1 += [(2 * n, 0, -1), (2 * n, 2, -1), (2 * n, -2, -1)]
-    rhs1 = _bi({(0, 1): 1, (0, -1): -1}, order) * prod_side(fac1)
-    pairs.append((lhs1, rhs1))
-    # theta2: sum q^{n^2+n} z^{2n+1} = z prod (1-q^{2n})(1+q^{2n}z^2)(1+q^{2n-2}z^-2)
-    lhs2 = half_sum(lambda m: m * m + m, lambda m: 2 * m + 1, False)
-    fac2 = []
-    for n in range(1, order // 2 + 2):
-        if 2 * n <= order:
-            fac2 += [(2 * n, 0, -1), (2 * n, 2, 1)]
-        if 2 * n - 2 <= order:
-            fac2.append((2 * n - 2, -2, 1))
-    rhs2 = _bi({(0, 1): 1}, order) * prod_side(fac2)
-    pairs.append((lhs2, rhs2))
-    # theta3: sum q^{n^2} z^{2n} = prod (1-q^{2n})(1+q^{2n-1}z^2)(1+q^{2n-1}z^-2)
-    lhs3 = sum_side(lambda m: m * m, lambda m: 2 * m, False)
-    fac3 = []
-    for n in range(1, order // 2 + 2):
-        if 2 * n <= order:
-            fac3.append((2 * n, 0, -1))
-        if 2 * n - 1 <= order:
-            fac3 += [(2 * n - 1, 2, 1), (2 * n - 1, -2, 1)]
-    rhs3 = prod_side(fac3)
-    pairs.append((lhs3, rhs3))
-    # theta4: sum (-1)^n q^{n^2} z^{2n} = prod (1-q^{2n})(1-q^{2n-1}z^2)(1-q^{2n-1}z^-2)
-    lhs4 = sum_side(lambda m: m * m, lambda m: 2 * m, True)
-    fac4 = []
-    for n in range(1, order // 2 + 2):
-        if 2 * n <= order:
-            fac4.append((2 * n, 0, -1))
-        if 2 * n - 1 <= order:
-            fac4 += [(2 * n - 1, 2, -1), (2 * n - 1, -2, -1)]
-    rhs4 = prod_side(fac4)
-    pairs.append((lhs4, rhs4))
-    return pairs
-
-
 def _theta_nullwert_products(order):
-    def unit_product(factors):
-        acc = QSeries.one(order, nome=HALF)
-        for a, sign, mult in factors:
-            f = _qs({0: 1, a: sign}, order, nome=HALF)
-            for _ in range(mult):
-                acc = acc * f
-        return acc
-
-    pairs = []
-    even = [(2 * n, -1, 1) for n in range(1, order // 2 + 1)]
-    odd_plus = [(2 * n - 1, 1, 2) for n in range(1, (order + 1) // 2 + 1)]
-    odd_minus = [(2 * n - 1, -1, 2) for n in range(1, (order + 1) // 2 + 1)]
-    shifted_plus = [(2 * n, 1, 2) for n in range(1, order // 2 + 1)]
-    front = _qs({0: 2}, order, nome=HALF, prefactor=Fraction(1, 4))
-    pairs.append((forms.theta_nullwerte(2, order), front * unit_product(even + shifted_plus)))
-    pairs.append((forms.theta_nullwerte(3, order), unit_product(even + odd_plus)))
-    pairs.append((forms.theta_nullwerte(4, order), unit_product(even + odd_minus)))
-    return pairs
+    even = [(2 * n, 1, -1) for n in range(1, order // 2 + 1)]
+    odd = range(1, (order + 1) // 2 + 1)
+    front = QSeries({0: 2}, order, nome=HALF, prefactor=Fraction(1, 4))
+    return [
+        (forms.theta_nullwerte(2, order),
+         front.mul_binomials(even + [(2 * n, 2, 1) for n in range(1, order // 2 + 1)])),
+        (forms.theta_nullwerte(3, order),
+         QSeries.one(order, nome=HALF).mul_binomials(even + [(2 * n - 1, 2, 1) for n in odd])),
+        (forms.theta_nullwerte(4, order),
+         QSeries.one(order, nome=HALF).mul_binomials(even + [(2 * n - 1, 2, -1) for n in odd])),
+    ]
 
 
 def _delta_theta(order):
@@ -381,12 +253,8 @@ _BUILDERS = {
     "euler2": _euler2,
     "euler3": _euler3,
     "gauss": _gauss,
-    "triple": _triple,
-    "quintuple_w1": _quintuple_w1,
-    "quintuple_w2": _quintuple_w2,
     "eisen_relations": _eisen_relations,
     "jacobi_delta": _jacobi_delta,
-    "theta_products": _theta_products,
     "theta_nullwert_products": _theta_nullwert_products,
     "delta_theta": _delta_theta,
     "sigma_convolutions": _sigma_convolutions,
@@ -395,10 +263,13 @@ _BUILDERS = {
 
 def identity_sides(name: str, order: int):
     """The independently built (lhs, rhs) pairs behind an identity label."""
-    if name not in _BUILDERS:
+    if name not in IDENTITY_LABELS:
         raise ValueError(f"unknown identity label {name!r}")
     if order < 1:
         raise ValueError("order must be >= 1")
+    if name in _LATTICE:
+        return [(_lattice_sum(order, terms), _lattice_product(order, front, factors))
+                for terms, front, factors in _LATTICE[name]]
     return _BUILDERS[name](order)
 
 

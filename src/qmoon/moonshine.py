@@ -82,14 +82,9 @@ def denominator_product(cap_m: int, cap_n: int) -> BiSeries:
     """p^-1 prod_{m>0, n>=-1} (1 - p^m q^n)^{c(mn)} within the closed caps."""
     big_m, hi, window = _grid(cap_m, cap_n)
     c = moonshine_c(big_m * hi)
-    prod = BiSeries.one(big_m, vars=_VARS, window=window)
-    for m in range(1, big_m + 1):
-        for n in range(-1, hi + 1):
-            e = c[m * n] if -1 <= m * n <= c.max_n else 0
-            if e:
-                prod = prod * BiSeries.pow_with_big_exponent(
-                    m, n, e, big_m, sign=-1, vars=_VARS, window=window)
-    return prod.shift_x(-1)
+    factors = [(m, n, c[m * n], -1) for m in range(1, big_m + 1) for n in range(-1, hi + 1)
+               if -1 <= m * n <= c.max_n and c[m * n]]
+    return BiSeries.one(big_m, vars=_VARS, window=window).mul_binomials(factors).shift_x(-1)
 
 
 def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:

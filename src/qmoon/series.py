@@ -14,7 +14,7 @@ is a hard error; conversion goes through ``scale_var``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 
 __all__ = [
     "FULL",
@@ -30,7 +30,6 @@ __all__ = [
     "divisors",
     "moebius",
     "sigma",
-    "gcd",
     "gbinom",
 ]
 
@@ -269,6 +268,30 @@ class QSeries:
         return self._like({e - v: c for e, c in r.items()}, n_max - v,
                           prefactor=-self.prefactor)
 
+    def mul_binomials(self, factors) -> "QSeries":
+        """Multiply by prod (1 + sign * q^a)^e over the (a, e, sign) factors.
+
+        Every factor is an exactly known unit (a >= 1), so the truncation and
+        the valuation stay; e may be any exact rational.
+        """
+        v = self.valuation()
+        if v is None:
+            return self
+        trunc = self.trunc
+        acc = self.coeffs
+        for a, e, sign in factors:
+            if a < 1:
+                raise ValueError("factor exponent must be positive")
+            terms = [(a * k, c) for k, c in _binomial_terms(e, sign, (trunc - v) // a)]
+            out = {}
+            for ea, ca in acc.items():
+                for eb, cb in terms:
+                    s = ea + eb
+                    if s <= trunc:
+                        out[s] = out.get(s, 0) + ca * cb
+            acc = {s: c for s, c in out.items() if c}
+        return self._like(acc, trunc)
+
     def scale_var(self, k: int, nome: str | None = None) -> "QSeries":
         """Substitute q -> q^k (i.e. tau -> k*tau on the same nome grid).
 
@@ -332,10 +355,22 @@ class QSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "QSeries":
-        return cls({int(e): _parse_rat(c) for e, c in data["coeffs"].items()},
-                   int(data["trunc"]), var=data.get("var", "q"),
-                   nome=data.get("nome", FULL),
-                   prefactor=_parse_rat(data.get("prefactor", "0")))
+        if not isinstance(data, dict):
+            raise ValueError("series JSON must be an object")
+        coeffs, trunc = data.get("coeffs"), data.get("trunc")
+        if not isinstance(coeffs, dict):
+            raise ValueError("series field 'coeffs' must be an object")
+        if not isinstance(trunc, int) or isinstance(trunc, bool):
+            raise ValueError("series field 'trunc' must be an integer")
+        for e, c in coeffs.items():
+            if not isinstance(c, str):
+                raise ValueError(f"series field 'coeffs' entry {e!r} must be a string, got {c!r}")
+        prefactor = data.get("prefactor", "0")
+        if not isinstance(prefactor, str):
+            raise ValueError("series field 'prefactor' must be a string")
+        return cls({int(e): _parse_rat(c) for e, c in coeffs.items()}, trunc,
+                   var=data.get("var", "q"), nome=data.get("nome", FULL),
+                   prefactor=_parse_rat(prefactor))
 
     def pretty(self) -> str:
         """Paper-style one-line display: ascending exponents, explicit signs."""
@@ -484,6 +519,18 @@ def gbinom(e, k: int):
     return _num(num)
 
 
+def _binomial_terms(e, sign, kmax):
+    """(k, sign^k C(e, k)) for the nonzero terms of (1 + sign*t)^e with k <= kmax."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if isinstance(e, int) and e >= 0:
+        kmax = min(kmax, e)
+    for k in range(kmax + 1):
+        c = gbinom(e, k)
+        if c:
+            yield k, -c if sign == -1 and k % 2 else c
+
+
 def product_from_exponents(t: ExponentTable, *, var="q", nome=FULL) -> QSeries:
     """Expand q^(-h) * prod_{n <= order} (1 - q^n)^{e_n} exactly.
 
@@ -494,26 +541,8 @@ def product_from_exponents(t: ExponentTable, *, var="q", nome=FULL) -> QSeries:
     order = t.order
     minus_h = -Fraction(t.h)
     shift = minus_h.numerator // minus_h.denominator
-    prefactor = minus_h - shift
-    acc = {0: 1}
-    for n in range(1, order + 1):
-        e = t.exps.get(n, 0)
-        if not e:
-            continue
-        factor = {}
-        for k in range(order // n + 1):
-            c = gbinom(e, k)
-            if c:
-                factor[n * k] = c if k % 2 == 0 else -c
-        out = {}
-        for ea, ca in acc.items():
-            for eb, cb in factor.items():
-                s = ea + eb
-                if s <= order:
-                    out[s] = out.get(s, 0) + ca * cb
-        acc = {e2: c2 for e2, c2 in out.items() if c2}
-    return QSeries({e + shift: c for e, c in acc.items()}, order + shift,
-                   var=var, nome=nome, prefactor=prefactor)
+    unit = QSeries.one(order, var=var, nome=nome, prefactor=minus_h - shift)
+    return unit.mul_binomials((n, e, -1) for n, e in sorted(t.exps.items())).shift(shift)
 
 
 def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
@@ -739,44 +768,52 @@ class BiSeries:
             out[ex] = _num(Fraction(out.get(ex, 0)) + w)
         return {e: c for e, c in out.items() if c}
 
-    @staticmethod
-    def pow_with_big_exponent(a: int, b: int, e, cap: int, *, sign: int = -1,
-                              vars=("q", "z"), window=None) -> "BiSeries":
-        """Binomial expansion of (1 + sign * x^a y^b)^e within cap/window.
+    def mul_binomials(self, factors) -> "BiSeries":
+        """Multiply by prod (1 + sign * x^a y^b)^e over the (a, b, e, sign) factors.
 
         Built for factors like (1 - p^m q^n)^c(mn) whose integer exponents run
         to dozens of digits: binomial coefficients stay exact big integers and
-        only monomials inside the caps are kept.  Negative e expands
-        geometrically; a factor constant in x (a == 0) then needs a finite
-        window on the second variable to terminate.
+        each factor keeps only its monomials inside the current cap and window
+        before it multiplies in under the rules of ``__mul__``.  Negative or
+        rational e expands as a power series; a factor constant in x (a == 0)
+        then needs a finite window on the second variable to terminate.
         """
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if a < 0:
-            raise ValueError("primary-variable exponent must be nonnegative")
-        bounds = []
-        if a > 0:
-            bounds.append(max(cap, 0) // a)
-        if isinstance(e, int) and e >= 0:
-            bounds.append(e)
-        if a == 0:
-            if b != 0 and window is not None:
-                lo, hi = window
-                bounds.append(max(hi // b if b > 0 else lo // b, 0))
-            if not bounds:
+        coeffs, cap, window = self.coeffs, self.cap, self.window
+        for a, b, e, sign in factors:
+            if a > 0:
+                kmax = max(cap, 0) // a
+            elif a < 0:
+                raise ValueError("primary-variable exponent must be nonnegative")
+            elif b and window is not None:
+                kmax = max(window[1] // b if b > 0 else window[0] // b, 0)
+            elif isinstance(e, int) and e >= 0:
+                kmax = e
+            else:
                 raise ValueError("factor constant in the capped variable needs "
                                  "a nonnegative integer exponent or a finite window")
-        out = {}
-        for k in range(min(bounds) + 1):
-            c = gbinom(e, k)
-            if not c:
+            factor = {}
+            for k, c in _binomial_terms(e, sign, kmax):
+                key = (a * k, b * k)
+                if key[0] <= cap and (window is None or window[0] <= key[1] <= window[1]):
+                    factor[key] = factor.get(key, 0) + c
+            terms = [(dx, dy, c) for (dx, dy), c in factor.items() if c]
+            if not coeffs or not terms:
+                coeffs = {}
                 continue
-            if sign == -1 and k % 2:
-                c = -c
-            key = (a * k, b * k)
-            if key[0] <= cap and (window is None or window[0] <= key[1] <= window[1]):
-                out[key] = out.get(key, 0) + c
-        return BiSeries(out, cap, vars=vars, window=window)
+            cap = min(cap + min(t[0] for t in terms), cap + min(ex for ex, _ in coeffs))
+            out = {}
+            for (ax, ay), ca in coeffs.items():
+                for dx, dy, cb in terms:
+                    ex = ax + dx
+                    if ex > cap:
+                        continue
+                    ey = ay + dy
+                    if window and not window[0] <= ey <= window[1]:
+                        continue
+                    key = (ex, ey)
+                    out[key] = out.get(key, 0) + ca * cb
+            coeffs = {k: c for k, c in out.items() if c}
+        return BiSeries(coeffs, cap, vars=self.vars, window=window)
 
     def first_mismatch(self, other: "BiSeries", cap=None, window=None):
         """First disagreeing monomial in graded-lex order, or None.

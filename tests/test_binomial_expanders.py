@@ -1,0 +1,159 @@
+"""Differential tests of the two binomial-product expanders.
+
+``QSeries.mul_binomials`` and ``BiSeries.mul_binomials`` multiply a series
+by a whole list of factors (1 + sign x^a y^b)^e at once.  The oracle here
+multiplies one factor at a time with the plain ``__mul__`` of each type,
+each factor expanded with binomial coefficients from a running product
+(no ``gbinom``).  Truncation, cap and window must match as well as the
+coefficients, and the same factor lists must be rejected.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qmoon.series import FULL, HALF, BiSeries, QSeries
+
+
+def binomial(e, k):
+    c = Fraction(1)
+    for i in range(k):
+        c = c * (Fraction(e) - i) / (i + 1)
+    return c
+
+
+def _nonneg_int(e):
+    return isinstance(e, int) and e >= 0
+
+
+def bi_factor(a, b, e, sign, cap, vars, window):
+    """(1 + sign x^a y^b)^e with the monomials inside cap and window."""
+    if a > 0:
+        kmax = max(cap, 0) // a
+    elif a == 0 and b and window is not None:
+        kmax = max(window[1] // b if b > 0 else window[0] // b, 0)
+    elif a == 0 and _nonneg_int(e):
+        kmax = e
+    else:
+        raise ValueError("unbounded factor")
+    if _nonneg_int(e):
+        kmax = min(kmax, e)
+    coeffs = {}
+    for k in range(kmax + 1):
+        key = (a * k, b * k)
+        if key[0] <= cap and (window is None or window[0] <= key[1] <= window[1]):
+            coeffs[key] = coeffs.get(key, 0) + sign ** k * binomial(e, k)
+    return BiSeries(coeffs, cap, vars=vars, window=window)
+
+
+def bi_oracle(series, factors):
+    for a, b, e, sign in factors:
+        series = series * bi_factor(a, b, e, sign, series.cap, series.vars, series.window)
+    return series
+
+
+def q_oracle(series, factors):
+    for a, e, sign in factors:
+        v = series.valuation() or 0
+        span = series.trunc - v
+        coeffs = {a * k: sign ** k * binomial(e, k) for k in range(span // a + 1)}
+        series = series * QSeries(coeffs, span, var=series.var, nome=series.nome)
+    return series
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+small_exponents = st.one_of(
+    st.integers(-3, 6),
+    st.just(0),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+exponents = st.one_of(small_exponents, st.integers(10 ** 20, 10 ** 20 + 5))
+coefficients = st.one_of(st.integers(-9, 9), st.fractions(min_value=-4, max_value=4,
+                                                            max_denominator=5))
+signs = st.sampled_from((1, -1))
+
+
+def dense(draw, keys):
+    """Every key gets a seeded coefficient, rational when the draw says so."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    den = draw(st.sampled_from((1, 1, 3)))
+    return {key: Fraction(rng.randint(-9, 9), den) for key in keys}
+
+
+@st.composite
+def biseries(draw):
+    cap = draw(st.integers(-1, 7))
+    window = draw(st.one_of(st.none(), st.tuples(st.integers(-5, 1), st.integers(-1, 6))))
+    xs = st.integers(-2, max(cap, -2))
+    ys = st.integers(-4, 4)
+    if draw(st.booleans()):  # sparse
+        coeffs = draw(st.dictionaries(st.tuples(xs, ys), coefficients, max_size=6))
+    else:  # dense: every monomial of a small box
+        lo = draw(st.integers(-2, 0))
+        coeffs = dense(draw, [(x, y) for x in range(lo, cap + 1) for y in range(-2, 3)])
+    return BiSeries(coeffs, cap, vars=("p", "q"), window=window)
+
+
+# a huge exponent on a factor constant in x would expand to that many terms
+bi_factors = st.lists(st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(-3, 3), exponents, signs),
+    st.tuples(st.just(0), st.integers(-3, 3), small_exponents, signs),
+), max_size=4)
+
+
+def same_bi(x, y):
+    if x is ValueError or y is ValueError:
+        return x is y
+    return (x.coeffs, x.cap, x.window, x.vars) == (y.coeffs, y.cap, y.window, y.vars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(biseries(), bi_factors)
+def test_biseries_expander_matches_factor_by_factor(series, factors):
+    got = outcome(series.mul_binomials, factors)
+    assert same_bi(got, outcome(bi_oracle, series, factors))
+
+
+@st.composite
+def qseries(draw):
+    trunc = draw(st.integers(-2, 12))
+    lo = draw(st.integers(-3, min(trunc, 2)))
+    if draw(st.booleans()):
+        coeffs = draw(st.dictionaries(st.integers(lo, trunc), coefficients, max_size=5))
+    else:
+        coeffs = dense(draw, range(lo, trunc + 1))
+    return QSeries(coeffs, trunc, nome=draw(st.sampled_from((FULL, HALF))),
+                   prefactor=draw(st.sampled_from((0, Fraction(1, 24), Fraction(-5, 4)))))
+
+
+q_factors = st.lists(st.tuples(st.integers(1, 5), exponents, signs), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qseries(), q_factors)
+def test_qseries_expander_matches_factor_by_factor(series, factors):
+    got = series.mul_binomials(factors)
+    want = q_oracle(series, factors)
+    assert (got.coeffs, got.trunc, got.prefactor, got.nome) == \
+        (want.coeffs, want.trunc, want.prefactor, want.nome)
+
+
+def test_expanders_reject_bad_factors():
+    with pytest.raises(ValueError):
+        QSeries.one(4).mul_binomials([(0, 1, -1)])
+    with pytest.raises(ValueError):
+        QSeries.one(4).mul_binomials([(1, 1, 2)])
+    with pytest.raises(ValueError):
+        BiSeries.one(4).mul_binomials([(-1, 1, 1, -1)])
+    with pytest.raises(ValueError):
+        BiSeries.one(4).mul_binomials([(1, 1, 1, 0)])
+    with pytest.raises(ValueError):
+        BiSeries.one(4, window=(0, 3)).mul_binomials([(0, 0, -1, -1)])

@@ -53,6 +53,17 @@ def test_default_order_env(capsys, monkeypatch):
     assert json.loads(out)["trunc"] == 3
 
 
+def test_negative_order_flag_rejected(capsys):
+    code, out, err = run(capsys, ["expand", "j", "--order", "-3"])
+    assert (code, out, err) == (4, "", "error: order must be >= 0\n")
+
+
+def test_negative_default_order_env_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("QMOON_DEFAULT_ORDER", "-2")
+    code, out, err = run(capsys, ["verify", "triple"])
+    assert (code, out, err) == (4, "", "error: order must be >= 0\n")
+
+
 def test_verify_pass_and_fail_codes(capsys):
     code, out, _ = run(capsys, ["verify", "triple", "--order", "12"])
     assert code == 0 and out.startswith("PASS triple")
@@ -73,6 +84,21 @@ def test_factor_reads_series_file(capsys, tmp_path):
     data = json.loads(out)
     assert data["h"] == "1"
     assert data["exponents"] == {"1": "-744", "2": "80256", "3": "-12288744"}
+
+
+@pytest.mark.parametrize("data, field", [
+    ([1, 2, 3], "must be an object"),
+    ({"trunc": 6, "coeffs": {"0": 1, "3": 5}}, "'coeffs' entry '0'"),
+    ({"trunc": 6}, "'coeffs'"),
+    ({"trunc": "6", "coeffs": {"0": "1"}}, "'trunc'"),
+    ({"trunc": 6, "coeffs": {"0": "1"}, "prefactor": 0}, "'prefactor'"),
+])
+def test_factor_rejects_malformed_series(capsys, tmp_path, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["factor", "--input", str(path)])
+    assert code == 4 and out == ""
+    assert err.startswith("error: series ") and field in err and err.count("\n") == 1
 
 
 def test_lift_emits_h_exponents_series(capsys):

@@ -309,27 +309,27 @@ def test_gbinom():
 # -- two-variable series --------------------------------------------------------
 
 def test_big_exponent_square():
-    b = BiSeries.pow_with_big_exponent(1, 1, 2, 2, vars=("p", "q"))
+    b = BiSeries.one(2, vars=("p", "q")).mul_binomials([(1, 1, 2, -1)])
     assert b.coeffs == {(0, 0): 1, (1, 1): -2, (2, 2): 1}
 
 
 def test_big_exponent_huge():
     c = 196884
-    b = BiSeries.pow_with_big_exponent(1, 1, c, 2, vars=("p", "q"))
+    b = BiSeries.one(2, vars=("p", "q")).mul_binomials([(1, 1, c, -1)])
     assert b.coeffs == {(0, 0): 1, (1, 1): -c, (2, 2): comb(c, 2)}
 
 
 def test_big_exponent_zero_is_one():
-    b = BiSeries.pow_with_big_exponent(2, -1, 0, 6, vars=("p", "q"))
+    b = BiSeries.one(6, vars=("p", "q")).mul_binomials([(2, -1, 0, -1)])
     assert b.coeffs == {(0, 0): 1}
 
 
 def test_big_exponent_negative_with_window():
     # (1 - z)^-1 constant in q: terminates only because of the window
-    b = BiSeries.pow_with_big_exponent(0, 1, -1, 4, window=(0, 3))
+    b = BiSeries.one(4, window=(0, 3)).mul_binomials([(0, 1, -1, -1)])
     assert b.coeffs == {(0, k): 1 for k in range(4)}
     with pytest.raises(ValueError):
-        BiSeries.pow_with_big_exponent(0, 1, -1, 4)
+        BiSeries.one(4).mul_binomials([(0, 1, -1, -1)])
 
 
 def test_biseries_mul_and_caps():
