@@ -129,6 +129,7 @@ PRINTED_F6 = {-4: 1, 0: 6, 1: 504, 4: 143388, 5: 565760, 8: 184373000, 9: 511800
 _PRINTED = {"f_4": PRINTED_F4, "f_6": PRINTED_F6}
 
 
+@forms.longest_memo
 def _eisenstein_over_delta4(weight: int, cap: int) -> QSeries:
     """The weight-(weight - 12) unit E_weight(4t)/Delta(4t), pole at q^-4, through q^cap."""
     m = cap // 4 + 4
@@ -136,32 +137,28 @@ def _eisenstein_over_delta4(weight: int, cap: int) -> QSeries:
     return (forms.eisenstein(weight, m).scale_var(4) * d4_inv).truncate(cap)
 
 
-@lru_cache(maxsize=None)
-def _pieces(cap: int):
-    """Shared catalog ingredients at internal truncation cap.
-
-    theta; Q = F * theta * (theta^4 - 2F)(theta^4 - 16F); G, the weight -6
-    unit E_6(4t)/Delta(4t) with a pole at q^-4; and j(4t).
-    """
+@forms.longest_memo
+def _q_series(cap: int) -> QSeries:
+    """Q = F * theta * (theta^4 - 2F)(theta^4 - 16F), a catalog ingredient, through q^cap."""
     theta = forms.theta_full(cap)
     F = forms.F_oddsigma(cap)
     t4 = theta ** 4
-    Q = F * theta * (t4 - 2 * F) * (t4 - 16 * F)
-    j4 = forms.j_invariant(cap // 4 + 4).scale_var(4).truncate(cap)
-    return theta, Q, _eisenstein_over_delta4(6, cap), j4
+    return F * theta * (t4 - 2 * F) * (t4 - 16 * F)
 
 
-@lru_cache(maxsize=None)
+@forms.longest_memo
 def _raw_catalog(name: str, order: int) -> QSeries:
     if name == "f_delta":
         return 12 * forms.theta_full(order)
     if name == "f_j":
         return _fj_variant(6, order)
-    theta, Q, G, j4 = _pieces(order + _PAD)
     if name == "f_6":
-        return ((j4 - _F6_CONSTANT) * theta - 2 * (Q * G)).truncate(order)
+        cap = order + _PAD
+        j4 = forms.j_invariant(cap // 4 + 4).scale_var(4).truncate(cap)
+        theta, G = forms.theta_full(cap), _eisenstein_over_delta4(6, cap)
+        return ((j4 - _F6_CONSTANT) * theta - 2 * (_q_series(cap) * G)).truncate(order)
     if name == "f_4":
-        return (_raw_catalog("f_j", order) + 12 * theta.truncate(order)) * Fraction(1, 3)
+        return (_raw_catalog("f_j", order) + 12 * forms.theta_full(order)) * Fraction(1, 3)
     if name == "f_8":
         return _raw_catalog("f_4", order) * 2
     if name == "f_10":
@@ -244,10 +241,8 @@ def printed_coefficient_report(name: str) -> list:
 def _fj_variant(weight: int, order: int) -> QSeries:
     """3 Q G + 168 theta with G = E_weight(4t)/Delta(4t); weight 6 is f_j as displayed."""
     cap = order + _PAD
-    theta, Q, G, _ = _pieces(cap)
-    if weight != 6:
-        G = _eisenstein_over_delta4(weight, cap)
-    return (3 * (Q * G) + 168 * theta).truncate(order)
+    G = _eisenstein_over_delta4(weight, cap)
+    return (3 * (_q_series(cap) * G) + 168 * forms.theta_full(cap)).truncate(order)
 
 
 def fj_efactor_report(order: int = 8) -> dict:

@@ -100,6 +100,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_hurwitz(args) -> int:
+    if args.max < 0:
+        raise ValueError("max must be >= 0")
     values = {n: borcherds.hurwitz(n) for n in range(args.max + 1)}
     payload = {"max": args.max, "values": {str(n): str(v) for n, v in values.items()}}
     lines = [f"H({n}) = {v}" for n, v in values.items()]
@@ -271,10 +273,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, KeyError, OSError) as exc:  # bad JSON raises a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

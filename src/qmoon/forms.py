@@ -1,16 +1,16 @@
 """Catalog of classical q-expansions, each built from first principles.
 
-Everything here returns an exact QSeries at the requested truncation order.
+Everything here returns an exact QSeries at the requested truncation order,
+served from one memo that keeps the longest expansion of each form.
 Eisenstein series come from the Bernoulli recurrence, eta products from their
 defining infinite products, thetas as explicit lacunary sums.  The Leech
-theta function is assembled two independent ways and cross-checked on every
-call.
+theta function is assembled two independent ways, cross-checked on every build.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from math import isqrt
 
 from .series import (
@@ -85,22 +85,43 @@ class EtaShape:
         return hash(self.factors)
 
 
+# (builder, leading arguments) -> (order, the longest expansion built so far)
+_LONGEST = {}
+
+
+def longest_memo(builder):
+    """Memoize an order-keyed builder, keeping only its longest expansion.
+
+    The last argument is the truncation order; the ones before it pick the
+    form.  A request at or below the stored order is served as a truncation
+    of the stored series, a higher one rebuilds and replaces it, and a
+    negative order goes straight to the builder without being stored.
+    """
+    @wraps(builder)
+    def memoized(*args):
+        *lead, order = args
+        if order < 0:
+            return builder(*args)
+        key = (builder, *lead)
+        entry = _LONGEST.get(key)
+        if entry is None or entry[0] < order:
+            entry = _LONGEST[key] = (order, builder(*args))
+        return entry[1].truncate(order)
+
+    return memoized
+
+
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number from the x/(e^x - 1) recurrence."""
     if k < 0:
         raise ValueError("Bernoulli numbers indexed by nonnegative integers")
-    return _bernoulli_upto(k)[k]
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_upto(k: int):
     b = [Fraction(1)]
     for m in range(1, k + 1):
         acc = Fraction(0)
         for j in range(m):
             acc += gbinom(m + 1, j) * b[j]
         b.append(-acc / (m + 1))
-    return tuple(b)
+    return b[k]
 
 
 def _sigma_table(ell: int, order: int) -> list:
@@ -113,32 +134,26 @@ def _sigma_table(ell: int, order: int) -> list:
     return table[1:]
 
 
-@lru_cache(maxsize=None)
+@longest_memo
 def eisenstein(weight: int, order: int) -> QSeries:
     """Normalized Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n."""
     if weight < 4 or weight % 2:
         raise ValueError(f"weight must be even and >= 4, got {weight}")
     factor = Fraction(-2 * weight) / bernoulli(weight)
-    sig = _sigma_table(weight - 1, order)
-    coeffs = {0: 1}
-    for n in range(1, order + 1):
-        coeffs[n] = factor * sig[n - 1]
-    return QSeries(coeffs, order)
+    coeffs = {n: factor * s for n, s in enumerate(_sigma_table(weight - 1, order), 1)}
+    return QSeries({0: 1, **coeffs}, order)
 
 
-@lru_cache(maxsize=None)
+@longest_memo
 def delta(order: int) -> QSeries:
-    """Discriminant form q * prod (1-q^n)^24; coefficients are Ramanujan tau."""
-    return product_from_exponents(
-        ExponentTable(-1, {n: 24 for n in range(1, order + 1)}, order)).truncate(order)
+    """Discriminant form eta^24 = q * prod (1-q^n)^24; coefficients are Ramanujan tau."""
+    return eta_quotient(EtaShape([(1, 24)]), order).canonical().truncate(order)
 
 
-@lru_cache(maxsize=None)
+@longest_memo
 def eta(order: int) -> QSeries:
     """Dedekind eta: prefactor q^(1/24) times prod (1-q^n)."""
-    return product_from_exponents(
-        ExponentTable(Fraction(-1, 24), {n: 1 for n in range(1, order + 1)}, order)
-    ).truncate(order)
+    return eta_quotient(EtaShape([(1, 1)]), order)
 
 
 def _shape_exponents(shape: EtaShape, order: int) -> ExponentTable:
@@ -153,7 +168,7 @@ def eta_quotient(shape: EtaShape, order: int) -> QSeries:
     return QSeries(unit.coeffs, order, prefactor=shape.prefactor_exponent())
 
 
-@lru_cache(maxsize=None)
+@longest_memo
 def j_invariant(order: int) -> QSeries:
     """Modular invariant j = E_4^3 / delta, leading power -1."""
     n = order + 2
@@ -166,49 +181,38 @@ def jstar(order: int) -> QSeries:
     return j_invariant(order) - 744
 
 
-@lru_cache(maxsize=None)
+@longest_memo
 def theta_nullwerte(which: int, order: int) -> QSeries:
     """Theta constants on the half nome (variable stands for e^{i*pi*tau}).
 
     theta2 carries prefactor 1/4 and integer exponents n^2+n; theta3 and
     theta4 are supported on squares, theta4 with alternating signs.
     """
+    root = isqrt(max(order, 0))
     if which == 2:
-        coeffs = {}
-        n = 0
-        while n * n + n <= order:
-            coeffs[n * n + n] = 2
-            n += 1
+        coeffs = {n * n + n: 2 for n in range(root + 1) if n * n + n <= order}
         return QSeries(coeffs, order, nome=HALF, prefactor=Fraction(1, 4))
     if which in (3, 4):
-        coeffs = {0: 1}
-        n = 1
-        while n * n <= order:
-            coeffs[n * n] = 2 if which == 3 else 2 * (-1) ** n
-            n += 1
-        return QSeries(coeffs, order, nome=HALF)
+        sign = 1 if which == 3 else -1
+        coeffs = {n * n: 2 * sign ** n for n in range(1, root + 1)}
+        return QSeries({0: 1, **coeffs}, order, nome=HALF)
     raise ValueError(f"theta constant index must be 2, 3, or 4, got {which}")
 
 
-@lru_cache(maxsize=None)
+@longest_memo
 def theta_full(order: int) -> QSeries:
-    """theta(tau) = sum q^{n^2} on the full nome."""
-    coeffs = {0: 1}
-    n = 1
-    while n * n <= order:
-        coeffs[n * n] = 2
-        n += 1
-    return QSeries(coeffs, order)
+    """theta(tau) = sum q^{n^2} on the full nome: theta3's coefficients."""
+    return QSeries(theta_nullwerte(3, order).coeffs, order)
 
 
-@lru_cache(maxsize=None)
+@longest_memo
 def leech_theta(order: int) -> QSeries:
     """Theta series of the Leech lattice, half nome, exponent = vector norm.
 
     Built two independent ways: from theta constants as
     (theta2^24 + theta3^24 + theta4^24)/2 - (69/16)(theta2 theta3 theta4)^8,
     and from the coefficient formula N_m = (65520/691)(sigma_11(m/2) - tau(m/2)).
-    Any disagreement means a kernel bug, so it is checked on every call.
+    Any disagreement means a kernel bug, so every build is checked.
     """
     t2 = theta_nullwerte(2, order)
     t3 = theta_nullwerte(3, order)
@@ -237,27 +241,25 @@ def partition_series(order: int) -> QSeries:
     return colored_partition_series(1, order)
 
 
-@lru_cache(maxsize=None)
+@longest_memo
 def colored_partition_series(k: int, order: int) -> QSeries:
     """Partitions with parts in k colors: 1/prod(1-q^n)^k."""
     if k < 1:
         raise ValueError("number of colors must be >= 1")
-    return product_from_exponents(
-        ExponentTable(0, {n: -k for n in range(1, order + 1)}, order)).truncate(order)
+    return p_g_series(EtaShape([(1, k)]), order)
 
 
-@lru_cache(maxsize=None)
+@longest_memo
 def xi_series(order: int) -> QSeries:
     """phi(q)^-8 (1 - phi(q^2)/phi(q^4)) with phi(q) = prod(1-q^n)."""
-    phi = product_from_exponents(
-        ExponentTable(0, {n: 1 for n in range(1, order + 1)}, order))
+    phi = QSeries(eta(order).coeffs, order)
     phi2 = phi.scale_var(2).truncate(order)
     phi4 = phi.scale_var(4).truncate(order)
     inv8 = colored_partition_series(8, order)
     return (inv8 * (1 - phi2 * phi4.invert())).truncate(order)
 
 
-@lru_cache(maxsize=None)
+@longest_memo
 def F_oddsigma(order: int) -> QSeries:
     """F = sum over odd n of sigma_1(n) q^n."""
     sig = _sigma_table(1, order)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from math import gcd
 
 from .identities import VerifyReport
+from .series import _json_fields, _json_table
 
 
 def _check_weight(k):
@@ -67,11 +68,9 @@ class JacobiCoeffTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "JacobiCoeffTable":
-        coeffs = {}
-        for key, c in data["coeffs"].items():
-            n, r = (int(x) for x in key.split(","))
-            coeffs[(n, r)] = c
-        return cls(data["k"], data["m"], coeffs, data.get("disc_bound"))
+        k, m, _, disc_bound = _json_fields(data, "Jacobi table", k=int, m=int, coeffs=dict,
+                                           disc_bound=int | None)
+        return cls(k, m, _json_table(data, "Jacobi table", "coeffs", 2), disc_bound)
 
     def __eq__(self, other):
         if not isinstance(other, JacobiCoeffTable):
@@ -128,11 +127,9 @@ class SiegelCoeffTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "SiegelCoeffTable":
-        coeffs = {}
-        for key, a in data["coeffs"].items():
-            n, r, m = (int(x) for x in key.split(","))
-            coeffs[(n, r, m)] = a
-        return cls(data["k"], coeffs, data.get("disc_bound"))
+        k, _, disc_bound = _json_fields(data, "Siegel table", k=int, coeffs=dict,
+                                        disc_bound=int | None)
+        return cls(k, _json_table(data, "Siegel table", "coeffs", 3), disc_bound)
 
     def __repr__(self):
         return (f"SiegelCoeffTable(k={self.k}, support={len(self.coeffs)}, "

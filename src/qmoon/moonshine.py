@@ -9,7 +9,6 @@ j - 744.  Everything is coefficient-exact inside rectangular caps.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from . import forms
@@ -44,7 +43,6 @@ class MoonshineCoeffs:
         return f"MoonshineCoeffs(max_n={self.max_n})"
 
 
-@lru_cache(maxsize=None)
 def moonshine_c(max_n: int) -> MoonshineCoeffs:
     """Coefficients of j - 744 through q^max_n."""
     return MoonshineCoeffs(forms.jstar(max_n).coeffs, max_n)

@@ -82,21 +82,18 @@ def frenkel_compare(algebra: str, norms) -> MultReport:
     if algebra not in ALGEBRAS:
         raise ValueError(f"algebra must be one of {ALGEBRAS}, got {algebra!r}")
     norms = sorted(set(norms), reverse=True)
+    for norm in norms:
+        if norm % 2 or norm > 2:
+            raise ValueError(f"rows need even norms <= 2, got {norm}")
+    exact_mult = e10_level2_mult if algebra == "E10_level2" else fake_monster_mult
+    # deepest norm first, so each series is built once and then truncated
+    exact = {norm: exact_mult(norm) for norm in reversed(norms)}
+    colors = 8 if algebra == "E10_level2" else 24
+    bound_series = forms.colored_partition_series(colors, 1 - min(norms, default=2) // 2)
     rows = []
-    if norms:
-        for norm in norms:
-            if norm % 2 or norm > 2:
-                raise ValueError(f"rows need even norms <= 2, got {norm}")
-        top = 1 - min(norms) // 2
-        colors = 8 if algebra == "E10_level2" else 24
-        bound_series = forms.colored_partition_series(colors, top)
-        for norm in norms:
-            if algebra == "E10_level2":
-                exact = e10_level2_mult(norm)
-            else:
-                exact = fake_monster_mult(norm)
-            bound = bound_series.coeff(1 - norm // 2)
-            rows.append((norm, exact, bound, exact > bound))
+    for norm in norms:
+        bound = bound_series.coeff(1 - norm // 2)
+        rows.append((norm, exact[norm], bound, exact[norm] > bound))
     return MultReport(algebra, rows)
 
 

@@ -69,6 +69,40 @@ def _parse_rat(s: str):
     return int(s)
 
 
+def _json_fields(data, what: str, **kinds) -> list:
+    """The named fields of a JSON object, each checked to be of its kind.
+
+    A kind is int, dict or ``int | None`` (an integer, or a null or missing
+    field).  Raises ValueError naming the object or the first bad field.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    for field, kind in kinds.items():
+        value = data.get(field)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            noun = {int: "an integer", dict: "an object"}.get(kind, "an integer or null")
+            raise ValueError(f"{what} field {field!r} must be {noun}")
+    return [data.get(field) for field in kinds]
+
+
+def _json_table(data: dict, what: str, field: str, arity: int) -> dict:
+    """data[field], an object keyed like "1,-2", as {(1, -2): integer value}."""
+    table = {}
+    for key, value in data[field].items():
+        try:
+            index = tuple(int(x) for x in key.split(","))
+        except ValueError:
+            index = ()
+        if len(index) != arity:
+            raise ValueError(f"{what} field {field!r} key {key!r} must be "
+                             f"{arity} comma-separated integers")
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{what} field {field!r} entry {key!r} must be an integer, "
+                             f"got {value!r}")
+        table[index] = value
+    return table
+
+
 class QSeries:
     """Truncated Laurent series  q^prefactor * sum coeffs[e] * q^e.
 
@@ -112,10 +146,6 @@ class QSeries:
     def one(cls, trunc, **kw):
         return cls({0: 1}, trunc, **kw)
 
-    @classmethod
-    def monomial(cls, c, e, trunc, **kw):
-        return cls({e: c}, trunc, **kw)
-
     # -- inspection --------------------------------------------------------
 
     def coeff(self, e: int):
@@ -132,9 +162,6 @@ class QSeries:
     def valuation(self):
         """Lowest exponent with nonzero coefficient, or None for the zero series."""
         return min(self.coeffs) if self.coeffs else None
-
-    def support(self):
-        return sorted(self.coeffs)
 
     def __repr__(self):
         return (f"QSeries({self.var}, {self.nome}, prefactor={self.prefactor}, "
@@ -355,13 +382,7 @@ class QSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "QSeries":
-        if not isinstance(data, dict):
-            raise ValueError("series JSON must be an object")
-        coeffs, trunc = data.get("coeffs"), data.get("trunc")
-        if not isinstance(coeffs, dict):
-            raise ValueError("series field 'coeffs' must be an object")
-        if not isinstance(trunc, int) or isinstance(trunc, bool):
-            raise ValueError("series field 'trunc' must be an integer")
+        coeffs, trunc = _json_fields(data, "series", coeffs=dict, trunc=int)
         for e, c in coeffs.items():
             if not isinstance(c, str):
                 raise ValueError(f"series field 'coeffs' entry {e!r} must be a string, got {c!r}")
@@ -378,22 +399,14 @@ class QSeries:
         parts = []
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
-            neg = c < 0
-            mag = -c if neg else c
-            if e == 0:
-                body = _fmt_rat(mag) if isinstance(mag, int) else f"({_fmt_rat(mag)})"
-            else:
-                power = var if e == 1 else f"{var}^{e}"
-                if mag == 1:
-                    body = power
-                elif isinstance(mag, int):
-                    body = f"{mag}{power}"
-                else:
-                    body = f"({_fmt_rat(mag)}){power}"
+            mag = abs(c)
+            num = str(mag) if isinstance(mag, int) else f"({_fmt_rat(mag)})"
+            power = "" if e == 0 else var if e == 1 else f"{var}^{e}"
+            body = power if power and mag == 1 else num + power
             if not parts:
-                parts.append(f"-{body}" if neg else body)
+                parts.append(f"-{body}" if c < 0 else body)
             else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
+                parts.append(f"- {body}" if c < 0 else f"+ {body}")
         parts.append(f"+ O({var}^{self.trunc + 1})" if parts else f"0 + O({var}^{self.trunc + 1})")
         body = " ".join(parts)
         if self.prefactor:
@@ -494,12 +507,6 @@ class ExponentTable:
     def to_json(self) -> dict:
         return {"h": _fmt_rat(self.h), "order": self.order,
                 "exponents": {str(n): _fmt_rat(e) for n, e in sorted(self.exps.items())}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ExponentTable":
-        return cls(_parse_rat(data["h"]),
-                   {int(n): _parse_rat(e) for n, e in data["exponents"].items()},
-                   int(data["order"]))
 
 
 def gbinom(e, k: int):

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .identities import VerifyReport
+from .series import _json_fields, _json_table
 
 SAMPLE_NAMES = ("pair", "trivial", "orthogonal")
 
@@ -70,9 +71,12 @@ class VectorSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "VectorSystem":
-        mult = {tuple(int(x) for x in key.split(",")): c
-                for key, c in data["mult"].items()}
-        return cls(int(data["dim"]), data["gram"], mult)
+        dim, _ = _json_fields(data, "vector system", dim=int, mult=dict)
+        gram = data.get("gram")
+        if not isinstance(gram, list) or not all(
+                isinstance(row, list) and all(isinstance(x, int) for x in row) for row in gram):
+            raise ValueError("vector system field 'gram' must be a list of integer rows")
+        return cls(dim, gram, _json_table(data, "vector system", "mult", dim))
 
     def __repr__(self):
         return f"VectorSystem(dim={self.dim}, support={len(self.mult)})"

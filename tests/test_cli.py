@@ -101,6 +101,40 @@ def test_factor_rejects_malformed_series(capsys, tmp_path, data, field):
     assert err.startswith("error: series ") and field in err and err.count("\n") == 1
 
 
+_PAIR = {"dim": 1, "gram": [[2]], "mult": {"1": 1, "-1": 1}}
+_JACOBI = {"k": 10, "m": 1, "coeffs": {"0,0": 2, "1,1": 3}}
+_SIEGEL = {"k": 10, "coeffs": {"0,0,1": 2, "1,1,1": 3}}
+
+
+@pytest.mark.parametrize("argv, data, field", [
+    (["vsys", "psi"], [1, 2], "vector system JSON must be an object"),
+    (["vsys", "check", "--shift", "1"], [1, 2], "vector system JSON must be an object"),
+    (["vsys", "psi"], {**_PAIR, "mult": [1, -1]}, "vector system field 'mult'"),
+    (["vsys", "check", "--shift", "1"], {**_PAIR, "mult": {"1,x": 1}}, "'mult' key '1,x'"),
+    (["vsys", "psi"], {**_PAIR, "mult": {"1": [1]}}, "'mult' entry '1'"),
+    (["vsys", "psi"], {**_PAIR, "dim": "1"}, "vector system field 'dim'"),
+    (["vsys", "psi"], {**_PAIR, "gram": 2}, "vector system field 'gram'"),
+    (["maass", "lift"], [1, 2], "Jacobi table JSON must be an object"),
+    (["maass", "lift"], {**_JACOBI, "coeffs": [2, 3]}, "Jacobi table field 'coeffs'"),
+    (["maass", "lift"], {**_JACOBI, "coeffs": {"1,x": 3}}, "'coeffs' key '1,x'"),
+    (["maass", "lift"], {**_JACOBI, "coeffs": {"1,1,1": 3}}, "'coeffs' key '1,1,1'"),
+    (["maass", "lift"], {**_JACOBI, "k": "10"}, "Jacobi table field 'k'"),
+    (["maass", "lift"], {**_JACOBI, "m": 1.5}, "Jacobi table field 'm'"),
+    (["maass", "lift"], {**_JACOBI, "disc_bound": [4]}, "Jacobi table field 'disc_bound'"),
+    (["maass", "check"], [1, 2], "Siegel table JSON must be an object"),
+    (["maass", "check"], {**_SIEGEL, "coeffs": [2, 3]}, "Siegel table field 'coeffs'"),
+    (["maass", "check"], {**_SIEGEL, "coeffs": {"1,x": 3}}, "'coeffs' key '1,x'"),
+    (["maass", "check"], {**_SIEGEL, "coeffs": {"1,1,1": "3"}}, "'coeffs' entry '1,1,1'"),
+    (["maass", "check"], {**_SIEGEL, "k": None}, "Siegel table field 'k'"),
+])
+def test_table_inputs_reject_malformed_json(capsys, tmp_path, argv, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, argv + ["--file", str(path)])
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
 def test_lift_emits_h_exponents_series(capsys):
     code, out, _ = run(capsys, ["lift", "--name", "f_4", "--order", "3", "--json"])
     assert code == 0
@@ -127,6 +161,11 @@ def test_hurwitz_table(capsys):
     assert values == {"0": "-1/12", "1": "0", "2": "0", "3": "1/3", "4": "1/2"}
     code, out, _ = run(capsys, ["hurwitz", "--max", "3"])
     assert out.splitlines()[-1] == "H(3) = 1/3"
+
+
+def test_hurwitz_negative_max_rejected(capsys):
+    code, out, err = run(capsys, ["hurwitz", "--max", "-3"])
+    assert code == 4 and out == "" and err == "error: max must be >= 0\n"
 
 
 def test_zeromult(capsys):
