@@ -133,8 +133,7 @@ _PRINTED = {"f_4": PRINTED_F4, "f_6": PRINTED_F6}
 def _eisenstein_over_delta4(weight: int, cap: int) -> QSeries:
     """The weight-(weight - 12) unit E_weight(4t)/Delta(4t), pole at q^-4, through q^cap."""
     m = cap // 4 + 4
-    d4_inv = forms.delta(m).scale_var(4).invert()
-    return (forms.eisenstein(weight, m).scale_var(4) * d4_inv).truncate(cap)
+    return (forms.eisenstein(weight, m) * forms.delta(m).invert()).scale_var(4).truncate(cap)
 
 
 @forms.longest_memo

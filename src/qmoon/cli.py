@@ -25,7 +25,11 @@ _ALGEBRA_NAMES = {"e10": "E10_level2", "E10_level2": "E10_level2",
 def _default_order(args, fallback=10):
     order = getattr(args, "order", None)
     if order is None:
-        order = int(os.environ.get("QMOON_DEFAULT_ORDER", fallback))
+        env = os.environ.get("QMOON_DEFAULT_ORDER", str(fallback))
+        try:
+            order = int(env)
+        except ValueError:
+            raise ValueError(f"QMOON_DEFAULT_ORDER must be an integer, got {env!r}") from None
     if order < 0:
         raise ValueError("order must be >= 0")
     return order

@@ -2,7 +2,7 @@
 
 Everything here returns an exact QSeries at the requested truncation order,
 served from one memo that keeps the longest expansion of each form.
-Eisenstein series come from the Bernoulli recurrence, eta products from their
+Eisenstein series come from Bernoulli numbers, eta products from their
 defining infinite products, thetas as explicit lacunary sums.  The Leech
 theta function is assembled two independent ways, cross-checked on every build.
 """
@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from math import isqrt
+from math import factorial, isqrt
 
 from .series import (
     FULL,
     HALF,
     ExponentTable,
     QSeries,
-    gbinom,
+    _inverse,
     product_from_exponents,
 )
 
@@ -112,16 +112,11 @@ def longest_memo(builder):
 
 
 def bernoulli(k: int) -> Fraction:
-    """k-th Bernoulli number from the x/(e^x - 1) recurrence."""
+    """k-th Bernoulli number, k! [x^k] x/(e^x - 1), by the kernel's series inverse."""
     if k < 0:
         raise ValueError("Bernoulli numbers indexed by nonnegative integers")
-    b = [Fraction(1)]
-    for m in range(1, k + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += gbinom(m + 1, j) * b[j]
-        b.append(-acc / (m + 1))
-    return b[k]
+    inverse = _inverse([Fraction(1, factorial(j + 1)) for j in range(k + 1)], k + 1)
+    return Fraction(factorial(k) * inverse[k])
 
 
 def _sigma_table(ell: int, order: int) -> list:

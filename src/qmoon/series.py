@@ -14,7 +14,8 @@ is a hard error; conversion goes through ``scale_var``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt, lcm
+from operator import mul
 
 __all__ = [
     "FULL",
@@ -43,6 +44,8 @@ class NomeMismatch(ValueError):
 
 def _num(x):
     """Normalize an exact number: Fractions with denominator 1 become ints."""
+    if type(x) is int:  # the common case, without the ABC check Fraction costs
+        return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, int):
@@ -220,9 +223,7 @@ class QSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        if not isinstance(other, QSeries):
+        if not isinstance(other, (int, Fraction, QSeries)):
             return NotImplemented
         return self + (-other)
 
@@ -231,8 +232,6 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return self._like({}, self.trunc)
             return self._like({e: c * other for e, c in self.coeffs.items()}, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -244,16 +243,11 @@ class QSeries:
                               prefactor=self.prefactor + other.prefactor)
         # Unknown tails poison the product past these bounds.
         trunc = min(self.trunc + vb, other.trunc + va)
-        out = {}
-        small, large = self.coeffs, other.coeffs
-        if len(small) > len(large):
-            small, large = large, small
-        for ea, ca in small.items():
-            for eb, cb in large.items():
-                e = ea + eb
-                if e <= trunc:
-                    out[e] = out.get(e, 0) + ca * cb
-        return self._like(out, trunc, prefactor=self.prefactor + other.prefactor)
+        n = trunc - va - vb + 1
+        a = _dense(self, va, n)
+        out = _mul_lists(a, a if other is self else _dense(other, vb, n), n)
+        return self._like({i + va + vb: c for i, c in enumerate(out)}, trunc,
+                          prefactor=self.prefactor + other.prefactor)
 
     __rmul__ = __mul__
 
@@ -262,62 +256,40 @@ class QSeries:
             return NotImplemented
         if k < 0:
             return self.invert() ** (-k)
-        result = QSeries.one(self.trunc, var=self.var, nome=self.nome)
-        base = self
-        first = True
-        while k:
-            if k & 1:
-                result = base if first else result * base
-                first = False
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        if k < 2:
+            return self if k else QSeries.one(self.trunc, var=self.var, nome=self.nome)
+        half = self ** (k // 2)
+        return half * half * self if k & 1 else half * half
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the lowest monomial moves to a negative power."""
         v = self.valuation()
         if v is None:
             raise ValueError("cannot invert the zero series")
-        lead = self.coeffs[v]
-        n_max = self.trunc - v  # unit part known to this order
-        u = {e - v: c for e, c in self.coeffs.items()}
-        r = {0: _num(Fraction(1) / lead)}
-        for n in range(1, n_max + 1):
-            acc = 0
-            for e, c in u.items():
-                if 0 < e <= n:
-                    rk = r.get(n - e)
-                    if rk:
-                        acc += c * rk
-            if acc:
-                r[n] = _num(Fraction(-acc) / lead)
-        return self._like({e - v: c for e, c in r.items()}, n_max - v,
+        n = self.trunc - v + 1  # unit part known through q^(n-1)
+        r = _inverse(_dense(self, v, n), n)
+        return self._like({i - v: c for i, c in enumerate(r)}, n - 1 - v,
                           prefactor=-self.prefactor)
 
     def mul_binomials(self, factors) -> "QSeries":
         """Multiply by prod (1 + sign * q^a)^e over the (a, e, sign) factors.
 
         Every factor is an exactly known unit (a >= 1), so the truncation and
-        the valuation stay; e may be any exact rational.
+        the valuation stay; e may be any exact rational.  The factors become
+        one Euler product, as (1 + q^a)^e = (1 - q^2a)^e (1 - q^a)^-e.
         """
         v = self.valuation()
         if v is None:
             return self
-        trunc = self.trunc
-        acc = self.coeffs
+        exps = {}
         for a, e, sign in factors:
-            if a < 1:
-                raise ValueError("factor exponent must be positive")
-            terms = [(a * k, c) for k, c in _binomial_terms(e, sign, (trunc - v) // a)]
-            out = {}
-            for ea, ca in acc.items():
-                for eb, cb in terms:
-                    s = ea + eb
-                    if s <= trunc:
-                        out[s] = out.get(s, 0) + ca * cb
-            acc = {s: c for s, c in out.items() if c}
-        return self._like(acc, trunc)
+            if a < 1 or sign not in (1, -1):
+                raise ValueError("factor needs exponent a >= 1 and sign +1 or -1")
+            for d, x in ([(a, e)] if sign == -1 else [(2 * a, e), (a, -e)]):
+                exps[d] = exps.get(d, 0) + x
+        span = self.trunc - v
+        table = ExponentTable(0, {d: x for d, x in exps.items() if d <= span}, span)
+        return self * product_from_exponents(table, var=self.var, nome=self.nome)
 
     def scale_var(self, k: int, nome: str | None = None) -> "QSeries":
         """Substitute q -> q^k (i.e. tau -> k*tau on the same nome grid).
@@ -414,7 +386,90 @@ class QSeries:
         return body
 
 
-# -- exponential and logarithm ---------------------------------------------
+# -- dense exact kernel, exponential and logarithm -----------------------------
+#
+# Coefficient lists (entry i belongs to q^(v + i)) multiplied by Kronecker
+# substitution; inverse and log build on that, exp and Euler products on a recurrence.
+
+
+def _dense(s: QSeries, v: int, n: int) -> list:
+    """The coefficients of s at q^v, ..., q^(v + n - 1)."""
+    out = [0] * n
+    for e, c in s.coeffs.items():
+        if 0 <= e - v < n:
+            out[e - v] = c
+    return out
+
+
+def _integral(cs: list):
+    """(ints, den) with cs[i] == ints[i] / den, den the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in cs if type(c) is not int))
+    return [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _pack(cs: list, width: int, half: int) -> int:
+    """sum cs[i] 2^(8 width i) for |cs[i]| < half: slot i holds the bytes of cs[i] + half."""
+    slot = half.to_bytes(width, "little")
+    buf = bytearray(slot * len(cs))
+    for i, c in enumerate(cs):
+        if c:
+            buf[i * width:(i + 1) * width] = (c + half).to_bytes(width, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(slot * len(cs), "little")
+
+
+def _mul_lists(a: list, b: list, n: int) -> list:
+    """The first n coefficients of the product of coefficient lists a and b.
+
+    Kronecker substitution: each list is packed into one integer with a
+    width-byte slot per coefficient, and one multiply convolves them.  The
+    width holds min(len) * max|a| * max|b| plus a sign; a bias of half per
+    slot keeps every slot nonnegative.  Rationals share one denominator.
+    """
+    square = a is b
+    a, b = a[:n], b[:n]
+    for x, y in ((a, b), (b, a)):
+        step = gcd(*(i for i, c in enumerate(y) if c))
+        if step > 1:  # y is a series in q^step: one product per residue class of x
+            out, ys = [0] * n, y[::step]
+            for r in range(step):
+                out[r::step] = _mul_lists(x[r::step], ys, len(range(r, n, step)))
+            return out
+    a, den = _integral(a)
+    b, den_b = (a, den) if square else _integral(b)
+    den *= den_b
+    top_a, top_b = max(map(abs, a), default=0), max(map(abs, b), default=0)
+    if not top_a or not top_b:
+        return [0] * n
+    bits = top_a.bit_length() + top_b.bit_length() + min(len(a), len(b)).bit_length() + 1
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    x = _pack(a, width, half)
+    z = x * x if square else x * _pack(b, width, half)
+    del x
+    z = (z + int.from_bytes(half.to_bytes(width, "little") * n, "little")) \
+        & ((1 << 8 * width * n) - 1)
+    data = memoryview(z.to_bytes(width * n, "little"))
+    del z
+    out = [int.from_bytes(data[i:i + width], "little") - half for i in range(0, width * n, width)]
+    return out if den == 1 else [_num(Fraction(c, den)) for c in out]
+
+
+def _inverse(u: list, n: int) -> list:
+    """The first n coefficients (at least one) of 1/u, for u[0] != 0, by Newton doubling."""
+    r = [_num(Fraction(1) / u[0])]
+    while len(r) < n:  # u r = 1 + q^k e mod q^2k, so 1/u = r - q^k r e mod q^2k
+        k, m = len(r), min(2 * len(r), n)
+        r += [-c for c in _mul_lists(r, _mul_lists(u, r, m)[k:], m - k)]
+    return r
+
+
+def _exp_recurrence(w: list, n: int) -> list:
+    """Coefficients 0..n of the b = 1 + ... with q b'/b = sum_k w[k-1] q^k, in O(n^2):
+    m b_m = sum_{k <= m} w[k-1] b_{m-k}, and quotients that divide exactly stay ints."""
+    b = [1]
+    for m in range(1, n + 1):
+        b.append(_num(Fraction(sum(map(mul, w, reversed(b))), m)))
+    return b
 
 
 def exp_series(a: QSeries) -> QSeries:
@@ -425,37 +480,22 @@ def exp_series(a: QSeries) -> QSeries:
     if v is not None and v < 1:
         raise ValueError("exp_series requires valuation >= 1 (no constant term)")
     n = a.trunc
-    result = QSeries.one(n, var=a.var, nome=a.nome)
-    term = QSeries.one(n, var=a.var, nome=a.nome)
-    k = 1
-    while True:
-        term = (term * a).truncate(n)
-        if term.is_zero():
-            break
-        term = term * Fraction(1, k)
-        result = result + term
-        k += 1
-    return result
+    w = [k * c for k, c in enumerate(_dense(a, 0, n + 1))][1:]
+    return QSeries(dict(enumerate(_exp_recurrence(w, n))), n, var=a.var, nome=a.nome)
 
 
 def log_series(a: QSeries) -> QSeries:
-    """Formal logarithm; requires constant term 1, zero prefactor."""
+    """Formal logarithm, the integral of a'/a; requires constant term 1, zero prefactor."""
     if a.prefactor:
         raise ValueError("log_series requires zero prefactor")
     if a.coeffs.get(0) != 1 or (a.valuation() is not None and a.valuation() < 0):
         raise ValueError("log_series requires constant term 1")
     n = a.trunc
-    x = a - 1
-    result = QSeries.zero(n, var=a.var, nome=a.nome)
-    term = QSeries.one(n, var=a.var, nome=a.nome)
-    k = 1
-    while True:
-        term = (term * x).truncate(n)
-        if term.is_zero():
-            break
-        result = result + term * Fraction((-1) ** (k + 1), k)
-        k += 1
-    return result
+    derivative = QSeries({e - 1: e * c for e, c in a.coeffs.items() if e}, n - 1,
+                         var=a.var, nome=a.nome)
+    ratio = derivative * a.invert()
+    return QSeries({e + 1: Fraction(c, e + 1) for e, c in ratio.coeffs.items()}, n,
+                   var=a.var, nome=a.nome)
 
 
 # -- product <-> exponent conversion ----------------------------------------
@@ -539,48 +579,47 @@ def _binomial_terms(e, sign, kmax):
 
 
 def product_from_exponents(t: ExponentTable, *, var="q", nome=FULL) -> QSeries:
-    """Expand q^(-h) * prod_{n <= order} (1 - q^n)^{e_n} exactly.
+    """Expand q^(-h) * prod_{n <= order} (1 - q^n)^{e_n} exactly (Euler transform).
 
     The fractional part of -h becomes the prefactor; missing factors beyond
     the table's order are 1 + O(q^{order+1}), so the expansion is exact to
     the shifted truncation.
     """
-    order = t.order
+    w = [0] * t.order  # q u'/u = sum_k w[k-1] q^k, w[k-1] = -sum_{d | k} d e_d
+    for d, e in t.exps.items():
+        for k in range(d, t.order + 1, d):
+            w[k - 1] -= d * e
+    unit = _exp_recurrence(w, t.order)
     minus_h = -Fraction(t.h)
     shift = minus_h.numerator // minus_h.denominator
-    unit = QSeries.one(order, var=var, nome=nome, prefactor=minus_h - shift)
-    return unit.mul_binomials((n, e, -1) for n, e in sorted(t.exps.items())).shift(shift)
+    return QSeries({i + shift: c for i, c in enumerate(unit)}, t.order + shift,
+                   var=var, nome=nome, prefactor=minus_h - shift)
 
 
 def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
     """Recover the exponent table of a = q^(-h) * prod (1-q^n)^{e_n}.
 
-    Uses m * [q^m](-log u) = sum_{d|m} d*e_d and Moebius inversion, where u
-    is the unit part of a; requires u to start with constant term 1.
+    With u the unit part of a (constant term 1), -q u'/u = -q (log u)' =
+    sum_m g_m q^m and g_m = sum_{d | m} d e_d, so a sieve over d peels off
+    d e_d in order.
     """
     v = a.valuation()
     if v is None:
         raise ValueError("zero series has no product expansion")
     if a.coeffs[v] != 1:
         raise ValueError("unit part's constant term must be 1")
-    if a.trunc - v < order:
+    if not 0 <= order <= a.trunc - v:
         raise ValueError(f"series known to order {a.trunc - v} after normalization, need {order}")
-    u = QSeries({e - v: c for e, c in a.coeffs.items() if e - v <= order}, order,
-                var=a.var, nome=a.nome)
-    minus_log = -log_series(u)
-    g = {m: m * Fraction(minus_log.coeffs.get(m, 0)) for m in range(1, order + 1)}
+    u = QSeries(a.shift(-v).truncate(order).coeffs, order, var=a.var, nome=a.nome)
+    log = log_series(u).coeffs
+    g = [_num(-m * log.get(m, 0)) for m in range(1, order + 1)]
     exps = {}
-    for d in range(1, order + 1):
-        acc = Fraction(0)
-        for m in divisors(d):
-            mu = moebius(d // m)
-            if mu:
-                acc += mu * g[m]
-        e = acc / d
-        if e:
-            exps[d] = _num(e)
-    h = -(v + a.prefactor)
-    return ExponentTable(h, exps, order)
+    for d, x in enumerate(g, 1):
+        if x:  # x = d e_d: the proper divisors' terms are already subtracted
+            exps[d] = _num(Fraction(x, d))
+            for m in range(2 * d, order + 1, d):
+                g[m - 1] -= x
+    return ExponentTable(-(v + a.prefactor), exps, order)
 
 
 # -- elementary arithmetic functions ----------------------------------------

@@ -22,11 +22,17 @@ from .series import _json_fields, _json_table
 SAMPLE_NAMES = ("pair", "trivial", "orthogonal")
 
 
-def _det(m):
-    if len(m) == 1:
-        return m[0][0]
-    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(len(m)))
+def _positive_definite(gram) -> bool:
+    """Sylvester's criterion in O(n^3): a fraction-free (Bareiss) elimination,
+    whose k-th pivot is the k-th leading principal minor (divisions are exact)."""
+    m, prev = [list(r) for r in gram], 1
+    for k, row in enumerate(m):
+        if row[k] <= 0:
+            return False
+        for r in m[k + 1:]:
+            r[k + 1:] = [(x * row[k] - r[k] * y) // prev for x, y in zip(r[k + 1:], row[k + 1:])]
+        prev = row[k]
+    return True
 
 
 class VectorSystem:
@@ -44,8 +50,7 @@ class VectorSystem:
         if any(self.gram[i][j] != self.gram[j][i] for i in range(self.dim)
                for j in range(self.dim)):
             raise ValueError("gram matrix must be symmetric")
-        rows = [list(r) for r in self.gram]
-        if any(_det([row[:k + 1] for row in rows[:k + 1]]) <= 0 for k in range(self.dim)):
+        if not _positive_definite(self.gram):
             raise ValueError("gram matrix must be positive definite")
         self.mult = {}
         for v, c in mult.items():

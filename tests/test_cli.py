@@ -53,6 +53,20 @@ def test_default_order_env(capsys, monkeypatch):
     assert json.loads(out)["trunc"] == 3
 
 
+def test_non_integer_default_order_env_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("QMOON_DEFAULT_ORDER", "abc")
+    code, out, err = run(capsys, ["expand", "delta"])
+    assert (code, out) == (4, "")
+    assert err == "error: QMOON_DEFAULT_ORDER must be an integer, got 'abc'\n"
+
+
+def test_non_positive_definite_gram_exits_four(capsys, tmp_path):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dim": 3, "gram": [[2, 1, 1], [1, 2, 1], [1, 1, 0]], "mult": {}}))
+    code, out, err = run(capsys, ["vsys", "psi", "--file", str(path)])
+    assert (code, out, err) == (4, "", "error: gram matrix must be positive definite\n")
+
+
 def test_negative_order_flag_rejected(capsys):
     code, out, err = run(capsys, ["expand", "j", "--order", "-3"])
     assert (code, out, err) == (4, "", "error: order must be >= 0\n")

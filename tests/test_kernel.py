@@ -1,0 +1,223 @@
+"""Differential tests of the dense kernel against the dict reference in kernel_oracle.
+
+Every comparison checks the coefficients and their types (int vs Fraction)
+together with trunc, prefactor, nome and var.  Inputs mix sparse and dense
+supports, negative valuations, rational coefficients, prefactors, both nome
+conventions, mismatched truncations, all-negative coefficients, the zero
+series, one-coefficient windows, and coefficients from a few bits to about
+2000 bits, including values right at the byte boundaries of a packing slot.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import kernel_oracle as oracle
+from qmoon.series import (
+    FULL,
+    HALF,
+    ExponentTable,
+    QSeries,
+    exp_series,
+    exponents_from_series,
+    log_series,
+    product_from_exponents,
+)
+
+
+def types(coeffs):
+    return {e: type(c) for e, c in coeffs.items()}
+
+
+def same(new, old):
+    assert (new.var, new.nome, new.prefactor, new.trunc) == (old.var, old.nome, old.prefactor,
+                                                             old.trunc)
+    assert new.coeffs == old.coeffs
+    assert types(new.coeffs) == types(old.coeffs)
+
+
+def same_table(new, old):
+    assert (new.h, type(new.h), new.order) == (old.h, type(old.h), old.order)
+    assert new.exps == old.exps
+    assert types(new.exps) == types(old.exps)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+# Magnitudes 2^(8w - 1) - 1 .. 2^(8w - 1) + 1 sit on the edge of a w-byte slot.
+slot_edges = st.builds(lambda bits, d, s: s * ((1 << bits) + d),
+                       st.sampled_from([6, 7, 8, 15, 16, 31, 63, 64, 127, 1999, 2000]),
+                       st.integers(-1, 1), st.sampled_from([1, -1]))
+small = st.integers(-9, 9)
+huge = st.integers(-(1 << 2000), 1 << 2000)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+coefficients = st.one_of(small, small, huge, slot_edges, rationals)
+prefactors = st.sampled_from([0, 0, Fraction(1, 24), Fraction(-5, 8), Fraction(7, 3), 2])
+
+
+@st.composite
+def series(draw, coeffs=coefficients, lo=-4, hi=12, width=24, nome=FULL, prefactor=0,
+           negative=False):
+    low = draw(st.integers(lo, hi))
+    top = low + draw(st.integers(0, width))
+    if draw(st.booleans()):
+        exps = range(low, top + 1)
+    else:
+        exps = draw(st.lists(st.integers(low, top), max_size=6, unique=True))
+    values = {e: draw(coeffs) for e in exps}
+    if negative:
+        values = {e: -abs(c) for e, c in values.items()}
+    trunc = top + draw(st.integers(0, 6))
+    return QSeries(values, trunc, nome=nome, prefactor=prefactor)
+
+
+@st.composite
+def pairs(draw):
+    nome = draw(st.sampled_from([FULL, HALF]))
+    negative = draw(st.booleans())
+    a = draw(st.one_of(series(nome=nome, prefactor=draw(prefactors), negative=negative),
+                       st.just(QSeries.zero(draw(st.integers(-3, 8)), nome=nome))))
+    b = draw(series(nome=nome, prefactor=draw(prefactors), negative=negative))
+    return a, b
+
+
+@settings(deadline=None)
+@given(pairs())
+def test_mul_matches_reference(pair):
+    a, b = pair
+    same(a * b, oracle.mul(a, b))
+    same(b * a, oracle.mul(b, a))
+    same(a * a, oracle.mul(a, a))
+
+
+@settings(deadline=None)
+@given(series(), series(lo=0, hi=6, width=8), st.integers(2, 5))
+def test_mul_by_series_in_q_power_matches_reference(a, b, k):
+    b = b.scale_var(k)
+    same(a * b, oracle.mul(a, b))
+    same(b * a, oracle.mul(b, a))
+
+
+@settings(deadline=None)
+@given(series(coeffs=st.one_of(small, st.integers(-(1 << 200), 1 << 200), rationals), width=14,
+              prefactor=Fraction(1, 3)), st.sampled_from([FULL, HALF]))
+def test_invert_matches_reference(a, nome):
+    a = QSeries(a.coeffs, a.trunc, nome=nome, prefactor=a.prefactor)
+    new, old = outcome(a.invert), outcome(oracle.invert, a)
+    if old is ValueError:
+        assert new is ValueError
+    else:
+        same(new, old)
+
+
+@pytest.mark.parametrize("bits", list(range(1, 20)) + [31, 32, 63, 64, 255, 1000])
+def test_mul_at_the_slot_bound(bits):
+    # length * max|a| * max|b| is attained exactly by equal coefficients of one sign,
+    # and these lengths and magnitudes put it on every side of a byte boundary
+    top = (1 << bits) - 1
+    for length in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32):
+        for signs in ((1, 1), (-1, -1), (1, -1)):
+            a = QSeries({e: signs[0] * top for e in range(length)}, length - 1)
+            b = QSeries({e: signs[1] * top for e in range(length)}, length + 3)
+            same(a * b, oracle.mul(a, b))
+            same(a * a, oracle.mul(a, a))
+
+
+def test_one_coefficient_windows_and_zero():
+    a = QSeries({3: 5}, 3)
+    b = QSeries({-2: Fraction(-1, 3)}, -2, prefactor=Fraction(1, 8))
+    same(a * b, oracle.mul(a, b))
+    same(b.invert(), oracle.invert(b))
+    zero = QSeries.zero(-3)
+    same(zero * a, oracle.mul(zero, a))
+    same(a * zero, oracle.mul(a, zero))
+    with pytest.raises(ValueError):
+        zero.invert()
+    unit = QSeries.one(0)
+    same(log_series(unit), oracle.log_series(unit))
+    same(exp_series(QSeries.zero(0)), oracle.exp_series(QSeries.zero(0)))
+    same_table(exponents_from_series(unit, 0), oracle.exponents_from_series(unit, 0))
+    table = ExponentTable(Fraction(-1, 24), {}, 0)
+    same(product_from_exponents(table), oracle.product_from_exponents(table))
+
+
+unit_coefficients = st.one_of(small, st.integers(-(1 << 80), 1 << 80), rationals)
+
+
+@st.composite
+def units(draw, coeffs=unit_coefficients, width=14):
+    tail = draw(series(coeffs=coeffs, lo=1, hi=4, width=width))
+    trunc = draw(st.integers(0, tail.trunc))
+    return QSeries({0: 1, **{e: c for e, c in tail.coeffs.items() if e <= trunc}}, trunc)
+
+
+@settings(deadline=None)
+@given(units())
+def test_log_matches_reference(u):
+    same(log_series(u), oracle.log_series(u))
+
+
+@settings(deadline=None)
+@given(series(coeffs=st.one_of(small, rationals), lo=1, hi=4, width=10))
+def test_exp_matches_reference(a):
+    same(exp_series(a), oracle.exp_series(a))
+
+
+@given(series(prefactor=Fraction(1, 24)))
+def test_log_exp_reject_what_the_reference_rejects(a):
+    for new, old in ((log_series, oracle.log_series), (exp_series, oracle.exp_series)):
+        if outcome(old, a) is ValueError:
+            assert outcome(new, a) is ValueError
+
+
+exponent_values = st.one_of(st.integers(-30, 30), st.integers(10 ** 20, 10 ** 20 + 3),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 16), st.data(), st.sampled_from([0, 1, -2, Fraction(-1, 24),
+                                                       Fraction(7, 8)]))
+def test_product_from_exponents_matches_reference(order, data, h):
+    exps = data.draw(st.dictionaries(st.integers(1, max(order, 1)), exponent_values,
+                                     max_size=order))
+    table = ExponentTable(h, {n: e for n, e in exps.items() if n <= order}, order)
+    nome = data.draw(st.sampled_from([FULL, HALF]))
+    same(product_from_exponents(table, nome=nome), oracle.product_from_exponents(table, nome=nome))
+
+
+@settings(deadline=None)
+@given(units(coeffs=st.one_of(small, rationals), width=16), st.integers(-3, 4), prefactors,
+       st.data())
+def test_exponents_from_series_matches_reference(u, v, prefactor, data):
+    a = QSeries(u.shift(v).coeffs, u.trunc + v, prefactor=prefactor)
+    order = data.draw(st.integers(0, u.trunc))
+    same_table(exponents_from_series(a, order), oracle.exponents_from_series(a, order))
+
+
+def test_exponents_from_series_rejects_what_the_reference_rejects():
+    a = QSeries({-1: 1, 0: 744, 1: 196884}, 1)
+    for order in (-1, 3):
+        with pytest.raises(ValueError):
+            exponents_from_series(a, order)
+    for bad in (QSeries.zero(4), QSeries({0: 2, 1: 1}, 4)):
+        for fn in (exponents_from_series, oracle.exponents_from_series):
+            with pytest.raises(ValueError):
+                fn(bad, 2)
+
+
+factors = st.lists(st.tuples(st.integers(1, 9), exponent_values, st.sampled_from([1, -1])),
+                   max_size=5)
+
+
+@settings(deadline=None)
+@given(series(coeffs=st.one_of(small, rationals), width=16, prefactor=Fraction(1, 4)),
+       factors, st.sampled_from([FULL, HALF]))
+def test_mul_binomials_matches_reference(s, fs, nome):
+    s = QSeries(s.coeffs, s.trunc, nome=nome, prefactor=s.prefactor)
+    same(s.mul_binomials(fs), oracle.mul_binomials(s, fs))

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,24 @@ def test_constructor_rejects_bad_input():
         VectorSystem(1, ((2,),), {(1,): -1})
     with pytest.raises(ValueError, match="unknown sample"):
         sample_system("octonionic")
+
+
+def test_large_diagonal_gram_validates_quickly():
+    start = time.perf_counter()
+    V = VectorSystem(12, tuple(tuple(2 * (i == j) for j in range(12)) for i in range(12)), {})
+    assert V.dim == 12 and time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("gram", [
+    ((2, 1, 1), (1, 2, 1), (1, 1, 0)),        # leading minors 2, 3, -2
+    ((1, 1, 1), (1, 2, 2), (1, 2, 2)),        # 1, 1, 0
+    ((4, 2, 0, 0), (2, 4, 2, 0), (0, 2, 4, 2), (0, 0, 2, 1)),  # 4, 12, 32, -16
+])
+def test_only_last_leading_minor_nonpositive_rejected(gram):
+    with pytest.raises(ValueError, match="gram matrix must be positive definite"):
+        VectorSystem(len(gram), gram, {})
+    trimmed = tuple(row[:-1] for row in gram[:-1])
+    assert VectorSystem(len(trimmed), trimmed, {}).dim == len(trimmed)
 
 
 def test_json_round_trip():
