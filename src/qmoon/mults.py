@@ -131,4 +131,7 @@ def p24_rademacher(n: int, terms: int) -> float:
                 if (h * hp + 1) % k == 0:
                     twiddle += cos(2 * pi * (n * h + hp) / k)
         total += _bessel_i13(4 * pi * math.sqrt(n) / k) / k * twiddle
+    if not math.isfinite(total):  # the k = 1 term alone overflows past n = 3229
+        raise ValueError(f"Rademacher sum for p24({n + 1}) overflows double precision "
+                         f"(about 1.8e308); the float path needs n <= 3229")
     return 2 * pi * n ** -6.5 * total

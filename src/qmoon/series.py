@@ -700,6 +700,15 @@ class BiSeries:
         self.coeffs = clean
 
     @classmethod
+    def _make(cls, coeffs, cap, vars, window):
+        """An internal result whose keys already lie within cap and window:
+        coefficients are only normalised and zeros dropped, nothing re-checked."""
+        self = object.__new__(cls)
+        self.vars, self.cap, self.window = vars, cap, window
+        self.coeffs = {k: c if type(c) is int else _num(c) for k, c in coeffs.items() if c}
+        return self
+
+    @classmethod
     def zero(cls, cap, **kw):
         return cls({}, cap, **kw)
 
@@ -726,8 +735,8 @@ class BiSeries:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
     def __neg__(self):
-        return BiSeries({k: -c for k, c in self.coeffs.items()}, self.cap,
-                        vars=self.vars, window=self.window)
+        return BiSeries._make({k: -c for k, c in self.coeffs.items()}, self.cap,
+                              self.vars, self.window)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -757,8 +766,8 @@ class BiSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return BiSeries({k: c * other for k, c in self.coeffs.items()}, self.cap,
-                            vars=self.vars, window=self.window)
+            return BiSeries._make({k: c * other for k, c in self.coeffs.items()}, self.cap,
+                                  self.vars, self.window)
         if not isinstance(other, BiSeries):
             return NotImplemented
         self._check_compat(other)
@@ -781,7 +790,7 @@ class BiSeries:
                     continue
                 key = (ex, ey)
                 out[key] = out.get(key, 0) + ca * cb
-        return BiSeries(out, cap, vars=self.vars, window=window)
+        return BiSeries._make(out, cap, self.vars, window)
 
     __rmul__ = __mul__
 
@@ -794,8 +803,8 @@ class BiSeries:
         return result
 
     def shift_x(self, n: int) -> "BiSeries":
-        return BiSeries({(ex + n, ey): c for (ex, ey), c in self.coeffs.items()},
-                        self.cap + n, vars=self.vars, window=self.window)
+        return BiSeries._make({(ex + n, ey): c for (ex, ey), c in self.coeffs.items()},
+                              self.cap + n, self.vars, self.window)
 
     def restrict(self, cap=None, window=None) -> "BiSeries":
         new_cap = self.cap if cap is None else min(self.cap, cap)
@@ -820,12 +829,13 @@ class BiSeries:
         Built for factors like (1 - p^m q^n)^c(mn) whose integer exponents run
         to dozens of digits: binomial coefficients stay exact big integers and
         each factor keeps only its monomials inside the current cap and window
-        before it multiplies in under the rules of ``__mul__``.  Negative or
-        rational e expands as a power series; a factor constant in x (a == 0)
-        then needs a finite window on the second variable to terminate.
+        before it multiplies in with ``__mul__``.  Negative or rational e
+        expands as a power series; a factor constant in x (a == 0) then needs
+        a finite window on the second variable to terminate.
         """
-        coeffs, cap, window = self.coeffs, self.cap, self.window
+        acc = self
         for a, b, e, sign in factors:
+            cap, window = acc.cap, acc.window
             if a > 0:
                 kmax = max(cap, 0) // a
             elif a < 0:
@@ -842,24 +852,8 @@ class BiSeries:
                 key = (a * k, b * k)
                 if key[0] <= cap and (window is None or window[0] <= key[1] <= window[1]):
                     factor[key] = factor.get(key, 0) + c
-            terms = [(dx, dy, c) for (dx, dy), c in factor.items() if c]
-            if not coeffs or not terms:
-                coeffs = {}
-                continue
-            cap = min(cap + min(t[0] for t in terms), cap + min(ex for ex, _ in coeffs))
-            out = {}
-            for (ax, ay), ca in coeffs.items():
-                for dx, dy, cb in terms:
-                    ex = ax + dx
-                    if ex > cap:
-                        continue
-                    ey = ay + dy
-                    if window and not window[0] <= ey <= window[1]:
-                        continue
-                    key = (ex, ey)
-                    out[key] = out.get(key, 0) + ca * cb
-            coeffs = {k: c for k, c in out.items() if c}
-        return BiSeries(coeffs, cap, vars=self.vars, window=window)
+            acc = acc * BiSeries._make(factor, cap, self.vars, window)
+        return acc
 
     def first_mismatch(self, other: "BiSeries", cap=None, window=None):
         """First disagreeing monomial in graded-lex order, or None.

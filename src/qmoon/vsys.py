@@ -14,10 +14,9 @@ formal substitution, coefficient for coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .identities import VerifyReport
-from .series import _json_fields, _json_table
+from .series import BiSeries, _json_fields, _json_table
 
 SAMPLE_NAMES = ("pair", "trivial", "orthogonal")
 
@@ -226,42 +225,39 @@ class PsiSeries:
 
 
 def psi(V: VectorSystem, lam, order: int) -> PsiSeries:
-    """The product over positive affine vectors: n > 0 all of V, n = 0 only v > 0."""
+    """The product over positive affine vectors: n > 0 all of V, n = 0 only v > 0.
+
+    It runs as one BiSeries product in q and a single packed zeta exponent:
+    r is coded as sum r_i base^i with balanced digits |r_i| <= reach, where
+    reach bounds every coordinate any partial product can hold, so the code
+    is one-to-one and the result decodes digit by digit.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
     wd = weyl_data(V, lam)
     zero = (0,) * V.dim
-    acc = {(0, tuple(-int(2 * x) for x in wd.rho)): 1}
     support = sorted(V.mult.items())
-    for v, c in support:
-        if v != zero and V.pair(v, wd.chamber) > 0:
-            acc = _mul_factor(acc, 0, v, c, order)
-    for n in range(1, order + 1):
-        for v, c in support:
-            acc = _mul_factor(acc, n, v, c, order)
-    return PsiSeries(V.dim, Fraction(wd.d, 24), acc, order)
+    # (n, v, c, kmax): the factor (1 - q^n zeta^v)^c and its last term within order
+    factors = [(0, v, c, c) for v, c in support if v != zero and V.pair(v, wd.chamber) > 0]
+    factors += [(n, v, c, min(c, order // n)) for n in range(1, order + 1) for v, c in support]
+    start = tuple(-int(2 * x) for x in wd.rho)
+    reach = max(abs(x) + sum(2 * k * abs(v[i]) for _, v, _, k in factors)
+                for i, x in enumerate(start))
+    base = 2 * reach + 1
 
+    def code(r):
+        return sum(x * base ** i for i, x in enumerate(r))
 
-def _mul_factor(acc, n, v, mult, order):
-    # one factor (1 - q^n zeta^v)^mult, binomially expanded on the doubled grid
-    terms = []
-    for k in range(mult + 1):
-        if n * k > order:
-            break
-        terms.append((n * k, tuple(2 * k * x for x in v), (-1) ** k * comb(mult, k)))
-    out = {}
-    for (qn, r), c in acc.items():
-        for dq, dr, fc in terms:
-            q2 = qn + dq
-            if q2 > order:
-                continue
-            key = (q2, tuple(a + b for a, b in zip(r, dr)))
-            val = out.get(key, 0) + c * fc
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-    return out
+    acc = BiSeries({(0, code(start)): 1}, order).mul_binomials(
+        [(n, code([2 * x for x in v]), c, -1) for n, v, c, _ in factors])
+    coeffs = {}
+    for (n, y), c in acc.coeffs.items():
+        r = []
+        for _ in range(V.dim):
+            r.append((y + reach) % base - reach)
+            y = (y - r[-1]) // base
+        coeffs[(n, tuple(r))] = c
+    return PsiSeries(V.dim, Fraction(wd.d, 24), coeffs, order)
 
 
 def _integral_pair(V, a, b, what):
@@ -285,6 +281,8 @@ def elliptic_transform_check(V: VectorSystem, lam, shift, order: int,
     if kind not in ("mu", "tau"):
         raise ValueError("kind must be 'mu' or 'tau'")
     shift = tuple(Fraction(x) for x in shift)
+    if len(shift) != V.dim:
+        raise ValueError("shift vector has wrong dimension")
     for v in V.mult:
         _integral_pair(V, shift, v, "shift vector")
     p = psi(V, lam, order)

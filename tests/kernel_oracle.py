@@ -1,4 +1,4 @@
-"""Reference implementations of the one-variable kernel, kept for testing.
+"""Reference implementations of the kernel, kept for testing.
 
 These are the plain dict algorithms the dense kernel in ``qmoon.series``
 replaced: schoolbook multiplication over stored terms, term-by-term
@@ -7,11 +7,20 @@ binomial expansion one factor at a time, and Moebius inversion of
 ``-log``.  They share no arithmetic with the kernel beyond the ``QSeries``
 container, addition and scalar multiplication, so the differential tests
 compare two independent derivations of every coefficient.
+
+The two-variable references (``bi_mul`` and friends) use nothing from
+``qmoon.series`` at all: they read the ``coeffs``, ``cap``, ``window`` and
+``vars`` of their operands and return a plain ``Bi`` record.  ``psi`` is
+the vector-system product expanded one factor at a time on tuple-valued
+zeta exponents, the way ``qmoon.vsys`` did before it packed them.
 """
 
 from fractions import Fraction
+from math import comb
+from typing import NamedTuple
 
 from qmoon.series import ExponentTable, QSeries, _binomial_terms, _num, divisors, moebius
+from qmoon.vsys import weyl_data
 
 
 def _like(s, coeffs, trunc, prefactor=None):
@@ -151,3 +160,104 @@ def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
         if e:
             exps[d] = _num(e)
     return ExponentTable(-(v + a.prefactor), exps, order)
+
+
+class Bi(NamedTuple):
+    """A two-variable result with the fields ``BiSeries`` exposes."""
+
+    coeffs: dict
+    cap: int
+    window: tuple | None
+    vars: tuple
+
+
+def _norm(c):
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _meet(w1, w2):
+    if w1 is None or w2 is None:
+        return w2 if w1 is None else w1
+    return (max(w1[0], w2[0]), min(w1[1], w2[1]))
+
+
+def bi(coeffs, cap, window, vars) -> Bi:
+    """Nonzero coefficients inside cap and window, Fractions over 1 as ints."""
+    return Bi({(x, y): _norm(c) for (x, y), c in coeffs.items()
+               if c and x <= cap and (window is None or window[0] <= y <= window[1])},
+              cap, window, vars)
+
+
+def bi_mul(a, b) -> Bi:
+    """Schoolbook product; unknown tails cap it at min(cap_a + xval_b, cap_b + xval_a)."""
+    assert a.vars == b.vars
+    window = _meet(a.window, b.window)
+    if not a.coeffs or not b.coeffs:
+        return bi({}, min(a.cap, b.cap), window, a.vars)
+    cap = min(a.cap + min(x for x, _ in b.coeffs), b.cap + min(x for x, _ in a.coeffs))
+    out = {}
+    for (ax, ay), ca in a.coeffs.items():
+        for (bx, by), cb in b.coeffs.items():
+            key = (ax + bx, ay + by)
+            out[key] = out.get(key, 0) + ca * cb
+    return bi(out, cap, window, a.vars)
+
+
+def bi_add(a, b) -> Bi:
+    assert a.vars == b.vars
+    out = dict(a.coeffs)
+    for key, c in b.coeffs.items():
+        out[key] = out.get(key, 0) + c
+    return bi(out, min(a.cap, b.cap), _meet(a.window, b.window), a.vars)
+
+
+def bi_scale(a, s) -> Bi:
+    return bi({key: c * s for key, c in a.coeffs.items()}, a.cap, a.window, a.vars)
+
+
+def bi_shift_x(a, n) -> Bi:
+    return bi({(x + n, y): c for (x, y), c in a.coeffs.items()}, a.cap + n, a.window, a.vars)
+
+
+class Psi(NamedTuple):
+    s: int
+    qpre: Fraction
+    coeffs: dict
+    trunc: int
+
+
+def psi(V, lam, order) -> Psi:
+    """q^(d/24) zeta^(-rho) prod (1 - q^n zeta^v)^c(v), one factor at a time."""
+    wd = weyl_data(V, lam)
+    zero = (0,) * V.dim
+    acc = {(0, tuple(-int(2 * x) for x in wd.rho)): 1}
+    support = sorted(V.mult.items())
+    for v, c in support:
+        if v != zero and V.pair(v, wd.chamber) > 0:
+            acc = _psi_factor(acc, 0, v, c, order)
+    for n in range(1, order + 1):
+        for v, c in support:
+            acc = _psi_factor(acc, n, v, c, order)
+    return Psi(V.dim, Fraction(wd.d, 24), acc, order)
+
+
+def _psi_factor(acc, n, v, mult, order):
+    # one factor (1 - q^n zeta^v)^mult, binomially expanded on the doubled grid
+    terms = []
+    for k in range(mult + 1):
+        if n * k > order:
+            break
+        terms.append((n * k, tuple(2 * k * x for x in v), (-1) ** k * comb(mult, k)))
+    out = {}
+    for (qn, r), c in acc.items():
+        for dq, dr, fc in terms:
+            q2 = qn + dq
+            if q2 > order:
+                continue
+            key = (q2, tuple(a + b for a, b in zip(r, dr)))
+            val = out.get(key, 0) + c * fc
+            if val:
+                out[key] = val
+            elif key in out:
+                del out[key]
+    return out

@@ -2,10 +2,13 @@
 
 ``QSeries.mul_binomials`` and ``BiSeries.mul_binomials`` multiply a series
 by a whole list of factors (1 + sign x^a y^b)^e at once.  The oracle here
-multiplies one factor at a time with the plain ``__mul__`` of each type,
-each factor expanded with binomial coefficients from a running product
-(no ``gbinom``).  Truncation, cap and window must match as well as the
-coefficients, and the same factor lists must be rejected.
+multiplies one factor at a time, each factor expanded with binomial
+coefficients from a running product (no ``gbinom``): one-variable series
+with the plain ``QSeries.__mul__``, two-variable ones with the schoolbook
+``kernel_oracle.bi_mul``, which shares no code with ``BiSeries``.
+Truncation, cap and window must match as well as the coefficients and
+their types, and the same factor lists must be rejected.  The ring
+operations of ``BiSeries`` are checked against the same reference.
 """
 
 import random
@@ -14,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernel_oracle import bi, bi_add, bi_mul, bi_scale, bi_shift_x
 from qmoon.series import FULL, HALF, BiSeries, QSeries
 
 
@@ -45,12 +49,13 @@ def bi_factor(a, b, e, sign, cap, vars, window):
         key = (a * k, b * k)
         if key[0] <= cap and (window is None or window[0] <= key[1] <= window[1]):
             coeffs[key] = coeffs.get(key, 0) + sign ** k * binomial(e, k)
-    return BiSeries(coeffs, cap, vars=vars, window=window)
+    return bi(coeffs, cap, window, vars)
 
 
 def bi_oracle(series, factors):
     for a, b, e, sign in factors:
-        series = series * bi_factor(a, b, e, sign, series.cap, series.vars, series.window)
+        series = bi_mul(series, bi_factor(a, b, e, sign, series.cap, series.vars,
+                                          series.window))
     return series
 
 
@@ -110,9 +115,12 @@ bi_factors = st.lists(st.one_of(
 
 
 def same_bi(x, y):
+    """Equal cap, window, vars and coefficients, an int never matching a Fraction."""
     if x is ValueError or y is ValueError:
         return x is y
-    return (x.coeffs, x.cap, x.window, x.vars) == (y.coeffs, y.cap, y.window, y.vars)
+    def typed(s):
+        return {k: (type(c), c) for k, c in s.coeffs.items()}
+    return (typed(x), x.cap, x.window, x.vars) == (typed(y), y.cap, y.window, y.vars)
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,6 +128,18 @@ def same_bi(x, y):
 def test_biseries_expander_matches_factor_by_factor(series, factors):
     got = outcome(series.mul_binomials, factors)
     assert same_bi(got, outcome(bi_oracle, series, factors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(biseries(), biseries(), coefficients, st.integers(-3, 3))
+def test_biseries_ring_operations_match_schoolbook(a, b, scalar, n):
+    assert same_bi(a * b, bi_mul(a, b))
+    assert same_bi(a + b, bi_add(a, b))
+    assert same_bi(a - b, bi_add(a, bi_scale(b, -1)))
+    assert same_bi(-a, bi_scale(a, -1))
+    assert same_bi(a * scalar, bi_scale(a, scalar))
+    assert same_bi(scalar * a, bi_scale(a, scalar))
+    assert same_bi(a.shift_x(n), bi_shift_x(a, n))
 
 
 @st.composite

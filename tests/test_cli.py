@@ -216,6 +216,14 @@ def test_vsys_psi_and_check(capsys, tmp_path):
                         "--shift", "1/4"])[0] == 4
 
 
+@pytest.mark.parametrize("shift", ["1", "1,0,0"])
+def test_vsys_check_rejects_shift_of_wrong_dimension(capsys, tmp_path, shift):
+    path = tmp_path / "orthogonal.json"
+    path.write_text(json.dumps(sample_system("orthogonal").to_json()))
+    code, out, err = run(capsys, ["vsys", "check", "--file", str(path), "--shift", shift])
+    assert (code, out, err) == (4, "", "error: shift vector has wrong dimension\n")
+
+
 def test_maass_lift_then_check_round_trip(capsys, tmp_path):
     table = JacobiCoeffTable(10, 1, {(0, 0): 2, (1, 1): 3, (2, 1): 5, (4, 2): 7})
     tpath = tmp_path / "t.json"
@@ -255,6 +263,15 @@ def test_mult_rademacher(capsys):
     assert data["exact"] == "3200"
     assert data["rel_error"] < 1e-9
     assert run(capsys, ["mult", "rademacher", "--n", "0"])[0] == 4
+
+
+@pytest.mark.parametrize("n", ["3400", "4000"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_mult_rademacher_past_double_precision(capsys, n, json_flag):
+    code, out, err = run(capsys, ["mult", "rademacher", "--n", n, "--terms", "2"] + json_flag)
+    assert (code, out) == (4, "")
+    assert err == (f"error: Rademacher sum for p24({int(n) + 1}) overflows double precision "
+                   "(about 1.8e308); the float path needs n <= 3229\n")
 
 
 def test_missing_file_is_data_error(capsys):

@@ -34,6 +34,11 @@ INPUTS = {
     "trivial.json": {"dim": 1, "gram": [[2]], "mult": {"0": 2}},
     "orthogonal.json": {"dim": 2, "gram": [[2, 0], [0, 2]],
                         "mult": {"-1,0": 1, "0,-1": 1, "0,1": 1, "1,0": 1}},
+    "ortho3.json": {"dim": 3, "gram": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+                    "mult": {"-1,0,0": 2, "0,-1,0": 2, "0,0,-1": 2,
+                             "0,0,1": 2, "0,1,0": 2, "1,0,0": 2}},
+    "a2.json": {"dim": 2, "gram": [[2, -1], [-1, 2]],
+                "mult": {"-1,-1": 1, "-1,0": 1, "0,-1": 1, "0,1": 1, "1,0": 1, "1,1": 1}},
     "jacobi.json": {"k": 10, "m": 1, "disc_bound": 12,
                     "coeffs": {"0,0": 2, "1,1": 3, "2,1": 5, "4,2": 7}},
     "siegel.json": {"k": 10, "disc_bound": 12,
@@ -81,6 +86,12 @@ CASES = (
     + _both("vsys", "check", "--file", "pair.json", "--shift", "1", "--order", "6")
     + _both("vsys", "check", "--file", "orthogonal.json", "--shift", "1,0", "--order", "4")
     + [["vsys", "check", "--file", "pair.json", "--shift", "1/4"]]
+    + _both("vsys", "psi", "--file", "ortho3.json", "--chamber", "1,2,3", "--order", "3")
+    + _both("vsys", "check", "--file", "ortho3.json", "--chamber", "1,2,3",
+            "--shift", "1/2,1,0", "--order", "4")
+    + _both("vsys", "psi", "--file", "a2.json", "--chamber", "1,3", "--order", "3")
+    + _both("vsys", "check", "--file", "a2.json", "--chamber", "1,3",
+            "--shift", "1/3,2/3", "--order", "4")
     + _both("maass", "lift", "--file", "jacobi.json", "--max-m", "3")
     + _both("maass", "check", "--file", "siegel.json")
     + _both("maass", "check", "--file", "siegel-bad.json")

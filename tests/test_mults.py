@@ -170,6 +170,14 @@ def test_rademacher_domain():
         p24_rademacher(3, 0)
 
 
+def test_rademacher_stops_at_double_precision():
+    # the k = 1 term overflows a double just past n = 3229, whatever the depth
+    assert math.isfinite(p24_rademacher(3229, 2))
+    for n in (3230, 3400, 4000):
+        with pytest.raises(ValueError, match="overflows double precision"):
+            p24_rademacher(n, 2)
+
+
 def test_asymptotic_ratio_climbs_from_below():
     # p24(1+n) * 2^(1/2) n^(27/4) e^(-4 pi sqrt(n)) approaches 1 slowly: the
     # first Bessel correction 675/(32 pi sqrt(n)) is ~1.5 at n = 20, so the

@@ -2,7 +2,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import kernel_oracle as oracle
 from qmoon.vsys import (
     PsiSeries,
     VectorSystem,
@@ -254,3 +256,81 @@ def test_shift_law_catches_wrong_sign():
     bad[(1, (1,))] = bad[(1, (1,))] + 1
     q = PsiSeries(1, p.qpre, bad, 6)
     assert q != p
+
+
+# -- psi against the factor-by-factor reference on tuple zeta exponents -------
+
+
+def same_psi(got, want):
+    typed = {k: (type(c), c) for k, c in got.coeffs.items()}
+    assert typed == {k: (type(c), c) for k, c in want.coeffs.items()}
+    assert (got.s, got.qpre, got.trunc) == (want.s, want.qpre, want.trunc)
+
+
+def symmetric_mult(draw, dim, coord):
+    """c(v) = c(-v) on a few small vectors, c(0) optional."""
+    vectors = draw(st.lists(st.tuples(*[coord] * dim), max_size=3))
+    mult = {}
+    for v in vectors:
+        c = draw(st.integers(1, 3))
+        mult[v] = mult[tuple(-x for x in v)] = c
+    return mult
+
+
+@st.composite
+def one_dim_systems(draw):
+    V = VectorSystem(1, ((draw(st.integers(1, 4)),),),
+                     symmetric_mult(draw, 1, st.integers(-3, 3)))
+    return V, (draw(st.sampled_from((1, -1, 2))),)
+
+
+@st.composite
+def small_systems(draw):
+    dim = draw(st.integers(2, 3))
+    off = [[draw(st.integers(-1, 1)) for _ in range(dim)] for _ in range(dim)]
+    gram = [[draw(st.integers(2, 4)) if i == j else off[min(i, j)][max(i, j)]
+             for j in range(dim)] for i in range(dim)]
+    try:
+        V = VectorSystem(dim, gram, symmetric_mult(draw, dim, st.integers(-1, 1)))
+    except ValueError:  # not positive definite
+        assume(False)
+    return V, tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+
+
+def psi_or_reject(V, lam, order):
+    try:
+        return psi(V, lam, order)
+    except (ValueError, ArithmeticError):  # chamber on a wall, or no integral index
+        assume(False)
+
+
+A2 = VectorSystem(2, ((2, -1), (-1, 2)), {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1,
+                                          (1, 1): 1, (-1, -1): 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    one_dim_systems(),
+    st.sampled_from([(sample_system("pair"), (1,)), (sample_system("trivial"), (-2,)),
+                     (sample_system("orthogonal"), (1, 2))]),
+    small_systems(),
+), st.integers(0, 5))
+@example((A2, (1, 3)), 4)
+def test_psi_matches_factor_by_factor_reference(system, order):
+    V, lam = system
+    got = psi_or_reject(V, lam, order)
+    same_psi(got, oracle.psi(V, lam, order))
+
+
+@pytest.mark.parametrize("V", [
+    VectorSystem(1, ((2,),), {(1,): 3}),
+    VectorSystem(2, ((2, 0), (0, 2)), {(1, 0): 2, (0, 1): 2}),
+])
+def test_psi_at_the_packing_bound(V):
+    # with no positive vectors and order 1, each coordinate's bound is the one
+    # n = 1 factor's 2 |v_i|, and the q^1 zeta^(2v) term attains it: a packing
+    # base of 2 * 2 instead of 2 * 2 + 1 would decode it as -2 plus a carry
+    lam = (-1,) * V.dim
+    got = psi(V, lam, 1)
+    assert max(x for _, r in got.coeffs for x in r) == 2
+    same_psi(got, oracle.psi(V, lam, 1))
