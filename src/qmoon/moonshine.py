@@ -13,7 +13,7 @@ from math import gcd
 
 from . import forms
 from .identities import VerifyReport
-from .series import BiSeries, divisors, moebius
+from .series import BiSeries, QSeries, _exp_recurrence, divisors, moebius
 
 _VARS = ("p", "q")
 
@@ -50,12 +50,19 @@ def moonshine_c(max_n: int) -> MoonshineCoeffs:
 
 # -- the two identity sides ----------------------------------------------------
 #
-# Inside any partial product or exp term every monomial p^a q^b satisfies
-# b >= -a (the only negative q-powers enter through n = -1 factors, which
-# raise a at least as fast).  With a p-budget of cap_m + 1 before the p^-1
-# shift, a monomial dropped for b > cap_n + cap_m + 1 would need to shed
-# more than cap_m + 1 from b to re-enter the compared window, which the
-# budget forbids; so the rectangular truncation is exact.
+# Both sides are built with a p-budget of M = cap_m + 1 before the p^-1 shift
+# and a q-window topped at hi = cap_n + M.  Every monomial p^a q^b of a
+# factor, and so of any partial product, satisfies b >= -a: the only
+# negative q-powers enter through n = -1 factors, which raise a at least as
+# fast.  A monomial the denominator product drops for b > hi would need to
+# shed more than M from b to re-enter the compared window, which the budget
+# forbids; so that rectangular truncation is exact.
+#
+# The replication side needs no such argument.  bi_exp runs the exp
+# recurrence m B_m = sum_k k T_k B_{m-k} on q-rows: T_k, the p^k row of the
+# exponent, is known through q^hi and has q-valuation >= -k, so the kernel's
+# truncation bookkeeping shows B_m known through q^(hi - m) by induction.
+# Its smallest row truncation, hi - M = cap_n, tops the result's window.
 
 def _grid(cap_m, cap_n):
     big_m = cap_m + 1
@@ -101,17 +108,28 @@ def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:
 
 
 def bi_exp(t: BiSeries) -> BiSeries:
-    """exp of a bivariate series whose every term has positive first-variable power."""
+    """exp of a bivariate series whose every term has positive first-variable power.
+
+    The exp recurrence runs on the first-variable rows, each a QSeries in the
+    second variable known through the window top, and the result's window is
+    topped at the smallest row truncation.  Without a window the rows are
+    exact: with second-variable exponents in [lo, hi] (lo <= 0 <= hi), a row
+    top of cap (hi - lo) keeps every row known through cap hi, past any
+    exponent the exp reaches, so the result needs no window.
+    """
     if any(ex < 1 for (ex, _) in t.coeffs):
         raise ValueError("bivariate exp needs a positive power of the first variable")
-    acc = BiSeries.one(t.cap, vars=t.vars, window=t.window)
-    term = acc
-    for k in range(1, t.cap + 2):
-        term = term * t * Fraction(1, k)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
+    ys = [ey for _, ey in t.coeffs] or [0]
+    top = t.window[1] if t.window else t.cap * (max(max(ys), 0) - min(min(ys), 0))
+    rows = [{} for _ in range(t.cap)]
+    for (ex, ey), c in t.coeffs.items():
+        rows[ex - 1][ey] = ex * c
+    one = QSeries.one(top, var=t.vars[1])
+    b = _exp_recurrence([QSeries(row, top, var=t.vars[1]) for row in rows], t.cap, one,
+                        lambda s, m: s * Fraction(1, m))
+    window = t.window and (t.window[0], min(row.trunc for row in b))
+    return BiSeries({(m, ey): c for m, row in enumerate(b) for ey, c in row.coeffs.items()},
+                    t.cap, vars=t.vars, window=window)
 
 
 def replication_product(cap_m: int, cap_n: int) -> BiSeries:

@@ -127,12 +127,13 @@ class QSeries:
         self.trunc = int(trunc)
         clean = {}
         for e, c in coeffs.items():
+            c = _num(c)
+            if not c:  # not stored, so a zero above trunc is no error
+                continue
             e = int(e)
             if e > self.trunc:
                 raise ValueError(f"stored exponent {e} above trunc {self.trunc}")
-            c = _num(c)
-            if c:
-                clean[e] = c
+            clean[e] = c
         self.coeffs = clean
 
     # -- constructors ------------------------------------------------------
@@ -236,13 +237,12 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_compat(other)
-        va = self.valuation()
-        vb = other.valuation()
-        if va is None or vb is None:
-            return self._like({}, min(self.trunc, other.trunc),
-                              prefactor=self.prefactor + other.prefactor)
-        # Unknown tails poison the product past these bounds.
+        # Unknown tails poison the product past these bounds.  A zero operand
+        # is known only through its trunc: its valuation is at least trunc + 1.
+        va, vb = (min(s.coeffs, default=s.trunc + 1) for s in (self, other))
         trunc = min(self.trunc + vb, other.trunc + va)
+        if self.is_zero() or other.is_zero():
+            return self._like({}, trunc, prefactor=self.prefactor + other.prefactor)
         n = trunc - va - vb + 1
         a = _dense(self, va, n)
         out = _mul_lists(a, a if other is self else _dense(other, vb, n), n)
@@ -463,12 +463,21 @@ def _inverse(u: list, n: int) -> list:
     return r
 
 
-def _exp_recurrence(w: list, n: int) -> list:
-    """Coefficients 0..n of the b = 1 + ... with q b'/b = sum_k w[k-1] q^k, in O(n^2):
-    m b_m = sum_{k <= m} w[k-1] b_{m-k}, and quotients that divide exactly stay ints."""
-    b = [1]
+def _exact_div(s, m: int):
+    return _num(Fraction(s, m))
+
+
+def _exp_recurrence(w: list, n: int, one=1, div=_exact_div) -> list:
+    """Terms 0..n of the b = one + ... with q b'/b = sum_k w[k-1] q^k, in O(n^2) products:
+    m b_m = sum_{k <= m} w[k-1] b_{m-k}, with div(s, m) the exact quotient s / m.
+
+    The terms are exact numbers by default, quotients that divide exactly
+    staying ints; ``moonshine.bi_exp`` passes QSeries rows, a unit and a
+    row divide instead.
+    """
+    b = [one]
     for m in range(1, n + 1):
-        b.append(_num(Fraction(sum(map(mul, w, reversed(b))), m)))
+        b.append(div(sum(map(mul, w, reversed(b))), m))
     return b
 
 
@@ -721,11 +730,9 @@ class BiSeries:
             raise ValueError(f"coefficient at {self.vars[0]}^{ex} unknown (cap {self.cap})")
         return self.coeffs.get((ex, ey), 0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def _xval(self) -> int:
-        return min((ex for ex, _ in self.coeffs), default=0)
+        """Lowest first-variable exponent; cap + 1 for zero, known only through the cap."""
+        return min((ex for ex, _ in self.coeffs), default=self.cap + 1)
 
     def __repr__(self):
         return f"BiSeries({self.vars}, {len(self.coeffs)} terms, cap={self.cap})"
@@ -771,9 +778,6 @@ class BiSeries:
         if not isinstance(other, BiSeries):
             return NotImplemented
         self._check_compat(other)
-        if not self.coeffs or not other.coeffs:
-            return BiSeries.zero(min(self.cap, other.cap), vars=self.vars,
-                                 window=_win_meet(self.window, other.window))
         cap = min(self.cap + other._xval(), other.cap + self._xval())
         window = _win_meet(self.window, other.window)
         out = {}
@@ -794,34 +798,9 @@ class BiSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        result = BiSeries.one(self.cap, vars=self.vars, window=self.window)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def shift_x(self, n: int) -> "BiSeries":
         return BiSeries._make({(ex + n, ey): c for (ex, ey), c in self.coeffs.items()},
                               self.cap + n, self.vars, self.window)
-
-    def restrict(self, cap=None, window=None) -> "BiSeries":
-        new_cap = self.cap if cap is None else min(self.cap, cap)
-        new_win = _win_meet(self.window, window)
-        return BiSeries({k: c for k, c in self.coeffs.items() if k[0] <= new_cap},
-                        new_cap, vars=self.vars, window=new_win)
-
-    def subs_y(self, value) -> dict:
-        """Evaluate the second variable at an exact rational; returns {x_exp: coeff}."""
-        out = {}
-        for (ex, ey), c in self.coeffs.items():
-            if ey >= 0:
-                w = c * value ** ey
-            else:
-                w = c * Fraction(1, 1) / Fraction(value) ** (-ey)
-            out[ex] = _num(Fraction(out.get(ex, 0)) + w)
-        return {e: c for e, c in out.items() if c}
 
     def mul_binomials(self, factors) -> "BiSeries":
         """Multiply by prod (1 + sign * x^a y^b)^e over the (a, b, e, sign) factors.
@@ -884,23 +863,3 @@ class BiSeries:
         return self.first_mismatch(other) is None
 
     __hash__ = None
-
-    def to_json(self) -> dict:
-        data = {
-            "vars": list(self.vars),
-            "cap": self.cap,
-            "coeffs": {f"{ex},{ey}": _fmt_rat(c)
-                       for (ex, ey), c in sorted(self.coeffs.items())},
-        }
-        if self.window is not None:
-            data["window"] = list(self.window)
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BiSeries":
-        coeffs = {}
-        for key, c in data["coeffs"].items():
-            ex, ey = key.split(",")
-            coeffs[(int(ex), int(ey))] = _parse_rat(c)
-        return cls(coeffs, int(data["cap"]), vars=tuple(data.get("vars", ("q", "z"))),
-                   window=tuple(data["window"]) if data.get("window") else None)

@@ -10,9 +10,11 @@ compare two independent derivations of every coefficient.
 
 The two-variable references (``bi_mul`` and friends) use nothing from
 ``qmoon.series`` at all: they read the ``coeffs``, ``cap``, ``window`` and
-``vars`` of their operands and return a plain ``Bi`` record.  ``psi`` is
-the vector-system product expanded one factor at a time on tuple-valued
-zeta exponents, the way ``qmoon.vsys`` did before it packed them.
+``vars`` of their operands and return a plain ``Bi`` record.  ``bi_exp`` is
+the power sum of t^k / k! that ``qmoon.moonshine.bi_exp`` ran before it
+moved onto the exp recurrence.  ``psi`` is the vector-system product
+expanded one factor at a time on tuple-valued zeta exponents, the way
+``qmoon.vsys`` did before it packed them.
 """
 
 from fractions import Fraction
@@ -31,10 +33,9 @@ def _like(s, coeffs, trunc, prefactor=None):
 def mul(a: QSeries, b: QSeries) -> QSeries:
     """Schoolbook product over the stored terms, with the honest truncation."""
     a._check_compat(b)
-    va, vb = a.valuation(), b.valuation()
-    if va is None or vb is None:
-        return _like(a, {}, min(a.trunc, b.trunc), a.prefactor + b.prefactor)
-    # Unknown tails poison the product past these bounds.
+    # Unknown tails poison the product past these bounds; a zero series is
+    # known only through its trunc, so its valuation is at least trunc + 1.
+    va, vb = min(a.coeffs, default=a.trunc + 1), min(b.coeffs, default=b.trunc + 1)
     trunc = min(a.trunc + vb, b.trunc + va)
     out = {}
     for ea, ca in a.coeffs.items():
@@ -188,13 +189,16 @@ def bi(coeffs, cap, window, vars) -> Bi:
               cap, window, vars)
 
 
+def _xval(a):
+    # a zero series is known only through its cap
+    return min((x for x, _ in a.coeffs), default=a.cap + 1)
+
+
 def bi_mul(a, b) -> Bi:
     """Schoolbook product; unknown tails cap it at min(cap_a + xval_b, cap_b + xval_a)."""
     assert a.vars == b.vars
     window = _meet(a.window, b.window)
-    if not a.coeffs or not b.coeffs:
-        return bi({}, min(a.cap, b.cap), window, a.vars)
-    cap = min(a.cap + min(x for x, _ in b.coeffs), b.cap + min(x for x, _ in a.coeffs))
+    cap = min(a.cap + _xval(b), b.cap + _xval(a))
     out = {}
     for (ax, ay), ca in a.coeffs.items():
         for (bx, by), cb in b.coeffs.items():
@@ -217,6 +221,19 @@ def bi_scale(a, s) -> Bi:
 
 def bi_shift_x(a, n) -> Bi:
     return bi({(x + n, y): c for (x, y), c in a.coeffs.items()}, a.cap + n, a.window, a.vars)
+
+
+def bi_exp(t) -> Bi:
+    """exp t as the power sum of t^k / k!, each power one schoolbook product."""
+    if any(x < 1 for x, _ in t.coeffs):
+        raise ValueError("bivariate exp needs a positive power of the first variable")
+    acc = term = bi({(0, 0): 1}, t.cap, t.window, t.vars)
+    for k in range(1, t.cap + 2):
+        term = bi_scale(bi_mul(term, t), Fraction(1, k))
+        if not term.coeffs:
+            break
+        acc = bi_add(acc, term)
+    return acc
 
 
 class Psi(NamedTuple):

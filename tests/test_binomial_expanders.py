@@ -62,7 +62,7 @@ def bi_oracle(series, factors):
 def q_oracle(series, factors):
     for a, e, sign in factors:
         v = series.valuation() or 0
-        span = series.trunc - v
+        span = max(series.trunc - v, 0)  # the factor is 1 + ..., known at least at q^0
         coeffs = {a * k: sign ** k * binomial(e, k) for k in range(span // a + 1)}
         series = series * QSeries(coeffs, span, var=series.var, nome=series.nome)
     return series

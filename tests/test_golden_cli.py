@@ -80,6 +80,7 @@ CASES = (
     + [["zeromult", "--name", "f_j", "--disc", "1"]]
     + _both("moonshine", "denom", "--cap", "3")
     + _both("moonshine", "replication", "--cap", "3")
+    + _both("moonshine", "replication", "--cap", "9")
     + [["moonshine", "denom", "--cap", "0"]]
     + [argv for name in ("pair", "trivial", "orthogonal")
        for argv in _both("vsys", "psi", "--file", f"{name}.json", "--order", "4")]

@@ -74,12 +74,20 @@ def test_euler1_against_direct_expansion():
     assert lhs.coeffs == poly
 
 
+def at_z(side, z):
+    """The second variable set to z = +1 or -1: {q exponent: coefficient}."""
+    out = {}
+    for (a, b), c in side.coeffs.items():
+        out[a] = out.get(a, 0) + c * z ** abs(b)
+    return {a: c for a, c in out.items() if c}
+
+
 def test_triple_reduces_to_gauss_at_z_minus_one():
     order = 30
     (t_lhs, t_rhs), = identity_sides("triple", order)
     (g_lhs, g_rhs), = identity_sides("gauss", order)
-    assert t_lhs.subs_y(-1) == dict(g_lhs.coeffs)
-    assert t_rhs.subs_y(-1) == dict(g_rhs.coeffs)
+    assert at_z(t_lhs, -1) == dict(g_lhs.coeffs)
+    assert at_z(t_rhs, -1) == dict(g_rhs.coeffs)
 
 
 def test_triple_reduces_to_euler3_on_doubled_grid():
@@ -107,8 +115,8 @@ def test_triple_reduces_to_euler3_on_doubled_grid():
 
 def test_theta1_product_vanishes_at_zeta_one():
     (lhs, rhs), _, _, _ = identity_sides("theta_products", 20)
-    assert lhs.subs_y(1) == {}
-    assert rhs.subs_y(1) == {}
+    assert at_z(lhs, 1) == {}
+    assert at_z(rhs, 1) == {}
 
 
 def test_disjoint_paths_sum_side_is_sparse():

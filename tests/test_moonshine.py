@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kernel_oracle as oracle
 from qmoon import moonshine
 from qmoon.series import BiSeries
 
@@ -48,23 +50,26 @@ def test_denominator_edge_coefficients():
 
 
 def test_no_mixed_monomials():
-    d = moonshine.denominator_product(5, 5).restrict(5, (-1, 5))
-    assert not [k for k in d.coeffs if k[0] >= 1 and k[1] >= 1]
+    d = moonshine.denominator_product(5, 5)
+    assert d.cap == 5
+    assert not [k for k in d.coeffs if 1 <= k[0] <= 5 and 1 <= k[1] <= 5]
 
 
 def test_replication_identity_passes():
-    report = moonshine.replication_check(4)
-    assert report.passed and report.order == (4, 4)
+    for cap in (4, 9, 16):
+        report = moonshine.replication_check(cap)
+        assert report.passed and report.order == (cap, cap)
     assert moonshine.replication_product(4, 4).coeff(0, 0) == 0
     with pytest.raises(ValueError):
         moonshine.replication_check(0)
 
 
 def test_product_and_exp_forms_agree():
-    for cap in range(1, 7):
-        r = moonshine.replication_product(cap, cap)
-        d = moonshine.denominator_product(cap, cap)
-        assert r.first_mismatch(d, cap=cap, window=(-1, cap)) is None
+    for cap_m, cap_n in [(cap, cap) for cap in range(1, 7)] + [(2, 9), (9, 2), (1, 12)]:
+        r = moonshine.replication_product(cap_m, cap_n)
+        d = moonshine.denominator_product(cap_m, cap_n)
+        assert r.cap == d.cap == cap_m and r.window[1] == cap_n
+        assert r.first_mismatch(d, cap=cap_m, window=(-1, cap_n)) is None
 
 
 def test_log_of_product_is_exp_argument():
@@ -99,7 +104,7 @@ def test_antisymmetry():
     d2 = moonshine.denominator_product(b, a)
     flipped = BiSeries({(y, x): c for (x, y), c in d2.coeffs.items() if y <= a},
                        a, vars=("p", "q"), window=(-1, b))
-    assert flipped == -d1.restrict(a, (-1, b))
+    assert flipped.first_mismatch(-d1, cap=a, window=(-1, b)) is None
 
 
 def test_bi_exp():
@@ -107,8 +112,66 @@ def test_bi_exp():
     e = moonshine.bi_exp(t)
     assert e.coeffs == {(0, 0): 1, (1, 0): 1, (2, 0): Fraction(1, 2),
                         (3, 0): Fraction(1, 6), (4, 0): Fraction(1, 24)}
+    assert (e.cap, e.window, e.vars) == (4, None, ("p", "q"))
     with pytest.raises(ValueError):
         moonshine.bi_exp(BiSeries({(0, 1): 1}, 4, vars=("p", "q")))
+
+
+coefficients = st.one_of(st.integers(-9, 9), st.fractions(min_value=-4, max_value=4,
+                                                            max_denominator=6))
+
+
+@st.composite
+def exp_arguments(draw):
+    """Terms p^a q^b with 1 <= a <= cap, some rows empty, b of either sign.
+
+    A window's bottom lies below every q-power the exp can reach, so that
+    nothing the power sum drops there could re-enter; its top may cut terms.
+    """
+    cap = draw(st.integers(0, 8))
+    keys = st.tuples(st.integers(1, max(cap, 1)), st.integers(-3, 4))
+    coeffs = draw(st.dictionaries(keys, coefficients, max_size=7)) if cap else {}
+    window = None
+    if draw(st.booleans()):
+        low = cap * min([b for _, b in coeffs] + [0]) - draw(st.integers(0, 2))
+        window = (low, draw(st.integers(0, 12)))
+    return BiSeries(coeffs, cap, vars=("p", "q"), window=window)
+
+
+def claimed(got, want):
+    """Coefficients of got and want, with their types, on every monomial got claims."""
+    def known(x, y):
+        return x <= got.cap and (got.window is None or got.window[0] <= y <= got.window[1])
+
+    keys = [k for k in set(got.coeffs) | set(want.coeffs) if known(*k)]
+
+    def typed(s):
+        return {k: (type(s.coeffs.get(k, 0)), s.coeffs.get(k, 0)) for k in keys}
+
+    return typed(got), typed(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exp_arguments())
+def test_bi_exp_matches_power_sum(t):
+    got, want = moonshine.bi_exp(t), oracle.bi_exp(t)
+    assert (got.cap, got.vars) == (want.cap, want.vars) == (t.cap, t.vars)
+    if t.window is None:
+        assert got.window is None
+    else:
+        assert got.window[0] == t.window[0] and got.window[1] <= t.window[1]
+    have, expect = claimed(got, want)
+    assert have == expect
+
+
+@pytest.mark.parametrize("caps", [(1, 1), (3, 3), (2, 5), (5, 2)])
+def test_bi_exp_claims_the_compared_rectangle(caps):
+    cap_m, cap_n = caps
+    t = moonshine.replication_exponent(cap_m, cap_n)
+    got = moonshine.bi_exp(t)
+    assert (got.cap, got.window) == (cap_m + 1, (-cap_m - 1, cap_n))
+    have, expect = claimed(got, oracle.bi_exp(t))
+    assert have == expect
 
 
 def test_mult_g_trivial_element():
