@@ -223,8 +223,8 @@ def leech_theta(order: int) -> QSeries:
         if n_m:
             coeffs[2 * m] = n_m
     from_counts = QSeries(coeffs, order, nome=HALF)
-    if not from_thetas.agrees_with(from_counts):
-        mismatch = from_thetas.first_mismatch(from_counts)
+    mismatch = from_thetas.first_mismatch(from_counts)
+    if mismatch is not None:
         raise ArithmeticError(
             f"Leech theta constructions disagree at exponent {mismatch[0]}: "
             f"{mismatch[1]} vs {mismatch[2]}")

@@ -41,16 +41,18 @@ IDENTITY_LABELS = (
 
 
 class VerifyReport:
-    """Outcome of one identity check; passed iff no mismatch was found."""
+    """Outcome of one identity check: the first (monomial, lhs, rhs) mismatch, or None."""
 
-    __slots__ = ("name", "order", "passed", "first_mismatch")
+    __slots__ = ("name", "order", "first_mismatch")
 
-    def __init__(self, name, order, passed, first_mismatch):
+    def __init__(self, name, order, first_mismatch):
         self.name = name
         self.order = order
-        self.passed = bool(passed)
         self.first_mismatch = first_mismatch
-        assert self.passed == (first_mismatch is None)
+
+    @property
+    def passed(self) -> bool:
+        return self.first_mismatch is None
 
     def __repr__(self):
         tail = "passed" if self.passed else f"mismatch at {self.first_mismatch[0]}"
@@ -275,11 +277,8 @@ def identity_sides(name: str, order: int):
 
 def verify(name: str, order: int) -> VerifyReport:
     """Expand both sides of one identity and compare coefficient-wise."""
-    for lhs, rhs in identity_sides(name, order):
-        mm = lhs.first_mismatch(rhs)
-        if mm is not None:
-            return VerifyReport(name, order, False, mm)
-    return VerifyReport(name, order, True, None)
+    mismatches = (lhs.first_mismatch(rhs) for lhs, rhs in identity_sides(name, order))
+    return VerifyReport(name, order, next((m for m in mismatches if m is not None), None))
 
 
 def verify_all(order: int) -> list:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 
 from .identities import VerifyReport
-from .series import _json_fields, _json_table
+from .series import _first_mismatch, _json_fields, _json_table
 
 
 def _check_weight(k):
@@ -200,15 +200,7 @@ def maass_relation_check(s: SiegelCoeffTable) -> VerifyReport:
                 if n % d or 4 * n * m - r * r > s.disc_bound:
                     continue
                 candidates.add((n, r, m))
-    mismatch = None
-    for n, r, m in sorted(candidates):
-        expect = 0
-        for d in range(1, m + 1):
-            if gcd(n, abs(r), m) % d:
-                continue
-            expect += d ** (s.k - 1) * s.coeff(m * n // (d * d), r // d, 1)
-        got = s.coeffs.get((n, r, m), 0)
-        if got != expect:
-            mismatch = ((n, r, m), got, expect)
-            break
-    return VerifyReport("maass_relation", s.disc_bound, mismatch is None, mismatch)
+    expected = {(n, r, m): sum(d ** (s.k - 1) * s.coeff(m * n // (d * d), r // d, 1)
+                               for d in range(1, m + 1) if gcd(n, abs(r), m) % d == 0)
+                for n, r, m in candidates}
+    return VerifyReport("maass_relation", s.disc_bound, _first_mismatch(s.coeffs, expected))

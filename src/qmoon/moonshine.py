@@ -54,9 +54,10 @@ def moonshine_c(max_n: int) -> MoonshineCoeffs:
 # and a q-window topped at hi = cap_n + M.  Every monomial p^a q^b of a
 # factor, and so of any partial product, satisfies b >= -a: the only
 # negative q-powers enter through n = -1 factors, which raise a at least as
-# fast.  A monomial the denominator product drops for b > hi would need to
-# shed more than M from b to re-enter the compared window, which the budget
-# forbids; so that rectangular truncation is exact.
+# fast.  A monomial p^a q^b the denominator product drops for b > hi can
+# still be multiplied by monomials whose p-powers add up to at most M - a,
+# so it only ever reaches q-exponents above hi - M = cap_n.  The product is
+# therefore exact through q^cap_n, and its window is topped there.
 #
 # The replication side needs no such argument.  bi_exp runs the exp
 # recurrence m B_m = sum_k k T_k B_{m-k} on q-rows: T_k, the p^k row of the
@@ -89,7 +90,8 @@ def denominator_product(cap_m: int, cap_n: int) -> BiSeries:
     c = moonshine_c(big_m * hi)
     factors = [(m, n, c[m * n], -1) for m in range(1, big_m + 1) for n in range(-1, hi + 1)
                if -1 <= m * n <= c.max_n and c[m * n]]
-    return BiSeries.one(big_m, vars=_VARS, window=window).mul_binomials(factors).shift_x(-1)
+    prod = BiSeries.one(big_m, vars=_VARS, window=window).mul_binomials(factors)
+    return BiSeries(prod.coeffs, big_m, vars=_VARS, window=(window[0], cap_n)).shift_x(-1)
 
 
 def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:
@@ -142,8 +144,8 @@ def denominator_check(cap_m: int, cap_n: int) -> VerifyReport:
     if cap_m < 1 or cap_n < 1:
         raise ValueError("caps must be >= 1")
     lhs = denominator_product(cap_m, cap_n)
-    mismatch = lhs.first_mismatch(_sum_side(cap_m, cap_n), cap=cap_m, window=(-1, cap_n))
-    return VerifyReport("monster_denominator", (cap_m, cap_n), mismatch is None, mismatch)
+    return VerifyReport("monster_denominator", (cap_m, cap_n),
+                        lhs.first_mismatch(_sum_side(cap_m, cap_n)))
 
 
 def replication_check(cap: int) -> VerifyReport:
@@ -151,8 +153,7 @@ def replication_check(cap: int) -> VerifyReport:
     if cap < 1:
         raise ValueError("cap must be >= 1")
     lhs = replication_product(cap, cap)
-    mismatch = lhs.first_mismatch(_sum_side(cap, cap), cap=cap, window=(-1, cap))
-    return VerifyReport("monster_replication", (cap, cap), mismatch is None, mismatch)
+    return VerifyReport("monster_replication", (cap, cap), lhs.first_mismatch(_sum_side(cap, cap)))
 
 
 # -- Moebius multiplicities ------------------------------------------------------

@@ -14,7 +14,7 @@ is a hard error; conversion goes through ``scale_var``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, inf, isqrt, lcm
 from operator import mul
 
 __all__ = [
@@ -106,6 +106,19 @@ def _json_table(data: dict, what: str, field: str, arity: int) -> dict:
     return table
 
 
+def _first_mismatch(lhs: dict, rhs: dict, known=None, key=None):
+    """First (key, lhs value, rhs value) where two coefficient dicts differ, or None.
+
+    Walks the union of their keys in sorted order (by ``key``) and skips the
+    keys where ``known(key)`` is false; a key missing from one side is 0 there.
+    """
+    for k in sorted(lhs.keys() | rhs.keys(), key=key):
+        a, b = lhs.get(k, 0), rhs.get(k, 0)
+        if a != b and (known is None or known(k)):
+            return (k, a, b)
+    return None
+
+
 class QSeries:
     """Truncated Laurent series  q^prefactor * sum coeffs[e] * q^e.
 
@@ -144,11 +157,12 @@ class QSeries:
 
     @classmethod
     def const(cls, c, trunc, **kw):
-        return cls({0: c}, trunc, **kw)
+        """The constant c, which is unknown (so not stored) when trunc < 0."""
+        return cls({0: c} if trunc >= 0 else {}, trunc, **kw)
 
     @classmethod
     def one(cls, trunc, **kw):
-        return cls({0: 1}, trunc, **kw)
+        return cls.const(1, trunc, **kw)
 
     # -- inspection --------------------------------------------------------
 
@@ -323,16 +337,8 @@ class QSeries:
         a, b = self.canonical(), other.canonical()
         if a.prefactor != b.prefactor:
             raise ValueError(f"prefactor mismatch in comparison: {a.prefactor} vs {b.prefactor}")
-        hi = min(a.trunc, b.trunc)
-        if order is not None:
-            hi = min(hi, order)
-        for e in sorted(set(a.coeffs) | set(b.coeffs)):
-            if e > hi:
-                break
-            ca, cb = a.coeffs.get(e, 0), b.coeffs.get(e, 0)
-            if ca != cb:
-                return (e, ca, cb)
-        return None
+        hi = min(a.trunc, b.trunc) if order is None else min(a.trunc, b.trunc, order)
+        return _first_mismatch(a.coeffs, b.coeffs, lambda e: e <= hi)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -536,7 +542,8 @@ class ExponentTable:
         if not isinstance(other, ExponentTable):
             return NotImplemented
         order = min(self.order, other.order)
-        return self.h == other.h and all(self[n] == other[n] for n in range(1, order + 1))
+        return self.h == other.h and \
+            _first_mismatch(self.exps, other.exps, lambda n: n <= order) is None
 
     __hash__ = None
 
@@ -807,10 +814,11 @@ class BiSeries:
 
         Built for factors like (1 - p^m q^n)^c(mn) whose integer exponents run
         to dozens of digits: binomial coefficients stay exact big integers and
-        each factor keeps only its monomials inside the current cap and window
-        before it multiplies in with ``__mul__``.  Negative or rational e
-        expands as a power series; a factor constant in x (a == 0) then needs
-        a finite window on the second variable to terminate.
+        each factor expands only as far as the current cap, or for a == 0 the
+        window, can use before it multiplies in with ``__mul__``, whose window
+        filter is the only one.  Negative or rational e expands as a power
+        series; a factor constant in x (a == 0) then needs a finite window on
+        the second variable to terminate.
         """
         acc = self
         for a, b, e, sign in factors:
@@ -819,8 +827,9 @@ class BiSeries:
                 kmax = max(cap, 0) // a
             elif a < 0:
                 raise ValueError("primary-variable exponent must be nonnegative")
-            elif b and window is not None:
-                kmax = max(window[1] // b if b > 0 else window[0] // b, 0)
+            elif b and window is not None:  # the steps that can carry some y of acc into the window
+                ys = [y for _, y in acc.coeffs] or [window[1] if b > 0 else window[0]]
+                kmax = max((window[1] - min(ys) if b > 0 else window[0] - max(ys)) // b, 0)
             elif isinstance(e, int) and e >= 0:
                 kmax = e
             else:
@@ -829,33 +838,21 @@ class BiSeries:
             factor = {}
             for k, c in _binomial_terms(e, sign, kmax):
                 key = (a * k, b * k)
-                if key[0] <= cap and (window is None or window[0] <= key[1] <= window[1]):
-                    factor[key] = factor.get(key, 0) + c
-            acc = acc * BiSeries._make(factor, cap, self.vars, window)
+                factor[key] = factor.get(key, 0) + c
+            acc = acc * BiSeries._make(factor, cap, self.vars, None)
         return acc
 
-    def first_mismatch(self, other: "BiSeries", cap=None, window=None):
-        """First disagreeing monomial in graded-lex order, or None.
+    def first_mismatch(self, other: "BiSeries"):
+        """First disagreeing monomial in graded-lex order (x+y, x, y), or None.
 
-        Keys sort by (x+y, x, y); comparison runs within the shared cap and
-        the meet of the stored windows (optionally narrowed further).
+        Comparison runs within the shared cap and the meet of the stored windows.
         """
         self._check_compat(other)
         hi = min(self.cap, other.cap)
-        if cap is not None:
-            hi = min(hi, cap)
-        win = _win_meet(_win_meet(self.window, other.window), window)
-        keys = set(self.coeffs) | set(other.coeffs)
-        for key in sorted(keys, key=lambda k: (k[0] + k[1], k[0], k[1])):
-            ex, ey = key
-            if ex > hi:
-                continue
-            if win and not win[0] <= ey <= win[1]:
-                continue
-            ca, cb = self.coeffs.get(key, 0), other.coeffs.get(key, 0)
-            if ca != cb:
-                return (key, ca, cb)
-        return None
+        lo_y, hi_y = _win_meet(self.window, other.window) or (-inf, inf)
+        return _first_mismatch(self.coeffs, other.coeffs,
+                               lambda k: k[0] <= hi and lo_y <= k[1] <= hi_y,
+                               lambda k: (k[0] + k[1], k[0], k[1]))
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .identities import VerifyReport
-from .series import BiSeries, _json_fields, _json_table
+from .series import BiSeries, _first_mismatch, _json_fields, _json_table
 
 SAMPLE_NAMES = ("pair", "trivial", "orthogonal")
 
@@ -208,9 +208,7 @@ class PsiSeries:
         if self.s != other.s or self.qpre != other.qpre:
             return False
         hi = min(self.trunc, other.trunc)
-        mine = {k: c for k, c in self.coeffs.items() if k[0] <= hi}
-        theirs = {k: c for k, c in other.coeffs.items() if k[0] <= hi}
-        return mine == theirs
+        return _first_mismatch(self.coeffs, other.coeffs, lambda k: k[0] <= hi) is None
 
     __hash__ = None
 
@@ -296,37 +294,22 @@ def elliptic_transform_check(V: VectorSystem, lam, shift, order: int,
             flip = _integral_pair(V, shift, r, "shift vector")  # 2(mu, r/2)
             lhs[(n, r)] = -c if flip % 2 else c
         rhs = {k: sign * c for k, c in p.coeffs.items()}
-        mismatch = None
-        for key in sorted(set(lhs) | set(rhs)):
-            if lhs.get(key, 0) != rhs.get(key, 0):
-                mismatch = (key, lhs.get(key, 0), rhs.get(key, 0))
-                break
-        return VerifyReport("elliptic_mu_shift", order, mismatch is None, mismatch)
+        return VerifyReport("elliptic_mu_shift", order, _first_mismatch(lhs, rhs))
 
     m_ll = wd.m * V.pair(shift, shift)  # rhs q-exponent drops by m(L,L)/2
     key_shift = tuple(2 * wd.m * x for x in shift)
     if any(Fraction(x).denominator != 1 for x in key_shift):
         raise ValueError(f"zeta^(-m*shift) leaves the doubled grid: {key_shift}")
     key_shift = tuple(int(x) for x in key_shift)
-    lhs_cols, lhs_known = {}, {}
-    for (n, r), c in p.coeffs.items():
-        delta = Fraction(V.pair(shift, r), 2)  # (L, r/2)
-        lhs_cols.setdefault(r, {})[n + delta] = c
-        lhs_known[r] = order + delta
-    rhs_cols = {}
+    # both sides keyed (column r, q-exponent e), each column known through
+    # the smaller of the two sides' tops there
+    lhs = {(r, n + Fraction(V.pair(shift, r), 2)): c for (n, r), c in p.coeffs.items()}
+    rhs = {(tuple(a - b for a, b in zip(r, key_shift)), n - Fraction(m_ll, 2)): sign * c
+           for (n, r), c in p.coeffs.items()}
     rhs_known = order - Fraction(m_ll, 2)
-    for (n, r), c in p.coeffs.items():
-        col = tuple(a - b for a, b in zip(r, key_shift))
-        rhs_cols.setdefault(col, {})[n - Fraction(m_ll, 2)] = sign * c
-    mismatch = None
-    for r in sorted(set(lhs_cols) | set(rhs_cols)):
-        left = lhs_cols.get(r, {})
-        right = rhs_cols.get(r, {})
-        known = min(lhs_known.get(r, order + Fraction(V.pair(shift, r), 2)), rhs_known)
-        for e in sorted(set(left) | set(right)):
-            if e <= known and left.get(e, 0) != right.get(e, 0):
-                mismatch = ((e, r), left.get(e, 0), right.get(e, 0))
-                break
-        if mismatch:
-            break
-    return VerifyReport("elliptic_tau_shift", order, mismatch is None, mismatch)
+    mismatch = _first_mismatch(
+        lhs, rhs, lambda k: k[1] <= min(order + Fraction(V.pair(shift, k[0]), 2), rhs_known))
+    if mismatch is not None:
+        (r, e), left, right = mismatch
+        mismatch = ((e, r), left, right)
+    return VerifyReport("elliptic_tau_shift", order, mismatch)

@@ -15,6 +15,11 @@ the power sum of t^k / k! that ``qmoon.moonshine.bi_exp`` ran before it
 moved onto the exp recurrence.  ``psi`` is the vector-system product
 expanded one factor at a time on tuple-valued zeta exponents, the way
 ``qmoon.vsys`` did before it packed them.
+
+The comparison references are the hand-written first-disagreement scans
+that ``QSeries.first_mismatch``, ``BiSeries.first_mismatch`` and the two
+elliptic shift laws of ``qmoon.vsys`` ran before they all went through one
+shared scan.
 """
 
 from fractions import Fraction
@@ -22,7 +27,7 @@ from math import comb
 from typing import NamedTuple
 
 from qmoon.series import ExponentTable, QSeries, _binomial_terms, _num, divisors, moebius
-from qmoon.vsys import weyl_data
+from qmoon.vsys import _integral_pair, psi as vsys_psi, weyl_data
 
 
 def _like(s, coeffs, trunc, prefactor=None):
@@ -163,6 +168,25 @@ def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
     return ExponentTable(-(v + a.prefactor), exps, order)
 
 
+def first_mismatch(a: QSeries, b: QSeries, order=None):
+    """First (exponent, lhs, rhs) disagreement in ascending order on canonical form,
+    up to the shared truncation (and order), or None."""
+    a._check_compat(b)
+    a, b = a.canonical(), b.canonical()
+    if a.prefactor != b.prefactor:
+        raise ValueError(f"prefactor mismatch in comparison: {a.prefactor} vs {b.prefactor}")
+    hi = min(a.trunc, b.trunc)
+    if order is not None:
+        hi = min(hi, order)
+    for e in sorted(set(a.coeffs) | set(b.coeffs)):
+        if e > hi:
+            break
+        ca, cb = a.coeffs.get(e, 0), b.coeffs.get(e, 0)
+        if ca != cb:
+            return (e, ca, cb)
+    return None
+
+
 class Bi(NamedTuple):
     """A two-variable result with the fields ``BiSeries`` exposes."""
 
@@ -205,6 +229,27 @@ def bi_mul(a, b) -> Bi:
             key = (ax + bx, ay + by)
             out[key] = out.get(key, 0) + ca * cb
     return bi(out, cap, window, a.vars)
+
+
+def bi_first_mismatch(a, b, cap=None, window=None):
+    """First disagreeing monomial in graded-lex order (x+y, x, y), or None.
+
+    Comparison runs within the shared cap and the meet of the windows,
+    optionally narrowed further by cap and window.
+    """
+    assert a.vars == b.vars
+    hi = min(a.cap, b.cap)
+    if cap is not None:
+        hi = min(hi, cap)
+    win = _meet(_meet(a.window, b.window), window)
+    for key in sorted(set(a.coeffs) | set(b.coeffs), key=lambda k: (k[0] + k[1], k[0], k[1])):
+        ex, ey = key
+        if ex > hi or (win and not win[0] <= ey <= win[1]):
+            continue
+        ca, cb = a.coeffs.get(key, 0), b.coeffs.get(key, 0)
+        if ca != cb:
+            return (key, ca, cb)
+    return None
 
 
 def bi_add(a, b) -> Bi:
@@ -278,3 +323,39 @@ def _psi_factor(acc, n, v, mult, order):
             elif key in out:
                 del out[key]
     return out
+
+
+def elliptic_mismatch(V, lam, shift, order, kind):
+    """The first mismatch of one elliptic shift law of psi, scanned per zeta-column.
+
+    The mu law compares (n, r)-keyed coefficients in sorted order.  The tau
+    law compares column r in sorted order, each within its own known range:
+    the smaller of order + (L, r)/2 and order - m(L,L)/2.
+    """
+    shift = tuple(Fraction(x) for x in shift)
+    p = vsys_psi(V, lam, order)
+    wd = weyl_data(V, lam)
+    two_rho = tuple(int(2 * x) for x in wd.rho)
+    sign = -1 if _integral_pair(V, shift, two_rho, "shift") % 2 else 1
+    if kind == "mu":
+        lhs = {(n, r): -c if _integral_pair(V, shift, r, "shift") % 2 else c
+               for (n, r), c in p.coeffs.items()}
+        rhs = {k: sign * c for k, c in p.coeffs.items()}
+        for key in sorted(set(lhs) | set(rhs)):
+            if lhs.get(key, 0) != rhs.get(key, 0):
+                return (key, lhs.get(key, 0), rhs.get(key, 0))
+        return None
+    m_ll = wd.m * V.pair(shift, shift)
+    key_shift = tuple(int(2 * wd.m * x) for x in shift)
+    lhs_cols, rhs_cols = {}, {}
+    for (n, r), c in p.coeffs.items():
+        lhs_cols.setdefault(r, {})[n + Fraction(V.pair(shift, r), 2)] = c
+        col = tuple(a - b for a, b in zip(r, key_shift))
+        rhs_cols.setdefault(col, {})[n - Fraction(m_ll, 2)] = sign * c
+    for r in sorted(set(lhs_cols) | set(rhs_cols)):
+        left, right = lhs_cols.get(r, {}), rhs_cols.get(r, {})
+        known = min(order + Fraction(V.pair(shift, r), 2), order - Fraction(m_ll, 2))
+        for e in sorted(set(left) | set(right)):
+            if e <= known and left.get(e, 0) != right.get(e, 0):
+                return ((e, r), left.get(e, 0), right.get(e, 0))
+    return None

@@ -32,12 +32,22 @@ def _nonneg_int(e):
     return isinstance(e, int) and e >= 0
 
 
-def bi_factor(a, b, e, sign, cap, vars, window):
-    """(1 + sign x^a y^b)^e with the monomials inside cap and window."""
+def bi_factor(series, a, b, e, sign):
+    """(1 + sign x^a y^b)^e through every term that can reach series' cap and window.
+
+    For a == 0 and a window, the terms run while some y of the series, moved
+    by b k, has not yet passed the window's far end (its top for b > 0).
+    The window itself is applied by the product, not here.
+    """
+    cap, window = series.cap, series.window
     if a > 0:
         kmax = max(cap, 0) // a
     elif a == 0 and b and window is not None:
-        kmax = max(window[1] // b if b > 0 else window[0] // b, 0)
+        far = window[1] if b > 0 else window[0]
+        ys = [y for _, y in series.coeffs]
+        kmax = 0
+        while any((y + b * (kmax + 1) - far) * b <= 0 for y in ys):
+            kmax += 1
     elif a == 0 and _nonneg_int(e):
         kmax = e
     else:
@@ -47,15 +57,13 @@ def bi_factor(a, b, e, sign, cap, vars, window):
     coeffs = {}
     for k in range(kmax + 1):
         key = (a * k, b * k)
-        if key[0] <= cap and (window is None or window[0] <= key[1] <= window[1]):
-            coeffs[key] = coeffs.get(key, 0) + sign ** k * binomial(e, k)
-    return bi(coeffs, cap, window, vars)
+        coeffs[key] = coeffs.get(key, 0) + sign ** k * binomial(e, k)
+    return bi(coeffs, cap, None, series.vars)
 
 
 def bi_oracle(series, factors):
     for a, b, e, sign in factors:
-        series = bi_mul(series, bi_factor(a, b, e, sign, series.cap, series.vars,
-                                          series.window))
+        series = bi_mul(series, bi_factor(series, a, b, e, sign))
     return series
 
 
@@ -96,14 +104,15 @@ def dense(draw, keys):
 @st.composite
 def biseries(draw):
     cap = draw(st.integers(-1, 7))
-    window = draw(st.one_of(st.none(), st.tuples(st.integers(-5, 1), st.integers(-1, 6))))
+    # windows may lie wholly above or below y = 0
+    window = draw(st.one_of(st.none(), st.tuples(st.integers(-6, 3), st.integers(-3, 6))))
     xs = st.integers(-2, max(cap, -2))
-    ys = st.integers(-4, 4)
+    ys = st.integers(-6, 5)
     if draw(st.booleans()):  # sparse
         coeffs = draw(st.dictionaries(st.tuples(xs, ys), coefficients, max_size=6))
-    else:  # dense: every monomial of a small box
-        lo = draw(st.integers(-2, 0))
-        coeffs = dense(draw, [(x, y) for x in range(lo, cap + 1) for y in range(-2, 3)])
+    else:  # dense: every monomial of a small box, its y-range shifted
+        lo, y0 = draw(st.integers(-2, 0)), draw(st.integers(-4, 2))
+        coeffs = dense(draw, [(x, y) for x in range(lo, cap + 1) for y in range(y0, y0 + 5)])
     return BiSeries(coeffs, cap, vars=("p", "q"), window=window)
 
 
@@ -164,6 +173,18 @@ def test_qseries_expander_matches_factor_by_factor(series, factors):
     want = q_oracle(series, factors)
     assert (got.coeffs, got.trunc, got.prefactor, got.nome) == \
         (want.coeffs, want.trunc, want.prefactor, want.nome)
+
+
+def test_factors_reach_a_window_off_zero():
+    # the window excludes y = 0, so a factor's constant term lies outside it
+    got = BiSeries({(0, 1): 1}, 4, window=(1, 3)).mul_binomials([(1, 0, 1, -1)])
+    assert got.coeffs == {(0, 1): 1, (1, 1): -1}
+    # a factor constant in x runs until the partial product's lowest y passes the top
+    got = BiSeries({(0, -2): 1}, 3, window=(-2, 5)).mul_binomials([(0, 1, -1, -1)])
+    assert got.coeffs == {(0, y): 1 for y in range(-2, 6)}
+    # and, stepping down, until its highest y passes the bottom
+    got = BiSeries({(0, 2): 1}, 3, window=(-4, 3)).mul_binomials([(0, -1, -1, -1)])
+    assert got.coeffs == {(0, y): 1 for y in range(-4, 3)}
 
 
 def test_expanders_reject_bad_factors():

@@ -1,0 +1,168 @@
+"""Differential tests of the one first-mismatch scan behind every comparison.
+
+``QSeries.first_mismatch``, ``BiSeries.first_mismatch``, ``ExponentTable``
+and ``PsiSeries`` equality all go through ``series._first_mismatch``.  The
+references are the hand-written loops those comparisons ran before, kept in
+``kernel_oracle``.  Pairs are drawn to mostly agree: the second side edits a
+few coefficients of the first, moves its truncation or cap, narrows or moves
+its window, and may write an integer part of the prefactor into the
+exponents, so first mismatches land near every boundary.  Results must match
+with their types (int vs Fraction), and the same inputs must be rejected.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import kernel_oracle as oracle
+from qmoon.series import FULL, HALF, BiSeries, ExponentTable, QSeries, _first_mismatch
+from qmoon.vsys import PsiSeries
+
+coefficients = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2,
+                                                          max_denominator=3))
+
+
+def typed(result):
+    """A scan result with the type of every value, so 1 never matches Fraction(1)."""
+    if result is None or isinstance(result, type):
+        return result
+    key, a, b = result
+    return key, (type(a), a), (type(b), b)
+
+
+def outcome(fn, *args):
+    try:
+        return typed(fn(*args))
+    except ValueError as exc:  # NomeMismatch included
+        return type(exc)
+
+
+def edited(draw, coeffs, keys):
+    """coeffs with a few entries overwritten, some by zero, some by equal values."""
+    out = dict(coeffs)
+    out.update(draw(st.dictionaries(keys, st.one_of(coefficients, st.just(0)), max_size=3)))
+    return out
+
+
+@st.composite
+def qseries_pairs(draw):
+    trunc = draw(st.integers(-3, 9))
+    pre = draw(st.sampled_from((0, Fraction(1, 24), Fraction(-5, 4), Fraction(7, 8))))
+    nome = draw(st.sampled_from((FULL, HALF)))
+    coeffs = draw(st.dictionaries(st.integers(min(trunc, -3), trunc), coefficients,
+                                  max_size=7))
+    a = QSeries(coeffs, trunc, nome=nome, prefactor=pre)
+    b_trunc = trunc + draw(st.integers(-3, 3))
+    b_coeffs = edited(draw, coeffs, st.integers(min(b_trunc, -3), b_trunc))
+    s = draw(st.integers(-2, 2))  # q^pre sum c q^e = q^(pre - s) sum c q^(e + s)
+    b_pre = pre - s + draw(st.sampled_from((0,) * 8 + (Fraction(1, 2),)))
+    b_nome = draw(st.sampled_from((nome,) * 8 + (FULL, HALF)))
+    b = QSeries({e + s: c for e, c in b_coeffs.items() if e <= b_trunc}, b_trunc + s,
+                nome=b_nome, prefactor=b_pre)
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(qseries_pairs(), st.one_of(st.none(), st.integers(-5, 12)))
+def test_qseries_scan_matches_reference(pair, order):
+    a, b = pair
+    got = outcome(a.first_mismatch, b, order)
+    assert got == outcome(oracle.first_mismatch, a, b, order)
+    assert outcome(b.first_mismatch, a, order) == outcome(oracle.first_mismatch, b, a, order)
+    if not isinstance(got, type):
+        assert (a == b) == (oracle.first_mismatch(a, b) is None)
+        assert a.agrees_with(b, order) == (got is None)
+
+
+@st.composite
+def biseries_pairs(draw):
+    cap = draw(st.integers(-1, 5))
+    windows = st.one_of(st.none(), st.tuples(st.integers(-4, 2), st.integers(-2, 4)))
+    xs, ys = st.integers(-2, max(cap, -2)), st.integers(-4, 4)
+    if draw(st.booleans()):  # sparse
+        coeffs = draw(st.dictionaries(st.tuples(xs, ys), coefficients, max_size=8))
+    else:  # every monomial of a small box: many keys share a degree x + y
+        coeffs = {(x, y): draw(coefficients) for x in range(-1, cap + 1) for y in range(-2, 3)}
+    a = BiSeries(coeffs, cap, vars=("p", "q"), window=draw(windows))
+    b_cap = cap + draw(st.integers(-2, 2))
+    b_coeffs = edited(draw, coeffs, st.tuples(st.integers(min(b_cap, -2), b_cap), ys))
+    b = BiSeries({k: c for k, c in b_coeffs.items() if k[0] <= b_cap}, b_cap,
+                 vars=("p", "q"), window=draw(windows))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(biseries_pairs())
+def test_biseries_scan_matches_reference(pair):
+    a, b = pair
+    got = typed(a.first_mismatch(b))
+    assert got == typed(oracle.bi_first_mismatch(a, b))
+    assert typed(b.first_mismatch(a)) == typed(oracle.bi_first_mismatch(b, a))
+    assert (a == b) == (got is None)
+
+
+def test_biseries_scan_is_graded():
+    # degree x + y first: q^3 comes after p, though (0, 3) < (1, 0) as tuples
+    a = BiSeries({(0, 3): 1, (1, 0): 1}, 4)
+    b = BiSeries({(0, 3): 2, (1, 0): 2}, 4)
+    assert a.first_mismatch(b) == oracle.bi_first_mismatch(a, b) == ((1, 0), 1, 2)
+    # within one degree, the lower x first
+    a = BiSeries({(0, 2): 1, (1, 1): 1, (2, 0): 1}, 4)
+    b = BiSeries({(0, 2): 2, (1, 1): 2, (2, 0): 2}, 4)
+    assert a.first_mismatch(b) == oracle.bi_first_mismatch(a, b) == ((0, 2), 1, 2)
+
+
+@st.composite
+def exponent_table_pairs(draw):
+    order = draw(st.integers(0, 6))
+    exps = draw(st.dictionaries(st.integers(1, max(order, 1)), coefficients, max_size=4))
+    exps = {n: e for n, e in exps.items() if n <= order}
+    h = draw(coefficients)
+    other_order = draw(st.integers(0, 6))
+    other = {n: e for n, e in edited(draw, exps, st.integers(1, 6)).items() if n <= other_order}
+    return (ExponentTable(h, exps, order),
+            ExponentTable(draw(st.sampled_from((h,) * 5 + (h + 1,))), other, other_order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_table_pairs())
+def test_exponent_table_equality_matches_termwise(pair):
+    s, t = pair
+    order = min(s.order, t.order)
+    assert (s == t) == (s.h == t.h and all(s[n] == t[n] for n in range(1, order + 1)))
+
+
+@st.composite
+def psi_pairs(draw):
+    keys = st.tuples(st.integers(0, 4), st.tuples(st.integers(-3, 3)))
+    coeffs = draw(st.dictionaries(keys, st.integers(-3, 3), max_size=6))
+    trunc, other_trunc = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    other = edited(draw, coeffs, keys)
+    qpre = Fraction(draw(st.integers(0, 3)), 24)
+
+    def make(c, t):
+        return PsiSeries(1, qpre, {k: v for k, v in c.items() if k[0] <= t}, t)
+
+    return make(coeffs, trunc), make(other, other_trunc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(psi_pairs())
+def test_psi_series_equality_matches_filtered_dicts(pair):
+    p, q = pair
+    hi = min(p.trunc, q.trunc)
+
+    def below(s):
+        return {k: c for k, c in s.coeffs.items() if k[0] <= hi}
+
+    assert (p == q) == (below(p) == below(q))
+
+
+def test_scan_order_known_range_and_missing_keys():
+    lhs, rhs = {1: 5, 3: 2, -2: 1}, {1: 5, 3: 0, 4: 7}
+    assert _first_mismatch(lhs, rhs) == (-2, 1, 0)
+    assert _first_mismatch(lhs, rhs, lambda e: e >= 0) == (3, 2, 0)
+    assert _first_mismatch(lhs, rhs, lambda e: 0 <= e != 3) == (4, 0, 7)
+    assert _first_mismatch(lhs, rhs, lambda e: 0 <= e <= 2) is None
+    assert _first_mismatch(lhs, rhs, key=lambda e: -e) == (4, 0, 7)
+    assert _first_mismatch({}, {}) is None

@@ -31,6 +31,7 @@ INPUTS = {
     "eta.json": {"prefactor": "1/24", "trunc": 7,
                  "coeffs": {"0": "1", "1": "-1", "2": "-1", "5": "1", "7": "1"}},
     "pair.json": {"dim": 1, "gram": [[2]], "mult": {"-1": 1, "1": 1}},
+    "pair-bad.json": {"dim": 1, "gram": [[2]], "mult": {"-1": 1, "1": 2}},
     "trivial.json": {"dim": 1, "gram": [[2]], "mult": {"0": 2}},
     "orthogonal.json": {"dim": 2, "gram": [[2, 0], [0, 2]],
                         "mult": {"-1,0": 1, "0,-1": 1, "0,1": 1, "1,0": 1}},
@@ -86,6 +87,7 @@ CASES = (
        for argv in _both("vsys", "psi", "--file", f"{name}.json", "--order", "4")]
     + _both("vsys", "check", "--file", "pair.json", "--shift", "1", "--order", "6")
     + _both("vsys", "check", "--file", "orthogonal.json", "--shift", "1,0", "--order", "4")
+    + _both("vsys", "check", "--file", "pair-bad.json", "--shift", "1", "--order", "6")
     + [["vsys", "check", "--file", "pair.json", "--shift", "1/4"]]
     + _both("vsys", "psi", "--file", "ortho3.json", "--chamber", "1,2,3", "--order", "3")
     + _both("vsys", "check", "--file", "ortho3.json", "--chamber", "1,2,3",

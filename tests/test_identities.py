@@ -46,8 +46,10 @@ def test_report_invariant_and_json():
     j = bad.to_json()
     assert j["passed"] is False
     assert j["first_mismatch"]["monomial"] == [1, -1]
-    with pytest.raises(AssertionError):
-        VerifyReport("x", 5, True, ((0, 0), 1, 2))
+    # the verdict follows the mismatch and cannot contradict it
+    assert VerifyReport("x", 5, ((0, 0), 1, 2)).passed is False
+    assert VerifyReport("x", 5, None).passed is True
+    assert VerifyReport("x", 5, ((0, 0), 0, 2)).to_json()["passed"] is False
 
 
 def test_unknown_label_and_bad_order():

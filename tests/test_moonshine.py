@@ -49,6 +49,22 @@ def test_denominator_edge_coefficients():
     assert d.coeff(0, 0) == 0
 
 
+@pytest.mark.parametrize("caps", [(cap, cap) for cap in range(1, 7)] + [(2, 9), (9, 2)])
+def test_denominator_product_claims_only_what_it_knows(caps):
+    # every coefficient inside the claimed cap and window must survive a deeper build
+    cap_m, cap_n = caps
+    d = moonshine.denominator_product(cap_m, cap_n)
+    deeper = moonshine.denominator_product(cap_m, cap_n + cap_m + 2)
+    lo, hi = d.window
+    assert deeper.cap == d.cap and deeper.window[0] == lo and deeper.window[1] > hi
+
+    def claimed(s):
+        return {k: c for k, c in s.coeffs.items() if k[0] <= d.cap and lo <= k[1] <= hi}
+
+    assert claimed(d) == claimed(deeper)
+    assert (d.cap, d.window) == (cap_m, (-cap_m - 1, cap_n))
+
+
 def test_no_mixed_monomials():
     d = moonshine.denominator_product(5, 5)
     assert d.cap == 5
@@ -64,12 +80,17 @@ def test_replication_identity_passes():
         moonshine.replication_check(0)
 
 
+def rectangle(coeffs, cap_m, cap_n):
+    """The coefficients on p-degree <= cap_m and q-exponents -1..cap_n."""
+    return {k: c for k, c in coeffs.items() if k[0] <= cap_m and -1 <= k[1] <= cap_n}
+
+
 def test_product_and_exp_forms_agree():
     for cap_m, cap_n in [(cap, cap) for cap in range(1, 7)] + [(2, 9), (9, 2), (1, 12)]:
         r = moonshine.replication_product(cap_m, cap_n)
         d = moonshine.denominator_product(cap_m, cap_n)
-        assert r.cap == d.cap == cap_m and r.window[1] == cap_n
-        assert r.first_mismatch(d, cap=cap_m, window=(-1, cap_n)) is None
+        assert r.cap == d.cap == cap_m and r.window[1] == d.window[1] == cap_n
+        assert rectangle(r.coeffs, cap_m, cap_n) == rectangle(d.coeffs, cap_m, cap_n)
 
 
 def test_log_of_product_is_exp_argument():
@@ -102,9 +123,8 @@ def test_antisymmetry():
 
     d1 = moonshine.denominator_product(a, b)
     d2 = moonshine.denominator_product(b, a)
-    flipped = BiSeries({(y, x): c for (x, y), c in d2.coeffs.items() if y <= a},
-                       a, vars=("p", "q"), window=(-1, b))
-    assert flipped.first_mismatch(-d1, cap=a, window=(-1, b)) is None
+    flipped = {(y, x): c for (x, y), c in d2.coeffs.items()}
+    assert rectangle(flipped, a, b) == rectangle((-d1).coeffs, a, b)
 
 
 def test_bi_exp():
@@ -122,7 +142,7 @@ coefficients = st.one_of(st.integers(-9, 9), st.fractions(min_value=-4, max_valu
 
 
 @st.composite
-def exp_arguments(draw):
+def exp_arguments(draw, tops=st.integers(0, 12), windowed=st.booleans()):
     """Terms p^a q^b with 1 <= a <= cap, some rows empty, b of either sign.
 
     A window's bottom lies below every q-power the exp can reach, so that
@@ -132,9 +152,9 @@ def exp_arguments(draw):
     keys = st.tuples(st.integers(1, max(cap, 1)), st.integers(-3, 4))
     coeffs = draw(st.dictionaries(keys, coefficients, max_size=7)) if cap else {}
     window = None
-    if draw(st.booleans()):
+    if draw(windowed):
         low = cap * min([b for _, b in coeffs] + [0]) - draw(st.integers(0, 2))
-        window = (low, draw(st.integers(0, 12)))
+        window = (low, draw(tops))
     return BiSeries(coeffs, cap, vars=("p", "q"), window=window)
 
 
@@ -161,6 +181,26 @@ def test_bi_exp_matches_power_sum(t):
     else:
         assert got.window[0] == t.window[0] and got.window[1] <= t.window[1]
     have, expect = claimed(got, want)
+    assert have == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(exp_arguments(tops=st.integers(-4, 3), windowed=st.just(True)))
+def test_windowed_bi_exp_matches_windowless(t):
+    # a window top below 0 leaves even the constant 1 unknown; whatever the
+    # windowed exp still claims must agree with the exp of the same terms
+    got = moonshine.bi_exp(t)
+    want = moonshine.bi_exp(BiSeries(t.coeffs, t.cap, vars=t.vars))
+    assert got.window[0] == t.window[0] and got.window[1] <= t.window[1]
+    have, expect = claimed(got, want)
+    assert have == expect
+
+
+def test_bi_exp_with_window_top_below_zero():
+    t = BiSeries({(1, -1): 1, (1, -2): 1}, 3, vars=("p", "q"), window=(-5, -1))
+    got = moonshine.bi_exp(t)
+    assert got.cap == 3 and got.window[0] == -5 and got.window[1] <= -1
+    have, expect = claimed(got, oracle.bi_exp(BiSeries(t.coeffs, 3, vars=("p", "q"))))
     assert have == expect
 
 

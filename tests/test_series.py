@@ -121,6 +121,17 @@ def test_stored_exponent_above_trunc_rejected():
     assert (0 + low).coeffs == {-5: 1} and (0 + low).trunc == -3
 
 
+def test_constant_past_a_negative_trunc():
+    # the constant term lies beyond the truncation, so adding it changes nothing known
+    low = QSeries({-5: 1}, -3)
+    for s in (low + 1, 1 + low, low - Fraction(1, 2), low + QSeries.const(7, -3)):
+        assert (s.coeffs, s.trunc) == ({-5: 1}, -3)
+    assert ((1 - low).coeffs, (1 - low).trunc) == ({-5: -1}, -3)
+    assert (QSeries.one(-1).coeffs, QSeries.one(-1).trunc) == ({}, -1)
+    assert QSeries.one(0).coeffs == {0: 1} and QSeries.const(3, 2).coeffs == {0: 3}
+    assert (low ** 0).coeffs == {}
+
+
 def test_add_requires_equal_prefactor():
     a = QSeries({0: 1}, 5, prefactor=Fraction(1, 24))
     b = QSeries({0: 1}, 5)

@@ -334,3 +334,40 @@ def test_psi_at_the_packing_bound(V):
     got = psi(V, lam, 1)
     assert max(x for _, r in got.coeffs for x in r) == 2
     same_psi(got, oracle.psi(V, lam, 1))
+
+
+# -- both shift laws against the per-column scans they replaced ---------------
+
+
+@st.composite
+def line_systems_with_shifts(draw):
+    """Rank-one systems, symmetric or not (so a law may fail), and a shift
+    that pairs integrally with the support, possibly by a half-integer."""
+    g = draw(st.integers(1, 4))
+    mult = draw(st.dictionaries(st.integers(-3, 3).map(lambda v: (v,)), st.integers(1, 3),
+                                max_size=4))
+    shift = (draw(st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-3, 2),
+                                   Fraction(1, 4)))),)
+    assume(all((g * shift[0] * v[0]).denominator == 1 for v in mult))
+    return VectorSystem(1, ((g,),), mult), (draw(st.sampled_from((1, -1))),), shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    line_systems_with_shifts(),
+    st.tuples(st.sampled_from([sample_system("orthogonal"), A2]), st.just((1, 3)),
+              st.sampled_from([(1, 0), (0, -1), (1, 1), (Fraction(1, 3), Fraction(2, 3))])),
+), st.integers(0, 6), st.sampled_from(("mu", "tau")))
+@example((VectorSystem(1, ((2,),), {(-1,): 1, (1,): 2}), (1,), (1,)), 6, "tau")
+# one-sided systems: a known range half a step too wide or too narrow shows here
+@example((VectorSystem(1, ((1,),), {(2,): 1}), (-1,), (Fraction(1, 2),)), 0, "tau")
+@example((VectorSystem(1, ((1,),), {(2,): 1}), (-1,), (Fraction(3, 2),)), 2, "tau")
+@example((VectorSystem(1, ((1,),), {(2,): 2}), (1,), (Fraction(1, 2),)), 1, "tau")
+def test_shift_laws_match_per_column_scan(case, order, kind):
+    V, lam, shift = case
+    try:
+        got = elliptic_transform_check(V, lam, shift, order, kind).first_mismatch
+    except (ValueError, ArithmeticError):  # off the dual lattice or grid; no integral index
+        assume(False)
+    want = oracle.elliptic_mismatch(V, lam, shift, order, kind)
+    assert got == want and repr(got) == repr(want)
