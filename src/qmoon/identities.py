@@ -74,14 +74,15 @@ def _sigma_series(ell, order):
     return QSeries(dict(enumerate(forms._sigma_table(ell, order), 1)), order)
 
 
-# -- lattice sums against binomial products ---------------------------------------
+# -- two-variable sums against binomial products -----------------------------------
 #
-# A lattice identity is a sum side, the monomials ((q-exponent, z-exponent),
-# coefficient) of each integer m, against a product side, a front monomial
-# times the factors (a, b, e, sign) = (1 + sign q^a z^b)^e of each n >= 1.
+# A sum side holds the monomials ((q-exponent, z-exponent), coefficient) of
+# each integer m (a lattice sum) or one over (1 - q)...(1 - q^n) for each
+# n >= 0 (a Pochhammer sum); a product side is a front monomial times the
+# factors (a, b, e, sign) = (1 + sign q^a z^b)^e of each n >= 1.
 
 
-def _lattice_sum(order, terms):
+def _lattice_sum(order, terms, window=None):
     """Sum of terms(m) over all integers m, keeping q-exponents <= order.
 
     Every sum side below has q-exponent at least m^2 - |m|, so |m| <=
@@ -93,12 +94,34 @@ def _lattice_sum(order, terms):
         for key, c in terms(m):
             if key[0] <= order:
                 coeffs[key] = coeffs.get(key, 0) + c
-    return BiSeries(coeffs, order)
+    return BiSeries(coeffs, order, window=window)
 
 
-def _lattice_product(order, front, factors):
+def _pochhammer_sum(order, monomial, window=None):
+    """Sum of monomial(n) / ((1 - q)...(1 - q^n)) over n >= 0, keeping q-exponents <= order.
+
+    The inverse product is one list of q-coefficients, divided by 1 - q^n
+    in place as n grows (the partition recurrence).  Every sum side below
+    has n <= order for each monomial it keeps: a q-exponent n(n+1)/2 <=
+    order, or a z-exponent n inside the window (0, order).
+    """
+    inv = [1] + [0] * order
+    coeffs = {}
+    for n in range(order + 1):
+        if n:
+            for i in range(n, order + 1):
+                inv[i] += inv[i - n]
+        (e, y), c = monomial(n)
+        for i in range(order - e + 1):
+            if inv[i]:
+                key = (e + i, y)
+                coeffs[key] = coeffs.get(key, 0) + c * inv[i]
+    return BiSeries(coeffs, order, window=window)
+
+
+def _lattice_product(order, front, factors, window=None):
     """front * prod of factors(n) with a <= order; every a >= n - 1, so n <= order + 1."""
-    return BiSeries(front, order).mul_binomials(
+    return BiSeries(front, order, window=window).mul_binomials(
         f for n in range(1, order + 2) for f in factors(n) if f[0] <= order)
 
 
@@ -106,77 +129,59 @@ def _pentagonal(m):
     return (3 * m * m + m) // 2
 
 
-# (sum side, front, product factors) for each pair of every lattice identity;
-# the theta rows drop the common factors q^{1/4} (and 1/i for the first one)
-# and keep zeta exponents literal, so they are even except in the first two
-_LATTICE = {
-    "triple": [(
-        lambda m: [((m * m, m), (-1) ** (m % 2))],
-        {(0, 0): 1},
-        lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 1, 1, -1), (2 * n - 1, -1, 1, -1)],
-    )],
+# ((sum function, its terms), front, product factors, z-window) for each pair of
+# every two-variable identity; the theta rows drop the common factors q^{1/4}
+# (and 1/i for the first one) and keep zeta exponents literal, so they are
+# even except in the first two
+_TWO_VARIABLE = {
+    # sum (-1)^n q^{n(n+1)/2} z^n / ((1-q)...(1-q^n)) = prod_{n >= 1} (1 - q^n z)
+    "euler1": [((_pochhammer_sum, lambda n: ((n * (n + 1) // 2, n), (-1) ** n)), {(0, 0): 1},
+                lambda n: [(n, 1, 1, -1)], None)],
+    # sum z^n / ((1-q)...(1-q^n)) = prod_{n >= 0} (1 - q^n z)^{-1}; the n = 0
+    # factor makes the z-support infinite, so both sides carry an explicit
+    # z-window (every z-exponent is nonnegative, so nothing that is cut can
+    # ever flow back under the cap)
+    "euler2": [((_pochhammer_sum, lambda n: ((0, n), 1)), {(0, 0): 1},
+                lambda n: [(n - 1, 1, -1, -1)], lambda order: (0, order))],
+    "triple": [((_lattice_sum, lambda m: [((m * m, m), (-1) ** (m % 2))]), {(0, 0): 1},
+                lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 1, 1, -1), (2 * n - 1, -1, 1, -1)],
+                None)],
     "quintuple_w1": [(
-        lambda m: [((_pentagonal(m), 3 * m), 1), ((_pentagonal(m), -3 * m - 1), -1)],
+        (_lattice_sum,
+         lambda m: [((_pentagonal(m), 3 * m), 1), ((_pentagonal(m), -3 * m - 1), -1)]),
         {(0, 0): 1},
         lambda n: [(n, 0, 1, -1), (n, 1, 1, -1), (n - 1, -1, 1, -1),
                    (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)],
+        None,
     )],
     # run exactly as printed; the outcome is recorded, not corrected
     "quintuple_w2": [(
-        lambda m: [((m * (3 * m + 2), -3 * m), 1), ((m * (3 * m + 2), 3 * m + 2), -1)],
+        (_lattice_sum,
+         lambda m: [((m * (3 * m + 2), -3 * m), 1), ((m * (3 * m + 2), 3 * m + 2), -1)]),
         {(0, 0): 1},
         lambda n: [(2 * n, 0, 1, -1), (2 * n, -2, 1, -1), (2 * n - 2, 2, 1, -1),
                    (2 * n - 1, 1, -1, 1), (2 * n - 1, -1, 1, 1)],
+        None,
     )],
     "theta_products": [
         # theta1 over 1/i: sum (-1)^n q^{n^2+n} z^{2n+1} = (z - 1/z) prod ...
-        (lambda m: [((m * m + m, 2 * m + 1), (-1) ** (m % 2))],
+        ((_lattice_sum, lambda m: [((m * m + m, 2 * m + 1), (-1) ** (m % 2))]),
          {(0, 1): 1, (0, -1): -1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, -1), (2 * n, -2, 1, -1)]),
+         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, -1), (2 * n, -2, 1, -1)], None),
         # theta2: sum q^{n^2+n} z^{2n+1} = z prod (1-q^{2n})(1+q^{2n}z^2)(1+q^{2n-2}z^-2)
-        (lambda m: [((m * m + m, 2 * m + 1), 1)],
-         {(0, 1): 1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, 1), (2 * n - 2, -2, 1, 1)]),
+        ((_lattice_sum, lambda m: [((m * m + m, 2 * m + 1), 1)]), {(0, 1): 1},
+         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, 1), (2 * n - 2, -2, 1, 1)], None),
         # theta3: sum q^{n^2} z^{2n} = prod (1-q^{2n})(1+q^{2n-1}z^2)(1+q^{2n-1}z^-2)
-        (lambda m: [((m * m, 2 * m), 1)],
-         {(0, 0): 1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, 1), (2 * n - 1, -2, 1, 1)]),
+        ((_lattice_sum, lambda m: [((m * m, 2 * m), 1)]), {(0, 0): 1},
+         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, 1), (2 * n - 1, -2, 1, 1)], None),
         # theta4: sum (-1)^n q^{n^2} z^{2n} = prod (1-q^{2n})(1-q^{2n-1}z^2)(1-q^{2n-1}z^-2)
-        (lambda m: [((m * m, 2 * m), (-1) ** (m % 2))],
-         {(0, 0): 1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)]),
+        ((_lattice_sum, lambda m: [((m * m, 2 * m), (-1) ** (m % 2))]), {(0, 0): 1},
+         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)], None),
     ],
 }
 
 
-# -- identity sides, one builder per remaining label ------------------------------
-
-
-def _euler1(order):
-    # sum over n of (-1)^n q^{n(n+1)/2} z^n / ((1-q)...(1-q^n))
-    lhs = BiSeries.one(order)
-    inv = BiSeries.one(order)
-    for n in range(1, (isqrt(8 * order + 1) + 1) // 2):  # n(n+1)/2 <= order
-        inv = inv.mul_binomials([(n, 0, -1, -1)])
-        lhs = lhs + BiSeries({(n * (n + 1) // 2, n): (-1) ** n}, order) * inv
-    rhs = BiSeries.one(order).mul_binomials((m, 1, 1, -1) for m in range(1, order + 1))
-    return [(lhs, rhs)]
-
-
-def _euler2(order):
-    # sum z^n / ((1-q)...(1-q^n)) against prod_{n >= 0} (1-q^n z)^{-1};
-    # the n = 0 factor makes the z-support infinite, so both sides carry an
-    # explicit z-window (every z-exponent is nonnegative, so nothing that is
-    # cut can ever flow back under the cap)
-    win = (0, order)
-    lhs = BiSeries.one(order, window=win)
-    inv = BiSeries.one(order, window=win)
-    for n in range(1, order + 1):
-        inv = inv.mul_binomials([(n, 0, -1, -1)])
-        lhs = lhs + BiSeries({(0, n): 1}, order, window=win) * inv
-    rhs = BiSeries.one(order, window=win).mul_binomials(
-        (m, 1, -1, -1) for m in range(order + 1))
-    return [(lhs, rhs)]
+# -- one-variable identity sides, one function per label ---------------------------
 
 
 def _euler3(order):
@@ -251,8 +256,6 @@ def _sigma_convolutions(order):
 
 
 _BUILDERS = {
-    "euler1": _euler1,
-    "euler2": _euler2,
     "euler3": _euler3,
     "gauss": _gauss,
     "eisen_relations": _eisen_relations,
@@ -269,9 +272,10 @@ def identity_sides(name: str, order: int):
         raise ValueError(f"unknown identity label {name!r}")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if name in _LATTICE:
-        return [(_lattice_sum(order, terms), _lattice_product(order, front, factors))
-                for terms, front, factors in _LATTICE[name]]
+    if name in _TWO_VARIABLE:
+        return [(sum_side(order, terms, window and window(order)),
+                 _lattice_product(order, front, factors, window and window(order)))
+                for (sum_side, terms), front, factors, window in _TWO_VARIABLE[name]]
     return _BUILDERS[name](order)
 
 

@@ -15,8 +15,6 @@ from . import forms
 from .identities import VerifyReport
 from .series import BiSeries, QSeries, _exp_recurrence, divisors, moebius
 
-_VARS = ("p", "q")
-
 
 class MoonshineCoeffs:
     """c(n) of j - 744 = sum_{n >= -1} c(n) q^n, shape-checked on construction."""
@@ -81,7 +79,7 @@ def _sum_side(cap_m, cap_n) -> BiSeries:
     for n in range(-1, cap_n + 1):
         if c[n]:
             coeffs[(0, n)] = coeffs.get((0, n), 0) - c[n]
-    return BiSeries(coeffs, cap_m, vars=_VARS, window=(-1, cap_n))
+    return BiSeries(coeffs, cap_m, window=(-1, cap_n))
 
 
 def denominator_product(cap_m: int, cap_n: int) -> BiSeries:
@@ -90,8 +88,8 @@ def denominator_product(cap_m: int, cap_n: int) -> BiSeries:
     c = moonshine_c(big_m * hi)
     factors = [(m, n, c[m * n], -1) for m in range(1, big_m + 1) for n in range(-1, hi + 1)
                if -1 <= m * n <= c.max_n and c[m * n]]
-    prod = BiSeries.one(big_m, vars=_VARS, window=window).mul_binomials(factors)
-    return BiSeries(prod.coeffs, big_m, vars=_VARS, window=(window[0], cap_n)).shift_x(-1)
+    prod = BiSeries.one(big_m, window=window).mul_binomials(factors)
+    return BiSeries(prod.coeffs, big_m, window=(window[0], cap_n)).shift_x(-1)
 
 
 def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:
@@ -106,7 +104,7 @@ def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:
                 if v:
                     key = (m * i, n * i)
                     coeffs[key] = coeffs.get(key, 0) - Fraction(v, i)
-    return BiSeries(coeffs, big_m, vars=_VARS, window=window)
+    return BiSeries(coeffs, big_m, window=window)
 
 
 def bi_exp(t: BiSeries) -> BiSeries:
@@ -126,12 +124,11 @@ def bi_exp(t: BiSeries) -> BiSeries:
     rows = [{} for _ in range(t.cap)]
     for (ex, ey), c in t.coeffs.items():
         rows[ex - 1][ey] = ex * c
-    one = QSeries.one(top, var=t.vars[1])
-    b = _exp_recurrence([QSeries(row, top, var=t.vars[1]) for row in rows], t.cap, one,
+    b = _exp_recurrence([QSeries(row, top) for row in rows], t.cap, QSeries.one(top),
                         lambda s, m: s * Fraction(1, m))
     window = t.window and (t.window[0], min(row.trunc for row in b))
     return BiSeries({(m, ey): c for m, row in enumerate(b) for ey, c in row.coeffs.items()},
-                    t.cap, vars=t.vars, window=window)
+                    t.cap, window=window)
 
 
 def replication_product(cap_m: int, cap_n: int) -> BiSeries:

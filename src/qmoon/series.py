@@ -697,10 +697,9 @@ class BiSeries:
     this module's users arrange that).
     """
 
-    __slots__ = ("vars", "coeffs", "cap", "window")
+    __slots__ = ("coeffs", "cap", "window")
 
-    def __init__(self, coeffs, cap, *, vars=("q", "z"), window=None):
-        self.vars = (str(vars[0]), str(vars[1]))
+    def __init__(self, coeffs, cap, *, window=None):
         self.cap = int(cap)
         self.window = None if window is None else (int(window[0]), int(window[1]))
         clean = {}
@@ -716,75 +715,29 @@ class BiSeries:
         self.coeffs = clean
 
     @classmethod
-    def _make(cls, coeffs, cap, vars, window):
+    def _make(cls, coeffs, cap, window):
         """An internal result whose keys already lie within cap and window:
         coefficients are only normalised and zeros dropped, nothing re-checked."""
         self = object.__new__(cls)
-        self.vars, self.cap, self.window = vars, cap, window
+        self.cap, self.window = cap, window
         self.coeffs = {k: c if type(c) is int else _num(c) for k, c in coeffs.items() if c}
         return self
 
     @classmethod
-    def zero(cls, cap, **kw):
-        return cls({}, cap, **kw)
-
-    @classmethod
     def one(cls, cap, **kw):
-        return cls({(0, 0): 1}, cap, **kw)
-
-    def coeff(self, ex: int, ey: int):
-        if ex > self.cap:
-            raise ValueError(f"coefficient at {self.vars[0]}^{ex} unknown (cap {self.cap})")
-        return self.coeffs.get((ex, ey), 0)
+        """The constant 1, which is unknown (so not stored) when cap < 0."""
+        return cls({(0, 0): 1} if cap >= 0 else {}, cap, **kw)
 
     def _xval(self) -> int:
         """Lowest first-variable exponent; cap + 1 for zero, known only through the cap."""
         return min((ex for ex, _ in self.coeffs), default=self.cap + 1)
 
     def __repr__(self):
-        return f"BiSeries({self.vars}, {len(self.coeffs)} terms, cap={self.cap})"
-
-    def _check_compat(self, other: "BiSeries"):
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-
-    def __neg__(self):
-        return BiSeries._make({k: -c for k, c in self.coeffs.items()}, self.cap,
-                              self.vars, self.window)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiSeries({(0, 0): other}, self.cap, vars=self.vars)
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        self._check_compat(other)
-        cap = min(self.cap, other.cap)
-        window = _win_meet(self.window, other.window)
-        out = {k: c for k, c in self.coeffs.items() if k[0] <= cap}
-        for k, c in other.coeffs.items():
-            if k[0] <= cap:
-                out[k] = out.get(k, 0) + c
-        return BiSeries(out, cap, vars=self.vars, window=window)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return f"BiSeries({len(self.coeffs)} terms, cap={self.cap})"
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiSeries._make({k: c * other for k, c in self.coeffs.items()}, self.cap,
-                                  self.vars, self.window)
         if not isinstance(other, BiSeries):
             return NotImplemented
-        self._check_compat(other)
         cap = min(self.cap + other._xval(), other.cap + self._xval())
         window = _win_meet(self.window, other.window)
         out = {}
@@ -801,13 +754,11 @@ class BiSeries:
                     continue
                 key = (ex, ey)
                 out[key] = out.get(key, 0) + ca * cb
-        return BiSeries._make(out, cap, self.vars, window)
-
-    __rmul__ = __mul__
+        return BiSeries._make(out, cap, window)
 
     def shift_x(self, n: int) -> "BiSeries":
         return BiSeries._make({(ex + n, ey): c for (ex, ey), c in self.coeffs.items()},
-                              self.cap + n, self.vars, self.window)
+                              self.cap + n, self.window)
 
     def mul_binomials(self, factors) -> "BiSeries":
         """Multiply by prod (1 + sign * x^a y^b)^e over the (a, b, e, sign) factors.
@@ -839,7 +790,7 @@ class BiSeries:
             for k, c in _binomial_terms(e, sign, kmax):
                 key = (a * k, b * k)
                 factor[key] = factor.get(key, 0) + c
-            acc = acc * BiSeries._make(factor, cap, self.vars, None)
+            acc = acc * BiSeries._make(factor, cap, None)
         return acc
 
     def first_mismatch(self, other: "BiSeries"):
@@ -847,7 +798,6 @@ class BiSeries:
 
         Comparison runs within the shared cap and the meet of the stored windows.
         """
-        self._check_compat(other)
         hi = min(self.cap, other.cap)
         lo_y, hi_y = _win_meet(self.window, other.window) or (-inf, inf)
         return _first_mismatch(self.coeffs, other.coeffs,

@@ -9,12 +9,16 @@ container, addition and scalar multiplication, so the differential tests
 compare two independent derivations of every coefficient.
 
 The two-variable references (``bi_mul`` and friends) use nothing from
-``qmoon.series`` at all: they read the ``coeffs``, ``cap``, ``window`` and
-``vars`` of their operands and return a plain ``Bi`` record.  ``bi_exp`` is
-the power sum of t^k / k! that ``qmoon.moonshine.bi_exp`` ran before it
-moved onto the exp recurrence.  ``psi`` is the vector-system product
-expanded one factor at a time on tuple-valued zeta exponents, the way
-``qmoon.vsys`` did before it packed them.
+``qmoon.series`` at all: they read the ``coeffs``, ``cap`` and ``window`` of
+their operands and return a plain ``Bi`` record.  ``bi_exp`` is the power
+sum of t^k / k! that ``qmoon.moonshine.bi_exp`` ran before it moved onto the
+exp recurrence.  ``euler1_sum`` and ``euler2_sum`` are the sum sides of the
+two Euler partition identities as ``qmoon.identities`` built them before
+they became Pochhammer-sum entries: one running product of (1 - q^n)^-1
+factors, each monomial multiplied in and added up one n at a time.
+``psi`` is the vector-system product expanded one factor at a time on
+tuple-valued zeta exponents, the way ``qmoon.vsys`` did before it packed
+them.
 
 The comparison references are the hand-written first-disagreement scans
 that ``QSeries.first_mismatch``, ``BiSeries.first_mismatch`` and the two
@@ -23,7 +27,7 @@ shared scan.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import NamedTuple
 
 from qmoon.series import ExponentTable, QSeries, _binomial_terms, _num, divisors, moebius
@@ -193,7 +197,6 @@ class Bi(NamedTuple):
     coeffs: dict
     cap: int
     window: tuple | None
-    vars: tuple
 
 
 def _norm(c):
@@ -206,11 +209,11 @@ def _meet(w1, w2):
     return (max(w1[0], w2[0]), min(w1[1], w2[1]))
 
 
-def bi(coeffs, cap, window, vars) -> Bi:
+def bi(coeffs, cap, window) -> Bi:
     """Nonzero coefficients inside cap and window, Fractions over 1 as ints."""
     return Bi({(x, y): _norm(c) for (x, y), c in coeffs.items()
                if c and x <= cap and (window is None or window[0] <= y <= window[1])},
-              cap, window, vars)
+              cap, window)
 
 
 def _xval(a):
@@ -220,7 +223,6 @@ def _xval(a):
 
 def bi_mul(a, b) -> Bi:
     """Schoolbook product; unknown tails cap it at min(cap_a + xval_b, cap_b + xval_a)."""
-    assert a.vars == b.vars
     window = _meet(a.window, b.window)
     cap = min(a.cap + _xval(b), b.cap + _xval(a))
     out = {}
@@ -228,7 +230,7 @@ def bi_mul(a, b) -> Bi:
         for (bx, by), cb in b.coeffs.items():
             key = (ax + bx, ay + by)
             out[key] = out.get(key, 0) + ca * cb
-    return bi(out, cap, window, a.vars)
+    return bi(out, cap, window)
 
 
 def bi_first_mismatch(a, b, cap=None, window=None):
@@ -237,7 +239,6 @@ def bi_first_mismatch(a, b, cap=None, window=None):
     Comparison runs within the shared cap and the meet of the windows,
     optionally narrowed further by cap and window.
     """
-    assert a.vars == b.vars
     hi = min(a.cap, b.cap)
     if cap is not None:
         hi = min(hi, cap)
@@ -253,32 +254,52 @@ def bi_first_mismatch(a, b, cap=None, window=None):
 
 
 def bi_add(a, b) -> Bi:
-    assert a.vars == b.vars
     out = dict(a.coeffs)
     for key, c in b.coeffs.items():
         out[key] = out.get(key, 0) + c
-    return bi(out, min(a.cap, b.cap), _meet(a.window, b.window), a.vars)
+    return bi(out, min(a.cap, b.cap), _meet(a.window, b.window))
 
 
 def bi_scale(a, s) -> Bi:
-    return bi({key: c * s for key, c in a.coeffs.items()}, a.cap, a.window, a.vars)
+    return bi({key: c * s for key, c in a.coeffs.items()}, a.cap, a.window)
 
 
 def bi_shift_x(a, n) -> Bi:
-    return bi({(x + n, y): c for (x, y), c in a.coeffs.items()}, a.cap + n, a.window, a.vars)
+    return bi({(x + n, y): c for (x, y), c in a.coeffs.items()}, a.cap + n, a.window)
 
 
 def bi_exp(t) -> Bi:
     """exp t as the power sum of t^k / k!, each power one schoolbook product."""
     if any(x < 1 for x, _ in t.coeffs):
         raise ValueError("bivariate exp needs a positive power of the first variable")
-    acc = term = bi({(0, 0): 1}, t.cap, t.window, t.vars)
+    acc = term = bi({(0, 0): 1}, t.cap, t.window)
     for k in range(1, t.cap + 2):
         term = bi_scale(bi_mul(term, t), Fraction(1, k))
         if not term.coeffs:
             break
         acc = bi_add(acc, term)
     return acc
+
+
+def _pochhammer_loop(order, window, ns, monomial) -> Bi:
+    # 1 + sum over ns of monomial(n) * prod_{k <= n} (1 - q^k)^-1, schoolbook throughout
+    lhs = inv = bi({(0, 0): 1}, order, window)
+    for n in ns:
+        inv = bi_mul(inv, bi({(n * k, 0): 1 for k in range(order // n + 1)}, order, None))
+        (e, y), c = monomial(n)
+        lhs = bi_add(lhs, bi_mul(bi({(e, y): c}, order, window), inv))
+    return lhs
+
+
+def euler1_sum(order) -> Bi:
+    """sum (-1)^n q^{n(n+1)/2} z^n / ((1-q)...(1-q^n)) through q^order."""
+    return _pochhammer_loop(order, None, range(1, (isqrt(8 * order + 1) + 1) // 2),
+                            lambda n: ((n * (n + 1) // 2, n), (-1) ** n))
+
+
+def euler2_sum(order) -> Bi:
+    """sum z^n / ((1-q)...(1-q^n)) through q^order, in the z-window (0, order)."""
+    return _pochhammer_loop(order, (0, order), range(1, order + 1), lambda n: ((0, n), 1))
 
 
 class Psi(NamedTuple):

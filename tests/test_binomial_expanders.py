@@ -7,8 +7,8 @@ coefficients from a running product (no ``gbinom``): one-variable series
 with the plain ``QSeries.__mul__``, two-variable ones with the schoolbook
 ``kernel_oracle.bi_mul``, which shares no code with ``BiSeries``.
 Truncation, cap and window must match as well as the coefficients and
-their types, and the same factor lists must be rejected.  The ring
-operations of ``BiSeries`` are checked against the same reference.
+their types, and the same factor lists must be rejected.  The product and
+the x-shift of ``BiSeries`` are checked against the same reference.
 """
 
 import random
@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernel_oracle import bi, bi_add, bi_mul, bi_scale, bi_shift_x
+from kernel_oracle import bi, bi_mul, bi_shift_x
 from qmoon.series import FULL, HALF, BiSeries, QSeries
 
 
@@ -58,7 +58,7 @@ def bi_factor(series, a, b, e, sign):
     for k in range(kmax + 1):
         key = (a * k, b * k)
         coeffs[key] = coeffs.get(key, 0) + sign ** k * binomial(e, k)
-    return bi(coeffs, cap, None, series.vars)
+    return bi(coeffs, cap, None)
 
 
 def bi_oracle(series, factors):
@@ -113,7 +113,7 @@ def biseries(draw):
     else:  # dense: every monomial of a small box, its y-range shifted
         lo, y0 = draw(st.integers(-2, 0)), draw(st.integers(-4, 2))
         coeffs = dense(draw, [(x, y) for x in range(lo, cap + 1) for y in range(y0, y0 + 5)])
-    return BiSeries(coeffs, cap, vars=("p", "q"), window=window)
+    return BiSeries(coeffs, cap, window=window)
 
 
 # a huge exponent on a factor constant in x would expand to that many terms
@@ -124,12 +124,12 @@ bi_factors = st.lists(st.one_of(
 
 
 def same_bi(x, y):
-    """Equal cap, window, vars and coefficients, an int never matching a Fraction."""
+    """Equal cap, window and coefficients, an int never matching a Fraction."""
     if x is ValueError or y is ValueError:
         return x is y
     def typed(s):
         return {k: (type(c), c) for k, c in s.coeffs.items()}
-    return (typed(x), x.cap, x.window, x.vars) == (typed(y), y.cap, y.window, y.vars)
+    return (typed(x), x.cap, x.window) == (typed(y), y.cap, y.window)
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,14 +140,9 @@ def test_biseries_expander_matches_factor_by_factor(series, factors):
 
 
 @settings(max_examples=300, deadline=None)
-@given(biseries(), biseries(), coefficients, st.integers(-3, 3))
-def test_biseries_ring_operations_match_schoolbook(a, b, scalar, n):
+@given(biseries(), biseries(), st.integers(-3, 3))
+def test_biseries_ring_operations_match_schoolbook(a, b, n):
     assert same_bi(a * b, bi_mul(a, b))
-    assert same_bi(a + b, bi_add(a, b))
-    assert same_bi(a - b, bi_add(a, bi_scale(b, -1)))
-    assert same_bi(-a, bi_scale(a, -1))
-    assert same_bi(a * scalar, bi_scale(a, scalar))
-    assert same_bi(scalar * a, bi_scale(a, scalar))
     assert same_bi(a.shift_x(n), bi_shift_x(a, n))
 
 

@@ -83,11 +83,11 @@ def biseries_pairs(draw):
         coeffs = draw(st.dictionaries(st.tuples(xs, ys), coefficients, max_size=8))
     else:  # every monomial of a small box: many keys share a degree x + y
         coeffs = {(x, y): draw(coefficients) for x in range(-1, cap + 1) for y in range(-2, 3)}
-    a = BiSeries(coeffs, cap, vars=("p", "q"), window=draw(windows))
+    a = BiSeries(coeffs, cap, window=draw(windows))
     b_cap = cap + draw(st.integers(-2, 2))
     b_coeffs = edited(draw, coeffs, st.tuples(st.integers(min(b_cap, -2), b_cap), ys))
     b = BiSeries({k: c for k, c in b_coeffs.items() if k[0] <= b_cap}, b_cap,
-                 vars=("p", "q"), window=draw(windows))
+                 window=draw(windows))
     return a, b
 
 

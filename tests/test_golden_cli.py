@@ -74,6 +74,8 @@ CASES = (
     + [["verify", label, "--order", "12"] for label in _LABELS]
     + [["verify", label, "--order", "9", "--json"] for label in _LABELS]
     + _both("verify", "all", "--order", "30")
+    + [["verify", "euler1", "--order", "1"], ["verify", "euler2", "--order", "1", "--json"],
+       ["verify", "euler2", "--order", "2"]]
     + [argv for name in _CATALOG for argv in _both("lift", "--name", name, "--order", "3")]
     + _both("hurwitz", "--max", "20")
     + _both("zeromult", "--name", "f_j", "--disc", "-3")

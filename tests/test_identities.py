@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+import kernel_oracle as oracle
 from qmoon.identities import (
     IDENTITY_LABELS,
     VerifyReport,
@@ -74,6 +77,48 @@ def test_euler1_against_direct_expansion():
     poly = {k: c for k, c in poly.items() if c}
     assert rhs.coeffs == poly
     assert lhs.coeffs == poly
+
+
+def typed(side):
+    return ({k: (type(c), c) for k, c in side.coeffs.items()}, side.cap, side.window)
+
+
+@pytest.mark.parametrize("order", list(range(1, 41)) + [90])
+def test_euler_sum_sides_match_running_products(order):
+    # the Pochhammer sums against one schoolbook product and sum per n
+    (lhs1, _), = identity_sides("euler1", order)
+    (lhs2, _), = identity_sides("euler2", order)
+    assert typed(lhs1) == typed(oracle.euler1_sum(order))
+    assert typed(lhs2) == typed(oracle.euler2_sum(order))
+
+
+def partitions(k, largest):
+    """Every partition of k into parts <= largest, as a tuple of descending parts."""
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, largest), 0, -1):
+        for rest in partitions(k - part, part):
+            yield (part,) + rest
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_euler_sum_sides_count_partitions(order):
+    # euler2's z^n q^k counts partitions of k into parts <= n; euler1's is
+    # (-1)^n times the number of partitions of k into n distinct parts
+    want1, want2 = {}, {}
+    for k in range(order + 1):
+        for p in partitions(k, k):
+            for n in range(len(p) and p[0], order + 1):
+                want2[(k, n)] = want2.get((k, n), 0) + 1
+        for n in range(order + 1):
+            count = sum(1 for c in combinations(range(1, k + 1), n) if sum(c) == k)
+            if count:
+                want1[(k, n)] = (-1) ** n * count
+    (lhs1, _), = identity_sides("euler1", order)
+    (lhs2, _), = identity_sides("euler2", order)
+    assert (lhs1.coeffs, lhs1.cap, lhs1.window) == (want1, order, None)
+    assert (lhs2.coeffs, lhs2.cap, lhs2.window) == (want2, order, (0, order))
 
 
 def at_z(side, z):
