@@ -52,12 +52,20 @@ def _parse_vector(text: str):
     return tuple(Fraction(tok.strip()) for tok in text.split(","))
 
 
+def _fmt_monomial(m) -> str:
+    """A tuple as its repr reads, with rationals inside as -3 or 23/4."""
+    if not isinstance(m, tuple):
+        return str(m)
+    parts = [_fmt_monomial(x) for x in m]
+    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+
+
 def _report_line(report) -> str:
     if report.passed:
         return f"PASS {report.name} order={report.order}"
     monomial, lhs, rhs = report.first_mismatch
     return (f"FAIL {report.name} order={report.order} "
-            f"first mismatch at {monomial}: lhs {lhs} != rhs {rhs}")
+            f"first mismatch at {_fmt_monomial(monomial)}: lhs {lhs} != rhs {rhs}")
 
 
 def _cmd_expand(args) -> int:

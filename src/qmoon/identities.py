@@ -82,7 +82,7 @@ def _sigma_series(ell, order):
 # factors (a, b, e, sign) = (1 + sign q^a z^b)^e of each n >= 1.
 
 
-def _lattice_sum(order, terms, window=None):
+def _lattice_sum(order, terms, ytop=None):
     """Sum of terms(m) over all integers m, keeping q-exponents <= order.
 
     Every sum side below has q-exponent at least m^2 - |m|, so |m| <=
@@ -94,16 +94,16 @@ def _lattice_sum(order, terms, window=None):
         for key, c in terms(m):
             if key[0] <= order:
                 coeffs[key] = coeffs.get(key, 0) + c
-    return BiSeries(coeffs, order, window=window)
+    return BiSeries(coeffs, order, ytop=ytop)
 
 
-def _pochhammer_sum(order, monomial, window=None):
+def _pochhammer_sum(order, monomial, ytop=None):
     """Sum of monomial(n) / ((1 - q)...(1 - q^n)) over n >= 0, keeping q-exponents <= order.
 
     The inverse product is one list of q-coefficients, divided by 1 - q^n
     in place as n grows (the partition recurrence).  Every sum side below
     has n <= order for each monomial it keeps: a q-exponent n(n+1)/2 <=
-    order, or a z-exponent n inside the window (0, order).
+    order, or a z-exponent n <= order.
     """
     inv = [1] + [0] * order
     coeffs = {}
@@ -116,12 +116,12 @@ def _pochhammer_sum(order, monomial, window=None):
             if inv[i]:
                 key = (e + i, y)
                 coeffs[key] = coeffs.get(key, 0) + c * inv[i]
-    return BiSeries(coeffs, order, window=window)
+    return BiSeries(coeffs, order, ytop=ytop)
 
 
-def _lattice_product(order, front, factors, window=None):
+def _lattice_product(order, front, factors, ytop=None):
     """front * prod of factors(n) with a <= order; every a >= n - 1, so n <= order + 1."""
-    return BiSeries(front, order, window=window).mul_binomials(
+    return BiSeries(front, order, ytop=ytop).mul_binomials(
         f for n in range(1, order + 2) for f in factors(n) if f[0] <= order)
 
 
@@ -129,7 +129,7 @@ def _pentagonal(m):
     return (3 * m * m + m) // 2
 
 
-# ((sum function, its terms), front, product factors, z-window) for each pair of
+# ((sum function, its terms), front, product factors, z-top) for each pair of
 # every two-variable identity; the theta rows drop the common factors q^{1/4}
 # (and 1/i for the first one) and keep zeta exponents literal, so they are
 # even except in the first two
@@ -139,10 +139,10 @@ _TWO_VARIABLE = {
                 lambda n: [(n, 1, 1, -1)], None)],
     # sum z^n / ((1-q)...(1-q^n)) = prod_{n >= 0} (1 - q^n z)^{-1}; the n = 0
     # factor makes the z-support infinite, so both sides carry an explicit
-    # z-window (every z-exponent is nonnegative, so nothing that is cut can
-    # ever flow back under the cap)
+    # z-top (every z-exponent is nonnegative, so nothing that is cut can
+    # ever flow back under it)
     "euler2": [((_pochhammer_sum, lambda n: ((0, n), 1)), {(0, 0): 1},
-                lambda n: [(n - 1, 1, -1, -1)], lambda order: (0, order))],
+                lambda n: [(n - 1, 1, -1, -1)], lambda order: order)],
     "triple": [((_lattice_sum, lambda m: [((m * m, m), (-1) ** (m % 2))]), {(0, 0): 1},
                 lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 1, 1, -1), (2 * n - 1, -1, 1, -1)],
                 None)],
@@ -273,9 +273,9 @@ def identity_sides(name: str, order: int):
     if order < 1:
         raise ValueError("order must be >= 1")
     if name in _TWO_VARIABLE:
-        return [(sum_side(order, terms, window and window(order)),
-                 _lattice_product(order, front, factors, window and window(order)))
-                for (sum_side, terms), front, factors, window in _TWO_VARIABLE[name]]
+        return [(sum_side(order, terms, ytop and ytop(order)),
+                 _lattice_product(order, front, factors, ytop and ytop(order)))
+                for (sum_side, terms), front, factors, ytop in _TWO_VARIABLE[name]]
     return _BUILDERS[name](order)
 
 

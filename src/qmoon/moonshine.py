@@ -49,24 +49,23 @@ def moonshine_c(max_n: int) -> MoonshineCoeffs:
 # -- the two identity sides ----------------------------------------------------
 #
 # Both sides are built with a p-budget of M = cap_m + 1 before the p^-1 shift
-# and a q-window topped at hi = cap_n + M.  Every monomial p^a q^b of a
+# and a q-top hi = cap_n + M.  Every monomial p^a q^b of a
 # factor, and so of any partial product, satisfies b >= -a: the only
 # negative q-powers enter through n = -1 factors, which raise a at least as
 # fast.  A monomial p^a q^b the denominator product drops for b > hi can
 # still be multiplied by monomials whose p-powers add up to at most M - a,
 # so it only ever reaches q-exponents above hi - M = cap_n.  The product is
-# therefore exact through q^cap_n, and its window is topped there.
+# therefore exact through q^cap_n, and its q-top is lowered there.
 #
 # The replication side needs no such argument.  bi_exp runs the exp
 # recurrence m B_m = sum_k k T_k B_{m-k} on q-rows: T_k, the p^k row of the
 # exponent, is known through q^hi and has q-valuation >= -k, so the kernel's
 # truncation bookkeeping shows B_m known through q^(hi - m) by induction.
-# Its smallest row truncation, hi - M = cap_n, tops the result's window.
+# Its smallest row truncation, hi - M = cap_n, is the result's q-top.
 
 def _grid(cap_m, cap_n):
     big_m = cap_m + 1
-    hi = cap_n + big_m
-    return big_m, hi, (-big_m, hi)
+    return big_m, cap_n + big_m
 
 
 def _sum_side(cap_m, cap_n) -> BiSeries:
@@ -79,22 +78,22 @@ def _sum_side(cap_m, cap_n) -> BiSeries:
     for n in range(-1, cap_n + 1):
         if c[n]:
             coeffs[(0, n)] = coeffs.get((0, n), 0) - c[n]
-    return BiSeries(coeffs, cap_m, window=(-1, cap_n))
+    return BiSeries(coeffs, cap_m, ytop=cap_n)
 
 
 def denominator_product(cap_m: int, cap_n: int) -> BiSeries:
     """p^-1 prod_{m>0, n>=-1} (1 - p^m q^n)^{c(mn)} within the closed caps."""
-    big_m, hi, window = _grid(cap_m, cap_n)
+    big_m, hi = _grid(cap_m, cap_n)
     c = moonshine_c(big_m * hi)
     factors = [(m, n, c[m * n], -1) for m in range(1, big_m + 1) for n in range(-1, hi + 1)
                if -1 <= m * n <= c.max_n and c[m * n]]
-    prod = BiSeries.one(big_m, window=window).mul_binomials(factors)
-    return BiSeries(prod.coeffs, big_m, window=(window[0], cap_n)).shift_x(-1)
+    prod = BiSeries.one(big_m, ytop=hi).mul_binomials(factors)
+    return BiSeries(prod.coeffs, big_m, ytop=cap_n).shift_x(-1)
 
 
 def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:
     """-sum_{i>0} sum_{m>0, n>=-1} c(mn) p^{mi} q^{ni} / i, the exp argument."""
-    big_m, hi, window = _grid(cap_m, cap_n)
+    big_m, hi = _grid(cap_m, cap_n)
     c = moonshine_c(big_m * hi)
     coeffs = {}
     for i in range(1, big_m + 1):
@@ -104,31 +103,30 @@ def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:
                 if v:
                     key = (m * i, n * i)
                     coeffs[key] = coeffs.get(key, 0) - Fraction(v, i)
-    return BiSeries(coeffs, big_m, window=window)
+    return BiSeries(coeffs, big_m, ytop=hi)
 
 
 def bi_exp(t: BiSeries) -> BiSeries:
     """exp of a bivariate series whose every term has positive first-variable power.
 
     The exp recurrence runs on the first-variable rows, each a QSeries in the
-    second variable known through the window top, and the result's window is
-    topped at the smallest row truncation.  Without a window the rows are
-    exact: with second-variable exponents in [lo, hi] (lo <= 0 <= hi), a row
-    top of cap (hi - lo) keeps every row known through cap hi, past any
-    exponent the exp reaches, so the result needs no window.
+    second variable known through the y-top, and the result's y-top is the
+    smallest row truncation.  Without a y-top the rows are exact: with
+    second-variable exponents in [lo, hi] (lo <= 0 <= hi), a row top of
+    cap (hi - lo) keeps every row known through cap hi, past any exponent
+    the exp reaches, so the result needs no y-top.
     """
     if any(ex < 1 for (ex, _) in t.coeffs):
         raise ValueError("bivariate exp needs a positive power of the first variable")
     ys = [ey for _, ey in t.coeffs] or [0]
-    top = t.window[1] if t.window else t.cap * (max(max(ys), 0) - min(min(ys), 0))
+    top = t.ytop if t.ytop is not None else t.cap * (max(max(ys), 0) - min(min(ys), 0))
     rows = [{} for _ in range(t.cap)]
     for (ex, ey), c in t.coeffs.items():
         rows[ex - 1][ey] = ex * c
     b = _exp_recurrence([QSeries(row, top) for row in rows], t.cap, QSeries.one(top),
                         lambda s, m: s * Fraction(1, m))
-    window = t.window and (t.window[0], min(row.trunc for row in b))
     return BiSeries({(m, ey): c for m, row in enumerate(b) for ey, c in row.coeffs.items()},
-                    t.cap, window=window)
+                    t.cap, ytop=None if t.ytop is None else min(row.trunc for row in b))
 
 
 def replication_product(cap_m: int, cap_n: int) -> BiSeries:
@@ -137,7 +135,7 @@ def replication_product(cap_m: int, cap_n: int) -> BiSeries:
 
 
 def denominator_check(cap_m: int, cap_n: int) -> VerifyReport:
-    """Product form vs j*(p) - j*(q), exact on p-degree <= cap_m, q-window [-1, cap_n]."""
+    """Product form vs j*(p) - j*(q), exact on p-degree <= cap_m and q-degree <= cap_n."""
     if cap_m < 1 or cap_n < 1:
         raise ValueError("caps must be >= 1")
     lhs = denominator_product(cap_m, cap_n)

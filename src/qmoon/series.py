@@ -679,35 +679,28 @@ def sigma(k: int, n: int) -> int:
 # -- two-variable series -----------------------------------------------------
 
 
-def _win_meet(w1, w2):
-    if w1 is None:
-        return w2
-    if w2 is None:
-        return w1
-    return (max(w1[0], w2[0]), min(w1[1], w2[1]))
-
-
 class BiSeries:
-    """Series in a capped primary variable and an exact Laurent secondary one.
+    """Series in a capped primary variable and a topped Laurent secondary one.
 
     ``cap`` bounds knowledge of the first variable's exponent, exactly like
-    QSeries.trunc.  The second variable is tracked exactly; an optional
-    ``window`` (lo, hi) filters stored second-variable exponents, which is
-    sound only when the caller's factors cannot re-enter the window (all of
-    this module's users arrange that).
+    QSeries.trunc.  ``ytop`` does the same for the second variable: terms
+    above it are unknown and dropped on construction, and None means every
+    second-variable exponent is known.  A product honours the y-top only
+    where no factor can carry a dropped term back under it; every caller
+    arranges that.  No product needs a bound below.
     """
 
-    __slots__ = ("coeffs", "cap", "window")
+    __slots__ = ("coeffs", "cap", "ytop")
 
-    def __init__(self, coeffs, cap, *, window=None):
+    def __init__(self, coeffs, cap, *, ytop=None):
         self.cap = int(cap)
-        self.window = None if window is None else (int(window[0]), int(window[1]))
+        self.ytop = None if ytop is None else int(ytop)
         clean = {}
         for (ex, ey), c in coeffs.items():
             ex, ey = int(ex), int(ey)
             if ex > self.cap:
                 raise ValueError(f"stored exponent {ex} above cap {self.cap}")
-            if self.window and not self.window[0] <= ey <= self.window[1]:
+            if self.ytop is not None and ey > self.ytop:
                 continue
             c = _num(c)
             if c:
@@ -715,50 +708,16 @@ class BiSeries:
         self.coeffs = clean
 
     @classmethod
-    def _make(cls, coeffs, cap, window):
-        """An internal result whose keys already lie within cap and window:
-        coefficients are only normalised and zeros dropped, nothing re-checked."""
-        self = object.__new__(cls)
-        self.cap, self.window = cap, window
-        self.coeffs = {k: c if type(c) is int else _num(c) for k, c in coeffs.items() if c}
-        return self
-
-    @classmethod
     def one(cls, cap, **kw):
         """The constant 1, which is unknown (so not stored) when cap < 0."""
         return cls({(0, 0): 1} if cap >= 0 else {}, cap, **kw)
 
-    def _xval(self) -> int:
-        """Lowest first-variable exponent; cap + 1 for zero, known only through the cap."""
-        return min((ex for ex, _ in self.coeffs), default=self.cap + 1)
-
     def __repr__(self):
         return f"BiSeries({len(self.coeffs)} terms, cap={self.cap})"
 
-    def __mul__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        cap = min(self.cap + other._xval(), other.cap + self._xval())
-        window = _win_meet(self.window, other.window)
-        out = {}
-        small, large = self.coeffs, other.coeffs
-        if len(small) > len(large):
-            small, large = large, small
-        for (ax, ay), ca in small.items():
-            for (bx, by), cb in large.items():
-                ex = ax + bx
-                if ex > cap:
-                    continue
-                ey = ay + by
-                if window and not window[0] <= ey <= window[1]:
-                    continue
-                key = (ex, ey)
-                out[key] = out.get(key, 0) + ca * cb
-        return BiSeries._make(out, cap, window)
-
     def shift_x(self, n: int) -> "BiSeries":
-        return BiSeries._make({(ex + n, ey): c for (ex, ey), c in self.coeffs.items()},
-                              self.cap + n, self.window)
+        return BiSeries({(ex + n, ey): c for (ex, ey), c in self.coeffs.items()},
+                        self.cap + n, ytop=self.ytop)
 
     def mul_binomials(self, factors) -> "BiSeries":
         """Multiply by prod (1 + sign * x^a y^b)^e over the (a, b, e, sign) factors.
@@ -766,42 +725,52 @@ class BiSeries:
         Built for factors like (1 - p^m q^n)^c(mn) whose integer exponents run
         to dozens of digits: binomial coefficients stay exact big integers and
         each factor expands only as far as the current cap, or for a == 0 the
-        window, can use before it multiplies in with ``__mul__``, whose window
-        filter is the only one.  Negative or rational e expands as a power
-        series; a factor constant in x (a == 0) then needs a finite window on
-        the second variable to terminate.
+        y-top, can use.  Each term of a factor is applied straight to the
+        running coefficients, dropping keys above the cap or the y-top.
+        Negative or rational e expands as a power series; a factor constant in
+        x (a == 0) then needs b > 0 and a y-top to terminate.
+
+        The cap follows the unknown tails: a product is known through
+        cap + min(x-valuations), where a zero series (here only the constant
+        factor (1 - 1)^e) counts as x-valuation cap + 1.
         """
-        acc = self
+        coeffs, cap, ytop = self.coeffs, self.cap, self.ytop
         for a, b, e, sign in factors:
-            cap, window = acc.cap, acc.window
             if a > 0:
                 kmax = max(cap, 0) // a
             elif a < 0:
                 raise ValueError("primary-variable exponent must be nonnegative")
-            elif b and window is not None:  # the steps that can carry some y of acc into the window
-                ys = [y for _, y in acc.coeffs] or [window[1] if b > 0 else window[0]]
-                kmax = max((window[1] - min(ys) if b > 0 else window[0] - max(ys)) // b, 0)
+            elif b > 0 and ytop is not None:  # the steps that keep some y of the product under ytop
+                kmax = max((ytop - min((y for _, y in coeffs), default=ytop)) // b, 0)
             elif isinstance(e, int) and e >= 0:
                 kmax = e
             else:
-                raise ValueError("factor constant in the capped variable needs "
-                                 "a nonnegative integer exponent or a finite window")
+                raise ValueError("factor constant in the capped variable needs a "
+                                 "nonnegative integer exponent, or b > 0 and a y-top")
             factor = {}
             for k, c in _binomial_terms(e, sign, kmax):
-                key = (a * k, b * k)
-                factor[key] = factor.get(key, 0) + c
-            acc = acc * BiSeries._make(factor, cap, None)
-        return acc
+                factor[(a * k, b * k)] = factor.get((a * k, b * k), 0) + c
+            xval = min((x for x, _ in coeffs), default=cap + 1)
+            cap += min(xval, 0 if factor[(0, 0)] else cap + 1)
+            out = {}
+            for (dx, dy), c in factor.items():
+                xlim, ylim = cap - dx, None if ytop is None else ytop - dy
+                for (x, y), v in coeffs.items():
+                    if x <= xlim and (ylim is None or y <= ylim):
+                        key = (x + dx, y + dy)
+                        out[key] = out.get(key, 0) + v * c
+            coeffs = {k: v if type(v) is int else _num(v) for k, v in out.items() if v}
+        return BiSeries(coeffs, cap, ytop=ytop)
 
     def first_mismatch(self, other: "BiSeries"):
         """First disagreeing monomial in graded-lex order (x+y, x, y), or None.
 
-        Comparison runs within the shared cap and the meet of the stored windows.
+        Comparison runs within the smaller cap and the smaller y-top.
         """
         hi = min(self.cap, other.cap)
-        lo_y, hi_y = _win_meet(self.window, other.window) or (-inf, inf)
+        top = min((t for t in (self.ytop, other.ytop) if t is not None), default=inf)
         return _first_mismatch(self.coeffs, other.coeffs,
-                               lambda k: k[0] <= hi and lo_y <= k[1] <= hi_y,
+                               lambda k: k[0] <= hi and k[1] <= top,
                                lambda k: (k[0] + k[1], k[0], k[1]))
 
     def __eq__(self, other):

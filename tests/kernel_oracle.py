@@ -9,8 +9,10 @@ container, addition and scalar multiplication, so the differential tests
 compare two independent derivations of every coefficient.
 
 The two-variable references (``bi_mul`` and friends) use nothing from
-``qmoon.series`` at all: they read the ``coeffs``, ``cap`` and ``window`` of
-their operands and return a plain ``Bi`` record.  ``bi_exp`` is the power
+``qmoon.series`` at all: they read the ``coeffs``, ``cap`` and ``ytop`` of
+their operands and return a plain ``Bi`` record.  ``bi_mul`` is the dict
+convolution ``BiSeries`` multiplied with before ``mul_binomials`` applied
+its factors to the coefficients itself.  ``bi_exp`` is the power
 sum of t^k / k! that ``qmoon.moonshine.bi_exp`` ran before it moved onto the
 exp recurrence.  ``euler1_sum`` and ``euler2_sum`` are the sum sides of the
 two Euler partition identities as ``qmoon.identities`` built them before
@@ -196,24 +198,25 @@ class Bi(NamedTuple):
 
     coeffs: dict
     cap: int
-    window: tuple | None
+    ytop: int | None
 
 
 def _norm(c):
     return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
-def _meet(w1, w2):
-    if w1 is None or w2 is None:
-        return w2 if w1 is None else w1
-    return (max(w1[0], w2[0]), min(w1[1], w2[1]))
+def _top(t1, t2):
+    # the smaller y-top, None standing for no top
+    if t1 is None or t2 is None:
+        return t2 if t1 is None else t1
+    return min(t1, t2)
 
 
-def bi(coeffs, cap, window) -> Bi:
-    """Nonzero coefficients inside cap and window, Fractions over 1 as ints."""
+def bi(coeffs, cap, ytop) -> Bi:
+    """Nonzero coefficients within cap and y-top, Fractions over 1 as ints."""
     return Bi({(x, y): _norm(c) for (x, y), c in coeffs.items()
-               if c and x <= cap and (window is None or window[0] <= y <= window[1])},
-              cap, window)
+               if c and x <= cap and (ytop is None or y <= ytop)},
+              cap, ytop)
 
 
 def _xval(a):
@@ -223,29 +226,26 @@ def _xval(a):
 
 def bi_mul(a, b) -> Bi:
     """Schoolbook product; unknown tails cap it at min(cap_a + xval_b, cap_b + xval_a)."""
-    window = _meet(a.window, b.window)
+    ytop = _top(a.ytop, b.ytop)
     cap = min(a.cap + _xval(b), b.cap + _xval(a))
     out = {}
     for (ax, ay), ca in a.coeffs.items():
         for (bx, by), cb in b.coeffs.items():
             key = (ax + bx, ay + by)
             out[key] = out.get(key, 0) + ca * cb
-    return bi(out, cap, window)
+    return bi(out, cap, ytop)
 
 
-def bi_first_mismatch(a, b, cap=None, window=None):
+def bi_first_mismatch(a, b):
     """First disagreeing monomial in graded-lex order (x+y, x, y), or None.
 
-    Comparison runs within the shared cap and the meet of the windows,
-    optionally narrowed further by cap and window.
+    Comparison runs within the smaller cap and the smaller y-top.
     """
     hi = min(a.cap, b.cap)
-    if cap is not None:
-        hi = min(hi, cap)
-    win = _meet(_meet(a.window, b.window), window)
+    top = _top(a.ytop, b.ytop)
     for key in sorted(set(a.coeffs) | set(b.coeffs), key=lambda k: (k[0] + k[1], k[0], k[1])):
         ex, ey = key
-        if ex > hi or (win and not win[0] <= ey <= win[1]):
+        if ex > hi or (top is not None and ey > top):
             continue
         ca, cb = a.coeffs.get(key, 0), b.coeffs.get(key, 0)
         if ca != cb:
@@ -257,22 +257,22 @@ def bi_add(a, b) -> Bi:
     out = dict(a.coeffs)
     for key, c in b.coeffs.items():
         out[key] = out.get(key, 0) + c
-    return bi(out, min(a.cap, b.cap), _meet(a.window, b.window))
+    return bi(out, min(a.cap, b.cap), _top(a.ytop, b.ytop))
 
 
 def bi_scale(a, s) -> Bi:
-    return bi({key: c * s for key, c in a.coeffs.items()}, a.cap, a.window)
+    return bi({key: c * s for key, c in a.coeffs.items()}, a.cap, a.ytop)
 
 
 def bi_shift_x(a, n) -> Bi:
-    return bi({(x + n, y): c for (x, y), c in a.coeffs.items()}, a.cap + n, a.window)
+    return bi({(x + n, y): c for (x, y), c in a.coeffs.items()}, a.cap + n, a.ytop)
 
 
 def bi_exp(t) -> Bi:
     """exp t as the power sum of t^k / k!, each power one schoolbook product."""
     if any(x < 1 for x, _ in t.coeffs):
         raise ValueError("bivariate exp needs a positive power of the first variable")
-    acc = term = bi({(0, 0): 1}, t.cap, t.window)
+    acc = term = bi({(0, 0): 1}, t.cap, t.ytop)
     for k in range(1, t.cap + 2):
         term = bi_scale(bi_mul(term, t), Fraction(1, k))
         if not term.coeffs:
@@ -281,13 +281,13 @@ def bi_exp(t) -> Bi:
     return acc
 
 
-def _pochhammer_loop(order, window, ns, monomial) -> Bi:
+def _pochhammer_loop(order, ytop, ns, monomial) -> Bi:
     # 1 + sum over ns of monomial(n) * prod_{k <= n} (1 - q^k)^-1, schoolbook throughout
-    lhs = inv = bi({(0, 0): 1}, order, window)
+    lhs = inv = bi({(0, 0): 1}, order, ytop)
     for n in ns:
         inv = bi_mul(inv, bi({(n * k, 0): 1 for k in range(order // n + 1)}, order, None))
         (e, y), c = monomial(n)
-        lhs = bi_add(lhs, bi_mul(bi({(e, y): c}, order, window), inv))
+        lhs = bi_add(lhs, bi_mul(bi({(e, y): c}, order, ytop), inv))
     return lhs
 
 
@@ -298,8 +298,8 @@ def euler1_sum(order) -> Bi:
 
 
 def euler2_sum(order) -> Bi:
-    """sum z^n / ((1-q)...(1-q^n)) through q^order, in the z-window (0, order)."""
-    return _pochhammer_loop(order, (0, order), range(1, order + 1), lambda n: ((0, n), 1))
+    """sum z^n / ((1-q)...(1-q^n)) through q^order and z^order."""
+    return _pochhammer_loop(order, order, range(1, order + 1), lambda n: ((0, n), 1))
 
 
 class Psi(NamedTuple):

@@ -216,6 +216,28 @@ def test_vsys_psi_and_check(capsys, tmp_path):
                         "--shift", "1/4"])[0] == 4
 
 
+@pytest.mark.parametrize("mult, shift, order, monomial, sides", [
+    ({"-1": 1, "1": 2}, "1", "6", "(-3, (-8,))", "lhs 0 != rhs 1"),
+    ({"-1,0": 2, "0,-1": 1, "0,1": 1, "1,0": 2}, "0,1/2", "4", "(5/4, (-6, -4))",
+     "lhs 0 != rhs -1"),
+])
+def test_vsys_check_text_prints_rational_exponents(capsys, tmp_path, mult, shift, order,
+                                                   monomial, sides):
+    # the tau law's q-exponent is a Fraction; text prints it as --json does
+    dim = len(shift.split(","))
+    gram = [[2 * (i == j) for j in range(dim)] for i in range(dim)]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": dim, "gram": gram, "mult": mult}))
+    argv = ["vsys", "check", "--file", str(path), "--shift", shift, "--order", order]
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    assert out.splitlines()[1] == (f"FAIL elliptic_tau_shift order={order} first mismatch at "
+                                   f"{monomial}: {sides}")
+    code, out, _ = run(capsys, argv + ["--json"])
+    q = json.loads(out)[1]["first_mismatch"]["monomial"][0]
+    assert code == 3 and q == monomial[1:].split(",")[0]
+
+
 @pytest.mark.parametrize("shift", ["1", "1,0,0"])
 def test_vsys_check_rejects_shift_of_wrong_dimension(capsys, tmp_path, shift):
     path = tmp_path / "orthogonal.json"

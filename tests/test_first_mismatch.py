@@ -4,8 +4,8 @@
 and ``PsiSeries`` equality all go through ``series._first_mismatch``.  The
 references are the hand-written loops those comparisons ran before, kept in
 ``kernel_oracle``.  Pairs are drawn to mostly agree: the second side edits a
-few coefficients of the first, moves its truncation or cap, narrows or moves
-its window, and may write an integer part of the prefactor into the
+few coefficients of the first, moves its truncation or cap, moves its
+y-top, and may write an integer part of the prefactor into the
 exponents, so first mismatches land near every boundary.  Results must match
 with their types (int vs Fraction), and the same inputs must be rejected.
 """
@@ -77,17 +77,17 @@ def test_qseries_scan_matches_reference(pair, order):
 @st.composite
 def biseries_pairs(draw):
     cap = draw(st.integers(-1, 5))
-    windows = st.one_of(st.none(), st.tuples(st.integers(-4, 2), st.integers(-2, 4)))
+    ytops = st.one_of(st.none(), st.integers(-2, 4))
     xs, ys = st.integers(-2, max(cap, -2)), st.integers(-4, 4)
     if draw(st.booleans()):  # sparse
         coeffs = draw(st.dictionaries(st.tuples(xs, ys), coefficients, max_size=8))
     else:  # every monomial of a small box: many keys share a degree x + y
         coeffs = {(x, y): draw(coefficients) for x in range(-1, cap + 1) for y in range(-2, 3)}
-    a = BiSeries(coeffs, cap, window=draw(windows))
+    a = BiSeries(coeffs, cap, ytop=draw(ytops))
     b_cap = cap + draw(st.integers(-2, 2))
     b_coeffs = edited(draw, coeffs, st.tuples(st.integers(min(b_cap, -2), b_cap), ys))
     b = BiSeries({k: c for k, c in b_coeffs.items() if k[0] <= b_cap}, b_cap,
-                 window=draw(windows))
+                 ytop=draw(ytops))
     return a, b
 
 

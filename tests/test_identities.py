@@ -80,7 +80,7 @@ def test_euler1_against_direct_expansion():
 
 
 def typed(side):
-    return ({k: (type(c), c) for k, c in side.coeffs.items()}, side.cap, side.window)
+    return ({k: (type(c), c) for k, c in side.coeffs.items()}, side.cap, side.ytop)
 
 
 @pytest.mark.parametrize("order", list(range(1, 41)) + [90])
@@ -117,8 +117,8 @@ def test_euler_sum_sides_count_partitions(order):
                 want1[(k, n)] = (-1) ** n * count
     (lhs1, _), = identity_sides("euler1", order)
     (lhs2, _), = identity_sides("euler2", order)
-    assert (lhs1.coeffs, lhs1.cap, lhs1.window) == (want1, order, None)
-    assert (lhs2.coeffs, lhs2.cap, lhs2.window) == (want2, order, (0, order))
+    assert (lhs1.coeffs, lhs1.cap, lhs1.ytop) == (want1, order, None)
+    assert (lhs2.coeffs, lhs2.cap, lhs2.ytop) == (want2, order, order)
 
 
 def at_z(side, z):

@@ -1,0 +1,25 @@
+"""qmoon has no runtime dependencies: its modules import only the standard
+library and qmoon itself (sympy and mpmath stay test-only)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import qmoon
+
+
+def test_modules_import_only_stdlib_and_qmoon():
+    modules = sorted(Path(qmoon.__file__).parent.glob("*.py"))
+    assert "series.py" in [path.name for path in modules]
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "qmoon" or top in sys.stdlib_module_names, \
+                    f"{path.name} imports {name}"

@@ -41,7 +41,7 @@ def test_denominator_identity_passes():
 def test_denominator_edge_coefficients():
     d = moonshine.denominator_product(4, 4)
     c = moonshine.moonshine_c(4)
-    assert d.cap == 4 and d.window == (-5, 4)
+    assert d.cap == 4 and d.ytop == 4
     assert d.coeffs[(-1, 0)] == 1
     assert d.coeffs[(0, -1)] == -1
     for m in range(1, 5):
@@ -52,18 +52,17 @@ def test_denominator_edge_coefficients():
 
 @pytest.mark.parametrize("caps", [(cap, cap) for cap in range(1, 7)] + [(2, 9), (9, 2)])
 def test_denominator_product_claims_only_what_it_knows(caps):
-    # every coefficient inside the claimed cap and window must survive a deeper build
+    # every coefficient within the claimed cap and q-top must survive a deeper build
     cap_m, cap_n = caps
     d = moonshine.denominator_product(cap_m, cap_n)
     deeper = moonshine.denominator_product(cap_m, cap_n + cap_m + 2)
-    lo, hi = d.window
-    assert deeper.cap == d.cap and deeper.window[0] == lo and deeper.window[1] > hi
+    assert deeper.cap == d.cap and deeper.ytop > d.ytop
 
     def claimed(s):
-        return {k: c for k, c in s.coeffs.items() if k[0] <= d.cap and lo <= k[1] <= hi}
+        return {k: c for k, c in s.coeffs.items() if k[0] <= d.cap and k[1] <= d.ytop}
 
     assert claimed(d) == claimed(deeper)
-    assert (d.cap, d.window) == (cap_m, (-cap_m - 1, cap_n))
+    assert (d.cap, d.ytop) == (cap_m, cap_n)
 
 
 def test_no_mixed_monomials():
@@ -82,6 +81,24 @@ def test_replication_identity_passes():
         moonshine.replication_check(0)
 
 
+@pytest.mark.parametrize("build, check", [
+    ("denominator_product", lambda: moonshine.denominator_check(4, 4)),
+    ("replication_product", lambda: moonshine.replication_check(4)),
+])
+def test_monster_checks_compare_below_q_inverse(monkeypatch, build, check):
+    # j*(p) - j*(q) has no q-power below -1, and the checks compare that band too
+    original = getattr(moonshine, build)
+
+    def with_stray_term(cap_m, cap_n):
+        s = original(cap_m, cap_n)
+        coeffs = {**s.coeffs, (1, -2): s.coeffs.get((1, -2), 0) + 1}
+        return BiSeries(coeffs, s.cap, ytop=s.ytop)
+
+    assert check().passed
+    monkeypatch.setattr(moonshine, build, with_stray_term)
+    assert check().first_mismatch == ((1, -2), 1, 0)
+
+
 def rectangle(coeffs, cap_m, cap_n):
     """The coefficients on p-degree <= cap_m and q-exponents -1..cap_n."""
     return {k: c for k, c in coeffs.items() if k[0] <= cap_m and -1 <= k[1] <= cap_n}
@@ -91,7 +108,7 @@ def test_product_and_exp_forms_agree():
     for cap_m, cap_n in [(cap, cap) for cap in range(1, 7)] + [(2, 9), (9, 2), (1, 12)]:
         r = moonshine.replication_product(cap_m, cap_n)
         d = moonshine.denominator_product(cap_m, cap_n)
-        assert r.cap == d.cap == cap_m and r.window[1] == d.window[1] == cap_n
+        assert r.cap == d.cap == cap_m and r.ytop == d.ytop == cap_n
         assert rectangle(r.coeffs, cap_m, cap_n) == rectangle(d.coeffs, cap_m, cap_n)
 
 
@@ -99,7 +116,7 @@ def test_log_of_product_is_exp_argument():
     # expanding log(1 - p^m q^n) termwise over the factor grid reproduces the
     # exp argument exactly, fraction for fraction
     cap_m = cap_n = 4
-    big_m, hi, window = moonshine._grid(cap_m, cap_n)
+    big_m, hi = moonshine._grid(cap_m, cap_n)
     c = moonshine.moonshine_c(big_m * hi)
     coeffs = {}
     for m in range(1, big_m + 1):
@@ -114,7 +131,7 @@ def test_log_of_product_is_exp_argument():
                     coeffs[key] = coeffs.get(key, 0) - Fraction(v, k)
                 k += 1
     exponent = moonshine.replication_exponent(cap_m, cap_n)
-    assert (exponent.cap, exponent.window) == (big_m, window)
+    assert (exponent.cap, exponent.ytop) == (big_m, hi)
     assert exponent.coeffs == {k: c for k, c in coeffs.items() if c}
 
 
@@ -135,7 +152,10 @@ def test_bi_exp():
     e = moonshine.bi_exp(t)
     assert e.coeffs == {(0, 0): 1, (1, 0): 1, (2, 0): Fraction(1, 2),
                         (3, 0): Fraction(1, 6), (4, 0): Fraction(1, 24)}
-    assert (e.cap, e.window) == (4, None)
+    assert (e.cap, e.ytop) == (4, None)
+    # a q-top of 0 is a top like any other, not a missing one
+    e = moonshine.bi_exp(BiSeries({(1, 0): 1, (1, 1): 1}, 2, ytop=0))
+    assert (e.coeffs, e.ytop) == ({(0, 0): 1, (1, 0): 1, (2, 0): Fraction(1, 2)}, 0)
     with pytest.raises(ValueError):
         moonshine.bi_exp(BiSeries({(0, 1): 1}, 4))
 
@@ -145,26 +165,21 @@ coefficients = st.one_of(st.integers(-9, 9), st.fractions(min_value=-4, max_valu
 
 
 @st.composite
-def exp_arguments(draw, tops=st.integers(0, 12), windowed=st.booleans()):
+def exp_arguments(draw, tops=st.integers(0, 12), topped=st.booleans()):
     """Terms p^a q^b with 1 <= a <= cap, some rows empty, b of either sign.
 
-    A window's bottom lies below every q-power the exp can reach, so that
-    nothing the power sum drops there could re-enter; its top may cut terms.
+    A q-top, when drawn, may cut terms.
     """
     cap = draw(st.integers(0, 8))
     keys = st.tuples(st.integers(1, max(cap, 1)), st.integers(-3, 4))
     coeffs = draw(st.dictionaries(keys, coefficients, max_size=7)) if cap else {}
-    window = None
-    if draw(windowed):
-        low = cap * min([b for _, b in coeffs] + [0]) - draw(st.integers(0, 2))
-        window = (low, draw(tops))
-    return BiSeries(coeffs, cap, window=window)
+    return BiSeries(coeffs, cap, ytop=draw(tops) if draw(topped) else None)
 
 
 def claimed(got, want):
     """Coefficients of got and want, with their types, on every monomial got claims."""
     def known(x, y):
-        return x <= got.cap and (got.window is None or got.window[0] <= y <= got.window[1])
+        return x <= got.cap and (got.ytop is None or y <= got.ytop)
 
     keys = [k for k in set(got.coeffs) | set(want.coeffs) if known(*k)]
 
@@ -179,30 +194,31 @@ def claimed(got, want):
 def test_bi_exp_matches_power_sum(t):
     got, want = moonshine.bi_exp(t), oracle.bi_exp(t)
     assert got.cap == want.cap == t.cap
-    if t.window is None:
-        assert got.window is None
+    if t.ytop is None:
+        assert got.ytop is None
     else:
-        assert got.window[0] == t.window[0] and got.window[1] <= t.window[1]
+        assert got.ytop <= t.ytop
     have, expect = claimed(got, want)
     assert have == expect
 
 
 @settings(max_examples=300, deadline=None)
-@given(exp_arguments(tops=st.integers(-4, 3), windowed=st.just(True)))
+@given(exp_arguments(tops=st.integers(-4, 3), topped=st.just(True)))
 def test_windowed_bi_exp_matches_windowless(t):
-    # a window top below 0 leaves even the constant 1 unknown; whatever the
-    # windowed exp still claims must agree with the exp of the same terms
+    # a q-top of 0 or below leaves even the constant 1 unknown or alone;
+    # whatever the topped exp still claims must agree with the exp of the
+    # same terms without a top
     got = moonshine.bi_exp(t)
     want = moonshine.bi_exp(BiSeries(t.coeffs, t.cap))
-    assert got.window[0] == t.window[0] and got.window[1] <= t.window[1]
+    assert got.ytop is not None and got.ytop <= t.ytop
     have, expect = claimed(got, want)
     assert have == expect
 
 
 def test_bi_exp_with_window_top_below_zero():
-    t = BiSeries({(1, -1): 1, (1, -2): 1}, 3, window=(-5, -1))
+    t = BiSeries({(1, -1): 1, (1, -2): 1}, 3, ytop=-1)
     got = moonshine.bi_exp(t)
-    assert got.cap == 3 and got.window[0] == -5 and got.window[1] <= -1
+    assert got.cap == 3 and got.ytop <= -1
     have, expect = claimed(got, oracle.bi_exp(BiSeries(t.coeffs, 3)))
     assert have == expect
 
@@ -212,7 +228,7 @@ def test_bi_exp_claims_the_compared_rectangle(caps):
     cap_m, cap_n = caps
     t = moonshine.replication_exponent(cap_m, cap_n)
     got = moonshine.bi_exp(t)
-    assert (got.cap, got.window) == (cap_m + 1, (-cap_m - 1, cap_n))
+    assert (got.cap, got.ytop) == (cap_m + 1, cap_n)
     have, expect = claimed(got, oracle.bi_exp(t))
     assert have == expect
 

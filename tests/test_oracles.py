@@ -35,3 +35,35 @@ def test_bessel_i13_matches_mpmath_over_the_rademacher_range():
             x = 4 * math.pi * math.sqrt(n) / k
             assert math.isclose(mults._bessel_i13(x), float(mpmath.besseli(13, x)),
                                 rel_tol=1e-12), x
+
+
+def _mp_rademacher(mp, n, terms):
+    """The partial Rademacher sum of p24_rademacher in mpmath at the working precision.
+
+    The residue pairs come from modular inverses (h' = -1/h mod k) rather than
+    the float path's search over every pair.
+    """
+    total = mp.mpf(0)
+    for k in range(1, terms + 1):
+        pairs = [(h, -pow(h, -1, k) % k) for h in range(k) if math.gcd(h, k) == 1]
+        twiddle = mp.fsum(mp.cos(2 * mp.pi * (n * h + hp) / k) for h, hp in pairs)
+        total += mp.besseli(13, 4 * mp.pi * mp.sqrt(n) / k) / k * twiddle
+    return 2 * mp.pi * mp.power(n, mp.mpf(-13) / 2) * total
+
+
+def test_float_rademacher_matches_mpmath_sum():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for n in (20, 280, 3000):
+            for terms in (1, 10, 20):
+                want = _mp_rademacher(mpmath.mp, n, terms)
+                assert math.isclose(mults.p24_rademacher(n, terms), float(want),
+                                    rel_tol=1e-10), (n, terms)
+
+
+def test_mpmath_rademacher_sum_rounds_to_p24():
+    mpmath = pytest.importorskip("mpmath")
+    p24 = forms.colored_partition_series(24, 61)
+    with mpmath.workdps(60):
+        for n in range(20, 61):
+            assert int(mpmath.nint(_mp_rademacher(mpmath.mp, n, 20))) == p24.coeff(n + 1), n

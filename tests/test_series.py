@@ -346,9 +346,9 @@ def test_big_exponent_zero_is_one():
     assert b.coeffs == {(0, 0): 1}
 
 
-def test_big_exponent_negative_with_window():
-    # (1 - z)^-1 constant in q: terminates only because of the window
-    b = BiSeries.one(4, window=(0, 3)).mul_binomials([(0, 1, -1, -1)])
+def test_big_exponent_negative_with_ytop():
+    # (1 - z)^-1 constant in q: terminates only because of the y-top
+    b = BiSeries.one(4, ytop=3).mul_binomials([(0, 1, -1, -1)])
     assert b.coeffs == {(0, k): 1 for k in range(4)}
     with pytest.raises(ValueError):
         BiSeries.one(4).mul_binomials([(0, 1, -1, -1)])
@@ -356,36 +356,45 @@ def test_big_exponent_negative_with_window():
 
 def test_biseries_mul_and_caps():
     a = BiSeries({(0, 0): 1, (1, 1): -1}, 3)
-    b = BiSeries({(0, 0): 1, (1, -1): -1}, 3)
-    prod = a * b
+    prod = a.mul_binomials([(1, -1, 1, -1)])
     assert prod.coeffs == {(0, 0): 1, (1, 1): -1, (1, -1): -1, (2, 0): 1}
     assert prod.cap == 3
+    # the constant factor (1 + 1)^3, at (a, b) = (0, 0), scales by 8
+    prod = a.mul_binomials([(0, 0, 3, 1)])
+    assert (prod.coeffs, prod.cap) == ({(0, 0): 8, (1, 1): -8}, 3)
 
 
 def test_biseries_laurent_cap_is_honest():
+    # a factor 1 + ... times x-valuation -1 is known one step less far
     a = BiSeries({(-1, 0): 1, (1, 0): 5}, 4)
-    assert (a * a).cap == 3
-    # a zero series is known only through its cap, as if its x-valuation were cap + 1
+    prod = a.mul_binomials([(1, 0, 1, -1)])
+    assert (prod.coeffs, prod.cap) == ({(-1, 0): 1, (0, 0): -1, (1, 0): 5, (2, 0): -5}, 3)
+    # a zero series is known only through its cap, as if its x-valuation were
+    # cap + 1; the zero factor (1 - 1)^2 counts the same way
     zero, low = BiSeries({}, 3), BiSeries({(-2, 0): 1}, 3)
-    assert (zero * low).cap == 1 and (low * zero).cap == 1
-    assert (zero * BiSeries({(1, 0): 1}, 4)).cap == 4
-    assert (zero * BiSeries({}, 5)).cap == 9
+    assert zero.mul_binomials([(1, 0, 1, -1)]).cap == 3
+    assert low.mul_binomials([(0, 0, 2, -1)]).cap == 1
+    assert BiSeries({(1, 0): 1}, 4).mul_binomials([(0, 0, 2, -1)]).cap == 5
+    assert BiSeries({}, 4).mul_binomials([(0, 0, 2, -1)]).cap == 9
 
 
 def test_biseries_one_past_a_negative_cap():
     # below cap 0 the constant is unknown, so nothing is stored
     one = BiSeries.one(-1)
-    assert (one.coeffs, one.cap, one.window) == ({}, -1, None)
-    one = BiSeries.one(-3, window=(0, 2))
-    assert (one.coeffs, one.cap, one.window) == ({}, -3, (0, 2))
-    low = BiSeries({(-2, 1): 3}, -1)
-    assert (low * BiSeries.one(-1)).coeffs == {}
+    assert (one.coeffs, one.cap, one.ytop) == ({}, -1, None)
+    one = BiSeries.one(-3, ytop=2)
+    assert (one.coeffs, one.cap, one.ytop) == ({}, -3, 2)
+    # x-valuation -2 costs the cap two steps, past the only stored term
+    low = BiSeries({(-2, 1): 3}, -1).mul_binomials([(1, 0, 1, -1)])
+    assert (low.coeffs, low.cap) == ({}, -3)
+    # the empty constant at cap -2 counts as x-valuation -1
+    assert BiSeries.one(-2).mul_binomials([(1, 1, 1, -1)]).cap == -3
     assert BiSeries.one(0).coeffs == {(0, 0): 1}
 
 
-def test_biseries_window_filters():
-    a = BiSeries({(0, 0): 1, (0, 5): 1}, 3, window=(-2, 2))
-    assert a.coeffs == {(0, 0): 1}
+def test_biseries_ytop_filters():
+    a = BiSeries({(0, 0): 1, (0, 5): 1, (0, -9): 1}, 3, ytop=2)
+    assert a.coeffs == {(0, 0): 1, (0, -9): 1}
 
 
 def test_biseries_first_mismatch_graded_lex():
