@@ -55,13 +55,15 @@ def moonshine_c(max_n: int) -> MoonshineCoeffs:
 # fast.  A monomial p^a q^b the denominator product drops for b > hi can
 # still be multiplied by monomials whose p-powers add up to at most M - a,
 # so it only ever reaches q-exponents above hi - M = cap_n.  The product is
-# therefore exact through q^cap_n, and its q-top is lowered there.
+# therefore exact through q^cap_n, which is the q-top mul_binomials gives it:
+# the steepest factor, 1 - p q^-1, steps down one q per p over the cap M.
 #
 # The replication side needs no such argument.  bi_exp runs the exp
 # recurrence m B_m = sum_k k T_k B_{m-k} on q-rows: T_k, the p^k row of the
 # exponent, is known through q^hi and has q-valuation >= -k, so the kernel's
-# truncation bookkeeping shows B_m known through q^(hi - m) by induction.
-# Its smallest row truncation, hi - M = cap_n, is the result's q-top.
+# truncation bookkeeping shows B_m known through q^(hi + 1 - m) by induction,
+# B_0 = 1 being exact.  Its smallest row truncation, hi + 1 - M = cap_n + 1,
+# is the result's q-top.
 
 def _grid(cap_m, cap_n):
     big_m = cap_m + 1
@@ -87,8 +89,7 @@ def denominator_product(cap_m: int, cap_n: int) -> BiSeries:
     c = moonshine_c(big_m * hi)
     factors = [(m, n, c[m * n], -1) for m in range(1, big_m + 1) for n in range(-1, hi + 1)
                if -1 <= m * n <= c.max_n and c[m * n]]
-    prod = BiSeries.one(big_m, ytop=hi).mul_binomials(factors)
-    return BiSeries(prod.coeffs, big_m, ytop=cap_n).shift_x(-1)
+    return BiSeries.one(big_m, ytop=hi).mul_binomials(factors).shift_x(-1)
 
 
 def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:
@@ -111,19 +112,23 @@ def bi_exp(t: BiSeries) -> BiSeries:
 
     The exp recurrence runs on the first-variable rows, each a QSeries in the
     second variable known through the y-top, and the result's y-top is the
-    smallest row truncation.  Without a y-top the rows are exact: with
-    second-variable exponents in [lo, hi] (lo <= 0 <= hi), a row top of
-    cap (hi - lo) keeps every row known through cap hi, past any exponent
-    the exp reaches, so the result needs no y-top.
+    smallest row truncation.  The constant row 1 is exact, so it is known
+    far enough never to bind, even under a y-top below 0.  Without a y-top
+    the rows are exact: with second-variable exponents in [lo, hi]
+    (lo <= 0 <= hi), a row top of cap (hi - lo) keeps every row known
+    through cap hi, past any exponent the exp reaches, so the result needs
+    no y-top.
     """
     if any(ex < 1 for (ex, _) in t.coeffs):
         raise ValueError("bivariate exp needs a positive power of the first variable")
     ys = [ey for _, ey in t.coeffs] or [0]
-    top = t.ytop if t.ytop is not None else t.cap * (max(max(ys), 0) - min(min(ys), 0))
+    lo = min(min(ys), 0)
+    top = t.ytop if t.ytop is not None else t.cap * (max(max(ys), 0) - lo)
     rows = [{} for _ in range(t.cap)]
     for (ex, ey), c in t.coeffs.items():
         rows[ex - 1][ey] = ex * c
-    b = _exp_recurrence([QSeries(row, top) for row in rows], t.cap, QSeries.one(top),
+    # T_k * 1 is known through min(top, unit top + valuation of T_k) >= top
+    b = _exp_recurrence([QSeries(row, top) for row in rows], t.cap, QSeries.one(top - lo),
                         lambda s, m: s * Fraction(1, m))
     return BiSeries({(m, ey): c for m, row in enumerate(b) for ey, c in row.coeffs.items()},
                     t.cap, ytop=None if t.ytop is None else min(row.trunc for row in b))

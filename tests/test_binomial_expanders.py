@@ -9,15 +9,22 @@ with the plain ``QSeries.__mul__``, two-variable ones with the schoolbook
 Truncation, cap and y-top must match as well as the coefficients and
 their types, and the same factor lists must be rejected.  The x-shift of
 ``BiSeries`` is checked against the same reference.
+
+Unit factors (e = +-1) take an in-place path in ``BiSeries.mul_binomials``
+and every other factor the expansion path, so the drawn factor lists mix
+both.  A guard keeps the identity and vector-system products on the
+in-place path.
 """
 
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernel_oracle import bi, bi_mul, bi_shift_x
+from qmoon import identities, moonshine, series as series_module, vsys
 from qmoon.series import FULL, HALF, BiSeries, QSeries
 
 
@@ -60,10 +67,22 @@ def bi_factor(series, a, b, e, sign):
     return bi(coeffs, cap, None)
 
 
+def lowered_ytop(series, factors):
+    """The y-top an unknown term above it cannot reach: each b < 0 factor
+    steps it down by at most |b| / a per unit of x, over at most max(cap, 0)
+    units, or by |b| e in all when it is a polynomial constant in x."""
+    if series.ytop is None:
+        return None
+    slope = max((Fraction(-b, a) for a, b, _, _ in factors if a > 0 and b < 0), default=0)
+    flat = sum(-b * e for a, b, e, _ in factors if a == 0 and b < 0 and _nonneg_int(e))
+    return series.ytop - ceil(max(series.cap, 0) * slope) - flat
+
+
 def bi_oracle(series, factors):
+    top = lowered_ytop(series, factors)
     for a, b, e, sign in factors:
         series = bi_mul(series, bi_factor(series, a, b, e, sign))
-    return series
+    return bi(series.coeffs, series.cap, top)
 
 
 def q_oracle(series, factors):
@@ -89,7 +108,10 @@ small_exponents = st.one_of(
 )
 exponents = st.one_of(small_exponents, st.integers(10 ** 20, 10 ** 20 + 5))
 coefficients = st.one_of(st.integers(-9, 9), st.fractions(min_value=-4, max_value=4,
-                                                            max_denominator=5))
+                                                            max_denominator=5),
+                         # thirds, whose sums and differences often cancel to integers
+                         st.sampled_from((Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3),
+                                          Fraction(-4, 3))))
 signs = st.sampled_from((1, -1))
 
 
@@ -115,11 +137,20 @@ def biseries(draw):
     return BiSeries(coeffs, cap, ytop=ytop)
 
 
-# a huge exponent on a factor constant in x would expand to that many terms
+units = st.sampled_from((1, -1))
+# a huge exponent on a factor constant in x would expand to that many terms;
+# unit and expanded factors mix in one list, and (1 + sign y^b)^-1 with b > 0
+# divides in place under a y-top
 bi_factors = st.lists(st.one_of(
-    st.tuples(st.integers(1, 3), st.integers(-3, 3), exponents, signs),
-    st.tuples(st.just(0), st.integers(-3, 3), small_exponents, signs),
-), max_size=4)
+    st.tuples(st.integers(1, 3), st.integers(-3, 3), st.one_of(units, exponents), signs),
+    st.tuples(st.just(0), st.integers(-3, 3), st.one_of(units, small_exponents), signs),
+    st.tuples(st.just(0), st.integers(1, 3), st.just(-1), signs),
+), max_size=8)
+# the factors whose product of the stored terms alone is finite without a y-top
+finite_factors = st.lists(st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(-3, 3), st.one_of(units, exponents), signs),
+    st.tuples(st.just(0), st.integers(-3, 3), st.integers(0, 3), signs),
+), max_size=8)
 
 
 def same_bi(x, y):
@@ -131,11 +162,75 @@ def same_bi(x, y):
     return (typed(x), x.cap, x.ytop) == (typed(y), y.cap, y.ytop)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(biseries(), bi_factors)
 def test_biseries_expander_matches_factor_by_factor(series, factors):
     got = outcome(series.mul_binomials, factors)
     assert same_bi(got, outcome(bi_oracle, series, factors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(biseries().filter(lambda s: s.ytop is not None), finite_factors)
+def test_biseries_ytop_is_honest(series, factors):
+    # whatever the product claims under its y-top must agree with the
+    # product of the same stored terms with no y-top at all
+    got = series.mul_binomials(factors)
+    whole = bi_oracle(BiSeries(series.coeffs, series.cap), factors)
+    assert got.cap == whole.cap and got.ytop <= series.ytop
+    claimed = {k for k in got.coeffs.keys() | whole.coeffs.keys() if k[1] <= got.ytop}
+    assert {k: got.coeffs.get(k, 0) for k in claimed} == \
+        {k: whole.coeffs.get(k, 0) for k in claimed}
+
+
+def test_ytop_drops_past_what_b_below_zero_factors_carry_down():
+    # (1 - xy)(1 - x/y) has +1 at x^2 y^0, reached from x y above the top
+    got = BiSeries.one(4, ytop=0).mul_binomials([(1, 1, 1, -1), (1, -1, 1, -1)])
+    assert (got.coeffs, got.cap, got.ytop) == ({}, 4, -4)
+    # the slope is |b| / a, rounded up over the cap's x-steps
+    got = BiSeries.one(5, ytop=9).mul_binomials([(2, -1, -1, -1), (3, -2, 2, 1)])
+    assert got.ytop == 9 - 4
+    # a polynomial constant in x steps down |b| e at most
+    got = BiSeries.one(5, ytop=9).mul_binomials([(0, -2, 3, 1)])
+    assert got.ytop == 9 - 6
+    # factors stepping up, or no y-top, leave it alone
+    assert BiSeries.one(5, ytop=9).mul_binomials([(1, 2, -1, -1), (0, 1, -1, 1)]).ytop == 9
+    assert BiSeries.one(5).mul_binomials([(1, -1, -1, -1)]).ytop is None
+
+
+def _product_factors(factors, order):
+    return [f for n in range(1, order + 2) for f in factors(n) if f[0] <= order]
+
+
+@pytest.mark.parametrize("name", sorted(identities._TWO_VARIABLE))
+def test_identity_product_sides_match_factor_by_factor(name):
+    entries = identities._TWO_VARIABLE[name]
+    for order in range(1, 26):
+        sides = identities.identity_sides(name, order)
+        for (_, front, factors, ytop), (_, got) in zip(entries, sides):
+            start = BiSeries(front, order, ytop=ytop and ytop(order))
+            assert same_bi(got, bi_oracle(start, _product_factors(factors, order)))
+
+
+def test_unit_factors_never_expand(monkeypatch):
+    # the two-variable identity products and psi of a system with unit
+    # multiplicities are unit factors throughout, so a refactor that sends
+    # them back through the binomial expansion fails here; the monster
+    # denominator's big exponents still expand
+    calls = []
+    expand = series_module._binomial_terms
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(series_module, "_binomial_terms", counted)
+    for entries in identities._TWO_VARIABLE.values():
+        for _, front, factors, ytop in entries:
+            identities._lattice_product(40, front, factors, ytop and ytop(40))
+    vsys.psi(vsys.sample_system("pair"), (1,), 12)
+    assert calls == []
+    moonshine.denominator_product(3, 3)
+    assert calls
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,9 +270,10 @@ def test_factors_reach_a_ytop_off_zero():
     # a factor constant in x runs until the partial product's lowest y passes the top
     got = BiSeries({(0, -2): 1}, 3, ytop=5).mul_binomials([(0, 1, -1, -1)])
     assert got.coeffs == {(0, y): 1 for y in range(-2, 6)}
-    # stepping down, nothing bounds it unless it is a polynomial
+    # stepping down, nothing bounds it unless it is a polynomial, which
+    # carries unknown terms from above the top two steps down
     got = BiSeries({(0, 2): 1}, 3, ytop=3).mul_binomials([(0, -1, 2, -1)])
-    assert got.coeffs == {(0, 2): 1, (0, 1): -2, (0, 0): 1}
+    assert (got.coeffs, got.ytop) == ({(0, 1): -2, (0, 0): 1}, 1)
 
 
 def test_expanders_reject_bad_factors():

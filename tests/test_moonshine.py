@@ -108,7 +108,8 @@ def test_product_and_exp_forms_agree():
     for cap_m, cap_n in [(cap, cap) for cap in range(1, 7)] + [(2, 9), (9, 2), (1, 12)]:
         r = moonshine.replication_product(cap_m, cap_n)
         d = moonshine.denominator_product(cap_m, cap_n)
-        assert r.cap == d.cap == cap_m and r.ytop == d.ytop == cap_n
+        # the exp form knows one q-row more: its constant 1 is exact
+        assert r.cap == d.cap == cap_m and r.ytop - 1 == d.ytop == cap_n
         assert rectangle(r.coeffs, cap_m, cap_n) == rectangle(d.coeffs, cap_m, cap_n)
 
 
@@ -223,12 +224,25 @@ def test_bi_exp_with_window_top_below_zero():
     assert have == expect
 
 
+def test_bi_exp_below_zero_keeps_the_exact_constant():
+    # exp(p (q^-1 + q^-2)) without a top has p^m rows (q^-1 + q^-2)^m / m!;
+    # terms of the argument above q^-1 are unknown and reach p^m q^(2 - 2m)
+    # at the lowest, so row m is known through q^(1 - 2m) and the rows
+    # m >= 1 together through q^-5, where only p^3 (3 q^-5 + q^-6) / 6 lies
+    got = moonshine.bi_exp(BiSeries({(1, -1): 1, (1, -2): 1}, 3, ytop=-1))
+    assert (got.coeffs, got.cap, got.ytop) == \
+        ({(3, -5): Fraction(1, 2), (3, -6): Fraction(1, 6)}, 3, -5)
+    # a row-free argument leaves the constant alone, known under its top
+    got = moonshine.bi_exp(BiSeries({}, 0, ytop=2))
+    assert (got.coeffs, got.ytop) == ({(0, 0): 1}, 2)
+
+
 @pytest.mark.parametrize("caps", [(1, 1), (3, 3), (2, 5), (5, 2)])
 def test_bi_exp_claims_the_compared_rectangle(caps):
     cap_m, cap_n = caps
     t = moonshine.replication_exponent(cap_m, cap_n)
     got = moonshine.bi_exp(t)
-    assert (got.cap, got.ytop) == (cap_m + 1, cap_n)
+    assert (got.cap, got.ytop) == (cap_m + 1, cap_n + 1)
     have, expect = claimed(got, oracle.bi_exp(t))
     assert have == expect
 
