@@ -77,7 +77,9 @@ CASES = (
     + [["verify", "euler1", "--order", "1"], ["verify", "euler2", "--order", "1", "--json"],
        ["verify", "euler2", "--order", "2"]]
     + [argv for name in _CATALOG for argv in _both("lift", "--name", name, "--order", "3")]
+    + _both("hurwitz", "--max", "0")
     + _both("hurwitz", "--max", "20")
+    + _both("hurwitz", "--max", "300")
     + _both("zeromult", "--name", "f_j", "--disc", "-3")
     + _both("zeromult", "--name", "f_4", "--disc", "-4")
     + [["zeromult", "--name", "f_j", "--disc", "1"]]
