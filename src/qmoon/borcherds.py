@@ -11,7 +11,6 @@ series.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import forms
@@ -20,39 +19,40 @@ from .series import ExponentTable, FULL, QSeries, _num, product_from_exponents
 CATALOG_NAMES = ("f_delta", "f_4", "f_6", "f_8", "f_10", "f_14", "f_j")
 
 
-@lru_cache(maxsize=None)
-def hurwitz(n: int):
-    """Hurwitz class number H(n), by brute-force enumeration of reduced forms.
+def hurwitz_range(lo: int, hi: int) -> dict:
+    """{n: H(n)} for lo <= n <= hi, from one walk over reduced forms.
 
-    Weighted count of reduced positive-definite ax^2 + bxy + cy^2 with
-    b^2 - 4ac = -n; the orbits of k(x^2 + y^2) and k(x^2 + xy + y^2) count
-    1/2 and 1/3.  H(0) = -1/12, and H(n) = 0 unless -n is a discriminant.
+    H(n) counts reduced positive-definite ax^2 + bxy + cy^2 of discriminant
+    b^2 - 4ac = -n, |b| <= a <= c with b >= 0 when |b| = a or a = c; the
+    orbits of k(x^2 + y^2) and k(x^2 + xy + y^2) count 1/2 and 1/3 (Cohen,
+    GTM 138, 5.3).  Counts are kept in integer sixths.  For each (a, b) the
+    walk steps c, so n steps by 4a through the range: about hi^(3/2) steps
+    for the range [0, hi].  H(0) = -1/12, and H(n) = 0 unless -n is a
+    discriminant.
     """
-    if n < 0:
+    if lo < 0:
         raise ValueError("H(n) is indexed by n >= 0")
-    if n == 0:
-        return Fraction(-1, 12)
-    if n % 4 in (1, 2):
-        return 0
-    total = Fraction(0)
+    sixths = [0] * max(hi - lo + 1, 0)
     a = 1
-    while 3 * a * a <= n:
-        for b in range(-a, a + 1):
-            if b < 0 and -b == a:
-                continue  # (a, -a, c) ~ (a, a, c)
-            if (b * b + n) % (4 * a):
-                continue
-            c = (b * b + n) // (4 * a)
-            if c < a or (b < 0 and a == c):
-                continue  # reduced: |b| <= a <= c, with b >= 0 on the boundary
-            if b == 0 and a == c:
-                total += Fraction(1, 2)
-            elif a == b == c:
-                total += Fraction(1, 3)
-            else:
-                total += 1
+    while 3 * a * a <= hi:
+        for b in range(1 - a, a + 1):
+            c = max(a, -((b * b + lo) // (-4 * a)))  # smallest c with 4ac - b^2 >= lo
+            if c == a:
+                if b >= 0 and 4 * a * a - b * b <= hi:  # (a, b, a) needs b >= 0
+                    sixths[4 * a * a - b * b - lo] += 3 if b == 0 else 2 if b == a else 6
+                c += 1
+            for i in range(4 * a * c - b * b - lo, len(sixths), 4 * a):
+                sixths[i] += 6
         a += 1
-    return _num(total)
+    values = {n: _num(Fraction(sixths[n - lo], 6)) for n in range(lo, hi + 1)}
+    if lo == 0 <= hi:
+        values[0] = Fraction(-1, 12)
+    return values
+
+
+def hurwitz(n: int):
+    """Hurwitz class number H(n); see hurwitz_range."""
+    return hurwitz_range(n, n)[n]
 
 
 class HurwitzTable:
@@ -64,7 +64,7 @@ class HurwitzTable:
         if max_n < 0:
             raise ValueError("max_n must be nonnegative")
         self.max_n = int(max_n)
-        self.values = {n: hurwitz(n) for n in range(self.max_n + 1)}
+        self.values = hurwitz_range(0, self.max_n)
         for n, h in self.values.items():
             if n == 0:
                 ok = h == Fraction(-1, 12)
@@ -185,7 +185,7 @@ class LiftResult(NamedTuple):
 def lift(f: PlusForm, order: int) -> LiftResult:
     """q^(-h) * prod_{n<=order} (1 - q^n)^{c(n^2)} for a plus-space form f.
 
-    h = sum_{k>0} c(-k) H(k) + c(0) * (-1/12); reading c(n^2) up to
+    h = sum_{k>=0} c(-k) H(k), with H(0) = -1/12; reading c(n^2) up to
     n = order requires f to be known to order squared.
     """
     if order < 1:
@@ -194,10 +194,8 @@ def lift(f: PlusForm, order: int) -> LiftResult:
     if s.trunc < order * order:
         raise ValueError(f"lift to order {order} reads c(n^2) up to n = {order}; "
                          f"the form is only known to q^{s.trunc}")
-    h = Fraction(s.coeffs.get(0, 0), -12)
-    for e, c in s.coeffs.items():
-        if e < 0:
-            h += c * Fraction(hurwitz(-e))
+    H = HurwitzTable(max((-e for e in s.coeffs if e < 0), default=0))
+    h = sum(c * H[-e] for e, c in s.coeffs.items() if e <= 0)  # H(0) = -1/12
     table = ExponentTable(h, {n: s.coeff(n * n) for n in range(1, order + 1)}, order)
     result = product_from_exponents(table, var=s.var, nome=s.nome)
     return LiftResult(table.h, result, table)

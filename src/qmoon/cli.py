@@ -114,7 +114,7 @@ def _cmd_lift(args) -> int:
 def _cmd_hurwitz(args) -> int:
     if args.max < 0:
         raise ValueError("max must be >= 0")
-    values = {n: borcherds.hurwitz(n) for n in range(args.max + 1)}
+    values = borcherds.HurwitzTable(args.max).values
     payload = {"max": args.max, "values": {str(n): str(v) for n, v in values.items()}}
     lines = [f"H({n}) = {v}" for n, v in values.items()]
     return _emit(args, payload, lines) or 0

@@ -136,6 +136,24 @@ class SiegelCoeffTable:
                 f"disc_bound={self.disc_bound})")
 
 
+def _layer_one_feeds(sources, m: int, disc_bound: int):
+    """(d, (ns, rs), (n, r)) for each layer-1 source that feeds index m through d | m.
+
+    The target is n = d^2 ns / m, r = d rs; it must be integral with d | n,
+    and its discriminant 4nm - r^2 within disc_bound.
+    """
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        for ns, rs in sources:
+            if (d * d * ns) % m:
+                continue
+            n, r = d * d * ns // m, d * rs
+            if n % d or 4 * n * m - r * r > disc_bound:
+                continue
+            yield d, (ns, rs), (n, r)
+
+
 def v_operator(t: JacobiCoeffTable, m: int) -> JacobiCoeffTable:
     """(V_m t)(n, r) = sum_{d | gcd(n, |r|, m)} d^(k-1) c(mn/d^2, r/d).
 
@@ -150,20 +168,8 @@ def v_operator(t: JacobiCoeffTable, m: int) -> JacobiCoeffTable:
     if m == 1:
         return JacobiCoeffTable(t.k, 1, t.coeffs, t.disc_bound)
     out = {}
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        dk = d ** (t.k - 1)
-        for (ns, rs), c in t.coeffs.items():
-            # target (n, r) feeding from this source via divisor d
-            if (d * d * ns) % m:
-                continue
-            n, r = d * d * ns // m, d * rs
-            if n % d:
-                continue
-            if 4 * n * m - r * r > t.disc_bound:
-                continue
-            out[(n, r)] = out.get((n, r), 0) + dk * c
+    for d, source, target in _layer_one_feeds(t.coeffs, m, t.disc_bound):
+        out[target] = out.get(target, 0) + d ** (t.k - 1) * t.coeffs[source]
     return JacobiCoeffTable(t.k, m, out, t.disc_bound)
 
 
@@ -190,16 +196,7 @@ def maass_relation_check(s: SiegelCoeffTable) -> VerifyReport:
     ones = [(n, r) for (n, r, m) in s.coeffs if m == 1]
     candidates = set(s.coeffs)
     for m in layers:
-        for d in range(1, m + 1):
-            if m % d:
-                continue
-            for ns, rs in ones:
-                if (d * d * ns) % m:
-                    continue
-                n, r = d * d * ns // m, d * rs
-                if n % d or 4 * n * m - r * r > s.disc_bound:
-                    continue
-                candidates.add((n, r, m))
+        candidates.update((n, r, m) for _, _, (n, r) in _layer_one_feeds(ones, m, s.disc_bound))
     expected = {(n, r, m): sum(d ** (s.k - 1) * s.coeff(m * n // (d * d), r // d, 1)
                                for d in range(1, m + 1) if gcd(n, abs(r), m) % d == 0)
                 for n, r, m in candidates}

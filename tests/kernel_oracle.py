@@ -22,6 +22,11 @@ factors, each monomial multiplied in and added up one n at a time.
 tuple-valued zeta exponents, the way ``qmoon.vsys`` did before it packed
 them.
 
+``hurwitz`` is the per-n class-number loop ``qmoon.borcherds`` ran before one
+walk over reduced forms served a whole discriminant range: for each n it
+tries every a <= sqrt(n/3) and b in [-a, a], and adds the weights as
+``Fraction``s.
+
 The comparison references are the hand-written first-disagreement scans
 that ``QSeries.first_mismatch``, ``BiSeries.first_mismatch`` and the two
 elliptic shift laws of ``qmoon.vsys`` ran before they all went through one
@@ -380,3 +385,32 @@ def elliptic_mismatch(V, lam, shift, order, kind):
             if e <= known and left.get(e, 0) != right.get(e, 0):
                 return ((e, r), left.get(e, 0), right.get(e, 0))
     return None
+
+
+def hurwitz(n: int):
+    """Hurwitz class number H(n), by enumerating the reduced forms of one n."""
+    if n < 0:
+        raise ValueError("H(n) is indexed by n >= 0")
+    if n == 0:
+        return Fraction(-1, 12)
+    if n % 4 in (1, 2):
+        return 0
+    total = Fraction(0)
+    a = 1
+    while 3 * a * a <= n:
+        for b in range(-a, a + 1):
+            if b < 0 and -b == a:
+                continue  # (a, -a, c) ~ (a, a, c)
+            if (b * b + n) % (4 * a):
+                continue
+            c = (b * b + n) // (4 * a)
+            if c < a or (b < 0 and a == c):
+                continue  # reduced: |b| <= a <= c, with b >= 0 on the boundary
+            if b == 0 and a == c:
+                total += Fraction(1, 2)
+            elif a == b == c:
+                total += Fraction(1, 3)
+            else:
+                total += 1
+        a += 1
+    return _num(total)

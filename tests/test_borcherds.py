@@ -5,7 +5,9 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kernel_oracle as oracle
 from qmoon import borcherds, forms
 from qmoon.series import QSeries, exponents_from_series
 
@@ -57,6 +59,42 @@ def test_hurwitz_table():
         t[201]
     with pytest.raises(ValueError):
         borcherds.HurwitzTable(-1)
+
+
+def test_hurwitz_kronecker_relation_from_one_table():
+    table = borcherds.HurwitzTable(2000)
+    for n in range(1, 501):
+        r_max = isqrt(4 * n)
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        lhs = sum(table[4 * n - r * r] for r in range(-r_max, r_max + 1))
+        assert lhs + sum(min(d, n // d) for d in divisors) == 2 * sum(divisors), n
+
+
+# -- one walk over a discriminant range against the per-n oracle
+
+_windows = st.one_of(
+    st.integers(0, 3000).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo, min(lo + 60, 3000)))),
+    st.integers(0, 60).map(lambda hi: (0, hi)),
+    st.integers(0, 3000).map(lambda n: (n, n)),
+)
+
+
+def _exact(h):
+    return type(h), h
+
+
+@settings(max_examples=300, deadline=None)
+@given(_windows)
+def test_hurwitz_range_matches_the_per_n_oracle(window):
+    lo, hi = window
+    values = borcherds.hurwitz_range(lo, hi)
+    assert list(values) == list(range(lo, hi + 1))
+    for n, h in values.items():
+        assert type(h) is (int if Fraction(h).denominator == 1 else Fraction), n
+        assert _exact(h) == _exact(oracle.hurwitz(n)), n
+    for n in (lo, hi):
+        assert _exact(borcherds.hurwitz(n)) == _exact(values[n]), n
 
 
 # -- plus space --------------------------------------------------------------

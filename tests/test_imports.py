@@ -1,5 +1,6 @@
 """qmoon has no runtime dependencies: its modules import only the standard
-library and qmoon itself (sympy and mpmath stay test-only)."""
+library and qmoon itself (sympy and mpmath stay test-only).  Its one memo is
+``forms.longest_memo``: no module keeps a ``functools`` cache of its own."""
 
 import ast
 import sys
@@ -23,3 +24,17 @@ def test_modules_import_only_stdlib_and_qmoon():
                 top = name.split(".")[0]
                 assert top == "qmoon" or top in sys.stdlib_module_names, \
                     f"{path.name} imports {name}"
+
+
+def test_no_module_keeps_a_functools_cache():
+    modules = sorted(Path(qmoon.__file__).parent.glob("*.py"))
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "functools":
+                names = {node.attr}
+            else:
+                continue
+            assert not names & {"lru_cache", "cache"}, f"{path.name} uses functools.{names}"
