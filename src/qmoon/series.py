@@ -685,9 +685,10 @@ class BiSeries:
     ``cap`` bounds knowledge of the first variable's exponent, exactly like
     QSeries.trunc.  ``ytop`` does the same for the second variable: terms
     above it are unknown and dropped on construction, and None means every
-    second-variable exponent is known.  Products keep both honest on their
-    own: ``mul_binomials`` lowers the y-top by as far as its factors can
-    carry an unknown term down.  No product needs a bound below.
+    second-variable exponent is known.  The one product, ``mul_binomials``,
+    works in place on rows {x: {y: c}} and keeps both honest on its own: it
+    lowers the y-top by as far as its factors can carry an unknown term
+    down.  No product needs a bound below.
     """
 
     __slots__ = ("coeffs", "cap", "ytop")
@@ -713,7 +714,7 @@ class BiSeries:
         return cls({(0, 0): 1} if cap >= 0 else {}, cap, **kw)
 
     def __repr__(self):
-        return f"BiSeries({len(self.coeffs)} terms, cap={self.cap})"
+        return f"BiSeries({len(self.coeffs)} terms, cap={self.cap}, ytop={self.ytop})"
 
     def shift_x(self, n: int) -> "BiSeries":
         return BiSeries({(ex + n, ey): c for (ex, ey), c in self.coeffs.items()},
@@ -722,33 +723,35 @@ class BiSeries:
     def mul_binomials(self, factors) -> "BiSeries":
         """Multiply by prod (1 + sign * x^a y^b)^e over the (a, b, e, sign) factors.
 
-        A unit factor (integer e = +-1) is applied in place, with no
-        expansion, to the running product held as rows {x: {y: c}} across
-        consecutive unit factors (the partition-counting recurrence):
-        multiplying runs c[k] += sign c[k - (a, b)] on old values, in
-        descending x or, for a == 0, from a snapshot of each row; dividing
-        runs c[k] -= sign c[k - (a, b)] on new values, in ascending x or,
-        for a == 0 (which needs b > 0 and a y-top), ascending y along each
-        row.
-
+        The running product is held as rows {x: {y: c}} from entry to exit,
+        and each factor acts on it in place in one of two ways.  Dividing by
+        a unit factor (e = -1) runs the partition-counting recurrence
+        c[k] -= sign c[k - (a, b)] on new values, in ascending x or, for
+        a == 0 (which needs b > 0 and a y-top), ascending y along each row.
         Every other factor, like (1 - p^m q^n)^c(mn) whose exponent runs to
-        dozens of digits, is expanded with exact binomial coefficients as
-        far as the current cap, or for a == 0 the y-top, can use, and each
-        term is applied straight to the running coefficients.  Negative or
-        rational e expands as a power series; a factor constant in x
-        (a == 0) then needs b > 0 and a y-top to terminate.
+        dozens of digits, multiplies by its exact binomial terms
+        sign^k C(e, k) x^(ka) y^(kb), as far as the current cap, or for
+        a == 0 the y-top, can use: walking x downward, term k >= 1 of each
+        old row x is added into row x + ka shifted by kb, and for a == 0
+        each row becomes the sum of its shifted copies.  A unit multiply
+        (e = 1) is the two-term case.  Negative or rational e expands as a
+        power series; a factor constant in x (a == 0) then needs b > 0 and a
+        y-top to terminate.
 
         Keys above the cap or the y-top are dropped.  The cap follows the
-        unknown tails: a product is known through cap + min(x-valuations),
-        where a zero series (here only the constant factor (1 - 1)^e) counts
-        as x-valuation cap + 1.  The y-top follows the unknown terms above
-        it, which only factors with b < 0 carry down: at most |b| / a per
-        step in x and max(cap, 0) steps in all, or |b| e for a polynomial
-        factor constant in x.  The result's y-top is lowered by the ceiling
-        of max(cap, 0) times the steepest |b| / a plus those |b| e.
+        unknown tails: before each factor it moves to cap + min(x-valuations)
+        of the product and the factor, where a zero series (the product, or
+        the constant factor (1 - 1)^e) counts as x-valuation cap + 1, and
+        the rows above it go.  The y-top follows the unknown terms above it,
+        which only factors with b < 0 carry down: at most |b| / a per step in
+        x and max(cap, 0) steps in all, or |b| e for a polynomial factor
+        constant in x.  The result's y-top is lowered by the ceiling of
+        max(cap, 0) times the steepest |b| / a plus those |b| e.
         """
-        coeffs, cap, ytop = self.coeffs, self.cap, self.ytop
-        rows = None  # the running product while unit factors come
+        rows = {}
+        for (x, y), v in self.coeffs.items():
+            rows.setdefault(x, {})[y] = v
+        cap, ytop = self.cap, self.ytop
         steep = poly = 0  # how far b < 0 factors carry unknown terms down
         for a, b, e, sign in factors:
             if b < 0:
@@ -756,44 +759,60 @@ class BiSeries:
                     steep = max(steep, -(max(self.cap, 0) * b // a))
                 elif isinstance(e, int) and e >= 0:
                     poly -= b * e
-            # a unit factor that the expansion below would accept too
-            if type(e) is int and e in (1, -1) and sign in (1, -1) and \
-                    (a > 0 or a == 0 and b and (e == 1 or b > 0 and ytop is not None)):
-                if rows is None:
-                    rows = {}
-                    for (x, y), v in coeffs.items():
-                        rows.setdefault(x, {})[y] = v
-                cap = _unit_factor(rows, cap, ytop, a, b, e, sign)
-                continue
-            if rows is not None:
-                coeffs, rows = _flatten(rows), None
+            if sign not in (1, -1):
+                raise ValueError("sign must be +1 or -1")
             if a > 0:
                 kmax = max(cap, 0) // a
             elif a < 0:
                 raise ValueError("primary-variable exponent must be nonnegative")
             elif b > 0 and ytop is not None:  # the steps that keep some y of the product under ytop
-                kmax = max((ytop - min((y for _, y in coeffs), default=ytop)) // b, 0)
+                kmax = max((ytop - min((y for row in rows.values() for y, v in row.items() if v),
+                                       default=ytop)) // b, 0)
             elif isinstance(e, int) and e >= 0:
                 kmax = e
             else:
                 raise ValueError("factor constant in the capped variable needs a "
                                  "nonnegative integer exponent, or b > 0 and a y-top")
-            factor = {}
-            for k, c in _binomial_terms(e, sign, kmax):
-                factor[(a * k, b * k)] = factor.get((a * k, b * k), 0) + c
-            xval = min((x for x, _ in coeffs), default=cap + 1)
-            cap += min(xval, 0 if factor[(0, 0)] else cap + 1)
-            out = {}
-            for (dx, dy), c in factor.items():
-                xlim, ylim = cap - dx, None if ytop is None else ytop - dy
-                for (x, y), v in coeffs.items():
-                    if x <= xlim and (ylim is None or y <= ylim):
-                        key = (x + dx, y + dy)
-                        out[key] = out.get(key, 0) + v * c
-            coeffs = {k: v if type(v) is int else _num(v) for k, v in out.items() if v}
-        if rows is not None:
-            coeffs = _flatten(rows)
-        return BiSeries(coeffs, cap, ytop=None if ytop is None else ytop - steep - poly)
+            # cap + min(x-valuations); the zero product and the factor (1 - 1)^e count cap + 1
+            low = cap + 1 if a == b == 0 and sign == -1 and e > 0 else 0
+            low = min((x for x, row in rows.items() if x < low and any(row.values())),
+                      default=min(cap + 1, low))
+            cap += low
+            if low < 0:
+                for x in [x for x in rows if x > cap]:
+                    del rows[x]
+            xs = range(min(rows, default=cap), cap - a + 1)
+            lim = None if ytop is None or b <= 0 else ytop - b
+            if e == -1:  # divide, reading each source after its own update
+                steps = [(a, b, -sign, lim)]
+            else:  # multiply, reading each source before any update
+                steps = [(k * a, k * b, c, None if ytop is None or b <= 0 else ytop - k * b)
+                         for k, c in _binomial_terms(e, sign, kmax) if k]
+                xs = reversed(xs)
+            for x in xs:
+                src = rows.get(x)
+                if not src:
+                    continue
+                if a:
+                    items = src.items()
+                elif e == -1:  # ascending y along the row, on new values
+                    items = ((y, src.get(y, 0)) for y in range(min(src), lim + 1))
+                else:
+                    items = list(src.items())
+                for dx, dy, c, top in steps:
+                    to = x + dx
+                    if to > cap:
+                        break
+                    row = rows.get(to)
+                    if row is None:
+                        row = rows[to] = {}
+                    get = row.get
+                    for y, v in items:
+                        if v and (top is None or y <= top):  # rows keep cancelled terms as 0
+                            y += dy
+                            row[y] = get(y, 0) + c * v
+        return BiSeries({(x, y): v for x, row in rows.items() for y, v in row.items()}, cap,
+                        ytop=None if ytop is None else ytop - steep - poly)
 
     def first_mismatch(self, other: "BiSeries"):
         """First disagreeing monomial in graded-lex order (x+y, x, y), or None.
@@ -813,40 +832,3 @@ class BiSeries:
 
     __hash__ = None
 
-
-def _flatten(rows) -> dict:
-    return {(x, y): v for x, row in rows.items() for y, v in row.items() if v}
-
-
-def _push(row, items, b, t, lim):
-    """row[y + b] += t v for the (y, v) items with y <= lim (None: all)."""
-    get = row.get
-    for y, v in items:
-        if lim is None or y <= lim:
-            row[y + b] = get(y + b, 0) + t * v
-
-
-def _unit_factor(rows, cap, ytop, a, b, e, sign):
-    """Apply (1 + sign x^a y^b)^e, e = +-1, to rows {x: {y: c}} in place; return the new cap."""
-    low = min((x for x, row in rows.items() if x < 0 and any(row.values())),
-              default=min(cap + 1, 0))  # min(x-valuation, 0), a zero series counting cap + 1
-    if low < 0:
-        cap += low
-        for x in [x for x in rows if x > cap]:
-            del rows[x]
-    t = sign * e  # multiplying adds sign c[k - (a, b)], dividing subtracts it
-    lim = None if ytop is None or b <= 0 else ytop - b
-    if a:
-        xs = range(min(rows, default=cap), cap - a + 1)
-        for x in reversed(xs) if e == 1 else xs:  # read old values, or new ones
-            src = rows.get(x)
-            if src:
-                _push(rows.setdefault(x + a, {}), src.items(), b, t, lim)
-    elif e == 1:
-        for row in rows.values():
-            _push(row, list(row.items()), b, t, lim)
-    else:  # dividing along each row in ascending y, each value read after its update
-        for row in rows.values():
-            _push(row, ((y, row.get(y, 0)) for y in range(min(row, default=lim), lim + 1)),
-                  b, t, lim)
-    return cap

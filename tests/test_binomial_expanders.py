@@ -10,10 +10,12 @@ Truncation, cap and y-top must match as well as the coefficients and
 their types, and the same factor lists must be rejected.  The x-shift of
 ``BiSeries`` is checked against the same reference.
 
-Unit factors (e = +-1) take an in-place path in ``BiSeries.mul_binomials``
-and every other factor the expansion path, so the drawn factor lists mix
-both.  A guard keeps the identity and vector-system products on the
-in-place path.
+``BiSeries.mul_binomials`` holds its product as rows and applies each
+factor in place: a unit divisor (e = -1) by the partition recurrence, every
+other factor by its binomial terms, so the drawn factor lists mix both.  A
+guard keeps the identity and vector-system products on unit factors, each
+multiply the two-term case, and the monster denominator, whose big
+exponents expand to many terms, is checked against the same oracle.
 """
 
 import random
@@ -213,24 +215,79 @@ def test_identity_product_sides_match_factor_by_factor(name):
 
 def test_unit_factors_never_expand(monkeypatch):
     # the two-variable identity products and psi of a system with unit
-    # multiplicities are unit factors throughout, so a refactor that sends
-    # them back through the binomial expansion fails here; the monster
-    # denominator's big exponents still expand
+    # multiplicities divide without binomial terms and multiply by the
+    # two-term case (1 + sign x^a y^b)^1 alone, so a refactor that sends
+    # their e = -1 factors through the term multiply fails here; the
+    # monster denominator's big exponents still expand
     calls = []
     expand = series_module._binomial_terms
 
-    def counted(*args):
-        calls.append(args)
-        return expand(*args)
+    def counted(e, sign, kmax):
+        terms = list(expand(e, sign, kmax))
+        calls.append((e, len(terms)))
+        return iter(terms)
 
     monkeypatch.setattr(series_module, "_binomial_terms", counted)
     for entries in identities._TWO_VARIABLE.values():
         for _, front, factors, ytop in entries:
             identities._lattice_product(40, front, factors, ytop and ytop(40))
     vsys.psi(vsys.sample_system("pair"), (1,), 12)
-    assert calls == []
+    assert calls and all(e == 1 and n <= 2 for e, n in calls)
+    calls.clear()
     moonshine.denominator_product(3, 3)
-    assert calls
+    assert any(e != 1 and n > 2 for e, n in calls)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_monster_denominator_matches_factor_by_factor(cap):
+    # the one caller whose exponents run to dozens of digits, rebuilt from
+    # the same start and factor list as denominator_product
+    big_m, hi = moonshine._grid(cap, cap)
+    c = moonshine.moonshine_c(big_m * hi)
+    factors = [(m, n, c[m * n], -1) for m in range(1, big_m + 1) for n in range(-1, hi + 1)
+               if -1 <= m * n <= c.max_n and c[m * n]]
+    want = bi_shift_x(bi_oracle(BiSeries.one(big_m, ytop=hi), factors), -1)
+    assert same_bi(moonshine.denominator_product(cap, cap), want)
+
+
+def test_biseries_repr_shows_cap_and_ytop():
+    assert repr(BiSeries({(0, 0): 1, (1, 2): 3, (2, -1): 1}, 4, ytop=2)) == \
+        "BiSeries(3 terms, cap=4, ytop=2)"
+    assert repr(BiSeries.one(4)) == "BiSeries(1 terms, cap=4, ytop=None)"
+
+
+def _covers(small, big):
+    """big claims every cap and y-top that small does."""
+    return big.cap >= small.cap and (big.ytop is None or
+                                     small.ytop is not None and big.ytop >= small.ytop)
+
+
+@pytest.mark.parametrize("name", sorted(identities._TWO_VARIABLE))
+def test_identity_sides_are_honest_across_orders(name):
+    # a side built at order o claims cap o, and a build at o + 3 agrees
+    # with it on everything it claims
+    for order in (1, 5, 12, 25):
+        deeper = identities.identity_sides(name, order + 3)
+        for pair, deep_pair in zip(identities.identity_sides(name, order), deeper):
+            for side, deep in zip(pair, deep_pair):
+                assert side.cap == order and _covers(side, deep)
+                assert side.first_mismatch(deep) is None
+
+
+@pytest.mark.parametrize("sample,chamber", [("pair", (1,)), ("trivial", (1,)),
+                                            ("orthogonal", (1, 2))])
+def test_psi_is_honest_across_orders(sample, chamber):
+    V = vsys.sample_system(sample)
+    for order in range(9):
+        got = vsys.psi(V, chamber, order)
+        assert got.trunc == order and got == vsys.psi(V, chamber, order + 2)
+
+
+@pytest.mark.parametrize("cap", range(1, 6))
+def test_replication_product_is_honest_across_q_caps(cap):
+    side = moonshine.replication_product(cap, cap)
+    deep = moonshine.replication_product(cap, cap + 3)
+    assert _covers(side, deep) and side.first_mismatch(deep) is None
 
 
 @settings(max_examples=300, deadline=None)
