@@ -6,6 +6,13 @@ byte for byte.  Cases run in-process from a directory holding the input
 files below, so the file names echoed in JSON output are stable.  After an
 intended output change, rewrite the corpus with
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
+
+The same run rewrites a second corpus, ``golden_usage.json``, for the
+parser's own output: every usage error and every ``--help`` page, pinned
+as the exit code and the SHA-256 of stdout and of stderr.  argparse wraps
+help to the terminal width, so these cases run with ``COLUMNS=80``.  Its
+wording also changes between Python versions (3.10 renamed "optional
+arguments" to "options"); the usage bytes are recorded under CPython 3.11.
 """
 
 import hashlib
@@ -13,7 +20,7 @@ import io
 import json
 import os
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -21,6 +28,7 @@ import pytest
 from qmoon import cli
 
 CORPUS = Path(__file__).with_name("golden_cli.json")
+USAGE_CORPUS = Path(__file__).with_name("golden_usage.json")
 
 INPUTS = {
     "j.json": {"var": "q", "nome": "full", "prefactor": "0", "trunc": 6,
@@ -48,6 +56,16 @@ INPUTS = {
     "siegel-bad.json": {"k": 10, "disc_bound": 12,
                         "coeffs": {"0,0,1": 2, "0,0,2": 1026, "1,1,1": 3, "1,1,2": 5,
                                    "2,1,1": 5, "2,2,2": 1544, "4,2,1": 7}},
+    # the lift of jacobi.json to m = 3 with its m = 2 layer removed: only the
+    # layers present in a table are compared
+    "siegel-skip.json": {"k": 10, "disc_bound": 12,
+                         "coeffs": {"0,0,1": 2, "0,0,3": 39368, "1,1,1": 3,
+                                    "2,1,1": 5, "4,2,1": 7}},
+    "siegel-skip-bad.json": {"k": 10, "disc_bound": 12,
+                             "coeffs": {"0,0,1": 2, "0,0,3": 39369, "1,1,1": 3,
+                                        "2,1,1": 5, "4,2,1": 7}},
+    "siegel-stray.json": {"k": 10, "disc_bound": 12, "coeffs": {"1,1,2": 5}},
+    "siegel-empty.json": {"k": 10, "coeffs": {}},
 }
 
 _EXPAND = ["j", "delta", "tau", "eta", "E4", "E6", "E10", "jstar", "theta", "theta2",
@@ -102,6 +120,9 @@ CASES = (
     + _both("maass", "lift", "--file", "jacobi.json", "--max-m", "3")
     + _both("maass", "check", "--file", "siegel.json")
     + _both("maass", "check", "--file", "siegel-bad.json")
+    + _both("maass", "lift", "--file", "jacobi.json", "--max-m", "1")
+    + [argv for name in ("skip", "skip-bad", "stray", "empty")
+       for argv in _both("maass", "check", "--file", f"siegel-{name}.json")]
     + _both("mult", "table", "--algebra", "e10", "--min-norm", "-12")
     + _both("mult", "table", "--algebra", "fake", "--min-norm", "-6")
     + [["mult", "table", "--algebra", "e8"]]
@@ -109,16 +130,38 @@ CASES = (
     + [[], ["bogus"], ["verify", "euler9"], ["lift", "--name", "f_4", "--order", "4.5"]]
 )
 
+_SUBCOMMANDS = [["expand"], ["factor"], ["verify"], ["lift"], ["hurwitz"], ["zeromult"],
+                ["moonshine"], ["vsys"], ["vsys", "psi"], ["vsys", "check"], ["maass"],
+                ["maass", "lift"], ["maass", "check"], ["mult"], ["mult", "table"],
+                ["mult", "rademacher"]]
+
+USAGE_CASES = (
+    [[], ["bogus"], ["verify", "euler9"], ["lift", "--name", "f_4", "--order", "4.5"],
+     ["hurwitz"], ["vsys"], ["maass"], ["mult"], ["moonshine", "bogus"], ["--help"]]
+    + [sub + ["--help"] for sub in _SUBCOMMANDS]
+)
+
 
 def _key(argv):
     return " ".join(argv) or "<no arguments>"
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _invoke(argv):
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.run(argv)
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return code, _digest(out.getvalue())
+
+
+def _invoke_usage(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    return code, _digest(out.getvalue()), _digest(err.getvalue())
 
 
 def _write_inputs(root: Path):
@@ -151,10 +194,29 @@ def test_golden_output(argv, corpus_dir, recorded, monkeypatch, capsys):
     assert [code, digest] == recorded[_key(argv)]
 
 
+def test_usage_corpus_covers_every_case():
+    recorded = json.loads(USAGE_CORPUS.read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(_key(argv) for argv in USAGE_CASES)
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=_key)
+def test_usage_output(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    recorded = json.loads(USAGE_CORPUS.read_text(encoding="utf-8"))
+    assert list(_invoke_usage(argv)) == recorded[_key(argv)]
+
+
+def _write_corpus(path, table):
+    lines = [f"{json.dumps(key)}: {json.dumps(table[key])}" for key in sorted(table)]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"wrote {len(table)} cases to {path}", file=sys.stderr)
+
+
 if __name__ == "__main__":
     import tempfile
 
     os.environ.pop("QMOON_DEFAULT_ORDER", None)
+    os.environ["COLUMNS"] = "80"
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         _write_inputs(Path(tmp))
@@ -163,6 +225,5 @@ if __name__ == "__main__":
             table = {_key(argv): list(_invoke(argv)) for argv in CASES}
         finally:
             os.chdir(here)
-    lines = [f"{json.dumps(key)}: {json.dumps(table[key])}" for key in sorted(table)]
-    CORPUS.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
-    print(f"wrote {len(table)} cases to {CORPUS}", file=sys.stderr)
+    _write_corpus(CORPUS, table)
+    _write_corpus(USAGE_CORPUS, {_key(argv): list(_invoke_usage(argv)) for argv in USAGE_CASES})
