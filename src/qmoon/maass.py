@@ -3,16 +3,15 @@
 Coefficients live in sparse integer tables rather than analytic forms: a
 table knows every value whose discriminant 4nm - r^2 lies within its bound
 (absent means zero there) and refuses to answer beyond it.  V_m raises the
-index of a weight-k, index-1 table, assembly stacks the layers m = 1..max_m
-into a Siegel table, and the relation check replays the defining divisor
-sum against layer 1 on any table handed to it.  The m = 0 Fourier-Jacobi
+index of a weight-k, index-1 table, and assembly stacks the layers
+m = 1..max_m into a Siegel table.  The relation check replays V_m on the
+layer 1 of any table handed to it, for each layer the table holds, so the
+divisor sum is written once, in ``v_operator``.  The m = 0 Fourier-Jacobi
 layer depends only on tau and carries an Eisenstein normalization outside
 this model, so assembly starts at m = 1.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .identities import VerifyReport
 from .series import _first_mismatch, _json_fields, _json_table
@@ -136,68 +135,54 @@ class SiegelCoeffTable:
                 f"disc_bound={self.disc_bound})")
 
 
-def _layer_one_feeds(sources, m: int, disc_bound: int):
-    """(d, (ns, rs), (n, r)) for each layer-1 source that feeds index m through d | m.
-
-    The target is n = d^2 ns / m, r = d rs; it must be integral with d | n,
-    and its discriminant 4nm - r^2 within disc_bound.
-    """
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        for ns, rs in sources:
-            if (d * d * ns) % m:
-                continue
-            n, r = d * d * ns // m, d * rs
-            if n % d or 4 * n * m - r * r > disc_bound:
-                continue
-            yield d, (ns, rs), (n, r)
-
-
 def v_operator(t: JacobiCoeffTable, m: int) -> JacobiCoeffTable:
     """(V_m t)(n, r) = sum_{d | gcd(n, |r|, m)} d^(k-1) c(mn/d^2, r/d).
 
-    The source must have index 1.  The layer keeps the source's disc bound:
-    a target beyond it would reference unknown coefficients, so it is left
-    out and the returned table refuses to answer there.
+    The source must have index 1.  Each source (ns, rs) feeds the target
+    n = d^2 ns / m, r = d rs through every d | m that makes n integral with
+    d | n.  The layer keeps the source's disc bound: a target beyond it
+    would reference unknown coefficients, so it is left out and the
+    returned table refuses to answer there.
     """
     if t.m != 1:
         raise ValueError(f"V_m acts on index-1 tables, got index {t.m}")
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    if m == 1:
-        return JacobiCoeffTable(t.k, 1, t.coeffs, t.disc_bound)
     out = {}
-    for d, source, target in _layer_one_feeds(t.coeffs, m, t.disc_bound):
-        out[target] = out.get(target, 0) + d ** (t.k - 1) * t.coeffs[source]
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        for (ns, rs), c in t.coeffs.items():
+            if (d * d * ns) % m:
+                continue
+            n, r = d * d * ns // m, d * rs
+            if n % d or 4 * n * m - r * r > t.disc_bound:
+                continue
+            out[(n, r)] = out.get((n, r), 0) + d ** (t.k - 1) * c
     return JacobiCoeffTable(t.k, m, out, t.disc_bound)
+
+
+def _stack(t: JacobiCoeffTable, layers) -> dict:
+    """a(n, r, m) = (V_m t)(n, r) for each m in layers."""
+    return {(n, r, m): a for m in layers for (n, r), a in v_operator(t, m).coeffs.items()}
 
 
 def assemble_maass(t: JacobiCoeffTable, max_m: int) -> SiegelCoeffTable:
     """Stack a(n, r, m) = (V_m t)(n, r) for m = 1..max_m into one table."""
     if not isinstance(max_m, int) or max_m < 1:
         raise ValueError(f"max_m must be a positive integer, got {max_m}")
-    coeffs = {}
-    for m in range(1, max_m + 1):
-        for (n, r), a in v_operator(t, m).coeffs.items():
-            coeffs[(n, r, m)] = a
-    return SiegelCoeffTable(t.k, coeffs, t.disc_bound)
+    return SiegelCoeffTable(t.k, _stack(t, range(1, max_m + 1)), t.disc_bound)
 
 
 def maass_relation_check(s: SiegelCoeffTable) -> VerifyReport:
     """a(n,r,m) = sum_{d | gcd(n,|r|,m)} d^(k-1) a(mn/d^2, r/d, 1), everywhere.
 
-    Checked over the support plus every index the layer-1 entries could
-    feed, so an entry wrongly cancelled to zero is still caught.  All
-    referenced layer-1 positions sit within the bound automatically (their
-    discriminant only shrinks), hence count as zero when absent.
+    Replays V_m on the table's own layer 1, under the table's bound, for
+    each layer m present, and compares the stack with the table entry by
+    entry; an entry wrongly cancelled to zero is still caught.  A layer
+    absent from the table is not compared.
     """
-    layers = sorted({m for (_, _, m) in s.coeffs if m > 1})
-    ones = [(n, r) for (n, r, m) in s.coeffs if m == 1]
-    candidates = set(s.coeffs)
-    for m in layers:
-        candidates.update((n, r, m) for _, _, (n, r) in _layer_one_feeds(ones, m, s.disc_bound))
-    expected = {(n, r, m): sum(d ** (s.k - 1) * s.coeff(m * n // (d * d), r // d, 1)
-                               for d in range(1, m + 1) if gcd(n, abs(r), m) % d == 0)
-                for n, r, m in candidates}
+    ones = {(n, r): a for (n, r, m), a in s.coeffs.items() if m == 1}
+    expected = _stack(JacobiCoeffTable(s.k, 1, ones, s.disc_bound),
+                      {m for (_, _, m) in s.coeffs})
     return VerifyReport("maass_relation", s.disc_bound, _first_mismatch(s.coeffs, expected))

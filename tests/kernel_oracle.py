@@ -27,6 +27,13 @@ walk over reduced forms served a whole discriminant range: for each n it
 tries every a <= sqrt(n/3) and b in [-a, a], and adds the weights as
 ``Fraction``s.
 
+``maass_relation`` is the Maass relation check ``qmoon.maass`` ran before it
+replayed ``v_operator`` on the table's layer 1: it pulls each expected
+a(n, r, m) as the divisor sum over d | gcd(n, |r|, m) of d^(k-1)
+a(mn/d^2, r/d, 1), over the table's support plus every index its layer-1
+entries feed within the bound on a layer m > 1 the table holds, and returns
+the first mismatch.
+
 The comparison references are the hand-written first-disagreement scans
 that ``QSeries.first_mismatch``, ``BiSeries.first_mismatch`` and the two
 elliptic shift laws of ``qmoon.vsys`` ran before they all went through one
@@ -34,10 +41,11 @@ shared scan.
 """
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 from typing import NamedTuple
 
-from qmoon.series import ExponentTable, QSeries, _binomial_terms, _num, divisors, moebius
+from qmoon.series import (
+    ExponentTable, QSeries, _binomial_terms, _first_mismatch, _num, divisors, moebius)
 from qmoon.vsys import _integral_pair, psi as vsys_psi, weyl_data
 
 
@@ -414,3 +422,34 @@ def hurwitz(n: int):
                 total += 1
         a += 1
     return _num(total)
+
+
+def _layer_one_feeds(sources, m: int, disc_bound: int):
+    """(d, (ns, rs), (n, r)) for each layer-1 source that feeds index m through d | m.
+
+    The target is n = d^2 ns / m, r = d rs; it must be integral with d | n,
+    and its discriminant 4nm - r^2 within disc_bound.
+    """
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        for ns, rs in sources:
+            if (d * d * ns) % m:
+                continue
+            n, r = d * d * ns // m, d * rs
+            if n % d or 4 * n * m - r * r > disc_bound:
+                continue
+            yield d, (ns, rs), (n, r)
+
+
+def maass_relation(s):
+    """First mismatch of a(n,r,m) = sum_{d | gcd(n,|r|,m)} d^(k-1) a(mn/d^2, r/d, 1)."""
+    layers = sorted({m for (_, _, m) in s.coeffs if m > 1})
+    ones = [(n, r) for (n, r, m) in s.coeffs if m == 1]
+    candidates = set(s.coeffs)
+    for m in layers:
+        candidates.update((n, r, m) for _, _, (n, r) in _layer_one_feeds(ones, m, s.disc_bound))
+    expected = {(n, r, m): sum(d ** (s.k - 1) * s.coeff(m * n // (d * d), r // d, 1)
+                               for d in range(1, m + 1) if gcd(n, abs(r), m) % d == 0)
+                for n, r, m in candidates}
+    return _first_mismatch(s.coeffs, expected)

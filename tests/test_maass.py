@@ -1,7 +1,12 @@
 import random
+from collections import Counter
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kernel_oracle as oracle
+from qmoon import maass
 from qmoon.maass import (
     JacobiCoeffTable,
     SiegelCoeffTable,
@@ -185,3 +190,104 @@ def test_json_round_trips():
     assert s2.coeffs == s.coeffs and s2.k == s.k and s2.disc_bound == s.disc_bound
     assert "1,1" in SAMPLE.to_json()["coeffs"]
     assert all("," in key for key in s.to_json()["coeffs"])
+
+
+@st.composite
+def jacobi_tables(draw):
+    """Index-1 tables of weight 4..12 with n <= 8, bound at or above the support."""
+    k = draw(st.sampled_from([4, 6, 8, 10, 12]))
+    keys = st.integers(0, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(-isqrt(4 * n), isqrt(4 * n))))
+    coeffs = draw(st.dictionaries(keys, st.integers(-9, 9), max_size=12))
+    support = max((4 * n - r * r for (n, r), c in coeffs.items() if c), default=0)
+    return JacobiCoeffTable(k, 1, coeffs, support + draw(st.integers(0, 12)))
+
+
+PERTURBATIONS = ("none", "bump", "cancel", "drop_layer_one", "drop_layer", "new_layer",
+                 "drop_random")
+
+
+def _perturb(data, s, max_m, kind):
+    coeffs = dict(s.coeffs)
+    upper = sorted({m for (_, _, m) in coeffs if m >= 2})
+    if kind in ("bump", "cancel") and coeffs:
+        key = data.draw(st.sampled_from(sorted(coeffs)))
+        coeffs[key] = 0 if kind == "cancel" else coeffs[key] + data.draw(
+            st.sampled_from([-2, -1, 1, 3]))
+    elif kind == "drop_layer_one":
+        coeffs = {key: a for key, a in coeffs.items() if key[2] != 1}
+    elif kind == "drop_layer" and upper:
+        m = data.draw(st.sampled_from(upper))
+        coeffs = {key: a for key, a in coeffs.items() if key[2] != m}
+    elif kind == "new_layer":
+        m = data.draw(st.integers(max_m + 1, max_m + 3))
+        n = data.draw(st.integers(0, s.disc_bound // (4 * m)))
+        r = data.draw(st.integers(-isqrt(4 * n * m), isqrt(4 * n * m)))
+        coeffs[(n, r, m)] = data.draw(st.integers(1, 5))
+    elif kind == "drop_random":
+        dropped = data.draw(st.sets(st.sampled_from(sorted(coeffs)))) if coeffs else ()
+        coeffs = {key: a for key, a in coeffs.items() if key not in dropped}
+    return SiegelCoeffTable(s.k, coeffs, s.disc_bound)
+
+
+@settings(max_examples=400, deadline=None)
+@given(jacobi_tables(), st.integers(1, 6), st.sampled_from(PERTURBATIONS), st.data())
+def test_relation_check_matches_pull_oracle(t, max_m, kind, data):
+    s = _perturb(data, assemble_maass(t, max_m), max_m, kind)
+    report = maass_relation_check(s)
+    assert report.first_mismatch == oracle.maass_relation(s)
+    assert report.order == s.disc_bound
+    if kind == "none":
+        assert report.passed
+
+
+def test_relation_check_runs_v_operator_once_per_present_layer(monkeypatch):
+    calls = Counter()
+
+    def counting(t, m):
+        calls[m] += 1
+        return v_operator(t, m)
+
+    s = assemble_maass(SAMPLE, 4)
+    skipped = SiegelCoeffTable(s.k, {key: a for key, a in s.coeffs.items() if key[2] != 3},
+                               s.disc_bound)
+    no_layer_one = SiegelCoeffTable(s.k, {key: a for key, a in s.coeffs.items() if key[2] > 2},
+                                    s.disc_bound)
+    monkeypatch.setattr(maass, "v_operator", counting)
+    assert maass_relation_check(skipped).passed
+    assert calls == Counter({1: 1, 2: 1, 4: 1})
+    calls.clear()
+    assert not maass_relation_check(no_layer_one).passed
+    assert calls == Counter({3: 1, 4: 1})
+
+
+def _within(coeffs_a, coeffs_b, disc, bound):
+    keys = {key for key in coeffs_a.keys() | coeffs_b.keys() if disc(key) <= bound}
+    return ({key: coeffs_a.get(key, 0) for key in keys},
+            {key: coeffs_b.get(key, 0) for key in keys})
+
+
+@settings(max_examples=200, deadline=None)
+@given(jacobi_tables(), st.data())
+def test_maass_producers_keep_an_honest_bound(t, data):
+    """Built from t cut to bound B, V_m and assembly claim B and agree with t's builds there."""
+    if t.disc_bound == 0:
+        return
+    bound = data.draw(st.integers(0, t.disc_bound - 1))
+    cut = JacobiCoeffTable(t.k, 1, {(n, r): c for (n, r), c in t.coeffs.items()
+                                    if 4 * n - r * r <= bound}, bound)
+    for m in range(1, 7):
+        got, full = v_operator(cut, m), v_operator(t, m)
+        assert got.disc_bound == bound
+        a, b = _within(got.coeffs, full.coeffs, lambda key: 4 * key[0] * m - key[1] ** 2, bound)
+        assert a == b
+        assert all(got.coeff(n, r) == full.coeff(n, r) for (n, r) in a)
+        with pytest.raises(ValueError, match="beyond known bound"):
+            got.coeff(bound // (4 * m) + 1, 0)
+    got, full = assemble_maass(cut, 5), assemble_maass(t, 5)
+    assert got.disc_bound == bound
+    a, b = _within(got.coeffs, full.coeffs, lambda key: 4 * key[0] * key[2] - key[1] ** 2, bound)
+    assert a == b
+    for m in range(1, 6):
+        with pytest.raises(ValueError, match="beyond known bound"):
+            got.coeff(bound // (4 * m) + 1, 0, m)
