@@ -194,16 +194,19 @@ def test_golden_output(argv, corpus_dir, recorded, monkeypatch, capsys):
     assert [code, digest] == recorded[_key(argv)]
 
 
-def test_usage_corpus_covers_every_case():
-    recorded = json.loads(USAGE_CORPUS.read_text(encoding="utf-8"))
-    assert sorted(recorded) == sorted(_key(argv) for argv in USAGE_CASES)
+@pytest.fixture(scope="module")
+def usage_recorded():
+    return json.loads(USAGE_CORPUS.read_text(encoding="utf-8"))
+
+
+def test_usage_corpus_covers_every_case(usage_recorded):
+    assert sorted(usage_recorded) == sorted(_key(argv) for argv in USAGE_CASES)
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES, ids=_key)
-def test_usage_output(argv, monkeypatch):
+def test_usage_output(argv, usage_recorded, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    recorded = json.loads(USAGE_CORPUS.read_text(encoding="utf-8"))
-    assert list(_invoke_usage(argv)) == recorded[_key(argv)]
+    assert list(_invoke_usage(argv)) == usage_recorded[_key(argv)]
 
 
 def _write_corpus(path, table):
