@@ -3,7 +3,7 @@ from collections import Counter
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import kernel_oracle as oracle
 from qmoon import maass
@@ -261,33 +261,29 @@ def test_relation_check_runs_v_operator_once_per_present_layer(monkeypatch):
     assert calls == Counter({3: 1, 4: 1})
 
 
-def _within(coeffs_a, coeffs_b, disc, bound):
-    keys = {key for key in coeffs_a.keys() | coeffs_b.keys() if disc(key) <= bound}
-    return ({key: coeffs_a.get(key, 0) for key in keys},
-            {key: coeffs_b.get(key, 0) for key in keys})
+def _agree_up_to(a, b, disc, bound):
+    return all(a.get(key, 0) == b.get(key, 0) for key in a.keys() | b.keys() if disc(key) <= bound)
 
 
 @settings(max_examples=200, deadline=None)
 @given(jacobi_tables(), st.data())
 def test_maass_producers_keep_an_honest_bound(t, data):
     """Built from t cut to bound B, V_m and assembly claim B and agree with t's builds there."""
-    if t.disc_bound == 0:
-        return
+    assume(t.disc_bound > 0)
     bound = data.draw(st.integers(0, t.disc_bound - 1))
     cut = JacobiCoeffTable(t.k, 1, {(n, r): c for (n, r), c in t.coeffs.items()
                                     if 4 * n - r * r <= bound}, bound)
     for m in range(1, 7):
-        got, full = v_operator(cut, m), v_operator(t, m)
+        got = v_operator(cut, m)
         assert got.disc_bound == bound
-        a, b = _within(got.coeffs, full.coeffs, lambda key: 4 * key[0] * m - key[1] ** 2, bound)
-        assert a == b
-        assert all(got.coeff(n, r) == full.coeff(n, r) for (n, r) in a)
+        assert _agree_up_to(got.coeffs, v_operator(t, m).coeffs,
+                            lambda key: 4 * key[0] * m - key[1] ** 2, bound)
         with pytest.raises(ValueError, match="beyond known bound"):
             got.coeff(bound // (4 * m) + 1, 0)
-    got, full = assemble_maass(cut, 5), assemble_maass(t, 5)
+    got = assemble_maass(cut, 5)
     assert got.disc_bound == bound
-    a, b = _within(got.coeffs, full.coeffs, lambda key: 4 * key[0] * key[2] - key[1] ** 2, bound)
-    assert a == b
+    assert _agree_up_to(got.coeffs, assemble_maass(t, 5).coeffs,
+                        lambda key: 4 * key[0] * key[2] - key[1] ** 2, bound)
     for m in range(1, 6):
         with pytest.raises(ValueError, match="beyond known bound"):
             got.coeff(bound // (4 * m) + 1, 0, m)
