@@ -4,9 +4,12 @@ These are the plain dict algorithms the dense kernel in ``qmoon.series``
 replaced: schoolbook multiplication over stored terms, term-by-term
 inversion, ``log`` and ``exp`` as power series in ``a - 1`` and ``a``,
 binomial expansion one factor at a time, and Moebius inversion of
-``-log``.  They share no arithmetic with the kernel beyond the ``QSeries``
-container, addition and scalar multiplication, so the differential tests
-compare two independent derivations of every coefficient.
+``-log``.  Each binomial term is its own falling factorial (``binomial``),
+not the kernel's recurrence.  They share no arithmetic with the kernel
+beyond the ``QSeries`` container, addition and scalar multiplication, so
+the differential tests compare two independent derivations of every
+coefficient; ``tests/test_imports.py`` holds the import from
+``qmoon.series`` to that.
 
 The two-variable references (``bi_mul`` and friends) use nothing from
 ``qmoon.series`` at all: they read the ``coeffs``, ``cap`` and ``ytop`` of
@@ -32,7 +35,7 @@ replayed ``v_operator`` on the table's layer 1: it pulls each expected
 a(n, r, m) as the divisor sum over d | gcd(n, |r|, m) of d^(k-1)
 a(mn/d^2, r/d, 1), over the table's support plus every index its layer-1
 entries feed within the bound on a layer m > 1 the table holds, and returns
-the first mismatch.
+the first mismatch by its own scan over the sorted keys.
 
 The comparison references are the hand-written first-disagreement scans
 that ``QSeries.first_mismatch``, ``BiSeries.first_mismatch`` and the two
@@ -44,8 +47,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt
 from typing import NamedTuple
 
-from qmoon.series import (
-    ExponentTable, QSeries, _binomial_terms, _first_mismatch, _num, divisors, moebius)
+from qmoon.series import ExponentTable, QSeries, _num, divisors, moebius
 from qmoon.vsys import _integral_pair, psi as vsys_psi, weyl_data
 
 
@@ -132,6 +134,14 @@ def log_series(a: QSeries) -> QSeries:
     return result
 
 
+def binomial(e, k):
+    """C(e, k) as the falling factorial e (e - 1) ... (e - k + 1) / k!, recomputed per k."""
+    c = Fraction(1)
+    for i in range(k):
+        c = c * (Fraction(e) - i) / (i + 1)
+    return _num(c)
+
+
 def mul_binomials(s: QSeries, factors) -> QSeries:
     """Multiply by (1 + sign q^a)^e one factor at a time, binomial terms within the span."""
     v = s.valuation()
@@ -142,7 +152,7 @@ def mul_binomials(s: QSeries, factors) -> QSeries:
     for a, e, sign in factors:
         if a < 1:
             raise ValueError("factor exponent must be positive")
-        terms = [(a * k, c) for k, c in _binomial_terms(e, sign, (trunc - v) // a)]
+        terms = [(a * k, sign ** k * binomial(e, k)) for k in range((trunc - v) // a + 1)]
         out = {}
         for ea, ca in acc.items():
             for eb, cb in terms:
@@ -452,4 +462,8 @@ def maass_relation(s):
     expected = {(n, r, m): sum(d ** (s.k - 1) * s.coeff(m * n // (d * d), r // d, 1)
                                for d in range(1, m + 1) if gcd(n, abs(r), m) % d == 0)
                 for n, r, m in candidates}
-    return _first_mismatch(s.coeffs, expected)
+    for key in sorted(set(s.coeffs) | set(expected)):
+        got, want = s.coeffs.get(key, 0), expected.get(key, 0)
+        if got != want:
+            return (key, got, want)
+    return None

@@ -38,3 +38,14 @@ def test_no_module_keeps_a_functools_cache():
             else:
                 continue
             assert not names & {"lru_cache", "cache"}, f"{path.name} uses functools.{names}"
+
+
+def test_kernel_oracle_borrows_no_kernel_arithmetic():
+    # the differential tests judge the kernel against tests/kernel_oracle.py,
+    # so the oracle may take only containers and number theory from it
+    allowed = {"ExponentTable", "QSeries", "_num", "divisors", "moebius"}
+    path = Path(__file__).with_name("kernel_oracle.py")
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.module == "qmoon.series"
+                for alias in node.names}
+    assert imported and imported <= allowed, imported - allowed
