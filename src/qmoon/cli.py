@@ -35,12 +35,14 @@ def _default_order(args, fallback=10):
     return order
 
 
-def _emit(args, payload, lines) -> None:
+def _emit(args, payload, lines, reports=()) -> int:
+    """Print the payload as JSON or the lines as text; exit 3 if a report failed."""
     if args.json:
         print(json.dumps(payload, default=str))
     else:
         for line in lines:
             print(line)
+    return 0 if all(r.passed for r in reports) else 3
 
 
 def _load_json(path):
@@ -72,7 +74,7 @@ def _cmd_expand(args) -> int:
     order = _default_order(args)
     f = forms.named_form(args.form, order)
     payload = {"form": args.form, **f.to_json()}
-    return _emit(args, payload, [f.pretty()]) or 0
+    return _emit(args, payload, [f.pretty()])
 
 
 def _cmd_factor(args) -> int:
@@ -82,7 +84,7 @@ def _cmd_factor(args) -> int:
     data = table.to_json()
     lines = [f"h = {data['h']}"]
     lines += [f"  {n}: {e}" for n, e in data["exponents"].items()]
-    return _emit(args, {"input": args.input, **data}, lines) or 0
+    return _emit(args, {"input": args.input, **data}, lines)
 
 
 def _cmd_verify(args) -> int:
@@ -90,8 +92,7 @@ def _cmd_verify(args) -> int:
     labels = identities.IDENTITY_LABELS if args.identity == "all" else (args.identity,)
     reports = [identities.verify(label, order) for label in labels]
     payload = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
-    _emit(args, payload, [_report_line(r) for r in reports])
-    return 0 if all(r.passed for r in reports) else 3
+    return _emit(args, payload, [_report_line(r) for r in reports], reports)
 
 
 def _cmd_lift(args) -> int:
@@ -108,7 +109,7 @@ def _cmd_lift(args) -> int:
         report = borcherds.fj_efactor_report()
         payload["efactor"] = report
         lines.append(f"E-factor: {report['resolution']}")
-    return _emit(args, payload, lines) or 0
+    return _emit(args, payload, lines)
 
 
 def _cmd_hurwitz(args) -> int:
@@ -117,14 +118,14 @@ def _cmd_hurwitz(args) -> int:
     values = borcherds.HurwitzTable(args.max).values
     payload = {"max": args.max, "values": {str(n): str(v) for n, v in values.items()}}
     lines = [f"H({n}) = {v}" for n, v in values.items()]
-    return _emit(args, payload, lines) or 0
+    return _emit(args, payload, lines)
 
 
 def _cmd_zeromult(args) -> int:
     f = borcherds.catalog(args.name, 4)
     mult = borcherds.zero_multiplicity(f, args.disc)
     payload = {"name": args.name, "disc": args.disc, "multiplicity": mult}
-    return _emit(args, payload, [f"multiplicity of the disc {args.disc} zero: {mult}"]) or 0
+    return _emit(args, payload, [f"multiplicity of the disc {args.disc} zero: {mult}"])
 
 
 def _cmd_moonshine(args) -> int:
@@ -132,8 +133,7 @@ def _cmd_moonshine(args) -> int:
         report = moonshine.denominator_check(args.cap, args.cap)
     else:
         report = moonshine.replication_check(args.cap)
-    _emit(args, report.to_json(), [_report_line(report)])
-    return 0 if report.passed else 3
+    return _emit(args, report.to_json(), [_report_line(report)], [report])
 
 
 def _cmd_vsys_psi(args) -> int:
@@ -143,7 +143,7 @@ def _cmd_vsys_psi(args) -> int:
     data = series.to_json()
     lines = [f"prefactor exponent: {data['qpre']}"]
     lines += [f"  q^{t['q']} zeta2={t['zeta2']}: {t['c']}" for t in data["terms"]]
-    return _emit(args, {"file": args.file, **data}, lines) or 0
+    return _emit(args, {"file": args.file, **data}, lines)
 
 
 def _cmd_vsys_check(args) -> int:
@@ -153,8 +153,8 @@ def _cmd_vsys_check(args) -> int:
     order = _default_order(args)
     reports = [vsys.elliptic_transform_check(system, chamber, shift, order, kind=kind)
                for kind in ("mu", "tau")]
-    _emit(args, [r.to_json() for r in reports], [_report_line(r) for r in reports])
-    return 0 if all(r.passed for r in reports) else 3
+    return _emit(args, [r.to_json() for r in reports], [_report_line(r) for r in reports],
+                 reports)
 
 
 def _cmd_maass_lift(args) -> int:
@@ -162,14 +162,13 @@ def _cmd_maass_lift(args) -> int:
     siegel = maass.assemble_maass(table, args.max_m)
     data = siegel.to_json()
     lines = [f"a({key}) = {a}" for key, a in data["coeffs"].items()]
-    return _emit(args, data, lines) or 0
+    return _emit(args, data, lines)
 
 
 def _cmd_maass_check(args) -> int:
     siegel = maass.SiegelCoeffTable.from_json(_load_json(args.file))
     report = maass.maass_relation_check(siegel)
-    _emit(args, report.to_json(), [_report_line(report)])
-    return 0 if report.passed else 3
+    return _emit(args, report.to_json(), [_report_line(report)], [report])
 
 
 def _cmd_mult_table(args) -> int:
@@ -181,7 +180,7 @@ def _cmd_mult_table(args) -> int:
     lines = ["norm exact bound flag"]
     for norm, exact, bound, flag in report.rows:
         lines.append(f"{norm} {exact} {bound} {'VIOLATED' if flag else 'ok'}")
-    return _emit(args, report.to_json(), lines) or 0
+    return _emit(args, report.to_json(), lines)
 
 
 def _cmd_mult_rademacher(args) -> int:
@@ -191,7 +190,7 @@ def _cmd_mult_rademacher(args) -> int:
     payload = {"n": args.n, "terms": args.terms, "approx": approx,
                "exact": str(exact), "rel_error": rel}
     line = f"p24({args.n + 1}) ~ {approx!r} (exact {exact}, rel error {rel:.3e})"
-    return _emit(args, payload, [line]) or 0
+    return _emit(args, payload, [line])
 
 
 def build_parser() -> argparse.ArgumentParser:

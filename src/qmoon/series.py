@@ -14,7 +14,7 @@ is a hard error; conversion goes through ``scale_var``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, inf, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 from operator import mul
 
 __all__ = [
@@ -569,29 +569,19 @@ def gbinom(e, k: int):
     """Generalized binomial coefficient C(e, k) for integer or rational e."""
     if k < 0:
         raise ValueError("lower index must be nonnegative")
-    if isinstance(e, int):
-        if e >= 0:
-            return comb(e, k)
-        # C(e, k) = (-1)^k C(k - e - 1, k), exact for negative integer e
-        return (-1) ** k * comb(k - e - 1, k)
-    num = Fraction(1)
-    for i in range(k):
-        num *= Fraction(e) - i
-    for i in range(1, k + 1):
-        num /= i
-    return _num(num)
+    return dict(_binomial_terms(e, 1, k)).get(k, 0)
 
 
 def _binomial_terms(e, sign, kmax):
-    """(k, sign^k C(e, k)) for the nonzero terms of (1 + sign*t)^e with k <= kmax."""
+    """(k, sign^k C(e, k)) for k <= kmax, by C(e, k) = C(e, k - 1) (e - k + 1) / k for
+    every exponent e, up to the first zero term (k = e + 1 for an integer e >= 0)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if isinstance(e, int) and e >= 0:
-        kmax = min(kmax, e)
-    for k in range(kmax + 1):
-        c = gbinom(e, k)
-        if c:
-            yield k, -c if sign == -1 and k % 2 else c
+    c, k = 1, 0
+    while c and k <= kmax:
+        yield k, c
+        k += 1
+        c = _exact_div(sign * c * (e - k + 1), k)
 
 
 def product_from_exponents(t: ExponentTable, *, var="q", nome=FULL) -> QSeries:
@@ -738,7 +728,8 @@ class BiSeries:
         power series; a factor constant in x (a == 0) then needs b > 0 and a
         y-top to terminate.
 
-        Keys above the cap or the y-top are dropped.  The cap follows the
+        Keys above the cap or the y-top are dropped, and a term that cancels
+        leaves its row, so rows hold only nonzero terms.  The cap follows the
         unknown tails: before each factor it moves to cap + min(x-valuations)
         of the product and the factor, where a zero series (the product, or
         the constant factor (1 - 1)^e) counts as x-valuation cap + 1, and
@@ -766,7 +757,7 @@ class BiSeries:
             elif a < 0:
                 raise ValueError("primary-variable exponent must be nonnegative")
             elif b > 0 and ytop is not None:  # the steps that keep some y of the product under ytop
-                kmax = max((ytop - min((y for row in rows.values() for y, v in row.items() if v),
+                kmax = max((ytop - min((y for row in rows.values() for y in row),
                                        default=ytop)) // b, 0)
             elif isinstance(e, int) and e >= 0:
                 kmax = e
@@ -775,7 +766,7 @@ class BiSeries:
                                  "nonnegative integer exponent, or b > 0 and a y-top")
             # cap + min(x-valuations); the zero product and the factor (1 - 1)^e count cap + 1
             low = cap + 1 if a == b == 0 and sign == -1 and e > 0 else 0
-            low = min((x for x, row in rows.items() if x < low and any(row.values())),
+            low = min((x for x, row in rows.items() if x < low and row),
                       default=min(cap + 1, low))
             cap += low
             if low < 0:
@@ -796,7 +787,7 @@ class BiSeries:
                 if a:
                     items = src.items()
                 elif e == -1:  # ascending y along the row, on new values
-                    items = ((y, src.get(y, 0)) for y in range(min(src), lim + 1))
+                    items = ((y, src[y]) for y in range(min(src), lim + 1) if y in src)
                 else:
                     items = list(src.items())
                 for dx, dy, c, top in steps:
@@ -808,9 +799,13 @@ class BiSeries:
                         row = rows[to] = {}
                     get = row.get
                     for y, v in items:
-                        if v and (top is None or y <= top):  # rows keep cancelled terms as 0
+                        if top is None or y <= top:
                             y += dy
-                            row[y] = get(y, 0) + c * v
+                            v = get(y, 0) + c * v
+                            if v:
+                                row[y] = v
+                            else:  # rows hold only nonzero terms
+                                del row[y]
         return BiSeries({(x, y): v for x, row in rows.items() for y, v in row.items()}, cap,
                         ytop=None if ytop is None else ytop - steep - poly)
 

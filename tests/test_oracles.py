@@ -5,6 +5,7 @@ imports either.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,23 @@ def test_sigma_and_moebius_match_sympy():
         for k in (0, 1, 11):
             assert series.sigma(k, n) == sympy.divisor_sigma(n, k)
         assert series.moebius(n) == sympy.mobius(n)
+
+
+def test_binomial_recurrence_matches_sympy_binomial():
+    # integers, huge integers and rationals (some of them integral) through k = 20
+    sympy = pytest.importorskip("sympy")
+    exponents = list(range(-30, 31)) + [10**20 + i for i in range(6)] + \
+        [Fraction(p, q) for q in (2, 3, 4, 7) for p in range(-9, 10)]
+    for e in exponents:
+        want = [sympy.binomial(sympy.Rational(e.numerator, e.denominator), k) for k in range(21)]
+        want = [Fraction(int(w.p), int(w.q)) for w in want]
+        got = [series.gbinom(e, k) for k in range(21)]
+        assert got == want, e
+        assert all(isinstance(c, int) == (w.denominator == 1) for c, w in zip(got, want)), e
+        for sign in (1, -1):
+            for kmax in range(13):
+                assert list(series._binomial_terms(e, sign, kmax)) == \
+                    [(k, sign ** k * w) for k, w in enumerate(want[:kmax + 1]) if w], (e, sign)
 
 
 def test_bessel_i13_matches_mpmath_over_the_rademacher_range():
