@@ -50,8 +50,15 @@ def _load_json(path):
         return json.load(handle)
 
 
-def _parse_vector(text: str):
-    return tuple(Fraction(tok.strip()) for tok in text.split(","))
+def _parse_vector(text: str, flag: str):
+    """A comma-separated rational vector such as "1/2,1,0"; names a token it cannot read."""
+    vector = []
+    for tok in text.split(","):
+        try:
+            vector.append(Fraction(tok))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{flag} entry {tok.strip()!r} is not a rational number") from None
+    return tuple(vector)
 
 
 def _fmt_monomial(m) -> str:
@@ -138,7 +145,7 @@ def _cmd_moonshine(args) -> int:
 
 def _cmd_vsys_psi(args) -> int:
     system = vsys.VectorSystem.from_json(_load_json(args.file))
-    chamber = _parse_vector(args.chamber) if args.chamber else (1,) * system.dim
+    chamber = _parse_vector(args.chamber, "--chamber") if args.chamber else (1,) * system.dim
     series = vsys.psi(system, chamber, _default_order(args))
     data = series.to_json()
     lines = [f"prefactor exponent: {data['qpre']}"]
@@ -148,8 +155,8 @@ def _cmd_vsys_psi(args) -> int:
 
 def _cmd_vsys_check(args) -> int:
     system = vsys.VectorSystem.from_json(_load_json(args.file))
-    chamber = _parse_vector(args.chamber) if args.chamber else (1,) * system.dim
-    shift = _parse_vector(args.shift)
+    chamber = _parse_vector(args.chamber, "--chamber") if args.chamber else (1,) * system.dim
+    shift = _parse_vector(args.shift, "--shift")
     order = _default_order(args)
     reports = [vsys.elliptic_transform_check(system, chamber, shift, order, kind=kind)
                for kind in ("mu", "tau")]

@@ -23,22 +23,6 @@ from .series import (
 
 __all__ = ["IDENTITY_LABELS", "VerifyReport", "verify", "verify_all", "identity_sides"]
 
-IDENTITY_LABELS = (
-    "euler1",
-    "euler2",
-    "euler3",
-    "gauss",
-    "triple",
-    "quintuple_w1",
-    "quintuple_w2",
-    "eisen_relations",
-    "jacobi_delta",
-    "theta_products",
-    "theta_nullwert_products",
-    "delta_theta",
-    "sigma_convolutions",
-)
-
 
 class VerifyReport:
     """Outcome of one identity check: the first (monomial, lhs, rhs) mismatch, or None."""
@@ -129,58 +113,6 @@ def _pentagonal(m):
     return (3 * m * m + m) // 2
 
 
-# ((sum function, its terms), front, product factors, z-top) for each pair of
-# every two-variable identity; the theta rows drop the common factors q^{1/4}
-# (and 1/i for the first one) and keep zeta exponents literal, so they are
-# even except in the first two
-_TWO_VARIABLE = {
-    # sum (-1)^n q^{n(n+1)/2} z^n / ((1-q)...(1-q^n)) = prod_{n >= 1} (1 - q^n z)
-    "euler1": [((_pochhammer_sum, lambda n: ((n * (n + 1) // 2, n), (-1) ** n)), {(0, 0): 1},
-                lambda n: [(n, 1, 1, -1)], None)],
-    # sum z^n / ((1-q)...(1-q^n)) = prod_{n >= 0} (1 - q^n z)^{-1}; the n = 0
-    # factor makes the z-support infinite, so both sides carry an explicit
-    # z-top (every z-exponent is nonnegative, so nothing that is cut can
-    # ever flow back under it)
-    "euler2": [((_pochhammer_sum, lambda n: ((0, n), 1)), {(0, 0): 1},
-                lambda n: [(n - 1, 1, -1, -1)], lambda order: order)],
-    "triple": [((_lattice_sum, lambda m: [((m * m, m), (-1) ** (m % 2))]), {(0, 0): 1},
-                lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 1, 1, -1), (2 * n - 1, -1, 1, -1)],
-                None)],
-    "quintuple_w1": [(
-        (_lattice_sum,
-         lambda m: [((_pentagonal(m), 3 * m), 1), ((_pentagonal(m), -3 * m - 1), -1)]),
-        {(0, 0): 1},
-        lambda n: [(n, 0, 1, -1), (n, 1, 1, -1), (n - 1, -1, 1, -1),
-                   (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)],
-        None,
-    )],
-    # run exactly as printed; the outcome is recorded, not corrected
-    "quintuple_w2": [(
-        (_lattice_sum,
-         lambda m: [((m * (3 * m + 2), -3 * m), 1), ((m * (3 * m + 2), 3 * m + 2), -1)]),
-        {(0, 0): 1},
-        lambda n: [(2 * n, 0, 1, -1), (2 * n, -2, 1, -1), (2 * n - 2, 2, 1, -1),
-                   (2 * n - 1, 1, -1, 1), (2 * n - 1, -1, 1, 1)],
-        None,
-    )],
-    "theta_products": [
-        # theta1 over 1/i: sum (-1)^n q^{n^2+n} z^{2n+1} = (z - 1/z) prod ...
-        ((_lattice_sum, lambda m: [((m * m + m, 2 * m + 1), (-1) ** (m % 2))]),
-         {(0, 1): 1, (0, -1): -1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, -1), (2 * n, -2, 1, -1)], None),
-        # theta2: sum q^{n^2+n} z^{2n+1} = z prod (1-q^{2n})(1+q^{2n}z^2)(1+q^{2n-2}z^-2)
-        ((_lattice_sum, lambda m: [((m * m + m, 2 * m + 1), 1)]), {(0, 1): 1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, 1), (2 * n - 2, -2, 1, 1)], None),
-        # theta3: sum q^{n^2} z^{2n} = prod (1-q^{2n})(1+q^{2n-1}z^2)(1+q^{2n-1}z^-2)
-        ((_lattice_sum, lambda m: [((m * m, 2 * m), 1)]), {(0, 0): 1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, 1), (2 * n - 1, -2, 1, 1)], None),
-        # theta4: sum (-1)^n q^{n^2} z^{2n} = prod (1-q^{2n})(1-q^{2n-1}z^2)(1-q^{2n-1}z^-2)
-        ((_lattice_sum, lambda m: [((m * m, 2 * m), (-1) ** (m % 2))]), {(0, 0): 1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)], None),
-    ],
-}
-
-
 # -- one-variable identity sides, one function per label ---------------------------
 
 
@@ -255,15 +187,67 @@ def _sigma_convolutions(order):
     ]
 
 
-_BUILDERS = {
+# -- every identity, in the order ``verify all`` runs them ---------------------------
+#
+# A label maps to its one-variable builder or to the two-variable rows
+# ((sum function, its terms), front, product factors, z-top), one per pair;
+# the theta rows drop the common factors q^{1/4} (and 1/i for the first one)
+# and keep zeta exponents literal, so they are even except in the first two.
+_IDENTITIES = {
+    # sum (-1)^n q^{n(n+1)/2} z^n / ((1-q)...(1-q^n)) = prod_{n >= 1} (1 - q^n z)
+    "euler1": [((_pochhammer_sum, lambda n: ((n * (n + 1) // 2, n), (-1) ** n)), {(0, 0): 1},
+                lambda n: [(n, 1, 1, -1)], None)],
+    # sum z^n / ((1-q)...(1-q^n)) = prod_{n >= 0} (1 - q^n z)^{-1}; the n = 0
+    # factor makes the z-support infinite, so both sides carry an explicit
+    # z-top (every z-exponent is nonnegative, so nothing that is cut can
+    # ever flow back under it)
+    "euler2": [((_pochhammer_sum, lambda n: ((0, n), 1)), {(0, 0): 1},
+                lambda n: [(n - 1, 1, -1, -1)], lambda order: order)],
     "euler3": _euler3,
     "gauss": _gauss,
+    "triple": [((_lattice_sum, lambda m: [((m * m, m), (-1) ** (m % 2))]), {(0, 0): 1},
+                lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 1, 1, -1), (2 * n - 1, -1, 1, -1)],
+                None)],
+    "quintuple_w1": [(
+        (_lattice_sum,
+         lambda m: [((_pentagonal(m), 3 * m), 1), ((_pentagonal(m), -3 * m - 1), -1)]),
+        {(0, 0): 1},
+        lambda n: [(n, 0, 1, -1), (n, 1, 1, -1), (n - 1, -1, 1, -1),
+                   (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)],
+        None,
+    )],
+    # run exactly as printed; the outcome is recorded, not corrected
+    "quintuple_w2": [(
+        (_lattice_sum,
+         lambda m: [((m * (3 * m + 2), -3 * m), 1), ((m * (3 * m + 2), 3 * m + 2), -1)]),
+        {(0, 0): 1},
+        lambda n: [(2 * n, 0, 1, -1), (2 * n, -2, 1, -1), (2 * n - 2, 2, 1, -1),
+                   (2 * n - 1, 1, -1, 1), (2 * n - 1, -1, 1, 1)],
+        None,
+    )],
     "eisen_relations": _eisen_relations,
     "jacobi_delta": _jacobi_delta,
+    "theta_products": [
+        # theta1 over 1/i: sum (-1)^n q^{n^2+n} z^{2n+1} = (z - 1/z) prod ...
+        ((_lattice_sum, lambda m: [((m * m + m, 2 * m + 1), (-1) ** (m % 2))]),
+         {(0, 1): 1, (0, -1): -1},
+         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, -1), (2 * n, -2, 1, -1)], None),
+        # theta2: sum q^{n^2+n} z^{2n+1} = z prod (1-q^{2n})(1+q^{2n}z^2)(1+q^{2n-2}z^-2)
+        ((_lattice_sum, lambda m: [((m * m + m, 2 * m + 1), 1)]), {(0, 1): 1},
+         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, 1), (2 * n - 2, -2, 1, 1)], None),
+        # theta3: sum q^{n^2} z^{2n} = prod (1-q^{2n})(1+q^{2n-1}z^2)(1+q^{2n-1}z^-2)
+        ((_lattice_sum, lambda m: [((m * m, 2 * m), 1)]), {(0, 0): 1},
+         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, 1), (2 * n - 1, -2, 1, 1)], None),
+        # theta4: sum (-1)^n q^{n^2} z^{2n} = prod (1-q^{2n})(1-q^{2n-1}z^2)(1-q^{2n-1}z^-2)
+        ((_lattice_sum, lambda m: [((m * m, 2 * m), (-1) ** (m % 2))]), {(0, 0): 1},
+         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)], None),
+    ],
     "theta_nullwert_products": _theta_nullwert_products,
     "delta_theta": _delta_theta,
     "sigma_convolutions": _sigma_convolutions,
 }
+
+IDENTITY_LABELS = tuple(_IDENTITIES)
 
 
 def identity_sides(name: str, order: int):
@@ -272,11 +256,12 @@ def identity_sides(name: str, order: int):
         raise ValueError(f"unknown identity label {name!r}")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if name in _TWO_VARIABLE:
-        return [(sum_side(order, terms, ytop and ytop(order)),
-                 _lattice_product(order, front, factors, ytop and ytop(order)))
-                for (sum_side, terms), front, factors, ytop in _TWO_VARIABLE[name]]
-    return _BUILDERS[name](order)
+    entry = _IDENTITIES[name]
+    if callable(entry):
+        return entry(order)
+    return [(sum_side(order, terms, ytop and ytop(order)),
+             _lattice_product(order, front, factors, ytop and ytop(order)))
+            for (sum_side, terms), front, factors, ytop in entry]
 
 
 def verify(name: str, order: int) -> VerifyReport:

@@ -17,59 +17,91 @@ from .identities import VerifyReport
 from .series import _first_mismatch, _json_fields, _json_table
 
 
-def _check_weight(k):
-    if not isinstance(k, int) or k <= 0 or k % 2:
-        raise ValueError(f"weight must be an even positive integer, got {k}")
-    return k
+class _CoeffTable:
+    """Sparse integer coefficients of weight k, keyed by (n, r) or (n, r, m).
 
+    A key stands for the half-integral matrix [[n, r/2], [r/2, m]]: an entry
+    whose discriminant 4nm - r^2 is negative is zero, and one above
+    disc_bound is unknown.  A subclass says how its keys spell (n, r, m)
+    (``_matrix``), the letter its messages name an entry by, the fields that
+    head its JSON and repr, and the length of its JSON keys.
+    """
 
-class JacobiCoeffTable:
-    """Sparse c(n, r) for a weight-k index-m form, known within disc_bound."""
+    __slots__ = ("k", "coeffs", "disc_bound")
 
-    __slots__ = ("k", "m", "coeffs", "disc_bound")
-
-    def __init__(self, k: int, m: int, coeffs, disc_bound=None):
-        self.k = _check_weight(k)
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"index must be a positive integer, got {m}")
-        self.m = m
+    def __init__(self, k: int, coeffs, disc_bound=None):
+        if not isinstance(k, int) or k <= 0 or k % 2:
+            raise ValueError(f"weight must be an even positive integer, got {k}")
+        self.k = k
         self.coeffs = {}
         worst = 0
-        for (n, r), c in coeffs.items():
-            n, r, c = int(n), int(r), int(c)
-            if n < 0:
-                raise ValueError(f"n must be >= 0, got ({n}, {r})")
+        for key, c in coeffs.items():
+            key, c = tuple(map(int, key)), int(c)
+            n, r, m = self._matrix(key)
+            if n < 0 or m < 1:
+                raise ValueError(f"need n >= 0 and m >= 1, got {key}")
             disc = 4 * n * m - r * r
             if disc < 0:
                 if c:
-                    raise ValueError(
-                        f"c({n},{r}) nonzero outside the support r^2 <= 4nm")
+                    raise ValueError(f"{self._name(key)} nonzero outside the support r^2 <= 4nm")
                 continue
             if c:
-                self.coeffs[(n, r)] = c
+                self.coeffs[key] = c
                 worst = max(worst, disc)
         self.disc_bound = worst if disc_bound is None else int(disc_bound)
         if self.disc_bound < worst:
             raise ValueError(f"disc_bound {disc_bound} below stored support {worst}")
 
-    def coeff(self, n: int, r: int) -> int:
-        disc = 4 * n * self.m - r * r
+    def _name(self, key) -> str:
+        return f"{self._letter}({','.join(map(str, key))})"
+
+    def coeff(self, *key) -> int:
+        """The coefficient at key: 0 off the support, ValueError beyond disc_bound."""
+        n, r, m = self._matrix(key)
+        disc = 4 * n * m - r * r
         if disc < 0:
             return 0
         if disc > self.disc_bound:
-            raise ValueError(
-                f"c({n},{r}) has discriminant {disc} beyond known bound {self.disc_bound}")
-        return self.coeffs.get((n, r), 0)
+            raise ValueError(f"{self._name(key)} has discriminant {disc} beyond known bound "
+                             f"{self.disc_bound}")
+        return self.coeffs.get(key, 0)
+
+    def _head(self) -> dict:
+        return {field: getattr(self, field) for field in self._fields}
 
     def to_json(self) -> dict:
-        return {"k": self.k, "m": self.m, "disc_bound": self.disc_bound,
-                "coeffs": {f"{n},{r}": c for (n, r), c in sorted(self.coeffs.items())}}
+        return {**self._head(), "disc_bound": self.disc_bound,
+                "coeffs": {",".join(map(str, key)): c for key, c in sorted(self.coeffs.items())}}
 
     @classmethod
-    def from_json(cls, data: dict) -> "JacobiCoeffTable":
-        k, m, _, disc_bound = _json_fields(data, "Jacobi table", k=int, m=int, coeffs=dict,
-                                           disc_bound=int | None)
-        return cls(k, m, _json_table(data, "Jacobi table", "coeffs", 2), disc_bound)
+    def from_json(cls, data: dict):
+        *head, _, disc_bound = _json_fields(data, cls._what, **dict.fromkeys(cls._fields, int),
+                                            coeffs=dict, disc_bound=int | None)
+        return cls(*head, _json_table(data, cls._what, "coeffs", cls._arity), disc_bound)
+
+    def __repr__(self):
+        head = "".join(f"{field}={value}, " for field, value in self._head().items())
+        return (f"{type(self).__name__}({head}support={len(self.coeffs)}, "
+                f"disc_bound={self.disc_bound})")
+
+
+class JacobiCoeffTable(_CoeffTable):
+    """Sparse c(n, r) for a weight-k index-m form, known within disc_bound."""
+
+    __slots__ = ("m",)
+    _letter = "c"
+    _what = "Jacobi table"
+    _fields = ("k", "m")
+    _arity = 2
+
+    def __init__(self, k: int, m: int, coeffs, disc_bound=None):
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"index must be a positive integer, got {m}")
+        self.m = m
+        super().__init__(k, coeffs, disc_bound)
+
+    def _matrix(self, key):
+        return (*key, self.m)
 
     def __eq__(self, other):
         if not isinstance(other, JacobiCoeffTable):
@@ -78,61 +110,18 @@ class JacobiCoeffTable:
 
     __hash__ = None
 
-    def __repr__(self):
-        return (f"JacobiCoeffTable(k={self.k}, m={self.m}, "
-                f"support={len(self.coeffs)}, disc_bound={self.disc_bound})")
 
-
-class SiegelCoeffTable:
+class SiegelCoeffTable(_CoeffTable):
     """Sparse a(n, r, m) indexing the half-integral matrix [[n, r/2], [r/2, m]]."""
 
-    __slots__ = ("k", "coeffs", "disc_bound")
+    __slots__ = ()
+    _letter = "a"
+    _what = "Siegel table"
+    _fields = ("k",)
+    _arity = 3
 
-    def __init__(self, k: int, coeffs, disc_bound=None):
-        self.k = _check_weight(k)
-        self.coeffs = {}
-        worst = 0
-        for (n, r, m), a in coeffs.items():
-            n, r, m, a = int(n), int(r), int(m), int(a)
-            if n < 0 or m < 1:
-                raise ValueError(f"need n >= 0 and m >= 1, got ({n}, {r}, {m})")
-            disc = 4 * n * m - r * r
-            if disc < 0:
-                if a:
-                    raise ValueError(
-                        f"a({n},{r},{m}) nonzero outside the support r^2 <= 4nm")
-                continue
-            if a:
-                self.coeffs[(n, r, m)] = a
-                worst = max(worst, disc)
-        self.disc_bound = worst if disc_bound is None else int(disc_bound)
-        if self.disc_bound < worst:
-            raise ValueError(f"disc_bound {disc_bound} below stored support {worst}")
-
-    def coeff(self, n: int, r: int, m: int) -> int:
-        disc = 4 * n * m - r * r
-        if disc < 0:
-            return 0
-        if disc > self.disc_bound:
-            raise ValueError(
-                f"a({n},{r},{m}) has discriminant {disc} beyond known bound "
-                f"{self.disc_bound}")
-        return self.coeffs.get((n, r, m), 0)
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "disc_bound": self.disc_bound,
-                "coeffs": {f"{n},{r},{m}": a
-                           for (n, r, m), a in sorted(self.coeffs.items())}}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SiegelCoeffTable":
-        k, _, disc_bound = _json_fields(data, "Siegel table", k=int, coeffs=dict,
-                                        disc_bound=int | None)
-        return cls(k, _json_table(data, "Siegel table", "coeffs", 3), disc_bound)
-
-    def __repr__(self):
-        return (f"SiegelCoeffTable(k={self.k}, support={len(self.coeffs)}, "
-                f"disc_bound={self.disc_bound})")
+    def _matrix(self, key):
+        return key
 
 
 def v_operator(t: JacobiCoeffTable, m: int) -> JacobiCoeffTable:

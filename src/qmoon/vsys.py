@@ -78,7 +78,8 @@ class VectorSystem:
         dim, _ = _json_fields(data, "vector system", dim=int, mult=dict)
         gram = data.get("gram")
         if not isinstance(gram, list) or not all(
-                isinstance(row, list) and all(isinstance(x, int) for x in row) for row in gram):
+                isinstance(row, list) and all(isinstance(x, int) and not isinstance(x, bool)
+                                              for x in row) for row in gram):
             raise ValueError("vector system field 'gram' must be a list of integer rows")
         return cls(dim, gram, _json_table(data, "vector system", "mult", dim))
 

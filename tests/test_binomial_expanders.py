@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernel_oracle import bi, bi_mul, bi_shift_x
-from qmoon import identities, moonshine, series as series_module, vsys
+from qmoon import forms, identities, moonshine, series as series_module, vsys
 from qmoon.series import FULL, HALF, BiSeries, QSeries
 
 
@@ -203,9 +203,20 @@ def _product_factors(factors, order):
     return [f for n in range(1, order + 2) for f in factors(n) if f[0] <= order]
 
 
-@pytest.mark.parametrize("name", sorted(identities._TWO_VARIABLE))
+# the rows of each two-variable identity in the one identity table; the
+# one-variable labels map to their builders instead
+TWO_VARIABLE = {name: rows for name, rows in identities._IDENTITIES.items()
+                if not callable(rows)}
+
+
+def test_two_variable_labels():
+    assert sorted(TWO_VARIABLE) == ["euler1", "euler2", "quintuple_w1", "quintuple_w2",
+                                    "theta_products", "triple"]
+
+
+@pytest.mark.parametrize("name", sorted(TWO_VARIABLE))
 def test_identity_product_sides_match_factor_by_factor(name):
-    entries = identities._TWO_VARIABLE[name]
+    entries = TWO_VARIABLE[name]
     for order in range(1, 26):
         sides = identities.identity_sides(name, order)
         for (_, front, factors, ytop), (_, got) in zip(entries, sides):
@@ -228,7 +239,7 @@ def test_unit_factors_never_expand(monkeypatch):
         return iter(terms)
 
     monkeypatch.setattr(series_module, "_binomial_terms", counted)
-    for entries in identities._TWO_VARIABLE.values():
+    for entries in TWO_VARIABLE.values():
         for _, front, factors, ytop in entries:
             identities._lattice_product(40, front, factors, ytop and ytop(40))
     vsys.psi(vsys.sample_system("pair"), (1,), 12)
@@ -257,21 +268,31 @@ def test_biseries_repr_shows_cap_and_ytop():
 
 
 def _covers(small, big):
-    """big claims every cap and y-top that small does."""
+    """big claims everything small does: a QSeries by trunc, a BiSeries by cap and y-top."""
+    if isinstance(small, QSeries):
+        return big.trunc >= small.trunc
     return big.cap >= small.cap and (big.ytop is None or
                                      small.ytop is not None and big.ytop >= small.ytop)
 
 
-@pytest.mark.parametrize("name", sorted(identities._TWO_VARIABLE))
-def test_identity_sides_are_honest_across_orders(name):
-    # a side built at order o claims cap o, and a build at o + 3 agrees
-    # with it on everything it claims
-    for order in (1, 5, 12, 25):
+@pytest.mark.parametrize("name", identities.IDENTITY_LABELS)
+def test_identity_sides_are_honest_across_orders(name, monkeypatch):
+    # a side built at order o claims order o (a two-variable side cap o
+    # exactly), and a build at o + 3 agrees with it on everything it claims;
+    # the form memo is emptied before each build, so neither serves the other
+    for order in range(1, 26):
+        monkeypatch.setattr(forms, "_LONGEST", {})
+        shallow = identities.identity_sides(name, order)
+        monkeypatch.setattr(forms, "_LONGEST", {})
         deeper = identities.identity_sides(name, order + 3)
-        for pair, deep_pair in zip(identities.identity_sides(name, order), deeper):
+        assert len(shallow) == len(deeper)
+        for pair, deep_pair in zip(shallow, deeper):
             for side, deep in zip(pair, deep_pair):
-                assert side.cap == order and _covers(side, deep)
-                assert side.first_mismatch(deep) is None
+                if isinstance(side, BiSeries):
+                    assert side.cap == order
+                else:
+                    assert side.trunc >= order
+                assert _covers(side, deep) and side.first_mismatch(deep) is None
 
 
 @pytest.mark.parametrize("sample,chamber", [("pair", (1,)), ("trivial", (1,)),

@@ -212,6 +212,27 @@ def test_lift_checks_depth():
         borcherds.lift(f, 0)
 
 
+@pytest.mark.parametrize("name", borcherds.CATALOG_NAMES)
+def test_catalog_and_lift_are_honest_across_orders(name, monkeypatch):
+    # a catalog form built at order o claims q^o and a lift to order o
+    # claims q^(o - h); builds at o + 5 and o + 2 agree with them there.
+    # The memo is emptied before each build, so neither serves the other.
+    def fresh(order):
+        monkeypatch.setattr(forms, "_LONGEST", {})
+        return borcherds.catalog(name, order)
+
+    for order in range(1, 10):
+        shallow, deep = fresh(order).series, fresh(order + 5).series
+        assert shallow.trunc == order and deep.trunc >= order
+        assert shallow.first_mismatch(deep) is None
+    for order in range(1, 4):
+        shallow = borcherds.lift(fresh(order * order), order)
+        deep = borcherds.lift(fresh((order + 2) ** 2), order + 2)
+        assert shallow.result.trunc == order - shallow.h and shallow.table.order == order
+        assert deep.result.trunc >= shallow.result.trunc and deep.table == shallow.table
+        assert shallow.result.first_mismatch(deep.result) is None
+
+
 def test_lift_result_fields():
     h, result, table = borcherds.lift(borcherds.catalog("f_delta", 25), 5)
     assert h == -1 and result.coeff(1) == 1 and table[1] == 24

@@ -140,6 +140,8 @@ _SIEGEL = {"k": 10, "coeffs": {"0,0,1": 2, "1,1,1": 3}}
     (["maass", "check"], {**_SIEGEL, "coeffs": {"1,x": 3}}, "'coeffs' key '1,x'"),
     (["maass", "check"], {**_SIEGEL, "coeffs": {"1,1,1": "3"}}, "'coeffs' entry '1,1,1'"),
     (["maass", "check"], {**_SIEGEL, "k": None}, "Siegel table field 'k'"),
+    (["vsys", "psi"], {**_PAIR, "gram": [[True]]},
+     "vector system field 'gram' must be a list of integer rows"),
 ])
 def test_table_inputs_reject_malformed_json(capsys, tmp_path, argv, data, field):
     path = tmp_path / "bad.json"
@@ -236,6 +238,21 @@ def test_vsys_check_text_prints_rational_exponents(capsys, tmp_path, mult, shift
     code, out, _ = run(capsys, argv + ["--json"])
     q = json.loads(out)[1]["first_mismatch"]["monomial"][0]
     assert code == 3 and q == monomial[1:].split(",")[0]
+
+
+@pytest.mark.parametrize("flag, value, token", [
+    ("--shift", "1/0", "'1/0'"), ("--shift", "1,", "''"), ("--chamber", "1/0", "'1/0'"),
+    ("--chamber", ",1", "''"), ("--chamber", "1,x/2", "'x/2'"),
+])
+def test_vector_flags_name_the_token_they_cannot_read(capsys, tmp_path, flag, value, token):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_PAIR))
+    shift = [] if flag == "--shift" else ["--shift", "1"]
+    argv = ["vsys", "check", "--file", str(path), *shift, flag, value]
+    want = f"error: {flag} entry {token} is not a rational number\n"
+    assert run(capsys, argv) == (4, "", want)
+    if flag == "--chamber":
+        assert run(capsys, ["vsys", "psi", "--file", str(path), flag, value]) == (4, "", want)
 
 
 @pytest.mark.parametrize("shift", ["1", "1,0,0"])

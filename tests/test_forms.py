@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from qmoon import forms
 from qmoon.forms import (
     EtaShape,
     F_oddsigma,
@@ -24,6 +25,7 @@ from qmoon.forms import (
     xi_series,
 )
 from qmoon.series import HALF, QSeries, exponents_from_series, sigma
+from test_golden_cli import _EXPAND as GOLDEN_FORMS
 
 
 # -- independent oracles ------------------------------------------------------
@@ -293,3 +295,17 @@ def test_named_form_dispatch():
     assert named_form("leech", 6) == leech_theta(6)
     with pytest.raises(ValueError):
         named_form("nope", 5)
+
+
+@pytest.mark.parametrize("label", GOLDEN_FORMS)
+def test_named_forms_are_honest_across_orders(label, monkeypatch):
+    # a form built at order o claims q^o, and a build at o + 4 agrees with
+    # it there; the memo is emptied before each build, so neither serves
+    # the other
+    for order in range(14):
+        monkeypatch.setattr(forms, "_LONGEST", {})
+        shallow = named_form(label, order)
+        monkeypatch.setattr(forms, "_LONGEST", {})
+        deep = named_form(label, order + 4)
+        assert shallow.trunc == order and deep.trunc >= order
+        assert shallow.first_mismatch(deep) is None

@@ -1,4 +1,6 @@
+import ast
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,16 @@ from qmoon.identities import (
 def test_all_labels_present():
     assert len(IDENTITY_LABELS) == 13
     assert "triple" in IDENTITY_LABELS and "quintuple_w2" in IDENTITY_LABELS
+
+
+def test_benchmark_runs_the_labels_in_verify_all_order():
+    # the benchmark's oracle keeps its own copy of the ``verify all`` order;
+    # read it as source text so nothing under perfbench/ is imported
+    source = (Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text()
+    copies = [ast.literal_eval(node.value) for node in ast.parse(source).body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["IDENTITY_LABELS"]]
+    assert copies == [IDENTITY_LABELS]
 
 
 @pytest.mark.parametrize("name", [n for n in IDENTITY_LABELS if n != "quintuple_w2"])
