@@ -50,11 +50,6 @@ def hurwitz_range(lo: int, hi: int) -> dict:
     return values
 
 
-def hurwitz(n: int):
-    """Hurwitz class number H(n); see hurwitz_range."""
-    return hurwitz_range(n, n)[n]
-
-
 class HurwitzTable:
     """H(0), ..., H(max_n), computed once and checked against the known shape."""
 
@@ -108,11 +103,6 @@ class PlusForm:
 
     def __repr__(self):
         return f"PlusForm({self.series!r})"
-
-
-def plus_space_check(f: QSeries) -> PlusForm:
-    """Validate integrality and the 0, 1 mod 4 support condition."""
-    return PlusForm(f)
 
 
 # -- the worked catalog ------------------------------------------------------
@@ -171,7 +161,7 @@ def catalog(name: str, order: int) -> PlusForm:
     """One of the worked lift inputs, expanded through q^order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return plus_space_check(_raw_catalog(name, int(order)))
+    return PlusForm(_raw_catalog(name, int(order)))
 
 
 # -- the lift ----------------------------------------------------------------
@@ -255,7 +245,7 @@ def fj_efactor_report(order: int = 8) -> dict:
     for weight in (6, 4):
         series = _fj_variant(weight, order * order)
         try:
-            lifted = lift(plus_space_check(series), order).result
+            lifted = lift(PlusForm(series), order).result
             ok = lifted.agrees_with(target, order)
         except ValueError as err:
             ok = False

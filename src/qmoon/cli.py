@@ -96,9 +96,12 @@ def _cmd_factor(args) -> int:
 
 def _cmd_verify(args) -> int:
     order = _default_order(args, 30)
-    labels = identities.IDENTITY_LABELS if args.identity == "all" else (args.identity,)
-    reports = [identities.verify(label, order) for label in labels]
-    payload = reports[0].to_json() if len(reports) == 1 else [r.to_json() for r in reports]
+    if args.identity == "all":
+        reports = identities.verify_all(order)
+        payload = [r.to_json() for r in reports]
+    else:
+        reports = [identities.verify(args.identity, order)]
+        payload = reports[0].to_json()
     return _emit(args, payload, [_report_line(r) for r in reports], reports)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "xi_series",
     "F_oddsigma",
     "p_g_series",
-    "j_g_series",
     "named_form",
 ]
 
@@ -59,18 +58,6 @@ class EtaShape:
                 raise ValueError(f"duplicate eta scale {a}")
             seen[a] = b
         self.factors = tuple(sorted((a, b) for a, b in seen.items() if b))
-
-    @classmethod
-    def parse(cls, text: str) -> "EtaShape":
-        """Parse shapes like '1^8 2^8' or '1^-24' (space- or dot-separated)."""
-        factors = []
-        for chunk in text.replace(".", " ").split():
-            if "^" in chunk:
-                a, b = chunk.split("^", 1)
-            else:
-                a, b = chunk, "1"
-            factors.append((int(a), int(b)))
-        return cls(factors)
 
     def prefactor_exponent(self) -> Fraction:
         return Fraction(sum(a * b for a, b in self.factors), 24)
@@ -268,12 +255,6 @@ def p_g_series(shape: EtaShape, order: int) -> QSeries:
     coefficients generalize the 24-colored partition count.
     """
     return product_from_exponents(_shape_exponents(shape, order).scaled(-1)).truncate(order)
-
-
-def j_g_series(shape: EtaShape, order: int) -> QSeries:
-    """p_g with its constant term removed, the Thompson-series normalization."""
-    p = p_g_series(shape, order)
-    return p - p.coeff(0)
 
 
 def named_form(label: str, order: int) -> QSeries:

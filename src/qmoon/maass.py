@@ -69,6 +69,14 @@ class _CoeffTable:
     def _head(self) -> dict:
         return {field: getattr(self, field) for field in self._fields}
 
+    def __eq__(self, other):
+        """Same type, head fields and stored coefficients; disc_bound is not compared."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._head(), self.coeffs) == (other._head(), other.coeffs)
+
+    __hash__ = None
+
     def to_json(self) -> dict:
         return {**self._head(), "disc_bound": self.disc_bound,
                 "coeffs": {",".join(map(str, key)): c for key, c in sorted(self.coeffs.items())}}
@@ -102,13 +110,6 @@ class JacobiCoeffTable(_CoeffTable):
 
     def _matrix(self, key):
         return (*key, self.m)
-
-    def __eq__(self, other):
-        if not isinstance(other, JacobiCoeffTable):
-            return NotImplemented
-        return (self.k, self.m, self.coeffs) == (other.k, other.m, other.coeffs)
-
-    __hash__ = None
 
 
 class SiegelCoeffTable(_CoeffTable):

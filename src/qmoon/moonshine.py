@@ -1,4 +1,4 @@
-"""The two-variable monster identities at g = 1, plus the Moebius multiplicity sum.
+"""The two-variable monster identities at g = 1.
 
 Both checks compare expansions of j*(p) - j*(q): the denominator form writes
 it as p^-1 prod (1 - p^m q^n)^{c(mn)}, the replication form as
@@ -9,11 +9,10 @@ j - 744.  Everything is coefficient-exact inside rectangular caps.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from . import forms
 from .identities import VerifyReport
-from .series import BiSeries, QSeries, _exp_recurrence, divisors, moebius
+from .series import BiSeries, QSeries, _exp_recurrence
 
 
 class MoonshineCoeffs:
@@ -154,53 +153,3 @@ def replication_check(cap: int) -> VerifyReport:
         raise ValueError("cap must be >= 1")
     lhs = replication_product(cap, cap)
     return VerifyReport("monster_replication", (cap, cap), lhs.first_mismatch(_sum_side(cap, cap)))
-
-
-# -- Moebius multiplicities ------------------------------------------------------
-
-class CharTable:
-    """Traces tr(g^d | V_k) for an element of order N; the d = N column is c(k)."""
-
-    __slots__ = ("order", "traces")
-
-    def __init__(self, order: int, traces: dict):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        self.order = order
-        self.traces = {(int(d), int(k)): v for (d, k), v in traces.items()}
-        identity = [k for (d, k) in self.traces if d == order]
-        if identity:
-            c = moonshine_c(max(max(identity), 1))
-            for k in identity:
-                if self.traces[(order, k)] != c[k]:
-                    raise ValueError(f"tr(g^{order}|V_{k}) = {self.traces[(order, k)]}"
-                                     f" must equal c({k}) = {c[k]}")
-
-    @classmethod
-    def trivial(cls, max_n: int) -> "CharTable":
-        """The g = 1 table: every trace is a dimension c(k)."""
-        c = moonshine_c(max_n)
-        return cls(1, {(1, k): c[k] for k in range(-1, max_n + 1)})
-
-    def trace(self, d: int, k: int):
-        if (d, k) not in self.traces:
-            raise ValueError(f"table has no entry for tr(g^{d}|V_{k})")
-        return self.traces[(d, k)]
-
-
-def mult_g(m: int, n: int, table: CharTable):
-    """Root multiplicity sum_{ds | (m, n, N)} mu(s)/(ds) * tr(g^d | V_{mn})."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    g = gcd(m, n, table.order)
-    k = m * n
-    total = Fraction(0)
-    for t in divisors(g):
-        for d in divisors(t):
-            mu = moebius(t // d)
-            if mu:
-                total += Fraction(mu, t) * table.trace(d, k)
-    if total.denominator != 1:
-        raise ArithmeticError(f"mult({m},{n}) = {total} is not an integer; "
-                              "inconsistent character table")
-    return int(total)

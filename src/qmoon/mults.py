@@ -1,12 +1,12 @@
 """Root multiplicities from partition-type formulas, and the partition bound.
 
-Exact multiplicities come from generating series: p(1 - norm/2) for the
-rank-3 hyperbolic at level one, xi(3 - norm/2) at level two, and the
-24-colored p24(1 - norm/2) for the fake monster.  frenkel_compare tabulates
-each against the bound p^(l-2)(1 - norm/2); whether the bound ever fails is
-an output of the run, not an assumption.  The one floating-point routine in
-the package sits at the bottom: the Rademacher expansion of p24(1+n) with
-the Bessel factor summed from its ascending series.
+Exact multiplicities come from generating series: xi(3 - norm/2) for E10
+at level two, and the 24-colored p24(1 - norm/2) for the fake monster.
+frenkel_compare tabulates each against the bound p^(l-2)(1 - norm/2);
+whether the bound ever fails is an output of the run, not an assumption.
+The one floating-point routine in the package sits at the bottom: the
+Rademacher expansion of p24(1+n) with the Bessel factor summed from its
+ascending series.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ def _even_arg(norm, top, what):
     if norm > top:
         raise ValueError(f"{what} needs norm <= {top}, got {norm}")
     return 1 - norm // 2 if top == 2 else 3 - norm // 2
-
-
-def ha1_mult(norm: int) -> int:
-    """p(1 - norm/2): level-one root multiplicity of the rank-3 hyperbolic."""
-    arg = _even_arg(norm, 2, "ha1_mult")
-    return forms.partition_series(arg).coeff(arg)
 
 
 def e10_level2_mult(norm: int) -> int:

@@ -89,8 +89,11 @@ def _json_fields(data, what: str, **kinds) -> list:
 
 
 def _json_table(data: dict, what: str, field: str, arity: int) -> dict:
-    """data[field], an object keyed like "1,-2", as {(1, -2): integer value}."""
-    table = {}
+    """data[field], an object keyed like "1,-2", as {(1, -2): integer value}.
+
+    Two keys that spell one index (such as "1" and "01") are rejected.
+    """
+    table, keys = {}, {}
     for key, value in data[field].items():
         try:
             index = tuple(int(x) for x in key.split(","))
@@ -102,7 +105,10 @@ def _json_table(data: dict, what: str, field: str, arity: int) -> dict:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{what} field {field!r} entry {key!r} must be an integer, "
                              f"got {value!r}")
-        table[index] = value
+        if index in keys:
+            raise ValueError(f"{what} field {field!r} keys {keys[index]!r} and {key!r} "
+                             f"name the same entry")
+        table[index], keys[index] = value, key
     return table
 
 
@@ -361,13 +367,19 @@ class QSeries:
     @classmethod
     def from_json(cls, data: dict) -> "QSeries":
         coeffs, trunc = _json_fields(data, "series", coeffs=dict, trunc=int)
+        terms, keys = {}, {}
         for e, c in coeffs.items():
             if not isinstance(c, str):
                 raise ValueError(f"series field 'coeffs' entry {e!r} must be a string, got {c!r}")
+            n = int(e)
+            if n in keys:
+                raise ValueError(f"series field 'coeffs' keys {keys[n]!r} and {e!r} "
+                                 f"name the same exponent")
+            terms[n], keys[n] = _parse_rat(c), e
         prefactor = data.get("prefactor", "0")
         if not isinstance(prefactor, str):
             raise ValueError("series field 'prefactor' must be a string")
-        return cls({int(e): _parse_rat(c) for e, c in coeffs.items()}, trunc,
+        return cls(terms, trunc,
                    var=data.get("var", "q"), nome=data.get("nome", FULL),
                    prefactor=_parse_rat(prefactor))
 
@@ -553,12 +565,6 @@ class ExponentTable:
     def scaled(self, a: int) -> "ExponentTable":
         return ExponentTable(a * Fraction(self.h), {n: a * Fraction(e) for n, e in self.exps.items()},
                              self.order)
-
-    def __add__(self, other: "ExponentTable") -> "ExponentTable":
-        order = min(self.order, other.order)
-        return ExponentTable(Fraction(self.h) + Fraction(other.h),
-                             {n: Fraction(self[n]) + Fraction(other[n]) for n in range(1, order + 1)},
-                             order)
 
     def to_json(self) -> dict:
         return {"h": _fmt_rat(self.h), "order": self.order,

@@ -8,7 +8,9 @@ weight k = c(0)/2, index m) and the product
 
 expanded here with zeta-exponents stored on the doubled grid so the
 half-integral rho stays exact.  The two elliptic shift laws are checked by
-formal substitution, coefficient for coefficient.
+formal substitution, coefficient for coefficient.  A system is taken as
+given: its symmetry and isotropy are not checked on load, and a system
+that lacks them shows up as a failed shift law.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from fractions import Fraction
 
 from .identities import VerifyReport
 from .series import BiSeries, _first_mismatch, _json_fields, _json_table
-
-SAMPLE_NAMES = ("pair", "trivial", "orthogonal")
 
 
 def _positive_definite(gram) -> bool:
@@ -87,49 +87,6 @@ class VectorSystem:
         return f"VectorSystem(dim={self.dim}, support={len(self.mult)})"
 
 
-def sample_system(name: str) -> VectorSystem:
-    """The shipped examples: a 1-dim pair, the norm-zero system, an orthogonal sum."""
-    if name == "pair":
-        return VectorSystem(1, ((2,),), {(1,): 1, (-1,): 1})
-    if name == "trivial":
-        return VectorSystem(1, ((2,),), {(0,): 2})
-    if name == "orthogonal":
-        return VectorSystem(2, ((2, 0), (0, 2)),
-                            {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1})
-    raise ValueError(f"unknown sample {name!r}; have {', '.join(SAMPLE_NAMES)}")
-
-
-def validate(V: VectorSystem) -> dict:
-    """Diagnostics for the three defining properties; never raises.
-
-    Finiteness holds by construction; symmetry and the isotropy of the
-    second moment (sum c(v) (Sv)(Sv)^T must be a rational multiple of S)
-    are checked, returning the scalar or the failing direction.
-    """
-    failures = []
-    for v in sorted(V.mult):
-        if V.mult[v] != V.mult.get(tuple(-x for x in v), 0):
-            failures.append({"property": "symmetry", "vector": list(v)})
-            break
-    s = V.dim
-    moment = [[0] * s for _ in range(s)]
-    for v, c in V.mult.items():
-        sv = [sum(V.gram[i][j] * v[j] for j in range(s)) for i in range(s)]
-        for i in range(s):
-            for j in range(s):
-                moment[i][j] += c * sv[i] * sv[j]
-    scalar = Fraction(moment[0][0], V.gram[0][0])
-    for i in range(s):
-        for j in range(s):
-            if moment[i][j] != scalar * V.gram[i][j]:
-                failures.append({"property": "sphere", "direction": [i, j]})
-                scalar = None
-                break
-        if scalar is None:
-            break
-    return {"valid": not failures, "scalar": scalar, "failures": failures}
-
-
 class WeylData:
     """Chamber vector, Weyl vector rho, count d, weight k, and index m."""
 
@@ -195,13 +152,6 @@ class PsiSeries:
         if n > self.trunc:
             raise ValueError(f"coefficient at q^{n} unknown (trunc {self.trunc})")
         return self.coeffs.get((n, tuple(r)), 0)
-
-    def columns(self) -> dict:
-        """{r: {n: c}} regrouped by zeta-exponent."""
-        out = {}
-        for (n, r), c in self.coeffs.items():
-            out.setdefault(r, {})[n] = c
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, PsiSeries):

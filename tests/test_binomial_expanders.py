@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernel_oracle import bi, bi_mul, bi_shift_x
+from paper_refs import sample_system
 from qmoon import forms, identities, moonshine, series as series_module, vsys
 from qmoon.series import FULL, HALF, BiSeries, QSeries
 
@@ -242,7 +243,7 @@ def test_unit_factors_never_expand(monkeypatch):
     for entries in TWO_VARIABLE.values():
         for _, front, factors, ytop in entries:
             identities._lattice_product(40, front, factors, ytop and ytop(40))
-    vsys.psi(vsys.sample_system("pair"), (1,), 12)
+    vsys.psi(sample_system("pair"), (1,), 12)
     assert calls and all(e == 1 and n <= 2 for e, n in calls)
     calls.clear()
     moonshine.denominator_product(3, 3)
@@ -298,7 +299,7 @@ def test_identity_sides_are_honest_across_orders(name, monkeypatch):
 @pytest.mark.parametrize("sample,chamber", [("pair", (1,)), ("trivial", (1,)),
                                             ("orthogonal", (1, 2))])
 def test_psi_is_honest_across_orders(sample, chamber):
-    V = vsys.sample_system(sample)
+    V = sample_system(sample)
     for order in range(9):
         got = vsys.psi(V, chamber, order)
         assert got.trunc == order and got == vsys.psi(V, chamber, order + 2)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernel_oracle as oracle
 from qmoon import borcherds, forms
-from qmoon.series import QSeries, exponents_from_series
+from qmoon.series import ExponentTable, QSeries, exponents_from_series
 
 
 # -- independent oracle: the Hurwitz-Kronecker class number relation
@@ -17,7 +17,10 @@ from qmoon.series import QSeries, exponents_from_series
 
 def class_number_relation_holds(n):
     r_max = isqrt(4 * n)
-    lhs = sum(borcherds.hurwitz(4 * n - r * r) for r in range(-r_max, r_max + 1))
+    lhs = 0
+    for r in range(-r_max, r_max + 1):
+        k = 4 * n - r * r
+        lhs += borcherds.hurwitz_range(k, k)[k]
     lhs += sum(min(d, n // d) for d in range(1, n + 1) if n % d == 0)
     return lhs == 2 * sum(d for d in range(1, n + 1) if n % d == 0)
 
@@ -26,18 +29,18 @@ def test_hurwitz_printed_table():
     want = {0: Fraction(-1, 12), 3: Fraction(1, 3), 4: Fraction(1, 2),
             7: 1, 8: 1, 11: 1, 12: Fraction(4, 3)}
     for n, h in want.items():
-        assert borcherds.hurwitz(n) == h
+        assert borcherds.hurwitz_range(n, n)[n] == h
 
 
 def test_hurwitz_classical_values():
     # reduced-form counts small enough to enumerate by hand
     want = {15: 2, 16: Fraction(3, 2), 19: 1, 20: 2, 23: 3, 24: 2, 27: Fraction(4, 3)}
     for n, h in want.items():
-        assert borcherds.hurwitz(n) == h
+        assert borcherds.hurwitz_range(n, n)[n] == h
 
 
 def test_hurwitz_vanishes_off_discriminants():
-    assert all(borcherds.hurwitz(n) == 0 for n in range(1, 201) if n % 4 in (1, 2))
+    assert all(borcherds.hurwitz_range(n, n)[n] == 0 for n in range(1, 201) if n % 4 in (1, 2))
 
 
 def test_hurwitz_kronecker_relation():
@@ -46,7 +49,7 @@ def test_hurwitz_kronecker_relation():
 
 def test_hurwitz_rejects_negative():
     with pytest.raises(ValueError):
-        borcherds.hurwitz(-1)
+        borcherds.hurwitz_range(-1, -1)
 
 
 def test_hurwitz_table():
@@ -94,13 +97,13 @@ def test_hurwitz_range_matches_the_per_n_oracle(window):
         assert type(h) is (int if Fraction(h).denominator == 1 else Fraction), n
         assert _exact(h) == _exact(oracle.hurwitz(n)), n
     for n in (lo, hi):
-        assert _exact(borcherds.hurwitz(n)) == _exact(values[n]), n
+        assert _exact(borcherds.hurwitz_range(n, n)[n]) == _exact(values[n]), n
 
 
 # -- plus space --------------------------------------------------------------
 
 def test_plus_space_accepts_theta_multiple():
-    f = borcherds.plus_space_check(12 * forms.theta_full(20))
+    f = borcherds.PlusForm(12 * forms.theta_full(20))
     assert f.coeff(0) == 12 and f.coeff(4) == 24
     assert f.weight == Fraction(1, 2)
 
@@ -108,19 +111,19 @@ def test_plus_space_accepts_theta_multiple():
 def test_plus_space_rejects_bad_support():
     s = QSeries({-3: 1, 0: 4, 2: 7}, 10)
     with pytest.raises(ValueError, match=r"\(2, 7\)"):
-        borcherds.plus_space_check(s)
+        borcherds.PlusForm(s)
 
 
 def test_plus_space_rejects_fractions():
     with pytest.raises(ValueError, match="1/2"):
-        borcherds.plus_space_check(QSeries({4: Fraction(1, 2)}, 10))
+        borcherds.PlusForm(QSeries({4: Fraction(1, 2)}, 10))
 
 
 def test_plus_space_rejects_half_nome_and_prefactor():
     with pytest.raises(ValueError):
-        borcherds.plus_space_check(forms.theta_nullwerte(3, 10))
+        borcherds.PlusForm(forms.theta_nullwerte(3, 10))
     with pytest.raises(ValueError):
-        borcherds.plus_space_check(QSeries({0: 1}, 10, prefactor=Fraction(1, 4)))
+        borcherds.PlusForm(QSeries({0: 1}, 10, prefactor=Fraction(1, 4)))
 
 
 # -- the worked catalog --------------------------------------------------------
@@ -262,11 +265,13 @@ def test_lift_homomorphism():
     for _ in range(6):
         fn, gn = rng.sample(names, 2)
         a, b = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([-3, -2, -1, 1, 2, 3])
-        combo = borcherds.plus_space_check(
+        combo = borcherds.PlusForm(
             a * borcherds.catalog(fn, order * order).series
             + b * borcherds.catalog(gn, order * order).series)
         L = borcherds.lift(combo, order)
-        assert L.table == lifted[fn].table.scaled(a) + lifted[gn].table.scaled(b)
+        ta, tb = lifted[fn].table.scaled(a), lifted[gn].table.scaled(b)
+        exps = {n: ta[n] + tb[n] for n in range(1, order + 1)}
+        assert L.table == ExponentTable(ta.h + tb.h, exps, order)
         assert L.h == a * lifted[fn].h + b * lifted[gn].h
         assert L.result.agrees_with(lifted[fn].result ** a * lifted[gn].result ** b)
 
@@ -293,7 +298,7 @@ def test_zero_multiplicity_catalog():
 
 
 def test_zero_multiplicity_sums_over_d():
-    f = borcherds.plus_space_check(QSeries({-12: 5, -3: 2, 0: 1}, 4))
+    f = borcherds.PlusForm(QSeries({-12: 5, -3: 2, 0: 1}, 4))
     assert borcherds.zero_multiplicity(f, -3) == 7  # c(-3) + c(-12)
     with pytest.raises(ValueError):
         borcherds.zero_multiplicity(f, 3)

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
+from paper_refs import sample_system
 from qmoon import cli, forms
 from qmoon.maass import JacobiCoeffTable, assemble_maass
-from qmoon.vsys import sample_system
 
 
 def run(capsys, argv):
@@ -106,6 +106,7 @@ def test_factor_reads_series_file(capsys, tmp_path):
     ({"trunc": 6}, "'coeffs'"),
     ({"trunc": "6", "coeffs": {"0": "1"}}, "'trunc'"),
     ({"trunc": 6, "coeffs": {"0": "1"}, "prefactor": 0}, "'prefactor'"),
+    ({"trunc": 6, "coeffs": {"0": "1", "1": "2", "01": "7"}}, "keys '1' and '01'"),
 ])
 def test_factor_rejects_malformed_series(capsys, tmp_path, data, field):
     path = tmp_path / "bad.json"
@@ -142,6 +143,12 @@ _SIEGEL = {"k": 10, "coeffs": {"0,0,1": 2, "1,1,1": 3}}
     (["maass", "check"], {**_SIEGEL, "k": None}, "Siegel table field 'k'"),
     (["vsys", "psi"], {**_PAIR, "gram": [[True]]},
      "vector system field 'gram' must be a list of integer rows"),
+    # two keys that name one index: neither may silently win
+    (["vsys", "psi"], {**_PAIR, "mult": {"1": 1, "-1": 1, "01": 5}}, "keys '1' and '01'"),
+    (["maass", "lift"], {**_JACOBI, "coeffs": {"1,1": 3, "01,1": 4}},
+     "keys '1,1' and '01,1'"),
+    (["maass", "check"], {**_SIEGEL, "coeffs": {"1,1,1": 3, "1, 1,1": 4}},
+     "keys '1,1,1' and '1, 1,1'"),
 ])
 def test_table_inputs_reject_malformed_json(capsys, tmp_path, argv, data, field):
     path = tmp_path / "bad.json"

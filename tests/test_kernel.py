@@ -200,6 +200,35 @@ def test_exponents_from_series_matches_reference(u, v, prefactor, data):
     same_table(exponents_from_series(a, order), oracle.exponents_from_series(a, order))
 
 
+# a build at order o agrees with a build at o + k through the shallower order
+
+
+@settings(deadline=None)
+@given(st.integers(0, 12), st.integers(1, 4), st.data(),
+       st.sampled_from([0, 1, -2, Fraction(-1, 24), Fraction(7, 8)]))
+def test_product_from_exponents_is_honest_across_orders(order, k, data, h):
+    exps = data.draw(st.dictionaries(st.integers(1, order + k), exponent_values,
+                                     max_size=order + k))
+    shallow = product_from_exponents(
+        ExponentTable(h, {n: e for n, e in exps.items() if n <= order}, order))
+    deep = product_from_exponents(ExponentTable(h, exps, order + k))
+    assert deep.trunc == shallow.trunc + k
+    assert shallow.first_mismatch(deep) is None
+
+
+@settings(deadline=None)
+@given(units(coeffs=st.one_of(small, rationals), width=16), st.integers(-3, 4), prefactors,
+       st.data())
+def test_exponents_from_series_is_honest_across_orders(u, v, prefactor, data):
+    a = QSeries(u.shift(v).coeffs, u.trunc + v, prefactor=prefactor)
+    deep_order = data.draw(st.integers(0, u.trunc))
+    order = data.draw(st.integers(0, deep_order))
+    shallow = exponents_from_series(a.truncate(v + order), order)
+    deep = exponents_from_series(a, deep_order)
+    assert (shallow.order, deep.order) == (order, deep_order)
+    assert shallow == deep
+
+
 def test_exponents_from_series_rejects_what_the_reference_rejects():
     a = QSeries({-1: 1, 0: 744, 1: 196884}, 1)
     for order in (-1, 3):

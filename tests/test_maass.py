@@ -187,9 +187,23 @@ def test_json_round_trips():
     assert t == SAMPLE and t.disc_bound == SAMPLE.disc_bound
     s = assemble_maass(SAMPLE, 3)
     s2 = SiegelCoeffTable.from_json(s.to_json())
-    assert s2.coeffs == s.coeffs and s2.k == s.k and s2.disc_bound == s.disc_bound
+    assert s2 == s and s2.disc_bound == s.disc_bound
+    # equality is by type, head fields and stored coefficients, not disc_bound
+    assert SiegelCoeffTable(s.k, s.coeffs, s.disc_bound + 4) == s
+    assert SiegelCoeffTable(s.k + 2, s.coeffs, s.disc_bound) != s
+    assert JacobiCoeffTable(10, 2, {}) != JacobiCoeffTable(10, 1, {})
+    assert s != SAMPLE and SAMPLE != s
     assert "1,1" in SAMPLE.to_json()["coeffs"]
     assert all("," in key for key in s.to_json()["coeffs"])
+
+
+def test_from_json_rejects_two_keys_for_one_entry():
+    jacobi = {"k": 10, "m": 1, "coeffs": {"1,1": 3, "01,1": 4}}
+    with pytest.raises(ValueError, match="'coeffs' keys '1,1' and '01,1' name the same entry"):
+        JacobiCoeffTable.from_json(jacobi)
+    siegel = {"k": 10, "coeffs": {"1,1,1": 3, "1,+1,1": 4}}
+    with pytest.raises(ValueError, match=r"'coeffs' keys '1,1,1' and '1,\+1,1'"):
+        SiegelCoeffTable.from_json(siegel)
 
 
 @st.composite

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_oracle as oracle
-from qmoon import moonshine
+from paper_refs import CharTable, mult_g
+from qmoon import forms, moonshine
 from qmoon.series import BiSeries
 
 
@@ -63,6 +64,20 @@ def test_denominator_product_claims_only_what_it_knows(caps):
 
     assert claimed(d) == claimed(deeper)
     assert (d.cap, d.ytop) == (cap_m, cap_n)
+
+
+@pytest.mark.parametrize("cap", range(1, 10))
+def test_denominator_product_is_honest_across_caps(cap, monkeypatch):
+    # a build at caps (c, c) agrees with builds at c + 1 .. c + 3 within its
+    # own cap and y-top; the form memo is emptied before each build
+    monkeypatch.setattr(forms, "_LONGEST", {})
+    d = moonshine.denominator_product(cap, cap)
+    assert (d.cap, d.ytop) == (cap, cap)
+    for k in range(1, 4):
+        monkeypatch.setattr(forms, "_LONGEST", {})
+        deeper = moonshine.denominator_product(cap + k, cap + k)
+        assert (deeper.cap, deeper.ytop) == (cap + k, cap + k)
+        assert d.first_mismatch(deeper) is None
 
 
 def test_no_mixed_monomials():
@@ -248,32 +263,45 @@ def test_bi_exp_claims_the_compared_rectangle(caps):
 
 
 def test_mult_g_trivial_element():
-    table = moonshine.CharTable.trivial(9)
+    table = CharTable.trivial(9)
     c = moonshine.moonshine_c(9)
-    assert moonshine.mult_g(2, 3, table) == c[6]
-    assert moonshine.mult_g(1, -1, table) == 1
-    assert moonshine.mult_g(3, 3, table) == c[9]
+    assert mult_g(2, 3, table) == c[6]
+    assert mult_g(1, -1, table) == 1
+    assert mult_g(3, 3, table) == c[9]
     with pytest.raises(ValueError):
-        moonshine.mult_g(0, 3, table)
+        mult_g(0, 3, table)
     with pytest.raises(ValueError):
-        moonshine.mult_g(2, 6, table)  # c(12) not tabulated
+        mult_g(2, 6, table)  # c(12) not tabulated
 
 
 def test_mult_g_synthetic_order_two():
     c = moonshine.moonshine_c(4)
-    table = moonshine.CharTable(2, {(1, 4): c[4], (2, 4): c[4]})
-    assert moonshine.mult_g(2, 2, table) == c[4]
-    skew = moonshine.CharTable(2, {(1, 4): c[4] + 1, (2, 4): c[4]})
+    table = CharTable(2, {(1, 4): c[4], (2, 4): c[4]})
+    assert mult_g(2, 2, table) == c[4]
+    skew = CharTable(2, {(1, 4): c[4] + 1, (2, 4): c[4]})
     with pytest.raises(ArithmeticError, match="not an integer"):
-        moonshine.mult_g(2, 2, skew)
+        mult_g(2, 2, skew)
+
+
+@pytest.mark.parametrize("cap", range(1, 5))
+def test_denominator_exponents_are_the_root_multiplicities(cap):
+    # at g = 1 the Moebius sum gives mult(m, n) = c(mn): the product built
+    # from the reference's exponents is the denominator product
+    big_m, hi = moonshine._grid(cap, cap)
+    table = CharTable.trivial(big_m * hi)
+    factors = [(m, n, mult_g(m, n, table), -1) for m in range(1, big_m + 1)
+               for n in range(-1, hi + 1) if m * n >= -1]
+    want = BiSeries.one(big_m, ytop=hi).mul_binomials(f for f in factors if f[2]).shift_x(-1)
+    got = moonshine.denominator_product(cap, cap)
+    assert (got.coeffs, got.cap, got.ytop) == (want.coeffs, want.cap, want.ytop)
 
 
 def test_chartable_identity_column_checked():
     with pytest.raises(ValueError, match="must equal"):
-        moonshine.CharTable(1, {(1, 1): 5})
+        CharTable(1, {(1, 1): 5})
     with pytest.raises(ValueError):
-        moonshine.CharTable(0, {})
-    table = moonshine.CharTable.trivial(4)
+        CharTable(0, {})
+    table = CharTable.trivial(4)
     assert table.trace(1, -1) == 1 and table.trace(1, 2) == 21493760
 
 

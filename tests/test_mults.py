@@ -10,7 +10,6 @@ from qmoon.mults import (
     e10_level2_mult,
     fake_monster_mult,
     frenkel_compare,
-    ha1_mult,
     p24_rademacher,
 )
 
@@ -48,9 +47,11 @@ def partitions_list(n, cap=None):
 
 
 def test_ha1_values():
-    assert ha1_mult(2) == 1
-    assert ha1_mult(0) == 1
-    assert ha1_mult(-4) == 3 == brute_partitions(3)
+    # p(1 - norm/2) at norms 2, 0 and -4
+    p = forms.partition_series(3)
+    assert p.coeff(0) == 1
+    assert p.coeff(1) == 1
+    assert p.coeff(3) == 3 == brute_partitions(3)
 
 
 def test_e10_level2_values():
@@ -67,10 +68,10 @@ def test_fake_monster_values():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError, match="norm <= 2"):
-        ha1_mult(4)
     with pytest.raises(ValueError, match="even norm"):
-        ha1_mult(1)
+        fake_monster_mult(1)
+    with pytest.raises(ValueError, match="even norm"):
+        e10_level2_mult(-3)
     with pytest.raises(ValueError, match="norm <= 6"):
         e10_level2_mult(8)
     with pytest.raises(ValueError, match="norm <= 2"):

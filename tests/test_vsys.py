@@ -5,13 +5,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import kernel_oracle as oracle
+from paper_refs import sample_system, validate
 from qmoon.vsys import (
     PsiSeries,
     VectorSystem,
     elliptic_transform_check,
     psi,
-    sample_system,
-    validate,
     weyl_data,
 )
 
@@ -72,6 +71,12 @@ def test_constructor_rejects_bad_input():
         VectorSystem(1, ((2,),), {(1,): -1})
     with pytest.raises(ValueError, match="unknown sample"):
         sample_system("octonionic")
+
+
+def test_from_json_rejects_two_keys_for_one_vector():
+    data = {"dim": 1, "gram": [[2]], "mult": {"1": 1, "-1": 1, "01": 5}}
+    with pytest.raises(ValueError, match="'mult' keys '1' and '01' name the same entry"):
+        VectorSystem.from_json(data)
 
 
 def test_large_diagonal_gram_validates_quickly():
@@ -206,8 +211,6 @@ def test_psi_series_guards():
         p.coeff(5, (1,))
     with pytest.raises(ValueError, match="above trunc"):
         PsiSeries(1, 0, {(3, (0,)): 1}, 2)
-    cols = p.columns()
-    assert cols[(-1,)][0] == 1 and cols[(-1,)][2] == 2
 
 
 def test_psi_json_shape():
@@ -256,6 +259,49 @@ def test_shift_law_catches_wrong_sign():
     bad[(1, (1,))] = bad[(1, (1,))] + 1
     q = PsiSeries(1, p.qpre, bad, 6)
     assert q != p
+
+
+# -- validate as the oracle of the shift laws ---------------------------------
+
+# the shells the benchmark draws its systems from: gram matrix, one vector of
+# each +-pair grouped by Weyl orbit, a chamber vector, and shifts that pair
+# integrally with every shell vector
+SHELLS = {
+    "line": (((2,),), [[(1,)], [(2,)]], (1,),
+             [(1,), (-1,), (2,), (Fraction(1, 2),), (Fraction(-3, 2),)]),
+    "square": (((2, 0), (0, 2)), [[(1, 0), (0, 1)], [(1, 1), (1, -1)]], (3, 1),
+               [(1, 0), (0, 1), (1, 1), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(-1, 2))]),
+    "hex": (((2, -1), (-1, 2)), [[(1, 0), (0, 1), (1, 1)]], (3, 1),
+            [(1, 0), (0, 1), (1, 1), (1, -1)]),
+}
+
+
+@st.composite
+def shell_systems(draw):
+    """Multiplicities up to 3 on a shell and c(0) in {0, 2, 4}, drawn once per
+    Weyl orbit, per +-pair or per vector, so some systems are not isotropic
+    or not symmetric."""
+    gram, orbits, chamber, shifts = SHELLS[draw(st.sampled_from(sorted(SHELLS)))]
+    per = draw(st.sampled_from(("orbit", "pair", "vector")))
+    mult = {(0,) * len(gram): draw(st.sampled_from((0, 2, 4)))}
+    for orbit in orbits:
+        c = draw(st.integers(0, 3))
+        for v in orbit:
+            if per != "orbit":
+                c = draw(st.integers(0, 3))
+            mult[v] = c
+            mult[tuple(-x for x in v)] = draw(st.integers(0, 3)) if per == "vector" else c
+    return VectorSystem(len(gram), gram, mult), chamber, draw(st.sampled_from(shifts))
+
+
+@settings(max_examples=120, deadline=None)
+@given(shell_systems(), st.integers(2, 4))
+def test_systems_that_validate_accepts_pass_both_shift_laws(case, order):
+    V, chamber, shift = case
+    assume(validate(V)["valid"])
+    for kind in ("mu", "tau"):
+        report = elliptic_transform_check(V, chamber, shift, order, kind)
+        assert report.passed, (kind, report.first_mismatch)
 
 
 # -- psi against the factor-by-factor reference on tuple zeta exponents -------
