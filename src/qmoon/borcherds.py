@@ -119,14 +119,12 @@ PRINTED_F6 = {-4: 1, 0: 6, 1: 504, 4: 143388, 5: 565760, 8: 184373000, 9: 511800
 _PRINTED = {"f_4": PRINTED_F4, "f_6": PRINTED_F6}
 
 
-@forms.longest_memo
 def _eisenstein_over_delta4(weight: int, cap: int) -> QSeries:
     """The weight-(weight - 12) unit E_weight(4t)/Delta(4t), pole at q^-4, through q^cap."""
     m = cap // 4 + 4
     return (forms.eisenstein(weight, m) * forms.delta(m).invert()).scale_var(4).truncate(cap)
 
 
-@forms.longest_memo
 def _q_series(cap: int) -> QSeries:
     """Q = F * theta * (theta^4 - 2F)(theta^4 - 16F), a catalog ingredient, through q^cap."""
     theta = forms.theta_full(cap)
@@ -135,26 +133,27 @@ def _q_series(cap: int) -> QSeries:
     return F * theta * (t4 - 2 * F) * (t4 - 16 * F)
 
 
-@forms.longest_memo
 def _raw_catalog(name: str, order: int) -> QSeries:
+    if name not in CATALOG_NAMES:
+        raise ValueError(f"unknown catalog form {name!r}; have {', '.join(CATALOG_NAMES)}")
     if name == "f_delta":
         return 12 * forms.theta_full(order)
+    cap = order + _PAD
+    theta = forms.theta_full(cap)
+    QG = _q_series(cap) * _eisenstein_over_delta4(6, cap)  # G = E_6(4t)/Delta(4t)
+    f_j = (3 * QG + 168 * theta).truncate(order)
     if name == "f_j":
-        return _fj_variant(6, order)
-    if name == "f_6":
-        cap = order + _PAD
-        j4 = forms.j_invariant(cap // 4 + 4).scale_var(4).truncate(cap)
-        theta, G = forms.theta_full(cap), _eisenstein_over_delta4(6, cap)
-        return ((j4 - _F6_CONSTANT) * theta - 2 * (_q_series(cap) * G)).truncate(order)
+        return f_j
+    f_4 = (f_j + 12 * theta) * Fraction(1, 3)
     if name == "f_4":
-        return (_raw_catalog("f_j", order) + 12 * forms.theta_full(order)) * Fraction(1, 3)
+        return f_4
     if name == "f_8":
-        return _raw_catalog("f_4", order) * 2
-    if name == "f_10":
-        return _raw_catalog("f_4", order) + _raw_catalog("f_6", order)
-    if name == "f_14":
-        return _raw_catalog("f_4", order) * 2 + _raw_catalog("f_6", order)
-    raise ValueError(f"unknown catalog form {name!r}; have {', '.join(CATALOG_NAMES)}")
+        return f_4 * 2
+    j4 = forms.j_invariant(cap // 4 + 4).scale_var(4).truncate(cap)
+    f_6 = ((j4 - _F6_CONSTANT) * theta - 2 * QG).truncate(order)
+    if name == "f_6":
+        return f_6
+    return f_4 + f_6 if name == "f_10" else f_4 * 2 + f_6
 
 
 def catalog(name: str, order: int) -> PlusForm:
@@ -225,13 +224,6 @@ def printed_coefficient_report(name: str) -> list:
     return [(n, f.coeff(n), c, f.coeff(n) == c) for n, c in sorted(printed.items())]
 
 
-def _fj_variant(weight: int, order: int) -> QSeries:
-    """3 Q G + 168 theta with G = E_weight(4t)/Delta(4t); weight 6 is f_j as displayed."""
-    cap = order + _PAD
-    G = _eisenstein_over_delta4(weight, cap)
-    return (3 * (_q_series(cap) * G) + 168 * forms.theta_full(cap)).truncate(order)
-
-
 def fj_efactor_report(order: int = 8) -> dict:
     """Which Eisenstein numerator in the f_j formula actually lifts to j.
 
@@ -242,8 +234,11 @@ def fj_efactor_report(order: int = 8) -> dict:
     """
     target = forms.j_invariant(order)
     report = {"formula_reads": "E6", "prose_reads": "E4", "used": None}
-    for weight in (6, 4):
-        series = _fj_variant(weight, order * order)
+    cap = order * order + _PAD
+    Q, theta = _q_series(cap), forms.theta_full(cap)
+    for weight in (6, 4):  # f_j = 3 Q G + 168 theta with G = E_weight(4t)/Delta(4t)
+        G = _eisenstein_over_delta4(weight, cap)
+        series = (3 * (Q * G) + 168 * theta).truncate(order * order)
         try:
             lifted = lift(PlusForm(series), order).result
             ok = lifted.agrees_with(target, order)

@@ -45,9 +45,19 @@ def _emit(args, payload, lines, reports=()) -> int:
     return 0 if all(r.passed for r in reports) else 3
 
 
+def _unique_keys(pairs):
+    """A JSON object's pairs as a dict; a repeated key is bad input, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path):
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, object_pairs_hook=_unique_keys)
 
 
 def _parse_vector(text: str, flag: str):

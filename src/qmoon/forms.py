@@ -1,7 +1,7 @@
 """Catalog of classical q-expansions, each built from first principles.
 
-Everything here returns an exact QSeries at the requested truncation order,
-served from one memo that keeps the longest expansion of each form.
+Every call builds an exact QSeries afresh at the requested truncation order;
+nothing is cached, so a caller needing several orders builds the deepest once.
 Eisenstein series come from Bernoulli numbers, eta products from their
 defining infinite products, thetas as explicit lacunary sums.  The Leech
 theta function is assembled two independent ways, cross-checked on every build.
@@ -10,11 +10,9 @@ theta function is assembled two independent ways, cross-checked on every build.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import wraps
 from math import factorial, isqrt
 
 from .series import (
-    FULL,
     HALF,
     ExponentTable,
     QSeries,
@@ -72,32 +70,6 @@ class EtaShape:
         return hash(self.factors)
 
 
-# (builder, leading arguments) -> (order, the longest expansion built so far)
-_LONGEST = {}
-
-
-def longest_memo(builder):
-    """Memoize an order-keyed builder, keeping only its longest expansion.
-
-    The last argument is the truncation order; the ones before it pick the
-    form.  A request at or below the stored order is served as a truncation
-    of the stored series, a higher one rebuilds and replaces it, and a
-    negative order goes straight to the builder without being stored.
-    """
-    @wraps(builder)
-    def memoized(*args):
-        *lead, order = args
-        if order < 0:
-            return builder(*args)
-        key = (builder, *lead)
-        entry = _LONGEST.get(key)
-        if entry is None or entry[0] < order:
-            entry = _LONGEST[key] = (order, builder(*args))
-        return entry[1].truncate(order)
-
-    return memoized
-
-
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number, k! [x^k] x/(e^x - 1), by the kernel's series inverse."""
     if k < 0:
@@ -116,7 +88,6 @@ def _sigma_table(ell: int, order: int) -> list:
     return table[1:]
 
 
-@longest_memo
 def eisenstein(weight: int, order: int) -> QSeries:
     """Normalized Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n."""
     if weight < 4 or weight % 2:
@@ -126,13 +97,11 @@ def eisenstein(weight: int, order: int) -> QSeries:
     return QSeries({0: 1, **coeffs}, order)
 
 
-@longest_memo
 def delta(order: int) -> QSeries:
     """Discriminant form eta^24 = q * prod (1-q^n)^24; coefficients are Ramanujan tau."""
     return eta_quotient(EtaShape([(1, 24)]), order).canonical().truncate(order)
 
 
-@longest_memo
 def eta(order: int) -> QSeries:
     """Dedekind eta: prefactor q^(1/24) times prod (1-q^n)."""
     return eta_quotient(EtaShape([(1, 1)]), order)
@@ -150,7 +119,6 @@ def eta_quotient(shape: EtaShape, order: int) -> QSeries:
     return QSeries(unit.coeffs, order, prefactor=shape.prefactor_exponent())
 
 
-@longest_memo
 def j_invariant(order: int) -> QSeries:
     """Modular invariant j = E_4^3 / delta, leading power -1."""
     n = order + 2
@@ -163,7 +131,6 @@ def jstar(order: int) -> QSeries:
     return j_invariant(order) - 744
 
 
-@longest_memo
 def theta_nullwerte(which: int, order: int) -> QSeries:
     """Theta constants on the half nome (variable stands for e^{i*pi*tau}).
 
@@ -181,13 +148,11 @@ def theta_nullwerte(which: int, order: int) -> QSeries:
     raise ValueError(f"theta constant index must be 2, 3, or 4, got {which}")
 
 
-@longest_memo
 def theta_full(order: int) -> QSeries:
     """theta(tau) = sum q^{n^2} on the full nome: theta3's coefficients."""
     return QSeries(theta_nullwerte(3, order).coeffs, order)
 
 
-@longest_memo
 def leech_theta(order: int) -> QSeries:
     """Theta series of the Leech lattice, half nome, exponent = vector norm.
 
@@ -223,7 +188,6 @@ def partition_series(order: int) -> QSeries:
     return colored_partition_series(1, order)
 
 
-@longest_memo
 def colored_partition_series(k: int, order: int) -> QSeries:
     """Partitions with parts in k colors: 1/prod(1-q^n)^k."""
     if k < 1:
@@ -231,7 +195,6 @@ def colored_partition_series(k: int, order: int) -> QSeries:
     return p_g_series(EtaShape([(1, k)]), order)
 
 
-@longest_memo
 def xi_series(order: int) -> QSeries:
     """phi(q)^-8 (1 - phi(q^2)/phi(q^4)) with phi(q) = prod(1-q^n)."""
     phi = QSeries(eta(order).coeffs, order)
@@ -241,7 +204,6 @@ def xi_series(order: int) -> QSeries:
     return (inv8 * (1 - phi2 * phi4.invert())).truncate(order)
 
 
-@longest_memo
 def F_oddsigma(order: int) -> QSeries:
     """F = sum over odd n of sigma_1(n) q^n."""
     sig = _sigma_table(1, order)

@@ -2,11 +2,11 @@
 
 Exact multiplicities come from generating series: xi(3 - norm/2) for E10
 at level two, and the 24-colored p24(1 - norm/2) for the fake monster.
-frenkel_compare tabulates each against the bound p^(l-2)(1 - norm/2);
-whether the bound ever fails is an output of the run, not an assumption.
-The one floating-point routine in the package sits at the bottom: the
-Rademacher expansion of p24(1+n) with the Bessel factor summed from its
-ascending series.
+frenkel_compare tabulates each against the bound p^(l-2)(1 - norm/2), every
+row read from one expansion per column built at the deepest norm; whether
+the bound ever fails is an output of the run, not an assumption.  The one
+floating-point routine in the package sits at the bottom: the Rademacher
+expansion of p24(1+n) with the Bessel factor summed from its ascending series.
 """
 
 from __future__ import annotations
@@ -17,26 +17,6 @@ from math import cos, factorial, pi
 from . import forms
 
 ALGEBRAS = ("E10_level2", "fake_monster")
-
-
-def _even_arg(norm, top, what):
-    if norm % 2:
-        raise ValueError(f"{what} expects an even norm, got {norm}")
-    if norm > top:
-        raise ValueError(f"{what} needs norm <= {top}, got {norm}")
-    return 1 - norm // 2 if top == 2 else 3 - norm // 2
-
-
-def e10_level2_mult(norm: int) -> int:
-    """xi(3 - norm/2): level-two root multiplicity for E10."""
-    arg = _even_arg(norm, 6, "e10_level2_mult")
-    return forms.xi_series(arg).coeff(arg)
-
-
-def fake_monster_mult(norm: int) -> int:
-    """p24(1 - norm/2): real root multiplicity pattern of the fake monster."""
-    arg = _even_arg(norm, 2, "fake_monster_mult")
-    return forms.colored_partition_series(24, arg).coeff(arg)
 
 
 class MultReport:
@@ -79,16 +59,14 @@ def frenkel_compare(algebra: str, norms) -> MultReport:
     for norm in norms:
         if norm % 2 or norm > 2:
             raise ValueError(f"rows need even norms <= 2, got {norm}")
-    exact_mult = e10_level2_mult if algebra == "E10_level2" else fake_monster_mult
-    # deepest norm first, so each series is built once and then truncated
-    exact = {norm: exact_mult(norm) for norm in reversed(norms)}
-    colors = 8 if algebra == "E10_level2" else 24
-    bound_series = forms.colored_partition_series(colors, 1 - min(norms, default=2) // 2)
-    rows = []
-    for norm in norms:
-        bound = bound_series.coeff(1 - norm // 2)
-        rows.append((norm, exact[norm], bound, exact[norm] > bound))
-    return MultReport(algebra, rows)
+    deep = 1 - min(norms, default=2) // 2
+    if algebra == "E10_level2":  # xi(3 - norm/2) against p8(1 - norm/2)
+        exact = forms.xi_series(deep + 2).shift(-2)
+        bound = forms.colored_partition_series(8, deep)
+    else:  # p24(1 - norm/2) is both columns
+        exact = bound = forms.colored_partition_series(24, deep)
+    rows = [(n, exact.coeff(1 - n // 2), bound.coeff(1 - n // 2)) for n in norms]
+    return MultReport(algebra, [(n, e, b, e > b) for n, e, b in rows])
 
 
 _FACT13 = factorial(13)

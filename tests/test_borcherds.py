@@ -216,12 +216,10 @@ def test_lift_checks_depth():
 
 
 @pytest.mark.parametrize("name", borcherds.CATALOG_NAMES)
-def test_catalog_and_lift_are_honest_across_orders(name, monkeypatch):
+def test_catalog_and_lift_are_honest_across_orders(name):
     # a catalog form built at order o claims q^o and a lift to order o
-    # claims q^(o - h); builds at o + 5 and o + 2 agree with them there.
-    # The memo is emptied before each build, so neither serves the other.
+    # claims q^(o - h); builds at o + 5 and o + 2 agree with them there
     def fresh(order):
-        monkeypatch.setattr(forms, "_LONGEST", {})
         return borcherds.catalog(name, order)
 
     for order in range(1, 10):

@@ -4,7 +4,7 @@ import pytest
 
 from paper_refs import sample_system
 from qmoon import cli, forms
-from qmoon.maass import JacobiCoeffTable, assemble_maass
+from qmoon.maass import JacobiCoeffTable
 
 
 def run(capsys, argv):
@@ -107,6 +107,7 @@ def test_factor_reads_series_file(capsys, tmp_path):
     ({"trunc": "6", "coeffs": {"0": "1"}}, "'trunc'"),
     ({"trunc": 6, "coeffs": {"0": "1"}, "prefactor": 0}, "'prefactor'"),
     ({"trunc": 6, "coeffs": {"0": "1", "1": "2", "01": "7"}}, "keys '1' and '01'"),
+    ({"trunc": 3, "coeffs": {"x": "1"}}, "field 'coeffs' key 'x' must be an integer"),
 ])
 def test_factor_rejects_malformed_series(capsys, tmp_path, data, field):
     path = tmp_path / "bad.json"
@@ -156,6 +157,20 @@ def test_table_inputs_reject_malformed_json(capsys, tmp_path, argv, data, field)
     code, out, err = run(capsys, argv + ["--file", str(path)])
     assert code == 4 and out == ""
     assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, text, key", [
+    (["vsys", "psi", "--order", "0", "--file"],
+     '{"dim": 1, "gram": [[2]], "mult": {"1": 1, "-1": 1, "1": 5}}', "1"),
+    (["factor", "--input"], '{"trunc": 3, "coeffs": {"0": "1"}, "trunc": 5}', "trunc"),
+])
+def test_repeated_json_key_is_rejected(capsys, tmp_path, argv, text, key):
+    # json.load alone lets the last value win; the reader names the key instead
+    path = tmp_path / "repeat.json"
+    path.write_text(text)
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 4 and out == ""
+    assert err == f"error: JSON object repeats the key {key!r}\n"
 
 
 def test_lift_emits_h_exponents_series(capsys):

