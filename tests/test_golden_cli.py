@@ -95,6 +95,8 @@ CASES = (
     + [["verify", "euler1", "--order", "1"], ["verify", "euler2", "--order", "1", "--json"],
        ["verify", "euler2", "--order", "2"]]
     + [argv for name in _CATALOG for argv in _both("lift", "--name", name, "--order", "3")]
+    + _both("lift", "--name", "f_j", "--order", "1")
+    + _both("lift", "--name", "f_j", "--order", "8")
     + _both("hurwitz", "--max", "0")
     + _both("hurwitz", "--max", "20")
     + _both("hurwitz", "--max", "300")
