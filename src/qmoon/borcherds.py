@@ -186,7 +186,7 @@ def lift(f: PlusForm, order: int) -> LiftResult:
     H = HurwitzTable(max((-e for e in s.coeffs if e < 0), default=0))
     h = sum(c * H[-e] for e, c in s.coeffs.items() if e <= 0)  # H(0) = -1/12
     table = ExponentTable(h, {n: s.coeff(n * n) for n in range(1, order + 1)}, order)
-    result = product_from_exponents(table, var=s.var, nome=s.nome)
+    result = product_from_exponents(table)
     return LiftResult(table.h, result, table)
 
 
@@ -224,23 +224,24 @@ def printed_coefficient_report(name: str) -> list:
     return [(n, f.coeff(n), c, f.coeff(n) == c) for n, c in sorted(printed.items())]
 
 
-def fj_efactor_report(order: int = 8) -> dict:
+def fj_efactor_report(lifted: QSeries, order: int) -> dict:
     """Which Eisenstein numerator in the f_j formula actually lifts to j.
 
     The prose around the formula names weight 4 while the display reads
-    E_6(4t)/Delta(4t); the lift target j decides.  The E_6 variant runs
-    first, E_4 only if it fails, and the outcome is recorded rather than
-    silently resolved.
+    E_6(4t)/Delta(4t); the lift target j decides.  ``lifted`` is the lift of
+    the catalog's f_j to ``order``, which is the displayed E_6 variant
+    3 Q G + 168 theta.  The E_4 variant is built and lifted only if that
+    one fails, and the outcome is recorded rather than silently resolved.
     """
     target = forms.j_invariant(order)
     report = {"formula_reads": "E6", "prose_reads": "E4", "used": None}
-    cap = order * order + _PAD
-    Q, theta = _q_series(cap), forms.theta_full(cap)
-    for weight in (6, 4):  # f_j = 3 Q G + 168 theta with G = E_weight(4t)/Delta(4t)
-        G = _eisenstein_over_delta4(weight, cap)
-        series = (3 * (Q * G) + 168 * theta).truncate(order * order)
+    for weight in (6, 4):
         try:
-            lifted = lift(PlusForm(series), order).result
+            if weight == 4:  # f_j = 3 Q G + 168 theta with G = E_4(4t)/Delta(4t)
+                cap = order * order + _PAD
+                series = 3 * (_q_series(cap) * _eisenstein_over_delta4(4, cap)) \
+                    + 168 * forms.theta_full(cap)
+                lifted = lift(PlusForm(series.truncate(order * order)), order).result
             ok = lifted.agrees_with(target, order)
         except ValueError as err:
             ok = False

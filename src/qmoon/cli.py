@@ -126,7 +126,7 @@ def _cmd_lift(args) -> int:
              "exponents: " + " ".join(f"{n}:{e}" for n, e in data["exponents"].items()),
              lifted.result.pretty()]
     if args.name == "f_j":
-        report = borcherds.fj_efactor_report()
+        report = borcherds.fj_efactor_report(lifted.result, order)
         payload["efactor"] = report
         lines.append(f"E-factor: {report['resolution']}")
     return _emit(args, payload, lines)

@@ -21,12 +21,10 @@ from .series import (
 )
 
 __all__ = [
-    "EtaShape",
     "bernoulli",
     "eisenstein",
     "delta",
     "eta",
-    "eta_quotient",
     "j_invariant",
     "jstar",
     "theta_nullwerte",
@@ -36,38 +34,8 @@ __all__ = [
     "colored_partition_series",
     "xi_series",
     "F_oddsigma",
-    "p_g_series",
     "named_form",
 ]
-
-
-class EtaShape:
-    """Product shape a_1^{b_1} a_2^{b_2} ... standing for prod eta(q^{a_i})^{b_i}."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        seen = {}
-        for a, b in factors:
-            a, b = int(a), int(b)
-            if a < 1:
-                raise ValueError(f"eta scale must be positive, got {a}")
-            if a in seen:
-                raise ValueError(f"duplicate eta scale {a}")
-            seen[a] = b
-        self.factors = tuple(sorted((a, b) for a, b in seen.items() if b))
-
-    def prefactor_exponent(self) -> Fraction:
-        return Fraction(sum(a * b for a, b in self.factors), 24)
-
-    def __repr__(self):
-        return "EtaShape(%s)" % " ".join(f"{a}^{b}" for a, b in self.factors)
-
-    def __eq__(self, other):
-        return isinstance(other, EtaShape) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
 
 
 def bernoulli(k: int) -> Fraction:
@@ -97,26 +65,20 @@ def eisenstein(weight: int, order: int) -> QSeries:
     return QSeries({0: 1, **coeffs}, order)
 
 
+def _euler_power(b: int, h, order: int) -> QSeries:
+    """q^(-h) prod_{n <= order} (1 - q^n)^b, through q^order."""
+    table = ExponentTable(h, dict.fromkeys(range(1, order + 1), b), order)
+    return product_from_exponents(table).truncate(order)
+
+
 def delta(order: int) -> QSeries:
     """Discriminant form eta^24 = q * prod (1-q^n)^24; coefficients are Ramanujan tau."""
-    return eta_quotient(EtaShape([(1, 24)]), order).canonical().truncate(order)
+    return _euler_power(24, -1, order)
 
 
 def eta(order: int) -> QSeries:
     """Dedekind eta: prefactor q^(1/24) times prod (1-q^n)."""
-    return eta_quotient(EtaShape([(1, 1)]), order)
-
-
-def _shape_exponents(shape: EtaShape, order: int) -> ExponentTable:
-    """The exponents e_n = sum_{a_i | n} b_i of the shape's unit product."""
-    return ExponentTable(0, {n: sum(b for a, b in shape.factors if n % a == 0)
-                             for n in range(1, order + 1)}, order)
-
-
-def eta_quotient(shape: EtaShape, order: int) -> QSeries:
-    """prod_i eta(q^{a_i})^{b_i} with prefactor (sum a_i b_i)/24."""
-    unit = product_from_exponents(_shape_exponents(shape, order))
-    return QSeries(unit.coeffs, order, prefactor=shape.prefactor_exponent())
+    return _euler_power(1, Fraction(-1, 24), order)
 
 
 def j_invariant(order: int) -> QSeries:
@@ -192,12 +154,12 @@ def colored_partition_series(k: int, order: int) -> QSeries:
     """Partitions with parts in k colors: 1/prod(1-q^n)^k."""
     if k < 1:
         raise ValueError("number of colors must be >= 1")
-    return p_g_series(EtaShape([(1, k)]), order)
+    return _euler_power(-k, 0, order)
 
 
 def xi_series(order: int) -> QSeries:
     """phi(q)^-8 (1 - phi(q^2)/phi(q^4)) with phi(q) = prod(1-q^n)."""
-    phi = QSeries(eta(order).coeffs, order)
+    phi = _euler_power(1, 0, order)
     phi2 = phi.scale_var(2).truncate(order)
     phi4 = phi.scale_var(4).truncate(order)
     inv8 = colored_partition_series(8, order)
@@ -208,15 +170,6 @@ def F_oddsigma(order: int) -> QSeries:
     """F = sum over odd n of sigma_1(n) q^n."""
     sig = _sigma_table(1, order)
     return QSeries({n: sig[n - 1] for n in range(1, order + 1, 2)}, order)
-
-
-def p_g_series(shape: EtaShape, order: int) -> QSeries:
-    """Reciprocal of the eta product for the shape, unit power-series part.
-
-    The fractional prefactor is dropped: this is the q-integral part whose
-    coefficients generalize the 24-colored partition count.
-    """
-    return product_from_exponents(_shape_exponents(shape, order).scaled(-1)).truncate(order)
 
 
 def named_form(label: str, order: int) -> QSeries:

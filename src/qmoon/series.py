@@ -8,7 +8,7 @@ and every operation propagates the honest truncation of its result.
 Two nome conventions coexist in the catalog built on top of this module:
 ``FULL`` means the variable stands for e^(2*pi*i*tau), ``HALF`` for
 e^(pi*i*tau).  They are plain data tags here, but mixing them in arithmetic
-is a hard error; conversion goes through ``scale_var``.
+is a hard error.
 """
 
 from __future__ import annotations
@@ -65,11 +65,13 @@ def _fmt_rat(x) -> str:
     return str(x) if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
 
 
-def _parse_rat(s: str):
-    if "/" in s:
-        n, d = s.split("/", 1)
-        return _num(Fraction(int(n), int(d)))
-    return int(s)
+def _parse_rat(s: str, what: str):
+    """The exact rational that "n" or "n/d" spells; a ValueError names ``what`` if none."""
+    n, slash, d = s.partition("/")
+    try:
+        return _num(Fraction(int(n), int(d) if slash else 1))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} must be an integer or a fraction n/d, got {s!r}") from None
 
 
 def _json_fields(data, what: str, **kinds) -> list:
@@ -135,12 +137,11 @@ class QSeries:
     no method mutates self, and callers must not mutate ``coeffs``.
     """
 
-    __slots__ = ("var", "nome", "prefactor", "coeffs", "trunc")
+    __slots__ = ("nome", "prefactor", "coeffs", "trunc")
 
-    def __init__(self, coeffs, trunc, *, var="q", nome=FULL, prefactor=0):
+    def __init__(self, coeffs, trunc, *, nome=FULL, prefactor=0):
         if nome not in (FULL, HALF):
             raise ValueError(f"unknown nome convention {nome!r}")
-        self.var = var
         self.nome = nome
         self.prefactor = _frac24(prefactor)
         self.trunc = int(trunc)
@@ -188,20 +189,18 @@ class QSeries:
         return min(self.coeffs) if self.coeffs else None
 
     def __repr__(self):
-        return (f"QSeries({self.var}, {self.nome}, prefactor={self.prefactor}, "
+        return (f"QSeries({self.nome}, prefactor={self.prefactor}, "
                 f"{len(self.coeffs)} terms, trunc={self.trunc})")
 
     # -- structural helpers ------------------------------------------------
 
     def _like(self, coeffs, trunc, prefactor=None):
-        return QSeries(coeffs, trunc, var=self.var, nome=self.nome,
+        return QSeries(coeffs, trunc, nome=self.nome,
                        prefactor=self.prefactor if prefactor is None else prefactor)
 
     def _check_compat(self, other: "QSeries"):
         if self.nome != other.nome:
             raise NomeMismatch(f"cannot combine {self.nome}-nome with {other.nome}-nome series")
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
     def truncate(self, order: int) -> "QSeries":
         if order >= self.trunc:
@@ -217,8 +216,8 @@ class QSeries:
         s = self.prefactor.numerator // self.prefactor.denominator
         if s == 0:
             return self
-        return QSeries({e + s: c for e, c in self.coeffs.items()}, self.trunc + s,
-                       var=self.var, nome=self.nome, prefactor=self.prefactor - s)
+        return self._like({e + s: c for e, c in self.coeffs.items()}, self.trunc + s,
+                          self.prefactor - s)
 
     # -- ring operations ---------------------------------------------------
 
@@ -227,8 +226,7 @@ class QSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QSeries.const(other, self.trunc, var=self.var, nome=self.nome,
-                                  prefactor=self.prefactor)
+            other = QSeries.const(other, self.trunc, nome=self.nome, prefactor=self.prefactor)
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_compat(other)
@@ -277,7 +275,7 @@ class QSeries:
         if k < 0:
             return self.invert() ** (-k)
         if k < 2:
-            return self if k else QSeries.one(self.trunc, var=self.var, nome=self.nome)
+            return self if k else QSeries.one(self.trunc, nome=self.nome)
         half = self ** (k // 2)
         return half * half * self if k & 1 else half * half
 
@@ -309,24 +307,15 @@ class QSeries:
                 exps[d] = exps.get(d, 0) + x
         span = self.trunc - v
         table = ExponentTable(0, {d: x for d, x in exps.items() if d <= span}, span)
-        return self * product_from_exponents(table, var=self.var, nome=self.nome)
+        return self * product_from_exponents(table, nome=self.nome)
 
-    def scale_var(self, k: int, nome: str | None = None) -> "QSeries":
-        """Substitute q -> q^k (i.e. tau -> k*tau on the same nome grid).
-
-        Passing nome retags the result; the one legitimate conversion is a
-        full-nome series rewritten on the half-nome grid with k = 2.
-        """
+    def scale_var(self, k: int) -> "QSeries":
+        """Substitute q -> q^k (i.e. tau -> k*tau on the same nome grid)."""
         if k < 1:
             raise ValueError("scale factor must be a positive integer")
-        if nome is not None and nome != self.nome:
-            if not (self.nome == FULL and nome == HALF and k == 2):
-                raise NomeMismatch("only full->half conversion (k=2) may retag the nome")
         # exponents between k*trunc and k*(trunc+1)-1 are known zeros
-        return QSeries({e * k: c for e, c in self.coeffs.items()},
-                       k * (self.trunc + 1) - 1, var=self.var,
-                       nome=self.nome if nome is None else nome,
-                       prefactor=self.prefactor * k)
+        return self._like({e * k: c for e, c in self.coeffs.items()},
+                          k * (self.trunc + 1) - 1, self.prefactor * k)
 
     # -- comparison --------------------------------------------------------
 
@@ -357,7 +346,7 @@ class QSeries:
 
     def to_json(self) -> dict:
         return {
-            "var": self.var,
+            "var": "q",
             "nome": self.nome,
             "prefactor": _fmt_rat(self.prefactor),
             "trunc": self.trunc,
@@ -378,32 +367,30 @@ class QSeries:
             if n in keys:
                 raise ValueError(f"series field 'coeffs' keys {keys[n]!r} and {e!r} "
                                  f"name the same exponent")
-            terms[n], keys[n] = _parse_rat(c), e
+            terms[n], keys[n] = _parse_rat(c, f"series field 'coeffs' entry {e!r}"), e
         prefactor = data.get("prefactor", "0")
         if not isinstance(prefactor, str):
             raise ValueError("series field 'prefactor' must be a string")
-        return cls(terms, trunc,
-                   var=data.get("var", "q"), nome=data.get("nome", FULL),
-                   prefactor=_parse_rat(prefactor))
+        return cls(terms, trunc, nome=data.get("nome", FULL),
+                   prefactor=_parse_rat(prefactor, "series field 'prefactor'"))
 
     def pretty(self) -> str:
         """Paper-style one-line display: ascending exponents, explicit signs."""
-        var = self.var
         parts = []
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
             mag = abs(c)
             num = str(mag) if isinstance(mag, int) else f"({_fmt_rat(mag)})"
-            power = "" if e == 0 else var if e == 1 else f"{var}^{e}"
+            power = "" if e == 0 else "q" if e == 1 else f"q^{e}"
             body = power if power and mag == 1 else num + power
             if not parts:
                 parts.append(f"-{body}" if c < 0 else body)
             else:
                 parts.append(f"- {body}" if c < 0 else f"+ {body}")
-        parts.append(f"+ O({var}^{self.trunc + 1})" if parts else f"0 + O({var}^{self.trunc + 1})")
+        parts.append(f"+ O(q^{self.trunc + 1})" if parts else f"0 + O(q^{self.trunc + 1})")
         body = " ".join(parts)
         if self.prefactor:
-            return f"{var}^({_fmt_rat(self.prefactor)}) * ({body})"
+            return f"q^({_fmt_rat(self.prefactor)}) * ({body})"
         return body
 
 
@@ -511,7 +498,7 @@ def exp_series(a: QSeries) -> QSeries:
         raise ValueError("exp_series requires valuation >= 1 (no constant term)")
     n = a.trunc
     w = [k * c for k, c in enumerate(_dense(a, 0, n + 1))][1:]
-    return QSeries(dict(enumerate(_exp_recurrence(w, n))), n, var=a.var, nome=a.nome)
+    return QSeries(dict(enumerate(_exp_recurrence(w, n))), n, nome=a.nome)
 
 
 def log_series(a: QSeries) -> QSeries:
@@ -521,11 +508,9 @@ def log_series(a: QSeries) -> QSeries:
     if a.coeffs.get(0) != 1 or (a.valuation() is not None and a.valuation() < 0):
         raise ValueError("log_series requires constant term 1")
     n = a.trunc
-    derivative = QSeries({e - 1: e * c for e, c in a.coeffs.items() if e}, n - 1,
-                         var=a.var, nome=a.nome)
+    derivative = QSeries({e - 1: e * c for e, c in a.coeffs.items() if e}, n - 1, nome=a.nome)
     ratio = derivative * a.invert()
-    return QSeries({e + 1: Fraction(c, e + 1) for e, c in ratio.coeffs.items()}, n,
-                   var=a.var, nome=a.nome)
+    return QSeries({e + 1: Fraction(c, e + 1) for e, c in ratio.coeffs.items()}, n, nome=a.nome)
 
 
 # -- product <-> exponent conversion ----------------------------------------
@@ -565,10 +550,6 @@ class ExponentTable:
     def __repr__(self):
         return f"ExponentTable(h={self.h}, order={self.order})"
 
-    def scaled(self, a: int) -> "ExponentTable":
-        return ExponentTable(a * Fraction(self.h), {n: a * Fraction(e) for n, e in self.exps.items()},
-                             self.order)
-
     def to_json(self) -> dict:
         return {"h": _fmt_rat(self.h), "order": self.order,
                 "exponents": {str(n): _fmt_rat(e) for n, e in sorted(self.exps.items())}}
@@ -593,7 +574,7 @@ def _binomial_terms(e, sign, kmax):
         c = _exact_div(sign * c * (e - k + 1), k)
 
 
-def product_from_exponents(t: ExponentTable, *, var="q", nome=FULL) -> QSeries:
+def product_from_exponents(t: ExponentTable, *, nome=FULL) -> QSeries:
     """Expand q^(-h) * prod_{n <= order} (1 - q^n)^{e_n} exactly (Euler transform).
 
     The fractional part of -h becomes the prefactor; missing factors beyond
@@ -608,7 +589,7 @@ def product_from_exponents(t: ExponentTable, *, var="q", nome=FULL) -> QSeries:
     minus_h = -Fraction(t.h)
     shift = minus_h.numerator // minus_h.denominator
     return QSeries({i + shift: c for i, c in enumerate(unit)}, t.order + shift,
-                   var=var, nome=nome, prefactor=minus_h - shift)
+                   nome=nome, prefactor=minus_h - shift)
 
 
 def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
@@ -625,7 +606,7 @@ def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
         raise ValueError("unit part's constant term must be 1")
     if not 0 <= order <= a.trunc - v:
         raise ValueError(f"series known to order {a.trunc - v} after normalization, need {order}")
-    u = QSeries(a.shift(-v).truncate(order).coeffs, order, var=a.var, nome=a.nome)
+    u = QSeries(a.shift(-v).truncate(order).coeffs, order, nome=a.nome)
     log = log_series(u).coeffs
     g = [_num(-m * log.get(m, 0)) for m in range(1, order + 1)]
     exps = {}

@@ -16,6 +16,7 @@ that lacks them shows up as a failed shift law.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .identities import VerifyReport
 from .series import BiSeries, _first_mismatch, _json_fields, _json_table
@@ -87,20 +88,14 @@ class VectorSystem:
         return f"VectorSystem(dim={self.dim}, support={len(self.mult)})"
 
 
-class WeylData:
+class WeylData(NamedTuple):
     """Chamber vector, Weyl vector rho, count d, weight k, and index m."""
 
-    __slots__ = ("chamber", "rho", "d", "k", "m")
-
-    def __init__(self, chamber, rho, d, k, m):
-        self.chamber = chamber
-        self.rho = rho
-        self.d = d
-        self.k = k
-        self.m = m
-
-    def __repr__(self):
-        return f"WeylData(rho={self.rho}, d={self.d}, k={self.k}, m={self.m})"
+    chamber: tuple
+    rho: tuple
+    d: int
+    k: Fraction
+    m: int
 
 
 def weyl_data(V: VectorSystem, lam) -> WeylData:

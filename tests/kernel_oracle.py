@@ -52,7 +52,7 @@ from qmoon.vsys import _integral_pair, psi as vsys_psi, weyl_data
 
 
 def _like(s, coeffs, trunc, prefactor=None):
-    return QSeries(coeffs, trunc, var=s.var, nome=s.nome,
+    return QSeries(coeffs, trunc, nome=s.nome,
                    prefactor=s.prefactor if prefactor is None else prefactor)
 
 
@@ -101,8 +101,8 @@ def exp_series(a: QSeries) -> QSeries:
     if v is not None and v < 1:
         raise ValueError("exp_series requires valuation >= 1 (no constant term)")
     n = a.trunc
-    result = QSeries.one(n, var=a.var, nome=a.nome)
-    term = QSeries.one(n, var=a.var, nome=a.nome)
+    result = QSeries.one(n, nome=a.nome)
+    term = QSeries.one(n, nome=a.nome)
     k = 1
     while True:
         term = mul(term, a).truncate(n)
@@ -122,8 +122,8 @@ def log_series(a: QSeries) -> QSeries:
         raise ValueError("log_series requires constant term 1")
     n = a.trunc
     x = a - 1
-    result = QSeries.zero(n, var=a.var, nome=a.nome)
-    term = QSeries.one(n, var=a.var, nome=a.nome)
+    result = QSeries.zero(n, nome=a.nome)
+    term = QSeries.one(n, nome=a.nome)
     k = 1
     while True:
         term = mul(term, x).truncate(n)
@@ -163,11 +163,11 @@ def mul_binomials(s: QSeries, factors) -> QSeries:
     return _like(s, acc, trunc)
 
 
-def product_from_exponents(t: ExponentTable, *, var="q", nome="full") -> QSeries:
+def product_from_exponents(t: ExponentTable, *, nome="full") -> QSeries:
     """q^(-h) prod (1 - q^n)^{e_n} by binomial expansion of each factor."""
     minus_h = -Fraction(t.h)
     shift = minus_h.numerator // minus_h.denominator
-    unit = QSeries.one(t.order, var=var, nome=nome, prefactor=minus_h - shift)
+    unit = QSeries.one(t.order, nome=nome, prefactor=minus_h - shift)
     return mul_binomials(unit, [(n, e, -1) for n, e in sorted(t.exps.items())]).shift(shift)
 
 
@@ -181,7 +181,7 @@ def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
     if a.trunc - v < order:
         raise ValueError(f"series known to order {a.trunc - v} after normalization, need {order}")
     u = QSeries({e - v: c for e, c in a.coeffs.items() if e - v <= order}, order,
-                var=a.var, nome=a.nome)
+                nome=a.nome)
     minus_log = -log_series(u)
     g = {m: m * Fraction(minus_log.coeffs.get(m, 0)) for m in range(1, order + 1)}
     exps = {}

@@ -93,7 +93,7 @@ def q_oracle(series, factors):
         v = series.valuation() or 0
         span = max(series.trunc - v, 0)  # the factor is 1 + ..., known at least at q^0
         coeffs = {a * k: sign ** k * binomial(e, k) for k in range(span // a + 1)}
-        series = series * QSeries(coeffs, span, var=series.var, nome=series.nome)
+        series = series * QSeries(coeffs, span, nome=series.nome)
     return series
 
 

@@ -267,9 +267,9 @@ def test_lift_homomorphism():
             a * borcherds.catalog(fn, order * order).series
             + b * borcherds.catalog(gn, order * order).series)
         L = borcherds.lift(combo, order)
-        ta, tb = lifted[fn].table.scaled(a), lifted[gn].table.scaled(b)
-        exps = {n: ta[n] + tb[n] for n in range(1, order + 1)}
-        assert L.table == ExponentTable(ta.h + tb.h, exps, order)
+        ta, tb = lifted[fn].table, lifted[gn].table
+        exps = {n: a * ta[n] + b * tb[n] for n in range(1, order + 1)}
+        assert L.table == ExponentTable(a * ta.h + b * tb.h, exps, order)
         assert L.h == a * lifted[fn].h + b * lifted[gn].h
         assert L.result.agrees_with(lifted[fn].result ** a * lifted[gn].result ** b)
 
@@ -303,7 +303,18 @@ def test_zero_multiplicity_sums_over_d():
 
 
 def test_efactor_report():
-    rep = borcherds.fj_efactor_report(6)
+    lifted = borcherds.lift(borcherds.catalog("f_j", 36), 6).result
+    rep = borcherds.fj_efactor_report(lifted, 6)
     assert rep["used"] == "E6"
     assert rep["E6_lifts_to_j"] is True
+    assert "E4_lifts_to_j" not in rep
     assert "E6" in rep["resolution"]
+
+
+def test_efactor_report_falls_back_to_e4():
+    # the lift of f_4 is E_4, not j: the report builds and lifts the E_4 numerator
+    lifted = borcherds.lift(borcherds.catalog("f_4", 36), 6).result
+    rep = borcherds.fj_efactor_report(lifted, 6)
+    assert rep == {"formula_reads": "E6", "prose_reads": "E4", "used": None,
+                   "E6_lifts_to_j": False, "E4_lifts_to_j": False,
+                   "resolution": "neither Eisenstein numerator lifts to j"}

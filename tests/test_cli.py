@@ -100,6 +100,9 @@ def test_factor_reads_series_file(capsys, tmp_path):
     assert data["exponents"] == {"1": "-744", "2": "80256", "3": "-12288744"}
 
 
+_NOT_RATIONAL = ["x/3", "1/2/3", "a", "1/0"]
+
+
 @pytest.mark.parametrize("data, field", [
     ([1, 2, 3], "must be an object"),
     ({"trunc": 6, "coeffs": {"0": 1, "3": 5}}, "'coeffs' entry '0'"),
@@ -108,13 +111,34 @@ def test_factor_reads_series_file(capsys, tmp_path):
     ({"trunc": 6, "coeffs": {"0": "1"}, "prefactor": 0}, "'prefactor'"),
     ({"trunc": 6, "coeffs": {"0": "1", "1": "2", "01": "7"}}, "keys '1' and '01'"),
     ({"trunc": 3, "coeffs": {"x": "1"}}, "field 'coeffs' key 'x' must be an integer"),
-])
+] + [({"trunc": 4, "coeffs": {"0": "1", "1": text}},
+       f"field 'coeffs' entry '1' must be an integer or a fraction n/d, got {text!r}")
+      for text in _NOT_RATIONAL]
+  + [({"trunc": 4, "coeffs": {"0": "1"}, "prefactor": text},
+      f"field 'prefactor' must be an integer or a fraction n/d, got {text!r}")
+     for text in _NOT_RATIONAL])
 def test_factor_rejects_malformed_series(capsys, tmp_path, data, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, ["factor", "--input", str(path)])
     assert code == 4 and out == ""
     assert err.startswith("error: series ") and field in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_factor_ignores_the_series_variable(capsys, tmp_path, mode):
+    series = forms.j_invariant(8).to_json()
+    path = tmp_path / "series.json"
+    outputs = []
+    for var in ("q", "p", None):
+        data = {k: v for k, v in series.items() if k != "var"}
+        if var is not None:
+            data["var"] = var
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["factor", "--input", str(path), "--order", "5", *mode])
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 _PAIR = {"dim": 1, "gram": [[2]], "mult": {"1": 1, "-1": 1}}

@@ -3,19 +3,16 @@ from fractions import Fraction
 import pytest
 
 from qmoon.forms import (
-    EtaShape,
     F_oddsigma,
     bernoulli,
     colored_partition_series,
     delta,
     eisenstein,
     eta,
-    eta_quotient,
     j_invariant,
     jstar,
     leech_theta,
     named_form,
-    p_g_series,
     partition_series,
     theta_full,
     theta_nullwerte,
@@ -110,8 +107,8 @@ def test_eta_to_24_is_delta():
 
 
 def test_eta_quotient_shape_1_8_2_8():
-    shape = EtaShape([(1, 8), (2, 8)])
-    q = eta_quotient(shape, 6)
+    e = eta(6)
+    q = (e * e.scale_var(2).truncate(6)) ** 8
     assert q.prefactor == 1
     recip = q.invert()
     # brute force: dense expansion of (phi(q) phi(q^2))^8, then invert
@@ -129,17 +126,6 @@ def test_eta_quotient_shape_1_8_2_8():
     assert recip.coeff(1) == 8
     assert recip.coeff(2) == 52
     assert recip.coeff(3) == 256
-
-
-def test_eta_shape_validation():
-    with pytest.raises(ValueError):
-        EtaShape([(1, 8), (1, 16)])
-    with pytest.raises(ValueError):
-        EtaShape([(0, 4)])
-    s = EtaShape([(2, 8), (1, 8)])
-    assert s.factors == ((1, 8), (2, 8))
-    assert s.prefactor_exponent() == 1
-    assert EtaShape([(1, -24)]).factors == ((1, -24),)
 
 
 def test_j_invariant_values():
@@ -250,10 +236,8 @@ def test_F_oddsigma_values():
     assert f.coeff(9) == sigma(1, 9) == 13
 
 
-def test_p_g_series_1_24():
-    shape = EtaShape([(1, 24)])
-    p = p_g_series(shape, 5)
-    assert p == colored_partition_series(24, 5)
+def test_p24_is_the_reciprocal_of_delta_over_q():
+    assert colored_partition_series(24, 5) == delta(6).shift(-1).invert()
 
 
 def test_eisenstein_product_relations():

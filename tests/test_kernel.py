@@ -1,7 +1,7 @@
 """Differential tests of the dense kernel against the dict reference in kernel_oracle.
 
 Every comparison checks the coefficients and their types (int vs Fraction)
-together with trunc, prefactor, nome and var.  Inputs mix sparse and dense
+together with trunc, prefactor and nome.  Inputs mix sparse and dense
 supports, negative valuations, rational coefficients, prefactors, both nome
 conventions, mismatched truncations, all-negative coefficients, the zero
 series, one-coefficient windows, and coefficients from a few bits to about
@@ -31,8 +31,7 @@ def types(coeffs):
 
 
 def same(new, old):
-    assert (new.var, new.nome, new.prefactor, new.trunc) == (old.var, old.nome, old.prefactor,
-                                                             old.trunc)
+    assert (new.nome, new.prefactor, new.trunc) == (old.nome, old.prefactor, old.trunc)
     assert new.coeffs == old.coeffs
     assert types(new.coeffs) == types(old.coeffs)
 

@@ -37,7 +37,7 @@ SWEEPS = {
 def _shape(s):
     """Everything a caller can read off a series: coefficients with their types included."""
     coeffs = {e: (type(c), c) for e, c in s.coeffs.items()}
-    return s.var, s.nome, s.prefactor, s.trunc, coeffs
+    return s.nome, s.prefactor, s.trunc, coeffs
 
 
 def _label(case):

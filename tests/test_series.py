@@ -200,15 +200,13 @@ def test_scale_var_prefactor():
     assert a.scale_var(4).prefactor == Fraction(1, 6)
 
 
-def test_scale_var_full_to_half_retag():
-    a = QSeries({0: 1, 2: 3}, 5, nome=FULL)
-    h = a.scale_var(2, nome=HALF)
+def test_scale_var_keeps_the_nome():
+    a = QSeries({0: 1, 2: 3}, 5, nome=HALF)
+    h = a.scale_var(2)
     assert h.nome == HALF
     assert h.coeffs == {0: 1, 4: 3}
     with pytest.raises(NomeMismatch):
-        a.scale_var(3, nome=HALF)
-    with pytest.raises(NomeMismatch):
-        h.scale_var(2, nome=FULL)
+        QSeries({0: 1, 2: 3}, 5, nome=FULL).scale_var(2) + h
 
 
 # -- exp / log ----------------------------------------------------------------
@@ -289,10 +287,9 @@ def test_exponents_from_series_fractional_leading_power():
 def test_exponent_table_combination():
     s = ExponentTable(1, {1: 2, 2: -3}, 4)
     t = ExponentTable(0, {1: 5, 3: 1}, 4)
-    u = s.scaled(2)
-    assert u.h == 2
-    assert (u[1], u[2], u[3], u[4]) == (4, -6, 0, 0)
-    assert t.scaled(-1) == ExponentTable(0, {1: -5, 3: -1}, 4)
+    assert s.h == 1
+    assert (s[1], s[2], s[3], s[4]) == (2, -3, 0, 0)
+    assert t == ExponentTable(0, {1: 5, 2: 0, 3: 1}, 4)
 
 
 # -- arithmetic utilities -------------------------------------------------------
