@@ -53,10 +53,10 @@ def _num(x):
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 
-def _frac24(x) -> Fraction:
+def _frac24(x, what="prefactor exponent") -> Fraction:
     f = Fraction(x)
     if 24 % f.denominator:
-        raise ValueError(f"prefactor exponent {f} has denominator not dividing 24")
+        raise ValueError(f"{what} {f} has denominator not dividing 24")
     return f
 
 
@@ -368,11 +368,16 @@ class QSeries:
                 raise ValueError(f"series field 'coeffs' keys {keys[n]!r} and {e!r} "
                                  f"name the same exponent")
             terms[n], keys[n] = _parse_rat(c, f"series field 'coeffs' entry {e!r}"), e
-        prefactor = data.get("prefactor", "0")
+            if n > trunc and terms[n]:
+                raise ValueError(f"series field 'coeffs' key {e!r} is above trunc {trunc}")
+        prefactor, nome = data.get("prefactor", "0"), data.get("nome", FULL)
         if not isinstance(prefactor, str):
             raise ValueError("series field 'prefactor' must be a string")
-        return cls(terms, trunc, nome=data.get("nome", FULL),
-                   prefactor=_parse_rat(prefactor, "series field 'prefactor'"))
+        what = "series field 'prefactor'"
+        prefactor = _frac24(_parse_rat(prefactor, what), what)
+        if nome not in (FULL, HALF):
+            raise ValueError(f"series field 'nome' must be {FULL!r} or {HALF!r}, got {nome!r}")
+        return cls(terms, trunc, nome=nome, prefactor=prefactor)
 
     def pretty(self) -> str:
         """Paper-style one-line display: ascending exponents, explicit signs."""
@@ -396,8 +401,10 @@ class QSeries:
 
 # -- dense exact kernel, exponential and logarithm -----------------------------
 #
-# Coefficient lists (entry i belongs to q^(v + i)) multiplied by Kronecker
-# substitution; inverse and log build on that, exp and Euler products on a recurrence.
+# Coefficient lists (entry i belongs to q^(v + i)) multiplied by two-point Kronecker
+# substitution; inverse, log, exp and Euler products all build on that multiply.
+
+_EXP_BLOCK = 128  # exp terms the plain recurrence finds between products; 96-192 measure alike
 
 
 def _dense(s: QSeries, v: int, n: int) -> list:
@@ -425,13 +432,19 @@ def _pack(cs: list, width: int, half: int) -> int:
     return int.from_bytes(buf, "little") - int.from_bytes(slot * len(cs), "little")
 
 
+def _at_both_signs(cs: list, width: int, half: int) -> tuple:
+    """(c(2^N), c(-2^N)) for N = 4 width: the even and odd coefficients packed apart."""
+    even, odd = _pack(cs[0::2], width, half), _pack(cs[1::2], width, half) << 4 * width
+    return even + odd, even - odd
+
+
 def _mul_lists(a: list, b: list, n: int) -> list:
     """The first n coefficients of the product of coefficient lists a and b.
 
-    Kronecker substitution: each list is packed into one integer with a
-    width-byte slot per coefficient, and one multiply convolves them.  The
-    width holds min(len) * max|a| * max|b| plus a sign; a bias of half per
-    slot keeps every slot nonnegative.  Rationals share one denominator.
+    Two-point Kronecker substitution, KS2 (D. Harvey, J. Symbolic Comput. 44,
+    2009): half-size products give p(2^N) and p(-2^N); their half-sum and -difference
+    hold the even and odd coefficients in width-byte slots (width even, N = 4 width)
+    of min(len) max|a| max|b| and a sign, biased by half.  Rationals share one den.
     """
     square = a is b
     a, b = a[:n], b[:n]
@@ -449,16 +462,17 @@ def _mul_lists(a: list, b: list, n: int) -> list:
     if not top_a or not top_b:
         return [0] * n
     bits = top_a.bit_length() + top_b.bit_length() + min(len(a), len(b)).bit_length() + 1
-    width = (bits + 7) // 8
+    width = (bits + 15) // 16 * 2
     half = 1 << (8 * width - 1)
-    x = _pack(a, width, half)
-    z = x * x if square else x * _pack(b, width, half)
-    del x
-    z = (z + int.from_bytes(half.to_bytes(width, "little") * n, "little")) \
-        & ((1 << 8 * width * n) - 1)
-    data = memoryview(z.to_bytes(width * n, "little"))
-    del z
-    out = [int.from_bytes(data[i:i + width], "little") - half for i in range(0, width * n, width)]
+    xp, xm = _at_both_signs(a, width, half)
+    yp, ym = (xp, xm) if square else _at_both_signs(b, width, half)  # squares stay squares
+    zp, zm = xp * yp, xm * ym
+    out = [0] * n
+    for r, z in ((0, (zp + zm) >> 1), (1, (zp - zm) >> (4 * width + 1))):
+        k = width * len(range(r, n, 2))  # bytes in the slots of this parity
+        z += int.from_bytes(half.to_bytes(width, "little") * (k // width), "little")
+        data = memoryview((z & ((1 << 8 * k) - 1)).to_bytes(k, "little"))
+        out[r::2] = [int.from_bytes(data[i:i + width], "little") - half for i in range(0, k, width)]
     return out if den == 1 else [_num(Fraction(c, den)) for c in out]
 
 
@@ -476,16 +490,30 @@ def _exact_div(s, m: int):
 
 
 def _exp_recurrence(w: list, n: int, one=1, div=_exact_div) -> list:
-    """Terms 0..n of the b = one + ... with q b'/b = sum_k w[k-1] q^k, in O(n^2) products:
+    """Terms 0..n of the b = one + ... with q b'/b = sum_k w[k-1] q^k, where
     m b_m = sum_{k <= m} w[k-1] b_{m-k}, with div(s, m) the exact quotient s / m.
 
-    The terms are exact numbers by default, quotients that divide exactly
-    staying ints; ``moonshine.bi_exp`` passes QSeries rows, a unit and a
-    row divide instead.
+    Semi-relaxed divide and conquer (J. van der Hoeven, J. Symbolic Comput. 34,
+    2002), in O(M(n) log n): once b[lo:mid] is known, its share of the sums for
+    m in [mid, hi) is one ``_mul_lists`` product; the recurrence finds at most
+    _EXP_BLOCK terms at a time, exact quotients staying ints.  ``moonshine.bi_exp``
+    passes QSeries rows, a unit and a row divide: they take the recurrence alone.
     """
-    b = [one]
-    for m in range(1, n + 1):
-        b.append(div(sum(map(mul, w, reversed(b))), m))
+    b, acc = [one], [0] * (n + 1)
+
+    def solve(lo: int, hi: int):  # b[lo:hi], when acc holds the share of b[:lo]
+        if hi - lo <= _EXP_BLOCK or isinstance(one, QSeries):
+            for m in range(max(lo, 1), hi):
+                b.append(div(sum(map(mul, w, reversed(b[lo:m])), acc[m]), m))
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        share = _mul_lists(b[lo:mid], w[:hi - lo], hi - lo - 1)
+        for m in range(mid, hi):
+            acc[m] += share[m - lo - 1]
+        solve(mid, hi)
+
+    solve(0, n + 1)
     return b
 
 

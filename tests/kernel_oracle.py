@@ -9,7 +9,10 @@ not the kernel's recurrence.  They share no arithmetic with the kernel
 beyond the ``QSeries`` container, addition and scalar multiplication, so
 the differential tests compare two independent derivations of every
 coefficient; ``tests/test_imports.py`` holds the import from
-``qmoon.series`` to that.
+``qmoon.series`` to that.  ``mul_lists`` is the one-point Kronecker multiply
+that ``qmoon.series._mul_lists`` ran before it evaluated at two points: one
+integer per list, one slot per coefficient, one product, and no split into
+residue classes.
 
 The two-variable references (``bi_mul`` and friends) use nothing from
 ``qmoon.series`` at all: they read the ``coeffs``, ``cap`` and ``ytop`` of
@@ -70,6 +73,34 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
             if e <= trunc:
                 out[e] = out.get(e, 0) + ca * cb
     return _like(a, out, trunc, a.prefactor + b.prefactor)
+
+
+def mul_lists(a: list, b: list, n: int) -> list:
+    """The first n coefficients of a * b by one-point Kronecker substitution.
+
+    Each list becomes one integer with a width-byte slot per coefficient, one
+    multiply convolves them, and a bias of half per slot reads the signed
+    slots back; rationals are first put over one denominator.
+    """
+    den = 1
+    for c in a[:n] + b[:n]:
+        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
+    a, b = ([int(c * den) for c in x[:n]] for x in (a, b))
+    top_a, top_b = max(map(abs, a), default=0), max(map(abs, b), default=0)
+    if not top_a or not top_b:
+        return [0] * n
+    bits = top_a.bit_length() + top_b.bit_length() + min(len(a), len(b)).bit_length() + 1
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+
+    def pack(cs):
+        return int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in cs),
+                              "little") - sum(half << (8 * width * i) for i in range(len(cs)))
+
+    z = pack(a) * pack(b) + sum(half << (8 * width * i) for i in range(n))
+    data = (z % (1 << 8 * width * n)).to_bytes(width * n, "little")
+    out = [int.from_bytes(data[i:i + width], "little") - half for i in range(0, width * n, width)]
+    return [_num(Fraction(c, den * den)) for c in out]
 
 
 def invert(a: QSeries) -> QSeries:

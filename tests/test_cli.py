@@ -111,6 +111,9 @@ _NOT_RATIONAL = ["x/3", "1/2/3", "a", "1/0"]
     ({"trunc": 6, "coeffs": {"0": "1"}, "prefactor": 0}, "'prefactor'"),
     ({"trunc": 6, "coeffs": {"0": "1", "1": "2", "01": "7"}}, "keys '1' and '01'"),
     ({"trunc": 3, "coeffs": {"x": "1"}}, "field 'coeffs' key 'x' must be an integer"),
+    ({"trunc": 3, "coeffs": {"0": "1"}, "nome": "x"}, "field 'nome' must be 'full' or 'half'"),
+    ({"trunc": 3, "coeffs": {"0": "1"}, "prefactor": "1/5"}, "field 'prefactor' 1/5"),
+    ({"trunc": 3, "coeffs": {"5": "1"}}, "field 'coeffs' key '5' is above trunc 3"),
 ] + [({"trunc": 4, "coeffs": {"0": "1", "1": text}},
        f"field 'coeffs' entry '1' must be an integer or a fraction n/d, got {text!r}")
       for text in _NOT_RATIONAL]

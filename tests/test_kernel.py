@@ -14,11 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_oracle as oracle
+import qmoon.series as series_module
 from qmoon.series import (
     FULL,
     HALF,
     ExponentTable,
     QSeries,
+    _EXP_BLOCK,
+    _exp_recurrence,
+    _mul_lists,
     exp_series,
     exponents_from_series,
     log_series,
@@ -126,6 +130,52 @@ def test_mul_at_the_slot_bound(bits):
             b = QSeries({e: signs[1] * top for e in range(length)}, length + 3)
             same(a * b, oracle.mul(a, b))
             same(a * a, oracle.mul(a, a))
+
+
+def same_list(new, old):
+    assert new == old
+    assert [type(c) for c in new] == [type(c) for c in old]
+
+
+# ±(2^(8w - 1) - 1) and ±2^(8w - 1), on the edge of a slot of an odd number w of
+# bytes: the one-point multiply used such widths, the two-point one rounds them up
+odd_width_edges = st.builds(lambda w, d, s: s * ((1 << (8 * w - 1)) + d),
+                            st.sampled_from([1, 3, 5, 9, 17]), st.integers(-1, 0),
+                            st.sampled_from([1, -1]))
+
+
+@st.composite
+def coefficient_lists(draw):
+    """Lists of length 0 to 40, with runs of zeros, mixed signs and kinds, or stepped."""
+    entry = st.one_of(st.just(0), st.just(0), small, odd_width_edges, rationals,
+                      st.integers(-(1 << 300), 1 << 300))
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), entry)  # longer runs of zeros
+    cs = draw(st.lists(entry, max_size=40))
+    step = draw(st.sampled_from([1, 1, 2, 3]))  # a list in q^step
+    return [c if i % step == 0 else 0 for i, c in enumerate(cs)]
+
+
+@settings(deadline=None)
+@given(coefficient_lists(), coefficient_lists(), st.data())
+def test_mul_lists_matches_the_one_point_reference(a, b, data):
+    full = max(len(a) + len(b) - 1, 0)
+    n = data.draw(st.one_of(st.sampled_from([0, 1, full, full + 2]), st.integers(0, full)))
+    same_list(_mul_lists(a, b, n), oracle.mul_lists(a, b, n))
+    same_list(_mul_lists(a, a, n), oracle.mul_lists(a, a, n))
+
+
+@pytest.mark.parametrize("width", [1, 3, 5, 7, 9, 17])
+def test_mul_lists_where_the_one_point_width_is_odd(width):
+    # 2 t + bit_length(length) + 1 = 8 width: a one-point slot of width bytes, odd,
+    # and equal coefficients of one sign reach the largest product that width bounds
+    for length in (1, 4, 7, 16, 31):
+        top = (1 << (8 * width - 1 - length.bit_length()) // 2) - 1
+        for signs in ((1, 1), (-1, -1), (1, -1)):
+            a, b = [signs[0] * top] * length, [signs[1] * top] * length
+            for n in (1, length, 2 * length - 1):
+                same_list(_mul_lists(a, b, n), oracle.mul_lists(a, b, n))
+                same_list(_mul_lists(a, a, n), oracle.mul_lists(a, a, n))
 
 
 def test_one_coefficient_windows_and_zero():
@@ -249,3 +299,78 @@ factors = st.lists(st.tuples(st.integers(1, 9), exponent_values, st.sampled_from
 def test_mul_binomials_matches_reference(s, fs, nome):
     s = QSeries(s.coeffs, s.trunc, nome=nome, prefactor=s.prefactor)
     same(s.mul_binomials(fs), oracle.mul_binomials(s, fs))
+
+
+# Past _EXP_BLOCK terms the exp divides and conquers: truncations around one and two
+# blocks, and up to 300.  A few values sit at small indices and a few, up to about
+# 300 bits, further out, so the reference's power sums stay short.
+
+long_truncs = st.sampled_from([_EXP_BLOCK - 2, _EXP_BLOCK - 1, _EXP_BLOCK, 2 * _EXP_BLOCK - 2,
+                               2 * _EXP_BLOCK, 300])
+
+
+@st.composite
+def long_terms(draw, n):
+    near = draw(st.dictionaries(st.integers(1, 6), st.one_of(small, rationals), min_size=1,
+                                max_size=3))
+    far = draw(st.dictionaries(st.integers(n // 8, n),
+                               st.one_of(small, rationals, st.integers(-(1 << 300), 1 << 300)),
+                               max_size=3))
+    return {**far, **near}
+
+
+@settings(deadline=None, max_examples=15)
+@given(long_truncs, st.data())
+def test_exp_above_the_block_matches_reference(n, data):
+    a = QSeries(data.draw(long_terms(n)), n, nome=data.draw(st.sampled_from([FULL, HALF])))
+    same(exp_series(a), oracle.exp_series(a))
+
+
+@settings(deadline=None, max_examples=15)
+@given(long_truncs, st.data(), st.sampled_from([0, -2, Fraction(-1, 24), Fraction(7, 8)]))
+def test_product_from_exponents_above_the_block_matches_reference(n, data, h):
+    table = ExponentTable(h, data.draw(long_terms(n)), n)
+    same(product_from_exponents(table), oracle.product_from_exponents(table))
+
+
+@settings(deadline=None, max_examples=25)
+@given(long_truncs, st.integers(1, 70), st.data())
+def test_exp_above_the_block_is_honest_across_orders(order, k, data):
+    terms = data.draw(long_terms(order + k))
+    shallow = QSeries({e: c for e, c in terms.items() if e <= order}, order)
+    deep = QSeries(terms, order + k)
+    assert exp_series(shallow).first_mismatch(exp_series(deep)) is None
+    table = ExponentTable(Fraction(-1, 24), terms, order + k)
+    deep = product_from_exponents(table)
+    shallow = product_from_exponents(
+        ExponentTable(table.h, {e: c for e, c in terms.items() if e <= order}, order))
+    assert deep.trunc == shallow.trunc + k
+    assert shallow.first_mismatch(deep) is None
+
+
+def test_exp_on_series_rows_takes_the_recurrence_alone(monkeypatch):
+    # moonshine.bi_exp's rows: QSeries terms, a unit and a row divide, which no
+    # product in _mul_lists can pack; past the block they must equal the plain loop
+    n = _EXP_BLOCK + 9
+    rows = [QSeries({0: k % 3 - 1, 1: Fraction(k, 5), -1: 1} if k in (1, 2, 5) else {}, 4)
+            for k in range(1, n + 1)]
+    one, div = QSeries.one(6), (lambda s, m: s * Fraction(1, m))
+    want = [one]
+    for m in range(1, n + 1):
+        total = 0
+        for k in range(1, m + 1):
+            total = total + rows[k - 1] * want[m - k]
+        want.append(div(total, m))
+
+    packed = []
+
+    def spy(a, b, size):
+        packed.append(any(isinstance(c, QSeries) for c in a + b))
+        return _mul_lists(a, b, size)
+
+    monkeypatch.setattr(series_module, "_mul_lists", spy)
+    got = _exp_recurrence(rows, n, one, div)
+    assert len(got) == n + 1
+    for new, old in zip(got, want):
+        same(new, old)
+    assert packed and not any(packed)
