@@ -503,8 +503,10 @@ def _exp_recurrence(w: list, n: int, one=1, div=_exact_div) -> list:
 
     def solve(lo: int, hi: int):  # b[lo:hi], when acc holds the share of b[:lo]
         if hi - lo <= _EXP_BLOCK or isinstance(one, QSeries):
+            run = b[lo:]  # this run's terms: b_0 alone, or none yet
             for m in range(max(lo, 1), hi):
-                b.append(div(sum(map(mul, w, reversed(b[lo:m])), acc[m]), m))
+                run.append(div(sum(map(mul, w, reversed(run)), acc[m]), m))
+            b[lo:] = run
             return
         mid = (lo + hi) // 2
         solve(lo, mid)

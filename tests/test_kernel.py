@@ -6,6 +6,9 @@ supports, negative valuations, rational coefficients, prefactors, both nome
 conventions, mismatched truncations, all-negative coefficients, the zero
 series, one-coefficient windows, and coefficients from a few bits to about
 2000 bits, including values right at the byte boundaries of a packing slot.
+The two-point list multiply is also checked on coefficient lists against the
+one-point multiply it replaced, and the exp past one and two runs of
+``_EXP_BLOCK`` terms, where it divides and conquers.
 """
 
 from fractions import Fraction
