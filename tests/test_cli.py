@@ -111,15 +111,15 @@ _NOT_RATIONAL = ["x/3", "1/2/3", "a", "1/0"]
     ({"trunc": 6, "coeffs": {"0": "1"}, "prefactor": 0}, "'prefactor'"),
     ({"trunc": 6, "coeffs": {"0": "1", "1": "2", "01": "7"}}, "keys '1' and '01'"),
     ({"trunc": 3, "coeffs": {"x": "1"}}, "field 'coeffs' key 'x' must be an integer"),
-    ({"trunc": 3, "coeffs": {"0": "1"}, "nome": "x"}, "field 'nome' must be 'full' or 'half'"),
-    ({"trunc": 3, "coeffs": {"0": "1"}, "prefactor": "1/5"}, "field 'prefactor' 1/5"),
-    ({"trunc": 3, "coeffs": {"5": "1"}}, "field 'coeffs' key '5' is above trunc 3"),
 ] + [({"trunc": 4, "coeffs": {"0": "1", "1": text}},
        f"field 'coeffs' entry '1' must be an integer or a fraction n/d, got {text!r}")
       for text in _NOT_RATIONAL]
   + [({"trunc": 4, "coeffs": {"0": "1"}, "prefactor": text},
       f"field 'prefactor' must be an integer or a fraction n/d, got {text!r}")
-     for text in _NOT_RATIONAL])
+     for text in _NOT_RATIONAL]
+  + [({"trunc": 3, "coeffs": {"0": "1"}, "nome": "x"}, "field 'nome' must be 'full' or 'half'"),
+     ({"trunc": 3, "coeffs": {"0": "1"}, "prefactor": "1/5"}, "field 'prefactor' 1/5"),
+     ({"trunc": 3, "coeffs": {"5": "1"}}, "field 'coeffs' key '5' is above trunc 3")])
 def test_factor_rejects_malformed_series(capsys, tmp_path, data, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
