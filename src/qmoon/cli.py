@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -22,17 +21,10 @@ _ALGEBRA_NAMES = {"e10": "E10_level2", "E10_level2": "E10_level2",
                   "fake": "fake_monster", "fake_monster": "fake_monster"}
 
 
-def _default_order(args, fallback=10):
-    order = getattr(args, "order", None)
-    if order is None:
-        env = os.environ.get("QMOON_DEFAULT_ORDER", str(fallback))
-        try:
-            order = int(env)
-        except ValueError:
-            raise ValueError(f"QMOON_DEFAULT_ORDER must be an integer, got {env!r}") from None
-    if order < 0:
+def _order(args) -> int:
+    if args.order < 0:
         raise ValueError("order must be >= 0")
-    return order
+    return args.order
 
 
 def _emit(args, payload, lines, reports=()) -> int:
@@ -88,7 +80,7 @@ def _report_line(report) -> str:
 
 
 def _cmd_expand(args) -> int:
-    order = _default_order(args)
+    order = _order(args)
     f = forms.named_form(args.form, order)
     payload = {"form": args.form, **f.to_json()}
     return _emit(args, payload, [f.pretty()])
@@ -96,7 +88,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_factor(args) -> int:
     f = QSeries.from_json(_load_json(args.input))
-    order = _default_order(args)
+    order = _order(args)
     table = exponents_from_series(f, order)
     data = table.to_json()
     lines = [f"h = {data['h']}"]
@@ -105,7 +97,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    order = _default_order(args, 30)
+    order = _order(args)
     if args.identity == "all":
         reports = identities.verify_all(order)
         payload = [r.to_json() for r in reports]
@@ -116,7 +108,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    order = _default_order(args)
+    order = _order(args)
     f = borcherds.catalog(args.name, order * order)
     lifted = borcherds.lift(f, order)
     data = lifted.table.to_json()
@@ -159,7 +151,7 @@ def _cmd_moonshine(args) -> int:
 def _cmd_vsys_psi(args) -> int:
     system = vsys.VectorSystem.from_json(_load_json(args.file))
     chamber = _parse_vector(args.chamber, "--chamber") if args.chamber else (1,) * system.dim
-    series = vsys.psi(system, chamber, _default_order(args))
+    series = vsys.psi(system, chamber, _order(args))
     data = series.to_json()
     lines = [f"prefactor exponent: {data['qpre']}"]
     lines += [f"  q^{t['q']} zeta2={t['zeta2']}: {t['c']}" for t in data["terms"]]
@@ -170,7 +162,7 @@ def _cmd_vsys_check(args) -> int:
     system = vsys.VectorSystem.from_json(_load_json(args.file))
     chamber = _parse_vector(args.chamber, "--chamber") if args.chamber else (1,) * system.dim
     shift = _parse_vector(args.shift, "--shift")
-    order = _default_order(args)
+    order = _order(args)
     reports = [vsys.elliptic_transform_check(system, chamber, shift, order, kind=kind)
                for kind in ("mu", "tau")]
     return _emit(args, [r.to_json() for r in reports], [_report_line(r) for r in reports],
@@ -213,86 +205,64 @@ def _cmd_mult_rademacher(args) -> int:
     return _emit(args, payload, [line])
 
 
+def _arg(flag, **options):
+    return flag, options
+
+
+_ORDER = _arg("--order", type=int, default=10)
+_NAME = _arg("--name", required=True, choices=borcherds.CATALOG_NAMES)
+_FILE = _arg("--file", required=True)
+_CHAMBER = _arg("--chamber")
+
+# One row per subcommand, in help order: (words, help, arguments, handler).
+# A row without a handler is a group whose rows follow it.
+COMMANDS = (
+    (("expand",), "q-expansion of a named form", (_arg("form"), _ORDER), _cmd_expand),
+    (("factor",), "infinite-product exponents of a series file",
+     (_arg("--input", required=True), _ORDER), _cmd_factor),
+    (("verify",), "run an identity check",
+     (_arg("identity", choices=identities.IDENTITY_LABELS + ("all",)),
+      _arg("--order", type=int, default=30)), _cmd_verify),
+    (("lift",), "infinite-product lift of a catalog form", (_NAME, _ORDER), _cmd_lift),
+    (("hurwitz",), "Hurwitz class numbers", (_arg("--max", type=int, required=True),),
+     _cmd_hurwitz),
+    (("zeromult",), "zero multiplicity of a lifted product",
+     (_NAME, _arg("--disc", type=int, required=True)), _cmd_zeromult),
+    (("moonshine",), "two-variable monster identity checks",
+     (_arg("which", choices=("denom", "replication")), _arg("--cap", type=int, default=4)),
+     _cmd_moonshine),
+    (("vsys",), "vector-system products", (), None),
+    (("vsys", "psi"), "expand the product", (_FILE, _ORDER, _CHAMBER), _cmd_vsys_psi),
+    (("vsys", "check"), "elliptic shift laws",
+     (_FILE, _arg("--shift", required=True), _ORDER, _CHAMBER), _cmd_vsys_check),
+    (("maass",), "index-raising lift and relation check", (), None),
+    (("maass", "lift"), "assemble layers", (_FILE, _arg("--max-m", type=int, default=4)),
+     _cmd_maass_lift),
+    (("maass", "check"), "divisor-sum relation", (_FILE,), _cmd_maass_check),
+    (("mult",), "root multiplicities", (), None),
+    (("mult", "table"), "formula vs partition bound",
+     (_arg("--algebra", required=True), _arg("--min-norm", type=int, default=-40)),
+     _cmd_mult_table),
+    (("mult", "rademacher"), "p24 partial sum",
+     (_arg("--n", type=int, required=True), _arg("--terms", type=int, default=10)),
+     _cmd_mult_rademacher),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine output")
-
     parser = argparse.ArgumentParser(prog="qmoon")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("expand", parents=[common], help="q-expansion of a named form")
-    p.add_argument("form")
-    p.add_argument("--order", type=int)
-    p.set_defaults(fn=_cmd_expand)
-
-    p = subs.add_parser("factor", parents=[common],
-                        help="infinite-product exponents of a series file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--order", type=int)
-    p.set_defaults(fn=_cmd_factor)
-
-    p = subs.add_parser("verify", parents=[common], help="run an identity check")
-    p.add_argument("identity", choices=identities.IDENTITY_LABELS + ("all",))
-    p.add_argument("--order", type=int)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = subs.add_parser("lift", parents=[common],
-                        help="infinite-product lift of a catalog form")
-    p.add_argument("--name", required=True, choices=borcherds.CATALOG_NAMES)
-    p.add_argument("--order", type=int)
-    p.set_defaults(fn=_cmd_lift)
-
-    p = subs.add_parser("hurwitz", parents=[common], help="Hurwitz class numbers")
-    p.add_argument("--max", type=int, required=True)
-    p.set_defaults(fn=_cmd_hurwitz)
-
-    p = subs.add_parser("zeromult", parents=[common],
-                        help="zero multiplicity of a lifted product")
-    p.add_argument("--name", required=True, choices=borcherds.CATALOG_NAMES)
-    p.add_argument("--disc", type=int, required=True)
-    p.set_defaults(fn=_cmd_zeromult)
-
-    p = subs.add_parser("moonshine", parents=[common],
-                        help="two-variable monster identity checks")
-    p.add_argument("which", choices=("denom", "replication"))
-    p.add_argument("--cap", type=int, default=4)
-    p.set_defaults(fn=_cmd_moonshine)
-
-    p = subs.add_parser("vsys", help="vector-system products")
-    vsub = p.add_subparsers(dest="subcommand", required=True)
-    q = vsub.add_parser("psi", parents=[common], help="expand the product")
-    q.add_argument("--file", required=True)
-    q.add_argument("--order", type=int)
-    q.add_argument("--chamber")
-    q.set_defaults(fn=_cmd_vsys_psi)
-    q = vsub.add_parser("check", parents=[common], help="elliptic shift laws")
-    q.add_argument("--file", required=True)
-    q.add_argument("--shift", required=True)
-    q.add_argument("--order", type=int)
-    q.add_argument("--chamber")
-    q.set_defaults(fn=_cmd_vsys_check)
-
-    p = subs.add_parser("maass", help="index-raising lift and relation check")
-    msub = p.add_subparsers(dest="subcommand", required=True)
-    q = msub.add_parser("lift", parents=[common], help="assemble layers")
-    q.add_argument("--file", required=True)
-    q.add_argument("--max-m", type=int, default=4)
-    q.set_defaults(fn=_cmd_maass_lift)
-    q = msub.add_parser("check", parents=[common], help="divisor-sum relation")
-    q.add_argument("--file", required=True)
-    q.set_defaults(fn=_cmd_maass_check)
-
-    p = subs.add_parser("mult", help="root multiplicities")
-    usub = p.add_subparsers(dest="subcommand", required=True)
-    q = usub.add_parser("table", parents=[common], help="formula vs partition bound")
-    q.add_argument("--algebra", required=True)
-    q.add_argument("--min-norm", type=int, default=-40)
-    q.set_defaults(fn=_cmd_mult_table)
-    q = usub.add_parser("rademacher", parents=[common], help="p24 partial sum")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--terms", type=int, default=10)
-    q.set_defaults(fn=_cmd_mult_rademacher)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, help_text, arguments, handler in COMMANDS:
+        p = groups[words[:-1]].add_parser(words[-1], parents=[common] if handler else [],
+                                          help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        if handler is None:
+            groups[words] = p.add_subparsers(dest="subcommand", required=True)
+        else:
+            p.set_defaults(fn=handler)
     return parser
 
 

@@ -172,32 +172,24 @@ def F_oddsigma(order: int) -> QSeries:
     return QSeries({n: sig[n - 1] for n in range(1, order + 1, 2)}, order)
 
 
+_NAMED = {"delta": delta, "tau": delta, "eta": eta, "j": j_invariant,
+          "jstar": jstar, "j*": jstar, "theta": theta_full, "theta_full": theta_full,
+          "leech": leech_theta, "leech_theta": leech_theta, "f": F_oddsigma,
+          "f_oddsigma": F_oddsigma, "partition": partition_series, "p": partition_series,
+          "xi": xi_series}
+
+
 def named_form(label: str, order: int) -> QSeries:
     """Resolve a catalog label like 'E6', 'delta', 'theta2', 'p24' to a series."""
-    name = label.strip()
-    low = name.lower()
-    if low.startswith("e") and low[1:].isdigit():
-        return eisenstein(int(low[1:]), order)
-    if low in ("delta", "tau"):
-        return delta(order)
-    if low == "eta":
-        return eta(order)
-    if low == "j":
-        return j_invariant(order)
-    if low in ("jstar", "j*"):
-        return jstar(order)
-    if low in ("theta", "theta_full"):
-        return theta_full(order)
+    low = label.strip().lower()
+    if low in _NAMED:
+        return _NAMED[low](order)
+    family, index = low[:1], low[1:]
+    if index.isascii() and index.isdigit():
+        if family == "e":
+            return eisenstein(int(index), order)
+        if family == "p":
+            return colored_partition_series(int(index), order)
     if low in ("theta2", "theta3", "theta4"):
         return theta_nullwerte(int(low[-1]), order)
-    if low in ("leech", "leech_theta"):
-        return leech_theta(order)
-    if low in ("f", "f_oddsigma"):
-        return F_oddsigma(order)
-    if low in ("partition", "p"):
-        return partition_series(order)
-    if low.startswith("p") and low[1:].isdigit():
-        return colored_partition_series(int(low[1:]), order)
-    if low == "xi":
-        return xi_series(order)
     raise ValueError(f"unknown form label {label!r}")

@@ -12,12 +12,12 @@ bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
 
 
-def _run(tmp_path, seed, trace=0):
+def _run(tmp_path, seed, trace=0, ops=None):
     metrics = {name: {"value": i + seed / 10, "unit": "s", "samples": 5}
                for i, name in enumerate(bench_record.END_TO_END)}
     run = {"workload": "dense-lift", "seed": seed, "seconds": 20, "trace": trace,
            "python": "3.11.7", "commit": "abc", "src_sha256": "f00", "metrics": metrics,
-           "attempted": 40, "failed": 0, "ops": {}}
+           "attempted": 40, "failed": 0, "ops": ops or {}}
     path = tmp_path / f"dense-lift-seed{seed}-trace{trace}.json"
     path.write_text(json.dumps(run))
     return path
@@ -41,3 +41,17 @@ def test_a_traced_run_is_refused(tmp_path, capsys):
     assert bench_record.main([str(path)]) == 1
     assert "only a --trace 0 run" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_dense-lift.json").exists()
+
+
+def test_a_run_with_wrong_output_is_refused(tmp_path, capsys):
+    ops = {"lift f_j 50": {"status": "ok"}, "expand j 300": {"status": "failed"},
+           "factor j 240": {"status": "wrong"}}
+    path = _run(tmp_path, 1, ops=ops)
+    with pytest.raises(ValueError, match="factor j 240$"):
+        bench_record.append(path, root=tmp_path)
+    assert bench_record.main([str(path)]) == 1
+    assert "ops with wrong output" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_dense-lift.json").exists()
+    del ops["factor j 240"]
+    bench_record.append(_run(tmp_path, 2, ops=ops), root=tmp_path)
+    assert (tmp_path / "BENCH_dense-lift.json").exists()

@@ -35,8 +35,10 @@ def test_expand_prefactor_text(capsys):
 
 
 def test_expand_unknown_form_is_data_error(capsys):
-    code, out, err = run(capsys, ["expand", "nonsense", "--order", "3"])
-    assert code == 4 and out == "" and "unknown form" in err
+    # a form index is ASCII digits: int() would read "٢٤" as 24 and reject "²"
+    for label in ("nonsense", "e²", "p٢٤"):
+        code, out, err = run(capsys, ["expand", label, "--order", "3"])
+        assert (code, out, err) == (4, "", f"error: unknown form label {label!r}\n")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -46,18 +48,15 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, ["vsys", "check", "--shift", "1"])[0] == 2  # missing --file
 
 
-def test_default_order_env(capsys, monkeypatch):
-    monkeypatch.setenv("QMOON_DEFAULT_ORDER", "3")
-    code, out, _ = run(capsys, ["expand", "delta", "--json"])
-    assert code == 0
-    assert json.loads(out)["trunc"] == 3
-
-
-def test_non_integer_default_order_env_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("QMOON_DEFAULT_ORDER", "abc")
-    code, out, err = run(capsys, ["expand", "delta"])
-    assert (code, out) == (4, "")
-    assert err == "error: QMOON_DEFAULT_ORDER must be an integer, got 'abc'\n"
+def test_default_order_ignores_the_environment(capsys, monkeypatch):
+    # the defaults are the parser's own: 10, and 30 for verify
+    argvs = (["expand", "delta", "--json"], ["verify", "triple"])
+    monkeypatch.delenv("QMOON_DEFAULT_ORDER", raising=False)
+    unset = [run(capsys, argv)[:2] for argv in argvs]
+    assert json.loads(unset[0][1])["trunc"] == 10 and unset[1] == (0, "PASS triple order=30\n")
+    for value in ("3", "abc", "-2"):
+        monkeypatch.setenv("QMOON_DEFAULT_ORDER", value)
+        assert [run(capsys, argv)[:2] for argv in argvs] == unset
 
 
 def test_non_positive_definite_gram_exits_four(capsys, tmp_path):
@@ -68,14 +67,9 @@ def test_non_positive_definite_gram_exits_four(capsys, tmp_path):
 
 
 def test_negative_order_flag_rejected(capsys):
-    code, out, err = run(capsys, ["expand", "j", "--order", "-3"])
-    assert (code, out, err) == (4, "", "error: order must be >= 0\n")
-
-
-def test_negative_default_order_env_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("QMOON_DEFAULT_ORDER", "-2")
-    code, out, err = run(capsys, ["verify", "triple"])
-    assert (code, out, err) == (4, "", "error: order must be >= 0\n")
+    for argv in (["expand", "j", "--order", "-3"], ["verify", "triple", "--order", "-1"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (4, "", "error: order must be >= 0\n")
 
 
 def test_verify_pass_and_fail_codes(capsys):

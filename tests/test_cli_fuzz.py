@@ -183,7 +183,6 @@ CASES = st.one_of(
 def test_cli_keeps_its_exit_contract(case, tmp_path, monkeypatch, capsys):
     argv, text = case
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QMOON_DEFAULT_ORDER", raising=False)
     (tmp_path / FILE).write_text(text, encoding="utf-8")
     code = cli.run(argv)
     capsys.readouterr()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmoon import forms
 from qmoon.forms import (
     F_oddsigma,
     bernoulli,
@@ -271,8 +272,27 @@ def test_named_form_dispatch():
     assert named_form("theta2", 5) == theta_nullwerte(2, 5)
     assert named_form("p24", 5) == colored_partition_series(24, 5)
     assert named_form("leech", 6) == leech_theta(6)
-    with pytest.raises(ValueError):
-        named_form("nope", 5)
+    for label in ("nope", "e²", "p٢٤", "E٤", "p²4", "theta٢", "e 4", "p-1"):
+        with pytest.raises(ValueError, match="^unknown form label"):
+            named_form(label, 5)
+
+
+# every fixed label and alias of named_form, with the builder it names
+_FIXED_LABELS = {"delta": delta, "tau": delta, "eta": eta, "j": j_invariant, "jstar": jstar,
+                 "j*": jstar, "theta": theta_full, "theta_full": theta_full,
+                 "leech": leech_theta, "leech_theta": leech_theta, "f": F_oddsigma,
+                 "f_oddsigma": F_oddsigma, "partition": partition_series,
+                 "p": partition_series, "xi": xi_series}
+
+
+def test_every_fixed_label_builds_its_form():
+    assert sorted(forms._NAMED) == sorted(_FIXED_LABELS)
+    for label, builder in _FIXED_LABELS.items():
+        for order in (0, 1, 6):
+            got, want = named_form(f" {label.upper()} ", order), builder(order)
+            assert (got.trunc, got.nome, got.prefactor) == (want.trunc, want.nome, want.prefactor)
+            assert [(e, c, type(c)) for e, c in got.coeffs.items()] == \
+                [(e, c, type(c)) for e, c in want.coeffs.items()]
 
 
 @pytest.mark.parametrize("label", GOLDEN_FORMS)

@@ -190,7 +190,6 @@ def test_corpus_covers_every_case(recorded):
 @pytest.mark.parametrize("argv", CASES, ids=_key)
 def test_golden_output(argv, corpus_dir, recorded, monkeypatch, capsys):
     monkeypatch.chdir(corpus_dir)
-    monkeypatch.delenv("QMOON_DEFAULT_ORDER", raising=False)
     code, digest = _invoke(argv)
     capsys.readouterr()
     assert [code, digest] == recorded[_key(argv)]
@@ -203,6 +202,10 @@ def usage_recorded():
 
 def test_usage_corpus_covers_every_case(usage_recorded):
     assert sorted(usage_recorded) == sorted(_key(argv) for argv in USAGE_CASES)
+
+
+def test_every_subcommand_has_a_pinned_help_page():
+    assert _SUBCOMMANDS == [list(words) for words, *_ in cli.COMMANDS]
 
 
 @pytest.mark.parametrize("argv", USAGE_CASES, ids=_key)
@@ -220,7 +223,6 @@ def _write_corpus(path, table):
 if __name__ == "__main__":
     import tempfile
 
-    os.environ.pop("QMOON_DEFAULT_ORDER", None)
     os.environ["COLUMNS"] = "80"
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

@@ -136,7 +136,7 @@ def _module_level_defs(path):
 
 def test_every_module_level_def_is_reached_by_a_subcommand(tmp_path):
     src = Path(qmoon.__file__).parent
-    env = {k: v for k, v in os.environ.items() if k != "QMOON_DEFAULT_ORDER"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src.parent), str(Path(__file__).parent)])
     env["COLUMNS"] = "80"
     done = subprocess.run([sys.executable, "-c", _ROUTE_TRACE, str(src), str(tmp_path)],

@@ -23,6 +23,9 @@ def summarize(run: dict) -> dict:
     """The trajectory record of one perfbench run record."""
     if run.get("trace") != 0:
         raise ValueError("only a --trace 0 run carries the end-to-end medians")
+    wrong = [name for name, op in run["ops"].items() if op["status"] == "wrong"]
+    if wrong:
+        raise ValueError(f"ops with wrong output measure nothing: {', '.join(wrong)}")
     return {"commit": run["commit"], "src_sha256": run["src_sha256"], "seed": run["seed"],
             "seconds": run["seconds"], "python": run["python"],
             **{name: run["metrics"][name]["value"] for name in END_TO_END},
