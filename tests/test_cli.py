@@ -48,15 +48,27 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, ["vsys", "check", "--shift", "1"])[0] == 2  # missing --file
 
 
-def test_default_order_ignores_the_environment(capsys, monkeypatch):
-    # the defaults are the parser's own: 10, and 30 for verify
+def _unchanged_by_default_order_env(capsys, monkeypatch, value):
+    # the variable is no longer read: the defaults are the parser's own, 10 and 30 for verify
     argvs = (["expand", "delta", "--json"], ["verify", "triple"])
     monkeypatch.delenv("QMOON_DEFAULT_ORDER", raising=False)
     unset = [run(capsys, argv)[:2] for argv in argvs]
     assert json.loads(unset[0][1])["trunc"] == 10 and unset[1] == (0, "PASS triple order=30\n")
-    for value in ("3", "abc", "-2"):
-        monkeypatch.setenv("QMOON_DEFAULT_ORDER", value)
-        assert [run(capsys, argv)[:2] for argv in argvs] == unset
+    monkeypatch.setenv("QMOON_DEFAULT_ORDER", value)
+    assert [run(capsys, argv)[:2] for argv in argvs] == unset
+
+
+def test_default_order_env(capsys, monkeypatch):
+    _unchanged_by_default_order_env(capsys, monkeypatch, "3")
+
+
+def test_non_integer_default_order_env_rejected(capsys, monkeypatch):
+    # once exit 4; a value nothing reads is now no error at all
+    _unchanged_by_default_order_env(capsys, monkeypatch, "abc")
+
+
+def test_negative_default_order_env_rejected(capsys, monkeypatch):
+    _unchanged_by_default_order_env(capsys, monkeypatch, "-2")
 
 
 def test_non_positive_definite_gram_exits_four(capsys, tmp_path):
