@@ -49,7 +49,10 @@ def _unique_keys(pairs):
 
 def _load_json(path):
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(handle, object_pairs_hook=_unique_keys)
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise ValueError("JSON nests too deeply to read") from None
 
 
 def _parse_vector(text: str, flag: str):
@@ -162,9 +165,7 @@ def _cmd_vsys_check(args) -> int:
     system = vsys.VectorSystem.from_json(_load_json(args.file))
     chamber = _parse_vector(args.chamber, "--chamber") if args.chamber else (1,) * system.dim
     shift = _parse_vector(args.shift, "--shift")
-    order = _order(args)
-    reports = [vsys.elliptic_transform_check(system, chamber, shift, order, kind=kind)
-               for kind in ("mu", "tau")]
+    reports = vsys.elliptic_transform_check(system, chamber, shift, _order(args))
     return _emit(args, [r.to_json() for r in reports], [_report_line(r) for r in reports],
                  reports)
 

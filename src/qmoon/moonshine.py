@@ -9,10 +9,11 @@ j - 744.  Everything is coefficient-exact inside rectangular caps.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from . import forms
 from .identities import VerifyReport
-from .series import BiSeries, QSeries, _exp_recurrence
+from .series import BiSeries, QSeries
 
 
 class MoonshineCoeffs:
@@ -126,9 +127,11 @@ def bi_exp(t: BiSeries) -> BiSeries:
     rows = [{} for _ in range(t.cap)]
     for (ex, ey), c in t.coeffs.items():
         rows[ex - 1][ey] = ex * c
+    w = [QSeries(row, top) for row in rows]  # w_k = k T_k
     # T_k * 1 is known through min(top, unit top + valuation of T_k) >= top
-    b = _exp_recurrence([QSeries(row, top) for row in rows], t.cap, QSeries.one(top - lo),
-                        lambda s, m: s * Fraction(1, m))
+    b = [QSeries.one(top - lo)]
+    for m in range(1, t.cap + 1):  # m B_m = sum_k w_k B_{m-k}
+        b.append(sum(map(mul, w, reversed(b))) * Fraction(1, m))
     return BiSeries({(m, ey): c for m, row in enumerate(b) for ey, c in row.coeffs.items()},
                     t.cap, ytop=None if t.ytop is None else min(row.trunc for row in b))
 

@@ -485,27 +485,22 @@ def _inverse(u: list, n: int) -> list:
     return r
 
 
-def _exact_div(s, m: int):
-    return _num(Fraction(s, m))
-
-
-def _exp_recurrence(w: list, n: int, one=1, div=_exact_div) -> list:
-    """Terms 0..n of the b = one + ... with q b'/b = sum_k w[k-1] q^k, where
-    m b_m = sum_{k <= m} w[k-1] b_{m-k}, with div(s, m) the exact quotient s / m.
+def _exp_recurrence(w: list, n: int) -> list:
+    """Terms 0..n of the b = 1 + ... with q b'/b = sum_k w[k-1] q^k, where
+    m b_m = sum_{k <= m} w[k-1] b_{m-k}.
 
     Semi-relaxed divide and conquer (J. van der Hoeven, J. Symbolic Comput. 34,
     2002), in O(M(n) log n): once b[lo:mid] is known, its share of the sums for
     m in [mid, hi) is one ``_mul_lists`` product; the recurrence finds at most
-    _EXP_BLOCK terms at a time, exact quotients staying ints.  ``moonshine.bi_exp``
-    passes QSeries rows, a unit and a row divide: they take the recurrence alone.
+    _EXP_BLOCK terms at a time, exact quotients staying ints.
     """
-    b, acc = [one], [0] * (n + 1)
+    b, acc = [1], [0] * (n + 1)
 
     def solve(lo: int, hi: int):  # b[lo:hi], when acc holds the share of b[:lo]
-        if hi - lo <= _EXP_BLOCK or isinstance(one, QSeries):
+        if hi - lo <= _EXP_BLOCK:
             run = b[lo:]  # this run's terms: b_0 alone, or none yet
             for m in range(max(lo, 1), hi):
-                run.append(div(sum(map(mul, w, reversed(run)), acc[m]), m))
+                run.append(_num(Fraction(sum(map(mul, w, reversed(run)), acc[m]), m)))
             b[lo:] = run
             return
         mid = (lo + hi) // 2
@@ -601,7 +596,7 @@ def _binomial_terms(e, sign, kmax):
     while c and k <= kmax:
         yield k, c
         k += 1
-        c = _exact_div(sign * c * (e - k + 1), k)
+        c = _num(Fraction(sign * c * (e - k + 1), k))
 
 
 def product_from_exponents(t: ExponentTable, *, nome=FULL) -> QSeries:
@@ -733,72 +728,53 @@ class BiSeries:
     def mul_binomials(self, factors) -> "BiSeries":
         """Multiply by prod (1 + sign * x^a y^b)^e over the (a, b, e, sign) factors.
 
+        It takes the factors its callers build and raises ValueError on any
+        other: every stored x and every a is >= 0, and e is an int >= -1.  A
+        factor constant in x (a == 0) either multiplies (e >= 0), with b >= 0
+        under a y-top, or divides (e = -1), with b > 0 and a y-top.
+
         The running product is held as rows {x: {y: c}} from entry to exit,
         and each factor acts on it in place in one of two ways.  Dividing by
         a unit factor (e = -1) runs the partition-counting recurrence
         c[k] -= sign c[k - (a, b)] on new values, in ascending x or, for
-        a == 0 (which needs b > 0 and a y-top), ascending y along each row.
-        Every other factor, like (1 - p^m q^n)^c(mn) whose exponent runs to
-        dozens of digits, multiplies by its exact binomial terms
-        sign^k C(e, k) x^(ka) y^(kb), as far as the current cap, or for
-        a == 0 the y-top, can use: walking x downward, term k >= 1 of each
-        old row x is added into row x + ka shifted by kb, and for a == 0
-        each row becomes the sum of its shifted copies.  A unit multiply
-        (e = 1) is the two-term case.  Negative or rational e expands as a
-        power series; a factor constant in x (a == 0) then needs b > 0 and a
-        y-top to terminate.
+        a == 0, ascending y along each row.  Every other factor, like
+        (1 - p^m q^n)^c(mn) whose exponent runs to dozens of digits,
+        multiplies by its exact binomial terms sign^k C(e, k) x^(ka) y^(kb),
+        as far as the cap can use (all e + 1 of them for a == 0): walking x
+        downward, term k >= 1 of each old row x is added into row x + ka
+        shifted by kb, and for a == 0 each row becomes the sum of its shifted
+        copies.  A unit multiply (e = 1) is the two-term case.
 
         Keys above the cap or the y-top are dropped, and a term that cancels
-        leaves its row, so rows hold only nonzero terms.  The cap follows the
-        unknown tails: before each factor it moves to cap + min(x-valuations)
-        of the product and the factor, where a zero series (the product, or
-        the constant factor (1 - 1)^e) counts as x-valuation cap + 1, and
-        the rows above it go.  The y-top follows the unknown terms above it,
-        which only factors with b < 0 carry down: at most |b| / a per step in
-        x and max(cap, 0) steps in all, or |b| e for a polynomial factor
-        constant in x.  The result's y-top is lowered by the ceiling of
-        max(cap, 0) times the steepest |b| / a plus those |b| e.
+        leaves its row, so rows hold only nonzero terms.  No x-valuation is
+        below 0, so the cap stays.  The y-top follows the unknown terms above
+        it, which only factors with a > 0 and b < 0 carry down: at most
+        |b| / a per step in x and max(cap, 0) steps in all.  The result's
+        y-top is lowered by the ceiling of max(cap, 0) times the steepest
+        |b| / a.
         """
         rows = {}
         for (x, y), v in self.coeffs.items():
             rows.setdefault(x, {})[y] = v
+        if min(rows, default=0) < 0:
+            raise ValueError("stored first-variable exponents must be >= 0")
         cap, ytop = self.cap, self.ytop
-        steep = poly = 0  # how far b < 0 factors carry unknown terms down
+        steep = 0  # how far b < 0 factors carry unknown terms down
         for a, b, e, sign in factors:
-            if b < 0:
-                if a > 0:
-                    steep = max(steep, -(max(self.cap, 0) * b // a))
-                elif isinstance(e, int) and e >= 0:
-                    poly -= b * e
-            if sign not in (1, -1):
-                raise ValueError("sign must be +1 or -1")
-            if a > 0:
-                kmax = max(cap, 0) // a
-            elif a < 0:
-                raise ValueError("primary-variable exponent must be nonnegative")
-            elif b > 0 and ytop is not None:  # the steps that keep some y of the product under ytop
-                kmax = max((ytop - min((y for row in rows.values() for y in row),
-                                       default=ytop)) // b, 0)
-            elif isinstance(e, int) and e >= 0:
-                kmax = e
-            else:
-                raise ValueError("factor constant in the capped variable needs a "
-                                 "nonnegative integer exponent, or b > 0 and a y-top")
-            # cap + min(x-valuations); the zero product and the factor (1 - 1)^e count cap + 1
-            low = cap + 1 if a == b == 0 and sign == -1 and e > 0 else 0
-            low = min((x for x, row in rows.items() if x < low and row),
-                      default=min(cap + 1, low))
-            cap += low
-            if low < 0:
-                for x in [x for x in rows if x > cap]:
-                    del rows[x]
+            if sign not in (1, -1) or a < 0 or not isinstance(e, int) or e < -1:
+                raise ValueError("factor needs a >= 0, sign +1 or -1 and an integer e >= -1")
+            if a == 0 and (b < 0 and ytop is not None or e == -1 and (b <= 0 or ytop is None)):
+                raise ValueError("factor constant in the capped variable needs b >= 0 under "
+                                 "a y-top, and to divide, b > 0 and a y-top")
+            if a and b < 0:
+                steep = max(steep, -(max(cap, 0) * b // a))
             xs = range(min(rows, default=cap), cap - a + 1)
             lim = None if ytop is None or b <= 0 else ytop - b
             if e == -1:  # divide, reading each source after its own update
                 steps = [(a, b, -sign, lim)]
             else:  # multiply, reading each source before any update
                 steps = [(k * a, k * b, c, None if ytop is None or b <= 0 else ytop - k * b)
-                         for k, c in _binomial_terms(e, sign, kmax) if k]
+                         for k, c in _binomial_terms(e, sign, max(cap, 0) // a if a else e) if k]
                 xs = reversed(xs)
             for x in xs:
                 src = rows.get(x)
@@ -827,7 +803,7 @@ class BiSeries:
                             else:  # rows hold only nonzero terms
                                 del row[y]
         return BiSeries({(x, y): v for x, row in rows.items() for y, v in row.items()}, cap,
-                        ytop=None if ytop is None else ytop - steep - poly)
+                        ytop=None if ytop is None else ytop - steep)
 
     def first_mismatch(self, other: "BiSeries"):
         """First disagreeing monomial in graded-lex order (x+y, x, y), or None.

@@ -16,10 +16,11 @@ that lacks them shows up as a failed shift law.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import NamedTuple
 
 from .identities import VerifyReport
-from .series import BiSeries, _first_mismatch, _json_fields, _json_table
+from .series import BiSeries, _first_mismatch, _json_fields, _json_table, _num
 
 
 def _positive_definite(gram) -> bool:
@@ -211,19 +212,18 @@ def _integral_pair(V, a, b, what):
     return int(p)
 
 
-def elliptic_transform_check(V: VectorSystem, lam, shift, order: int,
-                             kind: str = "mu") -> VerifyReport:
-    """Formal substitution check of one elliptic shift law of psi.
+def elliptic_transform_check(V: VectorSystem, lam, shift, order: int) -> tuple:
+    """Formal substitution checks of both elliptic shift laws of one psi.
 
-    kind "mu":  psi(tau, z + mu)      = (-1)^(2(rho,mu)) psi(tau, z)
-    kind "tau": psi(tau, z + L*tau)   = (-1)^(2(rho,L)) q^(-m(L,L)/2) zeta^(-mL) psi
+    mu:  psi(tau, z + mu)      = (-1)^(2(rho,mu)) psi(tau, z)
+    tau: psi(tau, z + L*tau)   = (-1)^(2(rho,L)) q^(-m(L,L)/2) zeta^(-mL) psi
 
-    The shift must pair integrally with every support vector.  For the tau
-    law both sides pick up column-dependent fractional q-exponents, so each
-    zeta-column is compared within its own known range.
+    The shift, taken as mu and as L, must pair integrally with every support
+    vector; the (mu, tau) reports come back as a pair.  For the tau law both
+    sides pick up column-dependent fractional q-exponents, so each
+    zeta-column is compared within its own known range, keyed by twice the
+    q-exponent.
     """
-    if kind not in ("mu", "tau"):
-        raise ValueError("kind must be 'mu' or 'tau'")
     shift = tuple(Fraction(x) for x in shift)
     if len(shift) != V.dim:
         raise ValueError("shift vector has wrong dimension")
@@ -231,31 +231,30 @@ def elliptic_transform_check(V: VectorSystem, lam, shift, order: int,
         _integral_pair(V, shift, v, "shift vector")
     p = psi(V, lam, order)
     wd = weyl_data(V, lam)
-    two_rho = tuple(int(2 * x) for x in wd.rho)
-    sign = -1 if _integral_pair(V, shift, two_rho, "shift vector") % 2 else 1
-
-    if kind == "mu":
-        lhs = {}
-        for (n, r), c in p.coeffs.items():
-            flip = _integral_pair(V, shift, r, "shift vector")  # 2(mu, r/2)
-            lhs[(n, r)] = -c if flip % 2 else c
-        rhs = {k: sign * c for k, c in p.coeffs.items()}
-        return VerifyReport("elliptic_mu_shift", order, _first_mismatch(lhs, rhs))
-
-    m_ll = wd.m * V.pair(shift, shift)  # rhs q-exponent drops by m(L,L)/2
+    sign = -1 if V.pair(shift, [2 * x for x in wd.rho]) % 2 else 1  # 2 rho sums support vectors
+    m_ll = _num(wd.m * V.pair(shift, shift))  # rhs q-exponent drops by m(L,L)/2
     key_shift = tuple(2 * wd.m * x for x in shift)
-    if any(Fraction(x).denominator != 1 for x in key_shift):
+    if any(x.denominator != 1 for x in key_shift):
         raise ValueError(f"zeta^(-m*shift) leaves the doubled grid: {key_shift}")
     key_shift = tuple(int(x) for x in key_shift)
-    # both sides keyed (column r, q-exponent e), each column known through
-    # the smaller of the two sides' tops there
-    lhs = {(r, n + Fraction(V.pair(shift, r), 2)): c for (n, r), c in p.coeffs.items()}
-    rhs = {(tuple(a - b for a, b in zip(r, key_shift)), n - Fraction(m_ll, 2)): sign * c
-           for (n, r), c in p.coeffs.items()}
-    rhs_known = order - Fraction(m_ll, 2)
-    mismatch = _first_mismatch(
-        lhs, rhs, lambda k: k[1] <= min(order + Fraction(V.pair(shift, k[0]), 2), rhs_known))
+    # 2(shift, r/2) per column r, an integer: r/2 is -rho plus support vectors
+    pairs = {r: int(V.pair(shift, r)) for r in {r for _, r in p.coeffs}}
+    top = 2 * order - m_ll
+    mu_lhs, tau_lhs, tau_rhs = {}, {}, {}
+    for (n, r), c in p.coeffs.items():
+        t = pairs[r]
+        mu_lhs[(n, r)] = -c if t % 2 else c
+        # keyed (column, twice the q-exponent), each side keeping the keys both
+        # know: column c through 2 order + 2(shift, c/2) on the lhs and through
+        # 2 order - m(L,L) on the rhs, whose column r - 2mL pairs 2m(L,L) less
+        if 2 * n + t <= top:
+            tau_lhs[(r, 2 * n + t)] = c
+        if 2 * n + m_ll <= 2 * order + t:
+            tau_rhs[(tuple(map(sub, r, key_shift)), 2 * n - m_ll)] = sign * c
+    mu = VerifyReport("elliptic_mu_shift", order,
+                      _first_mismatch(mu_lhs, {k: sign * c for k, c in p.coeffs.items()}))
+    mismatch = _first_mismatch(tau_lhs, tau_rhs)
     if mismatch is not None:
         (r, e), left, right = mismatch
-        mismatch = ((e, r), left, right)
-    return VerifyReport("elliptic_tau_shift", order, mismatch)
+        mismatch = ((Fraction(e, 2), r), left, right)
+    return mu, VerifyReport("elliptic_tau_shift", order, mismatch)

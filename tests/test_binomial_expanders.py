@@ -7,8 +7,15 @@ coefficients from a running product (no ``gbinom``): one-variable series
 with the plain ``QSeries.__mul__``, two-variable ones with the schoolbook
 ``kernel_oracle.bi_mul``, which shares no code with ``BiSeries``.
 Truncation, cap and y-top must match as well as the coefficients and
-their types, and the same factor lists must be rejected.  The x-shift of
-``BiSeries`` is checked against the same reference.
+their types.  The x-shift of ``BiSeries`` is checked against the same
+reference.
+
+``BiSeries.mul_binomials`` takes only the factors its callers build: every
+stored x and every a >= 0, e an int >= -1, and a factor constant in x
+either a polynomial (with b >= 0 under a y-top) or a divisor
+(1 + sign y^b)^-1 with b > 0 under a y-top.  The drawn series and factor
+lists stay in that domain, every caller's factor lists are checked to lie
+in it, and each shape outside it must raise.
 
 ``BiSeries.mul_binomials`` holds its product as rows and applies each
 factor in place: a unit divisor (e = -1) by the partition recurrence, every
@@ -26,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernel_oracle import bi, bi_mul, bi_shift_x
-from paper_refs import sample_system
+from paper_refs import SAMPLE_NAMES, sample_system
 from qmoon import identities, moonshine, series as series_module, vsys
 from qmoon.series import FULL, HALF, BiSeries, QSeries
 
@@ -38,30 +45,24 @@ def binomial(e, k):
     return c
 
 
-def _nonneg_int(e):
-    return isinstance(e, int) and e >= 0
-
-
 def bi_factor(series, a, b, e, sign):
     """(1 + sign x^a y^b)^e through every term that can reach series' cap and y-top.
 
-    For a == 0, b > 0 and a y-top, the terms run while some y of the series,
-    moved by b k, has not yet passed the top.  The y-top itself is applied by
-    the product, not here.
+    For the divisor with a == 0 (b > 0 under a y-top), the terms run while
+    some y of the series, moved by b k, has not yet passed the top.  The
+    y-top itself is applied by the product, not here.
     """
     cap, ytop = series.cap, series.ytop
     if a > 0:
         kmax = max(cap, 0) // a
-    elif a == 0 and b > 0 and ytop is not None:
+    elif e == -1:
         ys = [y for _, y in series.coeffs]
         kmax = 0
         while any(y + b * (kmax + 1) <= ytop for y in ys):
             kmax += 1
-    elif a == 0 and _nonneg_int(e):
-        kmax = e
     else:
-        raise ValueError("unbounded factor")
-    if _nonneg_int(e):
+        kmax = e
+    if e >= 0:
         kmax = min(kmax, e)
     coeffs = {}
     for k in range(kmax + 1):
@@ -71,14 +72,13 @@ def bi_factor(series, a, b, e, sign):
 
 
 def lowered_ytop(series, factors):
-    """The y-top an unknown term above it cannot reach: each b < 0 factor
-    steps it down by at most |b| / a per unit of x, over at most max(cap, 0)
-    units, or by |b| e in all when it is a polynomial constant in x."""
+    """The y-top an unknown term above it cannot reach: each factor with
+    b < 0 (which has a > 0 under a y-top) steps it down by at most |b| / a
+    per unit of x, over at most max(cap, 0) units."""
     if series.ytop is None:
         return None
-    slope = max((Fraction(-b, a) for a, b, _, _ in factors if a > 0 and b < 0), default=0)
-    flat = sum(-b * e for a, b, e, _ in factors if a == 0 and b < 0 and _nonneg_int(e))
-    return series.ytop - ceil(max(series.cap, 0) * slope) - flat
+    slope = max((Fraction(-b, a) for a, b, _, _ in factors if b < 0), default=0)
+    return series.ytop - ceil(max(series.cap, 0) * slope)
 
 
 def bi_oracle(series, factors):
@@ -97,19 +97,16 @@ def q_oracle(series, factors):
     return series
 
 
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError:
-        return ValueError
-
-
 small_exponents = st.one_of(
     st.integers(-3, 6),
     st.just(0),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
-exponents = st.one_of(small_exponents, st.integers(10 ** 20, 10 ** 20 + 5))
+huge = st.integers(10 ** 20, 10 ** 20 + 5)
+exponents = st.one_of(small_exponents, huge)
+# the two-variable product's exponents: a divisor, a polynomial, or one
+# running to dozens of digits like the monster denominator's
+bi_exponents = st.one_of(st.integers(-1, 6), huge)
 coefficients = st.one_of(st.integers(-9, 9), st.fractions(min_value=-4, max_value=4,
                                                             max_denominator=5),
                          # thirds, whose sums and differences often cancel to integers
@@ -130,51 +127,51 @@ def biseries(draw):
     cap = draw(st.integers(-1, 7))
     # a y-top may lie below y = 0 or above every stored y
     ytop = draw(st.one_of(st.none(), st.integers(-3, 6)))
-    xs = st.integers(-2, max(cap, -2))
+    xs = st.integers(0, max(cap, 0))
     ys = st.integers(-6, 5)
-    if draw(st.booleans()):  # sparse
-        coeffs = draw(st.dictionaries(st.tuples(xs, ys), coefficients, max_size=6))
+    if draw(st.booleans()):  # sparse; below cap 0 nothing is known, so nothing stored
+        coeffs = draw(st.dictionaries(st.tuples(xs, ys), coefficients,
+                                      max_size=6 if cap >= 0 else 0))
     else:  # dense: every monomial of a small box, its y-range shifted
-        lo, y0 = draw(st.integers(-2, 0)), draw(st.integers(-4, 2))
+        lo, y0 = draw(st.integers(0, 1)), draw(st.integers(-4, 2))
         coeffs = dense(draw, [(x, y) for x in range(lo, cap + 1) for y in range(y0, y0 + 5)])
     return BiSeries(coeffs, cap, ytop=ytop)
 
 
-units = st.sampled_from((1, -1))
-# a huge exponent on a factor constant in x would expand to that many terms;
-# unit and expanded factors mix in one list, and (1 + sign y^b)^-1 with b > 0
-# divides in place under a y-top
-bi_factors = st.lists(st.one_of(
-    st.tuples(st.integers(1, 3), st.integers(-3, 3), st.one_of(units, exponents), signs),
-    st.tuples(st.just(0), st.integers(-3, 3), st.one_of(units, small_exponents), signs),
-    st.tuples(st.just(0), st.integers(1, 3), st.just(-1), signs),
-), max_size=8)
-# the factors whose product of the stored terms alone is finite without a y-top
-finite_factors = st.lists(st.one_of(
-    st.tuples(st.integers(1, 3), st.integers(-3, 3), st.one_of(units, exponents), signs),
-    st.tuples(st.just(0), st.integers(-3, 3), st.integers(0, 3), signs),
-), max_size=8)
+def bi_factors(ytop, divide=True):
+    """Factor lists the product accepts under this y-top, unit and expanded
+    factors mixed.  A factor constant in x is a small polynomial with b != 0
+    (so no factor is the zero (1 - 1)^e), stepping up under a y-top, or, if
+    divide, (1 + sign y^b)^-1 with b > 0 under a y-top, divided in place."""
+    constant_b = st.integers(1, 3) if ytop is not None else \
+        st.sampled_from((-3, -2, -1, 1, 2, 3))
+    kinds = [st.tuples(st.integers(1, 3), st.integers(-3, 3), bi_exponents, signs),
+             st.tuples(st.just(0), constant_b, st.integers(0, 4), signs)]
+    if divide and ytop is not None:
+        kinds.append(st.tuples(st.just(0), st.integers(1, 3), st.just(-1), signs))
+    return st.lists(st.one_of(kinds), max_size=8)
 
 
 def same_bi(x, y):
     """Equal cap, y-top and coefficients, an int never matching a Fraction."""
-    if x is ValueError or y is ValueError:
-        return x is y
     def typed(s):
         return {k: (type(c), c) for k, c in s.coeffs.items()}
     return (typed(x), x.cap, x.ytop) == (typed(y), y.cap, y.ytop)
 
 
 @settings(max_examples=300, deadline=None)
-@given(biseries(), bi_factors)
-def test_biseries_expander_matches_factor_by_factor(series, factors):
-    got = outcome(series.mul_binomials, factors)
-    assert same_bi(got, outcome(bi_oracle, series, factors))
+@given(biseries(), st.data())
+def test_biseries_expander_matches_factor_by_factor(series, data):
+    factors = data.draw(bi_factors(series.ytop))
+    assert same_bi(series.mul_binomials(factors), bi_oracle(series, factors))
 
 
 @settings(max_examples=200, deadline=None)
-@given(biseries().filter(lambda s: s.ytop is not None), finite_factors)
-def test_biseries_ytop_is_honest(series, factors):
+@given(biseries().filter(lambda s: s.ytop is not None), st.data())
+def test_biseries_ytop_is_honest(series, data):
+    # no divisor constant in x: the product of the stored terms alone is
+    # finite without a y-top
+    factors = data.draw(bi_factors(series.ytop, divide=False))
     # whatever the product claims under its y-top must agree with the
     # product of the same stored terms with no y-top at all
     got = series.mul_binomials(factors)
@@ -192,9 +189,9 @@ def test_ytop_drops_past_what_b_below_zero_factors_carry_down():
     # the slope is |b| / a, rounded up over the cap's x-steps
     got = BiSeries.one(5, ytop=9).mul_binomials([(2, -1, -1, -1), (3, -2, 2, 1)])
     assert got.ytop == 9 - 4
-    # a polynomial constant in x steps down |b| e at most
-    got = BiSeries.one(5, ytop=9).mul_binomials([(0, -2, 3, 1)])
-    assert got.ytop == 9 - 6
+    # a polynomial constant in x may not step down under a y-top
+    with pytest.raises(ValueError):
+        BiSeries.one(5, ytop=9).mul_binomials([(0, -2, 3, 1)])
     # factors stepping up, or no y-top, leave it alone
     assert BiSeries.one(5, ytop=9).mul_binomials([(1, 2, -1, -1), (0, 1, -1, 1)]).ytop == 9
     assert BiSeries.one(5).mul_binomials([(1, -1, -1, -1)]).ytop is None
@@ -346,10 +343,9 @@ def test_factors_reach_a_ytop_off_zero():
     # a factor constant in x runs until the partial product's lowest y passes the top
     got = BiSeries({(0, -2): 1}, 3, ytop=5).mul_binomials([(0, 1, -1, -1)])
     assert got.coeffs == {(0, y): 1 for y in range(-2, 6)}
-    # stepping down, nothing bounds it unless it is a polynomial, which
-    # carries unknown terms from above the top two steps down
-    got = BiSeries({(0, 2): 1}, 3, ytop=3).mul_binomials([(0, -1, 2, -1)])
-    assert (got.coeffs, got.ytop) == ({(0, 1): -2, (0, 0): 1}, 1)
+    # stepping down under a y-top it is rejected, a polynomial too
+    with pytest.raises(ValueError):
+        BiSeries({(0, 2): 1}, 3, ytop=3).mul_binomials([(0, -1, 2, -1)])
 
 
 def test_expanders_reject_bad_factors():
@@ -358,11 +354,61 @@ def test_expanders_reject_bad_factors():
     with pytest.raises(ValueError):
         QSeries.one(4).mul_binomials([(1, 1, 2)])
     with pytest.raises(ValueError):
-        BiSeries.one(4).mul_binomials([(-1, 1, 1, -1)])
-    with pytest.raises(ValueError):
         BiSeries.one(4).mul_binomials([(1, 1, 1, 0)])
+
+
+def _in_measured_domain(series, factor):
+    """What every caller passes: a >= 0, e an int -1 or >= 1, and a factor
+    constant in x either a polynomial with no y-top or a divisor with b > 0
+    under one."""
+    a, b, e, sign = factor
+    if a < 0 or sign not in (1, -1) or not isinstance(e, int) or not (e == -1 or e >= 1):
+        return False
+    return a > 0 or (series.ytop is None and e >= 1) or \
+        (series.ytop is not None and e == -1 and b > 0)
+
+
+def test_every_caller_builds_factors_in_the_domain(monkeypatch):
+    # the two-variable identity rows, psi on every sample system and the
+    # monster denominator: each product is accepted, stores no x below 0,
+    # and passes only factors of the measured shapes
+    seen = []
+    real = BiSeries.mul_binomials
+
+    def spy(self, factors):
+        factors = list(factors)
+        seen.append((self, factors))
+        return real(self, factors)
+
+    monkeypatch.setattr(BiSeries, "mul_binomials", spy)
+    for name in TWO_VARIABLE:
+        for order in range(1, 31):
+            identities.identity_sides(name, order)
+    for name in SAMPLE_NAMES:
+        V = sample_system(name)
+        for order in range(9):
+            vsys.psi(V, (1, 2)[:V.dim], order)
+    for cap in range(1, 5):
+        moonshine.denominator_product(cap, cap)
+    rows = sum(len(entries) for entries in TWO_VARIABLE.values())
+    assert len(seen) == 30 * rows + 9 * len(SAMPLE_NAMES) + 4
+    for series, factors in seen:
+        assert all(x >= 0 for x, _ in series.coeffs)
+        assert all(_in_measured_domain(series, f) for f in factors)
+
+
+@pytest.mark.parametrize("series,factor", [
+    (BiSeries.one(4), (-1, 1, 1, -1)),  # a < 0
+    (BiSeries.one(4), (1, 1, -2, -1)),  # e < -1
+    (BiSeries.one(4), (1, 1, Fraction(1, 2), -1)),  # rational e
+    (BiSeries.one(4), (1, 1, Fraction(2), -1)),  # an int held as a Fraction
+    (BiSeries.one(4, ytop=3), (0, 0, -1, -1)),  # a = 0 divide, b = 0
+    (BiSeries.one(4, ytop=3), (0, -1, -1, -1)),  # a = 0 divide, b < 0
+    (BiSeries.one(4), (0, 1, -1, -1)),  # a = 0 divide, no y-top
+    (BiSeries.one(4, ytop=3), (0, -1, 2, -1)),  # a = 0, b < 0 under a y-top
+    (BiSeries.one(4, ytop=3), (0, -2, 1, 1)),
+    (BiSeries({(-1, 0): 1}, 4), (1, 1, 1, -1)),  # a stored x < 0
+])
+def test_biseries_rejects_each_excluded_shape(series, factor):
     with pytest.raises(ValueError):
-        BiSeries.one(4, ytop=3).mul_binomials([(0, 0, -1, -1)])
-    for e in (-1, Fraction(1, 2)):  # a y-top bounds nothing below it
-        with pytest.raises(ValueError):
-            BiSeries.one(4, ytop=3).mul_binomials([(0, -1, e, -1)])
+        series.mul_binomials([factor])

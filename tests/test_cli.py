@@ -206,6 +206,20 @@ def test_repeated_json_key_is_rejected(capsys, tmp_path, argv, text, key):
     assert err == f"error: JSON object repeats the key {key!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["factor", "--input"], ["vsys", "psi", "--file"], ["vsys", "check", "--shift", "1", "--file"],
+    ["maass", "lift", "--file"], ["maass", "check", "--file"],
+])
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"a": ' * 100000 + "1" + "}" * 100000])
+def test_deeply_nested_json_is_rejected(capsys, tmp_path, argv, text):
+    # the decoder's recursion limit is bad input, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, argv + [str(path)])
+    assert (code, out, err) == (4, "", "error: JSON nests too deeply to read\n")
+
+
 def test_lift_emits_h_exponents_series(capsys):
     code, out, _ = run(capsys, ["lift", "--name", "f_4", "--order", "3", "--json"])
     assert code == 0

@@ -17,14 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_oracle as oracle
-import qmoon.series as series_module
 from qmoon.series import (
     FULL,
     HALF,
     ExponentTable,
     QSeries,
     _EXP_BLOCK,
-    _exp_recurrence,
     _mul_lists,
     exp_series,
     exponents_from_series,
@@ -349,31 +347,3 @@ def test_exp_above_the_block_is_honest_across_orders(order, k, data):
         ExponentTable(table.h, {e: c for e, c in terms.items() if e <= order}, order))
     assert deep.trunc == shallow.trunc + k
     assert shallow.first_mismatch(deep) is None
-
-
-def test_exp_on_series_rows_takes_the_recurrence_alone(monkeypatch):
-    # moonshine.bi_exp's rows: QSeries terms, a unit and a row divide, which no
-    # product in _mul_lists can pack; past the block they must equal the plain loop
-    n = _EXP_BLOCK + 9
-    rows = [QSeries({0: k % 3 - 1, 1: Fraction(k, 5), -1: 1} if k in (1, 2, 5) else {}, 4)
-            for k in range(1, n + 1)]
-    one, div = QSeries.one(6), (lambda s, m: s * Fraction(1, m))
-    want = [one]
-    for m in range(1, n + 1):
-        total = 0
-        for k in range(1, m + 1):
-            total = total + rows[k - 1] * want[m - k]
-        want.append(div(total, m))
-
-    packed = []
-
-    def spy(a, b, size):
-        packed.append(any(isinstance(c, QSeries) for c in a + b))
-        return _mul_lists(a, b, size)
-
-    monkeypatch.setattr(series_module, "_mul_lists", spy)
-    got = _exp_recurrence(rows, n, one, div)
-    assert len(got) == n + 1
-    for new, old in zip(got, want):
-        same(new, old)
-    assert packed and not any(packed)

@@ -363,17 +363,18 @@ def test_biseries_mul_and_caps():
 
 
 def test_biseries_laurent_cap_is_honest():
-    # a factor 1 + ... times x-valuation -1 is known one step less far
-    a = BiSeries({(-1, 0): 1, (1, 0): 5}, 4)
-    prod = a.mul_binomials([(1, 0, 1, -1)])
-    assert (prod.coeffs, prod.cap) == ({(-1, 0): 1, (0, 0): -1, (1, 0): 5, (2, 0): -5}, 3)
-    # a zero series is known only through its cap, as if its x-valuation were
-    # cap + 1; the zero factor (1 - 1)^2 counts the same way
-    zero, low = BiSeries({}, 3), BiSeries({(-2, 0): 1}, 3)
+    # the product takes no Laurent x: a stored x < 0 is rejected, whatever the factors
+    with pytest.raises(ValueError):
+        BiSeries({(-1, 0): 1, (1, 0): 5}, 4).mul_binomials([(1, 0, 1, -1)])
+    with pytest.raises(ValueError):
+        BiSeries({(-2, 0): 1}, 3).mul_binomials([])
+    # no x-valuation is below 0, so the cap stays, for the zero series and
+    # the zero factor (1 - 1)^2 alike
+    zero = BiSeries({}, 3)
     assert zero.mul_binomials([(1, 0, 1, -1)]).cap == 3
-    assert low.mul_binomials([(0, 0, 2, -1)]).cap == 1
-    assert BiSeries({(1, 0): 1}, 4).mul_binomials([(0, 0, 2, -1)]).cap == 5
-    assert BiSeries({}, 4).mul_binomials([(0, 0, 2, -1)]).cap == 9
+    got = BiSeries({(1, 0): 1}, 4).mul_binomials([(0, 0, 2, -1)])
+    assert (got.coeffs, got.cap) == ({}, 4)
+    assert BiSeries({}, 4).mul_binomials([(0, 0, 2, -1)]).cap == 4
 
 
 def test_biseries_one_past_a_negative_cap():
@@ -382,11 +383,11 @@ def test_biseries_one_past_a_negative_cap():
     assert (one.coeffs, one.cap, one.ytop) == ({}, -1, None)
     one = BiSeries.one(-3, ytop=2)
     assert (one.coeffs, one.cap, one.ytop) == ({}, -3, 2)
-    # x-valuation -2 costs the cap two steps, past the only stored term
-    low = BiSeries({(-2, 1): 3}, -1).mul_binomials([(1, 0, 1, -1)])
-    assert (low.coeffs, low.cap) == ({}, -3)
-    # the empty constant at cap -2 counts as x-valuation -1
-    assert BiSeries.one(-2).mul_binomials([(1, 1, 1, -1)]).cap == -3
+    # a stored x below 0 is rejected
+    with pytest.raises(ValueError):
+        BiSeries({(-2, 1): 3}, -1).mul_binomials([(1, 0, 1, -1)])
+    # the empty constant at cap -2 stays known through cap -2
+    assert BiSeries.one(-2).mul_binomials([(1, 1, 1, -1)]).cap == -2
     assert BiSeries.one(0).coeffs == {(0, 0): 1}
 
 

@@ -1,3 +1,4 @@
+import itertools
 import time
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import kernel_oracle as oracle
-from paper_refs import sample_system, validate
+from paper_refs import SAMPLE_NAMES, sample_system, validate
+from qmoon import cli, vsys
 from qmoon.vsys import (
     PsiSeries,
     VectorSystem,
@@ -219,36 +221,72 @@ def test_psi_json_shape():
     assert {"q": 0, "zeta2": [-1], "c": 1} in data["terms"]
 
 
-@pytest.mark.parametrize("kind", ["mu", "tau"])
+# elliptic_transform_check returns the (mu, tau) reports of one psi
+KINDS = ("mu", "tau")
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("shift", [1, -1])
 def test_pair_system_shift_laws(kind, shift):
-    report = elliptic_transform_check(sample_system("pair"), (1,), (shift,), 12, kind=kind)
+    report = elliptic_transform_check(sample_system("pair"), (1,), (shift,), 12)[
+        KINDS.index(kind)]
     assert report.passed and report.first_mismatch is None
     assert report.name == f"elliptic_{kind}_shift"
     assert report.order == 12
 
 
-@pytest.mark.parametrize("kind", ["mu", "tau"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_pair_system_dual_half_shift(kind):
     # gram (2) has dual lattice (1/2)Z; the laws hold for genuine dual vectors
     report = elliptic_transform_check(
-        sample_system("pair"), (1,), (Fraction(1, 2),), 12, kind=kind)
+        sample_system("pair"), (1,), (Fraction(1, 2),), 12)[KINDS.index(kind)]
     assert report.passed
 
 
 @pytest.mark.parametrize("shift", [(1, 0), (0, 1), (1, -1),
                                    (Fraction(1, 2), Fraction(1, 2))])
-@pytest.mark.parametrize("kind", ["mu", "tau"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_orthogonal_sum_shift_laws(shift, kind):
-    report = elliptic_transform_check(sample_system("orthogonal"), (1, 2), shift, 8, kind=kind)
+    report = elliptic_transform_check(sample_system("orthogonal"), (1, 2), shift, 8)[
+        KINDS.index(kind)]
     assert report.passed
 
 
 def test_shift_outside_dual_lattice_rejected():
     with pytest.raises(ValueError, match="non-integrally"):
         elliptic_transform_check(sample_system("pair"), (1,), (Fraction(1, 4),), 6)
-    with pytest.raises(ValueError, match="kind"):
-        elliptic_transform_check(sample_system("pair"), (1,), (1,), 6, kind="weyl")
+
+
+def test_one_psi_per_check(monkeypatch, tmp_path):
+    # both laws read one expansion, and the CLI asks for both in one call
+    calls = []
+    real = vsys.psi
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(vsys, "psi", spy)
+    mu, tau = elliptic_transform_check(sample_system("orthogonal"), (1, 2), (1, 0), 5)
+    assert calls == [5] and mu.passed and tau.passed
+    path = tmp_path / "pair.json"
+    path.write_text('{"dim": 1, "gram": [[2]], "mult": {"1": 1, "-1": 1}}')
+    calls.clear()
+    assert cli.run(["vsys", "check", "--file", str(path), "--shift", "1", "--order", "7"]) == 0
+    assert calls == [7]
+
+
+@pytest.mark.parametrize("name", SAMPLE_NAMES)
+def test_sample_reports_as_before(name):
+    # every sample system passes both laws for each shift with entries 0
+    # and 1 at orders 0-12, as a (mu, tau) pair of reports
+    V = sample_system(name)
+    for shift in itertools.product((0, 1), repeat=V.dim):
+        for order in range(13):
+            reports = elliptic_transform_check(V, (1, 2)[:V.dim], shift, order)
+            assert [r.to_json() for r in reports] == [
+                {"name": f"elliptic_{kind}_shift", "order": order, "passed": True,
+                 "first_mismatch": None} for kind in KINDS]
 
 
 def test_shift_law_catches_wrong_sign():
@@ -299,8 +337,7 @@ def shell_systems(draw):
 def test_systems_that_validate_accepts_pass_both_shift_laws(case, order):
     V, chamber, shift = case
     assume(validate(V)["valid"])
-    for kind in ("mu", "tau"):
-        report = elliptic_transform_check(V, chamber, shift, order, kind)
+    for kind, report in zip(KINDS, elliptic_transform_check(V, chamber, shift, order)):
         assert report.passed, (kind, report.first_mismatch)
 
 
@@ -403,7 +440,7 @@ def line_systems_with_shifts(draw):
     line_systems_with_shifts(),
     st.tuples(st.sampled_from([sample_system("orthogonal"), A2]), st.just((1, 3)),
               st.sampled_from([(1, 0), (0, -1), (1, 1), (Fraction(1, 3), Fraction(2, 3))])),
-), st.integers(0, 6), st.sampled_from(("mu", "tau")))
+), st.integers(0, 6), st.sampled_from(KINDS))
 @example((VectorSystem(1, ((2,),), {(-1,): 1, (1,): 2}), (1,), (1,)), 6, "tau")
 # one-sided systems: a known range half a step too wide or too narrow shows here
 @example((VectorSystem(1, ((1,),), {(2,): 1}), (-1,), (Fraction(1, 2),)), 0, "tau")
@@ -412,7 +449,7 @@ def line_systems_with_shifts(draw):
 def test_shift_laws_match_per_column_scan(case, order, kind):
     V, lam, shift = case
     try:
-        got = elliptic_transform_check(V, lam, shift, order, kind).first_mismatch
+        got = elliptic_transform_check(V, lam, shift, order)[KINDS.index(kind)].first_mismatch
     except (ValueError, ArithmeticError):  # off the dual lattice or grid; no integral index
         assume(False)
     want = oracle.elliptic_mismatch(V, lam, shift, order, kind)
