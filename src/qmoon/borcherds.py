@@ -19,64 +19,36 @@ from .series import ExponentTable, FULL, QSeries, _num, product_from_exponents
 CATALOG_NAMES = ("f_delta", "f_4", "f_6", "f_8", "f_10", "f_14", "f_j")
 
 
-def hurwitz_range(lo: int, hi: int) -> dict:
-    """{n: H(n)} for lo <= n <= hi, from one walk over reduced forms.
+def hurwitz_range(max_n: int) -> dict:
+    """{n: H(n)} for 0 <= n <= max_n, from one walk over reduced forms.
 
     H(n) counts reduced positive-definite ax^2 + bxy + cy^2 of discriminant
     b^2 - 4ac = -n, |b| <= a <= c with b >= 0 when |b| = a or a = c; the
     orbits of k(x^2 + y^2) and k(x^2 + xy + y^2) count 1/2 and 1/3 (Cohen,
     GTM 138, 5.3).  Counts are kept in integer sixths.  For each (a, b) the
-    walk steps c, so n steps by 4a through the range: about hi^(3/2) steps
-    for the range [0, hi].  H(0) = -1/12, and H(n) = 0 unless -n is a
-    discriminant.
+    walk steps c from a, so n steps by 4a: about max_n^(3/2) steps.  H(0) =
+    -1/12, and every walked value is checked against the class-number
+    constraints: H(n) = 0 unless -n is a discriminant, and otherwise H(n) >= 0
+    with a denominator dividing 6.
     """
-    if lo < 0:
-        raise ValueError("H(n) is indexed by n >= 0")
-    sixths = [0] * max(hi - lo + 1, 0)
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    sixths = [0] * (max_n + 1)
     a = 1
-    while 3 * a * a <= hi:
+    while 3 * a * a <= max_n:
         for b in range(1 - a, a + 1):
-            c = max(a, -((b * b + lo) // (-4 * a)))  # smallest c with 4ac - b^2 >= lo
-            if c == a:
-                if b >= 0 and 4 * a * a - b * b <= hi:  # (a, b, a) needs b >= 0
-                    sixths[4 * a * a - b * b - lo] += 3 if b == 0 else 2 if b == a else 6
-                c += 1
-            for i in range(4 * a * c - b * b - lo, len(sixths), 4 * a):
+            n = 4 * a * a - b * b  # c = a, which needs b >= 0
+            if b >= 0 and n <= max_n:
+                sixths[n] += 3 if b == 0 else 2 if b == a else 6
+            for i in range(n + 4 * a, max_n + 1, 4 * a):
                 sixths[i] += 6
         a += 1
-    values = {n: _num(Fraction(sixths[n - lo], 6)) for n in range(lo, hi + 1)}
-    if lo == 0 <= hi:
-        values[0] = Fraction(-1, 12)
+    values = {0: Fraction(-1, 12)}
+    for n in range(1, max_n + 1):
+        h = values[n] = _num(Fraction(sixths[n], 6))
+        if (h != 0) if n % 4 in (1, 2) else (h < 0 or 6 % Fraction(h).denominator):
+            raise ArithmeticError(f"H({n}) = {h} breaks the class-number constraints")
     return values
-
-
-class HurwitzTable:
-    """H(0), ..., H(max_n), computed once and checked against the known shape."""
-
-    __slots__ = ("max_n", "values")
-
-    def __init__(self, max_n: int):
-        if max_n < 0:
-            raise ValueError("max_n must be nonnegative")
-        self.max_n = int(max_n)
-        self.values = hurwitz_range(0, self.max_n)
-        for n, h in self.values.items():
-            if n == 0:
-                ok = h == Fraction(-1, 12)
-            elif n % 4 in (1, 2):
-                ok = h == 0
-            else:
-                ok = h >= 0 and 6 % Fraction(h).denominator == 0
-            if not ok:
-                raise ArithmeticError(f"H({n}) = {h} breaks the class-number constraints")
-
-    def __getitem__(self, n: int):
-        if not 0 <= n <= self.max_n:
-            raise ValueError(f"H({n}) outside the computed range 0..{self.max_n}")
-        return self.values[n]
-
-    def __repr__(self):
-        return f"HurwitzTable(max_n={self.max_n})"
 
 
 class PlusForm:
@@ -97,9 +69,6 @@ class PlusForm:
             raise ValueError("not in the plus space; offending (exponent, coefficient): "
                              + ", ".join(f"({e}, {c})" for e, c in bad))
         self.series = series
-
-    def coeff(self, n: int):
-        return self.series.coeff(n)
 
     def __repr__(self):
         return f"PlusForm({self.series!r})"
@@ -183,7 +152,7 @@ def lift(f: PlusForm, order: int) -> LiftResult:
     if s.trunc < order * order:
         raise ValueError(f"lift to order {order} reads c(n^2) up to n = {order}; "
                          f"the form is only known to q^{s.trunc}")
-    H = HurwitzTable(max((-e for e in s.coeffs if e < 0), default=0))
+    H = hurwitz_range(max((-e for e in s.coeffs if e < 0), default=0))
     h = sum(c * H[-e] for e, c in s.coeffs.items() if e <= 0)  # H(0) = -1/12
     table = ExponentTable(h, {n: s.coeff(n * n) for n in range(1, order + 1)}, order)
     result = product_from_exponents(table)
@@ -220,7 +189,7 @@ def printed_coefficient_report(name: str) -> list:
     if name not in _PRINTED:
         raise ValueError(f"no published expansion recorded for {name!r}")
     printed = _PRINTED[name]
-    f = catalog(name, max(printed) + 1)
+    f = catalog(name, max(printed) + 1).series
     return [(n, f.coeff(n), c, f.coeff(n) == c) for n, c in sorted(printed.items())]
 
 

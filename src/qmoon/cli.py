@@ -130,7 +130,7 @@ def _cmd_lift(args) -> int:
 def _cmd_hurwitz(args) -> int:
     if args.max < 0:
         raise ValueError("max must be >= 0")
-    values = borcherds.HurwitzTable(args.max).values
+    values = borcherds.hurwitz_range(args.max)
     payload = {"max": args.max, "values": {str(n): str(v) for n, v in values.items()}}
     lines = [f"H({n}) = {v}" for n, v in values.items()]
     return _emit(args, payload, lines)
@@ -154,11 +154,14 @@ def _cmd_moonshine(args) -> int:
 def _cmd_vsys_psi(args) -> int:
     system = vsys.VectorSystem.from_json(_load_json(args.file))
     chamber = _parse_vector(args.chamber, "--chamber") if args.chamber else (1,) * system.dim
-    series = vsys.psi(system, chamber, _order(args))
-    data = series.to_json()
-    lines = [f"prefactor exponent: {data['qpre']}"]
-    lines += [f"  q^{t['q']} zeta2={t['zeta2']}: {t['c']}" for t in data["terms"]]
-    return _emit(args, {"file": args.file, **data}, lines)
+    order = _order(args)
+    qpre, coeffs = vsys.psi(system, chamber, order)
+    terms = [{"q": n, "zeta2": list(r), "c": c} for (n, r), c in sorted(coeffs.items())]
+    lines = [f"prefactor exponent: {qpre}"]
+    lines += [f"  q^{t['q']} zeta2={t['zeta2']}: {t['c']}" for t in terms]
+    payload = {"file": args.file, "dim": system.dim, "qpre": str(qpre), "trunc": order,
+               "terms": terms}
+    return _emit(args, payload, lines)
 
 
 def _cmd_vsys_check(args) -> int:

@@ -2,8 +2,9 @@
 
 Both checks compare expansions of j*(p) - j*(q): the denominator form writes
 it as p^-1 prod (1 - p^m q^n)^{c(mn)}, the replication form as
-p^-1 exp(-sum c(mn) p^{mi} q^{ni} / i).  Coefficients c(n) are those of
-j - 744.  Everything is coefficient-exact inside rectangular caps.
+p^-1 exp(-sum c(mn) p^{mi} q^{ni} / i).  The coefficients c(n) are read
+from the QSeries j - 744, once its shape is checked.  Everything is
+coefficient-exact inside rectangular caps.
 """
 
 from __future__ import annotations
@@ -16,34 +17,19 @@ from .identities import VerifyReport
 from .series import BiSeries, QSeries
 
 
-class MoonshineCoeffs:
-    """c(n) of j - 744 = sum_{n >= -1} c(n) q^n, shape-checked on construction."""
+def moonshine_c(max_n: int) -> QSeries:
+    """j - 744 = sum_{n >= -1} c(n) q^n through q^max_n, shape-checked.
 
-    __slots__ = ("c", "max_n")
-
-    def __init__(self, c, max_n):
-        self.max_n = int(max_n)
-        self.c = {int(n): v for n, v in c.items() if v}
-        if self.c.get(-1) != 1 or 0 in self.c:
-            raise ValueError("moonshine coefficients start q^-1 + 0 + 196884q + ...")
-        for n, v in self.c.items():
-            if not -1 <= n <= self.max_n:
-                raise ValueError(f"coefficient index {n} outside -1..{self.max_n}")
-            if n >= 1 and v <= 0:
-                raise ValueError(f"c({n}) = {v} must be positive")
-
-    def __getitem__(self, n: int):
-        if not -1 <= n <= self.max_n:
-            raise ValueError(f"c({n}) unknown (computed to {self.max_n})")
-        return self.c.get(n, 0)
-
-    def __repr__(self):
-        return f"MoonshineCoeffs(max_n={self.max_n})"
-
-
-def moonshine_c(max_n: int) -> MoonshineCoeffs:
-    """Coefficients of j - 744 through q^max_n."""
-    return MoonshineCoeffs(forms.jstar(max_n).coeffs, max_n)
+    c(-1) = 1 is the lowest term, c(0) = 0 and every c(n) with n >= 1 is
+    positive; indexing reads c(n), 0 below -1 and refused past max_n.
+    """
+    c = forms.jstar(max_n)
+    if c.valuation() != -1 or c.coeffs[-1] != 1 or 0 in c.coeffs:
+        raise ValueError("moonshine coefficients start q^-1 + 0 + 196884q + ...")
+    for n, v in c.coeffs.items():
+        if n >= 1 and v <= 0:
+            raise ValueError(f"c({n}) = {v} must be positive")
+    return c
 
 
 # -- the two identity sides ----------------------------------------------------
@@ -88,7 +74,7 @@ def denominator_product(cap_m: int, cap_n: int) -> BiSeries:
     big_m, hi = _grid(cap_m, cap_n)
     c = moonshine_c(big_m * hi)
     factors = [(m, n, c[m * n], -1) for m in range(1, big_m + 1) for n in range(-1, hi + 1)
-               if -1 <= m * n <= c.max_n and c[m * n]]
+               if m * n <= c.trunc and c[m * n]]
     return BiSeries.one(big_m, ytop=hi).mul_binomials(factors).shift_x(-1)
 
 
@@ -100,7 +86,7 @@ def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:
     for i in range(1, big_m + 1):
         for m in range(1, big_m // i + 1):
             for n in range(-1, hi // i + 1):
-                v = c[m * n] if -1 <= m * n <= c.max_n else 0
+                v = c[m * n] if m * n <= c.trunc else 0
                 if v:
                     key = (m * i, n * i)
                     coeffs[key] = coeffs.get(key, 0) - Fraction(v, i)

@@ -34,9 +34,6 @@ class MultReport:
                 raise ValueError(f"multiplicity must be >= 0, got {exact}")
             self.rows.append((norm, exact, bound, bool(flag)))
 
-    def violations(self):
-        return [row for row in self.rows if row[3]]
-
     def to_json(self) -> dict:
         return {"algebra": self.algebra,
                 "rows": [{"norm": n, "exact": e, "bound": b, "violated": f}
@@ -44,7 +41,7 @@ class MultReport:
 
     def __repr__(self):
         return (f"MultReport({self.algebra}, rows={len(self.rows)}, "
-                f"violations={len(self.violations())})")
+                f"violations={sum(row[3] for row in self.rows)})")
 
 
 def frenkel_compare(algebra: str, norms) -> MultReport:

@@ -226,7 +226,7 @@ class QSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QSeries.const(other, self.trunc, nome=self.nome, prefactor=self.prefactor)
+            other = QSeries.const(other, self.trunc, nome=self.nome)
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_compat(other)

@@ -6,11 +6,12 @@ weight k = c(0)/2, index m) and the product
 
     psi(tau, z) = q^(d/24) zeta^(-rho) prod_{(v,n)>0} (1 - q^n zeta^v),
 
-expanded here with zeta-exponents stored on the doubled grid so the
-half-integral rho stays exact.  The two elliptic shift laws are checked by
-formal substitution, coefficient for coefficient.  A system is taken as
-given: its symmetry and isotropy are not checked on load, and a system
-that lacks them shows up as a failed shift law.
+expanded here into a plain {(n, r): c} dict with the zeta-exponent r on
+the doubled grid, so the half-integral rho stays exact.  The two elliptic
+shift laws are checked by formal substitution, coefficient for
+coefficient.  A system is taken as given: its symmetry and isotropy are
+not checked on load, and a system that lacks them shows up as a failed
+shift law.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class VectorSystem:
                 total += ai * sum(self.gram[i][j] * b[j] for j in range(self.dim))
         return total
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "gram": [list(r) for r in self.gram],
-                "mult": {",".join(map(str, v)): c for v, c in sorted(self.mult.items())}}
-
     @classmethod
     def from_json(cls, data: dict) -> "VectorSystem":
         dim, _ = _json_fields(data, "vector system", dim=int, mult=dict)
@@ -128,54 +125,14 @@ def weyl_data(V: VectorSystem, lam) -> WeylData:
     return WeylData(lam, tuple(rho), d, Fraction(V.mult.get(zero, 0), 2), int(m))
 
 
-class PsiSeries:
-    """q^qpre * sum c(n, r) q^n zeta^(r/2), with r an integer tuple (doubled grid)."""
+def psi(V: VectorSystem, lam, order: int) -> tuple:
+    """psi through q^order as (qpre, {(n, r): c}), psi = q^qpre sum c q^n zeta^(r/2).
 
-    __slots__ = ("s", "qpre", "coeffs", "trunc")
-
-    def __init__(self, s, qpre, coeffs, trunc):
-        self.s = int(s)
-        self.qpre = Fraction(qpre)
-        self.trunc = int(trunc)
-        self.coeffs = {}
-        for (n, r), c in coeffs.items():
-            if n > self.trunc:
-                raise ValueError(f"stored q-exponent {n} above trunc {self.trunc}")
-            if c:
-                self.coeffs[(int(n), tuple(int(x) for x in r))] = c
-
-    def coeff(self, n: int, r):
-        if n > self.trunc:
-            raise ValueError(f"coefficient at q^{n} unknown (trunc {self.trunc})")
-        return self.coeffs.get((n, tuple(r)), 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, PsiSeries):
-            return NotImplemented
-        if self.s != other.s or self.qpre != other.qpre:
-            return False
-        hi = min(self.trunc, other.trunc)
-        return _first_mismatch(self.coeffs, other.coeffs, lambda k: k[0] <= hi) is None
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"PsiSeries(s={self.s}, qpre={self.qpre}, trunc={self.trunc})"
-
-    def to_json(self) -> dict:
-        terms = [{"q": n, "zeta2": list(r), "c": c}
-                 for (n, r), c in sorted(self.coeffs.items())]
-        return {"dim": self.s, "qpre": str(self.qpre), "trunc": self.trunc,
-                "terms": terms}
-
-
-def psi(V: VectorSystem, lam, order: int) -> PsiSeries:
-    """The product over positive affine vectors: n > 0 all of V, n = 0 only v > 0.
-
-    It runs as one BiSeries product in q and a single packed zeta exponent:
-    r is coded as sum r_i base^i with balanced digits |r_i| <= reach, where
-    reach bounds every coordinate any partial product can hold, so the code
-    is one-to-one and the result decodes digit by digit.
+    The product over positive affine vectors (n > 0 all of V, n = 0 only
+    v > 0) runs as one BiSeries product in q and a single packed zeta
+    exponent: r is coded as sum r_i base^i with balanced digits
+    |r_i| <= reach, where reach bounds every coordinate any partial product
+    can hold, so the code is one-to-one and the result decodes digit by digit.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -202,7 +159,7 @@ def psi(V: VectorSystem, lam, order: int) -> PsiSeries:
             r.append((y + reach) % base - reach)
             y = (y - r[-1]) // base
         coeffs[(n, tuple(r))] = c
-    return PsiSeries(V.dim, Fraction(wd.d, 24), coeffs, order)
+    return Fraction(wd.d, 24), coeffs
 
 
 def _integral_pair(V, a, b, what):
@@ -229,7 +186,7 @@ def elliptic_transform_check(V: VectorSystem, lam, shift, order: int) -> tuple:
         raise ValueError("shift vector has wrong dimension")
     for v in V.mult:
         _integral_pair(V, shift, v, "shift vector")
-    p = psi(V, lam, order)
+    _, coeffs = psi(V, lam, order)
     wd = weyl_data(V, lam)
     sign = -1 if V.pair(shift, [2 * x for x in wd.rho]) % 2 else 1  # 2 rho sums support vectors
     m_ll = _num(wd.m * V.pair(shift, shift))  # rhs q-exponent drops by m(L,L)/2
@@ -238,10 +195,10 @@ def elliptic_transform_check(V: VectorSystem, lam, shift, order: int) -> tuple:
         raise ValueError(f"zeta^(-m*shift) leaves the doubled grid: {key_shift}")
     key_shift = tuple(int(x) for x in key_shift)
     # 2(shift, r/2) per column r, an integer: r/2 is -rho plus support vectors
-    pairs = {r: int(V.pair(shift, r)) for r in {r for _, r in p.coeffs}}
+    pairs = {r: int(V.pair(shift, r)) for r in {r for _, r in coeffs}}
     top = 2 * order - m_ll
     mu_lhs, tau_lhs, tau_rhs = {}, {}, {}
-    for (n, r), c in p.coeffs.items():
+    for (n, r), c in coeffs.items():
         t = pairs[r]
         mu_lhs[(n, r)] = -c if t % 2 else c
         # keyed (column, twice the q-exponent), each side keeping the keys both
@@ -252,7 +209,7 @@ def elliptic_transform_check(V: VectorSystem, lam, shift, order: int) -> tuple:
         if 2 * n + m_ll <= 2 * order + t:
             tau_rhs[(tuple(map(sub, r, key_shift)), 2 * n - m_ll)] = sign * c
     mu = VerifyReport("elliptic_mu_shift", order,
-                      _first_mismatch(mu_lhs, {k: sign * c for k, c in p.coeffs.items()}))
+                      _first_mismatch(mu_lhs, {k: sign * c for k, c in coeffs.items()}))
     mismatch = _first_mismatch(tau_lhs, tau_rhs)
     if mismatch is not None:
         (r, e), left, right = mismatch

@@ -356,15 +356,9 @@ def euler2_sum(order) -> Bi:
     return _pochhammer_loop(order, order, range(1, order + 1), lambda n: ((0, n), 1))
 
 
-class Psi(NamedTuple):
-    s: int
-    qpre: Fraction
-    coeffs: dict
-    trunc: int
-
-
-def psi(V, lam, order) -> Psi:
-    """q^(d/24) zeta^(-rho) prod (1 - q^n zeta^v)^c(v), one factor at a time."""
+def psi(V, lam, order) -> tuple:
+    """q^(d/24) zeta^(-rho) prod (1 - q^n zeta^v)^c(v), one factor at a time,
+    as (d/24, {(n, r): c}) with r on the doubled grid."""
     wd = weyl_data(V, lam)
     zero = (0,) * V.dim
     acc = {(0, tuple(-int(2 * x) for x in wd.rho)): 1}
@@ -375,7 +369,7 @@ def psi(V, lam, order) -> Psi:
     for n in range(1, order + 1):
         for v, c in support:
             acc = _psi_factor(acc, n, v, c, order)
-    return Psi(V.dim, Fraction(wd.d, 24), acc, order)
+    return Fraction(wd.d, 24), acc
 
 
 def _psi_factor(acc, n, v, mult, order):
@@ -408,14 +402,14 @@ def elliptic_mismatch(V, lam, shift, order, kind):
     the smaller of order + (L, r)/2 and order - m(L,L)/2.
     """
     shift = tuple(Fraction(x) for x in shift)
-    p = vsys_psi(V, lam, order)
+    _, coeffs = vsys_psi(V, lam, order)
     wd = weyl_data(V, lam)
     two_rho = tuple(int(2 * x) for x in wd.rho)
     sign = -1 if _integral_pair(V, shift, two_rho, "shift") % 2 else 1
     if kind == "mu":
         lhs = {(n, r): -c if _integral_pair(V, shift, r, "shift") % 2 else c
-               for (n, r), c in p.coeffs.items()}
-        rhs = {k: sign * c for k, c in p.coeffs.items()}
+               for (n, r), c in coeffs.items()}
+        rhs = {k: sign * c for k, c in coeffs.items()}
         for key in sorted(set(lhs) | set(rhs)):
             if lhs.get(key, 0) != rhs.get(key, 0):
                 return (key, lhs.get(key, 0), rhs.get(key, 0))
@@ -423,7 +417,7 @@ def elliptic_mismatch(V, lam, shift, order, kind):
     m_ll = wd.m * V.pair(shift, shift)
     key_shift = tuple(int(2 * wd.m * x) for x in shift)
     lhs_cols, rhs_cols = {}, {}
-    for (n, r), c in p.coeffs.items():
+    for (n, r), c in coeffs.items():
         lhs_cols.setdefault(r, {})[n + Fraction(V.pair(shift, r), 2)] = c
         col = tuple(a - b for a, b in zip(r, key_shift))
         rhs_cols.setdefault(col, {})[n - Fraction(m_ll, 2)] = sign * c

@@ -3,7 +3,8 @@
 No subcommand reaches these, so they live beside the tests that use them:
 
 - ``sample_system`` builds the three small vector systems the tests share: a
-  1-dim pair, the norm-zero system and an orthogonal sum.
+  1-dim pair, the norm-zero system and an orthogonal sum.  ``system_json``
+  writes a system as the JSON object ``vsys`` input files hold.
 - ``validate`` checks the two defining properties of a vector system that
   ``qmoon.vsys`` takes as given, symmetry and the isotropy of the second
   moment.  It is the oracle of a property test: a system it accepts passes
@@ -33,6 +34,12 @@ def sample_system(name: str) -> VectorSystem:
         return VectorSystem(2, ((2, 0), (0, 2)),
                             {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1})
     raise ValueError(f"unknown sample {name!r}; have {', '.join(SAMPLE_NAMES)}")
+
+
+def system_json(V: VectorSystem) -> dict:
+    """The JSON object ``VectorSystem.from_json`` reads back into V."""
+    return {"dim": V.dim, "gram": [list(r) for r in V.gram],
+            "mult": {",".join(map(str, v)): c for v, c in sorted(V.mult.items())}}
 
 
 def validate(V: VectorSystem) -> dict:

@@ -104,11 +104,12 @@ def test_04_hurwitz_values(gate):
     want = {0: Fraction(-1, 12), 3: Fraction(1, 3), 4: Fraction(1, 2),
             7: 1, 8: 1, 11: 1, 12: Fraction(4, 3)}
     with gate(4, "Hurwitz class numbers", 1.0):
+        values = borcherds.hurwitz_range(200)
         for n, h in want.items():
-            assert borcherds.hurwitz_range(n, n)[n] == h
+            assert values[n] == h
         for n in range(201):
             if n % 4 in (1, 2):
-                assert borcherds.hurwitz_range(n, n)[n] == 0
+                assert values[n] == 0
 
 
 def test_05_leech_theta(gate):
@@ -154,7 +155,7 @@ def test_08_vector_system_psi(gate):
     with gate(8, "pair system psi and shift laws", 5.0):
         order = 10
         V = sample_system("pair")
-        p = vsys.psi(V, (1,), order)
+        _, coeffs = vsys.psi(V, (1,), order)
         # psi * prod(1-q^n) must collapse to the alternating theta pattern
         euler = {0: 1}
         for n in range(1, order + 1):
@@ -164,7 +165,7 @@ def test_08_vector_system_psi(gate):
                     new[e + n] = new.get(e + n, 0) - c
             euler = {e: c for e, c in new.items() if c}
         lhs = {}
-        for (n, r), c in p.coeffs.items():
+        for (n, r), c in coeffs.items():
             for e, ec in euler.items():
                 if n + e <= order:
                     lhs[(n + e, r)] = lhs.get((n + e, r), 0) + c * ec

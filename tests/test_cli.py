@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from paper_refs import sample_system
+from paper_refs import sample_system, system_json
 from qmoon import cli, forms
 from qmoon.maass import JacobiCoeffTable
 
@@ -270,7 +270,7 @@ def test_moonshine_checks(capsys):
 
 def test_vsys_psi_and_check(capsys, tmp_path):
     path = tmp_path / "pair.json"
-    path.write_text(json.dumps(sample_system("pair").to_json()))
+    path.write_text(json.dumps(system_json(sample_system("pair"))))
     code, out, _ = run(capsys, ["vsys", "psi", "--file", str(path),
                                 "--order", "4", "--json"])
     assert code == 0
@@ -327,7 +327,7 @@ def test_vector_flags_name_the_token_they_cannot_read(capsys, tmp_path, flag, va
 @pytest.mark.parametrize("shift", ["1", "1,0,0"])
 def test_vsys_check_rejects_shift_of_wrong_dimension(capsys, tmp_path, shift):
     path = tmp_path / "orthogonal.json"
-    path.write_text(json.dumps(sample_system("orthogonal").to_json()))
+    path.write_text(json.dumps(system_json(sample_system("orthogonal"))))
     code, out, err = run(capsys, ["vsys", "check", "--file", str(path), "--shift", shift])
     assert (code, out, err) == (4, "", "error: shift vector has wrong dimension\n")
 

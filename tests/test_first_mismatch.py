@@ -1,13 +1,13 @@
 """Differential tests of the one first-mismatch scan behind every comparison.
 
-``QSeries.first_mismatch``, ``BiSeries.first_mismatch``, ``ExponentTable``
-and ``PsiSeries`` equality all go through ``series._first_mismatch``.  The
-references are the hand-written loops those comparisons ran before, kept in
-``kernel_oracle``.  Pairs are drawn to mostly agree: the second side edits a
-few coefficients of the first, moves its truncation or cap, moves its
-y-top, and may write an integer part of the prefactor into the
-exponents, so first mismatches land near every boundary.  Results must match
-with their types (int vs Fraction), and the same inputs must be rejected.
+``QSeries.first_mismatch``, ``BiSeries.first_mismatch`` and ``ExponentTable``
+equality all go through ``series._first_mismatch``.  The references are the
+hand-written loops those comparisons ran before, kept in ``kernel_oracle``.
+Pairs are drawn to mostly agree: the second side edits a few coefficients
+of the first, moves its truncation or cap, moves its y-top, and may write an
+integer part of the prefactor into the exponents, so first mismatches land
+near every boundary.  Results must match with their types (int vs
+Fraction), and the same inputs must be rejected.
 """
 
 from fractions import Fraction
@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 import kernel_oracle as oracle
 from qmoon.series import FULL, HALF, BiSeries, ExponentTable, QSeries, _first_mismatch
-from qmoon.vsys import PsiSeries
 
 coefficients = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2,
                                                           max_denominator=3))
@@ -130,32 +129,6 @@ def test_exponent_table_equality_matches_termwise(pair):
     s, t = pair
     order = min(s.order, t.order)
     assert (s == t) == (s.h == t.h and all(s[n] == t[n] for n in range(1, order + 1)))
-
-
-@st.composite
-def psi_pairs(draw):
-    keys = st.tuples(st.integers(0, 4), st.tuples(st.integers(-3, 3)))
-    coeffs = draw(st.dictionaries(keys, st.integers(-3, 3), max_size=6))
-    trunc, other_trunc = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    other = edited(draw, coeffs, keys)
-    qpre = Fraction(draw(st.integers(0, 3)), 24)
-
-    def make(c, t):
-        return PsiSeries(1, qpre, {k: v for k, v in c.items() if k[0] <= t}, t)
-
-    return make(coeffs, trunc), make(other, other_trunc)
-
-
-@settings(max_examples=300, deadline=None)
-@given(psi_pairs())
-def test_psi_series_equality_matches_filtered_dicts(pair):
-    p, q = pair
-    hi = min(p.trunc, q.trunc)
-
-    def below(s):
-        return {k: c for k, c in s.coeffs.items() if k[0] <= hi}
-
-    assert (p == q) == (below(p) == below(q))
 
 
 def test_scan_order_known_range_and_missing_keys():

@@ -1,8 +1,9 @@
 """qmoon has no runtime dependencies: its modules import only the standard
 library and qmoon itself (sympy and mpmath stay test-only), and no module
-keeps a ``functools`` cache.  Every module-level function and class is
-reached by a subcommand or exported by the package; code that only tests
-call lives under ``tests/``.  No module, in the package or its tests,
+keeps a ``functools`` cache.  Every module-level function and class, and
+every non-dunder method, is reached by a subcommand, exported by the
+package (a method with its class) or listed with a reason; code that only
+tests call lives under ``tests/``.  No module, in the package or its tests,
 imports a name it never uses."""
 
 import ast
@@ -82,11 +83,15 @@ def test_kernel_oracle_borrows_no_kernel_arithmetic():
     assert imported and imported <= allowed, imported - allowed
 
 
-# Module-level names that no subcommand reaches, kept on purpose.
+# Module-level names and methods that no subcommand reaches, kept on purpose.
 UNROUTED = {
     "cli.main": "the console-script entry point; the golden cases call cli.run, which it wraps",
     "borcherds.printed_coefficient_report": "the published f_4 and f_6 coefficients against "
                                             "the catalog formulas; no subcommand prints it yet",
+    "maass._CoeffTable.coeff": "a table's one lookup that refuses past disc_bound; the "
+                               "Maass check compares whole coefficient dicts instead",
+    "maass._CoeffTable._name": "names an entry in the errors for a coefficient outside the "
+                               "support or past disc_bound; no golden input has either",
 }
 
 # Runs every golden CLI case in one process under a profile hook installed
@@ -127,11 +132,20 @@ print(json.dumps([sorted(entered), sorted(built)]))
 
 
 def _module_level_defs(path):
-    """(name, first line, last line, is a class) of each top-level def and class."""
+    """(name, first line, last line, is a class) of each top-level def and
+    class, and of each non-dunder method, named "Class.method"."""
+    def span(node):
+        return min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield node.name, first, node.end_lineno, isinstance(node, ast.ClassDef)
+        if isinstance(node, functions + (ast.ClassDef,)):
+            yield node.name, *span(node), isinstance(node, ast.ClassDef)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not (item.name.startswith("__") and
+                                                        item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", *span(item), False
 
 
 def test_every_module_level_def_is_reached_by_a_subcommand(tmp_path):
@@ -157,8 +171,10 @@ def test_every_module_level_def_is_reached_by_a_subcommand(tmp_path):
             if any(low <= line <= last for line in lines.get(path.name, ())) \
                     or f"qmoon.{qualified}" in built:
                 continue
-            exported = name in qmoon.__all__ and getattr(qmoon, name) is \
-                getattr(importlib.import_module(f"qmoon.{module}"), name)
+            # a method of an exported class is exported with it
+            owner = name.split(".")[0]
+            exported = owner in qmoon.__all__ and getattr(qmoon, owner) is \
+                getattr(importlib.import_module(f"qmoon.{module}"), owner)
             if not exported and qualified not in UNROUTED:
                 unreached.append(qualified)
     assert set(UNROUTED) <= defined, set(UNROUTED) - defined

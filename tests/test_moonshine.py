@@ -8,27 +8,31 @@ from hypothesis import given, settings, strategies as st
 import kernel_oracle as oracle
 from paper_refs import CharTable, mult_g
 from qmoon import moonshine
-from qmoon.series import BiSeries
+from qmoon.series import BiSeries, QSeries
 
 
 def test_moonshine_coefficients():
     c = moonshine.moonshine_c(3)
     assert (c[-1], c[0], c[1], c[2], c[3]) == (1, 0, 196884, 21493760, 864299970)
+    assert c[-2] == 0  # j has a simple pole, so this is exact
     with pytest.raises(ValueError):
         c[4]
-    with pytest.raises(ValueError):
-        c[-2]
 
 
-def test_moonshine_coefficients_validated():
+@pytest.mark.parametrize("coeffs", [
+    {0: 1, 1: 5},              # c(-1) missing
+    {-1: 2, 1: 5},             # c(-1) not 1
+    {-2: 1, -1: 1, 1: 5},      # a pole below q^-1
+    {-1: 1, 0: 7},             # constant term present
+    {-1: 1, 1: 5, 2: -3},      # negative dimension
+    {-1: 1, 1: Fraction(-1, 2)},  # a negative fraction
+])
+def test_moonshine_coefficients_validated(monkeypatch, coeffs):
+    monkeypatch.setattr(moonshine.forms, "jstar", lambda max_n: QSeries(coeffs, max_n))
     with pytest.raises(ValueError):
-        moonshine.MoonshineCoeffs({0: 1, 1: 5}, 2)  # c(-1) missing
-    with pytest.raises(ValueError):
-        moonshine.MoonshineCoeffs({-1: 1, 0: 7}, 2)  # constant term present
-    with pytest.raises(ValueError):
-        moonshine.MoonshineCoeffs({-1: 1, 2: -3}, 4)  # negative dimension
-    with pytest.raises(ValueError):
-        moonshine.MoonshineCoeffs({-1: 1, 9: 2}, 4)  # beyond max_n
+        moonshine.moonshine_c(4)
+    monkeypatch.setattr(moonshine.forms, "jstar", lambda max_n: QSeries({-1: 1, 1: 5}, max_n))
+    assert moonshine.moonshine_c(4).coeffs == {-1: 1, 1: 5}
 
 
 def test_denominator_identity_passes():
@@ -135,7 +139,7 @@ def test_log_of_product_is_exp_argument():
     coeffs = {}
     for m in range(1, big_m + 1):
         for n in range(-1, hi + 1):
-            v = c[m * n] if -1 <= m * n <= c.max_n else 0
+            v = c[m * n] if m * n <= c.trunc else 0
             if not v:
                 continue
             k = 1

@@ -139,6 +139,17 @@ def test_add_requires_equal_prefactor():
         a + b
 
 
+def test_scalar_add_refuses_a_prefactor():
+    # a scalar sits at q^0, so it cannot join q^(1/4) * (...) term by term
+    s = QSeries({0: 2}, 4, prefactor=Fraction(1, 4))
+    for add in (lambda: s + 1, lambda: 1 + s, lambda: 1 - s, lambda: s - Fraction(1, 2)):
+        with pytest.raises(ValueError, match="prefactor mismatch on add"):
+            add()
+    with pytest.raises(ValueError, match="prefactor mismatch on add"):
+        s + QSeries.one(4)
+    assert (QSeries({0: 2}, 4, nome=HALF) + 1).coeffs == {0: 3}
+
+
 def test_nome_mixing_is_hard_error():
     a = QSeries({0: 1}, 5, nome=FULL)
     b = QSeries({0: 1}, 5, nome=HALF)
