@@ -432,6 +432,14 @@ def _pack(cs: list, width: int, half: int) -> int:
     return int.from_bytes(buf, "little") - int.from_bytes(slot * len(cs), "little")
 
 
+def _unpack(z: int, width: int, count: int, half: int) -> list:
+    """The count low width-byte slots of z = sum c_i 2^(8 width i), each |c_i| < half."""
+    k = width * count
+    z += int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    data = memoryview((z & ((1 << 8 * k) - 1)).to_bytes(k, "little"))
+    return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, k, width)]
+
+
 def _at_both_signs(cs: list, width: int, half: int) -> tuple:
     """(c(2^N), c(-2^N)) for N = 4 width: the even and odd coefficients packed apart."""
     even, odd = _pack(cs[0::2], width, half), _pack(cs[1::2], width, half) << 4 * width
@@ -469,10 +477,7 @@ def _mul_lists(a: list, b: list, n: int) -> list:
     zp, zm = xp * yp, xm * ym
     out = [0] * n
     for r, z in ((0, (zp + zm) >> 1), (1, (zp - zm) >> (4 * width + 1))):
-        k = width * len(range(r, n, 2))  # bytes in the slots of this parity
-        z += int.from_bytes(half.to_bytes(width, "little") * (k // width), "little")
-        data = memoryview((z & ((1 << 8 * k) - 1)).to_bytes(k, "little"))
-        out[r::2] = [int.from_bytes(data[i:i + width], "little") - half for i in range(0, k, width)]
+        out[r::2] = _unpack(z, width, len(range(r, n, 2)), half)
     return out if den == 1 else [_num(Fraction(c, den)) for c in out]
 
 
@@ -682,6 +687,58 @@ def sigma(k: int, n: int) -> int:
 
 
 # -- two-variable series -----------------------------------------------------
+#
+# BiSeries.mul_binomials holds each row {y: c} of its running product as one
+# integer sum c_y 2^(8 width (y - lo)) with a per-row offset lo: Kronecker
+# substitution in y, in signed slots of width bytes that every row shares.
+
+
+def _row_slots(v: int, width: int) -> list:
+    """The signed width-byte slots of a packed row, lowest first."""
+    return _unpack(v, width, v.bit_length() // (8 * width) + 1, 1 << (8 * width - 1))
+
+
+def _cut(v: int, bits: int) -> int:
+    """The slots of a packed row below bit ``bits``, a multiple of its slot width.
+
+    Every slot holds less than 2^(slot bits - 2) in size, so the low part is
+    less than 2^(bits - 1) and a row that small has no slot at or above bits.
+    """
+    if bits <= 0:
+        return 0
+    if v.bit_length() < bits:
+        return v
+    h = 1 << (bits - 1)
+    return ((v + h) & ((h << 1) - 1)) - h
+
+
+def _pack_rows(rows: list, lo: list, width: int, to=0, x=0, ac=0) -> tuple:
+    """(packed rows, their largest sizes, width) of coefficient lists, row x from y = lo[x].
+
+    Each row's leading zeros are dropped, raising lo[x].  The width in bytes
+    stays while every size fits its slots, below 2^(8 width - 2).  For a
+    step about to run (ac > 0), whose size is sizes[to] + ac sizes[x], or
+    sizes that do not fit, it becomes at least twice what they need with two
+    bits to spare, so that a few repacks reach any size.
+    """
+    sizes = []
+    for i, cs in enumerate(rows):
+        first = next((j for j, c in enumerate(cs) if c), len(cs))
+        rows[i] = cs[first:]
+        lo[i] += first
+        sizes.append(max(map(abs, rows[i]), default=0))
+    need = max(sizes, default=0)
+    if ac:
+        need = max(need, sizes[to] + ac * sizes[x])
+    if ac or need >> 8 * width - 2:
+        width = max(width, (need.bit_length() + 5) // 4)
+    half = 1 << (8 * width - 1)
+    return [_pack(cs, width, half) for cs in rows], sizes, width
+
+
+def _repack(val: list, lo: list, width: int, to: int, x: int, ac: int) -> tuple:
+    """``_pack_rows`` of the packed rows val, read at their width, before a step."""
+    return _pack_rows([_row_slots(v, width) for v in val], lo, width, to, x, ac)
 
 
 class BiSeries:
@@ -691,9 +748,9 @@ class BiSeries:
     QSeries.trunc.  ``ytop`` does the same for the second variable: terms
     above it are unknown and dropped on construction, and None means every
     second-variable exponent is known.  The one product, ``mul_binomials``,
-    works in place on rows {x: {y: c}} and keeps both honest on its own: it
-    lowers the y-top by as far as its factors can carry an unknown term
-    down.  No product needs a bound below.
+    works in place on packed rows, one integer per first-variable exponent,
+    and keeps both honest on its own: it lowers the y-top by as far as its
+    factors can carry an unknown term down.  No product needs a bound below.
     """
 
     __slots__ = ("coeffs", "cap", "ytop")
@@ -733,32 +790,46 @@ class BiSeries:
         factor constant in x (a == 0) either multiplies (e >= 0), with b >= 0
         under a y-top, or divides (e = -1), with b > 0 and a y-top.
 
-        The running product is held as rows {x: {y: c}} from entry to exit,
-        and each factor acts on it in place in one of two ways.  Dividing by
-        a unit factor (e = -1) runs the partition-counting recurrence
-        c[k] -= sign c[k - (a, b)] on new values, in ascending x or, for
-        a == 0, ascending y along each row.  Every other factor, like
-        (1 - p^m q^n)^c(mn) whose exponent runs to dozens of digits,
-        multiplies by its exact binomial terms sign^k C(e, k) x^(ka) y^(kb),
-        as far as the cap can use (all e + 1 of them for a == 0): walking x
-        downward, term k >= 1 of each old row x is added into row x + ka
-        shifted by kb, and for a == 0 each row becomes the sum of its shifted
-        copies.  A unit multiply (e = 1) is the two-term case.
+        Row x of the running product is one integer v = sum c_y 2^(W (y - lo))
+        with its own offset lo, in signed slots of W bits shared by all rows;
+        rationals go over one common denominator.  A step adds c times row x,
+        cut to y <= top, into row x + dx shifted by dy, re-basing the target
+        row first when its offset is higher.  Dividing by a unit factor
+        (e = -1) is that step in ascending x, reading each row after its own
+        update.  Every other factor, like (1 - p^m q^n)^c(mn) whose exponent
+        runs to dozens of digits, steps by its exact binomial terms sign^k
+        C(e, k) x^(ka) y^(kb), as far as the cap can use, in descending x on
+        old rows; a unit multiply is the one-step case.  Under a y-top, a
+        factor with b > 0 expands only the terms whose copy of some row
+        reaches the top.  A factor constant in x replaces each row by the sum
+        of its shifted copies, and its divisor (1 + sign y^b)^-1 is (1 - sign
+        y^b)(1 + y^2b)(1 + y^4b)... through the y-top.
 
-        Keys above the cap or the y-top are dropped, and a term that cancels
-        leaves its row, so rows hold only nonzero terms.  No x-valuation is
-        below 0, so the cap stays.  The y-top follows the unknown terms above
-        it, which only factors with a > 0 and b < 0 carry down: at most
-        |b| / a per step in x and max(cap, 0) steps in all.  The result's
-        y-top is lowered by the ceiling of max(cap, 0) times the steepest
-        |b| / a.
+        Each row keeps a bound on its coefficients' size, updated as
+        bound[to] += |c| bound[x].  Before a slot could reach 2^(W - 2),
+        every row is unpacked, its bound set to its true largest coefficient,
+        and repacked at twice the width those and the step about to run
+        need.  The slots start at 64 bits, or wider for a start that does not
+        fit them.
+
+        Keys above the cap or the y-top are dropped.  No x-valuation is below
+        0, so the cap stays.  The y-top follows the unknown terms above it,
+        which only factors with a > 0 and b < 0 carry down: at most |b| / a
+        per step in x and max(cap, 0) steps in all.  The result's y-top is
+        lowered by the ceiling of max(cap, 0) times the steepest |b| / a.
         """
-        rows = {}
-        for (x, y), v in self.coeffs.items():
-            rows.setdefault(x, {})[y] = v
-        if min(rows, default=0) < 0:
-            raise ValueError("stored first-variable exponents must be >= 0")
         cap, ytop = self.cap, self.ytop
+        n = max(cap + 1, 0)  # rows 0..cap; a stored x above the cap cannot exist
+        if any(x < 0 for x, _ in self.coeffs):
+            raise ValueError("stored first-variable exponents must be >= 0")
+        ints, den = _integral(list(self.coeffs.values()))
+        grid = [{} for _ in range(n)]
+        for (x, y), c in zip(self.coeffs, ints):
+            grid[x][y] = c
+        lo = [min(row, default=0) for row in grid]
+        val, bnd, width = _pack_rows([[row.get(y, 0) for y in range(lo[x], max(row) + 1)]
+                                      if row else [] for x, row in enumerate(grid)], lo, 8)
+        xmin = min((x for x, _ in self.coeffs), default=n)  # rows below it stay empty
         steep = 0  # how far b < 0 factors carry unknown terms down
         for a, b, e, sign in factors:
             if sign not in (1, -1) or a < 0 or not isinstance(e, int) or e < -1:
@@ -768,42 +839,83 @@ class BiSeries:
                                  "a y-top, and to divide, b > 0 and a y-top")
             if a and b < 0:
                 steep = max(steep, -(max(cap, 0) * b // a))
-            xs = range(min(rows, default=cap), cap - a + 1)
-            lim = None if ytop is None or b <= 0 else ytop - b
+            cut = ytop is not None and b > 0  # a row's copies stop at the y-top
+            if a == 0 and e == -1:
+                for x in range(xmin, n):
+                    d, c = b, -sign
+                    while val[x] and lo[x] + d <= ytop:
+                        if bnd[x] << 1 >= 1 << 8 * width - 2:
+                            val, bnd, width = _repack(val, lo, width, x, x, 1)
+                        w, v = 8 * width, val[x]
+                        val[x] = v + (c * _cut(v, w * (ytop - d - lo[x] + 1)) << w * d)
+                        bnd[x] <<= 1
+                        d, c = 2 * d, 1
+                continue
+            kmax = max(cap, 0) // a if a else e
+            if cut:  # no term k past (ytop - lowest y) / b copies anything
+                kmax = min(kmax, (ytop - min((lo[x] for x in range(xmin, n) if val[x]),
+                                             default=ytop)) // b)
+            if a == 0:
+                terms = list(_binomial_terms(e, sign, kmax))
+                grow = sum(abs(c) for _, c in terms)
+                shift = min(0, terms[-1][0] * b)  # the lowest term's y-step
+                for x in range(xmin, n):
+                    if not val[x]:
+                        continue
+                    if grow * bnd[x] >= 1 << 8 * width - 2:
+                        val, bnd, width = _repack(val, lo, width, x, x, grow - 1)
+                    w, v, out = 8 * width, val[x], 0
+                    for k, c in terms:
+                        u = _cut(v, w * (ytop - k * b - lo[x] + 1)) if cut else v
+                        out += c * u << w * (k * b - shift)
+                    val[x], lo[x], bnd[x] = out, lo[x] + shift, grow * bnd[x]
+                continue
             if e == -1:  # divide, reading each source after its own update
-                steps = [(a, b, -sign, lim)]
+                steps = [(a, b, -sign, 1, ytop - b if cut else None)]
+                xs = range(xmin, cap - a + 1)
             else:  # multiply, reading each source before any update
-                steps = [(k * a, k * b, c, None if ytop is None or b <= 0 else ytop - k * b)
-                         for k, c in _binomial_terms(e, sign, max(cap, 0) // a if a else e) if k]
-                xs = reversed(xs)
+                steps = [(k * a, k * b, c, abs(c), ytop - k * b if cut else None)
+                         for k, c in _binomial_terms(e, sign, kmax) if k]
+                xs = range(cap - a, xmin - 1, -1)
+            w = 8 * width
+            limit = 1 << w - 2
             for x in xs:
-                src = rows.get(x)
-                if not src:
+                v = val[x]
+                if not v:
                     continue
-                if a:
-                    items = src.items()
-                elif e == -1:  # ascending y along the row, on new values
-                    items = ((y, src[y]) for y in range(min(src), lim + 1) if y in src)
-                else:
-                    items = list(src.items())
-                for dx, dy, c, top in steps:
+                lx, bx, u = lo[x], bnd[x], v
+                for dx, dy, c, ac, top in steps:  # tops fall with k: cut each copy from the last
                     to = x + dx
                     if to > cap:
                         break
-                    row = rows.get(to)
-                    if row is None:
-                        row = rows[to] = {}
-                    get = row.get
-                    for y, v in items:
-                        if top is None or y <= top:
-                            y += dy
-                            v = get(y, 0) + c * v
-                            if v:
-                                row[y] = v
-                            else:  # rows hold only nonzero terms
-                                del row[y]
-        return BiSeries({(x, y): v for x, row in rows.items() for y, v in row.items()}, cap,
-                        ytop=None if ytop is None else ytop - steep)
+                    if top is not None:
+                        u = _cut(u, w * (top - lx + 1))
+                        if not u:
+                            break
+                    nb = bnd[to] + ac * bx
+                    if nb >= limit:
+                        val, bnd, width = _repack(val, lo, width, to, x, ac)
+                        w = 8 * width
+                        limit = 1 << w - 2
+                        v, lx, bx = val[x], lo[x], bnd[x]
+                        u = v if top is None else _cut(v, w * (top - lx + 1))
+                        nb = bnd[to] + ac * bx
+                    t, s = val[to], lx + dy - lo[to]
+                    cu = u if c == 1 else -u if c == -1 else c * u
+                    if not t:
+                        val[to], lo[to] = cu, lx + dy
+                    elif s >= 0:
+                        val[to] = t + (cu << w * s)
+                    else:
+                        val[to], lo[to] = (t << -w * s) + cu, lx + dy
+                    bnd[to] = nb
+        coeffs = {}
+        for x, v in enumerate(val):
+            if v:
+                for y, c in enumerate(_row_slots(v, width), lo[x]):
+                    if c:
+                        coeffs[(x, y)] = c if den == 1 else Fraction(c, den)
+        return BiSeries(coeffs, cap, ytop=None if ytop is None else ytop - steep)
 
     def first_mismatch(self, other: "BiSeries"):
         """First disagreeing monomial in graded-lex order (x+y, x, y), or None.

@@ -130,34 +130,34 @@ def psi(V: VectorSystem, lam, order: int) -> tuple:
 
     The product over positive affine vectors (n > 0 all of V, n = 0 only
     v > 0) runs as one BiSeries product in q and a single packed zeta
-    exponent: r is coded as sum r_i base^i with balanced digits
-    |r_i| <= reach, where reach bounds every coordinate any partial product
-    can hold, so the code is one-to-one and the result decodes digit by digit.
+    exponent.  Each factor moves r by 2v, so r = start + 2u for the
+    half-offset u, a sum of support vectors, and u is coded as sum u_i
+    base^i with balanced digits |u_i| <= reach.  A kept term has sum k n <=
+    order, so reach, the n = 0 factors' sum of c |v_i| plus order times the
+    largest |v_i|, bounds every coordinate any partial product can hold: the
+    code is one-to-one and the result decodes digit by digit.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     wd = weyl_data(V, lam)
     zero = (0,) * V.dim
     support = sorted(V.mult.items())
-    # (n, v, c, kmax): the factor (1 - q^n zeta^v)^c and its last term within order
-    factors = [(0, v, c, c) for v, c in support if v != zero and V.pair(v, wd.chamber) > 0]
-    factors += [(n, v, c, min(c, order // n)) for n in range(1, order + 1) for v, c in support]
+    # (n, v, c): the factor (1 - q^n zeta^v)^c
+    factors = [(0, v, c) for v, c in support if v != zero and V.pair(v, wd.chamber) > 0]
+    reach = max(sum(c * abs(v[i]) for _, v, c in factors)
+                + order * max((abs(v[i]) for v in V.mult), default=0) for i in range(V.dim))
+    factors += [(n, v, c) for n in range(1, order + 1) for v, c in support]
     start = tuple(-int(2 * x) for x in wd.rho)
-    reach = max(abs(x) + sum(2 * k * abs(v[i]) for _, v, _, k in factors)
-                for i, x in enumerate(start))
     base = 2 * reach + 1
-
-    def code(r):
-        return sum(x * base ** i for i, x in enumerate(r))
-
-    acc = BiSeries({(0, code(start)): 1}, order).mul_binomials(
-        [(n, code([2 * x for x in v]), c, -1) for n, v, c, _ in factors])
+    acc = BiSeries.one(order).mul_binomials(
+        [(n, sum(x * base ** i for i, x in enumerate(v)), c, -1) for n, v, c in factors])
     coeffs = {}
     for (n, y), c in acc.coeffs.items():
         r = []
-        for _ in range(V.dim):
-            r.append((y + reach) % base - reach)
-            y = (y - r[-1]) // base
+        for x in start:
+            u = (y + reach) % base - reach
+            r.append(x + 2 * u)
+            y = (y - u) // base
         coeffs[(n, tuple(r))] = c
     return Fraction(wd.d, 24), coeffs
 

@@ -48,14 +48,14 @@ def binomial(e, k):
 def bi_factor(series, a, b, e, sign):
     """(1 + sign x^a y^b)^e through every term that can reach series' cap and y-top.
 
-    For the divisor with a == 0 (b > 0 under a y-top), the terms run while
-    some y of the series, moved by b k, has not yet passed the top.  The
-    y-top itself is applied by the product, not here.
+    For a == 0 and b > 0 under a y-top, the divisor or a polynomial of any
+    degree, the terms run while some y of the series, moved by b k, has not
+    yet passed the top.  The y-top itself is applied by the product, not here.
     """
     cap, ytop = series.cap, series.ytop
     if a > 0:
         kmax = max(cap, 0) // a
-    elif e == -1:
+    elif ytop is not None and b > 0:
         ys = [y for _, y in series.coeffs]
         kmax = 0
         while any(y + b * (kmax + 1) <= ytop for y in ys):
@@ -104,22 +104,30 @@ small_exponents = st.one_of(
 )
 huge = st.integers(10 ** 20, 10 ** 20 + 5)
 exponents = st.one_of(small_exponents, huge)
-# the two-variable product's exponents: a divisor, a polynomial, or one
-# running to dozens of digits like the monster denominator's
-bi_exponents = st.one_of(st.integers(-1, 6), huge)
+# the two-variable product's exponents: a divisor (drawn as often as the
+# rest, so that most lists divide), a polynomial, or one running to dozens
+# of digits like the monster denominator's
+bi_exponents = st.one_of(st.just(-1), st.integers(-1, 6), huge)
+# sizes at and just past 2^62, where the two-variable product's first 64-bit
+# slots end, so that its rows start wide or repack partway through a factor
+SLOT_EDGE = tuple(s * m for m in (2 ** 62 - 1, 2 ** 62, 2 ** 63) for s in (1, -1))
 coefficients = st.one_of(st.integers(-9, 9), st.fractions(min_value=-4, max_value=4,
                                                             max_denominator=5),
                          # thirds, whose sums and differences often cancel to integers
                          st.sampled_from((Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3),
-                                          Fraction(-4, 3))))
+                                          Fraction(-4, 3))),
+                         st.sampled_from(SLOT_EDGE + tuple(Fraction(m, 3) for m in SLOT_EDGE)))
 signs = st.sampled_from((1, -1))
 
 
 def dense(draw, keys):
-    """Every key gets a seeded coefficient, rational when the draw says so."""
+    """Every key gets a seeded coefficient, rational when the draw says so, and
+    of one size at the slot edge, either sign, when it says so."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     den = draw(st.sampled_from((1, 1, 3)))
-    return {key: Fraction(rng.randint(-9, 9), den) for key in keys}
+    edge = draw(st.sampled_from((0, 0, 0) + SLOT_EDGE[::2]))
+    return {key: Fraction(rng.choice((edge, -edge)) if edge else rng.randint(-9, 9), den)
+            for key in keys}
 
 
 @st.composite
@@ -141,14 +149,17 @@ def biseries(draw):
 def bi_factors(ytop, divide=True):
     """Factor lists the product accepts under this y-top, unit and expanded
     factors mixed.  A factor constant in x is a small polynomial with b != 0
-    (so no factor is the zero (1 - 1)^e), stepping up under a y-top, or, if
-    divide, (1 + sign y^b)^-1 with b > 0 under a y-top, divided in place."""
+    (so no factor is the zero (1 - 1)^e), stepping up under a y-top.  If
+    divide, a y-top also brings the factors constant in x that only it
+    bounds: (1 + sign y^b)^-1 with b > 0, divided in place, and polynomials
+    stepping up with a huge e, whose terms past the top are never expanded."""
     constant_b = st.integers(1, 3) if ytop is not None else \
         st.sampled_from((-3, -2, -1, 1, 2, 3))
     kinds = [st.tuples(st.integers(1, 3), st.integers(-3, 3), bi_exponents, signs),
              st.tuples(st.just(0), constant_b, st.integers(0, 4), signs)]
     if divide and ytop is not None:
-        kinds.append(st.tuples(st.just(0), st.integers(1, 3), st.just(-1), signs))
+        kinds += [st.tuples(st.just(0), st.integers(1, 3), st.just(-1), signs),
+                  st.tuples(st.just(0), st.integers(1, 3), huge, signs)]
     return st.lists(st.one_of(kinds), max_size=8)
 
 
@@ -180,6 +191,26 @@ def test_biseries_ytop_is_honest(series, data):
     claimed = {k for k in got.coeffs.keys() | whole.coeffs.keys() if k[1] <= got.ytop}
     assert {k: got.coeffs.get(k, 0) for k in claimed} == \
         {k: whole.coeffs.get(k, 0) for k in claimed}
+
+
+def test_rows_repack_inside_a_division_run(monkeypatch):
+    # the start fits the first 64-bit slots, and the unit divisions grow its
+    # bound past 2^62 at x = 36 of one ascending run, with three steps left:
+    # every row is repacked wider there, rows 1..36 already divided and the
+    # source read after its own update
+    widths = []
+    pack = series_module._pack_rows
+
+    def spy(*args):
+        packed = pack(*args)
+        widths.append(packed[2])
+        return packed
+
+    monkeypatch.setattr(series_module, "_pack_rows", spy)
+    start = BiSeries({(0, 0): 2 ** 30 - 1, (0, -2): 5, (2, 1): -7}, 40)
+    factors = [(1, 1, -1, -1), (1, -1, -1, 1)] * 6
+    assert same_bi(start.mul_binomials(factors), bi_oracle(start, factors))
+    assert widths[0] == 8 and widths[-1] > 8
 
 
 def test_ytop_drops_past_what_b_below_zero_factors_carry_down():

@@ -410,12 +410,30 @@ def test_psi_matches_factor_by_factor_reference(system, order):
 ])
 def test_psi_at_the_packing_bound(V):
     # with no positive vectors and order 1, each coordinate's bound is the one
-    # n = 1 factor's 2 |v_i|, and the q^1 zeta^(2v) term attains it: a packing
-    # base of 2 * 2 instead of 2 * 2 + 1 would decode it as -2 plus a carry
+    # n = 1 factor's |v_i| = 1 in half-offsets, and the q^1 zeta^(2v) term
+    # attains it: a packing base of 2 * 1 instead of 2 * 1 + 1 would decode it
+    # as -1 plus a carry
     lam = (-1,) * V.dim
     got = psi(V, lam, 1)
     assert max(x for _, r in got[1] for x in r) == 2
     same_psi(got, oracle.psi(V, lam, 1))
+
+
+@pytest.mark.parametrize("V,lam,order,reach", [
+    (VectorSystem(1, ((2,),), {(1,): 3, (-1,): 3}), (1,), 3, 3 + 3),
+    (VectorSystem(2, ((2, 0), (0, 2)), {(1, 0): 3, (-1, 0): 3, (0, 1): 4, (0, -1): 4}),
+     (1, 2), 2, 4 + 2),
+])
+def test_psi_half_offsets_at_the_packing_bound(V, lam, order, reach):
+    # psi packs the half-offset u = (r - start) / 2.  Its coordinate i stays
+    # within the n = 0 factors' sum of c |v_i| plus order times the largest
+    # |v_i|, and with n = 0 multiplicities of 3 and more some coordinate
+    # attains that bound here: every n = 0 factor at its top term, and the
+    # q^1 factor of one vector at its order-th
+    got = psi(V, lam, order)
+    same_psi(got, oracle.psi(V, lam, order))
+    start = [-2 * x for x in weyl_data(V, lam).rho]
+    assert max(abs(x - s) // 2 for _, r in got[1] for x, s in zip(r, start)) == reach
 
 
 # -- both shift laws against the per-column scans they replaced ---------------
