@@ -701,15 +701,17 @@ def _row_slots(v: int, width: int) -> list:
 def _cut(v: int, bits: int) -> int:
     """The slots of a packed row below bit ``bits``, a multiple of its slot width.
 
-    Every slot holds less than 2^(slot bits - 2) in size, so the low part is
-    less than 2^(bits - 1) and a row that small has no slot at or above bits.
+    Every slot holds less than 2^(slot bits - 2) in size, so the low part L
+    is less than 2^(bits - 1) in size: it is v mod 2^bits, less 2^bits when
+    that has its top bit set, and a row that small has no slot at or above
+    bits.  For v >= 0 the mask reads only the low bits.
     """
     if bits <= 0:
         return 0
     if v.bit_length() < bits:
         return v
-    h = 1 << (bits - 1)
-    return ((v + h) & ((h << 1) - 1)) - h
+    low = v & ((1 << bits) - 1)
+    return low - (1 << bits) if low >> (bits - 1) else low
 
 
 def _pack_rows(rows: list, lo: list, width: int, to=0, x=0, ac=0) -> tuple:
