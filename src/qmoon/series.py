@@ -854,7 +854,7 @@ class BiSeries:
                         d, c = 2 * d, 1
                 continue
             kmax = max(cap, 0) // a if a else e
-            if cut:  # no term k past (ytop - lowest y) / b copies anything
+            if cut and e >= 0:  # no term k past (ytop - lowest y) / b copies anything
                 kmax = min(kmax, (ytop - min((lo[x] for x in range(xmin, n) if val[x]),
                                              default=ytop)) // b)
             if a == 0:
