@@ -688,22 +688,23 @@ def sigma(k: int, n: int) -> int:
 
 # -- two-variable series -----------------------------------------------------
 #
-# BiSeries.mul_binomials holds each row {y: c} of its running product as one
-# integer sum c_y 2^(8 width (y - lo)) with a per-row offset lo: Kronecker
-# substitution in y, in signed slots of width bytes that every row shares.
+# BiSeries.mul_binomials holds each row {y: c} of its running product as a list
+# of runs (lo, hi, v), ascending, with v = sum c_y 2^(8 width (y - lo)) over
+# lo <= y <= hi: Kronecker substitution in y, in signed slots of width bytes
+# that every row shares.  Two terms closer than _GAP share a run and two runs
+# closer than _GAP merge, so a dense row is one integer, and a sparse row, like
+# a high-dimensional vector system's packed zeta exponents, costs at most _GAP
+# slots per term it has held, however wide its span.
 
-
-def _row_slots(v: int, width: int) -> list:
-    """The signed width-byte slots of a packed row, lowest first."""
-    return _unpack(v, width, v.bit_length() // (8 * width) + 1, 1 << (8 * width - 1))
+_GAP = 32  # the largest step in y between neighbouring terms of one run
 
 
 def _cut(v: int, bits: int) -> int:
-    """The slots of a packed row below bit ``bits``, a multiple of its slot width.
+    """The slots of a packed run below bit ``bits``, a multiple of its slot width.
 
     Every slot holds less than 2^(slot bits - 2) in size, so the low part L
     is less than 2^(bits - 1) in size: it is v mod 2^bits, less 2^bits when
-    that has its top bit set, and a row that small has no slot at or above
+    that has its top bit set, and a run that small has no slot at or above
     bits.  For v >= 0 the mask reads only the low bits.
     """
     if bits <= 0:
@@ -714,33 +715,92 @@ def _cut(v: int, bits: int) -> int:
     return low - (1 << bits) if low >> (bits - 1) else low
 
 
-def _pack_rows(rows: list, lo: list, width: int, to=0, x=0, ac=0) -> tuple:
-    """(packed rows, their largest sizes, width) of coefficient lists, row x from y = lo[x].
+def _cut_runs(row: list, top: int, w: int) -> list:
+    """The runs of a row of w-bit slots cut to y <= top."""
+    if not row or row[-1][1] <= top:
+        return row
+    out = []
+    for lo, hi, v in row:
+        if hi > top:
+            if lo <= top:
+                v = _cut(v, w * (top - lo + 1))
+                if v:
+                    out.append((lo, top, v))
+            break
+        out.append((lo, hi, v))
+    return out
 
-    Each row's leading zeros are dropped, raising lo[x].  The width in bytes
-    stays while every size fits its slots, below 2^(8 width - 2).  For a
-    step about to run (ac > 0), whose size is sizes[to] + ac sizes[x], or
-    sizes that do not fit, it becomes at least twice what they need with two
-    bits to spare, so that a few repacks reach any size.
+
+def _add_runs(dst: list, src: list, dy: int, c: int, w: int) -> list:
+    """The runs of dst + c src y^dy, rows of w-bit slots; neither list changes."""
+    out, i, n = [], 0, len(dst)
+    for lo, hi, v in src:
+        lo, hi, v = lo + dy, hi + dy, c * v
+        while i < n and dst[i][1] < lo - _GAP:
+            out.append(dst[i])
+            i += 1
+        if out and out[-1][1] >= lo - _GAP:  # lies below lo
+            plo, phi, pv = out.pop()
+            lo, hi, v = plo, max(hi, phi), pv + (v << w * (lo - plo))
+        while i < n and dst[i][0] <= hi + _GAP:
+            dlo, dhi, dv = dst[i]
+            i += 1
+            if dlo < lo:
+                lo, v = dlo, dv + (v << w * (lo - dlo))
+            else:
+                v += dv << w * (dlo - lo)
+            hi = max(hi, dhi)
+        if v:
+            out.append((lo, hi, v))
+    out.extend(dst[i:])
+    return out
+
+
+def _row_terms(row: list, width: int) -> list:
+    """The (y, c) of a row's nonzero slots, ascending."""
+    half = 1 << (8 * width - 1)
+    return [(y, c) for lo, hi, v in row
+            for y, c in enumerate(_unpack(v, width, hi - lo + 1, half), lo) if c]
+
+
+def _runs(terms: list, width: int) -> list:
+    """The runs of a row's nonzero (y, c) terms, ascending, in width-byte slots."""
+    half, runs, i = 1 << (8 * width - 1), [], 0
+    for j in range(1, len(terms) + 1):
+        if j == len(terms) or terms[j][0] - terms[j - 1][0] > _GAP:
+            lo, hi = terms[i][0], terms[j - 1][0]
+            cs = [0] * (hi - lo + 1)
+            for y, c in terms[i:j]:
+                cs[y - lo] = c
+            runs.append((lo, hi, _pack(cs, width, half)))
+            i = j
+    return runs
+
+
+def _fill(rows: list, bnd: list, terms: list, width: int, to=0, x=0, ac=0) -> int:
+    """Pack each row's terms into rows, and its largest size into bnd; the width.
+
+    The width in bytes stays while every size fits its slots, below
+    2^(8 width - 2).  For a step about to run (ac > 0), whose size is
+    bnd[to] + ac bnd[x], or sizes that do not fit, it becomes at least twice
+    what they need with two bits to spare, so that a few repacks reach any size.
     """
-    sizes = []
-    for i, cs in enumerate(rows):
-        first = next((j for j, c in enumerate(cs) if c), len(cs))
-        rows[i] = cs[first:]
-        lo[i] += first
-        sizes.append(max(map(abs, rows[i]), default=0))
-    need = max(sizes, default=0)
+    bnd[:] = [max((abs(c) for _, c in t), default=0) for t in terms]
+    need = max(bnd, default=0)
     if ac:
-        need = max(need, sizes[to] + ac * sizes[x])
+        need = max(need, bnd[to] + ac * bnd[x])
     if ac or need >> 8 * width - 2:
         width = max(width, (need.bit_length() + 5) // 4)
-    half = 1 << (8 * width - 1)
-    return [_pack(cs, width, half) for cs in rows], sizes, width
+    rows[:] = [_runs(t, width) for t in terms]
+    return width
 
 
-def _repack(val: list, lo: list, width: int, to: int, x: int, ac: int) -> tuple:
-    """``_pack_rows`` of the packed rows val, read at their width, before a step."""
-    return _pack_rows([_row_slots(v, width) for v in val], lo, width, to, x, ac)
+def _room(rows: list, bnd: list, width: int, to: int, x: int, ac: int) -> int:
+    """The width once the slots can take bnd[to] + ac bnd[x]: the same while that
+    stays below 2^(8 width - 2), else every row is read and repacked by ``_fill``."""
+    if bnd[to] + ac * bnd[x] >> 8 * width - 2:
+        return _fill(rows, bnd, [_row_terms(row, width) for row in rows], width, to, x, ac)
+    return width
 
 
 class BiSeries:
@@ -792,20 +852,20 @@ class BiSeries:
         factor constant in x (a == 0) either multiplies (e >= 0), with b >= 0
         under a y-top, or divides (e = -1), with b > 0 and a y-top.
 
-        Row x of the running product is one integer v = sum c_y 2^(W (y - lo))
-        with its own offset lo, in signed slots of W bits shared by all rows;
-        rationals go over one common denominator.  A step adds c times row x,
-        cut to y <= top, into row x + dx shifted by dy, re-basing the target
-        row first when its offset is higher.  Dividing by a unit factor
-        (e = -1) is that step in ascending x, reading each row after its own
-        update.  Every other factor, like (1 - p^m q^n)^c(mn) whose exponent
-        runs to dozens of digits, steps by its exact binomial terms sign^k
-        C(e, k) x^(ka) y^(kb), as far as the cap can use, in descending x on
-        old rows; a unit multiply is the one-step case.  Under a y-top, a
-        factor with b > 0 expands only the terms whose copy of some row
-        reaches the top.  A factor constant in x replaces each row by the sum
-        of its shifted copies, and its divisor (1 + sign y^b)^-1 is (1 - sign
-        y^b)(1 + y^2b)(1 + y^4b)... through the y-top.
+        Row x of the running product is a list of runs of W-bit signed slots,
+        each one integer sum c_y 2^(W (y - lo)) from its own offset lo, the
+        width shared by all rows; rationals go over one common denominator.  A
+        step adds c times row x, cut to y <= top, into row x + dx shifted by
+        dy, merging the runs that come within _GAP of each other.  Dividing by
+        a unit factor (e = -1) is that step in ascending x, reading each row
+        after its own update.  Every other factor, like (1 - p^m q^n)^c(mn)
+        whose exponent runs to dozens of digits, steps by its exact binomial
+        terms sign^k C(e, k) x^(ka) y^(kb), as far as the cap can use, in
+        descending x on old rows; a unit multiply is the one-step case.  Under
+        a y-top, a factor with b > 0 expands only the terms whose copy of some
+        row reaches the top.  A factor constant in x replaces each row by the
+        sum of its shifted copies, and its divisor (1 + sign y^b)^-1 is
+        (1 - sign y^b)(1 + y^2b)(1 + y^4b)... through the y-top.
 
         Each row keeps a bound on its coefficients' size, updated as
         bound[to] += |c| bound[x].  Before a slot could reach 2^(W - 2),
@@ -825,12 +885,11 @@ class BiSeries:
         if any(x < 0 for x, _ in self.coeffs):
             raise ValueError("stored first-variable exponents must be >= 0")
         ints, den = _integral(list(self.coeffs.values()))
-        grid = [{} for _ in range(n)]
-        for (x, y), c in zip(self.coeffs, ints):
-            grid[x][y] = c
-        lo = [min(row, default=0) for row in grid]
-        val, bnd, width = _pack_rows([[row.get(y, 0) for y in range(lo[x], max(row) + 1)]
-                                      if row else [] for x, row in enumerate(grid)], lo, 8)
+        terms = [[] for _ in range(n)]
+        for (x, y), c in sorted(zip(self.coeffs, ints)):
+            terms[x].append((y, c))
+        rows, bnd = [], []
+        width = _fill(rows, bnd, terms, 8)
         xmin = min((x for x, _ in self.coeffs), default=n)  # rows below it stay empty
         steep = 0  # how far b < 0 factors carry unknown terms down
         for a, b, e, sign in factors:
@@ -845,32 +904,28 @@ class BiSeries:
             if a == 0 and e == -1:
                 for x in range(xmin, n):
                     d, c = b, -sign
-                    while val[x] and lo[x] + d <= ytop:
-                        if bnd[x] << 1 >= 1 << 8 * width - 2:
-                            val, bnd, width = _repack(val, lo, width, x, x, 1)
-                        w, v = 8 * width, val[x]
-                        val[x] = v + (c * _cut(v, w * (ytop - d - lo[x] + 1)) << w * d)
+                    while rows[x] and rows[x][0][0] + d <= ytop:
+                        width = _room(rows, bnd, width, x, x, 1)
+                        w, row = 8 * width, rows[x]
+                        rows[x] = _add_runs(row, _cut_runs(row, ytop - d, w), d, c, w)
                         bnd[x] <<= 1
                         d, c = 2 * d, 1
                 continue
             kmax = max(cap, 0) // a if a else e
             if cut and e >= 0:  # no term k past (ytop - lowest y) / b copies anything
-                kmax = min(kmax, (ytop - min((lo[x] for x in range(xmin, n) if val[x]),
+                kmax = min(kmax, (ytop - min((row[0][0] for row in rows if row),
                                              default=ytop)) // b)
             if a == 0:
                 terms = list(_binomial_terms(e, sign, kmax))
                 grow = sum(abs(c) for _, c in terms)
-                shift = min(0, terms[-1][0] * b)  # the lowest term's y-step
                 for x in range(xmin, n):
-                    if not val[x]:
-                        continue
-                    if grow * bnd[x] >= 1 << 8 * width - 2:
-                        val, bnd, width = _repack(val, lo, width, x, x, grow - 1)
-                    w, v, out = 8 * width, val[x], 0
-                    for k, c in terms:
-                        u = _cut(v, w * (ytop - k * b - lo[x] + 1)) if cut else v
-                        out += c * u << w * (k * b - shift)
-                    val[x], lo[x], bnd[x] = out, lo[x] + shift, grow * bnd[x]
+                    if rows[x]:
+                        width = _room(rows, bnd, width, x, x, grow - 1)
+                        w, row, out = 8 * width, rows[x], []
+                        for k, c in terms:
+                            out = _add_runs(out, _cut_runs(row, ytop - k * b, w) if cut else row,
+                                            k * b, c, w)
+                        rows[x], bnd[x] = out, grow * bnd[x]
                 continue
             if e == -1:  # divide, reading each source after its own update
                 steps = [(a, b, -sign, 1, ytop - b if cut else None)]
@@ -880,43 +935,40 @@ class BiSeries:
                          for k, c in _binomial_terms(e, sign, kmax) if k]
                 xs = range(cap - a, xmin - 1, -1)
             w = 8 * width
-            limit = 1 << w - 2
             for x in xs:
-                v = val[x]
-                if not v:
+                src = rows[x]
+                if not src:
                     continue
-                lx, bx, u = lo[x], bnd[x], v
+                bx = bnd[x]
                 for dx, dy, c, ac, top in steps:  # tops fall with k: cut each copy from the last
                     to = x + dx
                     if to > cap:
                         break
-                    if top is not None:
-                        u = _cut(u, w * (top - lx + 1))
-                        if not u:
+                    if bnd[to] + ac * bx >> w - 2:  # _room's test, kept out of the call
+                        width = _room(rows, bnd, width, to, x, ac)
+                        w, src, bx = 8 * width, rows[x], bnd[x]
+                    if top is not None and src[-1][1] > top:
+                        src = _cut_runs(src, top, w)
+                        if not src:
                             break
-                    nb = bnd[to] + ac * bx
-                    if nb >= limit:
-                        val, bnd, width = _repack(val, lo, width, to, x, ac)
-                        w = 8 * width
-                        limit = 1 << w - 2
-                        v, lx, bx = val[x], lo[x], bnd[x]
-                        u = v if top is None else _cut(v, w * (top - lx + 1))
-                        nb = bnd[to] + ac * bx
-                    t, s = val[to], lx + dy - lo[to]
-                    cu = u if c == 1 else -u if c == -1 else c * u
-                    if not t:
-                        val[to], lo[to] = cu, lx + dy
-                    elif s >= 0:
-                        val[to] = t + (cu << w * s)
-                    else:
-                        val[to], lo[to] = (t << -w * s) + cu, lx + dy
-                    bnd[to] = nb
+                    dst = rows[to]
+                    bnd[to] += ac * bx
+                    if len(src) == 1 == len(dst):  # one run each, as in dense rows
+                        (lo, hi, v), (dlo, dhi, dv) = src[0], dst[0]
+                        lo += dy
+                        hi += dy
+                        if dlo - _GAP <= hi and lo - _GAP <= dhi:
+                            if dlo < lo:
+                                lo, v = dlo, dv + (c * v << w * (lo - dlo))
+                            else:
+                                v = c * v + (dv << w * (dlo - lo))
+                            rows[to] = [(lo, hi if hi > dhi else dhi, v)] if v else []
+                            continue
+                    rows[to] = _add_runs(dst, src, dy, c, w)
         coeffs = {}
-        for x, v in enumerate(val):
-            if v:
-                for y, c in enumerate(_row_slots(v, width), lo[x]):
-                    if c:
-                        coeffs[(x, y)] = c if den == 1 else Fraction(c, den)
+        for x, row in enumerate(rows):
+            for y, c in _row_terms(row, width):
+                coeffs[(x, y)] = c if den == 1 else Fraction(c, den)
         return BiSeries(coeffs, cap, ytop=None if ytop is None else ytop - steep)
 
     def first_mismatch(self, other: "BiSeries"):

@@ -26,6 +26,7 @@ exponents expand to many terms, is checked against the same oracle.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import ceil
 
@@ -193,20 +194,50 @@ def test_biseries_ytop_is_honest(series, data):
         {k: whole.coeffs.get(k, 0) for k in claimed}
 
 
+@settings(max_examples=300, deadline=None)
+@given(biseries(), st.data(), st.integers(0, 2))
+def test_rows_split_into_runs_match_factor_by_factor(series, data, gap):
+    # with _GAP at 0..2 the drawn rows split into many runs, so the steps
+    # merge, cut and drop runs the way the far-apart terms of a sparse row do
+    factors = data.draw(bi_factors(series.ytop))
+    saved = series_module._GAP
+    series_module._GAP = gap
+    try:
+        got = series.mul_binomials(factors)
+    finally:
+        series_module._GAP = saved
+    assert same_bi(got, bi_oracle(series, factors))
+
+
+def test_far_apart_terms_stay_apart():
+    # terms 10^9 apart in y: one packed integer per row would span about
+    # 10^10 slots, while the rows' runs hold only the few dozen terms
+    g = 10 ** 9
+    start = BiSeries({(0, 0): 1, (0, g): -2, (1, -g): Fraction(3, 2)}, 6, ytop=4 * g)
+    factors = [(1, g, -1, -1), (2, 1 - g, 3, 1), (0, g, 2, -1), (0, g, -1, 1), (1, 0, 5, -1)]
+    tracemalloc.start()
+    try:
+        got = start.mul_binomials(factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bi(got, bi_oracle(start, factors))
+    assert peak < 2 ** 20
+
+
 def test_rows_repack_inside_a_division_run(monkeypatch):
     # the start fits the first 64-bit slots, and the unit divisions grow its
     # bound past 2^62 at x = 36 of one ascending run, with three steps left:
     # every row is repacked wider there, rows 1..36 already divided and the
     # source read after its own update
     widths = []
-    pack = series_module._pack_rows
+    fill = series_module._fill
 
     def spy(*args):
-        packed = pack(*args)
-        widths.append(packed[2])
-        return packed
+        widths.append(fill(*args))
+        return widths[-1]
 
-    monkeypatch.setattr(series_module, "_pack_rows", spy)
+    monkeypatch.setattr(series_module, "_fill", spy)
     start = BiSeries({(0, 0): 2 ** 30 - 1, (0, -2): 5, (2, 1): -7}, 40)
     factors = [(1, 1, -1, -1), (1, -1, -1, 1)] * 6
     assert same_bi(start.mul_binomials(factors), bi_oracle(start, factors))

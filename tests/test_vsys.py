@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -434,6 +435,32 @@ def test_psi_half_offsets_at_the_packing_bound(V, lam, order, reach):
     same_psi(got, oracle.psi(V, lam, order))
     start = [-2 * x for x in weyl_data(V, lam).rho]
     assert max(abs(x - s) // 2 for _, r in got[1] for x, s in zip(r, start)) == reach
+
+
+def unit_system(dim):
+    """The vectors +-e_i, each once, under the gram matrix 2I."""
+    mult = {tuple(s * (i == j) for j in range(dim)): 1 for i in range(dim) for s in (1, -1)}
+    return VectorSystem(dim, [[2 * (i == j) for j in range(dim)] for i in range(dim)], mult)
+
+
+@pytest.mark.parametrize("V,lam,order", [
+    (VectorSystem(1, ((2,),), {(10 ** 6,): 1, (-10 ** 6,): 1}), (1,), 10),
+    (VectorSystem(1, ((2,),), {(10 ** 6,): 1, (-10 ** 6,): 1, (1,): 2, (-1,): 2}), (1,), 8),
+    (unit_system(6), tuple(10 ** i for i in range(6)), 3),
+])
+def test_psi_memory_follows_its_terms_not_its_code_span(V, lam, order):
+    # the packed zeta code of a row spans about 2 * 10^7 slots per q-power
+    # for the long vector, and up to base^6 = 19^6 slots for the unit
+    # system, while psi holds at most a few thousand terms: the product keeps
+    # each row as runs of nearby terms, so its peak stays a few megabytes
+    tracemalloc.start()
+    try:
+        got = psi(V, lam, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    same_psi(got, oracle.psi(V, lam, order))
+    assert peak < 8 * 2 ** 20
 
 
 # -- both shift laws against the per-column scans they replaced ---------------
