@@ -13,6 +13,7 @@ is a hard error.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, inf, isqrt, lcm
 from operator import mul
@@ -404,6 +405,7 @@ class QSeries:
 # Coefficient lists (entry i belongs to q^(v + i)) multiplied by two-point Kronecker
 # substitution; inverse, log, exp and Euler products all build on that multiply.
 
+_LITTLE = sys.byteorder == "little"  # 8-byte slots then read as native words
 _EXP_BLOCK = 128  # exp terms the plain recurrence finds between products; 96-192 measure alike
 
 
@@ -437,6 +439,8 @@ def _unpack(z: int, width: int, count: int, half: int) -> list:
     k = width * count
     z += int.from_bytes(half.to_bytes(width, "little") * count, "little")
     data = memoryview((z & ((1 << 8 * k) - 1)).to_bytes(k, "little"))
+    if width == 8 and _LITTLE:  # the 64-bit slots rows start with, read as machine words
+        return [c - half for c in data.cast("Q")]
     return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, k, width)]
 
 
@@ -691,12 +695,12 @@ def sigma(k: int, n: int) -> int:
 # BiSeries.mul_binomials holds each row {y: c} of its running product as a list
 # of runs (lo, hi, v), ascending, with v = sum c_y 2^(8 width (y - lo)) over
 # lo <= y <= hi: Kronecker substitution in y, in signed slots of width bytes
-# that every row shares.  Two terms closer than _GAP share a run and two runs
-# closer than _GAP merge, so a dense row is one integer, and a sparse row, like
-# a high-dimensional vector system's packed zeta exponents, costs at most _GAP
-# slots per term it has held, however wide its span.
+# that every row shares.  Terms at most _GAP apart share a run and runs at most
+# _GAP apart merge, so a dense row is one integer, and a sparse row, like the
+# packed zeta exponents of a long or high-dimensional vector system, costs at
+# most _GAP slots per term it has held, however wide its span.
 
-_GAP = 32  # the largest step in y between neighbouring terms of one run
+_GAP = 32  # the largest y-step inside a run; 16 and 128 ran psi alike, 8 and 512 slower
 
 
 def _cut(v: int, bits: int) -> int:
@@ -810,8 +814,8 @@ class BiSeries:
     QSeries.trunc.  ``ytop`` does the same for the second variable: terms
     above it are unknown and dropped on construction, and None means every
     second-variable exponent is known.  The one product, ``mul_binomials``,
-    works in place on packed rows, one integer per first-variable exponent,
-    and keeps both honest on its own: it lowers the y-top by as far as its
+    works in place on packed rows, one list of runs of nearby terms per
+    first-variable exponent, and keeps both honest on its own: it lowers the y-top by as far as its
     factors can carry an unknown term down.  No product needs a bound below.
     """
 
@@ -892,6 +896,7 @@ class BiSeries:
         width = _fill(rows, bnd, terms, 8)
         xmin = min((x for x, _ in self.coeffs), default=n)  # rows below it stay empty
         steep = 0  # how far b < 0 factors carry unknown terms down
+        gap = _GAP
         for a, b, e, sign in factors:
             if sign not in (1, -1) or a < 0 or not isinstance(e, int) or e < -1:
                 raise ValueError("factor needs a >= 0, sign +1 or -1 and an integer e >= -1")
@@ -935,6 +940,7 @@ class BiSeries:
                          for k, c in _binomial_terms(e, sign, kmax) if k]
                 xs = range(cap - a, xmin - 1, -1)
             w = 8 * width
+            lim = w - 2
             for x in xs:
                 src = rows[x]
                 if not src:
@@ -944,32 +950,41 @@ class BiSeries:
                     to = x + dx
                     if to > cap:
                         break
-                    if bnd[to] + ac * bx >> w - 2:  # _room's test, kept out of the call
+                    nb = bnd[to] + ac * bx
+                    if nb >> lim:  # _room's test, kept out of the call
                         width = _room(rows, bnd, width, to, x, ac)
                         w, src, bx = 8 * width, rows[x], bnd[x]
+                        lim = w - 2
+                        nb = bnd[to] + ac * bx
                     if top is not None and src[-1][1] > top:
                         src = _cut_runs(src, top, w)
                         if not src:
                             break
                     dst = rows[to]
-                    bnd[to] += ac * bx
+                    bnd[to] = nb
                     if len(src) == 1 == len(dst):  # one run each, as in dense rows
                         (lo, hi, v), (dlo, dhi, dv) = src[0], dst[0]
                         lo += dy
                         hi += dy
-                        if dlo - _GAP <= hi and lo - _GAP <= dhi:
+                        if dlo - gap <= hi and lo - gap <= dhi:
                             if dlo < lo:
                                 lo, v = dlo, dv + (c * v << w * (lo - dlo))
                             else:
                                 v = c * v + (dv << w * (dlo - lo))
-                            rows[to] = [(lo, hi if hi > dhi else dhi, v)] if v else []
+                            if v:  # no two rows share a list: update it in place
+                                dst[0] = lo, hi if hi > dhi else dhi, v
+                            else:
+                                dst.clear()
                             continue
                     rows[to] = _add_runs(dst, src, dy, c, w)
-        coeffs = {}
-        for x, row in enumerate(rows):
-            for y, c in _row_terms(row, width):
-                coeffs[(x, y)] = c if den == 1 else Fraction(c, den)
-        return BiSeries(coeffs, cap, ytop=None if ytop is None else ytop - steep)
+        out = BiSeries({}, cap, ytop=None if ytop is None else ytop - steep)
+        ymax, half = inf if ytop is None else out.ytop, 1 << (8 * width - 1)
+        for x, row in enumerate(rows):  # the clean terms the constructor would keep
+            for lo, hi, v in row:
+                for y, c in enumerate(_unpack(v, width, hi - lo + 1, half), lo):
+                    if c and y <= ymax:
+                        out.coeffs[x, y] = c if den == 1 else _num(Fraction(c, den))
+        return out
 
     def first_mismatch(self, other: "BiSeries"):
         """First disagreeing monomial in graded-lex order (x+y, x, y), or None.
