@@ -135,7 +135,9 @@ def psi(V: VectorSystem, lam, order: int) -> tuple:
     base^i with balanced digits |u_i| <= reach.  A kept term has sum k n <=
     order, so reach, the n = 0 factors' sum of c |v_i| plus order times the
     largest |v_i|, bounds every coordinate any partial product can hold: the
-    code is one-to-one and the result decodes digit by digit.
+    code is one-to-one and the result decodes digit by digit.  A row's codes
+    span up to base^dim, but the product keeps far-apart codes in separate
+    runs, so the work follows the terms, not that span.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
