@@ -449,10 +449,10 @@ def unit_system(dim):
     (unit_system(6), tuple(10 ** i for i in range(6)), 3),
 ])
 def test_psi_memory_follows_its_terms_not_its_code_span(V, lam, order):
-    # the packed zeta code of a row spans about 2 * 10^7 slots per q-power
-    # for the long vector, and up to base^6 = 19^6 slots for the unit
-    # system, while psi holds at most a few thousand terms: the product keeps
-    # each row as runs of nearby terms, so its peak stays a few megabytes
+    # the packed zeta code of row q^n spans about 2 * 10^6 n slots for the
+    # long vectors, and up to base^6 = 9^6 slots for the unit system, while
+    # psi holds at most about five thousand terms: the product keeps each row
+    # as runs of nearby terms, so its peak stays a few megabytes
     tracemalloc.start()
     try:
         got = psi(V, lam, order)
