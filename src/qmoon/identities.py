@@ -1,10 +1,14 @@
 """Verifier for the classical product identities, one label per identity.
 
-Each label binds two independently built sides (direct summation against
-factor-by-factor products), expands both to the requested order, and reports
-the first mismatching monomial in graded-lex order.  Failure is data, not an
-error: one printed variant of the quintuple identity is checked exactly as
-stated and its outcome recorded by the caller.
+Each label binds two independently built sides, a direct summation against
+a product, expands both to the requested order, and reports the first
+mismatching monomial in graded-lex order.  A two-variable product is one
+``BiSeries.mul_binomials`` call over its binomial factors, and every such
+side is known in every z-power through q^order, so none needs a z-top.  A
+one-variable product is an Euler exponent table q^-h prod (1 - q^n)^{e_n}
+(an eta quotient), each factor 1 + q^a written as (1 - q^2a) / (1 - q^a).
+Failure is data, not an error: one printed variant of the quintuple identity
+is checked exactly as stated and its outcome recorded by the caller.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def _sigma_series(ell, order):
 # factors (a, b, e, sign) = (1 + sign q^a z^b)^e of each n >= 1.
 
 
-def _lattice_sum(order, terms, ytop=None):
+def _lattice_sum(order, terms):
     """Sum of terms(m) over all integers m, keeping q-exponents <= order.
 
     Every sum side below has q-exponent at least m^2 - |m|, so |m| <=
@@ -78,16 +82,16 @@ def _lattice_sum(order, terms, ytop=None):
         for key, c in terms(m):
             if key[0] <= order:
                 coeffs[key] = coeffs.get(key, 0) + c
-    return BiSeries(coeffs, order, ytop=ytop)
+    return BiSeries(coeffs, order)
 
 
-def _pochhammer_sum(order, monomial, ytop=None):
+def _pochhammer_sum(order, monomial):
     """Sum of monomial(n) / ((1 - q)...(1 - q^n)) over n >= 0, keeping q-exponents <= order.
 
     The inverse product is one list of q-coefficients, divided by 1 - q^n
     in place as n grows (the partition recurrence).  Every sum side below
-    has n <= order for each monomial it keeps: a q-exponent n(n+1)/2 <=
-    order, or a z-exponent n <= order.
+    has n <= order for each monomial it keeps, whose q-exponent, n(n+1)/2
+    or n, is at most order.
     """
     inv = [1] + [0] * order
     coeffs = {}
@@ -100,12 +104,12 @@ def _pochhammer_sum(order, monomial, ytop=None):
             if inv[i]:
                 key = (e + i, y)
                 coeffs[key] = coeffs.get(key, 0) + c * inv[i]
-    return BiSeries(coeffs, order, ytop=ytop)
+    return BiSeries(coeffs, order)
 
 
-def _lattice_product(order, front, factors, ytop=None):
+def _lattice_product(order, front, factors):
     """front * prod of factors(n) with a <= order; every a >= n - 1, so n <= order + 1."""
-    return BiSeries(front, order, ytop=ytop).mul_binomials(
+    return BiSeries(front, order).mul_binomials(
         f for n in range(1, order + 2) for f in factors(n) if f[0] <= order)
 
 
@@ -126,9 +130,9 @@ def _euler3(order):
 
 def _gauss(order):
     lhs = QSeries({0: 1, **{n * n: 2 for n in range(1, isqrt(order) + 1)}}, order)
-    rhs = QSeries.one(order).mul_binomials(
-        [(2 * n, 1, -1) for n in range(1, order // 2 + 1)]
-        + [(2 * n - 1, 2, 1) for n in range(1, (order + 1) // 2 + 1)])
+    # prod (1-q^{2n})(1+q^{2n-1})^2, with 1 + q^a = (1 - q^{2a}) / (1 - q^a)
+    rhs = product_from_exponents(
+        ExponentTable(0, {n: (1, -2, 3, -2)[n % 4] for n in range(1, order + 1)}, order))
     return [(lhs, rhs)]
 
 
@@ -152,16 +156,17 @@ def _jacobi_delta(order):
 
 
 def _theta_nullwert_products(order):
-    even = [(2 * n, 1, -1) for n in range(1, order // 2 + 1)]
-    odd = range(1, (order + 1) // 2 + 1)
-    front = QSeries({0: 2}, order, nome=HALF, prefactor=Fraction(1, 4))
+    def product(h, exps):  # q^-h prod (1-q^n)^{e_n}, with e_n = exps[n mod len(exps)]
+        table = ExponentTable(h, {n: exps[n % len(exps)] for n in range(1, order + 1)}, order)
+        return product_from_exponents(table, nome=HALF)
+
     return [
-        (forms.theta_nullwerte(2, order),
-         front.mul_binomials(even + [(2 * n, 2, 1) for n in range(1, order // 2 + 1)])),
-        (forms.theta_nullwerte(3, order),
-         QSeries.one(order, nome=HALF).mul_binomials(even + [(2 * n - 1, 2, 1) for n in odd])),
-        (forms.theta_nullwerte(4, order),
-         QSeries.one(order, nome=HALF).mul_binomials(even + [(2 * n - 1, 2, -1) for n in odd])),
+        # 2 q^{1/4} prod (1-q^{2n})(1+q^{2n})^2, with 1 + q^a = (1 - q^{2a}) / (1 - q^a)
+        (forms.theta_nullwerte(2, order), 2 * product(Fraction(-1, 4), (1, 0, -1, 0))),
+        # prod (1-q^{2n})(1+q^{2n-1})^2, with 1 + q^a = (1 - q^{2a}) / (1 - q^a)
+        (forms.theta_nullwerte(3, order), product(0, (1, -2, 3, -2))),
+        # prod (1-q^{2n})(1-q^{2n-1})^2, which has no 1 + q^a factor
+        (forms.theta_nullwerte(4, order), product(0, (1, 2))),
     ]
 
 
@@ -190,31 +195,30 @@ def _sigma_convolutions(order):
 # -- every identity, in the order ``verify all`` runs them ---------------------------
 #
 # A label maps to its one-variable builder or to the two-variable rows
-# ((sum function, its terms), front, product factors, z-top), one per pair;
+# ((sum function, its terms), front, product factors), one per pair;
 # the theta rows drop the common factors q^{1/4} (and 1/i for the first one)
 # and keep zeta exponents literal, so they are even except in the first two.
 _IDENTITIES = {
     # sum (-1)^n q^{n(n+1)/2} z^n / ((1-q)...(1-q^n)) = prod_{n >= 1} (1 - q^n z)
     "euler1": [((_pochhammer_sum, lambda n: ((n * (n + 1) // 2, n), (-1) ** n)), {(0, 0): 1},
-                lambda n: [(n, 1, 1, -1)], None)],
-    # sum z^n / ((1-q)...(1-q^n)) = prod_{n >= 0} (1 - q^n z)^{-1}; the n = 0
-    # factor makes the z-support infinite, so both sides carry an explicit
-    # z-top (every z-exponent is nonnegative, so nothing that is cut can
-    # ever flow back under it)
-    "euler2": [((_pochhammer_sum, lambda n: ((0, n), 1)), {(0, 0): 1},
-                lambda n: [(n - 1, 1, -1, -1)], lambda order: order)],
+                lambda n: [(n, 1, 1, -1)])],
+    # sum q^n z^n / ((1-q)...(1-q^n)) = prod_{n >= 1} (1 - q^n z)^{-1}: the printed
+    # sum z^n / ((1-q)...(1-q^n)) = prod_{n >= 0} (1 - q^n z)^{-1} times its n = 0
+    # factor 1 - z (Andrews, The Theory of Partitions, Cor. 2.2 at t = zq).  That
+    # factor has no q, so agreement through q^order in every z-power is the
+    # printed identity's, and neither side needs a z-top
+    "euler2": [((_pochhammer_sum, lambda n: ((n, n), 1)), {(0, 0): 1},
+                lambda n: [(n, 1, -1, -1)])],
     "euler3": _euler3,
     "gauss": _gauss,
     "triple": [((_lattice_sum, lambda m: [((m * m, m), (-1) ** (m % 2))]), {(0, 0): 1},
-                lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 1, 1, -1), (2 * n - 1, -1, 1, -1)],
-                None)],
+                lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 1, 1, -1), (2 * n - 1, -1, 1, -1)])],
     "quintuple_w1": [(
         (_lattice_sum,
          lambda m: [((_pentagonal(m), 3 * m), 1), ((_pentagonal(m), -3 * m - 1), -1)]),
         {(0, 0): 1},
         lambda n: [(n, 0, 1, -1), (n, 1, 1, -1), (n - 1, -1, 1, -1),
                    (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)],
-        None,
     )],
     # run exactly as printed; the outcome is recorded, not corrected
     "quintuple_w2": [(
@@ -223,7 +227,6 @@ _IDENTITIES = {
         {(0, 0): 1},
         lambda n: [(2 * n, 0, 1, -1), (2 * n, -2, 1, -1), (2 * n - 2, 2, 1, -1),
                    (2 * n - 1, 1, -1, 1), (2 * n - 1, -1, 1, 1)],
-        None,
     )],
     "eisen_relations": _eisen_relations,
     "jacobi_delta": _jacobi_delta,
@@ -231,16 +234,16 @@ _IDENTITIES = {
         # theta1 over 1/i: sum (-1)^n q^{n^2+n} z^{2n+1} = (z - 1/z) prod ...
         ((_lattice_sum, lambda m: [((m * m + m, 2 * m + 1), (-1) ** (m % 2))]),
          {(0, 1): 1, (0, -1): -1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, -1), (2 * n, -2, 1, -1)], None),
+         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, -1), (2 * n, -2, 1, -1)]),
         # theta2: sum q^{n^2+n} z^{2n+1} = z prod (1-q^{2n})(1+q^{2n}z^2)(1+q^{2n-2}z^-2)
         ((_lattice_sum, lambda m: [((m * m + m, 2 * m + 1), 1)]), {(0, 1): 1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, 1), (2 * n - 2, -2, 1, 1)], None),
+         lambda n: [(2 * n, 0, 1, -1), (2 * n, 2, 1, 1), (2 * n - 2, -2, 1, 1)]),
         # theta3: sum q^{n^2} z^{2n} = prod (1-q^{2n})(1+q^{2n-1}z^2)(1+q^{2n-1}z^-2)
         ((_lattice_sum, lambda m: [((m * m, 2 * m), 1)]), {(0, 0): 1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, 1), (2 * n - 1, -2, 1, 1)], None),
+         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, 1), (2 * n - 1, -2, 1, 1)]),
         # theta4: sum (-1)^n q^{n^2} z^{2n} = prod (1-q^{2n})(1-q^{2n-1}z^2)(1-q^{2n-1}z^-2)
         ((_lattice_sum, lambda m: [((m * m, 2 * m), (-1) ** (m % 2))]), {(0, 0): 1},
-         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)], None),
+         lambda n: [(2 * n, 0, 1, -1), (2 * n - 1, 2, 1, -1), (2 * n - 1, -2, 1, -1)]),
     ],
     "theta_nullwert_products": _theta_nullwert_products,
     "delta_theta": _delta_theta,
@@ -259,9 +262,8 @@ def identity_sides(name: str, order: int):
     entry = _IDENTITIES[name]
     if callable(entry):
         return entry(order)
-    return [(sum_side(order, terms, ytop and ytop(order)),
-             _lattice_product(order, front, factors, ytop and ytop(order)))
-            for (sum_side, terms), front, factors, ytop in entry]
+    return [(sum_side(order, terms), _lattice_product(order, front, factors))
+            for (sum_side, terms), front, factors in entry]
 
 
 def verify(name: str, order: int) -> VerifyReport:

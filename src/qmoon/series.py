@@ -290,26 +290,6 @@ class QSeries:
         return self._like({i - v: c for i, c in enumerate(r)}, n - 1 - v,
                           prefactor=-self.prefactor)
 
-    def mul_binomials(self, factors) -> "QSeries":
-        """Multiply by prod (1 + sign * q^a)^e over the (a, e, sign) factors.
-
-        Every factor is an exactly known unit (a >= 1), so the truncation and
-        the valuation stay; e may be any exact rational.  The factors become
-        one Euler product, as (1 + q^a)^e = (1 - q^2a)^e (1 - q^a)^-e.
-        """
-        v = self.valuation()
-        if v is None:
-            return self
-        exps = {}
-        for a, e, sign in factors:
-            if a < 1 or sign not in (1, -1):
-                raise ValueError("factor needs exponent a >= 1 and sign +1 or -1")
-            for d, x in ([(a, e)] if sign == -1 else [(2 * a, e), (a, -e)]):
-                exps[d] = exps.get(d, 0) + x
-        span = self.trunc - v
-        table = ExponentTable(0, {d: x for d, x in exps.items() if d <= span}, span)
-        return self * product_from_exponents(table, nome=self.nome)
-
     def scale_var(self, k: int) -> "QSeries":
         """Substitute q -> q^k (i.e. tau -> k*tau on the same nome grid)."""
         if k < 1:
@@ -815,8 +795,10 @@ class BiSeries:
     above it are unknown and dropped on construction, and None means every
     second-variable exponent is known.  The one product, ``mul_binomials``,
     works in place on packed rows, one list of runs of nearby terms per
-    first-variable exponent, and keeps both honest on its own: it lowers the y-top by as far as its
-    factors can carry an unknown term down.  No product needs a bound below.
+    first-variable exponent, and keeps both honest on its own: it lowers the
+    y-top by as far as its factors can carry an unknown term down.  Every
+    factor under a y-top moves x, so the cap bounds its terms, and no
+    product needs a bound below.
     """
 
     __slots__ = ("coeffs", "cap", "ytop")
@@ -853,8 +835,7 @@ class BiSeries:
 
         It takes the factors its callers build and raises ValueError on any
         other: every stored x and every a is >= 0, and e is an int >= -1.  A
-        factor constant in x (a == 0) either multiplies (e >= 0), with b >= 0
-        under a y-top, or divides (e = -1), with b > 0 and a y-top.
+        factor constant in x (a == 0) is a polynomial (e >= 0) with no y-top.
 
         Row x of the running product is a list of runs of W-bit signed slots,
         each one integer sum c_y 2^(W (y - lo)) from its own offset lo, the
@@ -868,8 +849,7 @@ class BiSeries:
         descending x on old rows; a unit multiply is the one-step case.  Under
         a y-top, a factor with b > 0 expands only the terms whose copy of some
         row reaches the top.  A factor constant in x replaces each row by the
-        sum of its shifted copies, and its divisor (1 + sign y^b)^-1 is
-        (1 - sign y^b)(1 + y^2b)(1 + y^4b)... through the y-top.
+        sum of its shifted copies.
 
         Each row keeps a bound on its coefficients' size, updated as
         bound[to] += |c| bound[x].  Before a slot could reach 2^(W - 2),
@@ -900,38 +880,27 @@ class BiSeries:
         for a, b, e, sign in factors:
             if sign not in (1, -1) or a < 0 or not isinstance(e, int) or e < -1:
                 raise ValueError("factor needs a >= 0, sign +1 or -1 and an integer e >= -1")
-            if a == 0 and (b < 0 and ytop is not None or e == -1 and (b <= 0 or ytop is None)):
-                raise ValueError("factor constant in the capped variable needs b >= 0 under "
-                                 "a y-top, and to divide, b > 0 and a y-top")
-            if a and b < 0:
-                steep = max(steep, -(max(cap, 0) * b // a))
-            cut = ytop is not None and b > 0  # a row's copies stop at the y-top
-            if a == 0 and e == -1:
-                for x in range(xmin, n):
-                    d, c = b, -sign
-                    while rows[x] and rows[x][0][0] + d <= ytop:
-                        width = _room(rows, bnd, width, x, x, 1)
-                        w, row = 8 * width, rows[x]
-                        rows[x] = _add_runs(row, _cut_runs(row, ytop - d, w), d, c, w)
-                        bnd[x] <<= 1
-                        d, c = 2 * d, 1
-                continue
-            kmax = max(cap, 0) // a if a else e
-            if cut and e >= 0:  # no term k past (ytop - lowest y) / b copies anything
-                kmax = min(kmax, (ytop - min((row[0][0] for row in rows if row),
-                                             default=ytop)) // b)
-            if a == 0:
-                terms = list(_binomial_terms(e, sign, kmax))
+            if a == 0:  # a polynomial in y: each row becomes the sum of its shifted copies
+                if e < 0 or ytop is not None:
+                    raise ValueError("factor constant in the capped variable needs e >= 0 "
+                                     "and no y-top")
+                terms = list(_binomial_terms(e, sign, e))
                 grow = sum(abs(c) for _, c in terms)
                 for x in range(xmin, n):
                     if rows[x]:
                         width = _room(rows, bnd, width, x, x, grow - 1)
                         w, row, out = 8 * width, rows[x], []
                         for k, c in terms:
-                            out = _add_runs(out, _cut_runs(row, ytop - k * b, w) if cut else row,
-                                            k * b, c, w)
+                            out = _add_runs(out, row, k * b, c, w)
                         rows[x], bnd[x] = out, grow * bnd[x]
                 continue
+            if b < 0:
+                steep = max(steep, -(max(cap, 0) * b // a))
+            cut = ytop is not None and b > 0  # a row's copies stop at the y-top
+            kmax = max(cap, 0) // a
+            if cut and e >= 0:  # no term k past (ytop - lowest y) / b copies anything
+                kmax = min(kmax, (ytop - min((row[0][0] for row in rows if row),
+                                             default=ytop)) // b)
             if e == -1:  # divide, reading each source after its own update
                 steps = [(a, b, -sign, 1, ytop - b if cut else None)]
                 xs = range(xmin, cap - a + 1)
@@ -978,12 +947,11 @@ class BiSeries:
                             continue
                     rows[to] = _add_runs(dst, src, dy, c, w)
         out = BiSeries({}, cap, ytop=None if ytop is None else ytop - steep)
-        ymax, half = inf if ytop is None else out.ytop, 1 << (8 * width - 1)
+        ymax = inf if ytop is None else out.ytop
         for x, row in enumerate(rows):  # the clean terms the constructor would keep
-            for lo, hi, v in row:
-                for y, c in enumerate(_unpack(v, width, hi - lo + 1, half), lo):
-                    if c and y <= ymax:
-                        out.coeffs[x, y] = c if den == 1 else _num(Fraction(c, den))
+            for y, c in _row_terms(row, width):
+                if y <= ymax:
+                    out.coeffs[x, y] = c if den == 1 else _num(Fraction(c, den))
         return out
 
     def first_mismatch(self, other: "BiSeries"):

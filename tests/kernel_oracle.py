@@ -4,7 +4,9 @@ These are the plain dict algorithms the dense kernel in ``qmoon.series``
 replaced: schoolbook multiplication over stored terms, term-by-term
 inversion, ``log`` and ``exp`` as power series in ``a - 1`` and ``a``,
 binomial expansion one factor at a time, and Moebius inversion of
-``-log``.  Each binomial term is its own falling factorial (``binomial``),
+``-log``.  ``mul_binomials`` also expands the printed products of the gauss
+and theta-nullwert identities, (1 + q^a) factors included, which
+``qmoon.identities`` builds as Euler exponent tables.  Each binomial term is its own falling factorial (``binomial``),
 not the kernel's recurrence.  They share no arithmetic with the kernel
 beyond the ``QSeries`` container, addition and scalar multiplication, so
 the differential tests compare two independent derivations of every
@@ -21,9 +23,11 @@ convolution ``BiSeries`` multiplied with before ``mul_binomials`` applied
 its factors to the coefficients itself.  ``bi_exp`` is the power
 sum of t^k / k! that ``qmoon.moonshine.bi_exp`` ran before it moved onto the
 exp recurrence.  ``euler1_sum`` and ``euler2_sum`` are the sum sides of the
-two Euler partition identities as ``qmoon.identities`` built them before
-they became Pochhammer-sum entries: one running product of (1 - q^n)^-1
-factors, each monomial multiplied in and added up one n at a time.
+two Euler partition identities as printed and as ``qmoon.identities`` built
+them before they became Pochhammer-sum entries: one running product of
+(1 - q^n)^-1 factors, each monomial multiplied in and added up one n at a
+time.  ``euler2_qz_sum`` is the same loop on the sum side the identity table
+now checks for euler2, the printed sum at z -> qz.
 ``psi`` is the vector-system product expanded one factor at a time on
 tuple-valued zeta exponents, the way ``qmoon.vsys`` did before it packed
 them.
@@ -354,6 +358,11 @@ def euler1_sum(order) -> Bi:
 def euler2_sum(order) -> Bi:
     """sum z^n / ((1-q)...(1-q^n)) through q^order and z^order."""
     return _pochhammer_loop(order, order, range(1, order + 1), lambda n: ((0, n), 1))
+
+
+def euler2_qz_sum(order) -> Bi:
+    """sum q^n z^n / ((1-q)...(1-q^n)) through q^order, in every z-power."""
+    return _pochhammer_loop(order, None, range(1, order + 1), lambda n: ((n, n), 1))
 
 
 def psi(V, lam, order) -> tuple:

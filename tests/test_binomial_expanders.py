@@ -1,21 +1,18 @@
-"""Differential tests of the two binomial-product expanders.
+"""Differential tests of the one binomial-product expander.
 
-``QSeries.mul_binomials`` and ``BiSeries.mul_binomials`` multiply a series
-by a whole list of factors (1 + sign x^a y^b)^e at once.  The oracle here
-multiplies one factor at a time, each factor expanded with binomial
-coefficients from a running product (no ``gbinom``): one-variable series
-with the plain ``QSeries.__mul__``, two-variable ones with the schoolbook
-``kernel_oracle.bi_mul``, which shares no code with ``BiSeries``.
-Truncation, cap and y-top must match as well as the coefficients and
-their types.  The x-shift of ``BiSeries`` is checked against the same
-reference.
+``BiSeries.mul_binomials`` multiplies a series by a whole list of factors
+(1 + sign x^a y^b)^e at once.  The oracle here multiplies one factor at a
+time, each factor expanded with binomial coefficients from a running
+product (no ``gbinom``), with the schoolbook ``kernel_oracle.bi_mul``, which
+shares no code with ``BiSeries``.  Cap and y-top must match as well as the
+coefficients and their types.  The x-shift of ``BiSeries`` is checked
+against the same reference.
 
 ``BiSeries.mul_binomials`` takes only the factors its callers build: every
-stored x and every a >= 0, e an int >= -1, and a factor constant in x
-either a polynomial (with b >= 0 under a y-top) or a divisor
-(1 + sign y^b)^-1 with b > 0 under a y-top.  The drawn series and factor
-lists stay in that domain, every caller's factor lists are checked to lie
-in it, and each shape outside it must raise.
+stored x and every a >= 0, e an int >= -1, and a factor constant in x a
+polynomial (e >= 0) with no y-top.  The drawn series and factor lists stay
+in that domain, every caller's factor lists are checked to lie in it, and
+each shape outside it must raise.
 
 ``BiSeries.mul_binomials`` holds its product as rows and applies each
 factor in place: a unit divisor (e = -1) by the partition recurrence, every
@@ -36,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 from kernel_oracle import bi, bi_mul, bi_shift_x
 from paper_refs import SAMPLE_NAMES, sample_system
 from qmoon import identities, moonshine, series as series_module, vsys
-from qmoon.series import FULL, HALF, BiSeries, QSeries
+from qmoon.series import BiSeries, QSeries
 
 
 def binomial(e, k):
@@ -47,22 +44,12 @@ def binomial(e, k):
 
 
 def bi_factor(series, a, b, e, sign):
-    """(1 + sign x^a y^b)^e through every term that can reach series' cap and y-top.
+    """(1 + sign x^a y^b)^e through every term that can reach series' cap.
 
-    For a == 0 and b > 0 under a y-top, the divisor or a polynomial of any
-    degree, the terms run while some y of the series, moved by b k, has not
-    yet passed the top.  The y-top itself is applied by the product, not here.
+    The y-top is applied by the product, not here.
     """
-    cap, ytop = series.cap, series.ytop
-    if a > 0:
-        kmax = max(cap, 0) // a
-    elif ytop is not None and b > 0:
-        ys = [y for _, y in series.coeffs]
-        kmax = 0
-        while any(y + b * (kmax + 1) <= ytop for y in ys):
-            kmax += 1
-    else:
-        kmax = e
+    cap = series.cap
+    kmax = max(cap, 0) // a if a > 0 else e
     if e >= 0:
         kmax = min(kmax, e)
     coeffs = {}
@@ -89,25 +76,10 @@ def bi_oracle(series, factors):
     return bi(series.coeffs, series.cap, top)
 
 
-def q_oracle(series, factors):
-    for a, e, sign in factors:
-        v = series.valuation() or 0
-        span = max(series.trunc - v, 0)  # the factor is 1 + ..., known at least at q^0
-        coeffs = {a * k: sign ** k * binomial(e, k) for k in range(span // a + 1)}
-        series = series * QSeries(coeffs, span, nome=series.nome)
-    return series
-
-
-small_exponents = st.one_of(
-    st.integers(-3, 6),
-    st.just(0),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-)
 huge = st.integers(10 ** 20, 10 ** 20 + 5)
-exponents = st.one_of(small_exponents, huge)
-# the two-variable product's exponents: a divisor (drawn as often as the
-# rest, so that most lists divide), a polynomial, or one running to dozens
-# of digits like the monster denominator's
+# the product's exponents: a divisor (drawn as often as the rest, so that
+# most lists divide), a polynomial, or one running to dozens of digits like
+# the monster denominator's, whose terms under a y-top stop at the top
 bi_exponents = st.one_of(st.just(-1), st.integers(-1, 6), huge)
 # sizes at and just past 2^62, where the two-variable product's first 64-bit
 # slots end, so that its rows start wide or repack partway through a factor
@@ -147,20 +119,14 @@ def biseries(draw):
     return BiSeries(coeffs, cap, ytop=ytop)
 
 
-def bi_factors(ytop, divide=True):
+def bi_factors(ytop):
     """Factor lists the product accepts under this y-top, unit and expanded
-    factors mixed.  A factor constant in x is a small polynomial with b != 0
-    (so no factor is the zero (1 - 1)^e), stepping up under a y-top.  If
-    divide, a y-top also brings the factors constant in x that only it
-    bounds: (1 + sign y^b)^-1 with b > 0, divided in place, and polynomials
-    stepping up with a huge e, whose terms past the top are never expanded."""
-    constant_b = st.integers(1, 3) if ytop is not None else \
-        st.sampled_from((-3, -2, -1, 1, 2, 3))
-    kinds = [st.tuples(st.integers(1, 3), st.integers(-3, 3), bi_exponents, signs),
-             st.tuples(st.just(0), constant_b, st.integers(0, 4), signs)]
-    if divide and ytop is not None:
-        kinds += [st.tuples(st.just(0), st.integers(1, 3), st.just(-1), signs),
-                  st.tuples(st.just(0), st.integers(1, 3), huge, signs)]
+    factors mixed.  With no y-top, a factor constant in x may come too: a
+    small polynomial with b != 0 (so no factor is the zero (1 - 1)^e)."""
+    kinds = [st.tuples(st.integers(1, 3), st.integers(-3, 3), bi_exponents, signs)]
+    if ytop is None:
+        kinds.append(st.tuples(st.just(0), st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                               st.integers(0, 4), signs))
     return st.lists(st.one_of(kinds), max_size=8)
 
 
@@ -181,9 +147,9 @@ def test_biseries_expander_matches_factor_by_factor(series, data):
 @settings(max_examples=200, deadline=None)
 @given(biseries().filter(lambda s: s.ytop is not None), st.data())
 def test_biseries_ytop_is_honest(series, data):
-    # no divisor constant in x: the product of the stored terms alone is
-    # finite without a y-top
-    factors = data.draw(bi_factors(series.ytop, divide=False))
+    # every factor under a y-top moves x, so the product of the stored terms
+    # alone is finite without one
+    factors = data.draw(bi_factors(series.ytop))
     # whatever the product claims under its y-top must agree with the
     # product of the same stored terms with no y-top at all
     got = series.mul_binomials(factors)
@@ -211,18 +177,20 @@ def test_rows_split_into_runs_match_factor_by_factor(series, data, gap):
 
 def test_far_apart_terms_stay_apart():
     # terms 10^9 apart in y: one packed integer per row would span about
-    # 10^10 slots, while the rows' runs hold only the few dozen terms
+    # 10^10 slots, while the rows' runs hold only the few dozen terms; the
+    # factor constant in x comes only with no y-top
     g = 10 ** 9
-    start = BiSeries({(0, 0): 1, (0, g): -2, (1, -g): Fraction(3, 2)}, 6, ytop=4 * g)
-    factors = [(1, g, -1, -1), (2, 1 - g, 3, 1), (0, g, 2, -1), (0, g, -1, 1), (1, 0, 5, -1)]
-    tracemalloc.start()
-    try:
-        got = start.mul_binomials(factors)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert same_bi(got, bi_oracle(start, factors))
-    assert peak < 2 ** 20
+    steps = [(1, g, -1, -1), (2, 1 - g, 3, 1), (1, 0, 5, -1)]
+    for ytop, factors in ((4 * g, steps), (None, steps + [(0, g, 2, -1)])):
+        start = BiSeries({(0, 0): 1, (0, g): -2, (1, -g): Fraction(3, 2)}, 6, ytop=ytop)
+        tracemalloc.start()
+        try:
+            got = start.mul_binomials(factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bi(got, bi_oracle(start, factors))
+        assert peak < 2 ** 20
 
 
 def test_rows_repack_inside_a_division_run(monkeypatch):
@@ -255,7 +223,7 @@ def test_ytop_drops_past_what_b_below_zero_factors_carry_down():
     with pytest.raises(ValueError):
         BiSeries.one(5, ytop=9).mul_binomials([(0, -2, 3, 1)])
     # factors stepping up, or no y-top, leave it alone
-    assert BiSeries.one(5, ytop=9).mul_binomials([(1, 2, -1, -1), (0, 1, -1, 1)]).ytop == 9
+    assert BiSeries.one(5, ytop=9).mul_binomials([(1, 2, -1, -1)]).ytop == 9
     assert BiSeries.one(5).mul_binomials([(1, -1, -1, -1)]).ytop is None
 
 
@@ -279,8 +247,8 @@ def test_identity_product_sides_match_factor_by_factor(name):
     entries = TWO_VARIABLE[name]
     for order in range(1, 26):
         sides = identities.identity_sides(name, order)
-        for (_, front, factors, ytop), (_, got) in zip(entries, sides):
-            start = BiSeries(front, order, ytop=ytop and ytop(order))
+        for (_, front, factors), (_, got) in zip(entries, sides):
+            start = BiSeries(front, order)
             assert same_bi(got, bi_oracle(start, _product_factors(factors, order)))
 
 
@@ -300,8 +268,8 @@ def test_unit_factors_never_expand(monkeypatch):
 
     monkeypatch.setattr(series_module, "_binomial_terms", counted)
     for entries in TWO_VARIABLE.values():
-        for _, front, factors, ytop in entries:
-            identities._lattice_product(40, front, factors, ytop and ytop(40))
+        for _, front, factors in entries:
+            identities._lattice_product(40, front, factors)
     vsys.psi(sample_system("pair"), (1,), 12)
     assert calls and all(e == 1 and n <= 2 for e, n in calls)
     calls.clear()
@@ -376,60 +344,29 @@ def test_biseries_ring_operations_match_schoolbook(a, n):
     assert same_bi(a.shift_x(n), bi_shift_x(a, n))
 
 
-@st.composite
-def qseries(draw):
-    trunc = draw(st.integers(-2, 12))
-    lo = draw(st.integers(-3, min(trunc, 2)))
-    if draw(st.booleans()):
-        coeffs = draw(st.dictionaries(st.integers(lo, trunc), coefficients, max_size=5))
-    else:
-        coeffs = dense(draw, range(lo, trunc + 1))
-    return QSeries(coeffs, trunc, nome=draw(st.sampled_from((FULL, HALF))),
-                   prefactor=draw(st.sampled_from((0, Fraction(1, 24), Fraction(-5, 4)))))
-
-
-q_factors = st.lists(st.tuples(st.integers(1, 5), exponents, signs), max_size=4)
-
-
-@settings(max_examples=200, deadline=None)
-@given(qseries(), q_factors)
-def test_qseries_expander_matches_factor_by_factor(series, factors):
-    got = series.mul_binomials(factors)
-    want = q_oracle(series, factors)
-    assert (got.coeffs, got.trunc, got.prefactor, got.nome) == \
-        (want.coeffs, want.trunc, want.prefactor, want.nome)
-
-
 def test_factors_reach_a_ytop_off_zero():
     # a factor's own constant term lies above a y-top below 0, yet it still multiplies
     got = BiSeries({(0, -2): 1}, 4, ytop=-1).mul_binomials([(1, 1, 1, -1), (1, 0, 1, -1)])
     assert (got.coeffs, got.ytop) == ({(0, -2): 1, (1, -1): -1, (1, -2): -1, (2, -1): 1}, -1)
-    # a factor constant in x runs until the partial product's lowest y passes the top
-    got = BiSeries({(0, -2): 1}, 3, ytop=5).mul_binomials([(0, 1, -1, -1)])
-    assert got.coeffs == {(0, y): 1 for y in range(-2, 6)}
-    # stepping down under a y-top it is rejected, a polynomial too
-    with pytest.raises(ValueError):
-        BiSeries({(0, 2): 1}, 3, ytop=3).mul_binomials([(0, -1, 2, -1)])
+    # a factor constant in x is rejected under a y-top, stepping up or down,
+    # a divisor or a polynomial
+    for factor in ((0, 1, -1, -1), (0, 1, 2, -1), (0, -1, 2, -1)):
+        with pytest.raises(ValueError):
+            BiSeries({(0, -2): 1}, 3, ytop=5).mul_binomials([factor])
 
 
 def test_expanders_reject_bad_factors():
-    with pytest.raises(ValueError):
-        QSeries.one(4).mul_binomials([(0, 1, -1)])
-    with pytest.raises(ValueError):
-        QSeries.one(4).mul_binomials([(1, 1, 2)])
     with pytest.raises(ValueError):
         BiSeries.one(4).mul_binomials([(1, 1, 1, 0)])
 
 
 def _in_measured_domain(series, factor):
     """What every caller passes: a >= 0, e an int -1 or >= 1, and a factor
-    constant in x either a polynomial with no y-top or a divisor with b > 0
-    under one."""
+    constant in x a polynomial with no y-top."""
     a, b, e, sign = factor
     if a < 0 or sign not in (1, -1) or not isinstance(e, int) or not (e == -1 or e >= 1):
         return False
-    return a > 0 or (series.ytop is None and e >= 1) or \
-        (series.ytop is not None and e == -1 and b > 0)
+    return a > 0 or series.ytop is None and e >= 1
 
 
 def test_every_caller_builds_factors_in_the_domain(monkeypatch):
@@ -472,6 +409,9 @@ def test_every_caller_builds_factors_in_the_domain(monkeypatch):
     (BiSeries.one(4, ytop=3), (0, -1, 2, -1)),  # a = 0, b < 0 under a y-top
     (BiSeries.one(4, ytop=3), (0, -2, 1, 1)),
     (BiSeries({(-1, 0): 1}, 4), (1, 1, 1, -1)),  # a stored x < 0
+    (BiSeries.one(4, ytop=3), (0, 2, 3, -1)),  # a = 0, b > 0 under a y-top
+    (BiSeries.one(4, ytop=3), (0, 1, -1, -1)),  # a = 0 divide, b > 0 under a y-top
+    (BiSeries.one(4), (0, -2, -1, 1)),  # a = 0 divide, b < 0, no y-top
 ])
 def test_biseries_rejects_each_excluded_shape(series, factor):
     with pytest.raises(ValueError):

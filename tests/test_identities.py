@@ -1,4 +1,5 @@
 import ast
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from qmoon.identities import (
     verify,
     verify_all,
 )
+from qmoon.series import HALF, QSeries
 
 
 def test_all_labels_present():
@@ -101,7 +103,19 @@ def test_euler_sum_sides_match_running_products(order):
     (lhs1, _), = identity_sides("euler1", order)
     (lhs2, _), = identity_sides("euler2", order)
     assert typed(lhs1) == typed(oracle.euler1_sum(order))
-    assert typed(lhs2) == typed(oracle.euler2_sum(order))
+    assert typed(lhs2) == typed(oracle.euler2_qz_sum(order))
+
+
+@pytest.mark.parametrize("order", list(range(1, 41)) + [90])
+def test_euler2_restatement_is_the_printed_sum_times_one_minus_z(order):
+    # (1 - z) sum z^n / ((1-q)...(1-q^n)) = sum q^n z^n / ((1-q)...(1-q^n)):
+    # the printed sum, known through z^order, times 1 - z, which has no q,
+    # against the side the table checks, on every z-power the printed one knows
+    one_minus_z = oracle.bi({(0, 0): 1, (0, 1): -1}, order, None)
+    want = oracle.bi_mul(one_minus_z, oracle.euler2_sum(order))
+    (lhs, _), = identity_sides("euler2", order)
+    assert (lhs.cap, lhs.ytop, want.cap, want.ytop) == (order, None, order, order)
+    assert {k: c for k, c in lhs.coeffs.items() if k[1] <= order} == want.coeffs
 
 
 def partitions(k, largest):
@@ -116,13 +130,14 @@ def partitions(k, largest):
 
 @pytest.mark.parametrize("order", range(1, 13))
 def test_euler_sum_sides_count_partitions(order):
-    # euler2's z^n q^k counts partitions of k into parts <= n; euler1's is
-    # (-1)^n times the number of partitions of k into n distinct parts
+    # euler2's z^n q^k counts partitions of k whose largest part is n (the
+    # empty one's is 0); euler1's is (-1)^n times the number of partitions of
+    # k into n distinct parts
     want1, want2 = {}, {}
     for k in range(order + 1):
         for p in partitions(k, k):
-            for n in range(len(p) and p[0], order + 1):
-                want2[(k, n)] = want2.get((k, n), 0) + 1
+            key = (k, len(p) and p[0])
+            want2[key] = want2.get(key, 0) + 1
         for n in range(order + 1):
             count = sum(1 for c in combinations(range(1, k + 1), n) if sum(c) == k)
             if count:
@@ -130,7 +145,38 @@ def test_euler_sum_sides_count_partitions(order):
     (lhs1, _), = identity_sides("euler1", order)
     (lhs2, _), = identity_sides("euler2", order)
     assert (lhs1.coeffs, lhs1.cap, lhs1.ytop) == (want1, order, None)
-    assert (lhs2.coeffs, lhs2.cap, lhs2.ytop) == (want2, order, order)
+    assert (lhs2.coeffs, lhs2.cap, lhs2.ytop) == (want2, order, None)
+
+
+def printed_products(order):
+    """The gauss and theta-nullwert product sides as printed, one factor at a time."""
+    even = [(2 * n, 1, -1) for n in range(1, order // 2 + 1)]
+    odd = range(1, (order + 1) // 2 + 1)
+    one, half_one = QSeries.one(order), QSeries.one(order, nome=HALF)
+    front = QSeries({0: 2}, order, nome=HALF, prefactor=Fraction(1, 4))
+    return {
+        # prod (1-q^{2n})(1+q^{2n-1})^2
+        "gauss": [oracle.mul_binomials(one, even + [(2 * n - 1, 2, 1) for n in odd])],
+        "theta_nullwert_products": [
+            # 2 q^{1/4} prod (1-q^{2n})(1+q^{2n})^2
+            oracle.mul_binomials(front, even + [(2 * n, 2, 1) for n in range(1, order // 2 + 1)]),
+            # prod (1-q^{2n})(1+q^{2n-1})^2 and prod (1-q^{2n})(1-q^{2n-1})^2
+            oracle.mul_binomials(half_one, even + [(2 * n - 1, 2, 1) for n in odd]),
+            oracle.mul_binomials(half_one, even + [(2 * n - 1, 2, -1) for n in odd]),
+        ],
+    }
+
+
+@pytest.mark.parametrize("order", list(range(1, 61)) + [127])
+def test_euler_table_products_match_the_printed_products(order):
+    # the Euler exponent tables against the printed factors (1 + q^a) and
+    # (1 - q^a), each expanded by its own binomial terms
+    def typed_q(s):
+        return ({e: (type(c), c) for e, c in s.coeffs.items()}, s.trunc, s.prefactor, s.nome)
+
+    for name, wants in printed_products(order).items():
+        sides = identity_sides(name, order)
+        assert [typed_q(rhs) for _, rhs in sides] == [typed_q(want) for want in wants]
 
 
 def at_z(side, z):

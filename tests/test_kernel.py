@@ -290,18 +290,6 @@ def test_exponents_from_series_rejects_what_the_reference_rejects():
                 fn(bad, 2)
 
 
-factors = st.lists(st.tuples(st.integers(1, 9), exponent_values, st.sampled_from([1, -1])),
-                   max_size=5)
-
-
-@settings(deadline=None)
-@given(series(coeffs=st.one_of(small, rationals), width=16, prefactor=Fraction(1, 4)),
-       factors, st.sampled_from([FULL, HALF]))
-def test_mul_binomials_matches_reference(s, fs, nome):
-    s = QSeries(s.coeffs, s.trunc, nome=nome, prefactor=s.prefactor)
-    same(s.mul_binomials(fs), oracle.mul_binomials(s, fs))
-
-
 # Past _EXP_BLOCK terms the exp divides and conquers: truncations around one and two
 # blocks, and up to 300.  A few values sit at small indices and a few, up to about
 # 300 bits, further out, so the reference's power sums stay short.
