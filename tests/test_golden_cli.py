@@ -141,6 +141,10 @@ USAGE_CASES = (
     [[], ["bogus"], ["verify", "euler9"], ["lift", "--name", "f_4", "--order", "4.5"],
      ["hurwitz"], ["vsys"], ["maass"], ["mult"], ["moonshine", "bogus"], ["--help"]]
     + [sub + ["--help"] for sub in _SUBCOMMANDS]
+    # errors a parser built for one command alone could misprint: argparse
+    # reports unknown options against the root usage and its full menu
+    + [["expand", "theta", "--bogus"], ["vsys", "psi", "--file", "x.json", "--bogus"],
+       ["--json", "expand", "j"], ["mult", "bogus"]]
 )
 
 
