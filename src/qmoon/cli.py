@@ -1,5 +1,8 @@
 """Command-line front end: one argparse tree over the whole engine.
 
+A process imports the modules of the subcommand it runs, when it runs it,
+and builds only that subcommand's part of the tree (see ``build_parser``).
+
 Exit codes: 0 success, 2 usage error, 3 verification mismatch, 4 bad input
 data.  JSON mode emits one line per invocation with maps built in ascending
 exponent order; text mode prints expansions the way the displays read,
@@ -10,11 +13,9 @@ bytes.  Diagnostics go to stderr, results to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
-from . import borcherds, forms, identities, maass, moonshine, mults, vsys
 from .series import QSeries, exponents_from_series
 
 _ALGEBRA_NAMES = {"e10": "E10_level2", "E10_level2": "E10_level2",
@@ -30,6 +31,7 @@ def _order(args) -> int:
 def _emit(args, payload, lines, reports=()) -> int:
     """Print the payload as JSON or the lines as text; exit 3 if a report failed."""
     if args.json:
+        import json
         print(json.dumps(payload, default=str))
     else:
         for line in lines:
@@ -48,6 +50,7 @@ def _unique_keys(pairs):
 
 
 def _load_json(path):
+    import json
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle, object_pairs_hook=_unique_keys)
@@ -83,6 +86,7 @@ def _report_line(report) -> str:
 
 
 def _cmd_expand(args) -> int:
+    from . import forms
     order = _order(args)
     f = forms.named_form(args.form, order)
     payload = {"form": args.form, **f.to_json()}
@@ -100,6 +104,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import identities
     order = _order(args)
     if args.identity == "all":
         reports = identities.verify_all(order)
@@ -111,6 +116,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    from . import borcherds
     order = _order(args)
     f = borcherds.catalog(args.name, order * order)
     lifted = borcherds.lift(f, order)
@@ -128,6 +134,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_hurwitz(args) -> int:
+    from . import borcherds
     if args.max < 0:
         raise ValueError("max must be >= 0")
     values = borcherds.hurwitz_range(args.max)
@@ -137,6 +144,7 @@ def _cmd_hurwitz(args) -> int:
 
 
 def _cmd_zeromult(args) -> int:
+    from . import borcherds
     f = borcherds.catalog(args.name, 4)
     mult = borcherds.zero_multiplicity(f, args.disc)
     payload = {"name": args.name, "disc": args.disc, "multiplicity": mult}
@@ -144,6 +152,7 @@ def _cmd_zeromult(args) -> int:
 
 
 def _cmd_moonshine(args) -> int:
+    from . import moonshine
     if args.which == "denom":
         report = moonshine.denominator_check(args.cap, args.cap)
     else:
@@ -152,6 +161,7 @@ def _cmd_moonshine(args) -> int:
 
 
 def _cmd_vsys_psi(args) -> int:
+    from . import vsys
     system = vsys.VectorSystem.from_json(_load_json(args.file))
     chamber = _parse_vector(args.chamber, "--chamber") if args.chamber else (1,) * system.dim
     order = _order(args)
@@ -165,6 +175,7 @@ def _cmd_vsys_psi(args) -> int:
 
 
 def _cmd_vsys_check(args) -> int:
+    from . import vsys
     system = vsys.VectorSystem.from_json(_load_json(args.file))
     chamber = _parse_vector(args.chamber, "--chamber") if args.chamber else (1,) * system.dim
     shift = _parse_vector(args.shift, "--shift")
@@ -174,6 +185,7 @@ def _cmd_vsys_check(args) -> int:
 
 
 def _cmd_maass_lift(args) -> int:
+    from . import maass
     table = maass.JacobiCoeffTable.from_json(_load_json(args.file))
     siegel = maass.assemble_maass(table, args.max_m)
     data = siegel.to_json()
@@ -182,12 +194,14 @@ def _cmd_maass_lift(args) -> int:
 
 
 def _cmd_maass_check(args) -> int:
+    from . import maass
     siegel = maass.SiegelCoeffTable.from_json(_load_json(args.file))
     report = maass.maass_relation_check(siegel)
     return _emit(args, report.to_json(), [_report_line(report)], [report])
 
 
 def _cmd_mult_table(args) -> int:
+    from . import mults
     algebra = _ALGEBRA_NAMES.get(args.algebra)
     if algebra is None:
         raise ValueError(f"algebra must be one of {sorted(_ALGEBRA_NAMES)}, "
@@ -200,6 +214,7 @@ def _cmd_mult_table(args) -> int:
 
 
 def _cmd_mult_rademacher(args) -> int:
+    from . import forms, mults
     approx = mults.p24_rademacher(args.n, args.terms)
     exact = forms.colored_partition_series(24, args.n + 1).coeff(args.n + 1)
     rel = abs(approx - exact) / exact
@@ -213,19 +228,30 @@ def _arg(flag, **options):
     return flag, options
 
 
+def _catalog_names():
+    from . import borcherds
+    return borcherds.CATALOG_NAMES
+
+
+def _identity_choices():
+    from . import identities
+    return identities.IDENTITY_LABELS + ("all",)
+
+
 _ORDER = _arg("--order", type=int, default=10)
-_NAME = _arg("--name", required=True, choices=borcherds.CATALOG_NAMES)
+_NAME = _arg("--name", required=True, choices=_catalog_names)
 _FILE = _arg("--file", required=True)
 _CHAMBER = _arg("--chamber")
 
 # One row per subcommand, in help order: (words, help, arguments, handler).
-# A row without a handler is a group whose rows follow it.
+# A row without a handler is a group whose rows follow it.  Choices given as
+# a function are read from their module only when their row is built.
 COMMANDS = (
     (("expand",), "q-expansion of a named form", (_arg("form"), _ORDER), _cmd_expand),
     (("factor",), "infinite-product exponents of a series file",
      (_arg("--input", required=True), _ORDER), _cmd_factor),
     (("verify",), "run an identity check",
-     (_arg("identity", choices=identities.IDENTITY_LABELS + ("all",)),
+     (_arg("identity", choices=_identity_choices),
       _arg("--order", type=int, default=30)), _cmd_verify),
     (("lift",), "infinite-product lift of a catalog form", (_NAME, _ORDER), _cmd_lift),
     (("hurwitz",), "Hurwitz class numbers", (_arg("--max", type=int, required=True),),
@@ -253,25 +279,51 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The subcommand words under each group, () being the top level, in help order.
+_MENUS = {group: [words[-1] for words, *_ in COMMANDS if words[:-1] == group]
+          for group in {words[:-1] for words, *_ in COMMANDS}}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv: the rows of the command words argv starts with and
+    of the groups above them.  Every row is built when argv starts with no
+    command word (no arguments, an option such as --help, or an unknown word),
+    and all of a group's rows when its subcommand is missing or unknown."""
+    chosen = ()
+    for word in argv:
+        if word not in _MENUS.get(chosen, ()):
+            break
+        chosen += (word,)
+
+    def subparsers(p, group, dest):
+        # a level cut to one row still shows its full menu in usage errors;
+        # a whole level keeps no metavar, so argparse names it by its dest
+        menu = "{" + ",".join(_MENUS[group]) + "}" if len(chosen) > len(group) else None
+        return p.add_subparsers(dest=dest, required=True, metavar=menu)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine output")
     parser = argparse.ArgumentParser(prog="qmoon")
-    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    groups = {(): subparsers(parser, (), "command")}
     for words, help_text, arguments, handler in COMMANDS:
+        if words[:len(chosen)] != chosen and chosen[:len(words)] != words:
+            continue
         p = groups[words[:-1]].add_parser(words[-1], parents=[common] if handler else [],
                                           help=help_text)
         for flag, options in arguments:
+            if callable(options.get("choices")):
+                options = {**options, "choices": options["choices"]()}
             p.add_argument(flag, **options)
         if handler is None:
-            groups[words] = p.add_subparsers(dest="subcommand", required=True)
+            groups[words] = subparsers(p, words, "subcommand")
         else:
             p.set_defaults(fn=handler)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,4 +1,9 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -397,3 +402,48 @@ def test_repeated_invocations_byte_identical(capsys, argv):
     first = run(capsys, argv)
     second = run(capsys, argv)
     assert first == second and first[0] == 0
+
+
+# A process loads the modules of the subcommand it runs and no others.  This
+# test process has imported every module already, so each case runs in a fresh
+# interpreter, which prints its module names once cli.run has returned.
+_MODULES_AFTER_RUN = """
+import sys
+from qmoon import cli
+cli.run(sys.argv[1:])
+print(sorted(sys.modules), file=sys.stderr)
+"""
+_UNUSED_BY_EXPAND = {"qmoon.borcherds", "qmoon.identities", "qmoon.maass", "qmoon.moonshine",
+                     "qmoon.mults", "qmoon.vsys"}
+
+
+def _spawn(args):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _modules_after_run(argv):
+    code, _, err = _spawn(["-c", _MODULES_AFTER_RUN, *argv])
+    assert code == 0, err
+    return set(ast.literal_eval(err.decode().splitlines()[-1]))
+
+
+def test_expand_loads_only_its_modules():
+    loaded = _modules_after_run(["expand", "theta", "--order", "1"])
+    assert "qmoon.forms" in loaded
+    assert not loaded & (_UNUSED_BY_EXPAND | {"json"}), loaded & (_UNUSED_BY_EXPAND | {"json"})
+
+
+def test_json_output_loads_json():
+    loaded = _modules_after_run(["expand", "theta", "--order", "1", "--json"])
+    assert "json" in loaded and not loaded & _UNUSED_BY_EXPAND
+
+
+@pytest.mark.parametrize("argv", [["expand", "theta", "--order", "1"],
+                                  ["mult", "table", "--algebra", "e10", "--json"]])
+def test_module_run_reads_sys_argv(capsys, argv):
+    # python -m qmoon.cli parses sys.argv: no argv reaches run from main
+    expected = run(capsys, argv)
+    code, out, err = _spawn(["-m", "qmoon.cli", *argv])
+    assert (code, out.decode(), err.decode()) == expected
