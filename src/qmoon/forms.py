@@ -33,6 +33,7 @@ __all__ = [
     "partition_series",
     "colored_partition_series",
     "xi_series",
+    "xi_from_p8",
     "F_oddsigma",
     "named_form",
 ]
@@ -159,10 +160,16 @@ def colored_partition_series(k: int, order: int) -> QSeries:
 
 def xi_series(order: int) -> QSeries:
     """phi(q)^-8 (1 - phi(q^2)/phi(q^4)) with phi(q) = prod(1-q^n)."""
+    return xi_from_p8(colored_partition_series(8, order))
+
+
+def xi_from_p8(inv8: QSeries) -> QSeries:
+    """xi_series to the order of inv8 = phi(q)^-8, for a caller that reads
+    the 8-colored partitions too and so builds them once."""
+    order = inv8.trunc
     phi = _euler_power(1, 0, order)
     phi2 = phi.scale_var(2).truncate(order)
     phi4 = phi.scale_var(4).truncate(order)
-    inv8 = colored_partition_series(8, order)
     return (inv8 * (1 - phi2 * phi4.invert())).truncate(order)
 
 

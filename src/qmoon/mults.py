@@ -58,8 +58,8 @@ def frenkel_compare(algebra: str, norms) -> MultReport:
             raise ValueError(f"rows need even norms <= 2, got {norm}")
     deep = 1 - min(norms, default=2) // 2
     if algebra == "E10_level2":  # xi(3 - norm/2) against p8(1 - norm/2)
-        exact = forms.xi_series(deep + 2).shift(-2)
-        bound = forms.colored_partition_series(8, deep)
+        bound = forms.colored_partition_series(8, deep + 2)
+        exact = forms.xi_from_p8(bound).shift(-2)
     else:  # p24(1 - norm/2) is both columns
         exact = bound = forms.colored_partition_series(24, deep)
     rows = [(n, exact.coeff(1 - n // 2), bound.coeff(1 - n // 2)) for n in norms]

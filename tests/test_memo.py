@@ -78,7 +78,7 @@ def _table_builds(monkeypatch, algebra, min_norm):
     # mults reads its builders off a copy of forms: calls made inside forms go uncounted
     stand_in = SimpleNamespace(**vars(forms))
     monkeypatch.setattr(mults, "forms", stand_in)
-    calls = _count_calls(monkeypatch, stand_in, ["xi_series", "colored_partition_series"])
+    calls = _count_calls(monkeypatch, stand_in, ["xi_from_p8", "colored_partition_series"])
     report = mults.frenkel_compare(algebra, range(2, min_norm - 1, -2))
     assert [row[0] for row in report.rows] == list(range(2, min_norm - 1, -2))
     return calls
@@ -87,7 +87,16 @@ def _table_builds(monkeypatch, algebra, min_norm):
 def test_e10_table_builds_xi_once(monkeypatch):
     for min_norm in (2, -6, -40, -120):
         builds = _table_builds(monkeypatch, "E10_level2", min_norm)
-        assert builds == {("xi_series",): 1, ("colored_partition_series", 8): 1}, min_norm
+        assert builds == {("xi_from_p8",): 1, ("colored_partition_series", 8): 1}, min_norm
+
+
+def test_e10_table_builds_p8_once(monkeypatch):
+    # counted on forms itself, so a build inside xi counts too
+    calls = _count_calls(monkeypatch, forms, ["colored_partition_series"])
+    for min_norm in (2, -6, -40, -120):
+        calls.clear()
+        mults.frenkel_compare("E10_level2", range(2, min_norm - 1, -2))
+        assert calls == {("colored_partition_series", 8): 1}, min_norm
 
 
 def test_fake_monster_table_builds_p24_once(monkeypatch):
