@@ -740,11 +740,15 @@ def _add_runs(dst: list, src: list, dy: int, c: int, w: int) -> list:
     return out
 
 
-def _row_terms(row: list, width: int) -> list:
-    """The (y, c) of a row's nonzero slots, ascending."""
-    half = 1 << (8 * width - 1)
-    return [(y, c) for lo, hi, v in row
-            for y, c in enumerate(_unpack(v, width, hi - lo + 1, half), lo) if c]
+def _terms(rows: list, width: int) -> dict:
+    """The {(x, y): c} of the nonzero slots of each row x, ascending."""
+    half, out = 1 << (8 * width - 1), {}
+    for x, row in enumerate(rows):
+        for lo, hi, v in row:
+            for y, c in enumerate(_unpack(v, width, hi - lo + 1, half), lo):
+                if c:
+                    out[x, y] = c
+    return out
 
 
 def _runs(terms: list, width: int) -> list:
@@ -761,21 +765,25 @@ def _runs(terms: list, width: int) -> list:
     return runs
 
 
-def _fill(rows: list, bnd: list, terms: list, width: int, to=0, x=0, ac=0) -> int:
-    """Pack each row's terms into rows, and its largest size into bnd; the width.
+def _fill(rows: list, bnd: list, terms: dict, width: int, to=0, x=0, ac=0) -> int:
+    """Pack the ascending {(x, y): c} terms into the rows, and each row's largest
+    size into bnd; the width.
 
     The width in bytes stays while every size fits its slots, below
     2^(8 width - 2).  For a step about to run (ac > 0), whose size is
     bnd[to] + ac bnd[x], or sizes that do not fit, it becomes at least twice
     what they need with two bits to spare, so that a few repacks reach any size.
     """
-    bnd[:] = [max((abs(c) for _, c in t), default=0) for t in terms]
+    per_row = [[] for _ in rows]
+    for (r, y), c in terms.items():
+        per_row[r].append((y, c))
+    bnd[:] = [max((abs(c) for _, c in t), default=0) for t in per_row]
     need = max(bnd, default=0)
     if ac:
         need = max(need, bnd[to] + ac * bnd[x])
     if ac or need >> 8 * width - 2:
         width = max(width, (need.bit_length() + 5) // 4)
-    rows[:] = [_runs(t, width) for t in terms]
+    rows[:] = [_runs(t, width) for t in per_row]
     return width
 
 
@@ -783,7 +791,7 @@ def _room(rows: list, bnd: list, width: int, to: int, x: int, ac: int) -> int:
     """The width once the slots can take bnd[to] + ac bnd[x]: the same while that
     stays below 2^(8 width - 2), else every row is read and repacked by ``_fill``."""
     if bnd[to] + ac * bnd[x] >> 8 * width - 2:
-        return _fill(rows, bnd, [_row_terms(row, width) for row in rows], width, to, x, ac)
+        return _fill(rows, bnd, _terms(rows, width), width, to, x, ac)
     return width
 
 
@@ -869,11 +877,8 @@ class BiSeries:
         if any(x < 0 for x, _ in self.coeffs):
             raise ValueError("stored first-variable exponents must be >= 0")
         ints, den = _integral(list(self.coeffs.values()))
-        terms = [[] for _ in range(n)]
-        for (x, y), c in sorted(zip(self.coeffs, ints)):
-            terms[x].append((y, c))
-        rows, bnd = [], []
-        width = _fill(rows, bnd, terms, 8)
+        rows, bnd = [[] for _ in range(n)], []
+        width = _fill(rows, bnd, dict(sorted(zip(self.coeffs, ints))), 8)
         xmin = min((x for x, _ in self.coeffs), default=n)  # rows below it stay empty
         steep = 0  # how far b < 0 factors carry unknown terms down
         gap = _GAP
@@ -947,11 +952,11 @@ class BiSeries:
                             continue
                     rows[to] = _add_runs(dst, src, dy, c, w)
         out = BiSeries({}, cap, ytop=None if ytop is None else ytop - steep)
-        ymax = inf if ytop is None else out.ytop
-        for x, row in enumerate(rows):  # the clean terms the constructor would keep
-            for y, c in _row_terms(row, width):
-                if y <= ymax:
-                    out.coeffs[x, y] = c if den == 1 else _num(Fraction(c, den))
+        if ytop is not None:
+            rows = [_cut_runs(row, out.ytop, 8 * width) for row in rows]
+        out.coeffs = _terms(rows, width)  # the clean terms the constructor would keep
+        if den != 1:
+            out.coeffs = {k: _num(Fraction(c, den)) for k, c in out.coeffs.items()}
         return out
 
     def first_mismatch(self, other: "BiSeries"):
