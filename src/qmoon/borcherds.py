@@ -91,7 +91,7 @@ _PRINTED = {"f_4": PRINTED_F4, "f_6": PRINTED_F6}
 def _eisenstein_over_delta4(weight: int, cap: int) -> QSeries:
     """The weight-(weight - 12) unit E_weight(4t)/Delta(4t), pole at q^-4, through q^cap."""
     m = cap // 4 + 4
-    return (forms.eisenstein(weight, m) * forms.delta(m).invert()).scale_var(4).truncate(cap)
+    return (forms.eisenstein(weight, m) / forms.delta(m)).scale_var(4).truncate(cap)
 
 
 def _q_series(cap: int) -> QSeries:

@@ -16,7 +16,6 @@ from .series import (
     HALF,
     ExponentTable,
     QSeries,
-    _inverse,
     product_from_exponents,
 )
 
@@ -40,11 +39,11 @@ __all__ = [
 
 
 def bernoulli(k: int) -> Fraction:
-    """k-th Bernoulli number, k! [x^k] x/(e^x - 1), by the kernel's series inverse."""
+    """k-th Bernoulli number, k! [x^k] x/(e^x - 1): the inverse of sum x^j/(j+1)!."""
     if k < 0:
         raise ValueError("Bernoulli numbers indexed by nonnegative integers")
-    inverse = _inverse([Fraction(1, factorial(j + 1)) for j in range(k + 1)], k + 1)
-    return Fraction(factorial(k) * inverse[k])
+    series = QSeries({j: Fraction(1, factorial(j + 1)) for j in range(k + 1)}, k)
+    return Fraction(factorial(k) * series.invert()[k])
 
 
 def _sigma_table(ell: int, order: int) -> list:
@@ -86,7 +85,7 @@ def j_invariant(order: int) -> QSeries:
     """Modular invariant j = E_4^3 / delta, leading power -1."""
     n = order + 2
     e4 = eisenstein(4, n)
-    return ((e4 * e4 * e4) * delta(n).invert()).truncate(order)
+    return ((e4 * e4 * e4) / delta(n)).truncate(order)
 
 
 def jstar(order: int) -> QSeries:
@@ -170,7 +169,7 @@ def xi_from_p8(inv8: QSeries) -> QSeries:
     phi = _euler_power(1, 0, order)
     phi2 = phi.scale_var(2).truncate(order)
     phi4 = phi.scale_var(4).truncate(order)
-    return (inv8 * (1 - phi2 * phi4.invert())).truncate(order)
+    return (inv8 * (1 - phi2 / phi4)).truncate(order)
 
 
 def F_oddsigma(order: int) -> QSeries:

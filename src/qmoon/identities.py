@@ -22,40 +22,11 @@ from .series import (
     BiSeries,
     ExponentTable,
     QSeries,
+    VerifyReport,
     product_from_exponents,
 )
 
 __all__ = ["IDENTITY_LABELS", "VerifyReport", "verify", "verify_all", "identity_sides"]
-
-
-class VerifyReport:
-    """Outcome of one identity check: the first (monomial, lhs, rhs) mismatch, or None."""
-
-    __slots__ = ("name", "order", "first_mismatch")
-
-    def __init__(self, name, order, first_mismatch):
-        self.name = name
-        self.order = order
-        self.first_mismatch = first_mismatch
-
-    @property
-    def passed(self) -> bool:
-        return self.first_mismatch is None
-
-    def __repr__(self):
-        tail = "passed" if self.passed else f"mismatch at {self.first_mismatch[0]}"
-        return f"VerifyReport({self.name}, order={self.order}, {tail})"
-
-    def to_json(self) -> dict:
-        data = {"name": self.name, "order": self.order, "passed": self.passed,
-                "first_mismatch": None}
-        if self.first_mismatch is not None:
-            monomial, lhs, rhs = self.first_mismatch
-            if isinstance(monomial, tuple):
-                monomial = list(monomial)
-            data["first_mismatch"] = {"monomial": monomial,
-                                      "lhs": str(lhs), "rhs": str(rhs)}
-        return data
 
 
 def _sigma_series(ell, order):

@@ -13,8 +13,7 @@ this model, so assembly starts at m = 1.
 
 from __future__ import annotations
 
-from .identities import VerifyReport
-from .series import _first_mismatch, _json_fields, _json_table
+from .series import VerifyReport, _first_mismatch, _json_fields, _json_table
 
 
 class _CoeffTable:

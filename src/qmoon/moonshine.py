@@ -13,8 +13,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import forms
-from .identities import VerifyReport
-from .series import BiSeries, QSeries
+from .series import BiSeries, QSeries, VerifyReport
 
 
 def moonshine_c(max_n: int) -> QSeries:

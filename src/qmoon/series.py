@@ -25,6 +25,7 @@ __all__ = [
     "QSeries",
     "BiSeries",
     "ExponentTable",
+    "VerifyReport",
     "exp_series",
     "log_series",
     "product_from_exponents",
@@ -126,6 +127,34 @@ def _first_mismatch(lhs: dict, rhs: dict, known=None, key=None):
         if a != b and (known is None or known(k)):
             return (k, a, b)
     return None
+
+
+class VerifyReport:
+    """Outcome of one check: the first (monomial, lhs, rhs) mismatch, or None."""
+
+    __slots__ = ("name", "order", "first_mismatch")
+
+    def __init__(self, name, order, first_mismatch):
+        self.name, self.order, self.first_mismatch = name, order, first_mismatch
+
+    @property
+    def passed(self) -> bool:
+        return self.first_mismatch is None
+
+    def __repr__(self):
+        tail = "passed" if self.passed else f"mismatch at {self.first_mismatch[0]}"
+        return f"VerifyReport({self.name}, order={self.order}, {tail})"
+
+    def to_json(self) -> dict:
+        data = {"name": self.name, "order": self.order, "passed": self.passed,
+                "first_mismatch": None}
+        if self.first_mismatch is not None:
+            monomial, lhs, rhs = self.first_mismatch
+            if isinstance(monomial, tuple):
+                monomial = list(monomial)
+            data["first_mismatch"] = {"monomial": monomial,
+                                      "lhs": str(lhs), "rhs": str(rhs)}
+        return data
 
 
 class QSeries:
@@ -280,15 +309,29 @@ class QSeries:
         half = self ** (k // 2)
         return half * half * self if k & 1 else half * half
 
+    def __truediv__(self, other):
+        """The quotient, known as far as self times the inverse of other would be."""
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        self._check_compat(other)
+        v = other.valuation()
+        if v is None:
+            raise ValueError("cannot divide by the zero series")
+        va = min(self.coeffs, default=self.trunc + 1)
+        trunc = min(self.trunc - v, other.trunc - 2 * v + va)
+        b = []
+        if self.coeffs:  # b u = a on the n terms from q^va and q^v
+            n = trunc - va + v + 1
+            a, u = _dense(self, va, n), _dense(other, v, n)
+            lead = u[0]  # u_0 b_m = a_m - sum_{k >= 1} u_k b_(m-k)
+            b = _solve([-c for c in u[1:]], n - 1, _num(Fraction(a[0]) / lead),
+                       lambda m, s: a[m] + s if lead == 1 else _num(Fraction(a[m] + s) / lead))
+        return self._like({i + va - v: c for i, c in enumerate(b)}, trunc,
+                          prefactor=self.prefactor - other.prefactor)
+
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the lowest monomial moves to a negative power."""
-        v = self.valuation()
-        if v is None:
-            raise ValueError("cannot invert the zero series")
-        n = self.trunc - v + 1  # unit part known through q^(n-1)
-        r = _inverse(_dense(self, v, n), n)
-        return self._like({i - v: c for i, c in enumerate(r)}, n - 1 - v,
-                          prefactor=-self.prefactor)
+        return QSeries.one(self.trunc - min(self.coeffs, default=0), nome=self.nome) / self
 
     def scale_var(self, k: int) -> "QSeries":
         """Substitute q -> q^k (i.e. tau -> k*tau on the same nome grid)."""
@@ -383,10 +426,10 @@ class QSeries:
 # -- dense exact kernel, exponential and logarithm -----------------------------
 #
 # Coefficient lists (entry i belongs to q^(v + i)) multiplied by two-point Kronecker
-# substitution; inverse, log, exp and Euler products all build on that multiply.
+# substitution; division, log, exp and Euler products are one triangular solve on it.
 
 _LITTLE = sys.byteorder == "little"  # 8-byte slots then read as native words
-_EXP_BLOCK = 128  # exp terms the plain recurrence finds between products; 96-192 measure alike
+_BLOCK = 128  # _solve's plain-recurrence run, in exp, division and log alike; 96-192 measure alike
 
 
 def _dense(s: QSeries, v: int, n: int) -> list:
@@ -465,36 +508,26 @@ def _mul_lists(a: list, b: list, n: int) -> list:
     return out if den == 1 else [_num(Fraction(c, den)) for c in out]
 
 
-def _inverse(u: list, n: int) -> list:
-    """The first n coefficients (at least one) of 1/u, for u[0] != 0, by Newton doubling."""
-    r = [_num(Fraction(1) / u[0])]
-    while len(r) < n:  # u r = 1 + q^k e mod q^2k, so 1/u = r - q^k r e mod q^2k
-        k, m = len(r), min(2 * len(r), n)
-        r += [-c for c in _mul_lists(r, _mul_lists(u, r, m)[k:], m - k)]
-    return r
-
-
-def _exp_recurrence(w: list, n: int) -> list:
-    """Terms 0..n of the b = 1 + ... with q b'/b = sum_k w[k-1] q^k, where
-    m b_m = sum_{k <= m} w[k-1] b_{m-k}.
+def _solve(c: list, n: int, b0, finish) -> list:
+    """Terms 0..n of the b with b_0 = b0 and b_m = finish(m, sum_{1 <= k <= m} c[k-1] b_{m-k}).
 
     Semi-relaxed divide and conquer (J. van der Hoeven, J. Symbolic Comput. 34,
     2002), in O(M(n) log n): once b[lo:mid] is known, its share of the sums for
     m in [mid, hi) is one ``_mul_lists`` product; the recurrence finds at most
-    _EXP_BLOCK terms at a time, exact quotients staying ints.
+    _BLOCK terms at a time.
     """
-    b, acc = [1], [0] * (n + 1)
+    b, acc = [b0], [0] * (n + 1)
 
     def solve(lo: int, hi: int):  # b[lo:hi], when acc holds the share of b[:lo]
-        if hi - lo <= _EXP_BLOCK:
+        if hi - lo <= _BLOCK:
             run = b[lo:]  # this run's terms: b_0 alone, or none yet
             for m in range(max(lo, 1), hi):
-                run.append(_num(Fraction(sum(map(mul, w, reversed(run)), acc[m]), m)))
+                run.append(finish(m, sum(map(mul, c, reversed(run)), acc[m])))
             b[lo:] = run
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
-        share = _mul_lists(b[lo:mid], w[:hi - lo], hi - lo - 1)
+        share = _mul_lists(b[lo:mid], c[:hi - lo], hi - lo - 1)
         for m in range(mid, hi):
             acc[m] += share[m - lo - 1]
         solve(mid, hi)
@@ -511,8 +544,9 @@ def exp_series(a: QSeries) -> QSeries:
     if v is not None and v < 1:
         raise ValueError("exp_series requires valuation >= 1 (no constant term)")
     n = a.trunc
-    w = [k * c for k, c in enumerate(_dense(a, 0, n + 1))][1:]
-    return QSeries(dict(enumerate(_exp_recurrence(w, n))), n, nome=a.nome)
+    w = [k * c for k, c in enumerate(_dense(a, 0, n + 1))][1:]  # m b_m = sum_k w_k b_(m-k)
+    b = _solve(w, n, 1, lambda m, s: _num(Fraction(s, m)))
+    return QSeries(dict(enumerate(b)), n, nome=a.nome)
 
 
 def log_series(a: QSeries) -> QSeries:
@@ -522,8 +556,7 @@ def log_series(a: QSeries) -> QSeries:
     if a.coeffs.get(0) != 1 or (a.valuation() is not None and a.valuation() < 0):
         raise ValueError("log_series requires constant term 1")
     n = a.trunc
-    derivative = QSeries({e - 1: e * c for e, c in a.coeffs.items() if e}, n - 1, nome=a.nome)
-    ratio = derivative * a.invert()
+    ratio = QSeries({e - 1: e * c for e, c in a.coeffs.items() if e}, n - 1, nome=a.nome) / a
     return QSeries({e + 1: Fraction(c, e + 1) for e, c in ratio.coeffs.items()}, n, nome=a.nome)
 
 
@@ -599,7 +632,7 @@ def product_from_exponents(t: ExponentTable, *, nome=FULL) -> QSeries:
     for d, e in t.exps.items():
         for k in range(d, t.order + 1, d):
             w[k - 1] -= d * e
-    unit = _exp_recurrence(w, t.order)
+    unit = _solve(w, t.order, 1, lambda m, s: _num(Fraction(s, m)))
     minus_h = -Fraction(t.h)
     shift = minus_h.numerator // minus_h.denominator
     return QSeries({i + shift: c for i, c in enumerate(unit)}, t.order + shift,
@@ -609,9 +642,9 @@ def product_from_exponents(t: ExponentTable, *, nome=FULL) -> QSeries:
 def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
     """Recover the exponent table of a = q^(-h) * prod (1-q^n)^{e_n}.
 
-    With u the unit part of a (constant term 1), -q u'/u = -q (log u)' =
-    sum_m g_m q^m and g_m = sum_{d | m} d e_d, so a sieve over d peels off
-    d e_d in order.
+    With u the unit part of a (constant term 1), -q u'/u = sum_m g_m q^m, the
+    division u g = -q u', and g_m = sum_{d | m} d e_d, so a sieve over d peels
+    off d e_d in order.
     """
     v = a.valuation()
     if v is None:
@@ -620,9 +653,8 @@ def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
         raise ValueError("unit part's constant term must be 1")
     if not 0 <= order <= a.trunc - v:
         raise ValueError(f"series known to order {a.trunc - v} after normalization, need {order}")
-    u = QSeries(a.shift(-v).truncate(order).coeffs, order, nome=a.nome)
-    log = log_series(u).coeffs
-    g = [_num(-m * log.get(m, 0)) for m in range(1, order + 1)]
+    u = _dense(a, v, order + 1)  # g_m = -m u_m - sum_{k >= 1} u_k g_(m-k), g_0 = 0
+    g = _solve([-c for c in u[1:]], order, 0, lambda m, s: s - m * u[m])[1:]
     exps = {}
     for d, x in enumerate(g, 1):
         if x:  # x = d e_d: the proper divisors' terms are already subtracted

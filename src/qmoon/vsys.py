@@ -20,8 +20,7 @@ from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
 
-from .identities import VerifyReport
-from .series import BiSeries, _first_mismatch, _json_fields, _json_table, _num
+from .series import BiSeries, VerifyReport, _first_mismatch, _json_fields, _json_table, _num
 
 
 def _positive_definite(gram) -> bool:

@@ -111,6 +111,19 @@ def test_factor_reads_series_file(capsys, tmp_path):
     assert data["exponents"] == {"1": "-744", "2": "80256", "3": "-12288744"}
 
 
+@pytest.mark.parametrize("data", [forms.j_invariant(30).to_json(),
+                                  {"trunc": 0, "coeffs": {"0": "1"}}])
+def test_factor_at_order_zero(capsys, tmp_path, data):
+    # the unit part is known through q^0 only: its log derivative has no terms
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    h = "1" if "-1" in data["coeffs"] else "0"
+    assert run(capsys, ["factor", "--input", str(path), "--order", "0"]) == (0, f"h = {h}\n", "")
+    code, out, _ = run(capsys, ["factor", "--input", str(path), "--order", "0", "--json"])
+    assert code == 0
+    assert json.loads(out) == {"input": str(path), "h": h, "order": 0, "exponents": {}}
+
+
 _NOT_RATIONAL = ["x/3", "1/2/3", "a", "1/0"]
 
 
@@ -433,6 +446,18 @@ def test_expand_loads_only_its_modules():
     loaded = _modules_after_run(["expand", "theta", "--order", "1"])
     assert "qmoon.forms" in loaded
     assert not loaded & (_UNUSED_BY_EXPAND | {"json"}), loaded & (_UNUSED_BY_EXPAND | {"json"})
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["vsys", "psi", "--order", "4", "--file"], system_json(sample_system("pair"))),
+    (["maass", "check", "--file"], _SIEGEL),
+])
+def test_vsys_and_maass_load_neither_identities_nor_forms(tmp_path, argv, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    loaded = _modules_after_run([*argv, str(path)])
+    assert f"qmoon.{argv[0]}" in loaded
+    assert not loaded & {"qmoon.identities", "qmoon.forms"}, loaded
 
 
 def test_json_output_loads_json():

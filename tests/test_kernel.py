@@ -7,8 +7,10 @@ conventions, mismatched truncations, all-negative coefficients, the zero
 series, one-coefficient windows, and coefficients from a few bits to about
 2000 bits, including values right at the byte boundaries of a packing slot.
 The two-point list multiply is also checked on coefficient lists against the
-one-point multiply it replaced, and the exp past one and two runs of
-``_EXP_BLOCK`` terms, where it divides and conquers.
+one-point multiply it replaced.  Division, the inverse, log and exp share one
+triangular solver; each is checked past one and two runs of ``_BLOCK`` terms,
+where that solver divides and conquers, and division and log on inputs of
+zero to three known terms.
 """
 
 from fractions import Fraction
@@ -21,8 +23,9 @@ from qmoon.series import (
     FULL,
     HALF,
     ExponentTable,
+    NomeMismatch,
     QSeries,
-    _EXP_BLOCK,
+    _BLOCK,
     _mul_lists,
     exp_series,
     exponents_from_series,
@@ -118,6 +121,71 @@ def test_invert_matches_reference(a, nome):
         assert new is ValueError
     else:
         same(new, old)
+
+
+def quotient(a, b):
+    """The reference quotient: the schoolbook product with the one-term-at-a-time inverse."""
+    return oracle.mul(a, oracle.invert(b))
+
+
+@st.composite
+def divisions(draw):
+    """(a, b) of one nome: b nonzero, its lowest coefficient rarely 1, either valuation
+    negative, a sometimes zero; rational coefficients and prefactors on both."""
+    nome = draw(st.sampled_from([FULL, HALF]))
+    divisor = series(coeffs=st.one_of(small, st.integers(-(1 << 200), 1 << 200), rationals),
+                     width=14, nome=nome, prefactor=draw(prefactors))
+    b = draw(divisor.filter(lambda s: not s.is_zero()))
+    a = draw(st.one_of(series(nome=nome, prefactor=draw(prefactors)),
+                       st.just(QSeries.zero(draw(st.integers(-3, 8)), nome=nome))))
+    return a, b
+
+
+@settings(deadline=None)
+@given(divisions())
+def test_division_matches_reference(pair):
+    a, b = pair
+    same(a / b, quotient(a, b))
+    same(b / b, quotient(b, b))
+
+
+def short_series(length, lead, v, trunc_shift=0):
+    """lead q^v + ... on `length` known terms (none: the zero series through q^(v - 1))."""
+    values = {v + i: c for i, c in enumerate([lead, Fraction(-2, 3), 5][:length])}
+    return QSeries(values, v + length - 1 + trunc_shift, prefactor=Fraction(1, 12))
+
+
+@pytest.mark.parametrize("v", [-2, 0, 3])
+@pytest.mark.parametrize("lead", [1, -3, Fraction(2, 5)])
+def test_division_on_zero_to_three_terms(v, lead):
+    for length_a in range(4):
+        for length_b in range(1, 4):
+            for shift in (0, 2):
+                a = short_series(length_a, 7, 1 - v, shift)
+                b = short_series(length_b, lead, v)
+                same(a / b, quotient(a, b))
+                same(b.invert(), oracle.invert(b))
+
+
+@pytest.mark.parametrize("trunc", range(4))
+def test_log_on_zero_to_three_terms(trunc):
+    # a unit known through q^trunc has a log derivative of trunc terms
+    u = QSeries({0: 1, 1: Fraction(-1, 2), 2: 3, 3: -7}, 3).truncate(trunc)
+    same(log_series(u), oracle.log_series(u))
+    same_table(exponents_from_series(u, trunc), oracle.exponents_from_series(u, trunc))
+
+
+def test_division_by_zero_and_across_nomes():
+    a = QSeries({0: 1, 1: 2}, 5)
+    for zero in (QSeries.zero(5), QSeries.zero(-2)):
+        with pytest.raises(ValueError):
+            a / zero
+        with pytest.raises(ValueError):
+            zero.invert()
+    with pytest.raises(NomeMismatch):
+        a / QSeries({0: 1}, 5, nome=HALF)
+    with pytest.raises(NomeMismatch):
+        QSeries.zero(3, nome=HALF) / a
 
 
 @pytest.mark.parametrize("bits", list(range(1, 20)) + [31, 32, 63, 64, 255, 1000])
@@ -290,12 +358,12 @@ def test_exponents_from_series_rejects_what_the_reference_rejects():
                 fn(bad, 2)
 
 
-# Past _EXP_BLOCK terms the exp divides and conquers: truncations around one and two
+# Past _BLOCK terms the solver divides and conquers: truncations around one and two
 # blocks, and up to 300.  A few values sit at small indices and a few, up to about
 # 300 bits, further out, so the reference's power sums stay short.
 
-long_truncs = st.sampled_from([_EXP_BLOCK - 2, _EXP_BLOCK - 1, _EXP_BLOCK, 2 * _EXP_BLOCK - 2,
-                               2 * _EXP_BLOCK, 300])
+long_truncs = st.sampled_from([_BLOCK - 2, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 2,
+                               2 * _BLOCK, 300])
 
 
 @st.composite
@@ -335,3 +403,24 @@ def test_exp_above_the_block_is_honest_across_orders(order, k, data):
         ExponentTable(table.h, {e: c for e, c in terms.items() if e <= order}, order))
     assert deep.trunc == shallow.trunc + k
     assert shallow.first_mismatch(deep) is None
+
+
+@settings(deadline=None, max_examples=15)
+@given(long_truncs, st.data())
+def test_division_above_the_block_matches_reference(n, data):
+    nome = data.draw(st.sampled_from([FULL, HALF]))
+    lead = data.draw(st.sampled_from([1, 1, -2, Fraction(3, 7)]))
+    v = data.draw(st.integers(-3, 3))
+    b = QSeries({v: lead, **{e + v: c for e, c in data.draw(long_terms(n)).items()}}, n + v,
+                nome=nome, prefactor=Fraction(1, 24))
+    a = QSeries(data.draw(long_terms(n)), n, nome=nome)
+    same(a / b, quotient(a, b))
+    same(b.invert(), oracle.invert(b))
+
+
+@settings(deadline=None, max_examples=10)
+@given(long_truncs, st.data())
+def test_log_above_the_block_matches_reference(n, data):
+    u = QSeries({0: 1, **data.draw(long_terms(n))}, n,
+                nome=data.draw(st.sampled_from([FULL, HALF])))
+    same(log_series(u), oracle.log_series(u))
