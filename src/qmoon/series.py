@@ -429,7 +429,7 @@ class QSeries:
 # substitution; division, log, exp and Euler products are one triangular solve on it.
 
 _LITTLE = sys.byteorder == "little"  # 8-byte slots then read as native words
-_BLOCK = 128  # _solve's plain-recurrence run, in exp, division and log alike; 96-192 measure alike
+_BLOCK = 128  # bounds _solve's plain-recurrence runs in exp, division and log; 128-192 alike
 
 
 def _dense(s: QSeries, v: int, n: int) -> list:
