@@ -95,11 +95,16 @@ def _eisenstein_over_delta4(weight: int, cap: int) -> QSeries:
 
 
 def _q_series(cap: int) -> QSeries:
-    """Q = F * theta * (theta^4 - 2F)(theta^4 - 16F), a catalog ingredient, through q^cap."""
-    theta = forms.theta_full(cap)
-    F = forms.F_oddsigma(cap)
-    t4 = theta ** 4
-    return F * theta * (t4 - 2 * F) * (t4 - 16 * F)
+    """Q = F * theta * (theta^4 - 2F)(theta^4 - 16F), a catalog ingredient, through q^cap.
+
+    F = sum_{n odd} sigma(n) q^n, and theta^4 = 1 + sum (8 sigma(n) - 32 sigma(n/4)) q^n
+    by the four-square theorem (Hardy & Wright, Thm 386), sigma(n/4) = 0 unless 4 | n.
+    """
+    sig = [0, *forms._sigma_table(1, cap)]
+    F = QSeries({n: sig[n] for n in range(1, cap + 1, 2)}, cap)
+    t4 = QSeries({0: 1, **{n: 8 * sig[n] - (0 if n % 4 else 32 * sig[n // 4])
+                           for n in range(1, cap + 1)}}, cap)
+    return F * forms.theta_full(cap) * ((t4 - 2 * F) * (t4 - 16 * F))
 
 
 def _raw_catalog(name: str, order: int) -> QSeries:

@@ -2,9 +2,10 @@
 
 Every call builds an exact QSeries afresh at the requested truncation order;
 nothing is cached, so a caller needing several orders builds the deepest once.
-Eisenstein series come from Bernoulli numbers, eta products from their
-defining infinite products, thetas as explicit lacunary sums.  The Leech
-theta function is assembled two independent ways, cross-checked on every build.
+Eisenstein series come from Bernoulli numbers, thetas and the discriminant
+from lacunary sums (Delta through Jacobi's eta^3), the other eta products from
+their defining infinite products.  The Leech theta function is assembled two
+independent ways, cross-checked on every build.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .series import (
     HALF,
     ExponentTable,
     QSeries,
+    _num,
     product_from_exponents,
 )
 
@@ -60,7 +62,7 @@ def eisenstein(weight: int, order: int) -> QSeries:
     """Normalized Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n."""
     if weight < 4 or weight % 2:
         raise ValueError(f"weight must be even and >= 4, got {weight}")
-    factor = Fraction(-2 * weight) / bernoulli(weight)
+    factor = _num(Fraction(-2 * weight) / bernoulli(weight))
     coeffs = {n: factor * s for n, s in enumerate(_sigma_table(weight - 1, order), 1)}
     return QSeries({0: 1, **coeffs}, order)
 
@@ -72,8 +74,16 @@ def _euler_power(b: int, h, order: int) -> QSeries:
 
 
 def delta(order: int) -> QSeries:
-    """Discriminant form eta^24 = q * prod (1-q^n)^24; coefficients are Ramanujan tau."""
-    return _euler_power(24, -1, order)
+    """Discriminant form eta^24 = q * prod (1-q^n)^24; coefficients are Ramanujan tau.
+
+    Built as q (eta^3 / q^(1/8))^8, three squarings of Jacobi's lacunary
+    eta^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2 + 1/8) (Hardy & Wright, Thm 357).
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    cube = QSeries({k * (k + 1) // 2: (-1) ** k * (2 * k + 1)
+                    for k in range(isqrt(2 * order) + 1) if k * (k + 1) // 2 < order}, order - 1)
+    return (cube ** 8).shift(1)
 
 
 def eta(order: int) -> QSeries:

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, inf, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 __all__ = [
     "FULL",
@@ -289,13 +290,13 @@ class QSeries:
         # is known only through its trunc: its valuation is at least trunc + 1.
         va, vb = (min(s.coeffs, default=s.trunc + 1) for s in (self, other))
         trunc = min(self.trunc + vb, other.trunc + va)
-        if self.is_zero() or other.is_zero():
-            return self._like({}, trunc, prefactor=self.prefactor + other.prefactor)
-        n = trunc - va - vb + 1
-        a = _dense(self, va, n)
-        out = _mul_lists(a, a if other is self else _dense(other, vb, n), n)
-        return self._like({i + va + vb: c for i, c in enumerate(out)}, trunc,
-                          prefactor=self.prefactor + other.prefactor)
+        prod = self._like({}, trunc, prefactor=self.prefactor + other.prefactor)
+        if self.coeffs and other.coeffs:  # _mul_lists's terms are clean and at most trunc
+            n = trunc - va - vb + 1
+            a = _dense(self, va, n)
+            out = _mul_lists(a, a if other is self else _dense(other, vb, n), n)
+            prod.coeffs = dict(compress(zip(range(va + vb, trunc + 1), out), out))
+        return prod
 
     __rmul__ = __mul__
 
@@ -443,18 +444,17 @@ def _dense(s: QSeries, v: int, n: int) -> list:
 
 def _integral(cs: list):
     """(ints, den) with cs[i] == ints[i] / den, den the lcm of the denominators."""
+    if set(map(type, cs)) <= {int}:
+        return cs, 1
     den = lcm(*(c.denominator for c in cs if type(c) is not int))
     return [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _pack(cs: list, width: int, half: int) -> int:
     """sum cs[i] 2^(8 width i) for |cs[i]| < half: slot i holds the bytes of cs[i] + half."""
-    slot = half.to_bytes(width, "little")
-    buf = bytearray(slot * len(cs))
-    for i, c in enumerate(cs):
-        if c:
-            buf[i * width:(i + 1) * width] = (c + half).to_bytes(width, "little")
-    return int.from_bytes(buf, "little") - int.from_bytes(slot * len(cs), "little")
+    le = "little"  # map stops at the end of cs
+    data = b"".join(map(int.to_bytes, map(add, cs, repeat(half)), repeat(width), repeat(le)))
+    return int.from_bytes(data, le) - int.from_bytes(half.to_bytes(width, le) * len(cs), le)
 
 
 def _unpack(z: int, width: int, count: int, half: int) -> list:
@@ -484,7 +484,7 @@ def _mul_lists(a: list, b: list, n: int) -> list:
     square = a is b
     a, b = a[:n], b[:n]
     for x, y in ((a, b), (b, a)):
-        step = gcd(*(i for i, c in enumerate(y) if c))
+        step = gcd(*compress(range(len(y)), y))
         if step > 1:  # y is a series in q^step: one product per residue class of x
             out, ys = [0] * n, y[::step]
             for r in range(step):
@@ -506,6 +506,12 @@ def _mul_lists(a: list, b: list, n: int) -> list:
     for r, z in ((0, (zp + zm) >> 1), (1, (zp - zm) >> (4 * width + 1))):
         out[r::2] = _unpack(z, width, len(range(r, n, 2)), half)
     return out if den == 1 else [_num(Fraction(c, den)) for c in out]
+
+
+def _over(m: int, s):
+    """s / m, an int when m divides s."""
+    q, r = divmod(s, m)
+    return Fraction(s, m) if r else q
 
 
 def _solve(c: list, n: int, b0, finish) -> list:
@@ -545,7 +551,7 @@ def exp_series(a: QSeries) -> QSeries:
         raise ValueError("exp_series requires valuation >= 1 (no constant term)")
     n = a.trunc
     w = [k * c for k, c in enumerate(_dense(a, 0, n + 1))][1:]  # m b_m = sum_k w_k b_(m-k)
-    b = _solve(w, n, 1, lambda m, s: _num(Fraction(s, m)))
+    b = _solve(w, n, 1, _over)
     return QSeries(dict(enumerate(b)), n, nome=a.nome)
 
 
@@ -618,7 +624,8 @@ def _binomial_terms(e, sign, kmax):
     while c and k <= kmax:
         yield k, c
         k += 1
-        c = _num(Fraction(sign * c * (e - k + 1), k))
+        c = sign * c * (e - k + 1)
+        c = c // k if type(e) is int else _num(Fraction(c, k))  # C(e, k) is an int for int e
 
 
 def product_from_exponents(t: ExponentTable, *, nome=FULL) -> QSeries:
@@ -632,7 +639,7 @@ def product_from_exponents(t: ExponentTable, *, nome=FULL) -> QSeries:
     for d, e in t.exps.items():
         for k in range(d, t.order + 1, d):
             w[k - 1] -= d * e
-    unit = _solve(w, t.order, 1, lambda m, s: _num(Fraction(s, m)))
+    unit = _solve(w, t.order, 1, _over)
     minus_h = -Fraction(t.h)
     shift = minus_h.numerator // minus_h.denominator
     return QSeries({i + shift: c for i, c in enumerate(unit)}, t.order + shift,
@@ -658,7 +665,7 @@ def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
     exps = {}
     for d, x in enumerate(g, 1):
         if x:  # x = d e_d: the proper divisors' terms are already subtracted
-            exps[d] = _num(Fraction(x, d))
+            exps[d] = _over(d, x)
             for m in range(2 * d, order + 1, d):
                 g[m - 1] -= x
     return ExponentTable(-(v + a.prefactor), exps, order)

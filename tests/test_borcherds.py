@@ -177,6 +177,18 @@ def test_catalog_composites():
     assert borcherds.catalog("f_14", 30).series == 2 * f4 + f6
 
 
+@pytest.mark.parametrize("cap", [*range(1, 41), 1608])
+def test_q_series_matches_the_five_product_form(cap):
+    # theta^4 and F from one sigma table against two squarings of theta and F_oddsigma
+    theta, F = forms.theta_full(cap), forms.F_oddsigma(cap)
+    t4 = theta * theta
+    t4 = t4 * t4
+    want = F * theta * (t4 - 2 * F) * (t4 - 16 * F)
+    got = borcherds._q_series(cap)
+    assert (got.trunc, got.prefactor, got.nome) == (want.trunc, want.prefactor, want.nome)
+    assert got.coeffs == want.coeffs
+
+
 def test_catalog_bad_inputs():
     with pytest.raises(ValueError, match="unknown catalog form"):
         borcherds.catalog("f_2", 10)

@@ -93,6 +93,21 @@ def test_delta_tau_values():
     assert d.coeff(0) == 0
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 127, 128, 129, 631])
+def test_delta_from_jacobi_matches_the_euler_product(n):
+    # q (eta^3 / q^(1/8))^8 against q prod (1 - q^n)^24, trunc and types included
+    new, old = delta(n), forms._euler_power(24, -1, n)
+    assert (new.trunc, new.prefactor, new.nome) == (old.trunc, old.prefactor, old.nome) == \
+        (n, 0, old.nome)
+    assert new.coeffs == old.coeffs
+    assert all(type(c) is int for c in new.coeffs.values())
+
+
+def test_delta_rejects_negative_order():
+    with pytest.raises(ValueError):
+        delta(-2)
+
+
 def test_delta_from_eisenstein():
     n = 30
     e4, e6 = eisenstein(4, n), eisenstein(6, n)

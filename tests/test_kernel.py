@@ -98,9 +98,12 @@ def pairs(draw):
 @given(pairs())
 def test_mul_matches_reference(pair):
     a, b = pair
-    same(a * b, oracle.mul(a, b))
-    same(b * a, oracle.mul(b, a))
-    same(a * a, oracle.mul(a, a))
+    for p, want in ((a * b, oracle.mul(a, b)), (b * a, oracle.mul(b, a)),
+                    (a * a, oracle.mul(a, a))):
+        same(p, want)
+        # the product stores its terms as the constructor would: no zero, every exponent known
+        assert 0 not in p.coeffs.values()
+        assert QSeries(p.coeffs, p.trunc).coeffs == p.coeffs
 
 
 @settings(deadline=None)

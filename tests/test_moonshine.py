@@ -83,6 +83,19 @@ def test_denominator_product_is_honest_across_caps(cap):
         assert d.first_mismatch(deeper) is None
 
 
+@pytest.mark.parametrize("cap", range(1, 7))
+def test_denominator_factor_order_does_not_change_the_product(cap):
+    # the factors go in descending n, then ascending m; m outer gives the same product
+    big_m, hi = moonshine._grid(cap, cap)
+    c = moonshine.moonshine_c(big_m * hi)
+    m_outer = [(m, n, c[m * n], -1) for m in range(1, big_m + 1) for n in range(-1, hi + 1)
+               if m * n <= c.trunc and c[m * n]]
+    want = BiSeries.one(big_m, ytop=hi).mul_binomials(m_outer).shift_x(-1)
+    got = moonshine.denominator_product(cap, cap)
+    assert (got.cap, got.ytop) == (want.cap, want.ytop)
+    assert got.coeffs == want.coeffs
+
+
 def test_no_mixed_monomials():
     d = moonshine.denominator_product(5, 5)
     assert d.cap == 5

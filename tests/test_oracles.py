@@ -29,9 +29,11 @@ def test_sigma_and_moebius_match_sympy():
 
 
 def test_binomial_recurrence_matches_sympy_binomial():
-    # integers, huge integers and rationals (some of them integral) through k = 20
+    # integers, huge integers of both signs (372 bits, as wide as the monster
+    # denominator's exponents get) and rationals (some of them integral) through k = 20
     sympy = pytest.importorskip("sympy")
     exponents = list(range(-30, 31)) + [10**20 + i for i in range(6)] + \
+        [-(10**20 + 3), (1 << 371) + 5, -(1 << 371) - 7] + \
         [Fraction(p, q) for q in (2, 3, 4, 7) for p in range(-9, 10)]
     for e in exponents:
         want = [sympy.binomial(sympy.Rational(e.numerator, e.denominator), k) for k in range(21)]
