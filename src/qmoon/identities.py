@@ -79,9 +79,13 @@ def _pochhammer_sum(order, monomial):
 
 
 def _lattice_product(order, front, factors):
-    """front * prod of factors(n) with a <= order; every a >= n - 1, so n <= order + 1."""
+    """front * prod of factors(n) with a <= order; every a >= n - 1, so n <= order + 1.
+
+    The factors go in descending n, so the largest x-steps come first and
+    each factor reads only the rows that the larger ones have reached.
+    """
     return BiSeries(front, order).mul_binomials(
-        f for n in range(1, order + 2) for f in factors(n) if f[0] <= order)
+        f for n in range(order + 1, 0, -1) for f in factors(n) if f[0] <= order)
 
 
 def _pentagonal(m):

@@ -122,7 +122,11 @@ def _first_mismatch(lhs: dict, rhs: dict, known=None, key=None):
 
     Walks the union of their keys in sorted order (by ``key``) and skips the
     keys where ``known(key)`` is false; a key missing from one side is 0 there.
+    Equal dicts hold the same keys with values equal under the walk's own !=,
+    so they return None before any sort.
     """
+    if lhs == rhs:
+        return None
     for k in sorted(lhs.keys() | rhs.keys(), key=key):
         a, b = lhs.get(k, 0), rhs.get(k, 0)
         if a != b and (known is None or known(k)):
@@ -734,8 +738,9 @@ def _cut(v: int, bits: int) -> int:
         return 0
     if v.bit_length() < bits:
         return v
-    low = v & ((1 << bits) - 1)
-    return low - (1 << bits) if low >> (bits - 1) else low
+    m = 1 << bits
+    low = v & (m - 1)
+    return low - m if low.bit_length() == bits else low
 
 
 def _cut_runs(row: list, top: int, w: int) -> list:
@@ -893,10 +898,20 @@ class BiSeries:
         after its own update.  Every other factor, like (1 - p^m q^n)^c(mn)
         whose exponent runs to dozens of digits, steps by its exact binomial
         terms sign^k C(e, k) x^(ka) y^(kb), as far as the cap can use, in
-        descending x on old rows; a unit multiply is the one-step case.  Under
-        a y-top, a factor with b > 0 expands only the terms whose copy of some
-        row reaches the top.  A factor constant in x replaces each row by the
-        sum of its shifted copies.
+        descending x on old rows; a unit multiply is the one-step case.  A
+        one-step factor runs its step down every row; any other takes each
+        row's steps in turn.  Under a y-top, a factor with b > 0 expands only
+        the terms whose copy of some row reaches the top.  A factor constant
+        in x replaces each row by the sum of its shifted copies.
+
+        Cost: one interpreted step for each nonempty source row and binomial
+        term, so the order of the factors, which never changes the result,
+        sets the work.  List them with the largest x-step first: each factor
+        then reads only the rows that sums of the larger steps have reached,
+        while in ascending order the rows fill after a few factors and every
+        later one reads them all.  The monster denominator is the measured
+        exception: its n-descending, then m-ascending order ran faster than
+        one sorted by descending m, whose slots grew wider sooner.
 
         Each row keeps a bound on its coefficients' size, updated as
         bound[to] += |c| bound[x].  Before a slot could reach 2^(W - 2),
@@ -952,27 +967,30 @@ class BiSeries:
                 steps = [(k * a, k * b, c, abs(c), ytop - k * b if cut else None)
                          for k, c in _binomial_terms(e, sign, kmax) if k]
                 xs = range(cap - a, xmin - 1, -1)
+            if len(steps) == 1:  # one step down every row, its terms loop-invariant
+                plan = [(steps[0], xs)]
+            else:  # a multiply: each row's steps in turn, skipping those that copy
+                # nothing, as a row reads as it is now until its own steps run
+                plan = [(step, (x,)) for x in xs if rows[x] for step in steps
+                        if x + step[0] <= cap and (step[4] is None or rows[x][0][0] <= step[4])]
             w = 8 * width
             lim = w - 2
-            for x in xs:
-                src = rows[x]
-                if not src:
-                    continue
-                bx = bnd[x]
-                for dx, dy, c, ac, top in steps:  # tops fall with k: cut each copy from the last
+            for (dx, dy, c, ac, top), group in plan:
+                for x in group:
+                    src = rows[x]
+                    if not src:
+                        continue
                     to = x + dx
-                    if to > cap:
-                        break
-                    nb = bnd[to] + ac * bx
+                    nb = bnd[to] + ac * bnd[x]
                     if nb >> lim:  # _room's test, kept out of the call
                         width = _room(rows, bnd, width, to, x, ac)
-                        w, src, bx = 8 * width, rows[x], bnd[x]
+                        w, src = 8 * width, rows[x]
                         lim = w - 2
-                        nb = bnd[to] + ac * bx
+                        nb = bnd[to] + ac * bnd[x]
                     if top is not None and src[-1][1] > top:
                         src = _cut_runs(src, top, w)
                         if not src:
-                            break
+                            continue
                     dst = rows[to]
                     bnd[to] = nb
                     if len(src) == 1 == len(dst):  # one run each, as in dense rows

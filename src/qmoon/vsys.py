@@ -143,11 +143,12 @@ def psi(V: VectorSystem, lam, order: int) -> tuple:
     wd = weyl_data(V, lam)
     zero = (0,) * V.dim
     support = sorted(V.mult.items())
-    # (n, v, c): the factor (1 - q^n zeta^v)^c
-    factors = [(0, v, c) for v, c in support if v != zero and V.pair(v, wd.chamber) > 0]
-    reach = max(sum(c * abs(v[i]) for _, v, c in factors)
+    # (n, v, c): the factor (1 - q^n zeta^v)^c, largest q-step first and the
+    # n = 0 factors last, so that each factor reads only the rows already reached
+    positive = [(0, v, c) for v, c in support if v != zero and V.pair(v, wd.chamber) > 0]
+    reach = max(sum(c * abs(v[i]) for _, v, c in positive)
                 + order * max((abs(v[i]) for v in V.mult), default=0) for i in range(V.dim))
-    factors += [(n, v, c) for n in range(1, order + 1) for v, c in support]
+    factors = [(n, v, c) for n in range(order, 0, -1) for v, c in support] + positive
     start = tuple(-int(2 * x) for x in wd.rho)
     base = 2 * reach + 1
     acc = BiSeries.one(order).mul_binomials(

@@ -227,6 +227,16 @@ def test_ytop_drops_past_what_b_below_zero_factors_carry_down():
     assert BiSeries.one(5).mul_binomials([(1, -1, -1, -1)]).ytop is None
 
 
+def test_a_copy_landing_on_the_ytop_is_kept():
+    # (1 + x y^2)^2 (1 + 3 x y) under y-top 4, with no factor stepping the
+    # top down: the k = 2 copy of row 0 lands on y = 4 exactly, while that
+    # copy of row 1 lies above it and is skipped
+    start = BiSeries({(0, 0): 1, (1, 1): 3}, 4, ytop=4)
+    got = start.mul_binomials([(1, 2, 2, 1)])
+    assert same_bi(got, bi_oracle(start, [(1, 2, 2, 1)]))
+    assert (got.coeffs[2, 4], got.coeffs[2, 3], got.ytop) == (1, 6, 4)
+
+
 def _product_factors(factors, order):
     return [f for n in range(1, order + 2) for f in factors(n) if f[0] <= order]
 
@@ -250,6 +260,54 @@ def test_identity_product_sides_match_factor_by_factor(name):
         for (_, front, factors), (_, got) in zip(entries, sides):
             start = BiSeries(front, order)
             assert same_bi(got, bi_oracle(start, _product_factors(factors, order)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(biseries(), st.data())
+def test_factor_order_does_not_change_the_product(series, data):
+    # the callers choose their order for speed alone: any order of a factor
+    # list, divisions and big exponents included, gives the same terms, cap
+    # and y-top
+    factors = data.draw(bi_factors(series.ytop))
+    shuffled = data.draw(st.permutations(factors))
+    assert same_bi(series.mul_binomials(factors), series.mul_binomials(shuffled))
+
+
+def _shipped_products(monkeypatch, build):
+    """(start, factor list) of every product that build() asks for."""
+    seen = []
+    real = BiSeries.mul_binomials
+
+    def spy(self, factors):
+        factors = list(factors)
+        seen.append((self, factors))
+        return real(self, factors)
+
+    monkeypatch.setattr(BiSeries, "mul_binomials", spy)
+    build()
+    monkeypatch.undo()
+    return seen
+
+
+def test_shipped_factor_orders_match_their_reverse(monkeypatch):
+    # every two-variable identity at orders 1-25, the monster denominator at
+    # caps 1-6 and psi on each sample system, in the shipped order and reversed
+    def build():
+        for name in TWO_VARIABLE:
+            for order in range(1, 26):
+                identities.identity_sides(name, order)
+        for cap in range(1, 7):
+            moonshine.denominator_product(cap, cap)
+        for name in SAMPLE_NAMES:
+            V = sample_system(name)
+            for order in range(9):
+                vsys.psi(V, (1, 2)[:V.dim], order)
+
+    seen = _shipped_products(monkeypatch, build)
+    rows = sum(len(entries) for entries in TWO_VARIABLE.values())
+    assert len(seen) == 25 * rows + 6 + 9 * len(SAMPLE_NAMES)
+    for start, factors in seen:
+        assert same_bi(start.mul_binomials(factors), start.mul_binomials(factors[::-1]))
 
 
 def test_unit_factors_never_expand(monkeypatch):

@@ -139,3 +139,38 @@ def test_scan_order_known_range_and_missing_keys():
     assert _first_mismatch(lhs, rhs, lambda e: 0 <= e <= 2) is None
     assert _first_mismatch(lhs, rhs, key=lambda e: -e) == (4, 0, 7)
     assert _first_mismatch({}, {}) is None
+
+
+def sorted_walk(lhs, rhs, known=None, key=None):
+    """The scan with no early return: every key of either side, sorted, a missing one 0."""
+    for k in sorted(set(lhs) | set(rhs), key=key):
+        a, b = lhs.get(k, 0), rhs.get(k, 0)
+        if a != b and (known is None or known(k)):
+            return k, a, b
+    return None
+
+
+@st.composite
+def dict_pairs(draw):
+    """Two coefficient dicts that often agree: explicit zeros on either side, equal
+    values rewritten, and sometimes every value held as a Fraction."""
+    keys = st.integers(-4, 6)
+    lhs = draw(st.dictionaries(keys, st.one_of(coefficients, st.just(0)), max_size=8))
+    rhs = edited(draw, lhs, keys) if draw(st.booleans()) else dict(lhs)
+    if draw(st.booleans()):
+        rhs = {k: Fraction(c) for k, c in rhs.items()}
+    return lhs, rhs
+
+
+@settings(max_examples=500, deadline=None)
+@given(dict_pairs(), st.sampled_from((None, lambda e: e >= 0, lambda e: e % 3 != 1)),
+       st.sampled_from((None, lambda e: -e)))
+def test_scan_matches_the_sorted_walk(pair, known, key):
+    # equal dicts return before the sort; unequal ones, explicit zeros against
+    # missing keys included, walk as before
+    lhs, rhs = pair
+    want = typed(sorted_walk(lhs, rhs, known, key))
+    assert typed(_first_mismatch(lhs, rhs, known, key)) == want
+    assert typed(_first_mismatch(rhs, lhs, known, key)) == typed(sorted_walk(rhs, lhs, known, key))
+    if lhs == rhs:
+        assert want is None

@@ -393,6 +393,14 @@ def test_product_from_exponents_above_the_block_matches_reference(n, data, h):
     same(product_from_exponents(table), oracle.product_from_exponents(table))
 
 
+def test_product_from_exponents_on_wide_growing_exponents():
+    # e_k = (-1)^k 2^(18k) through k = 130: the product's slots are padded to
+    # the widest coefficient of both operands, so this input runs slower
+    # than the plain recurrence, though still exactly
+    table = ExponentTable(0, {k: (-1) ** k << 18 * k for k in range(1, 131)}, 130)
+    same(product_from_exponents(table), oracle.product_from_exponents(table))
+
+
 @settings(deadline=None, max_examples=25)
 @given(long_truncs, st.integers(1, 70), st.data())
 def test_exp_above_the_block_is_honest_across_orders(order, k, data):

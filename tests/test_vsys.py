@@ -443,6 +443,25 @@ def unit_system(dim):
     return VectorSystem(dim, [[2 * (i == j) for j in range(dim)] for i in range(dim)], mult)
 
 
+def d4_system():
+    """The 24 roots +-e_i +-e_j of D4, each once, with c(0) = 8, under the identity gram."""
+    mult = {(0, 0, 0, 0): 8}
+    for i, j in itertools.combinations(range(4), 2):
+        for si, sj in itertools.product((1, -1), repeat=2):
+            v = [0] * 4
+            v[i], v[j] = si, sj
+            mult[tuple(v)] = 1
+    return VectorSystem(4, [[int(i == j) for j in range(4)] for i in range(4)], mult)
+
+
+def test_psi_on_d4_matches_factor_by_factor_reference():
+    # a root system of dimension 4: its rows hold dozens of runs each, and
+    # the zero vector's factors (1 - q^n)^8 expand to many steps
+    V = d4_system()
+    assert len(V.mult) == 25 and weyl_data(V, (8, 4, 2, 1)).m == 6
+    same_psi(psi(V, (8, 4, 2, 1), 3), oracle.psi(V, (8, 4, 2, 1), 3))
+
+
 @pytest.mark.parametrize("V,lam,order", [
     (VectorSystem(1, ((2,),), {(10 ** 6,): 1, (-10 ** 6,): 1}), (1,), 10),
     (VectorSystem(1, ((2,),), {(10 ** 6,): 1, (-10 ** 6,): 1, (1,): 2, (-1,): 2}), (1,), 8),
