@@ -431,24 +431,18 @@ def test_every_caller_builds_factors_in_the_domain(monkeypatch):
     # the two-variable identity rows, psi on every sample system and the
     # monster denominator: each product is accepted, stores no x below 0,
     # and passes only factors of the measured shapes
-    seen = []
-    real = BiSeries.mul_binomials
+    def build():
+        for name in TWO_VARIABLE:
+            for order in range(1, 31):
+                identities.identity_sides(name, order)
+        for name in SAMPLE_NAMES:
+            V = sample_system(name)
+            for order in range(9):
+                vsys.psi(V, (1, 2)[:V.dim], order)
+        for cap in range(1, 5):
+            moonshine.denominator_product(cap, cap)
 
-    def spy(self, factors):
-        factors = list(factors)
-        seen.append((self, factors))
-        return real(self, factors)
-
-    monkeypatch.setattr(BiSeries, "mul_binomials", spy)
-    for name in TWO_VARIABLE:
-        for order in range(1, 31):
-            identities.identity_sides(name, order)
-    for name in SAMPLE_NAMES:
-        V = sample_system(name)
-        for order in range(9):
-            vsys.psi(V, (1, 2)[:V.dim], order)
-    for cap in range(1, 5):
-        moonshine.denominator_product(cap, cap)
+    seen = _shipped_products(monkeypatch, build)
     rows = sum(len(entries) for entries in TWO_VARIABLE.values())
     assert len(seen) == 30 * rows + 9 * len(SAMPLE_NAMES) + 4
     for series, factors in seen:

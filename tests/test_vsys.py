@@ -455,8 +455,8 @@ def d4_system():
 
 
 def test_psi_on_d4_matches_factor_by_factor_reference():
-    # a root system of dimension 4: its rows hold dozens of runs each, and
-    # the zero vector's factors (1 - q^n)^8 expand to many steps
+    # a root system of dimension 4: its rows end as 36-108 runs each, and
+    # the zero vector's factor (1 - q)^8 steps three times per row
     V = d4_system()
     assert len(V.mult) == 25 and weyl_data(V, (8, 4, 2, 1)).m == 6
     same_psi(psi(V, (8, 4, 2, 1), 3), oracle.psi(V, (8, 4, 2, 1), 3))
