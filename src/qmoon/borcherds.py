@@ -88,12 +88,6 @@ PRINTED_F6 = {-4: 1, 0: 6, 1: 504, 4: 143388, 5: 565760, 8: 184373000, 9: 511800
 _PRINTED = {"f_4": PRINTED_F4, "f_6": PRINTED_F6}
 
 
-def _eisenstein_over_delta4(weight: int, cap: int) -> QSeries:
-    """The weight-(weight - 12) unit E_weight(4t)/Delta(4t), pole at q^-4, through q^cap."""
-    m = cap // 4 + 4
-    return (forms.eisenstein(weight, m) / forms.delta(m)).scale_var(4).truncate(cap)
-
-
 def _q_series(cap: int) -> QSeries:
     """Q = F * theta * (theta^4 - 2F)(theta^4 - 16F), a catalog ingredient, through q^cap.
 
@@ -101,10 +95,25 @@ def _q_series(cap: int) -> QSeries:
     by the four-square theorem (Hardy & Wright, Thm 386), sigma(n/4) = 0 unless 4 | n.
     """
     sig = [0, *forms._sigma_table(1, cap)]
+    t4 = [1, *(8 * sig[n] - (0 if n % 4 else 32 * sig[n // 4]) for n in range(1, cap + 1))]
+
+    def minus(k):  # theta^4 - k F, which differs from theta^4 only at odd n
+        return QSeries({n: t4[n] - k * sig[n] if n % 2 else t4[n] for n in range(cap + 1)}, cap)
+
     F = QSeries({n: sig[n] for n in range(1, cap + 1, 2)}, cap)
-    t4 = QSeries({0: 1, **{n: 8 * sig[n] - (0 if n % 4 else 32 * sig[n // 4])
-                           for n in range(1, cap + 1)}}, cap)
-    return F * forms.theta_full(cap) * ((t4 - 2 * F) * (t4 - 16 * F))
+    return F * forms.theta_full(cap) * (minus(2) * minus(16))
+
+
+def _qg(weight: int, order: int) -> QSeries:
+    """Q G for G = E_weight(4t)/Delta(4t), pole at q^-3, through q^order.
+
+    Formed as one quotient (Q E_weight(4t)) / Delta(4t): the numerator's
+    coefficients stay narrow, and Delta(4t) is a series in q^4, so the
+    division runs on each residue class mod 4 of the numerator apart.
+    """
+    m = order // 4 + 2  # Delta(4t) known through q^(4m + 3) >= q^(order + 8)
+    e4t, d4t = forms.eisenstein(weight, m).scale_var(4), forms.delta(m).scale_var(4)
+    return (_q_series(order + 4) * e4t) / d4t
 
 
 def _raw_catalog(name: str, order: int) -> QSeries:
@@ -114,7 +123,7 @@ def _raw_catalog(name: str, order: int) -> QSeries:
         return 12 * forms.theta_full(order)
     cap = order + _PAD
     theta = forms.theta_full(cap)
-    QG = _q_series(cap) * _eisenstein_over_delta4(6, cap)  # G = E_6(4t)/Delta(4t)
+    QG = _qg(6, order)
     f_j = (3 * QG + 168 * theta).truncate(order)
     if name == "f_j":
         return f_j
@@ -212,10 +221,9 @@ def fj_efactor_report(lifted: QSeries, order: int) -> dict:
     for weight in (6, 4):
         try:
             if weight == 4:  # f_j = 3 Q G + 168 theta with G = E_4(4t)/Delta(4t)
-                cap = order * order + _PAD
-                series = 3 * (_q_series(cap) * _eisenstein_over_delta4(4, cap)) \
-                    + 168 * forms.theta_full(cap)
-                lifted = lift(PlusForm(series.truncate(order * order)), order).result
+                cap = order * order
+                series = 3 * _qg(4, cap) + 168 * forms.theta_full(cap)
+                lifted = lift(PlusForm(series), order).result
             ok = lifted.agrees_with(target, order)
         except ValueError as err:
             ok = False

@@ -125,19 +125,26 @@ def theta_full(order: int) -> QSeries:
     return QSeries(theta_nullwerte(3, order).coeffs, order)
 
 
+def _at_minus_q(s: QSeries) -> QSeries:
+    """s at -q: on the half nome, theta4(q) = theta3(-q), since n^2 = n (mod 2)."""
+    return s._like({e: -c if e % 2 else c for e, c in s.coeffs.items()}, s.trunc)
+
+
 def leech_theta(order: int) -> QSeries:
     """Theta series of the Leech lattice, half nome, exponent = vector norm.
 
     Built two independent ways: from theta constants as
     (theta2^24 + theta3^24 + theta4^24)/2 - (69/16)(theta2 theta3 theta4)^8,
     and from the coefficient formula N_m = (65520/691)(sigma_11(m/2) - tau(m/2)).
-    Any disagreement means a kernel bug, so every build is checked.
+    Any disagreement means a kernel bug, so every build is checked.  The
+    theta4 powers are the theta3 powers at -q, and every power comes from
+    the eighth powers.
     """
-    t2 = theta_nullwerte(2, order)
-    t3 = theta_nullwerte(3, order)
-    t4 = theta_nullwerte(4, order)
-    from_thetas = ((t2 ** 24).canonical() + t3 ** 24 + t4 ** 24) * Fraction(1, 2) \
-        - Fraction(69, 16) * ((t2 * t3 * t4) ** 8).canonical()
+    t2_8 = theta_nullwerte(2, order) ** 8
+    t3_8 = theta_nullwerte(3, order) ** 8
+    t3_24 = t3_8 * t3_8 * t3_8
+    from_thetas = ((t2_8 * t2_8 * t2_8).canonical() + t3_24 + _at_minus_q(t3_24)) \
+        * Fraction(1, 2) - Fraction(69, 16) * (t2_8 * t3_8 * _at_minus_q(t3_8)).canonical()
     half = order // 2
     d = delta(half)
     sig = _sigma_table(11, half) if half else []

@@ -81,11 +81,12 @@ def _pochhammer_sum(order, monomial):
 def _lattice_product(order, front, factors):
     """front * prod of factors(n) with a <= order; every a >= n - 1, so n <= order + 1.
 
-    The factors go in descending n, so the largest x-steps come first and
-    each factor reads only the rows that the larger ones have reached.
+    The factors go in descending x-step a, so each factor reads only the rows
+    that the larger steps have reached.
     """
-    return BiSeries(front, order).mul_binomials(
-        f for n in range(order + 1, 0, -1) for f in factors(n) if f[0] <= order)
+    return BiSeries(front, order).mul_binomials(sorted(
+        (f for n in range(order + 1, 0, -1) for f in factors(n) if f[0] <= order),
+        key=lambda f: -f[0]))
 
 
 def _pentagonal(m):

@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, inf, isqrt, lcm
-from operator import add, mul
+from operator import add, mul, sub
+from struct import Struct
 
 __all__ = [
     "FULL",
@@ -327,10 +328,7 @@ class QSeries:
         b = []
         if self.coeffs:  # b u = a on the n terms from q^va and q^v
             n = trunc - va + v + 1
-            a, u = _dense(self, va, n), _dense(other, v, n)
-            lead = u[0]  # u_0 b_m = a_m - sum_{k >= 1} u_k b_(m-k)
-            b = _solve([-c for c in u[1:]], n - 1, _num(Fraction(a[0]) / lead),
-                       lambda m, s: a[m] + s if lead == 1 else _num(Fraction(a[m] + s) / lead))
+            b = _div_lists(_dense(self, va, n), _dense(other, v, n), n)
         return self._like({i + va - v: c for i, c in enumerate(b)}, trunc,
                           prefactor=self.prefactor - other.prefactor)
 
@@ -465,10 +463,11 @@ def _unpack(z: int, width: int, count: int, half: int) -> list:
     """The count low width-byte slots of z = sum c_i 2^(8 width i), each |c_i| < half."""
     k = width * count
     z += int.from_bytes(half.to_bytes(width, "little") * count, "little")
-    data = memoryview((z & ((1 << 8 * k) - 1)).to_bytes(k, "little"))
+    data = (z & ((1 << 8 * k) - 1)).to_bytes(k, "little")
     if width == 8 and _LITTLE:  # the 64-bit slots rows start with, read as machine words
-        return [c - half for c in data.cast("Q")]
-    return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, k, width)]
+        return [c - half for c in memoryview(data).cast("Q")]
+    slots = Struct(f"{width}s" * count).unpack(data)  # uncached: formats are many and long
+    return list(map(sub, map(int.from_bytes, slots, repeat("little")), repeat(half)))
 
 
 def _at_both_signs(cs: list, width: int, half: int) -> tuple:
@@ -510,6 +509,20 @@ def _mul_lists(a: list, b: list, n: int) -> list:
     for r, z in ((0, (zp + zm) >> 1), (1, (zp - zm) >> (4 * width + 1))):
         out[r::2] = _unpack(z, width, len(range(r, n, 2)), half)
     return out if den == 1 else [_num(Fraction(c, den)) for c in out]
+
+
+def _div_lists(a: list, u: list, n: int) -> list:
+    """The first n coefficients of a / u for coefficient lists a and u, u[0] != 0."""
+    step = gcd(*compress(range(n), u))
+    if step > 1:  # u is a series in q^step: one quotient per residue class of a
+        out, us = [0] * n, u[::step]
+        for r in range(min(step, n)):
+            if any(a[r::step]):  # an empty class stays zero
+                out[r::step] = _div_lists(a[r::step], us, len(range(r, n, step)))
+        return out
+    lead = u[0]  # u_0 b_m = a_m - sum_{k >= 1} u_k b_(m-k)
+    return _solve([-c for c in u[1:n]], n - 1, _num(Fraction(a[0]) / lead),
+                  lambda m, s: a[m] + s if lead == 1 else _num(Fraction(a[m] + s) / lead))
 
 
 def _over(m: int, s):

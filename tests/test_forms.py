@@ -186,6 +186,16 @@ def test_theta4_is_theta3_alternating():
     assert flipped == t4
 
 
+@pytest.mark.parametrize("order", [0, 1, 9, 40])
+def test_theta3_powers_at_minus_q_are_theta4_powers(order):
+    # leech_theta takes theta4^8 and theta4^24 from the theta3 powers this way
+    t3, t4 = theta_nullwerte(3, order), theta_nullwerte(4, order)
+    for k in (1, 8, 24):
+        reflected, want = forms._at_minus_q(t3 ** k), t4 ** k
+        assert (reflected.nome, reflected.trunc) == (want.nome, want.trunc)
+        assert reflected.coeffs == want.coeffs
+
+
 def test_theta_full_support_squares():
     t = theta_full(17)
     assert t.coeffs == {0: 1, 1: 2, 4: 2, 9: 2, 16: 2}

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_oracle as oracle
+from qmoon import series as series_module
 from qmoon.series import (
     FULL,
     HALF,
@@ -427,6 +428,70 @@ def test_division_above_the_block_matches_reference(n, data):
     a = QSeries(data.draw(long_terms(n)), n, nome=nome)
     same(a / b, quotient(a, b))
     same(b.invert(), oracle.invert(b))
+
+
+@st.composite
+def divisions_by_q_power(draw):
+    """(a, u) with u = q^v (lead + sum u_k q^(s k)) for s = 2, 3, 4 or 6, and a on some
+    of its residue classes mod s: the others empty, and the classes' lengths unequal
+    whenever s does not divide a's term count.  Long numerators put a class's length
+    at or next to _BLOCK."""
+    s = draw(st.sampled_from([2, 3, 4, 6]))
+    v = draw(st.integers(-3, 3))
+    lead = draw(st.sampled_from([1, 1, -2, Fraction(3, 7)]))
+    rest = st.one_of(small, rationals, st.integers(-(1 << 300), 1 << 300))
+    tail = draw(st.dictionaries(st.integers(1, 40), rest, max_size=5))
+    va = draw(st.integers(-4, 4))
+    count = draw(st.one_of(st.integers(1, 30),
+                           st.sampled_from([s * (_BLOCK + d) + r for d in (-1, 0, 1)
+                                            for r in (0, 1, s - 1)])))
+    classes = draw(st.sets(st.integers(0, s - 1), max_size=s))
+    exps = [e for e in range(count) if e % s in classes]
+    picked = exps if count <= 30 else draw(st.lists(st.sampled_from(exps), max_size=8)
+                                               if exps else st.just([]))
+    a = QSeries({va + e: draw(rest) for e in picked}, va + count - 1, prefactor=Fraction(1, 24))
+    u_trunc = v + draw(st.sampled_from([count + 2, count, count // 2]))
+    u = QSeries({v: lead, **{v + s * k: c for k, c in tail.items() if v + s * k <= u_trunc}},
+                max(u_trunc, v))
+    return a, u
+
+
+@settings(deadline=None, max_examples=40)
+@given(divisions_by_q_power())
+def test_division_by_a_series_in_q_power_matches_reference(pair):
+    # the quotient by a series in q^s is solved one residue class of the
+    # numerator at a time; the reference divides the whole series at once
+    a, u = pair
+    same(a / u, quotient(a, u))
+
+
+def test_an_empty_residue_class_is_never_solved(monkeypatch):
+    # a numerator on the classes 0 and 1 mod 4 over Delta(4t)'s shape runs the
+    # solver twice, once for each class that holds a term
+    solves = []
+    real = series_module._solve
+    monkeypatch.setattr(series_module, "_solve",
+                        lambda c, n, *rest: solves.append(n) or real(c, n, *rest))
+    u = QSeries({4: 1, 8: -24, 12: 252}, 40)
+    a = QSeries({1: 1, 4: 3, 9: -2, 16: 5}, 41)
+    same(a / u, quotient(a, u))
+    assert len(solves) == 2
+
+
+def test_both_solver_branches_agree_on_wide_growing_exponents(monkeypatch):
+    # the FOUND input of the cost rule: e_k = (-1)^k 2^(18k) through k = 130,
+    # expanded once with the product at every level the solver splits and
+    # once by the plain recurrence alone; both agree with the dict oracle
+    table = ExponentTable(0, {k: (-1) ** k << 18 * k for k in range(1, 131)}, 130)
+    want = oracle.product_from_exponents(table)
+    real = series_module._mul_lists
+    for block, products in ((4, True), (1 << 20, False)):
+        calls = []
+        monkeypatch.setattr(series_module, "_BLOCK", block)
+        monkeypatch.setattr(series_module, "_mul_lists",
+                            lambda *args: calls.append(1) or real(*args))
+        same(product_from_exponents(table), want)
+        assert bool(calls) is products, block
 
 
 @settings(deadline=None, max_examples=10)

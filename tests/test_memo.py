@@ -22,7 +22,7 @@ BUILDERS = (
     + [(forms.theta_full, ()), (forms.leech_theta, ())]
     + [(forms.colored_partition_series, (k,)) for k in (1, 8, 24)]
     + [(forms.xi_series, ()), (forms.F_oddsigma, ())]
-    + [(borcherds._eisenstein_over_delta4, (w,)) for w in (4, 6)]
+    + [(borcherds._qg, (w,)) for w in (4, 6)]
     + [(borcherds._q_series, ())]
     + [(borcherds._raw_catalog, (name,)) for name in borcherds.CATALOG_NAMES]
 )
@@ -107,9 +107,9 @@ def test_fake_monster_table_builds_p24_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["f_10", "f_14"])
 def test_f10_and_f14_build_q_and_g_once(monkeypatch, name):
-    calls = _count_calls(monkeypatch, borcherds, ["_q_series", "_eisenstein_over_delta4"])
+    calls = _count_calls(monkeypatch, borcherds, ["_q_series", "_qg"])
     assert borcherds.catalog(name, 36).series.trunc == 36
-    assert calls == {("_q_series",): 1, ("_eisenstein_over_delta4", 6): 1}
+    assert calls == {("_q_series",): 1, ("_qg", 6): 1}
 
 
 @pytest.mark.parametrize("name", ["f_j", "f_4"])

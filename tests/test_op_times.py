@@ -1,6 +1,7 @@
 """tools/op_times.py times the ops of one perfbench workload in process."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,24 @@ def test_a_run_with_the_wrong_exit_or_output_is_refused(monkeypatch):
         else:
             with pytest.raises(ValueError, match="^probe: "):
                 op_times.op_times("cli-burst", 1, 2)
+
+
+def test_children_write_bytecode_and_the_first_run_is_untimed(monkeypatch, tmp_path):
+    # with PYTHONDONTWRITEBYTECODE set, a timed run would compile every lazily
+    # imported module from source; the children drop it, and one untimed run
+    # of each op writes the .pyc files before any run is timed
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    src = tmp_path / "src"
+    shutil.copytree(Path(op_times.ROOT) / "src" / "qmoon", src / "qmoon",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    runs = []
+    real = op_times.time_once
+
+    def counted(argv, tree):
+        runs.append(sorted(p.name.split(".")[0] for p in (tree / "qmoon").glob("__pycache__/*")))
+        return real(argv, tree)
+
+    monkeypatch.setattr(op_times, "time_once", counted)
+    times = op_times.op_times("dense-lift", 1, 2, ["lift f_delta 50"], src)
+    assert len(times["lift f_delta 50"]) == 2 and len(runs) == 3
+    assert runs[0] == [] and {"borcherds", "cli", "series"} <= set(runs[1]) and runs[1] == runs[2]

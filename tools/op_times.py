@@ -6,9 +6,11 @@
 The op list is the one ``perfbench/workloads.py`` builds for the workload
 and seed; its input files go to a temporary directory.  Each run of an op
 is a fresh Python process that imports ``qmoon.cli`` untimed, then times one
-``cli.run(argv)`` call with stdout and stderr captured.  The runs go round
-the ops --repeat times, and the first run of each op must exit with the
-code the workload expects and pass its stdout check.  The table gives the
+``cli.run(argv)`` call with stdout and stderr captured.  One untimed run of
+each op first writes the .pyc files of the modules it imports lazily (the
+children may write bytecode whatever PYTHONDONTWRITEBYTECODE says), and it
+must exit with the code the workload expects and pass its stdout check.
+Then the timed runs go round the ops --repeat times.  The table gives the
 best and the median run of each op in milliseconds, and the sums of both.
 ``--src`` times another tree's ``src`` directory (a parent checkout, say)
 on the same ops.
@@ -51,7 +53,8 @@ def _workloads():
 
 def time_once(argv, src: Path) -> dict:
     """One fresh process's {"exit", "s", "stdout"} for ``qmoon argv``."""
-    env = {k: v for k, v in os.environ.items() if k != "QMOON_DEFAULT_ORDER"}
+    drop = ("QMOON_DEFAULT_ORDER", "PYTHONDONTWRITEBYTECODE")
+    env = {k: v for k, v in os.environ.items() if k not in drop}
     env["PYTHONPATH"] = str(src)
     done = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
                           capture_output=True, text=True, check=True)
@@ -69,16 +72,16 @@ def op_times(workload: str, seed: int, repeat: int, names=(), src: Path = ROOT /
                 raise ValueError(f"no op named {', '.join(sorted(unknown))} in {workload} "
                                  f"seed {seed}")
             ops = [op for op in ops if op.name in names]
+        for op in ops:  # untimed: checks each op and writes the .pyc files it needs
+            run = time_once(op.argv, src)
+            problem = (f"exit {run['exit']}, want {op.expect}"
+                       if run["exit"] != op.expect else op.check(run["stdout"]))
+            if problem:
+                raise ValueError(f"{op.name}: {problem}")
         times = {op.name: [] for op in ops}
-        for i in range(repeat):
+        for _ in range(repeat):
             for op in ops:
-                run = time_once(op.argv, src)
-                if i == 0:
-                    problem = (f"exit {run['exit']}, want {op.expect}"
-                               if run["exit"] != op.expect else op.check(run["stdout"]))
-                    if problem:
-                        raise ValueError(f"{op.name}: {problem}")
-                times[op.name].append(run["s"])
+                times[op.name].append(time_once(op.argv, src)["s"])
     return times
 
 
