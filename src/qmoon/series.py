@@ -677,8 +677,8 @@ def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
         raise ValueError("unit part's constant term must be 1")
     if not 0 <= order <= a.trunc - v:
         raise ValueError(f"series known to order {a.trunc - v} after normalization, need {order}")
-    u = _dense(a, v, order + 1)  # g_m = -m u_m - sum_{k >= 1} u_k g_(m-k), g_0 = 0
-    g = _solve([-c for c in u[1:]], order, 0, lambda m, s: s - m * u[m])[1:]
+    u = _dense(a, v, order + 1)  # g = -q u' / u, g_0 = 0
+    g = _div_lists([-m * c for m, c in enumerate(u)], u, order + 1)[1:]
     exps = {}
     for d, x in enumerate(g, 1):
         if x:  # x = d e_d: the proper divisors' terms are already subtracted

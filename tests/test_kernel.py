@@ -10,7 +10,10 @@ The two-point list multiply is also checked on coefficient lists against the
 one-point multiply it replaced.  Division, the inverse, log and exp share one
 triangular solver; each is checked past one and two runs of ``_BLOCK`` terms,
 where that solver divides and conquers, and division and log on inputs of
-zero to three known terms.
+zero to three known terms.  Division by a series in q^s runs one residue
+class of the numerator at a time; it is checked for s = 2, 3, 4 and 6 with
+empty and unequal classes and classes of _BLOCK terms and either side, and
+both branches of the solver, product and recurrence, on wide coefficients.
 """
 
 from fractions import Fraction
@@ -315,8 +318,10 @@ def test_product_from_exponents_matches_reference(order, data, h):
 
 @settings(deadline=None)
 @given(units(coeffs=st.one_of(small, rationals), width=16), st.integers(-3, 4), prefactors,
-       st.data())
-def test_exponents_from_series_matches_reference(u, v, prefactor, data):
+       st.sampled_from([1, 1, 2, 3, 4]), st.data())
+def test_exponents_from_series_matches_reference(u, v, prefactor, step, data):
+    # a unit in q^step is divided one residue class at a time
+    u = u.scale_var(step)
     a = QSeries(u.shift(v).coeffs, u.trunc + v, prefactor=prefactor)
     order = data.draw(st.integers(0, u.trunc))
     same_table(exponents_from_series(a, order), oracle.exponents_from_series(a, order))
