@@ -5,16 +5,9 @@ from .series import (
     HALF,
     BiSeries,
     ExponentTable,
-    NomeMismatch,
     QSeries,
-    divisors,
-    exp_series,
     exponents_from_series,
-    gbinom,
-    log_series,
-    moebius,
     product_from_exponents,
-    sigma,
 )
 
 __version__ = "0.1.0"
@@ -24,15 +17,8 @@ __all__ = [
     "HALF",
     "BiSeries",
     "ExponentTable",
-    "NomeMismatch",
     "QSeries",
-    "divisors",
-    "exp_series",
     "exponents_from_series",
-    "gbinom",
-    "log_series",
-    "moebius",
     "product_from_exponents",
-    "sigma",
     "__version__",
 ]

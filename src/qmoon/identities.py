@@ -26,7 +26,7 @@ from .series import (
     product_from_exponents,
 )
 
-__all__ = ["IDENTITY_LABELS", "VerifyReport", "verify", "verify_all", "identity_sides"]
+__all__ = ["IDENTITY_LABELS", "verify", "verify_all", "identity_sides"]
 
 
 def _sigma_series(ell, order):

@@ -16,26 +16,19 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd, inf, isqrt, lcm
+from math import gcd, inf, lcm
 from operator import add, mul, sub
 from struct import Struct
 
 __all__ = [
     "FULL",
     "HALF",
-    "NomeMismatch",
     "QSeries",
     "BiSeries",
     "ExponentTable",
     "VerifyReport",
-    "exp_series",
-    "log_series",
     "product_from_exponents",
     "exponents_from_series",
-    "divisors",
-    "moebius",
-    "sigma",
-    "gbinom",
 ]
 
 FULL = "full"
@@ -195,10 +188,6 @@ class QSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc, **kw):
-        return cls({}, trunc, **kw)
-
-    @classmethod
     def const(cls, c, trunc, **kw):
         """The constant c, which is unknown (so not stored) when trunc < 0."""
         return cls({0: c} if trunc >= 0 else {}, trunc, **kw)
@@ -216,9 +205,6 @@ class QSeries:
         return self.coeffs.get(e, 0)
 
     __getitem__ = coeff
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def valuation(self):
         """Lowest exponent with nonzero coefficient, or None for the zero series."""
@@ -306,10 +292,8 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
+        if not isinstance(k, int) or k < 0:
             return NotImplemented
-        if k < 0:
-            return self.invert() ** (-k)
         if k < 2:
             return self if k else QSeries.one(self.trunc, nome=self.nome)
         half = self ** (k // 2)
@@ -625,13 +609,6 @@ class ExponentTable:
                 "exponents": {str(n): _fmt_rat(e) for n, e in sorted(self.exps.items())}}
 
 
-def gbinom(e, k: int):
-    """Generalized binomial coefficient C(e, k) for integer or rational e."""
-    if k < 0:
-        raise ValueError("lower index must be nonnegative")
-    return dict(_binomial_terms(e, 1, k)).get(k, 0)
-
-
 def _binomial_terms(e, sign, kmax):
     """(k, sign^k C(e, k)) for k <= kmax, by C(e, k) = C(e, k - 1) (e - k + 1) / k for
     every exponent e, up to the first zero term (k = e + 1 for an integer e >= 0)."""
@@ -686,44 +663,6 @@ def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
             for m in range(2 * d, order + 1, d):
                 g[m - 1] -= x
     return ExponentTable(-(v + a.prefactor), exps, order)
-
-
-# -- elementary arithmetic functions ----------------------------------------
-
-
-def divisors(n: int) -> list[int]:
-    if n < 1:
-        raise ValueError("divisors defined for n >= 1")
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
-
-
-def moebius(n: int) -> int:
-    if n < 1:
-        raise ValueError("moebius defined for n >= 1")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result = -result
-    return result
-
-
-def sigma(k: int, n: int) -> int:
-    if n < 1:
-        raise ValueError("sigma defined for n >= 1")
-    return sum(d ** k for d in divisors(n))
 
 
 # -- two-variable series -----------------------------------------------------

@@ -37,6 +37,11 @@ walk over reduced forms served a whole discriminant range: for each n it
 tries every a <= sqrt(n/3) and b in [-a, a], and adds the weights as
 ``Fraction``s.
 
+``divisors``, ``moebius`` and ``sigma`` are the elementary arithmetic
+functions by trial division.  No subcommand calls them: the catalog reads
+its divisor sums from ``qmoon.forms._sigma_table``, a sieve, and the tests
+check both against sympy.
+
 ``maass_relation`` is the Maass relation check ``qmoon.maass`` ran before it
 replayed ``v_operator`` on the table's layer 1: it pulls each expected
 a(n, r, m) as the divisor sum over d | gcd(n, |r|, m) of d^(k-1)
@@ -54,7 +59,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt
 from typing import NamedTuple
 
-from qmoon.series import ExponentTable, QSeries, _num, divisors, moebius
+from qmoon.series import ExponentTable, QSeries, _num
 from qmoon.vsys import _integral_pair, psi as vsys_psi, weyl_data
 
 
@@ -141,7 +146,7 @@ def exp_series(a: QSeries) -> QSeries:
     k = 1
     while True:
         term = mul(term, a).truncate(n)
-        if term.is_zero():
+        if not term.coeffs:
             break
         term = term * Fraction(1, k)
         result = result + term
@@ -157,16 +162,46 @@ def log_series(a: QSeries) -> QSeries:
         raise ValueError("log_series requires constant term 1")
     n = a.trunc
     x = a - 1
-    result = QSeries.zero(n, nome=a.nome)
+    result = QSeries({}, n, nome=a.nome)
     term = QSeries.one(n, nome=a.nome)
     k = 1
     while True:
         term = mul(term, x).truncate(n)
-        if term.is_zero():
+        if not term.coeffs:
             break
         result = result + term * Fraction((-1) ** (k + 1), k)
         k += 1
     return result
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1 in ascending order, by trial division up to sqrt(n)."""
+    if n < 1:
+        raise ValueError("divisors defined for n >= 1")
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def moebius(n: int) -> int:
+    """mu(n) by trial division: 0 if a square divides n, else (-1)^(number of primes)."""
+    if n < 1:
+        raise ValueError("moebius defined for n >= 1")
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def sigma(k: int, n: int) -> int:
+    """The divisor power sum sigma_k(n) = sum_{d | n} d^k."""
+    if n < 1:
+        raise ValueError("sigma defined for n >= 1")
+    return sum(d ** k for d in divisors(n))
 
 
 def binomial(e, k):

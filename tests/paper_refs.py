@@ -17,8 +17,8 @@ No subcommand reaches these, so they live beside the tests that use them:
 from fractions import Fraction
 from math import gcd
 
+from kernel_oracle import divisors, moebius
 from qmoon.moonshine import moonshine_c
-from qmoon.series import divisors, moebius
 from qmoon.vsys import VectorSystem
 
 SAMPLE_NAMES = ("pair", "trivial", "orthogonal")

@@ -13,17 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+from kernel_oracle import sigma
 from paper_refs import sample_system
-from qmoon import (
-    ExponentTable,
-    QSeries,
-    exp_series,
-    exponents_from_series,
-    log_series,
-    product_from_exponents,
-    sigma,
-)
+from qmoon import ExponentTable, QSeries, exponents_from_series, product_from_exponents
 from qmoon import borcherds, forms, identities, maass, moonshine, mults, vsys
+from qmoon.series import exp_series, log_series
 
 
 @pytest.fixture

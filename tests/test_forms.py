@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kernel_oracle import sigma
 from qmoon import forms
 from qmoon.forms import (
     F_oddsigma,
@@ -19,7 +20,7 @@ from qmoon.forms import (
     theta_nullwerte,
     xi_series,
 )
-from qmoon.series import HALF, QSeries, exponents_from_series, sigma
+from qmoon.series import HALF, QSeries, exponents_from_series
 from test_golden_cli import _EXPAND as GOLDEN_FORMS
 
 

@@ -6,14 +6,8 @@ from pathlib import Path
 import pytest
 
 import kernel_oracle as oracle
-from qmoon.identities import (
-    IDENTITY_LABELS,
-    VerifyReport,
-    identity_sides,
-    verify,
-    verify_all,
-)
-from qmoon.series import HALF, QSeries
+from qmoon.identities import IDENTITY_LABELS, identity_sides, verify, verify_all
+from qmoon.series import HALF, QSeries, VerifyReport
 
 
 def test_all_labels_present():

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import kernel_oracle as oracle
 from qmoon import forms, mults, series
 
 
@@ -21,11 +22,20 @@ def test_partition_series_matches_sympy_partition():
 
 
 def test_sigma_and_moebius_match_sympy():
+    # the trial-division helpers the test oracles use
     sympy = pytest.importorskip("sympy")
     for n in range(1, 2001):
         for k in (0, 1, 11):
-            assert series.sigma(k, n) == sympy.divisor_sigma(n, k)
-        assert series.moebius(n) == sympy.mobius(n)
+            assert oracle.sigma(k, n) == sympy.divisor_sigma(n, k)
+        assert oracle.moebius(n) == sympy.mobius(n)
+
+
+def test_sigma_table_matches_sympy_divisor_sigma():
+    # the divisor sieve every Eisenstein series, theta^4 and Q are read from
+    sympy = pytest.importorskip("sympy")
+    for k in (0, 1, 3, 5, 7, 9, 11):
+        assert forms._sigma_table(k, 2000) == \
+            [int(sympy.divisor_sigma(n, k)) for n in range(1, 2001)], k
 
 
 def test_binomial_recurrence_matches_sympy_binomial():
@@ -38,7 +48,8 @@ def test_binomial_recurrence_matches_sympy_binomial():
     for e in exponents:
         want = [sympy.binomial(sympy.Rational(e.numerator, e.denominator), k) for k in range(21)]
         want = [Fraction(int(w.p), int(w.q)) for w in want]
-        got = [series.gbinom(e, k) for k in range(21)]
+        terms = dict(series._binomial_terms(e, 1, 20))
+        got = [terms.get(k, 0) for k in range(21)]
         assert got == want, e
         assert all(isinstance(c, int) == (w.denominator == 1) for c, w in zip(got, want)), e
         for sign in (1, -1):
