@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,48 @@ INPUTS = {
                                         "2,1,1": 5, "4,2,1": 7}},
     "siegel-stray.json": {"k": 10, "disc_bound": 12, "coeffs": {"1,1,2": 5}},
     "siegel-empty.json": {"k": 10, "coeffs": {}},
+    # the 24 roots +-e_i +-e_j of D4 and c(0) = 8: rows of many short runs
+    "d4.json": {"dim": 4, "gram": [[int(i == j) for j in range(4)] for i in range(4)],
+                "mult": {"0,0,0,0": 8, **{",".join(str(s * (k == i) + t * (k == j))
+                                                   for k in range(4)): 1
+                                          for i, j in combinations(range(4), 2)
+                                          for s in (1, -1) for t in (1, -1)}}},
+    # only +-e_1 of a rank-2 lattice: a shift along e_2 pairs integrally with
+    # both, yet 2 m shift leaves the grid
+    "rank.json": {"dim": 2, "gram": [[2, 0], [0, 2]], "mult": {"-1,0": 1, "1,0": 1}},
+    # bad input files, each refused with exit 4; a string is written as it stands
+    "repeat.json": '{"trunc": 3, "coeffs": {"0": "1"}, "trunc": 5}',
+    "deep.json": "[" * 100000 + "]" * 100000,
+    "series-list.json": [1, 2, 3],
+    "series-trunc.json": {"trunc": "6", "coeffs": {"0": "1"}},
+    "series-number.json": {"trunc": 6, "coeffs": {"0": 1}},
+    "series-key.json": {"trunc": 3, "coeffs": {"x": "1"}},
+    "series-twice.json": {"trunc": 6, "coeffs": {"0": "1", "1": "2", "01": "7"}},
+    "series-above.json": {"trunc": 3, "coeffs": {"5": "1"}},
+    "series-prefactor.json": {"trunc": 3, "coeffs": {"0": "1"}, "prefactor": 0},
+    "series-prefactor-text.json": {"trunc": 3, "coeffs": {"0": "1"}, "prefactor": "x/3"},
+    "series-prefactor-fifth.json": {"trunc": 3, "coeffs": {"0": "1"}, "prefactor": "1/5"},
+    "series-nome.json": {"trunc": 3, "coeffs": {"0": "1"}, "nome": "x"},
+    "series-zero.json": {"trunc": 3, "coeffs": {}},
+    "series-nonunit.json": {"trunc": 3, "coeffs": {"0": "2"}},
+    "mult-twice.json": {"dim": 1, "gram": [[2]], "mult": {"1": 1, "-1": 1, "01": 5}},
+    "mult-key.json": {"dim": 1, "gram": [[2]], "mult": {"1,x": 1}},
+    "mult-entry.json": {"dim": 1, "gram": [[2]], "mult": {"1": [1]}},
+    "mult-negative.json": {"dim": 1, "gram": [[2]], "mult": {"-1": -1, "1": -1}},
+    "gram-kind.json": {"dim": 1, "gram": 2, "mult": {}},
+    "gram-dim.json": {"dim": 0, "gram": [], "mult": {}},
+    "gram-shape.json": {"dim": 2, "gram": [[2]], "mult": {}},
+    "gram-asymmetric.json": {"dim": 2, "gram": [[2, 1], [0, 2]], "mult": {}},
+    "gram-indefinite.json": {"dim": 3, "gram": [[2, 1, 1], [1, 2, 1], [1, 1, 0]], "mult": {}},
+    "index.json": {"dim": 3, "gram": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+                   "mult": {"-1,0,0": 1, "1,0,0": 1}},
+    "jacobi-weight.json": {"k": 3, "m": 1, "coeffs": {"0,0": 2}},
+    "jacobi-index.json": {"k": 10, "m": 0, "coeffs": {"0,0": 2}},
+    "jacobi-index2.json": {"k": 10, "m": 2, "coeffs": {"0,0": 2}},
+    "jacobi-negative.json": {"k": 10, "m": 1, "coeffs": {"-1,0": 2}},
+    # a zero outside the support r^2 <= 4nm is dropped, a nonzero refused
+    "jacobi-support.json": {"k": 10, "m": 1, "coeffs": {"0,2": 0, "0,3": 1}},
+    "jacobi-bound.json": {"k": 10, "m": 1, "disc_bound": 2, "coeffs": {"4,2": 7}},
 }
 
 _EXPAND = ["j", "delta", "tau", "eta", "E4", "E6", "E10", "jstar", "theta", "theta2",
@@ -130,6 +173,34 @@ CASES = (
     + [["mult", "table", "--algebra", "e8"]]
     + _both("mult", "rademacher", "--n", "2", "--terms", "10")
     + [[], ["bogus"], ["verify", "euler9"], ["lift", "--name", "f_4", "--order", "4.5"]]
+    # _integral's rational branch: bernoulli(130)'s inverse runs past one solve block
+    + [["expand", "E130", "--order", "2"]]
+    + _both("vsys", "psi", "--file", "d4.json", "--chamber", "8,4,2,1", "--order", "2")
+    # out-of-range flags and bad input files: exit 4 and no stdout
+    + [["expand", "E3"], ["expand", "p0"], ["verify", "euler1", "--order", "0"],
+       ["lift", "--name", "f_4", "--order", "0"], ["hurwitz", "--max", "-1"],
+       ["moonshine", "replication", "--cap", "0"],
+       ["mult", "rademacher", "--n", "0"], ["mult", "rademacher", "--n", "2", "--terms", "0"],
+       ["mult", "rademacher", "--n", "3230"],
+       ["factor", "--input", "unit.json", "--order", "7"]]
+    + [["factor", "--input", name] for name in (
+        "repeat.json", "deep.json", "series-list.json", "series-trunc.json",
+        "series-number.json", "series-key.json", "series-twice.json", "series-above.json",
+        "series-prefactor.json", "series-prefactor-text.json", "series-prefactor-fifth.json",
+        "series-nome.json", "series-zero.json", "series-nonunit.json")]
+    + [["vsys", "psi", "--file", name] for name in (
+        "mult-twice.json", "mult-key.json", "mult-entry.json", "mult-negative.json",
+        "gram-kind.json", "gram-dim.json", "gram-shape.json", "gram-asymmetric.json",
+        "gram-indefinite.json", "index.json")]
+    + [["vsys", "psi", "--file", "pair.json", "--chamber", "1,x/2"],
+       ["vsys", "psi", "--file", "pair.json", "--chamber", "1,2"],
+       ["vsys", "psi", "--file", "orthogonal.json", "--chamber", "1,0"],
+       ["vsys", "check", "--file", "pair.json", "--shift", "1/0"],
+       ["vsys", "check", "--file", "orthogonal.json", "--shift", "1"],
+       ["vsys", "check", "--file", "rank.json", "--shift", "0,1/4", "--order", "2"]]
+    + [["maass", "lift", "--file", f"jacobi-{name}.json"]
+       for name in ("weight", "index", "index2", "negative", "support", "bound")]
+    + [["maass", "lift", "--file", "jacobi.json", "--max-m", "0"]]
 )
 
 _SUBCOMMANDS = [["expand"], ["factor"], ["verify"], ["lift"], ["hurwitz"], ["zeromult"],
@@ -172,7 +243,8 @@ def _invoke_usage(argv):
 
 def _write_inputs(root: Path):
     for name, data in INPUTS.items():
-        (root / name).write_text(json.dumps(data), encoding="utf-8")
+        text = data if isinstance(data, str) else json.dumps(data)
+        (root / name).write_text(text, encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
