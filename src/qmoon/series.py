@@ -609,17 +609,15 @@ class ExponentTable:
                 "exponents": {str(n): _fmt_rat(e) for n, e in sorted(self.exps.items())}}
 
 
-def _binomial_terms(e, sign, kmax):
-    """(k, sign^k C(e, k)) for k <= kmax, by C(e, k) = C(e, k - 1) (e - k + 1) / k for
-    every exponent e, up to the first zero term (k = e + 1 for an integer e >= 0)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+def _binomial_terms(e: int, sign: int, kmax: int):
+    """(k, sign^k C(e, k)) for k <= kmax and sign +1 or -1, by the exact integer
+    division C(e, k) = C(e, k - 1) (e - k + 1) / k, up to the first zero term
+    (k = e + 1 for e >= 0)."""
     c, k = 1, 0
     while c and k <= kmax:
         yield k, c
         k += 1
-        c = sign * c * (e - k + 1)
-        c = c // k if type(e) is int else _num(Fraction(c, k))  # C(e, k) is an int for int e
+        c = sign * c * (e - k + 1) // k
 
 
 def product_from_exponents(t: ExponentTable, *, nome=FULL) -> QSeries:
@@ -679,17 +677,12 @@ _GAP = 32  # the largest y-step inside a run; 16 and 128 ran psi alike, 8 and 51
 
 
 def _cut(v: int, bits: int) -> int:
-    """The slots of a packed run below bit ``bits``, a multiple of its slot width.
+    """The slots of a packed run below bit ``bits``, a positive multiple of its slot width.
 
     Every slot holds less than 2^(slot bits - 2) in size, so the low part L
     is less than 2^(bits - 1) in size: it is v mod 2^bits, less 2^bits when
-    that has its top bit set, and a run that small has no slot at or above
-    bits.  For v >= 0 the mask reads only the low bits.
+    that has its top bit set.  For v >= 0 the mask reads only the low bits.
     """
-    if bits <= 0:
-        return 0
-    if v.bit_length() < bits:
-        return v
     m = 1 << bits
     low = v & (m - 1)
     return low - m if low.bit_length() == bits else low
@@ -837,20 +830,21 @@ class BiSeries:
     def mul_binomials(self, factors) -> "BiSeries":
         """Multiply by prod (1 + sign * x^a y^b)^e over the (a, b, e, sign) factors.
 
-        It takes the factors its callers build and raises ValueError on any
-        other: every stored x and every a is >= 0, and e is an int >= -1.  A
-        factor constant in x (a == 0) is a polynomial (e >= 0) with no y-top.
+        It takes the starts and factors its callers build and raises
+        ValueError on any other: every stored coefficient is an int, every
+        stored x and every a is >= 0, and e is an int >= -1.  A factor
+        constant in x (a == 0) is a polynomial (e >= 0) with no y-top.
 
         Row x of the running product is a list of runs of W-bit signed slots,
         each one integer sum c_y 2^(W (y - lo)) from its own offset lo, the
-        width shared by all rows; rationals go over one common denominator.  A
-        step adds c times row x, cut to y <= top, into row x + dx shifted by
-        dy, merging the runs that come within _GAP of each other.  Dividing by
-        a unit factor (e = -1) is that step in ascending x, reading each row
-        after its own update.  Every other factor, like (1 - p^m q^n)^c(mn)
-        whose exponent runs to dozens of digits, steps by its exact binomial
-        terms sign^k C(e, k) x^(ka) y^(kb), as far as the cap can use, in
-        descending x on old rows; a unit multiply is the one-step case.  A
+        width shared by all rows.  A step adds c times row x, cut to y <= top,
+        into row x + dx shifted by dy, merging the runs that come within _GAP
+        of each other.  Dividing by a unit factor (e = -1) is that step in
+        ascending x, reading each row after its own update.  Every other
+        factor, like (1 - p^m q^n)^c(mn) whose exponent runs to dozens of
+        digits, steps by its exact binomial terms sign^k C(e, k) x^(ka)
+        y^(kb), as far as the cap can use, in descending x on old rows; a
+        unit multiply is the one-step case.  A
         one-step factor runs its step down every row; any other takes each
         row's steps in turn.  Under a y-top, a factor with b > 0 expands only
         the terms whose copy of some row reaches the top.  A factor constant
@@ -880,11 +874,11 @@ class BiSeries:
         """
         cap, ytop = self.cap, self.ytop
         n = max(cap + 1, 0)  # rows 0..cap; a stored x above the cap cannot exist
-        if any(x < 0 for x, _ in self.coeffs):
-            raise ValueError("stored first-variable exponents must be >= 0")
-        ints, den = _integral(list(self.coeffs.values()))
+        if any(x < 0 or not isinstance(c, int) for (x, _), c in self.coeffs.items()):
+            raise ValueError("stored coefficients must be integers and "
+                             "first-variable exponents >= 0")
         rows, bnd = [[] for _ in range(n)], []
-        width = _fill(rows, bnd, dict(sorted(zip(self.coeffs, ints))), 8)
+        width = _fill(rows, bnd, dict(sorted(self.coeffs.items())), 8)
         xmin = min((x for x, _ in self.coeffs), default=n)  # rows below it stay empty
         steep = 0  # how far b < 0 factors carry unknown terms down
         gap = _GAP
@@ -964,8 +958,6 @@ class BiSeries:
         if ytop is not None:
             rows = [_cut_runs(row, out.ytop, 8 * width) for row in rows]
         out.coeffs = _terms(rows, width)  # the clean terms the constructor would keep
-        if den != 1:
-            out.coeffs = {k: _num(Fraction(c, den)) for k, c in out.coeffs.items()}
         return out
 
     def first_mismatch(self, other: "BiSeries"):

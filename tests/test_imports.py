@@ -1,10 +1,14 @@
 """qmoon has no runtime dependencies: its modules import only the standard
 library and qmoon itself (sympy and mpmath stay test-only), and no module
 keeps a ``functools`` cache.  Every module-level function and class, and
-every non-dunder method, is reached by a subcommand or listed with a
-reason; code that only tests call lives under ``tests/``, and the package
-exports only defs that a subcommand reaches.  No module, in the package or
-its tests, imports a name it never uses."""
+every non-dunder method, is reached by a subcommand or listed in UNROUTED
+with a reason; code that only tests call lives under ``tests/``, and the
+package exports only defs that a subcommand reaches.  Every line of a
+function body is run by a golden CLI case, lies in a def in UNROUTED, or is
+listed in UNROUTED_LINES with a reason.  Both lists are exact: an entry that
+a case reaches fails the check too.  One traced run of the golden corpus
+serves both checks.  No module, in the package or its tests, imports a name
+it never uses."""
 
 import ast
 import importlib
@@ -13,6 +17,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qmoon
 
@@ -90,8 +96,6 @@ UNROUTED = {
                                             "the catalog formulas; no subcommand prints it yet",
     "maass._CoeffTable.coeff": "a table's one lookup that refuses past disc_bound; the "
                                "Maass check compares whole coefficient dicts instead",
-    "maass._CoeffTable._name": "names an entry in the errors for a coefficient outside the "
-                               "support or past disc_bound; no golden input has either",
     "series.NomeMismatch": "the guard against mixing full- and half-nome series; the catalog "
                            "never mixes them, so no valid input raises it",
     "series.exp_series": "named by perfbench/shim.py's series.exp span, its only caller; it "
@@ -100,30 +104,265 @@ UNROUTED = {
                          "leaves when the shim reads its counts from the package (ROADMAP item 1)",
 }
 
-# Runs every golden CLI case in one process under a profile hook installed
-# before qmoon is imported, so calls made at import count too, and prints the
-# (file, first line) of every code object under src/qmoon that was entered.
+# Lines of function bodies that no golden case runs, kept on purpose: under
+# the def they lie in (named as in UNROUTED, dunders included), each line's
+# stripped source with the reason.  A line that continues a statement goes by
+# the statement's first line; a lambda or comprehension goes with its def.  A
+# def in UNROUTED excuses all of its lines.
+_SHOW = "a dunder for display; no subcommand prints the object"
+_SAME = "a dunder for comparison; no subcommand compares two of these objects"
+_ALIEN = "an operand of another type; every route combines a series with a series or a rational"
+UNROUTED_LINES = {
+    "borcherds.PlusForm.__init__": {
+        'raise ValueError("plus-space forms live in the full nome")':
+            "catalog and fj_efactor_report, its only callers, build full-nome series",
+        'raise ValueError("plus-space forms have integral exponents")':
+            "catalog and fj_efactor_report, its only callers, build series with no prefactor",
+        'raise ValueError("not in the plus space; offending (exponent, coefficient): "':
+            "a self-check: every form its callers build lies in the plus space",
+    },
+    "borcherds.PlusForm.__repr__": {'return f"PlusForm({self.series!r})"': _SHOW},
+    "borcherds._raw_catalog": {
+        'raise ValueError(f"unknown catalog form {name!r}; have {\', \'.join(CATALOG_NAMES)}")':
+            "argparse's choices for --name refuse any other name first",
+    },
+    # the E4 fallback and its resolutions run only if the displayed E6
+    # numerator fails to lift to j, which it never does
+    "borcherds.fj_efactor_report": dict.fromkeys((
+        "cap = order * order",
+        "series = 3 * _qg(4, cap) + 168 * forms.theta_full(cap)",
+        "lifted = lift(PlusForm(series), order).result",
+        "except ValueError as err:",
+        "ok = False",
+        'report[f"E{weight}_error"] = str(err)',
+        'elif report.get("E4_lifts_to_j"):',
+        'report["resolution"] = "the prose E4 numerator lifts to j; the display is a slip"',
+        'report["resolution"] = "neither Eisenstein numerator lifts to j"',
+    ), "ROADMAP item 3(c) gives the recorded E-factor outcome a route, or says why it has none"),
+    "borcherds.hurwitz_range": {
+        'raise ValueError("max_n must be nonnegative")':
+            "_cmd_hurwitz refuses a negative --max with its own message first",
+        'raise ArithmeticError(f"H({n}) = {h} breaks the class-number constraints")':
+            "a self-check of the walk; every H(n) meets the constraints",
+    },
+    "borcherds.lift": {
+        'raise ValueError("order must be >= 1")':
+            "catalog refuses order < 1 first; every caller builds its form with it",
+        'raise ValueError(f"lift to order {order} reads c(n^2) up to n = {order}; "':
+            "every caller builds its form through q^(order^2)",
+    },
+    "forms.bernoulli": {
+        'raise ValueError("Bernoulli numbers indexed by nonnegative integers")':
+            "eisenstein, its only caller, passes a weight >= 4",
+    },
+    "forms.delta": {
+        'raise ValueError("order must be >= 0")':
+            "every caller passes an order >= 0; the CLI refuses a negative --order first",
+    },
+    "forms.leech_theta": {
+        "raise ArithmeticError(": "a self-check of the kernel; the two constructions agree",
+    },
+    "forms.theta_nullwerte": {
+        'raise ValueError(f"theta constant index must be 2, 3, or 4, got {which}")':
+            "every caller passes 2, 3 or 4",
+    },
+    "identities.identity_sides": {
+        'raise ValueError(f"unknown identity label {name!r}")':
+            "argparse's choices refuse any other label first",
+    },
+    "maass._CoeffTable.__eq__": dict.fromkeys((
+        "if type(other) is not type(self):",
+        "return NotImplemented",
+        "return (self._head(), self.coeffs) == (other._head(), other.coeffs)",
+    ), _SAME),
+    "maass._CoeffTable.__repr__": dict.fromkeys((
+        'head = "".join(f"{field}={value}, " for field, value in self._head().items())',
+        'return (f"{type(self).__name__}({head}support={len(self.coeffs)}, "',
+    ), _SHOW),
+    "maass.v_operator": {
+        'raise ValueError(f"m must be a positive integer, got {m}")':
+            "assemble_maass refuses max_m < 1 first, and the check's layers are keys m >= 1",
+    },
+    "moonshine.bi_exp": {
+        'raise ValueError("bivariate exp needs a positive power of the first variable")':
+            "replication_exponent, its only caller, builds first-variable powers >= 1",
+    },
+    "moonshine.moonshine_c": dict.fromkeys((
+        'raise ValueError("moonshine coefficients start q^-1 + 0 + 196884q + ...")',
+        'raise ValueError(f"c({n}) = {v} must be positive")',
+    ), "a shape self-check of the catalog's j - 744, which it passes at every order"),
+    "mults.MultReport.__init__": dict.fromkeys((
+        'raise ValueError(f"norms must be even, got {norm}")',
+        'raise ValueError(f"multiplicity must be >= 0, got {exact}")',
+    ), "frenkel_compare, its only caller, builds even norms and nonnegative counts"),
+    "mults.MultReport.__repr__": {
+        'return (f"MultReport({self.algebra}, rows={len(self.rows)}, "': _SHOW,
+    },
+    "mults.frenkel_compare": {
+        'raise ValueError(f"algebra must be one of {ALGEBRAS}, got {algebra!r}")':
+            "_cmd_mult_table maps --algebra to a known name, or refuses it, first",
+        'raise ValueError(f"rows need even norms <= 2, got {norm}")':
+            "_cmd_mult_table passes only even norms <= 2",
+    },
+    "series._num": dict.fromkeys((
+        "if isinstance(x, int):",
+        "return x",
+        'raise TypeError(f"exact rational expected, got {type(x).__name__}")',
+    ), "an int subclass or a number that is not rational; every route passes int or Fraction"),
+    "series.VerifyReport.__repr__": dict.fromkeys((
+        'tail = "passed" if self.passed else f"mismatch at {self.first_mismatch[0]}"',
+        'return f"VerifyReport({self.name}, order={self.order}, {tail})"',
+    ), _SHOW),
+    "series.QSeries.__init__": {
+        'raise ValueError(f"unknown nome convention {nome!r}")':
+            "from_json checks a file's nome first, and the catalog passes FULL or HALF",
+        'raise ValueError(f"stored exponent {e} above trunc {self.trunc}")':
+            "from_json checks a file's exponents first, and every result keeps its terms "
+            "at or below trunc",
+    },
+    "series.QSeries.coeff": {
+        'raise ValueError(f"coefficient at {e} unknown (trunc {self.trunc})")':
+            "every caller reads within the known range",
+    },
+    "series.QSeries.__repr__": {
+        'return (f"QSeries({self.nome}, prefactor={self.prefactor}, "': _SHOW,
+    },
+    "series.QSeries._check_compat": {
+        'raise NomeMismatch(f"cannot combine {self.nome}-nome with {other.nome}-nome series")':
+            "the catalog never mixes nomes (series.NomeMismatch in UNROUTED)",
+    },
+    "series.QSeries.__add__": {
+        "return NotImplemented": _ALIEN,
+        'raise ValueError(f"prefactor mismatch on add: {self.prefactor} vs {other.prefactor}")':
+            "every route adds series of one prefactor",
+    },
+    "series.QSeries.__sub__": {"return NotImplemented": _ALIEN},
+    "series.QSeries.__mul__": {"return NotImplemented": _ALIEN},
+    "series.QSeries.__pow__": {
+        "return NotImplemented": "a negative or non-int power; the catalog takes powers >= 0",
+    },
+    "series.QSeries.__truediv__": {
+        "return NotImplemented": _ALIEN,
+        'raise ValueError("cannot divide by the zero series")':
+            "every divisor the catalog forms is nonzero",
+    },
+    "series.QSeries.scale_var": {
+        'raise ValueError("scale factor must be a positive integer")':
+            "every caller scales by 2 or 4",
+    },
+    "series.QSeries.first_mismatch": {
+        'raise ValueError(f"prefactor mismatch in comparison: {a.prefactor} vs {b.prefactor}")':
+            "the two sides of every check carry one prefactor",
+    },
+    "series.QSeries.__eq__": dict.fromkeys((
+        "if not isinstance(other, QSeries):",
+        "return NotImplemented",
+        "return self.agrees_with(other)",
+    ), _SAME),
+    "series.ExponentTable.__init__": {
+        'raise ValueError(f"exponent index {n} outside 1..{self.order}")':
+            "every caller builds indices 1..order",
+    },
+    "series.ExponentTable.__getitem__": dict.fromkeys((
+        "if not 1 <= n <= self.order:",
+        'raise ValueError(f"exponent e_{n} unknown (order {self.order})")',
+        "return self.exps.get(n, 0)",
+    ), "a dunder for lookup; routes read the table whole, through to_json"),
+    "series.ExponentTable.__eq__": dict.fromkeys((
+        "if not isinstance(other, ExponentTable):",
+        "return NotImplemented",
+        "order = min(self.order, other.order)",
+        "return self.h == other.h and \\",
+    ), _SAME),
+    "series.ExponentTable.__repr__": {
+        'return f"ExponentTable(h={self.h}, order={self.order})"': _SHOW,
+    },
+    "series._cut_runs": {
+        "out.append((lo, hi, v))":
+            "a run below the one a y-top cuts; ROADMAP item 10 brings multi-run rows, "
+            "and this is their case under a y-top",
+    },
+    "series.BiSeries.__init__": {
+        'raise ValueError(f"stored exponent {ex} above cap {self.cap}")':
+            "every builder stores terms up to its cap only",
+    },
+    "series.BiSeries.__repr__": {
+        'return f"BiSeries({len(self.coeffs)} terms, cap={self.cap}, ytop={self.ytop})"': _SHOW,
+    },
+    # test_binomial_expanders checks that every caller's starts and factors
+    # lie in the domain these three refuse to leave
+    "series.BiSeries.mul_binomials": dict.fromkeys((
+        'raise ValueError("stored coefficients must be integers and "',
+        'raise ValueError("factor needs a >= 0, sign +1 or -1 and an integer e >= -1")',
+        'raise ValueError("factor constant in the capped variable needs e >= 0 "',
+    ), "a guard on the domain its callers build in"),
+    "series.BiSeries.__eq__": dict.fromkeys((
+        "if not isinstance(other, BiSeries):",
+        "return NotImplemented",
+        "return self.first_mismatch(other) is None",
+    ), _SAME),
+    "vsys.VectorSystem.__init__": {
+        'raise ValueError(f"vector {v} has wrong dimension")':
+            "from_json's table reader refuses a key of the wrong length first",
+    },
+    "vsys.VectorSystem.__repr__": {
+        'return f"VectorSystem(dim={self.dim}, support={len(self.mult)})"': _SHOW,
+    },
+    "vsys.psi": {
+        'raise ValueError("order must be >= 0")': "the CLI refuses a negative --order first",
+    },
+}
+
+# Runs every golden CLI case in one process under a trace hook installed
+# before qmoon is imported, so code run at import counts too.  It prints the
+# (file, first line) of every code object under src/qmoon that was entered,
+# the NamedTuple classes built, the (file, line) of every line run, and the
+# executable lines of every function body in src/qmoon.  A code object is
+# traced line by line only until each of its lines has run once, which keeps
+# the pass to about twice the untraced time.
 _ROUTE_TRACE = """
-import json, os, sys
+import inspect, json, os, sys
 from pathlib import Path
 
+import pytest
+
 src, workdir = sys.argv[1], sys.argv[2]
-entered, built = set(), set()
+entered, built, ran, left = set(), set(), set(), {}
 
 
-def profile(frame, event, arg):
-    if event != "call":
-        return
+def body_lines(code):
+    # a def's own first line runs in the code that defines it, not in its body
+    lines = {line for _, _, line in code.co_lines()} - {None}
+    if not code.co_name.startswith("<"):
+        lines.discard(code.co_firstlineno)
+    return lines
+
+
+def line(frame, event, arg):
+    if event == "line":
+        ran.add((frame.f_code.co_filename, frame.f_lineno))
+        todo = left[frame.f_code]
+        todo.discard(frame.f_lineno)
+        if not todo:  # every line of this code has run: stop tracing the frame
+            return None
+    return line
+
+
+def call(frame, event, arg):
     code = frame.f_code
     if code.co_filename.startswith(src):
         entered.add((code.co_filename, code.co_firstlineno))
-    elif code.co_name == "<lambda>" and "_cls" in code.co_varnames:
+        if code not in left:
+            left[code] = body_lines(code)
+        return line if left[code] else None
+    if code.co_name == "<lambda>" and "_cls" in code.co_varnames:
         # a NamedTuple's __new__ is generated from a string; credit its class
         cls = frame.f_locals["_cls"]
         built.add(f"{cls.__module__}.{cls.__qualname__}")
+    return None
 
 
-sys.setprofile(profile)
+sys.settrace(call)
 import test_golden_cli as golden
 
 os.chdir(workdir)
@@ -132,9 +371,39 @@ for argv in golden.CASES:
     golden._invoke(argv)
 for argv in golden.USAGE_CASES:
     golden._invoke_usage(argv)
-sys.setprofile(None)
-print(json.dumps([sorted(entered), sorted(built)]))
+sys.settrace(None)
+
+executable = set()  # the lines of every function, lambda and comprehension
+for path in Path(src).glob("*.py"):
+    codes = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        codes += filter(inspect.iscode, code.co_consts)
+        if code.co_flags & inspect.CO_OPTIMIZED:  # not a module or class body
+            executable.update((str(path), n) for n in body_lines(code))
+print(json.dumps([sorted(entered), sorted(built), sorted(ran), sorted(executable)]))
 """
+
+
+@pytest.fixture(scope="module")
+def route_trace(tmp_path_factory):
+    """The golden corpus traced once: the (file name, line) of the first line of
+    each code object entered, the NamedTuples built, the (file name, line) of
+    each line run, and those of each line of a function body."""
+    src = Path(qmoon.__file__).parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src.parent), str(Path(__file__).parent)])
+    env["COLUMNS"] = "80"
+    workdir = tmp_path_factory.mktemp("route")
+    done = subprocess.run([sys.executable, "-c", _ROUTE_TRACE, str(src), str(workdir)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    entered, built, ran, executable = json.loads(done.stdout.splitlines()[-1])
+
+    def by_file(pairs):
+        return {(Path(name).name, line) for name, line in pairs}
+
+    return by_file(entered), set(built), by_file(ran), by_file(executable)
 
 
 def _module_level_defs(path):
@@ -154,18 +423,9 @@ def _module_level_defs(path):
                     yield f"{node.name}.{item.name}", *span(item), False
 
 
-def test_every_module_level_def_is_reached_by_a_subcommand(tmp_path):
+def test_every_module_level_def_is_reached_by_a_subcommand(route_trace):
+    entered, built, _, _ = route_trace
     src = Path(qmoon.__file__).parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(src.parent), str(Path(__file__).parent)])
-    env["COLUMNS"] = "80"
-    done = subprocess.run([sys.executable, "-c", _ROUTE_TRACE, str(src), str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
-    entered, built = json.loads(done.stdout.splitlines()[-1])
-    lines = {}
-    for filename, line in entered:
-        lines.setdefault(Path(filename).name, set()).add(line)
     defined, reached, unreached = set(), set(), []
     for path in sorted(src.glob("*.py")):
         module = path.stem
@@ -174,16 +434,55 @@ def test_every_module_level_def_is_reached_by_a_subcommand(tmp_path):
             defined.add(qualified)
             # a class body runs at import; a class is reached when code inside it runs
             low = first + 1 if is_class else first
-            if any(low <= line <= last for line in lines.get(path.name, ())) \
+            if any((path.name, line) in entered for line in range(low, last + 1)) \
                     or f"qmoon.{qualified}" in built:
                 reached.add(qualified)
             elif qualified not in UNROUTED:
                 unreached.append(qualified)
     assert set(UNROUTED) <= defined, set(UNROUTED) - defined
     assert unreached == [], f"reached by no subcommand, only by tests: {unreached}"
+    assert set(UNROUTED) & reached == set(), "listed in UNROUTED, yet a subcommand reaches it"
     exported = {f"{getattr(qmoon, name).__module__.removeprefix('qmoon.')}.{name}"
                 for name in set(qmoon.__all__) - {"FULL", "HALF", "__version__"}}
     assert exported <= reached, f"exported but reached by no subcommand: {exported - reached}"
+
+
+def _statements(path):
+    """{line: (def, statement)} over the statement lines of path.  def names the
+    module-level def or method the line lies in as UNROUTED does, dunders
+    included, or the module outside every def; statement is the stripped
+    first line of the innermost statement that holds the line."""
+    source = path.read_text(encoding="utf-8")
+    tree, text = ast.parse(source), source.splitlines()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = []
+    for node in tree.body:
+        if isinstance(node, functions):
+            defs.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{item.name}", item) for item in node.body
+                     if isinstance(item, functions)]
+    owner, first = {}, {}
+    for name, node in defs:
+        owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), f"{path.stem}.{name}"))
+    for node in ast.walk(tree):  # each statement after every statement around it
+        if isinstance(node, (ast.stmt, ast.excepthandler)):
+            first.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), node.lineno))
+    return {line: (owner.get(line, path.stem), text[start - 1].strip())
+            for line, start in first.items()}
+
+
+def test_every_line_is_run_by_a_subcommand_or_listed(route_trace):
+    _, _, ran, executable = route_trace
+    src = Path(qmoon.__file__).parent
+    statements = {path.name: _statements(path) for path in src.glob("*.py")}
+    unrun = {statements[name][line] for name, line in executable - ran}
+    unrun = {(owner, text) for owner, text in unrun
+             if not any(owner == d or owner.startswith(f"{d}.") for d in UNROUTED)}
+    listed = {(owner, text) for owner, lines in UNROUTED_LINES.items() for text in lines}
+    assert all(reason for lines in UNROUTED_LINES.values() for reason in lines.values())
+    assert sorted(unrun - listed) == [], "run by no subcommand, and listed with no reason"
+    assert sorted(listed - unrun) == [], "listed, but a subcommand runs them or they are gone"
 
 
 # perfbench/shim.py's LAYERS targets that no longer exist, as the ROADMAP's

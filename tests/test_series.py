@@ -332,8 +332,6 @@ def test_gbinom():
     assert list(_binomial_terms(5, 1, 2)) == [(0, 1), (1, 5), (2, 10)]
     assert list(_binomial_terms(-1, 1, 3))[3] == (3, -1)
     assert list(_binomial_terms(-2, 1, 3))[3] == (3, -4)
-    assert list(_binomial_terms(Fraction(1, 2), 1, 2))[2] == (2, Fraction(-1, 8))
-    assert list(_binomial_terms(Fraction(3, 1), 1, 2))[2] == (2, 3)
     assert list(_binomial_terms(2, 1, 5)) == [(0, 1), (1, 2), (2, 1)]
 
 
