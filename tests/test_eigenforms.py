@@ -22,7 +22,7 @@ changed by 1, once at a prime and once at a composite, and the series one
 term short.
 """
 
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -35,7 +35,7 @@ PRIME, COMPOSITE = 1999, 2000  # mutation sites near n = 2,000
 
 
 def _primes(top):
-    return [p for p in range(2, top + 1) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    return [p for p in range(2, top + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
 
 
 def delta_violations(delta: QSeries, top: int = N) -> list:
@@ -70,7 +70,7 @@ def _product_mod(a: list, b: list, modulus: int) -> list:
     return [int.from_bytes(z[i:i + width], "little") % modulus for i in range(0, len(z), width)]
 
 
-# (p, the power of p that c(n) must be divisible by when p^a exactly divides n)
+# (p, the exponent of the power of p that divides c(n) when p^a exactly divides n)
 LEHNER = ((2, lambda a: 3 * a + 8), (3, lambda a: 2 * a + 3), (5, lambda a: a + 1),
           (7, lambda a: a), (11, lambda a: 1))
 

@@ -327,7 +327,7 @@ from pathlib import Path
 import pytest
 
 src, workdir = sys.argv[1], sys.argv[2]
-entered, built, ran, left = set(), set(), set(), {}
+entered, built, left = set(), set(), {}
 
 
 def body_lines(code):
@@ -338,9 +338,22 @@ def body_lines(code):
     return lines
 
 
+def first_call(frame):
+    # the lines still to run of a code object called for the first time
+    code = frame.f_code
+    if code.co_filename.startswith(src):
+        entered.add((code.co_filename, code.co_firstlineno))
+        return body_lines(code)
+    if code.co_name == "<lambda>" and "_cls" in code.co_varnames:
+        # a NamedTuple's __new__ is generated from a string, once per class;
+        # credit its class
+        cls = frame.f_locals["_cls"]
+        built.add(f"{cls.__module__}.{cls.__qualname__}")
+    return set()
+
+
 def line(frame, event, arg):
     if event == "line":
-        ran.add((frame.f_code.co_filename, frame.f_lineno))
         todo = left[frame.f_code]
         todo.discard(frame.f_lineno)
         if not todo:  # every line of this code has run: stop tracing the frame
@@ -349,17 +362,10 @@ def line(frame, event, arg):
 
 
 def call(frame, event, arg):
-    code = frame.f_code
-    if code.co_filename.startswith(src):
-        entered.add((code.co_filename, code.co_firstlineno))
-        if code not in left:
-            left[code] = body_lines(code)
-        return line if left[code] else None
-    if code.co_name == "<lambda>" and "_cls" in code.co_varnames:
-        # a NamedTuple's __new__ is generated from a string; credit its class
-        cls = frame.f_locals["_cls"]
-        built.add(f"{cls.__module__}.{cls.__qualname__}")
-    return None
+    todo = left.get(frame.f_code)
+    if todo is None:
+        todo = left[frame.f_code] = first_call(frame)
+    return line if todo else None
 
 
 sys.settrace(call)
@@ -373,6 +379,8 @@ for argv in golden.USAGE_CASES:
     golden._invoke_usage(argv)
 sys.settrace(None)
 
+ran = {(code.co_filename, n) for code, todo in left.items()
+       if code.co_filename.startswith(src) for n in body_lines(code) - todo}
 executable = set()  # the lines of every function, lambda and comprehension
 for path in Path(src).glob("*.py"):
     codes = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
