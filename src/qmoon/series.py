@@ -844,11 +844,11 @@ class BiSeries:
         factor, like (1 - p^m q^n)^c(mn) whose exponent runs to dozens of
         digits, steps by its exact binomial terms sign^k C(e, k) x^(ka)
         y^(kb), as far as the cap can use, in descending x on old rows; a
-        unit multiply is the one-step case.  A
-        one-step factor runs its step down every row; any other takes each
-        row's steps in turn.  Under a y-top, a factor with b > 0 expands only
-        the terms whose copy of some row reaches the top.  A factor constant
-        in x replaces each row by the sum of its shifted copies.
+        unit multiply is the one-step case.  A one-step factor runs its step
+        down every row; any other takes each row's steps in turn.  Under a
+        y-top, a factor with b > 0 expands only the terms whose copy of some
+        row reaches the top.  A factor constant in x replaces each row by the
+        sum of its shifted copies.
 
         Cost: one interpreted step for each nonempty source row and binomial
         term, so the order of the factors, which never changes the result,
