@@ -318,13 +318,10 @@ UNROUTED_LINES = {
 # (file, first line) of every code object under src/qmoon that was entered,
 # the NamedTuple classes built, the (file, line) of every line run, and the
 # executable lines of every function body in src/qmoon.  A code object is
-# traced line by line only until each of its lines has run once, which keeps
-# the pass to about twice the untraced time.
+# traced line by line only until each of its lines has run once.
 _ROUTE_TRACE = """
 import inspect, json, os, sys
 from pathlib import Path
-
-import pytest
 
 src, workdir = sys.argv[1], sys.argv[2]
 entered, built, left = set(), set(), {}
