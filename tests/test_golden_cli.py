@@ -201,6 +201,11 @@ CASES = (
     + [["maass", "lift", "--file", f"jacobi-{name}.json"]
        for name in ("weight", "index", "index2", "negative", "support", "bound")]
     + [["maass", "lift", "--file", "jacobi.json", "--max-m", "0"]]
+    # argv the CLI's table read declines, which argparse still reads: an
+    # abbreviated option, an attached value and a repeated option (the last
+    # value wins); and a negative value in another script's digits
+    + [["expand", "j", "--ord", "3"], ["expand", "j", "--order=3"],
+       ["expand", "j", "--order", "3", "--order", "4"], ["expand", "j", "--order", "-٣"]]
 )
 
 _SUBCOMMANDS = [["expand"], ["factor"], ["verify"], ["lift"], ["hurwitz"], ["zeromult"],
@@ -216,6 +221,10 @@ USAGE_CASES = (
     # reports unknown options against the root usage and its full menu
     + [["expand", "theta", "--bogus"], ["vsys", "psi", "--file", "x.json", "--bogus"],
        ["--json", "expand", "j"], ["mult", "bogus"]]
+    # a missing option value, an extra positional, and a value that starts
+    # with "-" but is no negative number ("²" is no decimal digit)
+    + [["expand", "j", "--order"], ["expand", "j", "--order", "--json"], ["expand", "j", "k"],
+       ["vsys", "psi", "--file", "pair.json", "--chamber", "-²"]]
 )
 
 
