@@ -1,7 +1,13 @@
-"""Command-line front end: one argparse tree over the whole engine.
+"""Command-line front end: one table of subcommands, ``COMMANDS``, over the whole engine.
 
-A process imports the modules of the subcommand it runs, when it runs it,
-and builds only that subcommand's part of the tree (see ``build_parser``).
+``run`` reads a plain argv straight from the table: one row's words, then
+that row's arguments, each option spelt out in full and followed by its
+value, none twice, every required one given, every type and choice met, and
+no value starting with "-" but a negative decimal integer.  It calls the
+row's handler with the arguments argparse would give, and never imports
+argparse.  Any other argv (help, a usage error, an abbreviated, attached or
+repeated option) goes to the whole argparse tree that ``build_parser``
+builds from the same rows.
 
 Exit codes: 0 success, 2 usage error, 3 verification mismatch, 4 bad input
 data.  JSON mode emits one line per invocation with maps built in ascending
@@ -12,11 +18,11 @@ bytes.  Diagnostics go to stderr, results to stdout.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
-from .series import QSeries, exponents_from_series
+from .series import QSeries, _fmt_tuple, exponents_from_series
 
 _ALGEBRA_NAMES = {"e10": "E10_level2", "E10_level2": "E10_level2",
                   "fake": "fake_monster", "fake_monster": "fake_monster"}
@@ -69,20 +75,12 @@ def _parse_vector(text: str, flag: str):
     return tuple(vector)
 
 
-def _fmt_monomial(m) -> str:
-    """A tuple as its repr reads, with rationals inside as -3 or 23/4."""
-    if not isinstance(m, tuple):
-        return str(m)
-    parts = [_fmt_monomial(x) for x in m]
-    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
-
-
 def _report_line(report) -> str:
     if report.passed:
         return f"PASS {report.name} order={report.order}"
     monomial, lhs, rhs = report.first_mismatch
     return (f"FAIL {report.name} order={report.order} "
-            f"first mismatch at {_fmt_monomial(monomial)}: lhs {lhs} != rhs {rhs}")
+            f"first mismatch at {_fmt_tuple(monomial)}: lhs {lhs} != rhs {rhs}")
 
 
 def _cmd_expand(args) -> int:
@@ -279,35 +277,14 @@ COMMANDS = (
 )
 
 
-# The subcommand words under each group, () being the top level, in help order.
-_MENUS = {group: [words[-1] for words, *_ in COMMANDS if words[:-1] == group]
-          for group in {words[:-1] for words, *_ in COMMANDS}}
-
-
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for argv: the rows of the command words argv starts with and
-    of the groups above them.  Every row is built when argv starts with no
-    command word (no arguments, an option such as --help, or an unknown word),
-    and all of a group's rows when its subcommand is missing or unknown."""
-    chosen = ()
-    for word in argv:
-        if word not in _MENUS.get(chosen, ()):
-            break
-        chosen += (word,)
-
-    def subparsers(p, group, dest):
-        # a level cut to one row still shows its full menu in usage errors;
-        # a whole level keeps no metavar, so argparse names it by its dest
-        menu = "{" + ",".join(_MENUS[group]) + "}" if len(chosen) > len(group) else None
-        return p.add_subparsers(dest=dest, required=True, metavar=menu)
-
+def build_parser():
+    """The whole argparse tree: a parser per row of COMMANDS."""
+    import argparse
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine output")
     parser = argparse.ArgumentParser(prog="qmoon")
-    groups = {(): subparsers(parser, (), "command")}
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
     for words, help_text, arguments, handler in COMMANDS:
-        if words[:len(chosen)] != chosen and chosen[:len(words)] != words:
-            continue
         p = groups[words[:-1]].add_parser(words[-1], parents=[common] if handler else [],
                                           help=help_text)
         for flag, options in arguments:
@@ -315,19 +292,62 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
                 options = {**options, "choices": options["choices"]()}
             p.add_argument(flag, **options)
         if handler is None:
-            groups[words] = subparsers(p, words, "subcommand")
+            groups[words] = p.add_subparsers(dest="subcommand", required=True)
         else:
             p.set_defaults(fn=handler)
     return parser
 
 
+def _is_value(token) -> bool:
+    # argparse reads a token starting with "-" as an option unless it is a negative number
+    return not token.startswith("-") or token[1:].isdecimal()
+
+
+def read_plain(argv):
+    """The arguments argparse gives a plain argv (see the module docstring), else None."""
+    for words, _, arguments, handler in COMMANDS:
+        if handler and tuple(argv[:len(words)]) == words:
+            break
+    else:
+        return None
+    options = dict(arguments)
+    positionals = [flag for flag in options if flag[0] != "-"]
+    given, tokens = {}, iter(argv[len(words):])
+    for token in tokens:
+        if token == "--json":
+            value = "json"
+        elif token in options and token[0] == "-":
+            value = next(tokens, "-")  # a missing value reads as "-", which is no value
+        elif positionals and _is_value(token):
+            token, value = positionals.pop(0), token
+        else:
+            return None
+        if token in given or not _is_value(value):
+            return None
+        given[token] = value
+    args = SimpleNamespace(json="--json" in given, fn=handler)
+    for flag, spec in arguments:
+        if flag not in given and (flag in positionals or spec.get("required")):
+            return None  # a missing positional (one left in the list) or required option
+        try:
+            value = spec.get("type", str)(given[flag]) if flag in given else spec.get("default")
+        except ValueError:
+            return None
+        choices = spec.get("choices", (value,))
+        if value not in (choices() if callable(choices) else choices):
+            return None
+        setattr(args, flag.lstrip("-").replace("-", "_"), value)
+    return args
+
+
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:  # bad JSON raises a ValueError

@@ -62,6 +62,14 @@ def _fmt_rat(x) -> str:
     return str(x) if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
 
 
+def _fmt_tuple(m) -> str:
+    """A tuple as its repr reads, with rationals inside as -3 or 23/4."""
+    if not isinstance(m, tuple):
+        return _fmt_rat(m)
+    parts = [_fmt_tuple(x) for x in m]
+    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+
+
 def _parse_rat(s: str, what: str):
     """The exact rational that "n" or "n/d" spells; a ValueError names ``what`` if none."""
     n, slash, d = s.partition("/")

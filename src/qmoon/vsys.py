@@ -20,7 +20,8 @@ from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
 
-from .series import BiSeries, VerifyReport, _first_mismatch, _json_fields, _json_table, _num
+from .series import (BiSeries, VerifyReport, _first_mismatch, _fmt_tuple, _json_fields,
+                     _json_table, _num)
 
 
 def _positive_definite(gram) -> bool:
@@ -167,7 +168,7 @@ def psi(V: VectorSystem, lam, order: int) -> tuple:
 def _integral_pair(V, a, b, what):
     p = V.pair(a, b)
     if Fraction(p).denominator != 1:
-        raise ValueError(f"{what} pairs non-integrally: ({a}, {b}) = {p}")
+        raise ValueError(f"{what} pairs non-integrally: {_fmt_tuple((a, b))} = {p}")
     return int(p)
 
 
@@ -194,7 +195,7 @@ def elliptic_transform_check(V: VectorSystem, lam, shift, order: int) -> tuple:
     m_ll = _num(wd.m * V.pair(shift, shift))  # rhs q-exponent drops by m(L,L)/2
     key_shift = tuple(2 * wd.m * x for x in shift)
     if any(x.denominator != 1 for x in key_shift):
-        raise ValueError(f"zeta^(-m*shift) leaves the doubled grid: {key_shift}")
+        raise ValueError(f"zeta^(-m*shift) leaves the doubled grid: {_fmt_tuple(key_shift)}")
     key_shift = tuple(int(x) for x in key_shift)
     # 2(shift, r/2) per column r, an integer: r/2 is -rho plus support vectors
     pairs = {r: int(V.pair(shift, r)) for r in {r for _, r in coeffs}}

@@ -342,6 +342,20 @@ def test_vector_flags_name_the_token_they_cannot_read(capsys, tmp_path, flag, va
         assert run(capsys, ["vsys", "psi", "--file", str(path), flag, value]) == (4, "", want)
 
 
+@pytest.mark.parametrize("name, system, shift, message", [
+    ("rank.json", {"dim": 2, "gram": [[2, 0], [0, 2]], "mult": {"-1,0": 1, "1,0": 1}}, "0,1/4",
+     "zeta^(-m*shift) leaves the doubled grid: (0, 1/2)"),
+    ("pair.json", {"dim": 1, "gram": [[2]], "mult": {"-1": 1, "1": 1}}, "1/4",
+     "shift vector pairs non-integrally: ((1/4,), (-1,)) = -1/2"),
+])
+def test_vsys_check_prints_rational_vectors_in_errors(capsys, tmp_path, name, system, shift,
+                                                      message):
+    path = tmp_path / name
+    path.write_text(json.dumps(system))
+    argv = ["vsys", "check", "--file", str(path), "--shift", shift]
+    assert run(capsys, argv) == (4, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("shift", ["1", "1,0,0"])
 def test_vsys_check_rejects_shift_of_wrong_dimension(capsys, tmp_path, shift):
     path = tmp_path / "orthogonal.json"
@@ -417,9 +431,10 @@ def test_repeated_invocations_byte_identical(capsys, argv):
     assert first == second and first[0] == 0
 
 
-# A process loads the modules of the subcommand it runs and no others.  This
-# test process has imported every module already, so each case runs in a fresh
-# interpreter, which prints its module names once cli.run has returned.
+# A process loads the modules of the subcommand it runs and no others, and a
+# plain invocation, which the table read runs, loads no part of argparse.
+# This test process has imported every module already, so each case runs in a
+# fresh interpreter, which prints its module names once cli.run has returned.
 _MODULES_AFTER_RUN = """
 import sys
 from qmoon import cli
@@ -428,6 +443,7 @@ print(sorted(sys.modules), file=sys.stderr)
 """
 _UNUSED_BY_EXPAND = {"qmoon.borcherds", "qmoon.identities", "qmoon.maass", "qmoon.moonshine",
                      "qmoon.mults", "qmoon.vsys"}
+_PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 def _spawn(args):
@@ -445,7 +461,15 @@ def _modules_after_run(argv):
 def test_expand_loads_only_its_modules():
     loaded = _modules_after_run(["expand", "theta", "--order", "1"])
     assert "qmoon.forms" in loaded
-    assert not loaded & (_UNUSED_BY_EXPAND | {"json"}), loaded & (_UNUSED_BY_EXPAND | {"json"})
+    unused = _UNUSED_BY_EXPAND | _PARSER_MODULES | {"json"}
+    assert not loaded & unused, loaded & unused
+
+
+def test_only_a_declined_argv_loads_argparse():
+    assert not _modules_after_run(["mult", "table", "--algebra", "e10", "--json"]) & \
+        _PARSER_MODULES
+    # an abbreviated option goes to argparse
+    assert "argparse" in _modules_after_run(["expand", "theta", "--ord", "1"])
 
 
 @pytest.mark.parametrize("argv, data", [
@@ -457,7 +481,7 @@ def test_vsys_and_maass_load_neither_identities_nor_forms(tmp_path, argv, data):
     path.write_text(json.dumps(data))
     loaded = _modules_after_run([*argv, str(path)])
     assert f"qmoon.{argv[0]}" in loaded
-    assert not loaded & {"qmoon.identities", "qmoon.forms"}, loaded
+    assert not loaded & {"qmoon.identities", "qmoon.forms", *_PARSER_MODULES}, loaded
 
 
 def test_json_output_loads_json():
