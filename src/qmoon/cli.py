@@ -243,7 +243,7 @@ _CHAMBER = _arg("--chamber")
 
 # One row per subcommand, in help order: (words, help, arguments, handler).
 # A row without a handler is a group whose rows follow it.  Choices given as
-# a function are read from their module only when their row is built.
+# a function are read from their module only when their row is read or built.
 COMMANDS = (
     (("expand",), "q-expansion of a named form", (_arg("form"), _ORDER), _cmd_expand),
     (("factor",), "infinite-product exponents of a series file",
@@ -315,7 +315,7 @@ def read_plain(argv):
     given, tokens = {}, iter(argv[len(words):])
     for token in tokens:
         if token == "--json":
-            value = "json"
+            value = ""  # a flag: no value to read
         elif token in options and token[0] == "-":
             value = next(tokens, "-")  # a missing value reads as "-", which is no value
         elif positionals and _is_value(token):
@@ -333,7 +333,7 @@ def read_plain(argv):
             value = spec.get("type", str)(given[flag]) if flag in given else spec.get("default")
         except ValueError:
             return None
-        choices = spec.get("choices", (value,))
+        choices = spec.get("choices", (value,))  # without choices, any value
         if value not in (choices() if callable(choices) else choices):
             return None
         setattr(args, flag.lstrip("-").replace("-", "_"), value)
