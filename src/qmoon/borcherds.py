@@ -10,44 +10,44 @@ series.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import forms
-from .series import ExponentTable, FULL, QSeries, _num, product_from_exponents
+from .series import ExponentTable, FULL, QSeries, _fmt_rat, _rat, product_from_exponents
 
 CATALOG_NAMES = ("f_delta", "f_4", "f_6", "f_8", "f_10", "f_14", "f_j")
 
 
 def hurwitz_range(max_n: int) -> dict:
-    """{n: H(n)} for 0 <= n <= max_n, from one walk over reduced forms.
+    """{n: 12 H(n)} for 0 <= n <= max_n, from one walk over reduced forms.
 
     H(n) counts reduced positive-definite ax^2 + bxy + cy^2 of discriminant
     b^2 - 4ac = -n, |b| <= a <= c with b >= 0 when |b| = a or a = c; the
     orbits of k(x^2 + y^2) and k(x^2 + xy + y^2) count 1/2 and 1/3 (Cohen,
-    GTM 138, 5.3).  Counts are kept in integer sixths.  For each (a, b) the
-    walk steps c from a, so n steps by 4a: about max_n^(3/2) steps.  H(0) =
-    -1/12, and every walked value is checked against the class-number
-    constraints: H(n) = 0 unless -n is a discriminant, and otherwise H(n) >= 0
-    with a denominator dividing 6.
+    GTM 138, 5.3).  Counts are kept in integer twelfths, so H(0) = -1/12 is
+    -1.  For each (a, b) the walk steps c from a, so n steps by 4a: about
+    max_n^(3/2) steps.  Every walked value is checked against the
+    class-number constraints: H(n) = 0 unless -n is a discriminant, and
+    otherwise H(n) >= 0 with a denominator dividing 6, an even count of twelfths.
     """
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    sixths = [0] * (max_n + 1)
+    twelfths = [0] * (max_n + 1)
     a = 1
     while 3 * a * a <= max_n:
         for b in range(1 - a, a + 1):
             n = 4 * a * a - b * b  # c = a, which needs b >= 0
             if b >= 0 and n <= max_n:
-                sixths[n] += 3 if b == 0 else 2 if b == a else 6
+                twelfths[n] += 6 if b == 0 else 4 if b == a else 12
             for i in range(n + 4 * a, max_n + 1, 4 * a):
-                sixths[i] += 6
+                twelfths[i] += 12
         a += 1
-    values = {0: Fraction(-1, 12)}
-    for n in range(1, max_n + 1):
-        h = values[n] = _num(Fraction(sixths[n], 6))
-        if (h != 0) if n % 4 in (1, 2) else (h < 0 or 6 % Fraction(h).denominator):
-            raise ArithmeticError(f"H({n}) = {h} breaks the class-number constraints")
+    twelfths[0] = -1
+    values = dict(enumerate(twelfths))
+    for n, t in values.items():
+        if n and ((t != 0) if n % 4 in (1, 2) else (t < 0 or t % 2)):
+            raise ArithmeticError(f"H({n}) = {_fmt_rat(t, 12)} breaks the class-number "
+                                  f"constraints")
     return values
 
 
@@ -55,8 +55,6 @@ class PlusForm:
     """Lift input: a full-nome series, integer coefficients, support 0, 1 mod 4."""
 
     __slots__ = ("series",)
-
-    weight = Fraction(1, 2)  # informational; every lift input sits in this weight
 
     def __init__(self, series: QSeries):
         if series.nome != FULL:
@@ -69,6 +67,11 @@ class PlusForm:
             raise ValueError("not in the plus space; offending (exponent, coefficient): "
                              + ", ".join(f"({e}, {c})" for e, c in bad))
         self.series = series
+
+    @property
+    def weight(self):
+        """1/2, informational: every lift input sits in this weight."""
+        return _rat(1, 2)
 
     def __repr__(self):
         return f"PlusForm({self.series!r})"
@@ -127,7 +130,7 @@ def _raw_catalog(name: str, order: int) -> QSeries:
     f_j = (3 * QG + 168 * theta).truncate(order)
     if name == "f_j":
         return f_j
-    f_4 = (f_j + 12 * theta) * Fraction(1, 3)
+    f_4 = (f_j + 12 * theta) / 3
     if name == "f_4":
         return f_4
     if name == "f_8":
@@ -157,8 +160,8 @@ class LiftResult(NamedTuple):
 def lift(f: PlusForm, order: int) -> LiftResult:
     """q^(-h) * prod_{n<=order} (1 - q^n)^{c(n^2)} for a plus-space form f.
 
-    h = sum_{k>=0} c(-k) H(k), with H(0) = -1/12; reading c(n^2) up to
-    n = order requires f to be known to order squared.
+    h = sum_{k>=0} c(-k) H(k), with H(0) = -1/12, summed in twelfths; reading
+    c(n^2) up to n = order requires f to be known to order squared.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -167,7 +170,7 @@ def lift(f: PlusForm, order: int) -> LiftResult:
         raise ValueError(f"lift to order {order} reads c(n^2) up to n = {order}; "
                          f"the form is only known to q^{s.trunc}")
     H = hurwitz_range(max((-e for e in s.coeffs if e < 0), default=0))
-    h = sum(c * H[-e] for e, c in s.coeffs.items() if e <= 0)  # H(0) = -1/12
+    h = _rat(sum(c * H[-e] for e, c in s.coeffs.items() if e <= 0), 12)
     table = ExponentTable(h, {n: s.coeff(n * n) for n in range(1, order + 1)}, order)
     result = product_from_exponents(table)
     return LiftResult(table.h, result, table)

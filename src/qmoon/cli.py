@@ -19,10 +19,9 @@ bytes.  Diagnostics go to stderr, results to stdout.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
-from .series import QSeries, _fmt_tuple, exponents_from_series
+from .series import QSeries, _fmt_rat, _fmt_tuple, _rat, exponents_from_series
 
 _ALGEBRA_NAMES = {"e10": "E10_level2", "E10_level2": "E10_level2",
                   "fake": "fake_monster", "fake_monster": "fake_monster"}
@@ -35,12 +34,15 @@ def _order(args) -> int:
 
 
 def _emit(args, payload, lines, reports=()) -> int:
-    """Print the payload as JSON or the lines as text; exit 3 if a report failed."""
+    """Print payload() as JSON or the lines of lines() as text; exit 3 if a report failed.
+
+    Each is a function, and only the one the mode prints is called.
+    """
     if args.json:
         import json
-        print(json.dumps(payload, default=str))
+        print(json.dumps(payload(), default=str))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
     return 0 if all(r.passed for r in reports) else 3
 
@@ -68,8 +70,8 @@ def _parse_vector(text: str, flag: str):
     """A comma-separated rational vector such as "1/2,1,0"; names a token it cannot read."""
     vector = []
     for tok in text.split(","):
-        try:
-            vector.append(Fraction(tok))
+        try:  # an integer stays an int; fractions reads "1/2", "0.5" and the like
+            vector.append(int(tok) if tok.strip().removeprefix("-").isdecimal() else _rat(tok))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{flag} entry {tok.strip()!r} is not a rational number") from None
     return tuple(vector)
@@ -87,30 +89,24 @@ def _cmd_expand(args) -> int:
     from . import forms
     order = _order(args)
     f = forms.named_form(args.form, order)
-    payload = {"form": args.form, **f.to_json()}
-    return _emit(args, payload, [f.pretty()])
+    return _emit(args, lambda: {"form": args.form, **f.to_json()}, lambda: [f.pretty()])
 
 
 def _cmd_factor(args) -> int:
     f = QSeries.from_json(_load_json(args.input))
     order = _order(args)
-    table = exponents_from_series(f, order)
-    data = table.to_json()
-    lines = [f"h = {data['h']}"]
-    lines += [f"  {n}: {e}" for n, e in data["exponents"].items()]
-    return _emit(args, {"input": args.input, **data}, lines)
+    data = exponents_from_series(f, order).to_json()
+    return _emit(args, lambda: {"input": args.input, **data}, lambda: [
+        f"h = {data['h']}", *(f"  {n}: {e}" for n, e in data["exponents"].items())])
 
 
 def _cmd_verify(args) -> int:
     from . import identities
     order = _order(args)
-    if args.identity == "all":
-        reports = identities.verify_all(order)
-        payload = [r.to_json() for r in reports]
-    else:
-        reports = [identities.verify(args.identity, order)]
-        payload = reports[0].to_json()
-    return _emit(args, payload, [_report_line(r) for r in reports], reports)
+    one = args.identity != "all"
+    reports = [identities.verify(args.identity, order)] if one else identities.verify_all(order)
+    return _emit(args, lambda: reports[0].to_json() if one else [r.to_json() for r in reports],
+                 lambda: map(_report_line, reports), reports)
 
 
 def _cmd_lift(args) -> int:
@@ -119,15 +115,20 @@ def _cmd_lift(args) -> int:
     f = borcherds.catalog(args.name, order * order)
     lifted = borcherds.lift(f, order)
     data = lifted.table.to_json()
-    payload = {"name": args.name, "h": data["h"], "order": order,
+    report = borcherds.fj_efactor_report(lifted.result, order) if args.name == "f_j" else None
+
+    def payload():
+        out = {"name": args.name, "h": data["h"], "order": order,
                "exponents": data["exponents"], "series": lifted.result.to_json()}
-    lines = [f"h = {data['h']}",
-             "exponents: " + " ".join(f"{n}:{e}" for n, e in data["exponents"].items()),
-             lifted.result.pretty()]
-    if args.name == "f_j":
-        report = borcherds.fj_efactor_report(lifted.result, order)
-        payload["efactor"] = report
-        lines.append(f"E-factor: {report['resolution']}")
+        return out if report is None else {**out, "efactor": report}
+
+    def lines():
+        yield f"h = {data['h']}"
+        yield "exponents: " + " ".join(f"{n}:{e}" for n, e in data["exponents"].items())
+        yield lifted.result.pretty()
+        if report is not None:
+            yield f"E-factor: {report['resolution']}"
+
     return _emit(args, payload, lines)
 
 
@@ -135,18 +136,18 @@ def _cmd_hurwitz(args) -> int:
     from . import borcherds
     if args.max < 0:
         raise ValueError("max must be >= 0")
-    values = borcherds.hurwitz_range(args.max)
-    payload = {"max": args.max, "values": {str(n): str(v) for n, v in values.items()}}
-    lines = [f"H({n}) = {v}" for n, v in values.items()]
-    return _emit(args, payload, lines)
+    twelfths = borcherds.hurwitz_range(args.max)
+    return _emit(args, lambda: {"max": args.max, "values": {str(n): _fmt_rat(t, 12)
+                                                            for n, t in twelfths.items()}},
+                 lambda: (f"H({n}) = {_fmt_rat(t, 12)}" for n, t in twelfths.items()))
 
 
 def _cmd_zeromult(args) -> int:
     from . import borcherds
     f = borcherds.catalog(args.name, 4)
     mult = borcherds.zero_multiplicity(f, args.disc)
-    payload = {"name": args.name, "disc": args.disc, "multiplicity": mult}
-    return _emit(args, payload, [f"multiplicity of the disc {args.disc} zero: {mult}"])
+    return _emit(args, lambda: {"name": args.name, "disc": args.disc, "multiplicity": mult},
+                 lambda: [f"multiplicity of the disc {args.disc} zero: {mult}"])
 
 
 def _cmd_moonshine(args) -> int:
@@ -155,7 +156,7 @@ def _cmd_moonshine(args) -> int:
         report = moonshine.denominator_check(args.cap, args.cap)
     else:
         report = moonshine.replication_check(args.cap)
-    return _emit(args, report.to_json(), [_report_line(report)], [report])
+    return _emit(args, report.to_json, lambda: [_report_line(report)], [report])
 
 
 def _cmd_vsys_psi(args) -> int:
@@ -165,11 +166,10 @@ def _cmd_vsys_psi(args) -> int:
     order = _order(args)
     qpre, coeffs = vsys.psi(system, chamber, order)
     terms = [{"q": n, "zeta2": list(r), "c": c} for (n, r), c in sorted(coeffs.items())]
-    lines = [f"prefactor exponent: {qpre}"]
-    lines += [f"  q^{t['q']} zeta2={t['zeta2']}: {t['c']}" for t in terms]
-    payload = {"file": args.file, "dim": system.dim, "qpre": str(qpre), "trunc": order,
-               "terms": terms}
-    return _emit(args, payload, lines)
+    return _emit(args, lambda: {"file": args.file, "dim": system.dim, "qpre": str(qpre),
+                                "trunc": order, "terms": terms},
+                 lambda: [f"prefactor exponent: {qpre}",
+                          *(f"  q^{t['q']} zeta2={t['zeta2']}: {t['c']}" for t in terms)])
 
 
 def _cmd_vsys_check(args) -> int:
@@ -178,24 +178,23 @@ def _cmd_vsys_check(args) -> int:
     chamber = _parse_vector(args.chamber, "--chamber") if args.chamber else (1,) * system.dim
     shift = _parse_vector(args.shift, "--shift")
     reports = vsys.elliptic_transform_check(system, chamber, shift, _order(args))
-    return _emit(args, [r.to_json() for r in reports], [_report_line(r) for r in reports],
-                 reports)
+    return _emit(args, lambda: [r.to_json() for r in reports],
+                 lambda: map(_report_line, reports), reports)
 
 
 def _cmd_maass_lift(args) -> int:
     from . import maass
     table = maass.JacobiCoeffTable.from_json(_load_json(args.file))
-    siegel = maass.assemble_maass(table, args.max_m)
-    data = siegel.to_json()
-    lines = [f"a({key}) = {a}" for key, a in data["coeffs"].items()]
-    return _emit(args, data, lines)
+    data = maass.assemble_maass(table, args.max_m).to_json()
+    return _emit(args, lambda: data,
+                 lambda: (f"a({key}) = {a}" for key, a in data["coeffs"].items()))
 
 
 def _cmd_maass_check(args) -> int:
     from . import maass
     siegel = maass.SiegelCoeffTable.from_json(_load_json(args.file))
     report = maass.maass_relation_check(siegel)
-    return _emit(args, report.to_json(), [_report_line(report)], [report])
+    return _emit(args, report.to_json, lambda: [_report_line(report)], [report])
 
 
 def _cmd_mult_table(args) -> int:
@@ -205,10 +204,10 @@ def _cmd_mult_table(args) -> int:
         raise ValueError(f"algebra must be one of {sorted(_ALGEBRA_NAMES)}, "
                          f"got {args.algebra!r}")
     report = mults.frenkel_compare(algebra, range(2, args.min_norm - 1, -2))
-    lines = ["norm exact bound flag"]
-    for norm, exact, bound, flag in report.rows:
-        lines.append(f"{norm} {exact} {bound} {'VIOLATED' if flag else 'ok'}")
-    return _emit(args, report.to_json(), lines)
+    return _emit(args, report.to_json, lambda: [
+        "norm exact bound flag",
+        *(f"{norm} {exact} {bound} {'VIOLATED' if flag else 'ok'}"
+          for norm, exact, bound, flag in report.rows)])
 
 
 def _cmd_mult_rademacher(args) -> int:
@@ -216,10 +215,9 @@ def _cmd_mult_rademacher(args) -> int:
     approx = mults.p24_rademacher(args.n, args.terms)
     exact = forms.colored_partition_series(24, args.n + 1).coeff(args.n + 1)
     rel = abs(approx - exact) / exact
-    payload = {"n": args.n, "terms": args.terms, "approx": approx,
-               "exact": str(exact), "rel_error": rel}
-    line = f"p24({args.n + 1}) ~ {approx!r} (exact {exact}, rel error {rel:.3e})"
-    return _emit(args, payload, [line])
+    return _emit(args, lambda: {"n": args.n, "terms": args.terms, "approx": approx,
+                                "exact": str(exact), "rel_error": rel},
+                 lambda: [f"p24({args.n + 1}) ~ {approx!r} (exact {exact}, rel error {rel:.3e})"])
 
 
 def _arg(flag, **options):

@@ -10,19 +10,18 @@ independent ways, cross-checked on every build.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
 from .series import (
     HALF,
     ExponentTable,
     QSeries,
-    _num,
+    _rat,
     product_from_exponents,
 )
 
 __all__ = [
-    "bernoulli",
+    "scaled_bernoulli",
     "eisenstein",
     "delta",
     "eta",
@@ -40,12 +39,19 @@ __all__ = [
 ]
 
 
-def bernoulli(k: int) -> Fraction:
-    """k-th Bernoulli number, k! [x^k] x/(e^x - 1): the inverse of sum x^j/(j+1)!."""
+def scaled_bernoulli(k: int) -> tuple:
+    """Integers (a, m) with B_k = a / m, the k-th Bernoulli number, and m = (k + 1)!.
+
+    B_j's denominator, a product of primes p <= j + 1 (von Staudt-Clausen),
+    divides m, so sum_{i <= j} C(j + 1, i) B_i = 0 runs on the integers m B_i.
+    """
     if k < 0:
         raise ValueError("Bernoulli numbers indexed by nonnegative integers")
-    series = QSeries({j: Fraction(1, factorial(j + 1)) for j in range(k + 1)}, k)
-    return Fraction(factorial(k) * series.invert()[k])
+    m = factorial(k + 1)
+    scaled = {0: m, 1: -m // 2}  # and m B_i = 0 for odd i >= 3
+    for j in range(2, k + 1, 2):
+        scaled[j] = -sum(comb(j + 1, i) * x for i, x in scaled.items()) // (j + 1)
+    return scaled.get(k, 0), m
 
 
 def _sigma_table(ell: int, order: int) -> list:
@@ -62,7 +68,8 @@ def eisenstein(weight: int, order: int) -> QSeries:
     """Normalized Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n."""
     if weight < 4 or weight % 2:
         raise ValueError(f"weight must be even and >= 4, got {weight}")
-    factor = _num(Fraction(-2 * weight) / bernoulli(weight))
+    a, m = scaled_bernoulli(weight)
+    factor = _rat(-2 * weight * m, a)
     coeffs = {n: factor * s for n, s in enumerate(_sigma_table(weight - 1, order), 1)}
     return QSeries({0: 1, **coeffs}, order)
 
@@ -88,7 +95,7 @@ def delta(order: int) -> QSeries:
 
 def eta(order: int) -> QSeries:
     """Dedekind eta: prefactor q^(1/24) times prod (1-q^n)."""
-    return _euler_power(1, Fraction(-1, 24), order)
+    return _euler_power(1, _rat(-1, 24), order)
 
 
 def j_invariant(order: int) -> QSeries:
@@ -112,7 +119,7 @@ def theta_nullwerte(which: int, order: int) -> QSeries:
     root = isqrt(max(order, 0))
     if which == 2:
         coeffs = {n * n + n: 2 for n in range(root + 1) if n * n + n <= order}
-        return QSeries(coeffs, order, nome=HALF, prefactor=Fraction(1, 4))
+        return QSeries(coeffs, order, nome=HALF, prefactor=_rat(1, 4))
     if which in (3, 4):
         sign = 1 if which == 3 else -1
         coeffs = {n * n: 2 * sign ** n for n in range(1, root + 1)}
@@ -143,14 +150,14 @@ def leech_theta(order: int) -> QSeries:
     t2_8 = theta_nullwerte(2, order) ** 8
     t3_8 = theta_nullwerte(3, order) ** 8
     t3_24 = t3_8 * t3_8 * t3_8
-    from_thetas = ((t2_8 * t2_8 * t2_8).canonical() + t3_24 + _at_minus_q(t3_24)) \
-        * Fraction(1, 2) - Fraction(69, 16) * (t2_8 * t3_8 * _at_minus_q(t3_8)).canonical()
+    from_thetas = ((t2_8 * t2_8 * t2_8).canonical() + t3_24 + _at_minus_q(t3_24)) / 2 \
+        - 69 * (t2_8 * t3_8 * _at_minus_q(t3_8)).canonical() / 16
     half = order // 2
     d = delta(half)
     sig = _sigma_table(11, half) if half else []
     coeffs = {0: 1}
     for m in range(1, half + 1):
-        n_m = Fraction(65520, 691) * (sig[m - 1] - d.coeff(m))
+        n_m = _rat(65520 * (sig[m - 1] - d.coeff(m)), 691)
         if n_m:
             coeffs[2 * m] = n_m
     from_counts = QSeries(coeffs, order, nome=HALF)

@@ -13,7 +13,6 @@ is checked exactly as stated and its outcome recorded by the caller.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from . import forms
@@ -23,6 +22,7 @@ from .series import (
     ExponentTable,
     QSeries,
     VerifyReport,
+    _rat,
     product_from_exponents,
 )
 
@@ -100,7 +100,7 @@ def _euler3(order):
     # pentagonal-type sum with prefactor q^{1/24} against q^{1/24} prod (1-q^n)
     pentagonal = _lattice_sum(order, lambda m: [((_pentagonal(m), 0), (-1) ** (m % 2))])
     lhs = QSeries({e: c for (e, _), c in pentagonal.coeffs.items()}, order,
-                  prefactor=Fraction(1, 24))
+                  prefactor=_rat(1, 24))
     return [(lhs, forms.eta(order))]
 
 
@@ -125,7 +125,7 @@ def _eisen_relations(order):
 def _jacobi_delta(order):
     e4 = forms.eisenstein(4, order)
     e6 = forms.eisenstein(6, order)
-    lhs = (e4 ** 3 - e6 ** 2) * Fraction(1, 1728)
+    lhs = (e4 ** 3 - e6 ** 2) / 1728
     rhs = product_from_exponents(
         ExponentTable(-1, {n: 24 for n in range(1, order + 1)}, order))
     return [(lhs, rhs)]
@@ -138,7 +138,7 @@ def _theta_nullwert_products(order):
 
     return [
         # 2 q^{1/4} prod (1-q^{2n})(1+q^{2n})^2, with 1 + q^a = (1 - q^{2a}) / (1 - q^a)
-        (forms.theta_nullwerte(2, order), 2 * product(Fraction(-1, 4), (1, 0, -1, 0))),
+        (forms.theta_nullwerte(2, order), 2 * product(_rat(-1, 4), (1, 0, -1, 0))),
         # prod (1-q^{2n})(1+q^{2n-1})^2, with 1 + q^a = (1 - q^{2a}) / (1 - q^a)
         (forms.theta_nullwerte(3, order), product(0, (1, -2, 3, -2))),
         # prod (1-q^{2n})(1-q^{2n-1})^2, which has no 1 + q^a factor
@@ -153,7 +153,7 @@ def _delta_theta(order):
     t2 = forms.theta_nullwerte(2, order)
     t3 = forms.theta_nullwerte(3, order)
     t4 = forms.theta_nullwerte(4, order)
-    rhs = (((t2 * t3 * t4) ** 8) * Fraction(1, 256)).canonical()
+    rhs = (((t2 * t3 * t4) ** 8) / 256).canonical()
     return [(lhs, rhs)]
 
 

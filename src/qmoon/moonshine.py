@@ -9,11 +9,10 @@ coefficient-exact inside rectangular caps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from . import forms
-from .series import BiSeries, QSeries, VerifyReport
+from .series import BiSeries, QSeries, VerifyReport, _rat
 
 
 def moonshine_c(max_n: int) -> QSeries:
@@ -89,7 +88,7 @@ def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:
                 v = c[m * n] if m * n <= c.trunc else 0
                 if v:
                     key = (m * i, n * i)
-                    coeffs[key] = coeffs.get(key, 0) - Fraction(v, i)
+                    coeffs[key] = coeffs.get(key, 0) - _rat(v, i)
     return BiSeries(coeffs, big_m, ytop=hi)
 
 
@@ -117,7 +116,7 @@ def bi_exp(t: BiSeries) -> BiSeries:
     # T_k * 1 is known through min(top, unit top + valuation of T_k) >= top
     b = [QSeries.one(top - lo)]
     for m in range(1, t.cap + 1):  # m B_m = sum_k w_k B_{m-k}
-        b.append(sum(map(mul, w, reversed(b))) * Fraction(1, m))
+        b.append(sum(map(mul, w, reversed(b))) / m)
     return BiSeries({(m, ey): c for m, row in enumerate(b) for ey, c in row.coeffs.items()},
                     t.cap, ytop=None if t.ytop is None else min(row.trunc for row in b))
 

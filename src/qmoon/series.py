@@ -1,7 +1,8 @@
 """Exact truncated Laurent series in one and two variables.
 
-Every coefficient is an exact rational (Python int or Fraction); nothing in
-this module touches floating point.  A series knows its truncation order:
+Every coefficient is an exact rational, an int unless truly rational: ``_rat``
+imports fractions for the first Fraction it needs.  Nothing in this module
+touches floating point.  A series knows its truncation order:
 coefficients at exponents above ``trunc`` are *unknown*, never silently zero,
 and every operation propagates the honest truncation of its result.
 
@@ -14,7 +15,6 @@ is a hard error.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, inf, lcm
 from operator import add, mul, sub
@@ -39,27 +39,46 @@ class NomeMismatch(ValueError):
     """Raised when series with different nome conventions are combined."""
 
 
+def _rat(n, d=1):
+    """n / d for exact rationals n and d != 0: an int when d divides n, else a Fraction.
+    An n alone may be anything Fraction(n) reads, such as a float or "1/4"."""
+    if type(n) is int and type(d) is int:
+        q, r = divmod(n, d)
+        if not r:
+            return q
+    Fraction = (sys.modules.get("fractions") or __import__("fractions")).Fraction
+    return _num(Fraction(n) if d == 1 else Fraction(n, d))
+
+
+def _exact(x) -> bool:
+    """x is an int or a Fraction, asked without importing fractions: no Fraction predates it."""
+    fractions = sys.modules.get("fractions")
+    return isinstance(x, int) or fractions is not None and isinstance(x, fractions.Fraction)
+
+
 def _num(x):
     """Normalize an exact number: Fractions with denominator 1 become ints."""
-    if type(x) is int:  # the common case, without the ABC check Fraction costs
+    if type(x) is int:  # the common case, without the ABC check a Fraction costs
         return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    if isinstance(x, int):
-        return x
-    raise TypeError(f"exact rational expected, got {type(x).__name__}")
+    if not _exact(x):
+        raise TypeError(f"exact rational expected, got {type(x).__name__}")
+    return int(x) if x.denominator == 1 else x
 
 
-def _frac24(x, what="prefactor exponent") -> Fraction:
-    f = Fraction(x)
+def _frac24(x, what="prefactor exponent"):
+    f = _rat(x)
     if 24 % f.denominator:
         raise ValueError(f"{what} {f} has denominator not dividing 24")
     return f
 
 
-def _fmt_rat(x) -> str:
-    x = _num(x)
-    return str(x) if isinstance(x, int) else f"{x.numerator}/{x.denominator}"
+def _fmt_rat(n, d=1) -> str:
+    """The rational n / d, for an int or Fraction n and an int d > 0, as -3 or 23/4."""
+    if type(n) is int and d == 1:
+        return str(n)
+    d *= n.denominator
+    g = gcd(n.numerator, d)
+    return str(n.numerator // g) if d == g else f"{n.numerator // g}/{d // g}"
 
 
 def _fmt_tuple(m) -> str:
@@ -74,7 +93,7 @@ def _parse_rat(s: str, what: str):
     """The exact rational that "n" or "n/d" spells; a ValueError names ``what`` if none."""
     n, slash, d = s.partition("/")
     try:
-        return _num(Fraction(int(n), int(d) if slash else 1))
+        return _rat(int(n), int(d) if slash else 1)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{what} must be an integer or a fraction n/d, got {s!r}") from None
 
@@ -255,7 +274,7 @@ class QSeries:
         return self._like({e: -c for e, c in self.coeffs.items()}, self.trunc)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _exact(other):
             other = QSeries.const(other, self.trunc, nome=self.nome)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -272,7 +291,7 @@ class QSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, QSeries)):
+        if not (_exact(other) or isinstance(other, QSeries)):
             return NotImplemented
         return self + (-other)
 
@@ -280,7 +299,7 @@ class QSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _exact(other):
             return self._like({e: c * other for e, c in self.coeffs.items()}, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -308,7 +327,9 @@ class QSeries:
         return half * half * self if k & 1 else half * half
 
     def __truediv__(self, other):
-        """The quotient, known as far as self times the inverse of other would be."""
+        """The quotient by a rational, or by a series as far as self times its inverse is known."""
+        if _exact(other):
+            return self._like({e: _rat(c, other) for e, c in self.coeffs.items()}, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_compat(other)
@@ -500,7 +521,7 @@ def _mul_lists(a: list, b: list, n: int) -> list:
     out = [0] * n
     for r, z in ((0, (zp + zm) >> 1), (1, (zp - zm) >> (4 * width + 1))):
         out[r::2] = _unpack(z, width, len(range(r, n, 2)), half)
-    return out if den == 1 else [_num(Fraction(c, den)) for c in out]
+    return out if den == 1 else [_rat(c, den) for c in out]
 
 
 def _div_lists(a: list, u: list, n: int) -> list:
@@ -513,14 +534,8 @@ def _div_lists(a: list, u: list, n: int) -> list:
                 out[r::step] = _div_lists(a[r::step], us, len(range(r, n, step)))
         return out
     lead = u[0]  # u_0 b_m = a_m - sum_{k >= 1} u_k b_(m-k)
-    return _solve([-c for c in u[1:n]], n - 1, _num(Fraction(a[0]) / lead),
-                  lambda m, s: a[m] + s if lead == 1 else _num(Fraction(a[m] + s) / lead))
-
-
-def _over(m: int, s):
-    """s / m, an int when m divides s."""
-    q, r = divmod(s, m)
-    return Fraction(s, m) if r else q
+    return _solve([-c for c in u[1:n]], n - 1, _rat(a[0], lead),
+                  lambda m, s: a[m] + s if lead == 1 else _rat(a[m] + s, lead))
 
 
 def _solve(c: list, n: int, b0, finish) -> list:
@@ -560,7 +575,7 @@ def exp_series(a: QSeries) -> QSeries:
         raise ValueError("exp_series requires valuation >= 1 (no constant term)")
     n = a.trunc
     w = [k * c for k, c in enumerate(_dense(a, 0, n + 1))][1:]  # m b_m = sum_k w_k b_(m-k)
-    b = _solve(w, n, 1, _over)
+    b = _solve(w, n, 1, lambda m, s: _rat(s, m))
     return QSeries(dict(enumerate(b)), n, nome=a.nome)
 
 
@@ -572,7 +587,7 @@ def log_series(a: QSeries) -> QSeries:
         raise ValueError("log_series requires constant term 1")
     n = a.trunc
     ratio = QSeries({e - 1: e * c for e, c in a.coeffs.items() if e}, n - 1, nome=a.nome) / a
-    return QSeries({e + 1: Fraction(c, e + 1) for e, c in ratio.coeffs.items()}, n, nome=a.nome)
+    return QSeries({e + 1: _rat(c, e + 1) for e, c in ratio.coeffs.items()}, n, nome=a.nome)
 
 
 # -- product <-> exponent conversion ----------------------------------------
@@ -584,7 +599,7 @@ class ExponentTable:
     __slots__ = ("h", "exps", "order")
 
     def __init__(self, h, exps, order):
-        self.h = _num(Fraction(h))
+        self.h = _rat(h)
         self.order = int(order)
         self.exps = {}
         for n, e in exps.items():
@@ -639,8 +654,8 @@ def product_from_exponents(t: ExponentTable, *, nome=FULL) -> QSeries:
     for d, e in t.exps.items():
         for k in range(d, t.order + 1, d):
             w[k - 1] -= d * e
-    unit = _solve(w, t.order, 1, _over)
-    minus_h = -Fraction(t.h)
+    unit = _solve(w, t.order, 1, lambda m, s: _rat(s, m))
+    minus_h = -t.h
     shift = minus_h.numerator // minus_h.denominator
     return QSeries({i + shift: c for i, c in enumerate(unit)}, t.order + shift,
                    nome=nome, prefactor=minus_h - shift)
@@ -665,7 +680,7 @@ def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
     exps = {}
     for d, x in enumerate(g, 1):
         if x:  # x = d e_d: the proper divisors' terms are already subtracted
-            exps[d] = _over(d, x)
+            exps[d] = _rat(x, d)
             for m in range(2 * d, order + 1, d):
                 g[m - 1] -= x
     return ExponentTable(-(v + a.prefactor), exps, order)

@@ -16,12 +16,11 @@ shift law.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
 
 from .series import (BiSeries, VerifyReport, _first_mismatch, _fmt_tuple, _json_fields,
-                     _json_table, _num)
+                     _json_table, _num, _rat)
 
 
 def _positive_definite(gram) -> bool:
@@ -92,7 +91,7 @@ class WeylData(NamedTuple):
     chamber: tuple
     rho: tuple
     d: int
-    k: Fraction
+    k: object
     m: int
 
 
@@ -102,11 +101,11 @@ def weyl_data(V: VectorSystem, lam) -> WeylData:
     lam fixes the chamber; it must pair nonzero with every nonzero support
     vector.  The index must come out a nonnegative integer.
     """
-    lam = tuple(Fraction(x) for x in lam)
+    lam = tuple(_rat(x) for x in lam)
     if len(lam) != V.dim:
         raise ValueError("chamber vector has wrong dimension")
     zero = (0,) * V.dim
-    rho = [Fraction(0)] * V.dim
+    rho2 = [0] * V.dim  # 2 rho
     norm_sum = 0
     for v, c in V.mult.items():
         norm_sum += c * V.pair(v, v)
@@ -117,12 +116,12 @@ def weyl_data(V: VectorSystem, lam) -> WeylData:
             raise ValueError(f"chamber vector is orthogonal to support vector {v}")
         if p > 0:
             for i in range(V.dim):
-                rho[i] += Fraction(c * v[i], 2)
-    m = Fraction(norm_sum, 2 * V.dim)
+                rho2[i] += c * v[i]
+    m = _rat(norm_sum, 2 * V.dim)
     if m.denominator != 1:
         raise ArithmeticError(f"index {m} is not an integer; not a vector system")
     d = sum(V.mult.values())
-    return WeylData(lam, tuple(rho), d, Fraction(V.mult.get(zero, 0), 2), int(m))
+    return WeylData(lam, tuple(_rat(x, 2) for x in rho2), d, _rat(V.mult.get(zero, 0), 2), m)
 
 
 def psi(V: VectorSystem, lam, order: int) -> tuple:
@@ -162,12 +161,13 @@ def psi(V: VectorSystem, lam, order: int) -> tuple:
             r.append(x + 2 * u)
             y = (y - u) // base
         coeffs[(n, tuple(r))] = c
+    from fractions import Fraction  # qpre stays a Fraction, even where 24 divides d
     return Fraction(wd.d, 24), coeffs
 
 
 def _integral_pair(V, a, b, what):
     p = V.pair(a, b)
-    if Fraction(p).denominator != 1:
+    if p.denominator != 1:
         raise ValueError(f"{what} pairs non-integrally: {_fmt_tuple((a, b))} = {p}")
     return int(p)
 
@@ -184,7 +184,7 @@ def elliptic_transform_check(V: VectorSystem, lam, shift, order: int) -> tuple:
     zeta-column is compared within its own known range, keyed by twice the
     q-exponent.
     """
-    shift = tuple(Fraction(x) for x in shift)
+    shift = tuple(_rat(x) for x in shift)
     if len(shift) != V.dim:
         raise ValueError("shift vector has wrong dimension")
     for v in V.mult:
@@ -214,7 +214,8 @@ def elliptic_transform_check(V: VectorSystem, lam, shift, order: int) -> tuple:
     mu = VerifyReport("elliptic_mu_shift", order,
                       _first_mismatch(mu_lhs, {k: sign * c for k, c in coeffs.items()}))
     mismatch = _first_mismatch(tau_lhs, tau_rhs)
-    if mismatch is not None:
+    if mismatch is not None:  # its q-exponent e/2 stays a Fraction, as the report has it
+        from fractions import Fraction
         (r, e), left, right = mismatch
         mismatch = ((Fraction(e, 2), r), left, right)
     return mu, VerifyReport("elliptic_tau_shift", order, mismatch)

@@ -98,9 +98,9 @@ def test_04_hurwitz_values(gate):
     want = {0: Fraction(-1, 12), 3: Fraction(1, 3), 4: Fraction(1, 2),
             7: 1, 8: 1, 11: 1, 12: Fraction(4, 3)}
     with gate(4, "Hurwitz class numbers", 1.0):
-        values = borcherds.hurwitz_range(200)
+        values = borcherds.hurwitz_range(200)  # in twelfths
         for n, h in want.items():
-            assert values[n] == h
+            assert values[n] == 12 * h
         for n in range(201):
             if n % 4 in (1, 2):
                 assert values[n] == 0

@@ -13,7 +13,8 @@ from qmoon.series import ExponentTable, QSeries, exponents_from_series
 
 
 # -- independent oracle: the Hurwitz-Kronecker class number relation
-#    sum_{r^2 <= 4n} H(4n - r^2) + sum_{d|n} min(d, n/d) = 2 sigma_1(n)
+#    sum_{r^2 <= 4n} H(4n - r^2) + sum_{d|n} min(d, n/d) = 2 sigma_1(n),
+#    read in the twelfths hurwitz_range gives
 
 def class_number_relation_holds(n):
     r_max = isqrt(4 * n)
@@ -21,22 +22,22 @@ def class_number_relation_holds(n):
     for r in range(-r_max, r_max + 1):
         k = 4 * n - r * r
         lhs += borcherds.hurwitz_range(k)[k]
-    lhs += sum(min(d, n // d) for d in range(1, n + 1) if n % d == 0)
-    return lhs == 2 * sum(d for d in range(1, n + 1) if n % d == 0)
+    lhs += 12 * sum(min(d, n // d) for d in range(1, n + 1) if n % d == 0)
+    return lhs == 24 * sum(d for d in range(1, n + 1) if n % d == 0)
 
 
 def test_hurwitz_printed_table():
     want = {0: Fraction(-1, 12), 3: Fraction(1, 3), 4: Fraction(1, 2),
             7: 1, 8: 1, 11: 1, 12: Fraction(4, 3)}
     for n, h in want.items():
-        assert borcherds.hurwitz_range(n)[n] == h
+        assert borcherds.hurwitz_range(n)[n] == 12 * h
 
 
 def test_hurwitz_classical_values():
     # reduced-form counts small enough to enumerate by hand
     want = {15: 2, 16: Fraction(3, 2), 19: 1, 20: 2, 23: 3, 24: 2, 27: Fraction(4, 3)}
     for n, h in want.items():
-        assert borcherds.hurwitz_range(n)[n] == h
+        assert borcherds.hurwitz_range(n)[n] == 12 * h
 
 
 def test_hurwitz_vanishes_off_discriminants():
@@ -55,24 +56,23 @@ def test_hurwitz_rejects_negative():
 def test_hurwitz_table():
     t = borcherds.hurwitz_range(200)
     assert list(t) == list(range(201))
-    assert t[0] == Fraction(-1, 12)
-    assert t[12] == Fraction(4, 3)
-    assert all(6 % Fraction(t[n]).denominator == 0 for n in range(1, 201))
+    assert t[0] == -1  # H(0) = -1/12
+    assert t[12] == 16  # H(12) = 4/3
+    assert all(type(t[n]) is int for n in range(201))
+    assert all(t[n] % 2 == 0 for n in range(1, 201))  # denominators divide 6
     with pytest.raises(KeyError):
         t[201]
 
 
-@pytest.mark.parametrize("n, bad", [(3, Fraction(-1, 3)), (4, Fraction(1, 7)), (5, 1),
+@pytest.mark.parametrize("n, bad", [(3, Fraction(-1, 3)), (4, Fraction(1, 4)), (5, 1),
                                     (6, Fraction(1, 2)), (200, -2)])
 def test_hurwitz_range_checks_every_walked_value(monkeypatch, n, bad):
-    # the walk's result for one n is corrupted on its way out of the sixths
-    real, seen = borcherds._num, []
+    # the walk's count for one n, in twelfths, is corrupted on its way out of
+    # the walk's list; 1/4 is a denominator not dividing 6, an odd count
+    def corrupt(counts):
+        return ((i, int(12 * bad) if i == n else c) for i, c in enumerate(counts))
 
-    def corrupt(x):
-        seen.append(x)
-        return bad if len(seen) == n else real(x)
-
-    monkeypatch.setattr(borcherds, "_num", corrupt)
+    monkeypatch.setattr(borcherds, "enumerate", corrupt, raising=False)
     with pytest.raises(ArithmeticError, match=rf"H\({n}\) = {bad} breaks"):
         borcherds.hurwitz_range(200)
 
@@ -82,15 +82,11 @@ def test_hurwitz_kronecker_relation_from_one_table():
     for n in range(1, 501):
         r_max = isqrt(4 * n)
         divisors = [d for d in range(1, n + 1) if n % d == 0]
-        lhs = sum(table[4 * n - r * r] for r in range(-r_max, r_max + 1))
-        assert lhs + sum(min(d, n // d) for d in divisors) == 2 * sum(divisors), n
+        lhs = sum(table[4 * n - r * r] for r in range(-r_max, r_max + 1))  # in twelfths
+        assert lhs + 12 * sum(min(d, n // d) for d in divisors) == 24 * sum(divisors), n
 
 
 # -- one walk over a discriminant range against the per-n oracle
-
-def _exact(h):
-    return type(h), h
-
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.integers(0, 60), st.integers(0, 3000)))
@@ -98,9 +94,11 @@ def test_hurwitz_range_matches_the_per_n_oracle(max_n):
     values = borcherds.hurwitz_range(max_n)
     assert list(values) == list(range(max_n + 1))
     for n in range(max(max_n - 60, 0), max_n + 1):  # the top 61 values, all below 61
-        h = values[n]
-        assert type(h) is (int if Fraction(h).denominator == 1 else Fraction), n
-        assert _exact(h) == _exact(oracle.hurwitz(n)), n
+        assert type(values[n]) is int and values[n] == 12 * oracle.hurwitz(n), n
+
+
+def test_hurwitz_range_is_twelve_times_the_oracle_through_400():
+    assert borcherds.hurwitz_range(400) == {n: 12 * oracle.hurwitz(n) for n in range(401)}
 
 
 # -- plus space --------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -487,6 +488,39 @@ def test_vsys_and_maass_load_neither_identities_nor_forms(tmp_path, argv, data):
 def test_json_output_loads_json():
     loaded = _modules_after_run(["expand", "theta", "--order", "1", "--json"])
     assert "json" in loaded and not loaded & _UNUSED_BY_EXPAND
+
+
+_RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "theta", "--order", "1"], ["hurwitz", "--max", "100", "--json"],
+    ["mult", "table", "--algebra", "e10", "--json"], ["lift", "--name", "f_j", "--order", "5"],
+    ["verify", "triple", "--order", "21"]])
+def test_an_op_that_meets_no_true_rational_never_imports_fractions(argv):
+    loaded = _modules_after_run(argv)
+    assert not loaded & _RATIONAL_MODULES, loaded & _RATIONAL_MODULES
+
+
+def test_factor_of_an_integer_series_never_imports_fractions(tmp_path):
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps(forms.j_invariant(6).to_json()))
+    loaded = _modules_after_run(["factor", "--input", str(path), "--order", "4"])
+    assert not loaded & _RATIONAL_MODULES, loaded & _RATIONAL_MODULES
+
+
+def test_a_truly_rational_op_imports_fractions_when_it_needs_one():
+    # eta's prefactor 1/24 is the first Fraction this run builds
+    assert "fractions" in _modules_after_run(["expand", "eta", "--order", "5"])
+
+
+def test_emit_builds_only_what_its_mode_prints(capsys):
+    def unused():
+        raise AssertionError("built, yet not printed")
+
+    assert cli._emit(SimpleNamespace(json=True), lambda: {"a": 1}, unused) == 0
+    assert cli._emit(SimpleNamespace(json=False), unused, lambda: (x for x in "bc")) == 0
+    assert capsys.readouterr().out == '{"a": 1}\nb\nc\n'
 
 
 @pytest.mark.parametrize("argv", [["expand", "theta", "--order", "1"],

@@ -6,7 +6,6 @@ from kernel_oracle import sigma
 from qmoon import forms
 from qmoon.forms import (
     F_oddsigma,
-    bernoulli,
     colored_partition_series,
     delta,
     eisenstein,
@@ -57,6 +56,11 @@ def phi_list(order, step=1):
             new[i + n] -= out[i]
         out = new
     return out
+
+
+def bernoulli(k):
+    """B_k from the integers (k + 1)! B_k and (k + 1)! that the Eisenstein series read."""
+    return Fraction(*forms.scaled_bernoulli(k))
 
 
 def test_bernoulli_values():

@@ -39,6 +39,8 @@ INPUTS = {
     "unit.json": {"trunc": 6, "coeffs": {"0": "1", "1": "2", "3": "-1/3"}},
     "eta.json": {"prefactor": "1/24", "trunc": 7,
                  "coeffs": {"0": "1", "1": "-1", "2": "-1", "5": "1", "7": "1"}},
+    # 1 + q/3 past one solve block: its exponents' division multiplies rationals
+    "third.json": {"trunc": 130, "coeffs": {"0": "1", "1": "1/3"}},
     "pair.json": {"dim": 1, "gram": [[2]], "mult": {"-1": 1, "1": 1}},
     "pair-bad.json": {"dim": 1, "gram": [[2]], "mult": {"-1": 1, "1": 2}},
     "trivial.json": {"dim": 1, "gram": [[2]], "mult": {"0": 2}},
@@ -173,8 +175,9 @@ CASES = (
     + [["mult", "table", "--algebra", "e8"]]
     + _both("mult", "rademacher", "--n", "2", "--terms", "10")
     + [[], ["bogus"], ["verify", "euler9"], ["lift", "--name", "f_4", "--order", "4.5"]]
-    # _integral's rational branch: bernoulli(130)'s inverse runs past one solve block
     + [["expand", "E130", "--order", "2"]]
+    # _integral's rational branch: a rational unit's exponents, past one solve block
+    + [["factor", "--input", "third.json", "--order", "130"]]
     + _both("vsys", "psi", "--file", "d4.json", "--chamber", "8,4,2,1", "--order", "2")
     # out-of-range flags and bad input files: exit 4 and no stdout
     + [["expand", "E3"], ["expand", "p0"], ["verify", "euler1", "--order", "0"],

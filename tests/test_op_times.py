@@ -16,10 +16,26 @@ def test_one_op_is_timed_and_checked(capsys):
     assert op_times.main(["--workload", "bivariate-verify", "--op", "moonshine replication 8",
                           "--repeat", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["op", "best", "ms", "median", "ms"]
-    name, best, median = lines[1].rsplit(None, 2)
+    assert lines[0].split() == ["op", "best", "ms", "median", "ms", "import", "ms"]
+    name, best, median, imported = lines[1].rsplit(None, 3)
     assert name == "moonshine replication 8" and 0 < float(best) <= float(median)
-    assert lines[2].split() == ["total", best, median]
+    assert float(imported) > 0
+    assert lines[2].split() == ["total", best, median, imported]
+
+
+def test_the_import_column_is_the_median_untimed_import():
+    times = {"a": [(0.004, 0.003), (0.002, 0.001), (0.003, 0.005)], "bb": [(0.001, 0.002)]}
+    assert op_times.table(times).splitlines() == [
+        "op       best ms  median ms  import ms",
+        "a           2.00       3.00       3.00",
+        "bb          1.00       1.00       2.00",
+        "total       3.00       4.00       5.00"]
+
+
+def test_a_child_times_its_import_apart_from_its_run():
+    run = op_times.time_once(["expand", "theta", "--order", "1"], Path(op_times.ROOT) / "src")
+    assert run["exit"] == 0 and run["stdout"] == "1 + 2q + O(q^2)\n"
+    assert 0 < run["import_s"] < 5 and 0 < run["s"] < 5
 
 
 def test_an_op_outside_the_workload_is_refused(capsys):

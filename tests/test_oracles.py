@@ -5,6 +5,7 @@ imports either.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +36,17 @@ def test_sigma_table_matches_sympy_divisor_sigma():
     for k in (0, 1, 3, 5, 7, 9, 11):
         assert forms._sigma_table(k, 2000) == \
             [int(sympy.divisor_sigma(n, k)) for n in range(1, 2001)], k
+
+
+def test_eisenstein_normaliser_matches_sympy_bernoulli():
+    # E_k = 1 - (2k / B_k) sum sigma_(k-1)(n) q^n, its q coefficient read from
+    # integer Bernoulli data: an int exactly when B_k divides 2k
+    sympy = pytest.importorskip("sympy")
+    for k in range(4, 131, 2):
+        want = -2 * k / sympy.bernoulli(k)
+        got = forms.eisenstein(k, 1).coeff(1)
+        assert got == Fraction(int(want.p), int(want.q)), k
+        assert type(got) is (int if want.q == 1 else Fraction), k
 
 
 def test_binomial_recurrence_matches_sympy_binomial():

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +15,9 @@ from qmoon.series import (
     NomeMismatch,
     QSeries,
     _binomial_terms,
+    _fmt_rat,
+    _num,
+    _rat,
     exp_series,
     exponents_from_series,
     log_series,
@@ -146,6 +150,42 @@ def test_scalar_add_refuses_a_prefactor():
     with pytest.raises(ValueError, match="prefactor mismatch on add"):
         s + QSeries.one(4)
     assert (QSeries({0: 2}, 4, nome=HALF) + 1).coeffs == {0: 3}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-10**30, 10**30), st.integers(-60, 60).filter(bool))
+def test_rat_is_the_fraction_and_an_int_exactly_when_d_divides_n(n, d):
+    r = _rat(n, d)
+    assert r == Fraction(n, d)
+    assert type(r) is (int if n % d == 0 else Fraction)
+    r = _rat(n, abs(d))
+    assert _fmt_rat(n, abs(d)) == (str(r) if type(r) is int else f"{r.numerator}/{r.denominator}")
+
+
+def test_rat_reads_one_value_as_fraction_does():
+    for x in (3, True, Fraction(4, 2), Fraction(1, 2), 0.25, "3/12", " 2 ", Decimal("1.5")):
+        assert _rat(x) == Fraction(x) and type(_rat(x)) is type(_num(Fraction(x))), x
+    for bad in (None, 1j, "x"):
+        with pytest.raises((TypeError, ValueError)):
+            _rat(bad)
+    with pytest.raises(ZeroDivisionError):
+        _rat(1, 0)
+
+
+def test_scalars_are_ints_bools_and_fractions_only():
+    # the type tests name no Fraction, yet take and refuse what they always did
+    s = QSeries({0: 1, 1: 2}, 3)
+    for x in (3, True, Fraction(1, 2), Fraction(4, 2)):
+        assert (s + x).coeffs == (x + s).coeffs == {0: 1 + x, 1: 2}
+        assert (s - x).coeffs == {e: c for e, c in {0: 1 - x, 1: 2}.items() if c}
+        assert (s * x).coeffs == (x * s).coeffs == {0: x, 1: 2 * x}
+        assert (s / x).coeffs == {0: Fraction(1) / x, 1: Fraction(2) / x}
+        assert _num(x) == x
+    for bad in (0.5, 2.0, "1", Decimal(1), None):
+        for op in (lambda: s + bad, lambda: bad + s, lambda: s - bad, lambda: bad - s,
+                   lambda: s * bad, lambda: bad * s, lambda: s / bad, lambda: _num(bad)):
+            with pytest.raises(TypeError):
+                op()
 
 
 def test_nome_mixing_is_hard_error():

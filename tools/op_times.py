@@ -5,13 +5,16 @@
 
 The op list is the one ``perfbench/workloads.py`` builds for the workload
 and seed; its input files go to a temporary directory.  Each run of an op
-is a fresh Python process that imports ``qmoon.cli`` untimed, then times one
+is a fresh Python process that times ``import qmoon.cli`` apart, then one
 ``cli.run(argv)`` call with stdout and stderr captured.  One untimed run of
 each op first writes the .pyc files of the modules it imports lazily (the
 children may write bytecode whatever PYTHONDONTWRITEBYTECODE says), and it
 must exit with the code the workload expects and pass its stdout check.
 Then the timed runs go round the ops --repeat times.  The table gives the
-best and the median run of each op in milliseconds, and the sums of both.
+best and the median run of each op in milliseconds, the median import, and
+the sums of all three.  The import column shows where a lazily imported
+module's cost went: a module that ``import qmoon.cli`` no longer loads
+moves into the run of each op that needs it, and out of the others.
 ``--src`` times another tree's ``src`` directory (a parent checkout, say)
 on the same ops.
 """
@@ -32,13 +35,15 @@ ROOT = Path(__file__).resolve().parent.parent
 CHILD = """\
 import io, json, sys, time
 from contextlib import redirect_stderr, redirect_stdout
+start = time.perf_counter()
 from qmoon import cli
+imported = time.perf_counter() - start
 out = io.StringIO()
 with redirect_stdout(out), redirect_stderr(io.StringIO()):
     start = time.perf_counter()
     code = cli.run(sys.argv[1:])
     elapsed = time.perf_counter() - start
-print(json.dumps({"exit": code, "s": elapsed, "stdout": out.getvalue()}))
+print(json.dumps({"exit": code, "s": elapsed, "import_s": imported, "stdout": out.getvalue()}))
 """
 
 
@@ -52,7 +57,7 @@ def _workloads():
 
 
 def time_once(argv, src: Path) -> dict:
-    """One fresh process's {"exit", "s", "stdout"} for ``qmoon argv``."""
+    """One fresh process's {"exit", "s", "import_s", "stdout"} for ``qmoon argv``."""
     drop = ("QMOON_DEFAULT_ORDER", "PYTHONDONTWRITEBYTECODE")
     env = {k: v for k, v in os.environ.items() if k not in drop}
     env["PYTHONPATH"] = str(src)
@@ -62,7 +67,7 @@ def time_once(argv, src: Path) -> dict:
 
 
 def op_times(workload: str, seed: int, repeat: int, names=(), src: Path = ROOT / "src"):
-    """{op name: [seconds of each run]} for the workload's ops, or those named."""
+    """{op name: [(run, import) seconds of each run]} for the workload's ops, or those named."""
     workloads = _workloads()
     with tempfile.TemporaryDirectory() as tmp:
         ops = workloads.build(workload, seed, Path(tmp))
@@ -81,17 +86,19 @@ def op_times(workload: str, seed: int, repeat: int, names=(), src: Path = ROOT /
         times = {op.name: [] for op in ops}
         for _ in range(repeat):
             for op in ops:
-                times[op.name].append(time_once(op.argv, src)["s"])
+                run = time_once(op.argv, src)
+                times[op.name].append((run["s"], run["import_s"]))
     return times
 
 
 def table(times: dict) -> str:
-    rows = [(name, min(ts) * 1e3, statistics.median(ts) * 1e3) for name, ts in times.items()]
-    width = max([len("total")] + [len(name) for name, _, _ in rows])
-    lines = [f"{'op':<{width}}  {'best ms':>9}  {'median ms':>9}"]
-    lines += [f"{name:<{width}}  {best:9.2f}  {mid:9.2f}" for name, best, mid in rows]
-    lines.append(f"{'total':<{width}}  {sum(r[1] for r in rows):9.2f}  "
-                 f"{sum(r[2] for r in rows):9.2f}")
+    rows = [(name, min(s for s, _ in runs) * 1e3, statistics.median(s for s, _ in runs) * 1e3,
+             statistics.median(i for _, i in runs) * 1e3) for name, runs in times.items()]
+    width = max([len("total")] + [len(row[0]) for row in rows])
+    lines = [f"{'op':<{width}}  {'best ms':>9}  {'median ms':>9}  {'import ms':>9}"]
+    lines += [f"{name:<{width}}" + "".join(f"  {x:9.2f}" for x in xs) for name, *xs in rows]
+    lines.append(f"{'total':<{width}}" + "".join(f"  {sum(r[k] for r in rows):9.2f}"
+                                                 for k in (1, 2, 3)))
     return "\n".join(lines)
 
 
