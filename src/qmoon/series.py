@@ -58,7 +58,7 @@ def _exact(x) -> bool:
 
 def _num(x):
     """Normalize an exact number: Fractions with denominator 1 become ints."""
-    if type(x) is int:  # the common case, without the ABC check a Fraction costs
+    if type(x) is int:  # the common case, without the ABC check Fraction costs
         return x
     if not _exact(x):
         raise TypeError(f"exact rational expected, got {type(x).__name__}")

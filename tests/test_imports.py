@@ -40,6 +40,20 @@ def test_modules_import_only_stdlib_and_qmoon():
                     f"{path.name} imports {name}"
 
 
+def test_no_module_imports_fractions_when_it_loads():
+    # fractions comes with the first true Fraction (series._rat), so a
+    # module may import it only inside a function
+    for path in sorted(Path(qmoon.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "fractions" not in names, f"{path.name} imports fractions at load"
+
+
 def test_no_module_keeps_a_functools_cache():
     modules = sorted(Path(qmoon.__file__).parent.glob("*.py"))
     for path in modules:
