@@ -69,8 +69,7 @@ class PlusForm:
         self.series = series
 
     @property
-    def weight(self):
-        """1/2, informational: every lift input sits in this weight."""
+    def weight(self):  # 1/2, informational: every lift input sits in this weight
         return _rat(1, 2)
 
     def __repr__(self):

@@ -71,7 +71,7 @@ def _parse_vector(text: str, flag: str):
     vector = []
     for tok in text.split(","):
         try:  # an integer stays an int; fractions reads "1/2", "0.5" and the like
-            vector.append(int(tok) if tok.strip().removeprefix("-").isdecimal() else _rat(tok))
+            vector.append(_rat(tok))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{flag} entry {tok.strip()!r} is not a rational number") from None
     return tuple(vector)

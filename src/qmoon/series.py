@@ -46,6 +46,8 @@ def _rat(n, d=1):
         q, r = divmod(n, d)
         if not r:
             return q
+    elif type(n) is str and n.strip().removeprefix("-").isdecimal():
+        return _rat(int(n), d)  # an integer spelled out, read without fractions
     Fraction = (sys.modules.get("fractions") or __import__("fractions")).Fraction
     return _num(Fraction(n) if d == 1 else Fraction(n, d))
 
@@ -329,6 +331,7 @@ class QSeries:
     def __truediv__(self, other):
         """The quotient by a rational, or by a series as far as self times its inverse is known."""
         if _exact(other):
+            _rat(0, other)  # a zero divisor raises ZeroDivisionError here, terms or none
             return self._like({e: _rat(c, other) for e, c in self.coeffs.items()}, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented

@@ -163,7 +163,7 @@ def test_rat_is_the_fraction_and_an_int_exactly_when_d_divides_n(n, d):
 
 
 def test_rat_reads_one_value_as_fraction_does():
-    for x in (3, True, Fraction(4, 2), Fraction(1, 2), 0.25, "3/12", " 2 ", Decimal("1.5")):
+    for x in (3, True, Fraction(4, 2), Fraction(1, 2), 0.25, "3/12", " 2 ", "-7", Decimal("1.5")):
         assert _rat(x) == Fraction(x) and type(_rat(x)) is type(_num(Fraction(x))), x
     for bad in (None, 1j, "x"):
         with pytest.raises((TypeError, ValueError)):
@@ -181,6 +181,10 @@ def test_scalars_are_ints_bools_and_fractions_only():
         assert (s * x).coeffs == (x * s).coeffs == {0: x, 1: 2 * x}
         assert (s / x).coeffs == {0: Fraction(1) / x, 1: Fraction(2) / x}
         assert _num(x) == x
+    for zero in (0, False, Fraction(0)):  # with terms to divide or none
+        for t in (s, QSeries({}, 3)):
+            with pytest.raises(ZeroDivisionError):
+                t / zero
     for bad in (0.5, 2.0, "1", Decimal(1), None):
         for op in (lambda: s + bad, lambda: bad + s, lambda: s - bad, lambda: bad - s,
                    lambda: s * bad, lambda: bad * s, lambda: s / bad, lambda: _num(bad)):
