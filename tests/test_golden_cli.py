@@ -198,6 +198,7 @@ CASES = (
     + [["vsys", "psi", "--file", "pair.json", "--chamber", "1,x/2"],
        ["vsys", "psi", "--file", "pair.json", "--chamber", "1,2"],
        ["vsys", "psi", "--file", "orthogonal.json", "--chamber", "1,0"],
+       ["vsys", "psi", "--file", "pair.json", "--order", "-1"],
        ["vsys", "check", "--file", "pair.json", "--shift", "1/0"],
        ["vsys", "check", "--file", "orthogonal.json", "--shift", "1"],
        ["vsys", "check", "--file", "rank.json", "--shift", "0,1/4", "--order", "2"]]
