@@ -145,13 +145,16 @@ def leech_theta(order: int) -> QSeries:
     and from the coefficient formula N_m = (65520/691)(sigma_11(m/2) - tau(m/2)).
     Any disagreement means a kernel bug, so every build is checked.  The
     theta4 powers are the theta3 powers at -q, and every power comes from
-    the eighth powers.
+    the eighth powers; theta2^8 = q^2 (sum 2 q^(n^2+n))^8 sits on the
+    integer grid, so no coefficient or exponent is a fraction.
     """
-    t2_8 = theta_nullwerte(2, order) ** 8
+    root = isqrt(max(order, 0))
+    t2_8 = (QSeries({n * n + n: 2 for n in range(root + 1) if n * n + n <= order}, order,
+                    nome=HALF) ** 8).shift(2)
     t3_8 = theta_nullwerte(3, order) ** 8
     t3_24 = t3_8 * t3_8 * t3_8
-    from_thetas = ((t2_8 * t2_8 * t2_8).canonical() + t3_24 + _at_minus_q(t3_24)) / 2 \
-        - 69 * (t2_8 * t3_8 * _at_minus_q(t3_8)).canonical() / 16
+    from_thetas = (t2_8 * t2_8 * t2_8 + t3_24 + _at_minus_q(t3_24)) / 2 \
+        - 69 * (t2_8 * t3_8 * _at_minus_q(t3_8)) / 16
     half = order // 2
     d = delta(half)
     sig = _sigma_table(11, half) if half else []

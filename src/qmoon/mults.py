@@ -16,7 +16,9 @@ from math import cos, factorial, pi
 
 from . import forms
 
-ALGEBRAS = ("E10_level2", "fake_monster")
+# each algebra by its full name and its short one
+ALGEBRAS = {"e10": "E10_level2", "E10_level2": "E10_level2",
+            "fake": "fake_monster", "fake_monster": "fake_monster"}
 
 
 class MultReport:
@@ -49,9 +51,11 @@ def frenkel_compare(algebra: str, norms) -> MultReport:
 
     l = 10 for the level-two E10 formula, l = 26 for the fake monster (where
     bound and formula coincide, so every row is equality by construction).
+    The algebra goes by either name in ALGEBRAS; the report gives the full one.
     """
     if algebra not in ALGEBRAS:
-        raise ValueError(f"algebra must be one of {ALGEBRAS}, got {algebra!r}")
+        raise ValueError(f"algebra must be one of {sorted(ALGEBRAS)}, got {algebra!r}")
+    algebra = ALGEBRAS[algebra]
     norms = sorted(set(norms), reverse=True)
     for norm in norms:
         if norm % 2 or norm > 2:

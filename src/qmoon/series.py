@@ -871,10 +871,8 @@ class BiSeries:
         digits, steps by its exact binomial terms sign^k C(e, k) x^(ka)
         y^(kb), as far as the cap can use, in descending x on old rows; a
         unit multiply is the one-step case.  A one-step factor runs its step
-        down every row; any other takes each row's steps in turn.  Under a
-        y-top, a factor with b > 0 expands only the terms whose copy of some
-        row reaches the top.  A factor constant in x replaces each row by the
-        sum of its shifted copies.
+        down every row; any other takes each row's steps in turn.  A factor
+        constant in x replaces each row by the sum of its shifted copies.
 
         Cost: one interpreted step for each nonempty source row and binomial
         term, so the order of the factors, which never changes the result,
@@ -905,7 +903,6 @@ class BiSeries:
                              "first-variable exponents >= 0")
         rows, bnd = [[] for _ in range(n)], []
         width = _fill(rows, bnd, dict(sorted(self.coeffs.items())), 8)
-        xmin = min((x for x, _ in self.coeffs), default=n)  # rows below it stay empty
         steep = 0  # how far b < 0 factors carry unknown terms down
         gap = _GAP
         for a, b, e, sign in factors:
@@ -917,7 +914,7 @@ class BiSeries:
                                      "and no y-top")
                 terms = list(_binomial_terms(e, sign, e))
                 grow = sum(abs(c) for _, c in terms)
-                for x in range(xmin, n):
+                for x in range(n):
                     if rows[x]:
                         width = _room(rows, bnd, width, x, x, grow - 1)
                         w, row, out = 8 * width, rows[x], []
@@ -928,17 +925,13 @@ class BiSeries:
             if b < 0:
                 steep = max(steep, -(max(cap, 0) * b // a))
             cut = ytop is not None and b > 0  # a row's copies stop at the y-top
-            kmax = max(cap, 0) // a
-            if cut and e >= 0:  # no term k past (ytop - lowest y) / b copies anything
-                kmax = min(kmax, (ytop - min((row[0][0] for row in rows if row),
-                                             default=ytop)) // b)
             if e == -1:  # divide, reading each source after its own update
                 steps = [(a, b, -sign, 1, ytop - b if cut else None)]
-                xs = range(xmin, cap - a + 1)
+                xs = range(cap - a + 1)
             else:  # multiply, reading each source before any update
                 steps = [(k * a, k * b, c, abs(c), ytop - k * b if cut else None)
-                         for k, c in _binomial_terms(e, sign, kmax) if k]
-                xs = range(cap - a, xmin - 1, -1)
+                         for k, c in _binomial_terms(e, sign, max(cap, 0) // a) if k]
+                xs = range(cap - a, -1, -1)
             if len(steps) == 1:  # one step down every row, its terms loop-invariant
                 plan = [(steps[0], xs)]
             else:  # a multiply: each row's steps in turn, skipping those that copy

@@ -106,7 +106,6 @@ def test_hurwitz_range_is_twelve_times_the_oracle_through_400():
 def test_plus_space_accepts_theta_multiple():
     f = borcherds.PlusForm(12 * forms.theta_full(20))
     assert f.series.coeff(0) == 12 and f.series.coeff(4) == 24
-    assert f.weight == Fraction(1, 2)
 
 
 def test_plus_space_rejects_bad_support():
@@ -327,10 +326,27 @@ def test_efactor_report():
     assert "E6" in rep["resolution"]
 
 
-def test_efactor_report_falls_back_to_e4():
-    # the lift of f_4 is E_4, not j: the report builds and lifts the E_4 numerator
+def test_efactor_report_on_a_lift_that_misses_j_is_a_regression(monkeypatch):
+    # the lift of f_4 is E_4, not j: the report says so and builds no other numerator
     lifted = borcherds.lift(borcherds.catalog("f_4", 36), 6).result
+
+    def no_build(order):
+        raise AssertionError(f"the report built Q G at order {order}")
+
+    monkeypatch.setattr(borcherds, "_qg", no_build)
     rep = borcherds.fj_efactor_report(lifted, 6)
     assert rep == {"formula_reads": "E6", "prose_reads": "E4", "used": None,
-                   "E6_lifts_to_j": False, "E4_lifts_to_j": False,
-                   "resolution": "neither Eisenstein numerator lifts to j"}
+                   "E6_lifts_to_j": False,
+                   "resolution": "the displayed E6 numerator does not lift to j: "
+                                 "a regression against the record"}
+
+
+def test_the_prose_e4_numerator_does_not_lift_to_j():
+    # the record's evidence that weight 4 in the prose is the slip: f_j built
+    # as 3 (Q E_4(4t))/Delta(4t) + 168 theta lifts to something other than j
+    order = 6
+    cap, m = order * order, order * order // 4 + 2
+    e4t, d4t = forms.eisenstein(4, m).scale_var(4), forms.delta(m).scale_var(4)
+    series = 3 * ((borcherds._q_series(cap + 4) * e4t) / d4t) + 168 * forms.theta_full(cap)
+    lifted = borcherds.lift(borcherds.PlusForm(series.truncate(cap)), order).result
+    assert not lifted.agrees_with(forms.j_invariant(order), order)

@@ -272,6 +272,19 @@ def test_hurwitz_negative_max_rejected(capsys):
     assert code == 4 and out == "" and err == "error: max must be >= 0\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hurwitz", "--max", "-1"], "max must be >= 0"),
+    (["mult", "table", "--algebra", "e8"],
+     "algebra must be one of ['E10_level2', 'e10', 'fake', 'fake_monster'], got 'e8'"),
+    (["vsys", "psi", "--order", "-1", "--file"], "order must be >= 0")])
+def test_the_library_refuses_bad_flags_in_the_cli_words(capsys, tmp_path, argv, message):
+    # each check runs once, in the library; golden_cli.json pins stdout only
+    if argv[-1] == "--file":
+        argv = [*argv, str(tmp_path / "pair.json")]
+        Path(argv[-1]).write_text(json.dumps(system_json(sample_system("pair"))))
+    assert run(capsys, argv) == (4, "", f"error: {message}\n")
+
+
 def test_zeromult(capsys):
     code, out, _ = run(capsys, ["zeromult", "--name", "f_j", "--disc", "-3", "--json"])
     assert code == 0 and json.loads(out)["multiplicity"] == 3
@@ -496,7 +509,7 @@ _RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
 @pytest.mark.parametrize("argv", [
     ["expand", "theta", "--order", "1"], ["hurwitz", "--max", "100", "--json"],
     ["mult", "table", "--algebra", "e10", "--json"], ["lift", "--name", "f_j", "--order", "5"],
-    ["verify", "triple", "--order", "21"]])
+    ["verify", "triple", "--order", "21"], ["expand", "leech", "--order", "20"]])
 def test_an_op_that_meets_no_true_rational_never_imports_fractions(argv):
     loaded = _modules_after_run(argv)
     assert not loaded & _RATIONAL_MODULES, loaded & _RATIONAL_MODULES

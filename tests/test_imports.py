@@ -106,8 +106,6 @@ def test_kernel_oracle_borrows_no_kernel_arithmetic():
 # Module-level names and methods that no subcommand reaches, kept on purpose.
 UNROUTED = {
     "cli.main": "the console-script entry point; the golden cases call cli.run, which it wraps",
-    "borcherds.PlusForm.weight": "1/2, informational, as every lift input is; a property "
-                                 "so that importing borcherds builds no Fraction",
     "borcherds.printed_coefficient_report": "the published f_4 and f_6 coefficients against "
                                             "the catalog formulas; no subcommand prints it yet",
     "maass._CoeffTable.coeff": "a table's one lookup that refuses past disc_bound; the "
@@ -134,9 +132,9 @@ _ALIEN = "an operand of another type; every route combines a series with a serie
 UNROUTED_LINES = {
     "borcherds.PlusForm.__init__": {
         'raise ValueError("plus-space forms live in the full nome")':
-            "catalog and fj_efactor_report, its only callers, build full-nome series",
+            "catalog, its only caller, builds full-nome series",
         'raise ValueError("plus-space forms have integral exponents")':
-            "catalog and fj_efactor_report, its only callers, build series with no prefactor",
+            "catalog, its only caller, builds series with no prefactor",
         'raise ValueError("not in the plus space; offending (exponent, coefficient): "':
             "a self-check: every form its callers build lies in the plus space",
     },
@@ -145,22 +143,7 @@ UNROUTED_LINES = {
         'raise ValueError(f"unknown catalog form {name!r}; have {\', \'.join(CATALOG_NAMES)}")':
             "argparse's choices for --name refuse any other name first",
     },
-    # the E4 fallback and its resolutions run only if the displayed E6
-    # numerator fails to lift to j, which it never does
-    "borcherds.fj_efactor_report": dict.fromkeys((
-        "cap = order * order",
-        "series = 3 * _qg(4, cap) + 168 * forms.theta_full(cap)",
-        "lifted = lift(PlusForm(series), order).result",
-        "except ValueError as err:",
-        "ok = False",
-        'report[f"E{weight}_error"] = str(err)',
-        'elif report.get("E4_lifts_to_j"):',
-        'report["resolution"] = "the prose E4 numerator lifts to j; the display is a slip"',
-        'report["resolution"] = "neither Eisenstein numerator lifts to j"',
-    ), "ROADMAP item 3(c) gives the recorded E-factor outcome a route, or says why it has none"),
     "borcherds.hurwitz_range": {
-        'raise ValueError("max_n must be nonnegative")':
-            "_cmd_hurwitz refuses a negative --max with its own message first",
         'raise ArithmeticError(f"H({n}) = {_fmt_rat(t, 12)} breaks the class-number "':
             "a self-check of the walk; every H(n) meets the constraints",
     },
@@ -218,8 +201,6 @@ UNROUTED_LINES = {
         'return (f"MultReport({self.algebra}, rows={len(self.rows)}, "': _SHOW,
     },
     "mults.frenkel_compare": {
-        'raise ValueError(f"algebra must be one of {ALGEBRAS}, got {algebra!r}")':
-            "_cmd_mult_table maps --algebra to a known name, or refuses it, first",
         'raise ValueError(f"rows need even norms <= 2, got {norm}")':
             "_cmd_mult_table passes only even norms <= 2",
     },
@@ -325,9 +306,6 @@ UNROUTED_LINES = {
     },
     "vsys.VectorSystem.__repr__": {
         'return f"VectorSystem(dim={self.dim}, support={len(self.mult)})"': _SHOW,
-    },
-    "vsys.psi": {
-        'raise ValueError("order must be >= 0")': "the CLI refuses a negative --order first",
     },
 }
 

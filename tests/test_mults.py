@@ -122,6 +122,13 @@ def test_frenkel_e10_first_violation_and_tail():
     assert len(violations) == 18
 
 
+def test_frenkel_reads_short_names_and_reports_full_ones():
+    assert frenkel_compare("e10", [0]).algebra == "E10_level2"
+    assert frenkel_compare("fake", [0]).algebra == "fake_monster"
+    assert frenkel_compare("e10", range(2, -13, -2)).rows == \
+        frenkel_compare("E10_level2", range(2, -13, -2)).rows
+
+
 def test_frenkel_empty_and_errors():
     assert frenkel_compare("E10_level2", []).rows == []
     with pytest.raises(ValueError, match="algebra"):
