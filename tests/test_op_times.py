@@ -54,7 +54,7 @@ def test_a_run_with_the_wrong_exit_or_output_is_refused(monkeypatch):
         monkeypatch.setattr(workloads, "build", lambda *args: ops)
         monkeypatch.setattr(op_times, "_workloads", lambda: workloads)
         if ok:
-            assert len(op_times.op_times("cli-burst", 1, 2)["probe"]) == 2
+            assert len(op_times.op_times("cli-burst", 1, 2)[0]["probe"]) == 2
         else:
             with pytest.raises(ValueError, match="^probe: "):
                 op_times.op_times("cli-burst", 1, 2)
@@ -76,6 +76,47 @@ def test_children_write_bytecode_and_the_first_run_is_untimed(monkeypatch, tmp_p
         return real(argv, tree)
 
     monkeypatch.setattr(op_times, "time_once", counted)
-    times = op_times.op_times("dense-lift", 1, 2, ["lift f_delta 50"], src)
+    times, = op_times.op_times("dense-lift", 1, 2, ["lift f_delta 50"], [src])
     assert len(times["lift f_delta 50"]) == 2 and len(runs) == 3
     assert runs[0] == [] and {"borcherds", "cli", "series"} <= set(runs[1]) and runs[1] == runs[2]
+
+
+def test_two_trees_are_timed_in_alternating_order(monkeypatch, tmp_path, capsys):
+    # every op runs untimed on each tree, then each round times it on both,
+    # the first tree first in even rounds and last in odd ones
+    trees = [tmp_path / name for name in ("a", "b")]
+    for tree in trees:
+        shutil.copytree(Path(op_times.ROOT) / "src" / "qmoon", tree / "qmoon",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    runs = []
+    real = op_times.time_once
+
+    def logged(argv, tree):
+        runs.append(tree.name)
+        return real(argv, tree)
+
+    monkeypatch.setattr(op_times, "time_once", logged)
+    argv = ["--workload", "dense-lift", "--op", "lift f_delta 50", "--repeat", "3"]
+    assert op_times.main(argv + [arg for tree in trees for arg in ("--src", str(tree))]) == 0
+    assert runs == ["a", "b", "a", "b", "b", "a", "a", "b"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["op"] + ["best", "ms", "[1]", "median", "ms", "[1]",
+                                         "import", "ms", "[1]", "best", "ms", "[2]",
+                                         "median", "ms", "[2]", "import", "ms", "[2]"]
+    name, *columns = lines[1].rsplit(None, 6)
+    assert name == "lift f_delta 50" and len(columns) == 6
+    assert float(columns[0]) <= float(columns[1]) and float(columns[3]) <= float(columns[4])
+    assert lines[2].split() == ["total", *columns]
+    assert lines[3:] == [f"[1] {trees[0]}", f"[2] {trees[1]}"]
+
+
+def test_the_table_of_two_trees_gives_each_its_columns():
+    a = {"x": [(0.004, 0.001), (0.002, 0.003)]}
+    b = {"x": [(0.001, 0.002)]}
+    assert op_times.table(a, b).splitlines() == [
+        "op       best ms [1]  median ms [1]  import ms [1]    best ms [2]  median ms [2]"
+        "  import ms [2]",
+        "x               2.00           3.00           2.00           1.00           1.00"
+        "           2.00",
+        "total           2.00           3.00           2.00           1.00           1.00"
+        "           2.00"]

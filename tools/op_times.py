@@ -1,7 +1,7 @@
 """Time each op of one perfbench workload in process, import excluded.
 
     python3 tools/op_times.py --workload bivariate-verify [--seed 1] [--repeat 7]
-                              [--op "verify all 90" ...] [--src DIR]
+                              [--op "verify all 90" ...] [--src DIR ...]
 
 The op list is the one ``perfbench/workloads.py`` builds for the workload
 and seed; its input files go to a temporary directory.  Each run of an op
@@ -16,7 +16,10 @@ the sums of all three.  The import column shows where a lazily imported
 module's cost went: a module that ``import qmoon.cli`` no longer loads
 moves into the run of each op that needs it, and out of the others.
 ``--src`` times another tree's ``src`` directory (a parent checkout, say)
-on the same ops.
+on the same ops.  Given more than once, each round times every op on each
+tree in turn, and the next round takes the trees in the other order, so
+that the machine's drift falls on every tree alike; the table then gives
+each tree's three columns, tagged [1], [2], ... in the order of the flags.
 """
 
 from __future__ import annotations
@@ -66,8 +69,9 @@ def time_once(argv, src: Path) -> dict:
     return json.loads(done.stdout)
 
 
-def op_times(workload: str, seed: int, repeat: int, names=(), src: Path = ROOT / "src"):
-    """{op name: [(run, import) seconds of each run]} for the workload's ops, or those named."""
+def op_times(workload: str, seed: int, repeat: int, names=(), srcs=(ROOT / "src",)):
+    """[{op name: [(run, import) seconds of each run]} for each tree] for the workload's
+    ops, or those named; each round alternates which tree runs an op first."""
     workloads = _workloads()
     with tempfile.TemporaryDirectory() as tmp:
         ops = workloads.build(workload, seed, Path(tmp))
@@ -78,27 +82,38 @@ def op_times(workload: str, seed: int, repeat: int, names=(), src: Path = ROOT /
                                  f"seed {seed}")
             ops = [op for op in ops if op.name in names]
         for op in ops:  # untimed: checks each op and writes the .pyc files it needs
-            run = time_once(op.argv, src)
-            problem = (f"exit {run['exit']}, want {op.expect}"
-                       if run["exit"] != op.expect else op.check(run["stdout"]))
-            if problem:
-                raise ValueError(f"{op.name}: {problem}")
-        times = {op.name: [] for op in ops}
-        for _ in range(repeat):
-            for op in ops:
+            for src in srcs:
                 run = time_once(op.argv, src)
-                times[op.name].append((run["s"], run["import_s"]))
+                problem = (f"exit {run['exit']}, want {op.expect}"
+                           if run["exit"] != op.expect else op.check(run["stdout"]))
+                if problem:
+                    raise ValueError(f"{op.name}: {problem}")
+        times = [{op.name: [] for op in ops} for _ in srcs]
+        trees = list(zip(srcs, times))
+        for r in range(repeat):
+            for op in ops:
+                for src, runs in trees[::-1] if r % 2 else trees:
+                    run = time_once(op.argv, src)
+                    runs[op.name].append((run["s"], run["import_s"]))
     return times
 
 
-def table(times: dict) -> str:
-    rows = [(name, min(s for s, _ in runs) * 1e3, statistics.median(s for s, _ in runs) * 1e3,
-             statistics.median(i for _, i in runs) * 1e3) for name, runs in times.items()]
+def table(*trees) -> str:
+    """Each op's best run, median run and median import in ms, and their sums, for each
+    tree's {op name: runs}; with several trees, tree k's columns are tagged [k]."""
+    tags = [f" [{k}]" if len(trees) > 1 else "" for k in range(1, len(trees) + 1)]
+    heads = [f"{head}{tag}" for tag in tags for head in ("best ms", "median ms", "import ms")]
+    rows = [(name, *(x for runs in (times[name] for times in trees)
+                     for x in (min(s for s, _ in runs) * 1e3,
+                               statistics.median(s for s, _ in runs) * 1e3,
+                               statistics.median(i for _, i in runs) * 1e3)))
+            for name in trees[0]]
     width = max([len("total")] + [len(row[0]) for row in rows])
-    lines = [f"{'op':<{width}}  {'best ms':>9}  {'median ms':>9}  {'import ms':>9}"]
-    lines += [f"{name:<{width}}" + "".join(f"  {x:9.2f}" for x in xs) for name, *xs in rows]
-    lines.append(f"{'total':<{width}}" + "".join(f"  {sum(r[k] for r in rows):9.2f}"
-                                                 for k in (1, 2, 3)))
+    col = max(len(head) for head in heads)
+    lines = [f"{'op':<{width}}" + "".join(f"  {head:>{col}}" for head in heads)]
+    lines += [f"{name:<{width}}" + "".join(f"  {x:{col}.2f}" for x in xs) for name, *xs in rows]
+    lines.append(f"{'total':<{width}}" + "".join(f"  {sum(r[k] for r in rows):{col}.2f}"
+                                                 for k in range(1, len(heads) + 1)))
     return "\n".join(lines)
 
 
@@ -108,16 +123,20 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--repeat", type=int, default=7, help="runs of each op (default 7)")
     p.add_argument("--op", action="append", default=[], help="time only this op; repeatable")
-    p.add_argument("--src", type=Path, default=ROOT / "src", help="source tree to time")
+    p.add_argument("--src", type=Path, action="append", default=[],
+                   help="source tree to time (default src); repeatable, then alternated")
     args = p.parse_args(argv)
     if args.repeat < 1:
         p.error("--repeat must be at least 1")
+    srcs = [src.resolve() for src in args.src or [ROOT / "src"]]
     try:
-        times = op_times(args.workload, args.seed, args.repeat, args.op, args.src.resolve())
+        times = op_times(args.workload, args.seed, args.repeat, args.op, srcs)
     except (ValueError, subprocess.CalledProcessError) as exc:
         print(f"op_times: {exc}", file=sys.stderr)
         return 1
-    print(table(times))
+    print(table(*times))
+    if len(srcs) > 1:
+        print("\n".join(f"[{k}] {src}" for k, src in enumerate(srcs, 1)))
     return 0
 
 
