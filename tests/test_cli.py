@@ -276,12 +276,12 @@ def test_hurwitz_negative_max_rejected(capsys):
     (["hurwitz", "--max", "-1"], "max must be >= 0"),
     (["mult", "table", "--algebra", "e8"],
      "algebra must be one of ['E10_level2', 'e10', 'fake', 'fake_monster'], got 'e8'"),
-    (["vsys", "psi", "--order", "-1", "--file"], "order must be >= 0")])
-def test_the_library_refuses_bad_flags_in_the_cli_words(capsys, tmp_path, argv, message):
+    (["vsys", "psi", "--file", "pair.json", "--order", "-1"], "order must be >= 0")])
+def test_the_library_refuses_bad_flags_in_the_cli_words(capsys, tmp_path, monkeypatch, argv,
+                                                         message):
     # each check runs once, in the library; golden_cli.json pins stdout only
-    if argv[-1] == "--file":
-        argv = [*argv, str(tmp_path / "pair.json")]
-        Path(argv[-1]).write_text(json.dumps(system_json(sample_system("pair"))))
+    monkeypatch.chdir(tmp_path)
+    Path("pair.json").write_text(json.dumps(system_json(sample_system("pair"))))
     assert run(capsys, argv) == (4, "", f"error: {message}\n")
 
 
