@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import forms
-from .series import ExponentTable, FULL, QSeries, _fmt_rat, _rat, product_from_exponents
+from .series import ExponentTable, FULL, QSeries, _fmt_rat, product_from_exponents
 
 CATALOG_NAMES = ("f_delta", "f_4", "f_6", "f_8", "f_10", "f_14", "f_j")
 
@@ -59,7 +59,7 @@ class PlusForm:
     def __init__(self, series: QSeries):
         if series.nome != FULL:
             raise ValueError("plus-space forms live in the full nome")
-        if series.prefactor:
+        if series.pre24:
             raise ValueError("plus-space forms have integral exponents")
         bad = [(e, c) for e, c in sorted(series.coeffs.items())
                if e % 4 in (2, 3) or not isinstance(c, int)]
@@ -147,7 +147,6 @@ def catalog(name: str, order: int) -> PlusForm:
 # -- the lift ----------------------------------------------------------------
 
 class LiftResult(NamedTuple):
-    h: object
     result: QSeries
     table: ExponentTable
 
@@ -165,10 +164,9 @@ def lift(f: PlusForm, order: int) -> LiftResult:
         raise ValueError(f"lift to order {order} reads c(n^2) up to n = {order}; "
                          f"the form is only known to q^{s.trunc}")
     H = hurwitz_range(max((-e for e in s.coeffs if e < 0), default=0))
-    h = _rat(sum(c * H[-e] for e, c in s.coeffs.items() if e <= 0), 12)
-    table = ExponentTable(h, {n: s.coeff(n * n) for n in range(1, order + 1)}, order)
-    result = product_from_exponents(table)
-    return LiftResult(table.h, result, table)
+    h24 = 2 * sum(c * H[-e] for e, c in s.coeffs.items() if e <= 0)  # H in twelfths
+    table = ExponentTable(h24, {n: s.coeff(n * n) for n in range(1, order + 1)}, order)
+    return LiftResult(product_from_exponents(table), table)
 
 
 def zero_multiplicity(f: PlusForm, D: int) -> int:

@@ -158,9 +158,10 @@ def _cmd_vsys_psi(args) -> int:
     from . import vsys
     system = vsys.VectorSystem.from_json(_load_json(args.file))
     chamber = _parse_vector(args.chamber, "--chamber") if args.chamber else (1,) * system.dim
-    qpre, coeffs = vsys.psi(system, chamber, args.order)
+    d, coeffs = vsys.psi(system, chamber, args.order)
+    qpre = _fmt_rat(d, 24)
     terms = [{"q": n, "zeta2": list(r), "c": c} for (n, r), c in sorted(coeffs.items())]
-    return _emit(args, lambda: {"file": args.file, "dim": system.dim, "qpre": str(qpre),
+    return _emit(args, lambda: {"file": args.file, "dim": system.dim, "qpre": qpre,
                                 "trunc": args.order, "terms": terms},
                  lambda: [f"prefactor exponent: {qpre}",
                           *(f"  q^{t['q']} zeta2={t['zeta2']}: {t['c']}" for t in terms)])

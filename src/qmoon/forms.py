@@ -74,9 +74,9 @@ def eisenstein(weight: int, order: int) -> QSeries:
     return QSeries({0: 1, **coeffs}, order)
 
 
-def _euler_power(b: int, h, order: int) -> QSeries:
-    """q^(-h) prod_{n <= order} (1 - q^n)^b, through q^order."""
-    table = ExponentTable(h, dict.fromkeys(range(1, order + 1), b), order)
+def _euler_power(b: int, h24: int, order: int) -> QSeries:
+    """q^(-h24/24) prod_{n <= order} (1 - q^n)^b, through q^order."""
+    table = ExponentTable(h24, dict.fromkeys(range(1, order + 1), b), order)
     return product_from_exponents(table).truncate(order)
 
 
@@ -95,7 +95,7 @@ def delta(order: int) -> QSeries:
 
 def eta(order: int) -> QSeries:
     """Dedekind eta: prefactor q^(1/24) times prod (1-q^n)."""
-    return _euler_power(1, _rat(-1, 24), order)
+    return _euler_power(1, -1, order)
 
 
 def j_invariant(order: int) -> QSeries:
@@ -119,7 +119,7 @@ def theta_nullwerte(which: int, order: int) -> QSeries:
     root = isqrt(max(order, 0))
     if which == 2:
         coeffs = {n * n + n: 2 for n in range(root + 1) if n * n + n <= order}
-        return QSeries(coeffs, order, nome=HALF, prefactor=_rat(1, 4))
+        return QSeries(coeffs, order, nome=HALF, pre24=6)
     if which in (3, 4):
         sign = 1 if which == 3 else -1
         coeffs = {n * n: 2 * sign ** n for n in range(1, root + 1)}

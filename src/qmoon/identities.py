@@ -22,7 +22,6 @@ from .series import (
     ExponentTable,
     QSeries,
     VerifyReport,
-    _rat,
     product_from_exponents,
 )
 
@@ -100,7 +99,7 @@ def _euler3(order):
     # pentagonal-type sum with prefactor q^{1/24} against q^{1/24} prod (1-q^n)
     pentagonal = _lattice_sum(order, lambda m: [((_pentagonal(m), 0), (-1) ** (m % 2))])
     lhs = QSeries({e: c for (e, _), c in pentagonal.coeffs.items()}, order,
-                  prefactor=_rat(1, 24))
+                  pre24=1)
     return [(lhs, forms.eta(order))]
 
 
@@ -127,18 +126,18 @@ def _jacobi_delta(order):
     e6 = forms.eisenstein(6, order)
     lhs = (e4 ** 3 - e6 ** 2) / 1728
     rhs = product_from_exponents(
-        ExponentTable(-1, {n: 24 for n in range(1, order + 1)}, order))
+        ExponentTable(-24, {n: 24 for n in range(1, order + 1)}, order))
     return [(lhs, rhs)]
 
 
 def _theta_nullwert_products(order):
-    def product(h, exps):  # q^-h prod (1-q^n)^{e_n}, with e_n = exps[n mod len(exps)]
-        table = ExponentTable(h, {n: exps[n % len(exps)] for n in range(1, order + 1)}, order)
+    def product(h24, exps):  # q^(-h24/24) prod (1-q^n)^{e_n}, e_n = exps[n mod len(exps)]
+        table = ExponentTable(h24, {n: exps[n % len(exps)] for n in range(1, order + 1)}, order)
         return product_from_exponents(table, nome=HALF)
 
     return [
         # 2 q^{1/4} prod (1-q^{2n})(1+q^{2n})^2, with 1 + q^a = (1 - q^{2a}) / (1 - q^a)
-        (forms.theta_nullwerte(2, order), 2 * product(_rat(-1, 4), (1, 0, -1, 0))),
+        (forms.theta_nullwerte(2, order), 2 * product(-6, (1, 0, -1, 0))),
         # prod (1-q^{2n})(1+q^{2n-1})^2, with 1 + q^a = (1 - q^{2a}) / (1 - q^a)
         (forms.theta_nullwerte(3, order), product(0, (1, -2, 3, -2))),
         # prod (1-q^{2n})(1-q^{2n-1})^2, which has no 1 + q^a factor
@@ -148,7 +147,7 @@ def _theta_nullwert_products(order):
 
 def _delta_theta(order):
     lhs = product_from_exponents(
-        ExponentTable(-2, {2 * n: 24 for n in range(1, order // 2 + 1)}, order),
+        ExponentTable(-48, {2 * n: 24 for n in range(1, order // 2 + 1)}, order),
         nome=HALF)
     t2 = forms.theta_nullwerte(2, order)
     t3 = forms.theta_nullwerte(3, order)

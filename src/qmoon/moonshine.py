@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import mul
 
 from . import forms
-from .series import BiSeries, QSeries, VerifyReport, _rat
+from .series import BiSeries, QSeries, VerifyReport
 
 
 def moonshine_c(max_n: int) -> QSeries:
@@ -43,11 +43,11 @@ def moonshine_c(max_n: int) -> QSeries:
 # the steepest factor, 1 - p q^-1, steps down one q per p over the cap M.
 #
 # The replication side needs no such argument.  bi_exp runs the exp
-# recurrence m B_m = sum_k k T_k B_{m-k} on q-rows: T_k, the p^k row of the
-# exponent, is known through q^hi and has q-valuation >= -k, so the kernel's
-# truncation bookkeeping shows B_m known through q^(hi + 1 - m) by induction,
-# B_0 = 1 being exact.  Its smallest row truncation, hi + 1 - M = cap_n + 1,
-# is the result's q-top.
+# recurrence m B_m = sum_k w_k B_{m-k} on q-rows: w_k = k T_k, for T_k the p^k
+# row of the exponent, is known through q^hi and has q-valuation >= -k, so the
+# kernel's truncation bookkeeping shows B_m known through q^(hi + 1 - m) by
+# induction, B_0 = 1 being exact.  Its smallest row truncation,
+# hi + 1 - M = cap_n + 1, is the result's q-top.
 
 def _grid(cap_m, cap_n):
     big_m = cap_m + 1
@@ -78,7 +78,8 @@ def denominator_product(cap_m: int, cap_n: int) -> BiSeries:
 
 
 def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:
-    """-sum_{i>0} sum_{m>0, n>=-1} c(mn) p^{mi} q^{ni} / i, the exp argument."""
+    """w = p dT/dp for the exp argument T = -sum_{i>0} sum_{m>0, n>=-1} c(mn) p^{mi} q^{ni} / i:
+    the integers -m c(mn) at p^{mi} q^{ni}, summed over the (m, i, n) that meet there."""
     big_m, hi = _grid(cap_m, cap_n)
     c = moonshine_c(big_m * hi)
     coeffs = {}
@@ -88,12 +89,13 @@ def replication_exponent(cap_m: int, cap_n: int) -> BiSeries:
                 v = c[m * n] if m * n <= c.trunc else 0
                 if v:
                     key = (m * i, n * i)
-                    coeffs[key] = coeffs.get(key, 0) - _rat(v, i)
+                    coeffs[key] = coeffs.get(key, 0) - m * v
     return BiSeries(coeffs, big_m, ytop=hi)
 
 
-def bi_exp(t: BiSeries) -> BiSeries:
-    """exp of a bivariate series whose every term has positive first-variable power.
+def bi_exp(w: BiSeries) -> BiSeries:
+    """exp(T) from w = x dT/dx, for a bivariate T whose every term has positive
+    first-variable power x.
 
     The exp recurrence runs on the first-variable rows, each a QSeries in the
     second variable known through the y-top, and the result's y-top is the
@@ -104,21 +106,21 @@ def bi_exp(t: BiSeries) -> BiSeries:
     through cap hi, past any exponent the exp reaches, so the result needs
     no y-top.
     """
-    if any(ex < 1 for (ex, _) in t.coeffs):
+    if any(ex < 1 for (ex, _) in w.coeffs):
         raise ValueError("bivariate exp needs a positive power of the first variable")
-    ys = [ey for _, ey in t.coeffs] or [0]
+    ys = [ey for _, ey in w.coeffs] or [0]
     lo = min(min(ys), 0)
-    top = t.ytop if t.ytop is not None else t.cap * (max(max(ys), 0) - lo)
-    rows = [{} for _ in range(t.cap)]
-    for (ex, ey), c in t.coeffs.items():
-        rows[ex - 1][ey] = ex * c
-    w = [QSeries(row, top) for row in rows]  # w_k = k T_k
-    # T_k * 1 is known through min(top, unit top + valuation of T_k) >= top
+    top = w.ytop if w.ytop is not None else w.cap * (max(max(ys), 0) - lo)
+    rows = [{} for _ in range(w.cap)]
+    for (ex, ey), c in w.coeffs.items():
+        rows[ex - 1][ey] = c
+    ws = [QSeries(row, top) for row in rows]  # w_k = k T_k, the x^k row of w
+    # w_k * 1 is known through min(top, unit top + valuation of w_k) >= top
     b = [QSeries.one(top - lo)]
-    for m in range(1, t.cap + 1):  # m B_m = sum_k w_k B_{m-k}
-        b.append(sum(map(mul, w, reversed(b))) / m)
+    for m in range(1, w.cap + 1):  # m B_m = sum_k w_k B_{m-k}
+        b.append(sum(map(mul, ws, reversed(b))) / m)
     return BiSeries({(m, ey): c for m, row in enumerate(b) for ey, c in row.coeffs.items()},
-                    t.cap, ytop=None if t.ytop is None else min(row.trunc for row in b))
+                    w.cap, ytop=None if w.ytop is None else min(row.trunc for row in b))
 
 
 def replication_product(cap_m: int, cap_n: int) -> BiSeries:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from itertools import compress, repeat
 from math import gcd, inf, lcm
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from struct import Struct
 
 __all__ = [
@@ -67,13 +67,6 @@ def _num(x):
     return int(x) if x.denominator == 1 else x
 
 
-def _frac24(x, what="prefactor exponent"):
-    f = _rat(x)
-    if 24 % f.denominator:
-        raise ValueError(f"{what} {f} has denominator not dividing 24")
-    return f
-
-
 def _fmt_rat(n, d=1) -> str:
     """The rational n / d, for an int or Fraction n and an int d > 0, as -3 or 23/4."""
     if type(n) is int and d == 1:
@@ -84,9 +77,9 @@ def _fmt_rat(n, d=1) -> str:
 
 
 def _fmt_tuple(m) -> str:
-    """A tuple as its repr reads, with rationals inside as -3 or 23/4."""
+    """A tuple as its repr reads, with rationals inside as -3 or 23/4 and strs as they are."""
     if not isinstance(m, tuple):
-        return _fmt_rat(m)
+        return m if isinstance(m, str) else _fmt_rat(m)
     parts = [_fmt_tuple(x) for x in m]
     return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
 
@@ -186,22 +179,22 @@ class VerifyReport:
 
 
 class QSeries:
-    """Truncated Laurent series  q^prefactor * sum coeffs[e] * q^e.
+    """Truncated Laurent series  q^(pre24/24) * sum coeffs[e] * q^e.
 
     ``coeffs`` maps integer exponents (negative allowed) to exact rationals;
-    ``trunc`` is the largest exponent whose coefficient is known; ``prefactor``
-    is a symbolic fractional power with denominator dividing 24, carried
+    ``trunc`` is the largest exponent whose coefficient is known; ``pre24``,
+    an int, counts the twenty-fourths of a symbolic prefactor power carried
     outside the integer exponent grid.  Instances are immutable by convention:
     no method mutates self, and callers must not mutate ``coeffs``.
     """
 
-    __slots__ = ("nome", "prefactor", "coeffs", "trunc")
+    __slots__ = ("nome", "pre24", "coeffs", "trunc")
 
-    def __init__(self, coeffs, trunc, *, nome=FULL, prefactor=0):
+    def __init__(self, coeffs, trunc, *, nome=FULL, pre24=0):
         if nome not in (FULL, HALF):
             raise ValueError(f"unknown nome convention {nome!r}")
         self.nome = nome
-        self.prefactor = _frac24(prefactor)
+        self.pre24 = index(pre24)
         self.trunc = int(trunc)
         clean = {}
         for e, c in coeffs.items():
@@ -240,14 +233,14 @@ class QSeries:
         return min(self.coeffs) if self.coeffs else None
 
     def __repr__(self):
-        return (f"QSeries({self.nome}, prefactor={self.prefactor}, "
+        return (f"QSeries({self.nome}, prefactor={_fmt_rat(self.pre24, 24)}, "
                 f"{len(self.coeffs)} terms, trunc={self.trunc})")
 
     # -- structural helpers ------------------------------------------------
 
-    def _like(self, coeffs, trunc, prefactor=None):
+    def _like(self, coeffs, trunc, pre24=None):
         return QSeries(coeffs, trunc, nome=self.nome,
-                       prefactor=self.prefactor if prefactor is None else prefactor)
+                       pre24=self.pre24 if pre24 is None else pre24)
 
     def _check_compat(self, other: "QSeries"):
         if self.nome != other.nome:
@@ -263,12 +256,11 @@ class QSeries:
         return self._like({e + n: c for e, c in self.coeffs.items()}, self.trunc + n)
 
     def canonical(self) -> "QSeries":
-        """Fold the integer part of the prefactor into the exponent grid."""
-        s = self.prefactor.numerator // self.prefactor.denominator
+        """Fold the whole powers of q in the prefactor into the exponent grid."""
+        s, pre24 = divmod(self.pre24, 24)
         if s == 0:
             return self
-        return self._like({e + s: c for e, c in self.coeffs.items()}, self.trunc + s,
-                          self.prefactor - s)
+        return self._like({e + s: c for e, c in self.coeffs.items()}, self.trunc + s, pre24)
 
     # -- ring operations ---------------------------------------------------
 
@@ -281,8 +273,9 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_compat(other)
-        if self.prefactor != other.prefactor:
-            raise ValueError(f"prefactor mismatch on add: {self.prefactor} vs {other.prefactor}")
+        if self.pre24 != other.pre24:
+            raise ValueError(f"prefactor mismatch on add: {_fmt_rat(self.pre24, 24)} vs "
+                             f"{_fmt_rat(other.pre24, 24)}")
         trunc = min(self.trunc, other.trunc)
         out = {e: c for e, c in self.coeffs.items() if e <= trunc}
         for e, c in other.coeffs.items():
@@ -310,7 +303,7 @@ class QSeries:
         # is known only through its trunc: its valuation is at least trunc + 1.
         va, vb = (min(s.coeffs, default=s.trunc + 1) for s in (self, other))
         trunc = min(self.trunc + vb, other.trunc + va)
-        prod = self._like({}, trunc, prefactor=self.prefactor + other.prefactor)
+        prod = self._like({}, trunc, self.pre24 + other.pre24)
         if self.coeffs and other.coeffs:  # _mul_lists's terms are clean and at most trunc
             n = trunc - va - vb + 1
             a = _dense(self, va, n)
@@ -346,7 +339,7 @@ class QSeries:
             n = trunc - va + v + 1
             b = _div_lists(_dense(self, va, n), _dense(other, v, n), n)
         return self._like({i + va - v: c for i, c in enumerate(b)}, trunc,
-                          prefactor=self.prefactor - other.prefactor)
+                          self.pre24 - other.pre24)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the lowest monomial moves to a negative power."""
@@ -358,7 +351,7 @@ class QSeries:
             raise ValueError("scale factor must be a positive integer")
         # exponents between k*trunc and k*(trunc+1)-1 are known zeros
         return self._like({e * k: c for e, c in self.coeffs.items()},
-                          k * (self.trunc + 1) - 1, self.prefactor * k)
+                          k * (self.trunc + 1) - 1, self.pre24 * k)
 
     # -- comparison --------------------------------------------------------
 
@@ -373,8 +366,9 @@ class QSeries:
         """
         self._check_compat(other)
         a, b = self.canonical(), other.canonical()
-        if a.prefactor != b.prefactor:
-            raise ValueError(f"prefactor mismatch in comparison: {a.prefactor} vs {b.prefactor}")
+        if a.pre24 != b.pre24:
+            raise ValueError(f"prefactor mismatch in comparison: {_fmt_rat(a.pre24, 24)} vs "
+                             f"{_fmt_rat(b.pre24, 24)}")
         hi = min(a.trunc, b.trunc) if order is None else min(a.trunc, b.trunc, order)
         return _first_mismatch(a.coeffs, b.coeffs, lambda e: e <= hi)
 
@@ -391,7 +385,7 @@ class QSeries:
         return {
             "var": "q",
             "nome": self.nome,
-            "prefactor": _fmt_rat(self.prefactor),
+            "prefactor": _fmt_rat(self.pre24, 24),
             "trunc": self.trunc,
             "coeffs": {str(e): _fmt_rat(c) for e, c in sorted(self.coeffs.items())},
         }
@@ -417,10 +411,13 @@ class QSeries:
         if not isinstance(prefactor, str):
             raise ValueError("series field 'prefactor' must be a string")
         what = "series field 'prefactor'"
-        prefactor = _frac24(_parse_rat(prefactor, what), what)
+        value = _parse_rat(prefactor, what)
+        pre24 = _rat(24 * value)
+        if type(pre24) is not int:
+            raise ValueError(f"{what} {value} has denominator not dividing 24")
         if nome not in (FULL, HALF):
             raise ValueError(f"series field 'nome' must be {FULL!r} or {HALF!r}, got {nome!r}")
-        return cls(terms, trunc, nome=nome, prefactor=prefactor)
+        return cls(terms, trunc, nome=nome, pre24=pre24)
 
     def pretty(self) -> str:
         """Paper-style one-line display: ascending exponents, explicit signs."""
@@ -437,8 +434,8 @@ class QSeries:
                 parts.append(f"- {body}" if c < 0 else f"+ {body}")
         parts.append(f"+ O(q^{self.trunc + 1})" if parts else f"0 + O(q^{self.trunc + 1})")
         body = " ".join(parts)
-        if self.prefactor:
-            return f"q^({_fmt_rat(self.prefactor)}) * ({body})"
+        if self.pre24:
+            return f"q^({_fmt_rat(self.pre24, 24)}) * ({body})"
         return body
 
 
@@ -571,7 +568,7 @@ def _solve(c: list, n: int, b0, finish) -> list:
 
 def exp_series(a: QSeries) -> QSeries:
     """Formal exponential; requires zero constant term, zero prefactor."""
-    if a.prefactor:
+    if a.pre24:
         raise ValueError("exp_series requires zero prefactor")
     v = a.valuation()
     if v is not None and v < 1:
@@ -584,7 +581,7 @@ def exp_series(a: QSeries) -> QSeries:
 
 def log_series(a: QSeries) -> QSeries:
     """Formal logarithm, the integral of a'/a; requires constant term 1, zero prefactor."""
-    if a.prefactor:
+    if a.pre24:
         raise ValueError("log_series requires zero prefactor")
     if a.coeffs.get(0) != 1 or (a.valuation() is not None and a.valuation() < 0):
         raise ValueError("log_series requires constant term 1")
@@ -597,12 +594,12 @@ def log_series(a: QSeries) -> QSeries:
 
 
 class ExponentTable:
-    """Data of an infinite product q^(-h) * prod_{n>0} (1 - q^n)^{e_n}."""
+    """Data of an infinite product q^(-h) * prod_{n>0} (1 - q^n)^{e_n}, h = h24/24."""
 
-    __slots__ = ("h", "exps", "order")
+    __slots__ = ("h24", "exps", "order")
 
-    def __init__(self, h, exps, order):
-        self.h = _rat(h)
+    def __init__(self, h24, exps, order):
+        self.h24 = index(h24)
         self.order = int(order)
         self.exps = {}
         for n, e in exps.items():
@@ -622,16 +619,16 @@ class ExponentTable:
         if not isinstance(other, ExponentTable):
             return NotImplemented
         order = min(self.order, other.order)
-        return self.h == other.h and \
+        return self.h24 == other.h24 and \
             _first_mismatch(self.exps, other.exps, lambda n: n <= order) is None
 
     __hash__ = None
 
     def __repr__(self):
-        return f"ExponentTable(h={self.h}, order={self.order})"
+        return f"ExponentTable(h={_fmt_rat(self.h24, 24)}, order={self.order})"
 
     def to_json(self) -> dict:
-        return {"h": _fmt_rat(self.h), "order": self.order,
+        return {"h": _fmt_rat(self.h24, 24), "order": self.order,
                 "exponents": {str(n): _fmt_rat(e) for n, e in sorted(self.exps.items())}}
 
 
@@ -658,10 +655,9 @@ def product_from_exponents(t: ExponentTable, *, nome=FULL) -> QSeries:
         for k in range(d, t.order + 1, d):
             w[k - 1] -= d * e
     unit = _solve(w, t.order, 1, lambda m, s: _rat(s, m))
-    minus_h = -t.h
-    shift = minus_h.numerator // minus_h.denominator
+    shift, pre24 = divmod(-t.h24, 24)
     return QSeries({i + shift: c for i, c in enumerate(unit)}, t.order + shift,
-                   nome=nome, prefactor=minus_h - shift)
+                   nome=nome, pre24=pre24)
 
 
 def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
@@ -686,7 +682,7 @@ def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
             exps[d] = _rat(x, d)
             for m in range(2 * d, order + 1, d):
                 g[m - 1] -= x
-    return ExponentTable(-(v + a.prefactor), exps, order)
+    return ExponentTable(-(24 * v + a.pre24), exps, order)
 
 
 # -- two-variable series -----------------------------------------------------

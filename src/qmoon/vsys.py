@@ -2,14 +2,14 @@
 
 A vector system is a finite symmetric multiplicity function c on lattice
 vectors whose second moment is isotropic; it carries Weyl data (rho, d,
-weight k = c(0)/2, index m) and the product
+index m) and the product
 
     psi(tau, z) = q^(d/24) zeta^(-rho) prod_{(v,n)>0} (1 - q^n zeta^v),
 
 expanded here into a plain {(n, r): c} dict with the zeta-exponent r on
-the doubled grid, so the half-integral rho stays exact.  The two elliptic
-shift laws are checked by formal substitution, coefficient for
-coefficient.  A system is taken as given: its symmetry and isotropy are
+the doubled grid, where the half-integral rho is held as the integers 2 rho.
+The two elliptic shift laws are checked by formal substitution, coefficient
+for coefficient.  A system is taken as given: its symmetry and isotropy are
 not checked on load, and a system that lacks them shows up as a failed
 shift law.
 """
@@ -19,8 +19,8 @@ from __future__ import annotations
 from operator import sub
 from typing import NamedTuple
 
-from .series import (BiSeries, VerifyReport, _first_mismatch, _fmt_tuple, _json_fields,
-                     _json_table, _num, _rat)
+from .series import (BiSeries, VerifyReport, _first_mismatch, _fmt_rat, _fmt_tuple,
+                     _json_fields, _json_table, _num, _rat)
 
 
 def _positive_definite(gram) -> bool:
@@ -86,17 +86,16 @@ class VectorSystem:
 
 
 class WeylData(NamedTuple):
-    """Chamber vector, Weyl vector rho, count d, weight k, and index m."""
+    """Chamber vector, twice the Weyl vector rho, count d, and index m."""
 
     chamber: tuple
-    rho: tuple
+    two_rho: tuple
     d: int
-    k: object
     m: int
 
 
 def weyl_data(V: VectorSystem, lam) -> WeylData:
-    """rho = (1/2) sum_{v>0} v, d = sum c(v), k = c(0)/2, m = (2s)^-1 sum c(v)(v,v).
+    """2 rho = sum_{v>0} c(v) v, d = sum c(v), m = (2s)^-1 sum c(v)(v,v).
 
     lam fixes the chamber; it must pair nonzero with every nonzero support
     vector.  The index must come out a nonnegative integer.
@@ -105,7 +104,7 @@ def weyl_data(V: VectorSystem, lam) -> WeylData:
     if len(lam) != V.dim:
         raise ValueError("chamber vector has wrong dimension")
     zero = (0,) * V.dim
-    rho2 = [0] * V.dim  # 2 rho
+    two_rho = [0] * V.dim
     norm_sum = 0
     for v, c in V.mult.items():
         norm_sum += c * V.pair(v, v)
@@ -116,20 +115,19 @@ def weyl_data(V: VectorSystem, lam) -> WeylData:
             raise ValueError(f"chamber vector is orthogonal to support vector {v}")
         if p > 0:
             for i in range(V.dim):
-                rho2[i] += c * v[i]
+                two_rho[i] += c * v[i]
     m = _rat(norm_sum, 2 * V.dim)
     if m.denominator != 1:
         raise ArithmeticError(f"index {m} is not an integer; not a vector system")
-    d = sum(V.mult.values())
-    return WeylData(lam, tuple(_rat(x, 2) for x in rho2), d, _rat(V.mult.get(zero, 0), 2), m)
+    return WeylData(lam, tuple(two_rho), sum(V.mult.values()), m)
 
 
 def psi(V: VectorSystem, lam, order: int) -> tuple:
-    """psi through q^order as (qpre, {(n, r): c}), psi = q^qpre sum c q^n zeta^(r/2).
+    """psi through q^order as (d, {(n, r): c}), psi = q^(d/24) sum c q^n zeta^(r/2).
 
     The product over positive affine vectors (n > 0 all of V, n = 0 only
     v > 0) runs as one BiSeries product in q and a single packed zeta
-    exponent.  Each factor moves r by 2v, so r = start + 2u for the
+    exponent.  Each factor moves r by 2v, so r = 2u - 2 rho for the
     half-offset u, a sum of support vectors, and u is coded as sum u_i
     base^i with balanced digits |u_i| <= reach.  A kept term has sum k n <=
     order, so reach, the n = 0 factors' sum of c |v_i| plus order times the
@@ -149,20 +147,18 @@ def psi(V: VectorSystem, lam, order: int) -> tuple:
     reach = max(sum(c * abs(v[i]) for _, v, c in positive)
                 + order * max((abs(v[i]) for v in V.mult), default=0) for i in range(V.dim))
     factors = [(n, v, c) for n in range(order, 0, -1) for v, c in support] + positive
-    start = tuple(-int(2 * x) for x in wd.rho)
     base = 2 * reach + 1
     acc = BiSeries.one(order).mul_binomials(
         [(n, sum(x * base ** i for i, x in enumerate(v)), c, -1) for n, v, c in factors])
     coeffs = {}
     for (n, y), c in acc.coeffs.items():
         r = []
-        for x in start:
+        for x in wd.two_rho:
             u = (y + reach) % base - reach
-            r.append(x + 2 * u)
+            r.append(2 * u - x)
             y = (y - u) // base
         coeffs[(n, tuple(r))] = c
-    from fractions import Fraction  # qpre stays a Fraction, even where 24 divides d
-    return Fraction(wd.d, 24), coeffs
+    return wd.d, coeffs
 
 
 def _integral_pair(V, a, b, what):
@@ -191,7 +187,7 @@ def elliptic_transform_check(V: VectorSystem, lam, shift, order: int) -> tuple:
         _integral_pair(V, shift, v, "shift vector")
     _, coeffs = psi(V, lam, order)
     wd = weyl_data(V, lam)
-    sign = -1 if V.pair(shift, [2 * x for x in wd.rho]) % 2 else 1  # 2 rho sums support vectors
+    sign = -1 if V.pair(shift, wd.two_rho) % 2 else 1  # 2 rho sums support vectors
     m_ll = _num(wd.m * V.pair(shift, shift))  # rhs q-exponent drops by m(L,L)/2
     key_shift = tuple(2 * wd.m * x for x in shift)
     if any(x.denominator != 1 for x in key_shift):
@@ -214,8 +210,7 @@ def elliptic_transform_check(V: VectorSystem, lam, shift, order: int) -> tuple:
     mu = VerifyReport("elliptic_mu_shift", order,
                       _first_mismatch(mu_lhs, {k: sign * c for k, c in coeffs.items()}))
     mismatch = _first_mismatch(tau_lhs, tau_rhs)
-    if mismatch is not None:  # its q-exponent e/2 stays a Fraction, as the report has it
-        from fractions import Fraction
+    if mismatch is not None:  # its q-exponent e/2 printed as the report has it
         (r, e), left, right = mismatch
-        mismatch = ((Fraction(e, 2), r), left, right)
+        mismatch = ((_fmt_rat(e, 2), r), left, right)
     return mu, VerifyReport("elliptic_tau_shift", order, mismatch)

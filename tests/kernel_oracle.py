@@ -63,9 +63,8 @@ from qmoon.series import ExponentTable, QSeries, _num
 from qmoon.vsys import _integral_pair, psi as vsys_psi, weyl_data
 
 
-def _like(s, coeffs, trunc, prefactor=None):
-    return QSeries(coeffs, trunc, nome=s.nome,
-                   prefactor=s.prefactor if prefactor is None else prefactor)
+def _like(s, coeffs, trunc, pre24=None):
+    return QSeries(coeffs, trunc, nome=s.nome, pre24=s.pre24 if pre24 is None else pre24)
 
 
 def mul(a: QSeries, b: QSeries) -> QSeries:
@@ -81,7 +80,7 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
             e = ea + eb
             if e <= trunc:
                 out[e] = out.get(e, 0) + ca * cb
-    return _like(a, out, trunc, a.prefactor + b.prefactor)
+    return _like(a, out, trunc, a.pre24 + b.pre24)
 
 
 def mul_lists(a: list, b: list, n: int) -> list:
@@ -130,12 +129,12 @@ def invert(a: QSeries) -> QSeries:
                     acc += c * rk
         if acc:
             r[n] = _num(Fraction(-acc) / lead)
-    return _like(a, {e - v: c for e, c in r.items()}, n_max - v, -a.prefactor)
+    return _like(a, {e - v: c for e, c in r.items()}, n_max - v, -a.pre24)
 
 
 def exp_series(a: QSeries) -> QSeries:
     """sum a^k / k! until the powers vanish below the truncation."""
-    if a.prefactor:
+    if a.pre24:
         raise ValueError("exp_series requires zero prefactor")
     v = a.valuation()
     if v is not None and v < 1:
@@ -156,7 +155,7 @@ def exp_series(a: QSeries) -> QSeries:
 
 def log_series(a: QSeries) -> QSeries:
     """sum (-1)^(k+1) (a - 1)^k / k until the powers vanish below the truncation."""
-    if a.prefactor:
+    if a.pre24:
         raise ValueError("log_series requires zero prefactor")
     if a.coeffs.get(0) != 1 or (a.valuation() is not None and a.valuation() < 0):
         raise ValueError("log_series requires constant term 1")
@@ -234,10 +233,10 @@ def mul_binomials(s: QSeries, factors) -> QSeries:
 
 
 def product_from_exponents(t: ExponentTable, *, nome="full") -> QSeries:
-    """q^(-h) prod (1 - q^n)^{e_n} by binomial expansion of each factor."""
-    minus_h = -Fraction(t.h)
+    """q^(-h) prod (1 - q^n)^{e_n} by binomial expansion of each factor, h = h24/24."""
+    minus_h = -Fraction(t.h24, 24)
     shift = minus_h.numerator // minus_h.denominator
-    unit = QSeries.one(t.order, nome=nome, prefactor=minus_h - shift)
+    unit = QSeries.one(t.order, nome=nome, pre24=int(24 * (minus_h - shift)))
     return mul_binomials(unit, [(n, e, -1) for n, e in sorted(t.exps.items())]).shift(shift)
 
 
@@ -264,7 +263,7 @@ def exponents_from_series(a: QSeries, order: int) -> ExponentTable:
         e = acc / d
         if e:
             exps[d] = _num(e)
-    return ExponentTable(-(v + a.prefactor), exps, order)
+    return ExponentTable(-(24 * v + a.pre24), exps, order)
 
 
 def first_mismatch(a: QSeries, b: QSeries, order=None):
@@ -272,8 +271,9 @@ def first_mismatch(a: QSeries, b: QSeries, order=None):
     up to the shared truncation (and order), or None."""
     a._check_compat(b)
     a, b = a.canonical(), b.canonical()
-    if a.prefactor != b.prefactor:
-        raise ValueError(f"prefactor mismatch in comparison: {a.prefactor} vs {b.prefactor}")
+    if a.pre24 != b.pre24:
+        raise ValueError(f"prefactor mismatch in comparison: {Fraction(a.pre24, 24)} vs "
+                         f"{Fraction(b.pre24, 24)}")
     hi = min(a.trunc, b.trunc)
     if order is not None:
         hi = min(hi, order)
@@ -402,10 +402,10 @@ def euler2_qz_sum(order) -> Bi:
 
 def psi(V, lam, order) -> tuple:
     """q^(d/24) zeta^(-rho) prod (1 - q^n zeta^v)^c(v), one factor at a time,
-    as (d/24, {(n, r): c}) with r on the doubled grid."""
+    as (d, {(n, r): c}) with r on the doubled grid."""
     wd = weyl_data(V, lam)
     zero = (0,) * V.dim
-    acc = {(0, tuple(-int(2 * x) for x in wd.rho)): 1}
+    acc = {(0, tuple(-x for x in wd.two_rho)): 1}
     support = sorted(V.mult.items())
     for v, c in support:
         if v != zero and V.pair(v, wd.chamber) > 0:
@@ -413,7 +413,7 @@ def psi(V, lam, order) -> tuple:
     for n in range(1, order + 1):
         for v, c in support:
             acc = _psi_factor(acc, n, v, c, order)
-    return Fraction(wd.d, 24), acc
+    return wd.d, acc
 
 
 def _psi_factor(acc, n, v, mult, order):
@@ -448,8 +448,7 @@ def elliptic_mismatch(V, lam, shift, order, kind):
     shift = tuple(Fraction(x) for x in shift)
     _, coeffs = vsys_psi(V, lam, order)
     wd = weyl_data(V, lam)
-    two_rho = tuple(int(2 * x) for x in wd.rho)
-    sign = -1 if _integral_pair(V, shift, two_rho, "shift") % 2 else 1
+    sign = -1 if _integral_pair(V, shift, wd.two_rho, "shift") % 2 else 1
     if kind == "mu":
         lhs = {(n, r): -c if _integral_pair(V, shift, r, "shift") % 2 else c
                for (n, r), c in coeffs.items()}
@@ -470,7 +469,7 @@ def elliptic_mismatch(V, lam, shift, order, kind):
         known = min(order + Fraction(V.pair(shift, r), 2), order - Fraction(m_ll, 2))
         for e in sorted(set(left) | set(right)):
             if e <= known and left.get(e, 0) != right.get(e, 0):
-                return ((e, r), left.get(e, 0), right.get(e, 0))
+                return ((str(e), r), left.get(e, 0), right.get(e, 0))  # e as reports print it
     return None
 
 

@@ -83,11 +83,11 @@ def test_03_lift_round_trips(gate):
         delta_ind = (e4 ** 3 - e6 ** 2) * Fraction(1, 1728)
         j_ind = (e4 ** 3) * delta_ind.invert()
         L = borcherds.lift(borcherds.catalog("f_delta", 2500), 50)
-        assert L.h == -1 and L.result.agrees_with(delta_ind, 50)
+        assert L.table.h24 == -24 and L.result.agrees_with(delta_ind, 50)
         lifts = {}
         for name, h, target in (("f_4", 0, e4), ("f_6", 0, e6), ("f_j", 1, j_ind)):
             L = lifts[name] = borcherds.lift(borcherds.catalog(name, 900), 30)
-            assert L.h == h, name
+            assert L.table.h24 == 24 * h, name
             assert L.result.agrees_with(target, 30), name
         rep = borcherds.fj_efactor_report(lifts["f_j"].result, 30)
         assert rep["used"] == "E6"

@@ -376,9 +376,9 @@ def test_identity_sides_are_honest_across_orders(name):
 def test_psi_is_honest_across_orders(sample, chamber):
     V = sample_system(sample)
     for order in range(9):
-        qpre, got = vsys.psi(V, chamber, order)
-        deep_qpre, deep = vsys.psi(V, chamber, order + 2)
-        assert max(n for n, _ in got) <= order and qpre == deep_qpre
+        d, got = vsys.psi(V, chamber, order)
+        deep_d, deep = vsys.psi(V, chamber, order + 2)
+        assert max(n for n, _ in got) <= order and d == deep_d
         assert got == {k: c for k, c in deep.items() if k[0] <= order}
 
 

@@ -123,7 +123,7 @@ def test_plus_space_rejects_half_nome_and_prefactor():
     with pytest.raises(ValueError):
         borcherds.PlusForm(forms.theta_nullwerte(3, 10))
     with pytest.raises(ValueError):
-        borcherds.PlusForm(QSeries({0: 1}, 10, prefactor=Fraction(1, 4)))
+        borcherds.PlusForm(QSeries({0: 1}, 10, pre24=6))
 
 
 # -- the worked catalog --------------------------------------------------------
@@ -182,7 +182,7 @@ def test_q_series_matches_the_five_product_form(cap):
     t4 = t4 * t4
     want = F * theta * (t4 - 2 * F) * (t4 - 16 * F)
     got = borcherds._q_series(cap)
-    assert (got.trunc, got.prefactor, got.nome) == (want.trunc, want.prefactor, want.nome)
+    assert (got.trunc, got.pre24, got.nome) == (want.trunc, want.pre24, want.nome)
     assert got.coeffs == want.coeffs
 
 
@@ -200,7 +200,7 @@ def test_catalog_bad_inputs():
 def test_lift_theta_multiple_gives_discriminant():
     L = borcherds.lift(borcherds.catalog("f_delta", 2500), 50)
     target = (forms.eisenstein(4, 50) ** 3 - forms.eisenstein(6, 50) ** 2) * Fraction(1, 1728)
-    assert L.h == -1
+    assert L.table.h24 == -24
     assert L.result == target
 
 
@@ -215,7 +215,7 @@ def test_lift_theta_multiple_gives_discriminant():
 def test_lift_catalog_targets(name, h, target):
     order = 20
     L = borcherds.lift(borcherds.catalog(name, order * order), order)
-    assert L.h == h
+    assert L.table.h24 == 24 * h
     assert L.result.agrees_with(target(order), order)
 
 
@@ -241,14 +241,15 @@ def test_catalog_and_lift_are_honest_across_orders(name):
     for order in range(1, 4):
         shallow = borcherds.lift(fresh(order * order), order)
         deep = borcherds.lift(fresh((order + 2) ** 2), order + 2)
-        assert shallow.result.trunc == order - shallow.h and shallow.table.order == order
+        assert 24 * shallow.result.trunc == 24 * order - shallow.table.h24
+        assert shallow.table.order == order
         assert deep.result.trunc >= shallow.result.trunc and deep.table == shallow.table
         assert shallow.result.first_mismatch(deep.result) is None
 
 
 def test_lift_result_fields():
-    h, result, table = borcherds.lift(borcherds.catalog("f_delta", 25), 5)
-    assert h == -1 and result.coeff(1) == 1 and table[1] == 24
+    result, table = borcherds.lift(borcherds.catalog("f_delta", 25), 5)
+    assert table.h24 == -24 and result.coeff(1) == 1 and table[1] == 24
 
 
 def test_printed_product_exponents():
@@ -281,8 +282,7 @@ def test_lift_homomorphism():
         L = borcherds.lift(combo, order)
         ta, tb = lifted[fn].table, lifted[gn].table
         exps = {n: a * ta[n] + b * tb[n] for n in range(1, order + 1)}
-        assert L.table == ExponentTable(a * ta.h + b * tb.h, exps, order)
-        assert L.h == a * lifted[fn].h + b * lifted[gn].h
+        assert L.table == ExponentTable(a * ta.h24 + b * tb.h24, exps, order)
         # a QSeries takes only powers k >= 0; a negative one is a power of the inverse
         fa, gb = (s ** k if k > 0 else s.invert() ** -k
                   for s, k in ((lifted[fn].result, a), (lifted[gn].result, b)))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import pytest
 from paper_refs import sample_system, system_json
 from qmoon import cli, forms
 from qmoon.maass import JacobiCoeffTable
+from qmoon.series import ExponentTable, QSeries
 
 
 def run(capsys, argv):
@@ -144,13 +146,37 @@ _NOT_RATIONAL = ["x/3", "1/2/3", "a", "1/0"]
      for text in _NOT_RATIONAL]
   + [({"trunc": 3, "coeffs": {"0": "1"}, "nome": "x"}, "field 'nome' must be 'full' or 'half'"),
      ({"trunc": 3, "coeffs": {"0": "1"}, "prefactor": "1/5"}, "field 'prefactor' 1/5"),
-     ({"trunc": 3, "coeffs": {"5": "1"}}, "field 'coeffs' key '5' is above trunc 3")])
+     ({"trunc": 3, "coeffs": {"5": "1"}}, "field 'coeffs' key '5' is above trunc 3"),
+     ({"trunc": 3, "coeffs": {"0": "1"}, "prefactor": "0/0"},
+      "field 'prefactor' must be an integer or a fraction n/d, got '0/0'"),
+     ({"trunc": 3, "coeffs": {"0": "1"}, "prefactor": "5/25"},
+      "field 'prefactor' 1/5 has denominator not dividing 24")])
 def test_factor_rejects_malformed_series(capsys, tmp_path, data, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, ["factor", "--input", str(path)])
     assert code == 4 and out == ""
     assert err.startswith("error: series ") and field in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, h", [("-25/24", "25/24"), ("2/48", "-1/24"), ("48/24", "-2"),
+                                     ("-1/4", "1/4")])
+def test_factor_reads_a_prefactor_in_twenty_fourths(capsys, tmp_path, text, h):
+    # a file's prefactor is read in lowest terms: it moves h, which prints as a Fraction did
+    path = tmp_path / "pre.json"
+    data = {"trunc": 3, "coeffs": {"0": "1"}, "prefactor": text}
+    path.write_text(json.dumps(data))
+    assert run(capsys, ["factor", "--input", str(path), "--order", "0"]) == (0, f"h = {h}\n", "")
+    assert QSeries.from_json(data).to_json()["prefactor"] == str(-Fraction(h))
+
+
+def test_a_prefactor_prints_the_bytes_its_fraction_printed():
+    for p in range(-96, 97):
+        text, s = str(Fraction(p, 24)), QSeries({0: 1}, 2, pre24=p)
+        assert s.to_json()["prefactor"] == text and QSeries.from_json(s.to_json()).pre24 == p
+        assert s.pretty() == (f"q^({text}) * (1 + O(q^3))" if p else "1 + O(q^3)")
+        assert repr(s) == f"QSeries(full, prefactor={text}, 1 terms, trunc=2)"
+        assert ExponentTable(p, {}, 0).to_json()["h"] == text
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])
@@ -452,8 +478,9 @@ def test_repeated_invocations_byte_identical(capsys, argv):
 _MODULES_AFTER_RUN = """
 import sys
 from qmoon import cli
-cli.run(sys.argv[1:])
+code = cli.run(sys.argv[1:])
 print(sorted(sys.modules), file=sys.stderr)
+sys.exit(code)
 """
 _UNUSED_BY_EXPAND = {"qmoon.borcherds", "qmoon.identities", "qmoon.maass", "qmoon.moonshine",
                      "qmoon.mults", "qmoon.vsys"}
@@ -466,9 +493,9 @@ def _spawn(args):
     return done.returncode, done.stdout, done.stderr
 
 
-def _modules_after_run(argv):
+def _modules_after_run(argv, expect=0):
     code, _, err = _spawn(["-c", _MODULES_AFTER_RUN, *argv])
-    assert code == 0, err
+    assert code == expect, err
     return set(ast.literal_eval(err.decode().splitlines()[-1]))
 
 
@@ -506,12 +533,23 @@ def test_json_output_loads_json():
 _RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
 
 
+# a q-exponent is an int count of twenty-fourths, or on the doubled grid, so
+# eta, theta2, psi, the shift laws and replication meet no true rational
 @pytest.mark.parametrize("argv", [
     ["expand", "theta", "--order", "1"], ["hurwitz", "--max", "100", "--json"],
     ["mult", "table", "--algebra", "e10", "--json"], ["lift", "--name", "f_j", "--order", "5"],
-    ["verify", "triple", "--order", "21"], ["expand", "leech", "--order", "20"]])
-def test_an_op_that_meets_no_true_rational_never_imports_fractions(argv):
-    loaded = _modules_after_run(argv)
+    ["verify", "triple", "--order", "21"], ["expand", "leech", "--order", "20"],
+    ["expand", "eta", "--order", "18"], ["expand", "theta2", "--order", "10", "--json"],
+    ["verify", "euler3", "--order", "23"], ["verify", "theta_nullwert_products", "--order", "9"],
+    ["moonshine", "replication", "--cap", "3"], ["vsys", "psi", "--file", "pair.json"],
+    ["vsys", "check", "--file", "pair-bad.json", "--shift", "1"]])
+def test_an_op_that_meets_no_true_rational_never_imports_fractions(argv, tmp_path):
+    (tmp_path / "pair.json").write_text(json.dumps(system_json(sample_system("pair"))))
+    (tmp_path / "pair-bad.json").write_text(
+        json.dumps({"dim": 1, "gram": [[2]], "mult": {"-1": 1, "1": 2}}))
+    expect = 3 if "pair-bad.json" in argv else 0  # the shift law fails, and says so
+    loaded = _modules_after_run([str(tmp_path / a) if a.endswith(".json") else a for a in argv],
+                                expect)
     assert not loaded & _RATIONAL_MODULES, loaded & _RATIONAL_MODULES
 
 
@@ -523,8 +561,8 @@ def test_factor_of_an_integer_series_never_imports_fractions(tmp_path):
 
 
 def test_a_truly_rational_op_imports_fractions_when_it_needs_one():
-    # eta's prefactor 1/24 is the first Fraction this run builds
-    assert "fractions" in _modules_after_run(["expand", "eta", "--order", "5"])
+    # E12's q-coefficient 65520/691 is the first Fraction this run builds
+    assert "fractions" in _modules_after_run(["expand", "E12", "--order", "5"])
 
 
 def test_emit_builds_only_what_its_mode_prints(capsys):

@@ -101,8 +101,8 @@ def test_delta_tau_values():
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 127, 128, 129, 631])
 def test_delta_from_jacobi_matches_the_euler_product(n):
     # q (eta^3 / q^(1/8))^8 against q prod (1 - q^n)^24, trunc and types included
-    new, old = delta(n), forms._euler_power(24, -1, n)
-    assert (new.trunc, new.prefactor, new.nome) == (old.trunc, old.prefactor, old.nome)
+    new, old = delta(n), forms._euler_power(24, -24, n)
+    assert (new.trunc, new.pre24, new.nome) == (old.trunc, old.pre24, old.nome)
     assert new.trunc == n
     assert new.coeffs == old.coeffs
     assert all(type(c) is int for c in new.coeffs.values())
@@ -123,14 +123,14 @@ def test_delta_from_eisenstein():
 def test_eta_to_24_is_delta():
     e = eta(20)
     d = (e ** 24).canonical()
-    assert d.prefactor == 0
+    assert d.pre24 == 0
     assert d == delta(20)
 
 
 def test_eta_quotient_shape_1_8_2_8():
     e = eta(6)
     q = (e * e.scale_var(2).truncate(6)) ** 8
-    assert q.prefactor == 1
+    assert q.pre24 == 24
     recip = q.invert()
     # brute force: dense expansion of (phi(q) phi(q^2))^8, then invert
     base = phi_list(6)
@@ -177,7 +177,7 @@ def test_theta_nullwerte():
     t4 = theta_nullwerte(4, 10)
     assert [t4.coeff(n) for n in range(5)] == [1, -2, 0, 0, 2]
     t2 = theta_nullwerte(2, 10)
-    assert t2.prefactor == Fraction(1, 4)
+    assert t2.pre24 == 6
     assert t2.coeffs == {0: 2, 2: 2, 6: 2}
     with pytest.raises(ValueError):
         theta_nullwerte(5, 4)
@@ -320,7 +320,7 @@ def test_every_fixed_label_builds_its_form():
     for label, builder in _FIXED_LABELS.items():
         for order in (0, 1, 6):
             got, want = named_form(f" {label.upper()} ", order), builder(order)
-            assert (got.trunc, got.nome, got.prefactor) == (want.trunc, want.nome, want.prefactor)
+            assert (got.trunc, got.nome, got.pre24) == (want.trunc, want.nome, want.pre24)
             assert [(e, c, type(c)) for e, c in got.coeffs.items()] == \
                 [(e, c, type(c)) for e, c in want.coeffs.items()]
 

@@ -1,5 +1,4 @@
 import ast
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -147,7 +146,7 @@ def printed_products(order):
     even = [(2 * n, 1, -1) for n in range(1, order // 2 + 1)]
     odd = range(1, (order + 1) // 2 + 1)
     one, half_one = QSeries.one(order), QSeries.one(order, nome=HALF)
-    front = QSeries({0: 2}, order, nome=HALF, prefactor=Fraction(1, 4))
+    front = QSeries({0: 2}, order, nome=HALF, pre24=6)
     return {
         # prod (1-q^{2n})(1+q^{2n-1})^2
         "gauss": [oracle.mul_binomials(one, even + [(2 * n - 1, 2, 1) for n in odd])],
@@ -166,7 +165,7 @@ def test_euler_table_products_match_the_printed_products(order):
     # the Euler exponent tables against the printed factors (1 + q^a) and
     # (1 - q^a), each expanded by its own binomial terms
     def typed_q(s):
-        return ({e: (type(c), c) for e, c in s.coeffs.items()}, s.trunc, s.prefactor, s.nome)
+        return ({e: (type(c), c) for e, c in s.coeffs.items()}, s.trunc, s.pre24, s.nome)
 
     for name, wants in printed_products(order).items():
         sides = identity_sides(name, order)

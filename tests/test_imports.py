@@ -224,7 +224,7 @@ UNROUTED_LINES = {
             "every caller reads within the known range",
     },
     "series.QSeries.__repr__": {
-        'return (f"QSeries({self.nome}, prefactor={self.prefactor}, "': _SHOW,
+        'return (f"QSeries({self.nome}, prefactor={_fmt_rat(self.pre24, 24)}, "': _SHOW,
     },
     "series.QSeries._check_compat": {
         'raise NomeMismatch(f"cannot combine {self.nome}-nome with {other.nome}-nome series")':
@@ -232,7 +232,7 @@ UNROUTED_LINES = {
     },
     "series.QSeries.__add__": {
         "return NotImplemented": _ALIEN,
-        'raise ValueError(f"prefactor mismatch on add: {self.prefactor} vs {other.prefactor}")':
+        'raise ValueError(f"prefactor mismatch on add: {_fmt_rat(self.pre24, 24)} vs "':
             "every route adds series of one prefactor",
     },
     "series.QSeries.__sub__": {"return NotImplemented": _ALIEN},
@@ -250,7 +250,7 @@ UNROUTED_LINES = {
             "every caller scales by 2 or 4",
     },
     "series.QSeries.first_mismatch": {
-        'raise ValueError(f"prefactor mismatch in comparison: {a.prefactor} vs {b.prefactor}")':
+        'raise ValueError(f"prefactor mismatch in comparison: {_fmt_rat(a.pre24, 24)} vs "':
             "the two sides of every check carry one prefactor",
     },
     "series.QSeries.__eq__": dict.fromkeys((
@@ -271,10 +271,10 @@ UNROUTED_LINES = {
         "if not isinstance(other, ExponentTable):",
         "return NotImplemented",
         "order = min(self.order, other.order)",
-        "return self.h == other.h and \\",
+        "return self.h24 == other.h24 and \\",
     ), _SAME),
     "series.ExponentTable.__repr__": {
-        'return f"ExponentTable(h={self.h}, order={self.order})"': _SHOW,
+        'return f"ExponentTable(h={_fmt_rat(self.h24, 24)}, order={self.order})"': _SHOW,
     },
     "series._cut_runs": {
         "out.append((lo, hi, v))":

@@ -144,10 +144,9 @@ def test_product_and_exp_forms_agree():
         assert rectangle(r.coeffs, cap_m, cap_n) == rectangle(d.coeffs, cap_m, cap_n)
 
 
-def test_log_of_product_is_exp_argument():
-    # expanding log(1 - p^m q^n) termwise over the factor grid reproduces the
-    # exp argument exactly, fraction for fraction
-    cap_m = cap_n = 4
+def log_of_product(cap_m, cap_n) -> BiSeries:
+    """The exp argument T: log(1 - p^m q^n)^c(mn) expanded termwise over the factor
+    grid, fraction for fraction."""
     big_m, hi = moonshine._grid(cap_m, cap_n)
     c = moonshine.moonshine_c(big_m * hi)
     coeffs = {}
@@ -162,9 +161,21 @@ def test_log_of_product_is_exp_argument():
                     key = (m * k, n * k)
                     coeffs[key] = coeffs.get(key, 0) - Fraction(v, k)
                 k += 1
-    exponent = moonshine.replication_exponent(cap_m, cap_n)
-    assert (exponent.cap, exponent.ytop) == (big_m, hi)
-    assert exponent.coeffs == {k: c for k, c in coeffs.items() if c}
+    return BiSeries(coeffs, big_m, ytop=hi)
+
+
+def p_derivative(t: BiSeries) -> BiSeries:
+    """w = p dT/dp, the argument bi_exp takes for exp(T)."""
+    return BiSeries({(a, b): a * c for (a, b), c in t.coeffs.items()}, t.cap, ytop=t.ytop)
+
+
+def test_log_of_product_is_exp_argument():
+    # replication_exponent hands bi_exp the integers p dT/dp of the log's expansion
+    cap_m = cap_n = 4
+    w, t = moonshine.replication_exponent(cap_m, cap_n), log_of_product(cap_m, cap_n)
+    assert (w.cap, w.ytop) == (t.cap, t.ytop) == moonshine._grid(cap_m, cap_n)
+    assert w.coeffs == p_derivative(t).coeffs
+    assert all(type(c) is int for c in w.coeffs.values())
 
 
 def test_antisymmetry():
@@ -224,7 +235,7 @@ def claimed(got, want):
 @settings(max_examples=300, deadline=None)
 @given(exp_arguments())
 def test_bi_exp_matches_power_sum(t):
-    got, want = moonshine.bi_exp(t), oracle.bi_exp(t)
+    got, want = moonshine.bi_exp(p_derivative(t)), oracle.bi_exp(t)
     assert got.cap == want.cap == t.cap
     if t.ytop is None:
         assert got.ytop is None
@@ -271,10 +282,9 @@ def test_bi_exp_below_zero_keeps_the_exact_constant():
 @pytest.mark.parametrize("caps", [(1, 1), (3, 3), (2, 5), (5, 2)])
 def test_bi_exp_claims_the_compared_rectangle(caps):
     cap_m, cap_n = caps
-    t = moonshine.replication_exponent(cap_m, cap_n)
-    got = moonshine.bi_exp(t)
+    got = moonshine.bi_exp(moonshine.replication_exponent(cap_m, cap_n))
     assert (got.cap, got.ytop) == (cap_m + 1, cap_n + 1)
-    have, expect = claimed(got, oracle.bi_exp(t))
+    have, expect = claimed(got, oracle.bi_exp(log_of_product(cap_m, cap_n)))
     assert have == expect
 
 

@@ -16,26 +16,34 @@ def test_one_op_is_timed_and_checked(capsys):
     assert op_times.main(["--workload", "bivariate-verify", "--op", "moonshine replication 8",
                           "--repeat", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["op", "best", "ms", "median", "ms", "import", "ms"]
-    name, best, median, imported = lines[1].rsplit(None, 3)
+    assert lines[0].split() == ["op", "best", "ms", "median", "ms", "import", "ms", "fractions"]
+    name, best, median, imported, fractions = lines[1].rsplit(None, 4)
     assert name == "moonshine replication 8" and 0 < float(best) <= float(median)
-    assert float(imported) > 0
-    assert lines[2].split() == ["total", best, median, imported]
+    assert float(imported) > 0 and fractions == "no"  # its exp argument is integral
+    assert lines[2].split() == ["total", best, median, imported, "0"]
 
 
 def test_the_import_column_is_the_median_untimed_import():
-    times = {"a": [(0.004, 0.003), (0.002, 0.001), (0.003, 0.005)], "bb": [(0.001, 0.002)]}
+    times = {"a": (True, [(0.004, 0.003), (0.002, 0.001), (0.003, 0.005)]),
+             "bb": (False, [(0.001, 0.002)])}
     assert op_times.table(times).splitlines() == [
-        "op       best ms  median ms  import ms",
-        "a           2.00       3.00       3.00",
-        "bb          1.00       1.00       2.00",
-        "total       3.00       4.00       5.00"]
+        "op       best ms  median ms  import ms  fractions",
+        "a           2.00       3.00       3.00        yes",
+        "bb          1.00       1.00       2.00         no",
+        "total       3.00       4.00       5.00          1"]
 
 
 def test_a_child_times_its_import_apart_from_its_run():
     run = op_times.time_once(["expand", "theta", "--order", "1"], Path(op_times.ROOT) / "src")
     assert run["exit"] == 0 and run["stdout"] == "1 + 2q + O(q^2)\n"
     assert 0 < run["import_s"] < 5 and 0 < run["s"] < 5
+
+
+def test_a_child_says_whether_its_run_loaded_fractions():
+    # E12's q-coefficient 65520/691 is a true rational; eta's q^(1/24) is a count of 24ths
+    src = Path(op_times.ROOT) / "src"
+    assert [op_times.time_once(["expand", form, "--order", "2"], src)["fractions"]
+            for form in ("E12", "eta", "theta")] == [True, False, False]
 
 
 def test_an_op_outside_the_workload_is_refused(capsys):
@@ -54,7 +62,8 @@ def test_a_run_with_the_wrong_exit_or_output_is_refused(monkeypatch):
         monkeypatch.setattr(workloads, "build", lambda *args: ops)
         monkeypatch.setattr(op_times, "_workloads", lambda: workloads)
         if ok:
-            assert len(op_times.op_times("cli-burst", 1, 2)[0]["probe"]) == 2
+            fractions, runs = op_times.op_times("cli-burst", 1, 2)[0]["probe"]
+            assert len(runs) == 2 and fractions is False
         else:
             with pytest.raises(ValueError, match="^probe: "):
                 op_times.op_times("cli-burst", 1, 2)
@@ -77,7 +86,7 @@ def test_children_write_bytecode_and_the_first_run_is_untimed(monkeypatch, tmp_p
 
     monkeypatch.setattr(op_times, "time_once", counted)
     times, = op_times.op_times("dense-lift", 1, 2, ["lift f_delta 50"], [src])
-    assert len(times["lift f_delta 50"]) == 2 and len(runs) == 3
+    assert len(times["lift f_delta 50"][1]) == 2 and len(runs) == 3
     assert runs[0] == [] and {"borcherds", "cli", "series"} <= set(runs[1]) and runs[1] == runs[2]
 
 
@@ -101,22 +110,24 @@ def test_two_trees_are_timed_in_alternating_order(monkeypatch, tmp_path, capsys)
     assert runs == ["a", "b", "a", "b", "b", "a", "a", "b"]
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["op"] + ["best", "ms", "[1]", "median", "ms", "[1]",
-                                         "import", "ms", "[1]", "best", "ms", "[2]",
-                                         "median", "ms", "[2]", "import", "ms", "[2]"]
-    name, *columns = lines[1].rsplit(None, 6)
-    assert name == "lift f_delta 50" and len(columns) == 6
-    assert float(columns[0]) <= float(columns[1]) and float(columns[3]) <= float(columns[4])
-    assert lines[2].split() == ["total", *columns]
+                                         "import", "ms", "[1]", "fractions", "[1]",
+                                         "best", "ms", "[2]", "median", "ms", "[2]",
+                                         "import", "ms", "[2]", "fractions", "[2]"]
+    name, *columns = lines[1].rsplit(None, 8)
+    assert name == "lift f_delta 50" and len(columns) == 8
+    assert float(columns[0]) <= float(columns[1]) and float(columns[4]) <= float(columns[5])
+    assert columns[3] == columns[7] == "no"
+    assert lines[2].split() == ["total", *columns[:3], "0", *columns[4:7], "0"]
     assert lines[3:] == [f"[1] {trees[0]}", f"[2] {trees[1]}"]
 
 
 def test_the_table_of_two_trees_gives_each_its_columns():
-    a = {"x": [(0.004, 0.001), (0.002, 0.003)]}
-    b = {"x": [(0.001, 0.002)]}
+    a = {"x": (True, [(0.004, 0.001), (0.002, 0.003)])}
+    b = {"x": (False, [(0.001, 0.002)])}
     assert op_times.table(a, b).splitlines() == [
-        "op       best ms [1]  median ms [1]  import ms [1]    best ms [2]  median ms [2]"
-        "  import ms [2]",
-        "x               2.00           3.00           2.00           1.00           1.00"
-        "           2.00",
-        "total           2.00           3.00           2.00           1.00           1.00"
-        "           2.00"]
+        "op       best ms [1]  median ms [1]  import ms [1]  fractions [1]    best ms [2]"
+        "  median ms [2]  import ms [2]  fractions [2]",
+        "x               2.00           3.00           2.00            yes           1.00"
+        "           1.00           2.00             no",
+        "total           2.00           3.00           2.00              1           1.00"
+        "           1.00           2.00              0"]

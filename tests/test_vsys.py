@@ -107,16 +107,15 @@ def test_json_round_trip():
 
 def test_weyl_data_pair_system():
     wd = weyl_data(sample_system("pair"), (1,))
-    assert wd.rho == (Fraction(1, 2),)
+    assert wd.two_rho == (1,)
     assert wd.d == 2
-    assert wd.k == 0
     assert wd.m == 2
 
 
 def test_weyl_data_norm_zero_system():
     wd = weyl_data(sample_system("trivial"), (1,))
-    assert wd.rho == (Fraction(0),)
-    assert (wd.d, wd.k, wd.m) == (2, 1, 0)
+    assert wd.two_rho == (0,)
+    assert (wd.d, wd.m) == (2, 0)
 
 
 def test_weyl_data_chamber_boundary():
@@ -133,8 +132,8 @@ def test_weyl_data_non_integer_index():
 
 
 def test_psi_pair_low_terms():
-    qpre, coeffs = psi(sample_system("pair"), (1,), 2)
-    assert qpre == Fraction(1, 12)
+    d, coeffs = psi(sample_system("pair"), (1,), 2)
+    assert d == 2  # q^(1/12)
     assert coeffs == {
         (0, (-1,)): 1, (0, (1,)): -1,
         (1, (-3,)): -1, (1, (-1,)): 1, (1, (1,)): -1, (1, (3,)): 1,
@@ -143,8 +142,8 @@ def test_psi_pair_low_terms():
 
 
 def test_psi_norm_zero_is_eta_power_shape():
-    qpre, coeffs = psi(sample_system("trivial"), (1,), 12)
-    assert qpre == Fraction(1, 12)
+    d, coeffs = psi(sample_system("trivial"), (1,), 12)
+    assert d == 2
     expect = euler_factors(12, power=2)
     assert {n: c for (n, r), c in coeffs.items() if r == (0,)} == expect
     assert all(r == (0,) for (n, r) in coeffs)
@@ -194,9 +193,9 @@ def test_weyl_vectors_differ_by_lattice():
     for name in ("pair", "orthogonal"):
         V = sample_system(name)
         lam = (1,) * V.dim
-        plus = weyl_data(V, lam).rho
-        minus = weyl_data(V, tuple(-x for x in lam)).rho
-        assert all((a - b).denominator == 1 for a, b in zip(plus, minus))
+        plus = weyl_data(V, lam).two_rho
+        minus = weyl_data(V, tuple(-x for x in lam)).two_rho
+        assert all((a - b) % 2 == 0 for a, b in zip(plus, minus))
 
 
 def test_psi_series_guards():
@@ -288,10 +287,10 @@ def test_sample_reports_as_before(name):
 def test_shift_law_catches_wrong_sign(monkeypatch):
     # breaking the product by hand must surface as a first mismatch, not a pass
     V = sample_system("pair")
-    qpre, coeffs = psi(V, (1,), 6)
+    d, coeffs = psi(V, (1,), 6)
     bad = dict(coeffs)
     bad[(1, (1,))] = bad[(1, (1,))] + 1
-    monkeypatch.setattr(vsys, "psi", lambda *args: (qpre, bad))
+    monkeypatch.setattr(vsys, "psi", lambda *args: (d, bad))
     mu, tau = elliptic_transform_check(V, (1,), (1,), 6)
     # a changed value keeps the zeta-parity that the mu law reads
     assert mu.passed and tau.first_mismatch is not None
@@ -344,10 +343,10 @@ def test_systems_that_validate_accepts_pass_both_shift_laws(case, order):
 
 def same_psi(got, want):
     # both sides are built at one order, so their dicts compare in full
-    (got_qpre, got), (want_qpre, want) = got, want
+    (got_d, got), (want_d, want) = got, want
     assert {k: (type(c), c) for k, c in got.items()} == \
         {k: (type(c), c) for k, c in want.items()}
-    assert (type(got_qpre), got_qpre) == (type(want_qpre), want_qpre)
+    assert (type(got_d), got_d) == (type(want_d), want_d)
 
 
 def symmetric_mult(draw, dim, coord):
@@ -433,7 +432,7 @@ def test_psi_half_offsets_at_the_packing_bound(V, lam, order, reach):
     # q^1 factor of one vector at its order-th
     got = psi(V, lam, order)
     same_psi(got, oracle.psi(V, lam, order))
-    start = [-2 * x for x in weyl_data(V, lam).rho]
+    start = [-x for x in weyl_data(V, lam).two_rho]
     assert max(abs(x - s) // 2 for _, r in got[1] for x, s in zip(r, start)) == reach
 
 

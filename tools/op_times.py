@@ -14,7 +14,9 @@ Then the timed runs go round the ops --repeat times.  The table gives the
 best and the median run of each op in milliseconds, the median import, and
 the sums of all three.  The import column shows where a lazily imported
 module's cost went: a module that ``import qmoon.cli`` no longer loads
-moves into the run of each op that needs it, and out of the others.
+moves into the run of each op that needs it, and out of the others.  A
+last column says whether the untimed run had loaded ``fractions`` once
+``cli.run`` returned, and its total counts the ops that had.
 ``--src`` times another tree's ``src`` directory (a parent checkout, say)
 on the same ops.  Given more than once, each round times every op on each
 tree in turn, and the next round takes the trees in the other order, so
@@ -46,7 +48,8 @@ with redirect_stdout(out), redirect_stderr(io.StringIO()):
     start = time.perf_counter()
     code = cli.run(sys.argv[1:])
     elapsed = time.perf_counter() - start
-print(json.dumps({"exit": code, "s": elapsed, "import_s": imported, "stdout": out.getvalue()}))
+print(json.dumps({"exit": code, "s": elapsed, "import_s": imported, "stdout": out.getvalue(),
+                  "fractions": "fractions" in sys.modules}))
 """
 
 
@@ -60,7 +63,7 @@ def _workloads():
 
 
 def time_once(argv, src: Path) -> dict:
-    """One fresh process's {"exit", "s", "import_s", "stdout"} for ``qmoon argv``."""
+    """One fresh process's {"exit", "s", "import_s", "stdout", "fractions"} for ``qmoon argv``."""
     drop = ("QMOON_DEFAULT_ORDER", "PYTHONDONTWRITEBYTECODE")
     env = {k: v for k, v in os.environ.items() if k not in drop}
     env["PYTHONPATH"] = str(src)
@@ -70,8 +73,9 @@ def time_once(argv, src: Path) -> dict:
 
 
 def op_times(workload: str, seed: int, repeat: int, names=(), srcs=(ROOT / "src",)):
-    """[{op name: [(run, import) seconds of each run]} for each tree] for the workload's
-    ops, or those named; each round alternates which tree runs an op first."""
+    """[{op name: (whether it loads fractions, [(run, import) seconds of each run])} for each
+    tree] for the workload's ops, or those named; each round alternates which tree runs an
+    op first."""
     workloads = _workloads()
     with tempfile.TemporaryDirectory() as tmp:
         ops = workloads.build(workload, seed, Path(tmp))
@@ -81,38 +85,49 @@ def op_times(workload: str, seed: int, repeat: int, names=(), srcs=(ROOT / "src"
                 raise ValueError(f"no op named {', '.join(sorted(unknown))} in {workload} "
                                  f"seed {seed}")
             ops = [op for op in ops if op.name in names]
+        times = [{} for _ in srcs]
         for op in ops:  # untimed: checks each op and writes the .pyc files it needs
-            for src in srcs:
+            for src, tree in zip(srcs, times):
                 run = time_once(op.argv, src)
                 problem = (f"exit {run['exit']}, want {op.expect}"
                            if run["exit"] != op.expect else op.check(run["stdout"]))
                 if problem:
                     raise ValueError(f"{op.name}: {problem}")
-        times = [{op.name: [] for op in ops} for _ in srcs]
+                tree[op.name] = (run["fractions"], [])
         trees = list(zip(srcs, times))
         for r in range(repeat):
             for op in ops:
-                for src, runs in trees[::-1] if r % 2 else trees:
+                for src, tree in trees[::-1] if r % 2 else trees:
                     run = time_once(op.argv, src)
-                    runs[op.name].append((run["s"], run["import_s"]))
+                    tree[op.name][1].append((run["s"], run["import_s"]))
     return times
 
 
 def table(*trees) -> str:
-    """Each op's best run, median run and median import in ms, and their sums, for each
-    tree's {op name: runs}; with several trees, tree k's columns are tagged [k]."""
+    """Each op's best run, median run and median import in ms, whether it loads fractions,
+    and the sums (of ms, and of the ops that load fractions), for each tree's {op name:
+    (loads fractions, runs)}; with several trees, tree k's columns are tagged [k]."""
     tags = [f" [{k}]" if len(trees) > 1 else "" for k in range(1, len(trees) + 1)]
-    heads = [f"{head}{tag}" for tag in tags for head in ("best ms", "median ms", "import ms")]
-    rows = [(name, *(x for runs in (times[name] for times in trees)
+    heads = [f"{head}{tag}" for tag in tags
+             for head in ("best ms", "median ms", "import ms", "fractions")]
+    rows = [(name, *(x for fractions, runs in (times[name] for times in trees)
                      for x in (min(s for s, _ in runs) * 1e3,
                                statistics.median(s for s, _ in runs) * 1e3,
-                               statistics.median(i for _, i in runs) * 1e3)))
+                               statistics.median(i for _, i in runs) * 1e3, fractions)))
             for name in trees[0]]
     width = max([len("total")] + [len(row[0]) for row in rows])
     col = max(len(head) for head in heads)
+
+    def cell(x):  # ms to 0.01, a bool as yes or no, and a count of bools as it is
+        if type(x) is float:
+            x = f"{x:.2f}"
+        elif type(x) is bool:
+            x = "yes" if x else "no"
+        return f"  {x:>{col}}"
+
     lines = [f"{'op':<{width}}" + "".join(f"  {head:>{col}}" for head in heads)]
-    lines += [f"{name:<{width}}" + "".join(f"  {x:{col}.2f}" for x in xs) for name, *xs in rows]
-    lines.append(f"{'total':<{width}}" + "".join(f"  {sum(r[k] for r in rows):{col}.2f}"
+    lines += [f"{name:<{width}}" + "".join(map(cell, xs)) for name, *xs in rows]
+    lines.append(f"{'total':<{width}}" + "".join(cell(sum(r[k] for r in rows))
                                                  for k in range(1, len(heads) + 1)))
     return "\n".join(lines)
 
