@@ -10,12 +10,12 @@ series.
 
 from __future__ import annotations
 
+from math import isqrt
+from operator import mul
 from typing import NamedTuple
 
 from . import forms
-from .series import ExponentTable, FULL, QSeries, _fmt_rat, product_from_exponents
-
-CATALOG_NAMES = ("f_delta", "f_4", "f_6", "f_8", "f_10", "f_14", "f_j")
+from .series import ExponentTable, QSeries, _dense, _fmt_rat, product_from_exponents
 
 
 def hurwitz_range(max_n: int) -> dict:
@@ -51,35 +51,21 @@ def hurwitz_range(max_n: int) -> dict:
     return values
 
 
-class PlusForm:
-    """Lift input: a full-nome series, integer coefficients, support 0, 1 mod 4."""
-
-    __slots__ = ("series",)
-
-    def __init__(self, series: QSeries):
-        if series.nome != FULL:
-            raise ValueError("plus-space forms live in the full nome")
-        if series.pre24:
-            raise ValueError("plus-space forms have integral exponents")
-        bad = [(e, c) for e, c in sorted(series.coeffs.items())
-               if e % 4 in (2, 3) or not isinstance(c, int)]
-        if bad:
-            raise ValueError("not in the plus space; offending (exponent, coefficient): "
-                             + ", ".join(f"({e}, {c})" for e, c in bad))
-        self.series = series
-
-    def __repr__(self):
-        return f"PlusForm({self.series!r})"
-
-
 # -- the worked catalog ------------------------------------------------------
-
-_PAD = 8  # formula pieces have poles at q^-4 and eat four orders per multiply
 
 # The f_6 display carries the constant 876, but the expansion printed next to
 # it starts q^-4 + 6 + 504q, which forces 852 (and only 852 makes the lift
 # land on E_6); see printed_coefficient_report("f_6").
 _F6_CONSTANT = 852
+
+# Each catalog form is a Q G + b theta + c j(4t) theta, G = E_6(4t)/Delta(4t),
+# with weights (a, b, c): f_j = 3 Q G + 168 theta, f_4 = (f_j + 12 theta)/3,
+# f_6 = (j(4t) - 852) theta - 2 Q G, f_8 = 2 f_4, f_10 = f_4 + f_6,
+# f_14 = 2 f_4 + f_6 and f_delta = 12 theta.
+_CATALOG = {"f_delta": (0, 12, 0), "f_4": (1, 60, 0), "f_6": (-2, -_F6_CONSTANT, 1),
+            "f_8": (2, 120, 0), "f_10": (-1, 60 - _F6_CONSTANT, 1),
+            "f_14": (0, 120 - _F6_CONSTANT, 1), "f_j": (3, 168, 0)}
+CATALOG_NAMES = tuple(_CATALOG)
 
 PRINTED_F4 = {-3: 1, 0: 4, 1: -240, 4: 26760, 5: -85995, 8: 1707264, 9: -4096240}
 PRINTED_F6 = {-4: 1, 0: 6, 1: 504, 4: 143388, 5: 565760, 8: 184373000, 9: 51180024}
@@ -102,46 +88,66 @@ def _q_series(cap: int) -> QSeries:
     return F * forms.theta_full(cap) * (minus(2) * minus(16))
 
 
-def _qg(order: int) -> QSeries:
-    """Q G for G = E_6(4t)/Delta(4t), pole at q^-3, through q^order.
+def _g_series(top: int) -> QSeries:
+    """G = E_6 / Delta in q, pole at q^-1, through q^top: one division on top + 2 terms."""
+    return forms.eisenstein(6, top + 1) / forms.delta(top + 2)
 
-    Formed as one quotient (Q E_6(4t)) / Delta(4t): the numerator's
-    coefficients stay narrow, and Delta(4t) is a series in q^4, so the
-    division runs on each residue class mod 4 of the numerator apart.
+
+def _read(lead: list, tail: list, e: int):
+    """[q^e] of A(q^4) B(q), lead holding A's coefficients from q^-1 and tail B's from q^0."""
+    return sum(map(mul, lead, map(tail.__getitem__, range(e + 4, -1, -4))))
+
+
+class PlusForm:
+    """A catalog form through q^trunc, read one coefficient at a time.
+
+    It is a Q G(4t) + J(4t) theta with G = E_6/Delta and J = c j + b, so [q^e]
+    reads Q and theta at e + 4, e, e - 4, ...: Q through q^(trunc + 4), G and
+    j in q through q^(trunc // 4), and only those with a nonzero weight are
+    built.  Theta and j lie in the plus space with integer
+    coefficients, and G(4t) is integral and invertible, so the form does if
+    and only if Q does, which is checked once.
     """
-    m = order // 4 + 2  # Delta(4t) known through q^(4m + 3) >= q^(order + 8)
-    e6t, d4t = forms.eisenstein(6, m).scale_var(4), forms.delta(m).scale_var(4)
-    return (_q_series(order + 4) * e6t) / d4t
 
+    __slots__ = ("trunc", "_pieces")
 
-def _raw_catalog(name: str, order: int) -> QSeries:
-    if name not in CATALOG_NAMES:
-        raise ValueError(f"unknown catalog form {name!r}; have {', '.join(CATALOG_NAMES)}")
-    if name == "f_delta":
-        return 12 * forms.theta_full(order)
-    cap = order + _PAD
-    theta = forms.theta_full(cap)
-    QG = _qg(order)
-    f_j = (3 * QG + 168 * theta).truncate(order)
-    if name == "f_j":
-        return f_j
-    f_4 = (f_j + 12 * theta) / 3
-    if name == "f_4":
-        return f_4
-    if name == "f_8":
-        return f_4 * 2
-    j4 = forms.j_invariant(cap // 4 + 4).scale_var(4).truncate(cap)
-    f_6 = ((j4 - _F6_CONSTANT) * theta - 2 * QG).truncate(order)
-    if name == "f_6":
-        return f_6
-    return f_4 + f_6 if name == "f_10" else f_4 * 2 + f_6
+    def __init__(self, weights: tuple, trunc: int):
+        a, b, c = weights
+        top = trunc // 4
+        G = Q = []
+        if a:
+            series = _q_series(trunc + 4)
+            bad = [(e, x) for e, x in sorted(series.coeffs.items())
+                   if e % 4 in (2, 3) or not isinstance(x, int)]
+            if bad:
+                raise ValueError("not in the plus space; offending (exponent, coefficient): "
+                                 + ", ".join(f"({e}, {x})" for e, x in bad))
+            G = [a * g for g in _dense(_g_series(top), -1, top + 2)]
+            Q = _dense(series, 0, trunc + 5)
+        J = [c * x for x in _dense(forms.j_invariant(top), -1, top + 2)] if c else [0, 0]
+        J[1] += b
+        self.trunc = trunc
+        self._pieces = ((G, Q), (J, _dense(forms.theta_full(trunc + 4), 0, trunc + 5)))
+
+    def coeff(self, e: int) -> int:
+        """The coefficient at q^e; raises if e is beyond trunc."""
+        if e > self.trunc:
+            raise ValueError(f"coefficient at {e} unknown (trunc {self.trunc})")
+        (G, Q), (J, theta) = self._pieces
+        return _read(G, Q, e) + _read(J, theta, e)
+
+    def valuation(self):
+        """Lowest exponent with nonzero coefficient (every pole is at q^-4 or above)."""
+        return next((e for e in range(-4, self.trunc + 1) if self.coeff(e)), None)
 
 
 def catalog(name: str, order: int) -> PlusForm:
-    """One of the worked lift inputs, expanded through q^order."""
+    """One of the worked lift inputs, known through q^order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return PlusForm(_raw_catalog(name, int(order)))
+    if name not in _CATALOG:
+        raise ValueError(f"unknown catalog form {name!r}; have {', '.join(CATALOG_NAMES)}")
+    return PlusForm(_CATALOG[name], int(order))
 
 
 # -- the lift ----------------------------------------------------------------
@@ -155,17 +161,18 @@ def lift(f: PlusForm, order: int) -> LiftResult:
     """q^(-h) * prod_{n<=order} (1 - q^n)^{c(n^2)} for a plus-space form f.
 
     h = sum_{k>=0} c(-k) H(k), with H(0) = -1/12, summed in twelfths; reading
-    c(n^2) up to n = order requires f to be known to order squared.
+    c(n^2) up to n = order requires f to be known to order squared.  Only
+    f's trunc, valuation() and coeff(e) are read.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    s = f.series
-    if s.trunc < order * order:
+    if f.trunc < order * order:
         raise ValueError(f"lift to order {order} reads c(n^2) up to n = {order}; "
-                         f"the form is only known to q^{s.trunc}")
-    H = hurwitz_range(max((-e for e in s.coeffs if e < 0), default=0))
-    h24 = 2 * sum(c * H[-e] for e, c in s.coeffs.items() if e <= 0)  # H in twelfths
-    table = ExponentTable(h24, {n: s.coeff(n * n) for n in range(1, order + 1)}, order)
+                         f"the form is only known to q^{f.trunc}")
+    low = min(f.valuation() or 0, 0)
+    H = hurwitz_range(-low)
+    h24 = 2 * sum(f.coeff(e) * H[-e] for e in range(low, 1))  # H in twelfths
+    table = ExponentTable(h24, {n: f.coeff(n * n) for n in range(1, order + 1)}, order)
     return LiftResult(product_from_exponents(table), table)
 
 
@@ -176,15 +183,8 @@ def zero_multiplicity(f: PlusForm, D: int) -> int:
     """
     if D >= 0:
         raise ValueError("D must be a negative discriminant")
-    s = f.series
-    v = s.valuation()
-    total = 0
-    if v is not None and v < 0:
-        d = 1
-        while D * d * d >= v:
-            total += s.coeffs.get(D * d * d, 0)
-            d += 1
-    return total
+    low = min(f.valuation() or 0, 0)
+    return sum(f.coeff(D * d * d) for d in range(1, isqrt(low // D) + 1))
 
 
 # -- discrepancy reports -----------------------------------------------------
@@ -199,7 +199,7 @@ def printed_coefficient_report(name: str) -> list:
     if name not in _PRINTED:
         raise ValueError(f"no published expansion recorded for {name!r}")
     printed = _PRINTED[name]
-    f = catalog(name, max(printed) + 1).series
+    f = catalog(name, max(printed) + 1)
     return [(n, f.coeff(n), c, f.coeff(n) == c) for n, c in sorted(printed.items())]
 
 

@@ -12,13 +12,21 @@ No subcommand reaches these, so they live beside the tests that use them:
 - ``CharTable`` and ``mult_g`` give the root multiplicities of the monster
   Lie algebra as a Moebius sum over a character table.  At g = 1 they are
   c(mn), the exponents of ``qmoon.moonshine.denominator_product``.
+- ``catalog_series`` builds a lift input of ``qmoon.borcherds`` as one whole
+  series through q^order, from the formulas whose coefficients
+  ``borcherds.catalog`` reads one at a time (``_raw_catalog`` and ``_qg``,
+  which ``qmoon.borcherds`` ran before it read them).  ``plus_space`` checks a series
+  as a lift input and returns it; ``borcherds.lift`` and
+  ``zero_multiplicity`` take such a series as they take a catalog form.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from kernel_oracle import divisors, moebius
+from qmoon import borcherds, forms
 from qmoon.moonshine import moonshine_c
+from qmoon.series import FULL, QSeries
 from qmoon.vsys import VectorSystem
 
 SAMPLE_NAMES = ("pair", "trivial", "orthogonal")
@@ -119,3 +127,49 @@ def mult_g(m: int, n: int, table: CharTable):
         raise ArithmeticError(f"mult({m},{n}) = {total} is not an integer; "
                               "inconsistent character table")
     return int(total)
+
+
+def plus_space(series: QSeries) -> QSeries:
+    """series, checked as a lift input: full nome, integral exponents, and
+    integer coefficients supported on exponents 0, 1 (mod 4)."""
+    if series.nome != FULL:
+        raise ValueError("plus-space forms live in the full nome")
+    if series.pre24:
+        raise ValueError("plus-space forms have integral exponents")
+    bad = [(e, c) for e, c in sorted(series.coeffs.items())
+           if e % 4 in (2, 3) or not isinstance(c, int)]
+    if bad:
+        raise ValueError("not in the plus space; offending (exponent, coefficient): "
+                         + ", ".join(f"({e}, {c})" for e, c in bad))
+    return series
+
+
+def _qg(order: int) -> QSeries:
+    """Q G for G = E_6(4t)/Delta(4t), pole at q^-3, through q^order, as the one
+    quotient (Q E_6(4t)) / Delta(4t)."""
+    m = order // 4 + 2  # Delta(4t) known through q^(4m + 3) >= q^(order + 8)
+    e6t, d4t = forms.eisenstein(6, m).scale_var(4), forms.delta(m).scale_var(4)
+    return (borcherds._q_series(order + 4) * e6t) / d4t
+
+
+def _raw_catalog(name: str, order: int) -> QSeries:
+    """The catalog form ``name`` as a whole series through q^order, unchecked:
+    f_j = 3 Q G + 168 theta, f_4 = (f_j + 12 theta)/3, f_6 = (j(4t) - 852) theta
+    - 2 Q G, f_8 = 2 f_4, f_10 = f_4 + f_6, f_14 = 2 f_4 + f_6 and f_delta = 12 theta."""
+    if name == "f_delta":
+        return 12 * forms.theta_full(order)
+    cap = order + 8  # formula pieces have poles at q^-4 and eat four orders per multiply
+    theta = forms.theta_full(cap)
+    QG = _qg(order)
+    f_j = (3 * QG + 168 * theta).truncate(order)
+    f_4 = (f_j + 12 * theta) / 3
+    j4 = forms.j_invariant(cap // 4 + 4).scale_var(4).truncate(cap)
+    f_6 = ((j4 - borcherds._F6_CONSTANT) * theta - 2 * QG).truncate(order)
+    return {"f_j": f_j, "f_4": f_4, "f_8": f_4 * 2, "f_6": f_6, "f_10": f_4 + f_6,
+            "f_14": f_4 * 2 + f_6}[name]
+
+
+def catalog_series(name: str, order: int) -> QSeries:
+    """The catalog form ``name`` as a whole series through q^order, checked by
+    ``plus_space``."""
+    return plus_space(_raw_catalog(name, order))

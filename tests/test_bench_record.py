@@ -7,6 +7,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,13 @@ _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 _SPEC = importlib.util.spec_from_file_location("bench_record", _TOOLS / "bench_record.py")
 bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
+_PROCESS_FLOOR = bench_record.process_floor
+
+
+@pytest.fixture(autouse=True)
+def _floor(monkeypatch):
+    """A fixed process floor, so appending a record spawns no interpreter."""
+    monkeypatch.setattr(bench_record, "process_floor", lambda: 0.04)
 
 
 def _run(tmp_path, seed, trace=0, ops=None):
@@ -35,7 +43,20 @@ def test_records_append_in_order(tmp_path):
     assert [r["seed"] for r in records] == [1, 2]
     assert records[1] == {"commit": "abc", "src_sha256": "f00", "seed": 2, "seconds": 20,
                           "python": "3.11.7", "wall_s": 0.2, "op_p50_s": 1.2,
-                          "peak_rss_mb": 2.2, "setup_s": 3.2, "attempted": 40, "failed": 0}
+                          "peak_rss_mb": 2.2, "setup_s": 3.2, "attempted": 40, "failed": 0,
+                          "floor_s": 0.04}
+
+
+def test_the_floor_is_the_median_of_timed_spawns(monkeypatch):
+    spawned, clock = [], iter([0.0, 0.05, 1.0, 1.02, 2.0, 2.03])  # 50, 20 and 30 ms
+
+    def run(argv, check):
+        spawned.append((argv, check))
+
+    monkeypatch.setattr(bench_record, "subprocess", SimpleNamespace(run=run))
+    monkeypatch.setattr(bench_record, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    assert _PROCESS_FLOOR(3) == 0.03
+    assert spawned == [([sys.executable, "-c", "pass"], True)] * 3
 
 
 def test_a_traced_run_is_refused(tmp_path, capsys):
@@ -136,3 +157,22 @@ def test_pairs_print_one_row_per_metric(tmp_path, capsys, monkeypatch):
     assert [row.split(" | ")[2] for row in rows] == [f"`{m}`" for m in bench_pairs.END_TO_END]
     assert bench_pairs.main(["aaa", "ccc", "--workload", "cli-burst"]) == 1
     assert "one side only" in capsys.readouterr().err
+
+
+def test_pairs_give_each_sides_floor_when_every_record_has_one(tmp_path):
+    records = [_record(s, c, floor_s=0.03 + s / 1000 + (c == "bbb") / 100)
+               for s in (1, 2, 3) for c in ("aaa", "bbb")]
+    (tmp_path / "BENCH_dense-lift.json").write_text(json.dumps(records))
+    rows = bench_pairs.table("aaa", "bbb", root=tmp_path)[2:]
+    assert [row.split(" | ")[2] for row in rows] == [f"`{m}`" for m in bench_pairs.END_TO_END] \
+        + ["`floor_s`"]
+    assert rows[-1] == ("| dense-lift | 1–3 | `floor_s` | 0.03200 [0.03100, 0.03300] | "
+                        "0.04200 | +31.2% | 0 of 3 |")
+    del records[0]["floor_s"]  # a record from before the field: no floor row, as before
+    (tmp_path / "BENCH_dense-lift.json").write_text(json.dumps(records))
+    rows = bench_pairs.table("aaa", "bbb", root=tmp_path)[2:]
+    assert [row.split(" | ")[2] for row in rows] == [f"`{m}`" for m in bench_pairs.END_TO_END]
+
+
+def test_the_floor_times_a_real_interpreter():
+    assert 0 < _PROCESS_FLOOR(1) < 30

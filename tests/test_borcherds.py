@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_oracle as oracle
+from paper_refs import catalog_series, plus_space
 from qmoon import borcherds, forms
 from qmoon.series import ExponentTable, QSeries, exponents_from_series
+
+
+def reads(f):
+    """A catalog form's reads from q^-8 through its trunc, as a series."""
+    return QSeries({e: f.coeff(e) for e in range(-8, f.trunc + 1)}, f.trunc)
 
 
 # -- independent oracle: the Hurwitz-Kronecker class number relation
@@ -101,37 +107,79 @@ def test_hurwitz_range_is_twelve_times_the_oracle_through_400():
     assert borcherds.hurwitz_range(400) == {n: 12 * oracle.hurwitz(n) for n in range(401)}
 
 
-# -- plus space --------------------------------------------------------------
+# -- plus space: the series check of the oracle, and the catalog's check on Q
 
 def test_plus_space_accepts_theta_multiple():
-    f = borcherds.PlusForm(12 * forms.theta_full(20))
-    assert f.series.coeff(0) == 12 and f.series.coeff(4) == 24
+    f = plus_space(12 * forms.theta_full(20))
+    assert f.coeff(0) == 12 and f.coeff(4) == 24
 
 
 def test_plus_space_rejects_bad_support():
     s = QSeries({-3: 1, 0: 4, 2: 7}, 10)
     with pytest.raises(ValueError, match=r"\(2, 7\)"):
-        borcherds.PlusForm(s)
+        plus_space(s)
 
 
 def test_plus_space_rejects_fractions():
     with pytest.raises(ValueError, match="1/2"):
-        borcherds.PlusForm(QSeries({4: Fraction(1, 2)}, 10))
+        plus_space(QSeries({4: Fraction(1, 2)}, 10))
 
 
 def test_plus_space_rejects_half_nome_and_prefactor():
     with pytest.raises(ValueError):
-        borcherds.PlusForm(forms.theta_nullwerte(3, 10))
+        plus_space(forms.theta_nullwerte(3, 10))
     with pytest.raises(ValueError):
-        borcherds.PlusForm(QSeries({0: 1}, 10, pre24=6))
+        plus_space(QSeries({0: 1}, 10, pre24=6))
+
+
+@pytest.mark.parametrize("name", ["f_4", "f_6", "f_j"])
+def test_a_q_off_the_plus_space_is_refused(monkeypatch, name):
+    # one nonzero term at an exponent = 2 and one at 3 (mod 4): Q G then has
+    # terms off the plus space, and the check on Q names them
+    real = borcherds._q_series
+
+    def off(cap):
+        q = real(cap)
+        return QSeries({**q.coeffs, 6: 5, 11: -2}, q.trunc)
+
+    monkeypatch.setattr(borcherds, "_q_series", off)
+    with pytest.raises(ValueError, match=r"^not in the plus space; offending "
+                                         r"\(exponent, coefficient\): \(6, 5\), \(11, -2\)$"):
+        borcherds.catalog(name, 8)
+
+
+def test_a_read_past_trunc_raises():
+    for name in borcherds.CATALOG_NAMES:
+        f = borcherds.catalog(name, 9)
+        assert f.coeff(9) == catalog_series(name, 9).coeff(9)
+        with pytest.raises(ValueError, match=r"coefficient at 10 unknown \(trunc 9\)"):
+            f.coeff(10)
+
+
+# -- the reads against the whole series ---------------------------------------
+
+@pytest.mark.parametrize("name", borcherds.CATALOG_NAMES)
+def test_catalog_reads_match_the_whole_series(name):
+    for order in range(1, 41):
+        f, want = borcherds.catalog(name, order), catalog_series(name, order)
+        assert f.trunc == want.trunc == order
+        assert f.valuation() == want.valuation()
+        assert reads(f) == want, (name, order)
+
+
+@pytest.mark.parametrize("name, order", [("f_j", 2500), ("f_4", 1600)])
+def test_catalog_reads_match_the_whole_series_at_workload_size(name, order):
+    f, want = borcherds.catalog(name, order), catalog_series(name, order)
+    assert f.valuation() == want.valuation() == -3
+    assert all(f.coeff(e) == want.coeff(e) for e in range(-8, order + 1))
 
 
 # -- the worked catalog --------------------------------------------------------
 
 def test_catalog_f_delta():
     f = borcherds.catalog("f_delta", 16)
-    assert f.series.coeffs == {0: 12, 1: 24, 4: 24, 9: 24, 16: 24}
-    assert f.series.trunc == 16
+    assert reads(f).coeffs == {0: 12, 1: 24, 4: 24, 9: 24, 16: 24}
+    assert f.trunc == 16
 
 
 def test_catalog_f4_matches_print():
@@ -148,30 +196,30 @@ def test_catalog_f6_single_printed_typo():
 def test_catalog_f6_coefficient_8_by_hand():
     # c(8) = [q^8] j(4t)*theta - 2 [q^8] (f_j - 168 theta)/3, and theta has no q^8:
     # [q^8] j(4t)*theta = j_2 + 2 j_1 with j_1 = 196884, j_2 = 21493760.
-    f4 = borcherds.catalog("f_4", 10).series
-    f6 = borcherds.catalog("f_6", 10).series
+    f4 = borcherds.catalog("f_4", 10)
+    f6 = borcherds.catalog("f_6", 10)
     j = forms.j_invariant(3)
     assert f6.coeff(8) == j.coeff(2) + 2 * j.coeff(1) - 2 * f4.coeff(8)
 
 
 def test_catalog_fj_low_terms():
-    f = borcherds.catalog("f_j", 10).series
+    f = borcherds.catalog("f_j", 10)
     assert f.coeff(-3) == 3 and f.coeff(0) == 0 and f.coeff(1) == -744
 
 
 def test_catalog_fj_from_f4():
-    fj = borcherds.catalog("f_j", 40).series
-    f4 = borcherds.catalog("f_4", 40).series
+    fj = reads(borcherds.catalog("f_j", 40))
+    f4 = reads(borcherds.catalog("f_4", 40))
     theta = forms.theta_full(40)
     assert fj == 3 * f4 - 12 * theta
 
 
 def test_catalog_composites():
-    f4 = borcherds.catalog("f_4", 30).series
-    f6 = borcherds.catalog("f_6", 30).series
-    assert borcherds.catalog("f_8", 30).series == 2 * f4
-    assert borcherds.catalog("f_10", 30).series == f4 + f6
-    assert borcherds.catalog("f_14", 30).series == 2 * f4 + f6
+    f4 = reads(borcherds.catalog("f_4", 30))
+    f6 = reads(borcherds.catalog("f_6", 30))
+    assert reads(borcherds.catalog("f_8", 30)) == 2 * f4
+    assert reads(borcherds.catalog("f_10", 30)) == f4 + f6
+    assert reads(borcherds.catalog("f_14", 30)) == 2 * f4 + f6
 
 
 @pytest.mark.parametrize("cap", [*range(1, 41), 1608])
@@ -235,7 +283,7 @@ def test_catalog_and_lift_are_honest_across_orders(name):
         return borcherds.catalog(name, order)
 
     for order in range(1, 10):
-        shallow, deep = fresh(order).series, fresh(order + 5).series
+        shallow, deep = reads(fresh(order)), reads(fresh(order + 5))
         assert shallow.trunc == order and deep.trunc >= order
         assert shallow.first_mismatch(deep) is None
     for order in range(1, 4):
@@ -276,9 +324,8 @@ def test_lift_homomorphism():
     for _ in range(6):
         fn, gn = rng.sample(names, 2)
         a, b = rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([-3, -2, -1, 1, 2, 3])
-        combo = borcherds.PlusForm(
-            a * borcherds.catalog(fn, order * order).series
-            + b * borcherds.catalog(gn, order * order).series)
+        combo = plus_space(a * catalog_series(fn, order * order)
+                           + b * catalog_series(gn, order * order))
         L = borcherds.lift(combo, order)
         ta, tb = lifted[fn].table, lifted[gn].table
         exps = {n: a * ta[n] + b * tb[n] for n in range(1, order + 1)}
@@ -290,10 +337,10 @@ def test_lift_homomorphism():
 
 
 def test_weight_law():
-    assert borcherds.catalog("f_delta", 4).series.coeff(0) == 12
-    assert borcherds.catalog("f_4", 4).series.coeff(0) == 4
-    assert borcherds.catalog("f_6", 4).series.coeff(0) == 6
-    assert borcherds.catalog("f_j", 4).series.coeff(0) == 0
+    assert borcherds.catalog("f_delta", 4).coeff(0) == 12
+    assert borcherds.catalog("f_4", 4).coeff(0) == 4
+    assert borcherds.catalog("f_6", 4).coeff(0) == 6
+    assert borcherds.catalog("f_j", 4).coeff(0) == 0
 
 
 def test_exponent_extraction_consistency():
@@ -311,7 +358,7 @@ def test_zero_multiplicity_catalog():
 
 
 def test_zero_multiplicity_sums_over_d():
-    f = borcherds.PlusForm(QSeries({-12: 5, -3: 2, 0: 1}, 4))
+    f = plus_space(QSeries({-12: 5, -3: 2, 0: 1}, 4))
     assert borcherds.zero_multiplicity(f, -3) == 7  # c(-3) + c(-12)
     with pytest.raises(ValueError):
         borcherds.zero_multiplicity(f, 3)
@@ -330,10 +377,10 @@ def test_efactor_report_on_a_lift_that_misses_j_is_a_regression(monkeypatch):
     # the lift of f_4 is E_4, not j: the report says so and builds no other numerator
     lifted = borcherds.lift(borcherds.catalog("f_4", 36), 6).result
 
-    def no_build(order):
-        raise AssertionError(f"the report built Q G at order {order}")
+    def no_build(top):
+        raise AssertionError(f"the report built G through q^{top}")
 
-    monkeypatch.setattr(borcherds, "_qg", no_build)
+    monkeypatch.setattr(borcherds, "_g_series", no_build)
     rep = borcherds.fj_efactor_report(lifted, 6)
     assert rep == {"formula_reads": "E6", "prose_reads": "E4", "used": None,
                    "E6_lifts_to_j": False,
@@ -348,5 +395,5 @@ def test_the_prose_e4_numerator_does_not_lift_to_j():
     cap, m = order * order, order * order // 4 + 2
     e4t, d4t = forms.eisenstein(4, m).scale_var(4), forms.delta(m).scale_var(4)
     series = 3 * ((borcherds._q_series(cap + 4) * e4t) / d4t) + 168 * forms.theta_full(cap)
-    lifted = borcherds.lift(borcherds.PlusForm(series.truncate(cap)), order).result
+    lifted = borcherds.lift(plus_space(series.truncate(cap)), order).result
     assert not lifted.agrees_with(forms.j_invariant(order), order)

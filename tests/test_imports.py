@@ -131,15 +131,15 @@ _SAME = "a dunder for comparison; no subcommand compares two of these objects"
 _ALIEN = "an operand of another type; every route combines a series with a series or a rational"
 UNROUTED_LINES = {
     "borcherds.PlusForm.__init__": {
-        'raise ValueError("plus-space forms live in the full nome")':
-            "catalog, its only caller, builds full-nome series",
-        'raise ValueError("plus-space forms have integral exponents")':
-            "catalog, its only caller, builds series with no prefactor",
         'raise ValueError("not in the plus space; offending (exponent, coefficient): "':
-            "a self-check: every form its callers build lies in the plus space",
+            "a self-check: the Q every catalog form reads lies in the plus space",
     },
-    "borcherds.PlusForm.__repr__": {'return f"PlusForm({self.series!r})"': _SHOW},
-    "borcherds._raw_catalog": {
+    "borcherds.PlusForm.coeff": {
+        'raise ValueError(f"coefficient at {e} unknown (trunc {self.trunc})")':
+            "lift refuses a form known short of q^(order^2) first, and zeromult reads "
+            "only the principal part",
+    },
+    "borcherds.catalog": {
         'raise ValueError(f"unknown catalog form {name!r}; have {\', \'.join(CATALOG_NAMES)}")':
             "argparse's choices for --name refuse any other name first",
     },

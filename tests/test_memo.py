@@ -1,11 +1,13 @@
 """Every catalog builder expands its form afresh, so orders agree and tables build once.
 
 Nothing in qmoon caches a series.  The differential test runs every catalog
-builder through ascending, descending and repeated orders in one process and
+builder, and the whole-series lift inputs the catalog's reads are checked
+against, through ascending, descending and repeated orders in one process and
 compares each answer with the sweep's deepest build cut to that order.  The
 count tests swap in counting builders and check that a multiplicity table
 and a catalog form each build their shared series once, however many rows
-or formulas read from them.
+or formulas read from them, and that the largest lift divides no series
+longer than the G it reads.
 """
 
 from collections import Counter
@@ -13,7 +15,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from qmoon import borcherds, forms, mults
+import paper_refs
+from qmoon import borcherds, cli, forms, mults, series
 
 BUILDERS = (
     [(forms.eisenstein, (w,)) for w in (4, 6, 10, 14)]
@@ -22,9 +25,8 @@ BUILDERS = (
     + [(forms.theta_full, ()), (forms.leech_theta, ())]
     + [(forms.colored_partition_series, (k,)) for k in (1, 8, 24)]
     + [(forms.xi_series, ()), (forms.F_oddsigma, ())]
-    + [(borcherds._qg, ())]
-    + [(borcherds._q_series, ())]
-    + [(borcherds._raw_catalog, (name,)) for name in borcherds.CATALOG_NAMES]
+    + [(borcherds._q_series, ()), (borcherds._g_series, ()), (paper_refs._qg, ())]
+    + [(paper_refs._raw_catalog, (name,)) for name in borcherds.CATALOG_NAMES]
 )
 
 SWEEPS = {
@@ -105,11 +107,34 @@ def test_fake_monster_table_builds_p24_once(monkeypatch):
         assert builds == {("colored_partition_series", 24): 1}, min_norm
 
 
-@pytest.mark.parametrize("name", ["f_10", "f_14"])
-def test_f10_and_f14_build_q_and_g_once(monkeypatch, name):
-    calls = _count_calls(monkeypatch, borcherds, ["_q_series", "_qg"])
-    assert borcherds.catalog(name, 36).series.trunc == 36
-    assert calls == {("_q_series",): 1, ("_qg",): 1}
+@pytest.mark.parametrize("name", ["f_4", "f_6", "f_8", "f_10", "f_j"])
+def test_a_form_with_a_qg_term_builds_q_and_g_once(monkeypatch, name):
+    calls = _count_calls(monkeypatch, borcherds, ["_q_series", "_g_series"])
+    assert borcherds.catalog(name, 36).coeff(36) is not None
+    assert calls == {("_q_series",): 1, ("_g_series",): 1}
+
+
+@pytest.mark.parametrize("name", ["f_delta", "f_14"])
+def test_f_delta_and_f14_build_neither_q_nor_g(monkeypatch, name):
+    # f_14 = 2 f_4 + f_6 = j(4t) theta - 732 theta: its Q G terms cancel
+    calls = _count_calls(monkeypatch, borcherds, ["_q_series", "_g_series"])
+    assert borcherds.catalog(name, 36).coeff(36) is not None
+    assert calls == {}
+
+
+def test_no_division_in_the_largest_lift_runs_past_628_terms(monkeypatch, capsys):
+    # the whole-series f_j divided 2,505 terms at once; G = E_6/Delta in q
+    # through q^625 divides 627
+    sizes = []
+
+    def counted(a, u, n, _real=series._div_lists):
+        sizes.append(n)
+        return _real(a, u, n)
+
+    monkeypatch.setattr(series, "_div_lists", counted)
+    assert cli.run(["lift", "--name", "f_j", "--order", "50"]) == 0
+    assert capsys.readouterr().out.startswith("h = 1\n")
+    assert sizes and max(sizes) <= 628, max(sizes)
 
 
 @pytest.mark.parametrize("name", ["f_j", "f_4"])
@@ -118,7 +143,7 @@ def test_fj_and_f4_never_build_j(monkeypatch, name):
         raise AssertionError(f"{name} built j at order {order}")
 
     monkeypatch.setattr(forms, "j_invariant", no_j)
-    assert borcherds.catalog(name, 36).series.trunc == 36
+    assert borcherds.catalog(name, 36).trunc == 36
 
 
 def test_leech_cross_check_runs_on_every_longer_build(monkeypatch):

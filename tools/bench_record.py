@@ -6,13 +6,19 @@ Each argument is a record that ``perfbench/run.py --trace 0`` wrote.  One
 small record per file is appended to ``BENCH_<workload>.json`` at the
 repository root (a JSON list, oldest first): the commit and source digest
 the run measured, its seed, length and Python, the four end-to-end medians,
-and the ops attempted and failed.
+the ops attempted and failed, and ``floor_s``, the process floor: the median
+wall time of 11 ``python3 -c pass`` spawns, taken when the record is
+appended, so that records of slower and faster days can be told apart.
+Records written before the floor was kept have no ``floor_s``.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,12 +38,23 @@ def summarize(run: dict) -> dict:
             "attempted": run["attempted"], "failed": run["failed"]}
 
 
+def process_floor(spawns: int = 11) -> float:
+    """The median wall time in seconds of ``spawns`` runs of ``python3 -c pass``."""
+    times = []
+    for _ in range(spawns):
+        t = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], check=True)
+        times.append(time.perf_counter() - t)
+    return round(statistics.median(times), 6)
+
+
 def append(run_path: Path, root: Path = ROOT) -> Path:
-    """Append the record of one run to its workload's trajectory file; return that file."""
+    """Append the record of one run, with the process floor now, to its workload's
+    trajectory file; return that file."""
     run = json.loads(run_path.read_text(encoding="utf-8"))
     target = root / f"BENCH_{run['workload']}.json"
     records = json.loads(target.read_text(encoding="utf-8")) if target.exists() else []
-    records.append(summarize(run))
+    records.append({**summarize(run), "floor_s": process_floor()})
     target.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     return target
 
