@@ -58,9 +58,9 @@ def hurwitz_range(max_n: int) -> dict:
 # land on E_6); see printed_coefficient_report("f_6").
 _F6_CONSTANT = 852
 
-# Each catalog form is a Q G + b theta + c j(4t) theta, G = E_6(4t)/Delta(4t),
-# with weights (a, b, c): f_j = 3 Q G + 168 theta, f_4 = (f_j + 12 theta)/3,
-# f_6 = (j(4t) - 852) theta - 2 Q G, f_8 = 2 f_4, f_10 = f_4 + f_6,
+# Each catalog form is a Q G(4t) + b theta + c j(4t) theta, G = E_6/Delta, with
+# weights (a, b, c): f_j = 3 Q G(4t) + 168 theta, f_4 = (f_j + 12 theta)/3,
+# f_6 = (j(4t) - 852) theta - 2 Q G(4t), f_8 = 2 f_4, f_10 = f_4 + f_6,
 # f_14 = 2 f_4 + f_6 and f_delta = 12 theta.
 _CATALOG = {"f_delta": (0, 12, 0), "f_4": (1, 60, 0), "f_6": (-2, -_F6_CONSTANT, 1),
             "f_8": (2, 120, 0), "f_10": (-1, 60 - _F6_CONSTANT, 1),
@@ -104,9 +104,9 @@ class PlusForm:
     It is a Q G(4t) + J(4t) theta with G = E_6/Delta and J = c j + b, so [q^e]
     reads Q and theta at e + 4, e, e - 4, ...: Q through q^(trunc + 4), G and
     j in q through q^(trunc // 4), and only those with a nonzero weight are
-    built.  Theta and j lie in the plus space with integer
-    coefficients, and G(4t) is integral and invertible, so the form does if
-    and only if Q does, which is checked once.
+    built.  Theta and j(4t) lie in the plus space with integer coefficients,
+    and G(4t) is integral and invertible, so the form does if and only if Q
+    does, which is checked once.
     """
 
     __slots__ = ("trunc", "_pieces")

@@ -72,14 +72,18 @@ def test_the_three_products_of_q_hold_mod_three_primes(q_products):
         assert product_holds(a, b, c)
 
 
-@pytest.mark.parametrize("delta", [1, -1])
-def test_a_q_off_by_one_near_2000_is_caught(q_products, delta):
+# an error of p1 p2 is a multiple of two of the primes; the third catches it
+_OFFSETS = [1, -1, PRIMES[0] * PRIMES[1]]
+
+
+@pytest.mark.parametrize("delta", _OFFSETS)
+@pytest.mark.parametrize("e", [1997, 2000, 2001])  # a prime exponent and two composite ones
+def test_a_q_off_near_2000_is_caught(q_products, e, delta):
     a, b, c = q_products[-1]  # Q itself, from q^1
-    assert c[1999] and c[2000]  # the exponents 2000 and 2001
-    for i in (1999, 2000):
-        wrong = list(c)
-        wrong[i] += delta
-        assert not product_holds(a, b, wrong)
+    assert c[e - 1]
+    wrong = list(c)
+    wrong[e - 1] += delta
+    assert not product_holds(a, b, wrong)
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +99,8 @@ def test_g_times_delta_is_e6_mod_three_primes(g_delta_e6):
     assert product_holds(g, d, e6)
 
 
-@pytest.mark.parametrize("k, delta", [(400, 1), (400, -1), (623, 1)])
-def test_a_g_off_by_one_is_caught(g_delta_e6, k, delta):
+@pytest.mark.parametrize("k, delta", [(400, 1), (400, -1), (623, 1), (7, _OFFSETS[2])])
+def test_a_wrong_g_coefficient_is_caught(g_delta_e6, k, delta):
     g, d, e6 = g_delta_e6
     wrong = list(g)
     wrong[k + 1] += delta  # the coefficient of q^k
