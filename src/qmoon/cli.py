@@ -345,7 +345,25 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the CLI on sys.argv and end the process without interpreter teardown.
+
+    Teardown costs a small run about 5 ms.  A trace or profile hook, a live thread or
+    a stream that cannot be flushed takes the normal exit, which reports a failed flush.
+    """
+    import _thread
+    import atexit
+    import os
+    code = run()
+    if sys.gettrace() is None and sys.getprofile() is None and not _thread._count():
+        atexit._run_exitfuncs()
+        try:
+            for stream in filter(None, (sys.stdout, sys.stderr)):
+                stream.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import test_golden_cli as golden
 from paper_refs import sample_system, system_json
 from qmoon import cli, forms
 from qmoon.maass import JacobiCoeffTable
@@ -487,9 +490,12 @@ _UNUSED_BY_EXPAND = {"qmoon.borcherds", "qmoon.identities", "qmoon.maass", "qmoo
 _PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
-def _spawn(args):
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+def _spawn(args, stdout=subprocess.PIPE, env=(), **kwargs):
+    """(exit code, stdout, stderr) of python ARGS, with env's items set, or unset where None."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), **dict(env))
+    env = {k: v for k, v in env.items() if v is not None}
+    done = subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=120, **kwargs)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -574,10 +580,134 @@ def test_emit_builds_only_what_its_mode_prints(capsys):
     assert capsys.readouterr().out == '{"a": 1}\nb\nc\n'
 
 
-@pytest.mark.parametrize("argv", [["expand", "theta", "--order", "1"],
-                                  ["mult", "table", "--algebra", "e10", "--json"]])
-def test_module_run_reads_sys_argv(capsys, argv):
-    # python -m qmoon.cli parses sys.argv: no argv reaches run from main
-    expected = run(capsys, argv)
-    code, out, err = _spawn(["-m", "qmoon.cli", *argv])
-    assert (code, out.decode(), err.decode()) == expected
+# A slice of both golden corpora, spawned as python -m qmoon.cli: each
+# subcommand in text and JSON, an exit 3 and an exit 4, and from the usage
+# corpus an exit 2 and three help pages.  main ends the process itself, so
+# only a spawn shows that its exit keeps every pinned byte.
+_GOLDEN_SLICE = [argv + js for js in ([], ["--json"]) for argv in (
+    ["expand", "theta", "--order", "8"] if not js else ["expand", "j", "--order", "6"],
+    ["factor", "--input", "j.json", "--order", "5"],
+    ["verify", "triple", "--order", "9" if js else "12"],
+    ["lift", "--name", "f_delta", "--order", "3"],
+    ["hurwitz", "--max", "20"],
+    ["zeromult", "--name", "f_j", "--disc", "-3"],
+    ["moonshine", "denom", "--cap", "3"],
+    ["vsys", "psi", "--file", "pair.json", "--order", "4"],
+    ["vsys", "check", "--file", "pair.json", "--shift", "1", "--order", "6"],
+    ["maass", "lift", "--file", "jacobi.json", "--max-m", "1"],
+    ["maass", "check", "--file", "siegel.json"],
+    ["mult", "table", "--algebra", "e10", "--min-norm", "-12"],
+    ["mult", "rademacher", "--n", "2", "--terms", "10"])] + [
+    ["verify", "quintuple_w2", "--order", "12"], ["expand", "nonsense", "--order", "3"]]
+_USAGE_SLICE = [["bogus"], ["--help"], ["expand", "--help"], ["vsys", "check", "--help"]]
+
+
+@pytest.fixture(scope="module")
+def golden_spawns(tmp_path_factory):
+    """{case key: (exit code, stdout, stderr)} of the slice, spawned two at a time."""
+    root = tmp_path_factory.mktemp("golden")
+    golden._write_inputs(root)
+    env = {"COLUMNS": "80", "PYTHONIOENCODING": "utf-8"}
+    cases = _GOLDEN_SLICE + _USAGE_SLICE
+    with ThreadPoolExecutor(2) as pool:
+        runs = pool.map(lambda argv: _spawn(["-m", "qmoon.cli", *argv], cwd=root, env=env), cases)
+        return dict(zip(map(golden._key, cases), runs))
+
+
+@pytest.mark.parametrize("argv", _GOLDEN_SLICE + _USAGE_SLICE, ids=golden._key)
+def test_module_run_reads_sys_argv(argv, golden_spawns):
+    # python -m qmoon.cli parses sys.argv (no argv reaches run from main), and
+    # its exit keeps the bytes both corpora pin: stdout, and stderr for usage
+    code, out, err = golden_spawns[golden._key(argv)]
+    out, err = (hashlib.sha256(text).hexdigest() for text in (out, err))
+    if argv in _USAGE_SLICE:
+        assert [code, out, err] == json.loads(golden.USAGE_CORPUS.read_text())[golden._key(argv)]
+    else:
+        assert [code, out] == json.loads(golden.CORPUS.read_text())[golden._key(argv)]
+
+
+def test_the_golden_slice_runs_every_subcommand_in_both_modes_and_every_exit_code():
+    leaves = {words for words, _, _, handler in cli.COMMANDS if handler}
+    for js in (False, True):
+        assert leaves == {words for words in leaves for argv in _GOLDEN_SLICE
+                          if tuple(argv[:len(words)]) == words and ("--json" in argv) == js}
+    corpus, usage = (json.loads(path.read_text()) for path in (golden.CORPUS, golden.USAGE_CORPUS))
+    assert {corpus[golden._key(argv)][0] for argv in _GOLDEN_SLICE} == {0, 3, 4}
+    assert [usage[golden._key(argv)][0] for argv in _USAGE_SLICE] == [2, 0, 0, 0]
+
+
+# main ends a run with os._exit once atexit's callbacks have run and stdout and
+# stderr are flushed; every case below must end as the interpreter's own exit,
+# which main took before, ends it: same exit code, same stderr.
+_NORMAL_EXIT = "import sys; from qmoon import cli; sys.exit(cli.run())"
+_ENDS = (["-m", "qmoon.cli"], ["-c", _NORMAL_EXIT])
+_EXPAND = ["expand", "theta", "--order", "1"]
+
+
+def _ends(argv, unbuffered, stdout=subprocess.PIPE, **kwargs):
+    """(exit code, stderr) of main and of the normal exit, stdout buffered or not."""
+    env = {"PYTHONUNBUFFERED": "1" if unbuffered else None}
+    return [_spawn([*end, *argv], stdout, env, **kwargs)[::2] for end in _ENDS]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv, code", [(_EXPAND, 0), (["verify", "quintuple_w2", "--order", "8"], 3)])
+def test_a_closed_stdout_ends_as_before(argv, code, unbuffered):
+    # python sets sys.stdout to None when fd 1 is closed at start (>&-)
+    assert _ends(argv, unbuffered, None, preexec_fn=lambda: os.close(1)) == [(code, b"")] * 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [_EXPAND, ["expand", "--help"]])
+def test_a_full_stdout_ends_as_before(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        main, normal = _ends(argv, unbuffered, full)
+    assert main == normal
+    full = b"[Errno 28] No space left on device\n"
+    if unbuffered:  # a print fails at once: cli.run reports it, argparse ignores it
+        assert main == ((0, b"") if "--help" in argv else (4, b"error: " + full))
+    else:  # the output waits in stdout's buffer, and the failed flush falls back
+        assert main[0] == 120 and main[1].endswith(b"\nOSError: " + full)
+
+
+_ATEXIT = """import atexit, sys
+atexit.register(print, "atexit ran", file=sys.stderr)
+from qmoon import cli
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "full"])
+def test_an_atexit_callback_runs_once(stdout):
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full" if stdout == "full" else os.devnull, "wb") as sink:
+        code, _, err = _spawn(["-c", _ATEXIT, *_EXPAND], sink, {"PYTHONUNBUFFERED": None})
+    assert err.count(b"atexit ran\n") == 1 and err.startswith(b"atexit ran\n")
+    assert (code, err == b"atexit ran\n") == ((120, False) if stdout == "full" else (0, True))
+
+
+# threading's own exit hooks run in the interpreter's exit only, not past os._exit
+_HOOKED = """import sys, threading
+threading._register_atexit(print, "normal exit", file=sys.stderr)
+{hook}
+from qmoon import cli
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("hook, normal", [
+    ("", False),
+    ("sys.settrace(lambda *args: None)", True),
+    ("sys.setprofile(lambda *args: None)", True),
+    ("threading.Thread(target=threading.Event().wait, args=(0.2,)).start()", True)])
+def test_a_hook_or_a_live_thread_takes_the_normal_exit(hook, normal):
+    code, out, err = _spawn(["-c", _HOOKED.format(hook=hook), *_EXPAND])
+    assert (code, out, err) == (0, b"1 + 2q + O(q^2)\n", b"normal exit\n" if normal else b"")
+
+
+def test_cprofile_still_prints_its_stats():
+    code, out, err = _spawn(["-m", "cProfile", "-m", "qmoon.cli", *_EXPAND])
+    assert (code, err) == (0, b"") and out.startswith(b"1 + 2q + O(q^2)\n")
+    assert b"function calls" in out and b"Ordered by: " in out

@@ -105,7 +105,10 @@ def test_kernel_oracle_borrows_no_kernel_arithmetic():
 
 # Module-level names and methods that no subcommand reaches, kept on purpose.
 UNROUTED = {
-    "cli.main": "the console-script entry point; the golden cases call cli.run, which it wraps",
+    "cli.main": "the console-script entry point, which ends the process, so no in-process "
+                "golden case can run it; tests/test_cli.py's spawns of python -m qmoon.cli "
+                "run its lines: test_module_run_reads_sys_argv, the closed and full stdout "
+                "cases, the atexit, hook and thread cases and the cProfile case",
     "borcherds.printed_coefficient_report": "the published f_4 and f_6 coefficients against "
                                             "the catalog formulas; no subcommand prints it yet",
     "maass._CoeffTable.coeff": "a table's one lookup that refuses past disc_bound; the "

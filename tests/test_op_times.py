@@ -16,27 +16,50 @@ def test_one_op_is_timed_and_checked(capsys):
     assert op_times.main(["--workload", "bivariate-verify", "--op", "moonshine replication 8",
                           "--repeat", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["op", "best", "ms", "median", "ms", "import", "ms", "fractions"]
-    name, best, median, imported, fractions = lines[1].rsplit(None, 4)
+    assert lines[0].split() == ["op", "best", "ms", "median", "ms", "import", "ms", "process",
+                                "ms", "fractions"]
+    name, best, median, imported, process, fractions = lines[1].rsplit(None, 5)
     assert name == "moonshine replication 8" and 0 < float(best) <= float(median)
     assert float(imported) > 0 and fractions == "no"  # its exp argument is integral
-    assert lines[2].split() == ["total", best, median, imported, "0"]
+    assert float(process) > float(imported)  # a whole interpreter, started and ended
+    assert lines[2].split() == ["total", best, median, imported, process, "0"]
 
 
 def test_the_import_column_is_the_median_untimed_import():
-    times = {"a": (True, [(0.004, 0.003), (0.002, 0.001), (0.003, 0.005)]),
-             "bb": (False, [(0.001, 0.002)])}
+    times = {"a": (True, [(0.004, 0.003, 0.05), (0.002, 0.001, 0.07), (0.003, 0.005, 0.04)]),
+             "bb": (False, [(0.001, 0.002, 0.03)])}
     assert op_times.table(times).splitlines() == [
-        "op       best ms  median ms  import ms  fractions",
-        "a           2.00       3.00       3.00        yes",
-        "bb          1.00       1.00       2.00         no",
-        "total       3.00       4.00       5.00          1"]
+        "op        best ms   median ms   import ms  process ms   fractions",
+        "a            2.00        3.00        3.00       50.00         yes",
+        "bb           1.00        1.00        2.00       30.00          no",
+        "total        3.00        4.00        5.00       80.00           1"]
 
 
 def test_a_child_times_its_import_apart_from_its_run():
     run = op_times.time_once(["expand", "theta", "--order", "1"], Path(op_times.ROOT) / "src")
     assert run["exit"] == 0 and run["stdout"] == "1 + 2q + O(q^2)\n"
     assert 0 < run["import_s"] < 5 and 0 < run["s"] < 5
+
+
+def test_a_spawn_runs_the_module_as_the_benchmark_does():
+    done = op_times.spawn_once(["expand", "theta", "--order", "1"], Path(op_times.ROOT) / "src")
+    assert done["exit"] == 0 and done["stdout"] == "1 + 2q + O(q^2)\n" and 0 < done["s"] < 5
+    assert op_times.spawn_once(["expand", "e5x"], Path(op_times.ROOT) / "src")["exit"] == 4
+
+
+def test_only_the_process_column_sees_what_main_adds(tmp_path):
+    # a main that sleeps 0.2 s past cli.run: the run column cannot see it
+    src = tmp_path / "src"
+    shutil.copytree(Path(op_times.ROOT) / "src" / "qmoon", src / "qmoon",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = src / "qmoon" / "cli.py"
+    text = cli.read_text()
+    assert text.count("def main() -> None:\n") == 1
+    cli.write_text(text.replace("def main() -> None:\n",
+                                "def main() -> None:\n    __import__('time').sleep(0.2)\n"))
+    times, = op_times.op_times("dense-lift", 1, 1, ["lift f_delta 50"], [src])
+    (run, _, process), = times["lift f_delta 50"][1]
+    assert run < 0.2 <= process
 
 
 def test_a_child_says_whether_its_run_loaded_fractions():
@@ -109,25 +132,23 @@ def test_two_trees_are_timed_in_alternating_order(monkeypatch, tmp_path, capsys)
     assert op_times.main(argv + [arg for tree in trees for arg in ("--src", str(tree))]) == 0
     assert runs == ["a", "b", "a", "b", "b", "a", "a", "b"]
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["op"] + ["best", "ms", "[1]", "median", "ms", "[1]",
-                                         "import", "ms", "[1]", "fractions", "[1]",
-                                         "best", "ms", "[2]", "median", "ms", "[2]",
-                                         "import", "ms", "[2]", "fractions", "[2]"]
-    name, *columns = lines[1].rsplit(None, 8)
-    assert name == "lift f_delta 50" and len(columns) == 8
-    assert float(columns[0]) <= float(columns[1]) and float(columns[4]) <= float(columns[5])
-    assert columns[3] == columns[7] == "no"
-    assert lines[2].split() == ["total", *columns[:3], "0", *columns[4:7], "0"]
+    assert lines[0].split() == ["op"] + [word for k in ("[1]", "[2]") for word in (
+        "best", "ms", k, "median", "ms", k, "import", "ms", k, "process", "ms", k, "fractions", k)]
+    name, *columns = lines[1].rsplit(None, 10)
+    assert name == "lift f_delta 50" and len(columns) == 10
+    assert float(columns[0]) <= float(columns[1]) and float(columns[5]) <= float(columns[6])
+    assert columns[4] == columns[9] == "no"
+    assert lines[2].split() == ["total", *columns[:4], "0", *columns[5:9], "0"]
     assert lines[3:] == [f"[1] {trees[0]}", f"[2] {trees[1]}"]
 
 
 def test_the_table_of_two_trees_gives_each_its_columns():
-    a = {"x": (True, [(0.004, 0.001), (0.002, 0.003)])}
-    b = {"x": (False, [(0.001, 0.002)])}
+    a = {"x": (True, [(0.004, 0.001, 0.04), (0.002, 0.003, 0.05)])}
+    b = {"x": (False, [(0.001, 0.002, 0.03)])}
     assert op_times.table(a, b).splitlines() == [
-        "op       best ms [1]  median ms [1]  import ms [1]  fractions [1]    best ms [2]"
-        "  median ms [2]  import ms [2]  fractions [2]",
-        "x               2.00           3.00           2.00            yes           1.00"
-        "           1.00           2.00             no",
-        "total           2.00           3.00           2.00              1           1.00"
-        "           1.00           2.00              0"]
+        "op        best ms [1]   median ms [1]   import ms [1]  process ms [1]   fractions [1]"
+        "     best ms [2]   median ms [2]   import ms [2]  process ms [2]   fractions [2]",
+        "x                2.00            3.00            2.00           45.00             yes"
+        "            1.00            1.00            2.00           30.00              no",
+        "total            2.00            3.00            2.00           45.00               1"
+        "            1.00            1.00            2.00           30.00               0"]

@@ -1,18 +1,24 @@
-"""The lift's operands at workload size, checked modulo three primes with numpy.
+"""The kernel's products and solves at workload size, checked modulo three primes with numpy.
 
 ``lift f_j 50`` reads Q through q^2,504 and G = E_6/Delta through q^625.  Q
 is three kernel products of 2,505 terms, and G one kernel division of 627.
 Here each product c = a b is checked as c = a b (mod p), and the division
 as G Delta = E_6 (mod p), by numpy's float64 ``np.convolve`` on residues.
+The dense-lift ops ``factor j 240`` and ``factor unit 200`` solve
+g u = -q u' for the unit part u of their series, and ``expand j 300``
+divides E_4^3 by Delta: each solve is checked the same way, from what it
+returns.
 For primes below 2^20 that is exact: every sum of n products of residues
 stays below n p^2 < 2^53 for n <= 8,191.  One prime can miss an error that
 is a multiple of it, so three are used.
 """
 
+import random
+
 import pytest
 
 from qmoon import borcherds, forms
-from qmoon.series import QSeries
+from qmoon.series import QSeries, exponents_from_series
 
 np = pytest.importorskip("numpy")
 
@@ -28,15 +34,24 @@ def _residues(cs: list, p: int):
     return np.array([c % p for c in cs], dtype=np.float64)
 
 
+def _product(factors: list, n: int, p: int):
+    """The first n coefficients of the product of the coefficient lists, modulo p."""
+    out = _residues(factors[0][:n], p)
+    for cs in factors[1:]:
+        out = np.fmod(np.convolve(out, _residues(cs[:n], p))[:n], p)
+    return out
+
+
+def products_agree(left: list, right: list, n: int) -> bool:
+    """Whether the two products of coefficient lists agree in their first n terms, modulo
+    every prime; the lists of each side start at valuations that add up to the same."""
+    return all(np.array_equal(_product(left, n, p), _product(right, n, p)) for p in PRIMES)
+
+
 def product_holds(a: list, b: list, c: list) -> bool:
     """Whether c is the product of a and b through len(c) terms, modulo every prime;
     the three lists start at valuations that add up."""
-    n = len(c)
-    for p in PRIMES:
-        want = np.fmod(np.convolve(_residues(a[:n], p), _residues(b[:n], p))[:n], p)
-        if not np.array_equal(want, _residues(c, p)):
-            return False
-    return True
+    return products_agree([a, b], [c], len(c))
 
 
 def _as_lists(a: QSeries, b: QSeries, c: QSeries) -> tuple:
@@ -105,3 +120,54 @@ def test_a_wrong_g_coefficient_is_caught(g_delta_e6, k, delta):
     wrong = list(g)
     wrong[k + 1] += delta  # the coefficient of q^k
     assert not product_holds(wrong, d, e6)
+
+
+# The solves of dense-lift's factor and expand ops.  exponents_from_series
+# returns the e_d of a = q^(-h) prod (1 - q^d)^(e_d); from them the check
+# rebuilds g_m = sum_{d | m} d e_d and asks g u = -q u' for a's unit part u.
+def _unit_200():
+    """A unit of 200 terms past its constant 1, each coefficient below 2^8 in size."""
+    rng = random.Random(3816)
+    return QSeries({0: 1, **{n: rng.randint(-256, 256) for n in range(1, 201)}}, 200)
+
+
+@pytest.fixture(scope="module")
+def solves():
+    """{name: (operands, solved list, its valuation, the other side, terms)}: each holds
+    when the product of the operands and the solved list is the other side's product."""
+    out = {}
+    for name, a, order in (("factor j 240", forms.j_invariant(240), 240),
+                           ("factor unit 200", _unit_200(), 200)):
+        v = min(a.coeffs)
+        u = _window(a, v, order + 1)
+        g = [0] * (order + 1)
+        for d, e in exponents_from_series(a, order).exps.items():
+            for m in range(d, order + 1, d):
+                g[m] += int(d * e)  # d e_d is an integer even where e_d is not
+        out[name] = ([u], g, 0, [[-m * c for m, c in enumerate(u)]], order + 1)
+    j = forms.j_invariant(300)
+    e4 = _window(forms.eisenstein(4, 301), 0, 302)
+    out["expand j 300"] = ([_window(forms.delta(302), 1, 302)], _window(j, -1, 302), -1,
+                           [e4, e4, e4], 302)
+    return out
+
+
+_SOLVES = ["factor j 240", "factor unit 200", "expand j 300"]
+
+
+@pytest.mark.parametrize("name", _SOLVES)
+def test_the_dense_lift_solves_hold_mod_three_primes(solves, name):
+    operands, solved, _, other, n = solves[name]
+    assert len(solved) == n and any(solved[n - 40:])
+    assert products_agree(operands + [solved], other, n)
+
+
+@pytest.mark.parametrize("delta", _OFFSETS)
+@pytest.mark.parametrize("name, prime, composite", [
+    ("factor j 240", 239, 240), ("factor unit 200", 199, 200), ("expand j 300", 293, 300)])
+@pytest.mark.parametrize("at", ["prime", "composite"])
+def test_a_solve_off_near_its_top_is_caught(solves, name, prime, composite, at, delta):
+    operands, solved, start, other, n = solves[name]
+    wrong = list(solved)
+    wrong[(prime if at == "prime" else composite) - start] += delta
+    assert not products_agree(operands + [wrong], other, n)

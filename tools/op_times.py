@@ -1,4 +1,4 @@
-"""Time each op of one perfbench workload in process, import excluded.
+"""Time each op of one perfbench workload in process, import excluded, and as a whole process.
 
     python3 tools/op_times.py --workload bivariate-verify [--seed 1] [--repeat 7]
                               [--op "verify all 90" ...] [--src DIR ...]
@@ -10,13 +10,18 @@ is a fresh Python process that times ``import qmoon.cli`` apart, then one
 each op first writes the .pyc files of the modules it imports lazily (the
 children may write bytecode whatever PYTHONDONTWRITEBYTECODE says), and it
 must exit with the code the workload expects and pass its stdout check.
-Then the timed runs go round the ops --repeat times.  The table gives the
-best and the median run of each op in milliseconds, the median import, and
-the sums of all three.  The import column shows where a lazily imported
-module's cost went: a module that ``import qmoon.cli`` no longer loads
-moves into the run of each op that needs it, and out of the others.  A
-last column says whether the untimed run had loaded ``fractions`` once
-``cli.run`` returned, and its total counts the ops that had.
+So must one untimed ``python -m qmoon.cli ARGV`` spawn, the process the
+benchmark runs.  Then the timed runs go round the ops --repeat times, each
+run followed by one timed spawn.  The table gives the best and the median
+run of each op in milliseconds, the median import, the median spawn's wall
+time, and the sums of all four.  The import column shows where a lazily
+imported module's cost went: a module that ``import qmoon.cli`` no longer
+loads moves into the run of each op that needs it, and out of the others.
+The process column holds what the run column leaves out: the interpreter's
+start-up, ``cli.main`` and the end of the process, so a change to any of
+them shows there alone.  A last column says whether the untimed run had
+loaded ``fractions`` once ``cli.run`` returned, and its total counts the
+ops that had.
 ``--src`` times another tree's ``src`` directory (a parent checkout, say)
 on the same ops.  Given more than once, each round times every op on each
 tree in turn, and the next round takes the trees in the other order, so
@@ -33,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,20 +68,30 @@ def _workloads():
     return workloads
 
 
+def _env(src: Path) -> dict:
+    drop = ("QMOON_DEFAULT_ORDER", "PYTHONDONTWRITEBYTECODE")
+    return {**{k: v for k, v in os.environ.items() if k not in drop}, "PYTHONPATH": str(src)}
+
+
 def time_once(argv, src: Path) -> dict:
     """One fresh process's {"exit", "s", "import_s", "stdout", "fractions"} for ``qmoon argv``."""
-    drop = ("QMOON_DEFAULT_ORDER", "PYTHONDONTWRITEBYTECODE")
-    env = {k: v for k, v in os.environ.items() if k not in drop}
-    env["PYTHONPATH"] = str(src)
-    done = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", CHILD, *argv], env=_env(src),
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
+def spawn_once(argv, src: Path) -> dict:
+    """{"exit", "s", "stdout"} of one ``python -m qmoon.cli argv``, "s" its wall time."""
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "qmoon.cli", *argv], env=_env(src),
+                          capture_output=True, text=True)
+    return {"exit": done.returncode, "s": time.perf_counter() - start, "stdout": done.stdout}
+
+
 def op_times(workload: str, seed: int, repeat: int, names=(), srcs=(ROOT / "src",)):
-    """[{op name: (whether it loads fractions, [(run, import) seconds of each run])} for each
-    tree] for the workload's ops, or those named; each round alternates which tree runs an
-    op first."""
+    """[{op name: (whether it loads fractions, [(run, import, process) seconds of each run])}
+    for each tree] for the workload's ops, or those named; each round alternates which tree
+    runs an op first."""
     workloads = _workloads()
     with tempfile.TemporaryDirectory() as tmp:
         ops = workloads.build(workload, seed, Path(tmp))
@@ -89,31 +105,34 @@ def op_times(workload: str, seed: int, repeat: int, names=(), srcs=(ROOT / "src"
         for op in ops:  # untimed: checks each op and writes the .pyc files it needs
             for src, tree in zip(srcs, times):
                 run = time_once(op.argv, src)
-                problem = (f"exit {run['exit']}, want {op.expect}"
-                           if run["exit"] != op.expect else op.check(run["stdout"]))
-                if problem:
-                    raise ValueError(f"{op.name}: {problem}")
+                for how, done in (("", run), (" as a process", spawn_once(op.argv, src))):
+                    problem = (f"exit {done['exit']}, want {op.expect}"
+                               if done["exit"] != op.expect else op.check(done["stdout"]))
+                    if problem:
+                        raise ValueError(f"{op.name}{how}: {problem}")
                 tree[op.name] = (run["fractions"], [])
         trees = list(zip(srcs, times))
         for r in range(repeat):
             for op in ops:
                 for src, tree in trees[::-1] if r % 2 else trees:
                     run = time_once(op.argv, src)
-                    tree[op.name][1].append((run["s"], run["import_s"]))
+                    tree[op.name][1].append((run["s"], run["import_s"],
+                                             spawn_once(op.argv, src)["s"]))
     return times
 
 
 def table(*trees) -> str:
-    """Each op's best run, median run and median import in ms, whether it loads fractions,
-    and the sums (of ms, and of the ops that load fractions), for each tree's {op name:
-    (loads fractions, runs)}; with several trees, tree k's columns are tagged [k]."""
+    """Each op's best run, median run, median import and median process in ms, whether it
+    loads fractions, and the sums (of ms, and of the ops that load fractions), for each
+    tree's {op name: (loads fractions, runs)}; with several trees, tree k's columns are
+    tagged [k]."""
     tags = [f" [{k}]" if len(trees) > 1 else "" for k in range(1, len(trees) + 1)]
     heads = [f"{head}{tag}" for tag in tags
-             for head in ("best ms", "median ms", "import ms", "fractions")]
+             for head in ("best ms", "median ms", "import ms", "process ms", "fractions")]
     rows = [(name, *(x for fractions, runs in (times[name] for times in trees)
-                     for x in (min(s for s, _ in runs) * 1e3,
-                               statistics.median(s for s, _ in runs) * 1e3,
-                               statistics.median(i for _, i in runs) * 1e3, fractions)))
+                     for x in (min(s for s, _, _ in runs) * 1e3,
+                               *(statistics.median(col) * 1e3 for col in zip(*runs)),
+                               fractions)))
             for name in trees[0]]
     width = max([len("total")] + [len(row[0]) for row in rows])
     col = max(len(head) for head in heads)
