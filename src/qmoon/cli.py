@@ -41,6 +41,7 @@ def _emit(args, payload, lines, reports=()) -> int:
     else:
         for line in lines():
             print(line)
+    print(end="", flush=True)  # a full device fails here, as it does unbuffered
     return 0 if all(r.passed for r in reports) else 3
 
 
@@ -354,6 +355,10 @@ def main() -> None:
     import atexit
     import os
     code = run()
+    try:
+        print(end="", flush=True)
+    except OSError:  # run reported what stdout could not take, or help ignored it: drop it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if sys.gettrace() is None and sys.getprofile() is None and not _thread._count():
         atexit._run_exitfuncs()
         try:

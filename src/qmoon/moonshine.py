@@ -32,22 +32,18 @@ def moonshine_c(max_n: int) -> QSeries:
 
 # -- the two identity sides ----------------------------------------------------
 #
-# Both sides are built with a p-budget of M = cap_m + 1 before the p^-1 shift
-# and a q-top hi = cap_n + M.  Every monomial p^a q^b of a
-# factor, and so of any partial product, satisfies b >= -a: the only
-# negative q-powers enter through n = -1 factors, which raise a at least as
-# fast.  A monomial p^a q^b the denominator product drops for b > hi can
-# still be multiplied by monomials whose p-powers add up to at most M - a,
-# so it only ever reaches q-exponents above hi - M = cap_n.  The product is
-# therefore exact through q^cap_n, which is the q-top mul_binomials gives it:
-# the steepest factor, 1 - p q^-1, steps down one q per p over the cap M.
+# Both sides are built with a p-budget of M = cap_m + 1 before the p^-1 shift.
+# Every monomial p^a q^b of a factor has b >= -a, and the one factor with b < 0
+# is 1 - p/q, met once as c(-1) = 1 (moonshine_c checks it).  So a monomial the
+# denominator product drops above q^(cap_n + 1) comes down at most one q, and
+# the q-top mul_binomials gives it is cap_n, from the one term that factor uses.
 #
-# The replication side needs no such argument.  bi_exp runs the exp
-# recurrence m B_m = sum_k w_k B_{m-k} on q-rows: w_k = k T_k, for T_k the p^k
-# row of the exponent, is known through q^hi and has q-valuation >= -k, so the
-# kernel's truncation bookkeeping shows B_m known through q^(hi + 1 - m) by
-# induction, B_0 = 1 being exact.  Its smallest row truncation,
-# hi + 1 - M = cap_n + 1, is the result's q-top.
+# The replication side, built to hi = cap_n + M, needs no such argument.
+# bi_exp runs the exp recurrence m B_m = sum_k w_k B_{m-k} on q-rows: w_k =
+# k T_k, for T_k the p^k row of the exponent, is known through q^hi and has
+# q-valuation >= -k, so the kernel's truncation bookkeeping shows B_m known
+# through q^(hi + 1 - m) by induction, B_0 = 1 being exact.  Its smallest row
+# truncation, hi + 1 - M = cap_n + 1, is the result's q-top.
 
 def _grid(cap_m, cap_n):
     big_m = cap_m + 1
@@ -57,19 +53,15 @@ def _grid(cap_m, cap_n):
 def _sum_side(cap_m, cap_n) -> BiSeries:
     """j*(p) - j*(q) on the compared rectangle."""
     c = moonshine_c(max(cap_m, cap_n))
-    coeffs = {}
-    for m in range(-1, cap_m + 1):
-        if c[m]:
-            coeffs[(m, 0)] = c[m]
+    coeffs = {(m, 0): c[m] for m in range(-1, cap_m + 1)}  # BiSeries drops the zeros
     for n in range(-1, cap_n + 1):
-        if c[n]:
-            coeffs[(0, n)] = coeffs.get((0, n), 0) - c[n]
+        coeffs[(0, n)] = coeffs.get((0, n), 0) - c[n]
     return BiSeries(coeffs, cap_m, ytop=cap_n)
 
 
 def denominator_product(cap_m: int, cap_n: int) -> BiSeries:
     """p^-1 prod_{m>0, n>=-1} (1 - p^m q^n)^{c(mn)} within the closed caps."""
-    big_m, hi = _grid(cap_m, cap_n)
+    big_m, hi = cap_m + 1, cap_n + 1  # the q-top that 1 - p/q, met once, allows
     c = moonshine_c(big_m * hi)
     # n descending, then m: the slots are repacked less often than with m outer
     factors = [(m, n, c[m * n], -1) for n in range(hi, -2, -1) for m in range(1, big_m + 1)

@@ -888,9 +888,11 @@ class BiSeries:
 
         Keys above the cap or the y-top are dropped.  No x-valuation is below
         0, so the cap stays.  The y-top follows the unknown terms above it,
-        which only factors with a > 0 and b < 0 carry down: at most |b| / a
-        per step in x and max(cap, 0) steps in all.  The result's y-top is
-        lowered by the ceiling of max(cap, 0) times the steepest |b| / a.
+        which only factors with a > 0 and b < 0 carry down, by |b| per term
+        used.  The result's y-top is lowered by the smaller of two bounds:
+        max(cap, 0) steps in x at the steepest |b| / a, rounded up, and the
+        sum of |b| K, for the K = cap // a terms that fit the cap (min(e, K)
+        for e >= 0): 1 for the monster denominator's 1 - p/q, met once.
         """
         cap, ytop = self.cap, self.ytop
         n = max(cap + 1, 0)  # rows 0..cap; a stored x above the cap cannot exist
@@ -899,7 +901,7 @@ class BiSeries:
                              "first-variable exponents >= 0")
         rows, bnd = [[] for _ in range(n)], []
         width = _fill(rows, bnd, dict(sorted(self.coeffs.items())), 8)
-        steep = 0  # how far b < 0 factors carry unknown terms down
+        steep = carry = 0  # how far b < 0 factors carry unknown terms down
         gap = _GAP
         for a, b, e, sign in factors:
             if sign not in (1, -1) or a < 0 or not isinstance(e, int) or e < -1:
@@ -918,8 +920,9 @@ class BiSeries:
                             out = _add_runs(out, row, k * b, c, w)
                         rows[x], bnd[x] = out, grow * bnd[x]
                 continue
-            if b < 0:
-                steep = max(steep, -(max(cap, 0) * b // a))
+            if b < 0:  # by slope over the cap, and by the terms the cap lets in
+                steep, k = max(steep, -(max(cap, 0) * b // a)), max(cap, 0) // a
+                carry -= b * (k if e < 0 else min(e, k))
             cut = ytop is not None and b > 0  # a row's copies stop at the y-top
             if e == -1:  # divide, reading each source after its own update
                 steps = [(a, b, -sign, 1, ytop - b if cut else None)]
@@ -969,7 +972,7 @@ class BiSeries:
                                 dst.clear()
                             continue
                     rows[to] = _add_runs(dst, src, dy, c, w)
-        out = BiSeries({}, cap, ytop=None if ytop is None else ytop - steep)
+        out = BiSeries({}, cap, ytop=None if ytop is None else ytop - min(steep, carry))
         if ytop is not None:
             rows = [_cut_runs(row, out.ytop, 8 * width) for row in rows]
         out.coeffs = _terms(rows, width)  # the clean terms the constructor would keep

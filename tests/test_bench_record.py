@@ -20,8 +20,9 @@ _PROCESS_FLOOR = bench_record.process_floor
 
 @pytest.fixture(autouse=True)
 def _floor(monkeypatch):
-    """A fixed process floor, so appending a record spawns no interpreter."""
-    monkeypatch.setattr(bench_record, "process_floor", lambda: 0.04)
+    """Fixed process floors, so appending a record spawns no interpreter."""
+    monkeypatch.setattr(bench_record, "process_floor",
+                        lambda code: 0.04 if code == "pass" else 0.03)
 
 
 def _run(tmp_path, seed, trace=0, ops=None):
@@ -44,7 +45,7 @@ def test_records_append_in_order(tmp_path):
     assert records[1] == {"commit": "abc", "src_sha256": "f00", "seed": 2, "seconds": 20,
                           "python": "3.11.7", "wall_s": 0.2, "op_p50_s": 1.2,
                           "peak_rss_mb": 2.2, "setup_s": 3.2, "attempted": 40, "failed": 0,
-                          "floor_s": 0.04}
+                          "floor_s": 0.04, "floor_exit_s": 0.03}
 
 
 def test_the_floor_is_the_median_of_timed_spawns(monkeypatch):
@@ -57,6 +58,14 @@ def test_the_floor_is_the_median_of_timed_spawns(monkeypatch):
     monkeypatch.setattr(bench_record, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
     assert _PROCESS_FLOOR(3) == 0.03
     assert spawned == [([sys.executable, "-c", "pass"], True)] * 3
+
+
+def test_the_exit_floor_spawns_an_interpreter_that_skips_teardown(monkeypatch):
+    spawned = []
+    monkeypatch.setattr(bench_record, "subprocess",
+                        SimpleNamespace(run=lambda argv, check: spawned.append(argv)))
+    _PROCESS_FLOOR(2, code=bench_record.FLOORS["floor_exit_s"])
+    assert spawned == [[sys.executable, "-c", "import os; os._exit(0)"]] * 2
 
 
 def test_a_traced_run_is_refused(tmp_path, capsys):
@@ -174,5 +183,20 @@ def test_pairs_give_each_sides_floor_when_every_record_has_one(tmp_path):
     assert [row.split(" | ")[2] for row in rows] == [f"`{m}`" for m in bench_pairs.END_TO_END]
 
 
+def test_pairs_give_the_exit_floor_when_every_record_has_one(tmp_path):
+    records = [_record(s, c, floor_s=0.04, floor_exit_s=0.03 - s / 1000 - (c == "bbb") / 1000)
+               for s in (1, 2, 3) for c in ("aaa", "bbb")]
+    (tmp_path / "BENCH_dense-lift.json").write_text(json.dumps(records))
+    rows = bench_pairs.table("aaa", "bbb", root=tmp_path)[2:]
+    assert [row.split(" | ")[2] for row in rows][-2:] == ["`floor_s`", "`floor_exit_s`"]
+    assert rows[-1] == ("| dense-lift | 1–3 | `floor_exit_s` | 0.02800 [0.02700, 0.02900] | "
+                        "0.02700 | -3.6% | 3 of 3 |")
+    del records[-1]["floor_exit_s"]  # one record of a pair lacks it: no exit floor row
+    (tmp_path / "BENCH_dense-lift.json").write_text(json.dumps(records))
+    rows = bench_pairs.table("aaa", "bbb", root=tmp_path)[2:]
+    assert [row.split(" | ")[2] for row in rows][-1] == "`floor_s`"
+
+
 def test_the_floor_times_a_real_interpreter():
     assert 0 < _PROCESS_FLOOR(1) < 30
+    assert 0 < _PROCESS_FLOOR(1, code=bench_record.FLOORS["floor_exit_s"]) < 30

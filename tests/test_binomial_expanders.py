@@ -59,14 +59,24 @@ def bi_factor(series, a, b, e, sign):
     return bi(coeffs, cap, None)
 
 
-def lowered_ytop(series, factors):
-    """The y-top an unknown term above it cannot reach: each factor with
-    b < 0 (which has a > 0 under a y-top) steps it down by at most |b| / a
-    per unit of x, over at most max(cap, 0) units."""
-    if series.ytop is None:
-        return None
+def slope_ytop(series, factors):
+    """The y-top by slope alone: each factor with b < 0 (which has a > 0
+    under a y-top) steps an unknown term down by at most |b| / a per unit of
+    x, over at most max(cap, 0) units."""
     slope = max((Fraction(-b, a) for a, b, _, _ in factors if b < 0), default=0)
     return series.ytop - ceil(max(series.cap, 0) * slope)
+
+
+def lowered_ytop(series, factors):
+    """The y-top an unknown term above it cannot reach.  Each factor with
+    b < 0 also steps it down by |b| per term it uses, and it uses at most as
+    many as bi_factor expands past k = 0: K = cap // a, or min(e, K) for
+    e >= 0.  Both bounds hold, so the higher top does."""
+    if series.ytop is None:
+        return None
+    cap = max(series.cap, 0)
+    carry = sum(-b * (cap // a if e < 0 else min(e, cap // a)) for a, b, e, _ in factors if b < 0)
+    return max(slope_ytop(series, factors), series.ytop - carry)
 
 
 def bi_oracle(series, factors):
@@ -147,7 +157,7 @@ def test_biseries_ytop_is_honest(series, data):
     # product of the same stored terms with no y-top at all
     got = series.mul_binomials(factors)
     whole = bi_oracle(BiSeries(series.coeffs, series.cap), factors)
-    assert got.cap == whole.cap and got.ytop <= series.ytop
+    assert got.cap == whole.cap and slope_ytop(series, factors) <= got.ytop <= series.ytop
     claimed = {k for k in got.coeffs.keys() | whole.coeffs.keys() if k[1] <= got.ytop}
     assert {k: got.coeffs.get(k, 0) for k in claimed} == \
         {k: whole.coeffs.get(k, 0) for k in claimed}
@@ -208,7 +218,7 @@ def test_rows_repack_inside_a_division_run(monkeypatch):
 def test_ytop_drops_past_what_b_below_zero_factors_carry_down():
     # (1 - xy)(1 - x/y) has +1 at x^2 y^0, reached from x y above the top
     got = BiSeries.one(4, ytop=0).mul_binomials([(1, 1, 1, -1), (1, -1, 1, -1)])
-    assert (got.coeffs, got.cap, got.ytop) == ({}, 4, -4)
+    assert (got.coeffs, got.cap, got.ytop) == ({(1, -1): -1}, 4, -1)
     # the slope is |b| / a, rounded up over the cap's x-steps
     got = BiSeries.one(5, ytop=9).mul_binomials([(2, -1, -1, -1), (3, -2, 2, 1)])
     assert got.ytop == 9 - 4
@@ -218,6 +228,20 @@ def test_ytop_drops_past_what_b_below_zero_factors_carry_down():
     # factors stepping up, or no y-top, leave it alone
     assert BiSeries.one(5, ytop=9).mul_binomials([(1, 2, -1, -1)]).ytop == 9
     assert BiSeries.one(5).mul_binomials([(1, -1, -1, -1)]).ytop is None
+
+
+def test_ytop_drops_by_the_terms_b_below_zero_factors_use():
+    # (1 - x/y) has one term to use, however far the cap reaches, and
+    # 1 / (1 - x/y) one per unit of x up to the cap
+    for cap in range(1, 8):
+        for e, drop in ((1, 1), (-1, cap)):
+            start = BiSeries({(0, 0): 1, (0, 2): 3, (1, 1): -2}, cap, ytop=3)
+            got = start.mul_binomials([(1, -1, e, -1)])
+            assert got.ytop == 3 - drop
+            assert same_bi(got, bi_oracle(start, [(1, -1, e, -1)]))
+    # (1 - x y^-2)^3 uses three terms of two y each, where the slope alone
+    # allows 2 y per unit of x over the cap's five
+    assert BiSeries.one(5, ytop=9).mul_binomials([(1, -2, 3, -1)]).ytop == 9 - 6
 
 
 def test_a_copy_landing_on_the_ytop_is_kept():
@@ -331,8 +355,8 @@ def test_unit_factors_never_expand(monkeypatch):
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_monster_denominator_matches_factor_by_factor(cap):
     # the one caller whose exponents run to dozens of digits, rebuilt from
-    # the same start and factor list as denominator_product
-    big_m, hi = moonshine._grid(cap, cap)
+    # the same start and factor list as denominator_product, on its own grid
+    big_m = hi = cap + 1
     c = moonshine.moonshine_c(big_m * hi)
     factors = [(m, n, c[m * n], -1) for m in range(1, big_m + 1) for n in range(-1, hi + 1)
                if m * n <= c.trunc and c[m * n]]

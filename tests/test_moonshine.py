@@ -85,8 +85,9 @@ def test_denominator_product_is_honest_across_caps(cap):
 
 @pytest.mark.parametrize("cap", range(1, 7))
 def test_denominator_factor_order_does_not_change_the_product(cap):
-    # the factors go in descending n, then ascending m; m outer gives the same product
-    big_m, hi = moonshine._grid(cap, cap)
+    # the factors go in descending n, then ascending m; m outer gives the same
+    # product, on the denominator's own grid
+    big_m = hi = cap + 1
     c = moonshine.moonshine_c(big_m * hi)
     m_outer = [(m, n, c[m * n], -1) for m in range(1, big_m + 1) for n in range(-1, hi + 1)
                if m * n <= c.trunc and c[m * n]]
@@ -312,8 +313,9 @@ def test_mult_g_synthetic_order_two():
 @pytest.mark.parametrize("cap", range(1, 5))
 def test_denominator_exponents_are_the_root_multiplicities(cap):
     # at g = 1 the Moebius sum gives mult(m, n) = c(mn): the product built
-    # from the reference's exponents is the denominator product
-    big_m, hi = moonshine._grid(cap, cap)
+    # from the reference's exponents, on the denominator's own grid, is the
+    # denominator product
+    big_m = hi = cap + 1
     table = CharTable.trivial(big_m * hi)
     factors = [(m, n, mult_g(m, n, table), -1) for m in range(1, big_m + 1)
                for n in range(-1, hi + 1) if m * n >= -1]

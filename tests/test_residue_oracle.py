@@ -11,14 +11,19 @@ returns.
 For primes below 2^20 that is exact: every sum of n products of residues
 stays below n p^2 < 2^53 for n <= 8,191.  One prime can miss an error that
 is a multiple of it, so three are used.
+
+``moonshine denom 14`` is checked the same way, on a dense (p, q) grid of
+residues that the slope of 1 - p/q alone shows exact.
 """
 
 import random
+from functools import lru_cache
+from math import comb
 
 import pytest
 
-from qmoon import borcherds, forms
-from qmoon.series import QSeries, exponents_from_series
+from qmoon import borcherds, forms, moonshine
+from qmoon.series import BiSeries, QSeries, exponents_from_series
 
 np = pytest.importorskip("numpy")
 
@@ -171,3 +176,87 @@ def test_a_solve_off_near_its_top_is_caught(solves, name, prime, composite, at, 
     wrong = list(solved)
     wrong[(prime if at == "prime" else composite) - start] += delta
     assert not products_agree(operands + [wrong], other, n)
+
+
+# The monster denominator p^-1 prod (1 - p^m q^n)^c(mn), rebuilt factor by
+# factor with numpy on residues.  A monomial p^a q^b of any factor has
+# b >= -a, so on a grid of p^0..p^M (M = cap + 1) cut at q^(top + M), a term
+# dropped above the cut comes down by at most one q per p and never reaches
+# q^top: the grid is exact through q^top with no appeal to how often 1 - p/q
+# is met.  Each binomial term (-1)^k C(c(mn), k) p^km q^kn is one shifted
+# add, with C(c(mn), k) reduced mod the prime; every sum stays below
+# 22 p^2 < 2^63.
+@lru_cache(maxsize=None)
+def _denominator_grids(cap, top) -> tuple:
+    """p prod (1 - p^m q^n)^c(mn) mod each prime, as int64 arrays whose entry
+    [a, b + M] holds p^a q^b, for a <= M = cap + 1 and -M <= b <= top."""
+    big_m, hi = cap + 1, top + cap + 1
+    c = moonshine.moonshine_c(big_m * hi)
+    factors = [(m, n, c[m * n]) for m in range(1, big_m + 1) for n in range(-1, hi + 1)
+               if m * n <= c.trunc and c[m * n]]
+    grids = []
+    for prime in PRIMES:
+        grid = np.zeros((big_m + 1, big_m + hi + 1), dtype=np.int64)
+        grid[0, big_m] = 1
+        for m, n, e in factors:
+            old = grid.copy()
+            for k in range(1, big_m // m + 1):
+                dx, dy, ck = k * m, k * n, (-1) ** k * comb(e, k) % prime
+                if dy >= grid.shape[1]:  # past the cut from every column
+                    break
+                if dy >= 0:
+                    grid[dx:, dy:] += ck * old[:big_m + 1 - dx, :old.shape[1] - dy]
+                else:
+                    grid[dx:, :dy] += ck * old[:big_m + 1 - dx, -dy:]
+            grid %= prime
+        grids.append(grid[:, :big_m + top + 1])
+    return tuple(grids)
+
+
+def denominator_holds(d: BiSeries) -> bool:
+    """Whether every coefficient d claims, within its cap and y-top, is that of
+    p^-1 prod (1 - p^m q^n)^c(mn) modulo every prime."""
+    big_m = d.cap + 1
+    got = np.zeros((big_m + 1, big_m + d.ytop + 1), dtype=object)
+    for (x, y), v in d.coeffs.items():
+        if x <= d.cap and y <= d.ytop:
+            if y < -big_m:  # below any monomial the product has
+                return False
+            got[x + 1, y + big_m] = v
+    return all(np.array_equal(got % prime, grid)
+               for prime, grid in zip(PRIMES, _denominator_grids(d.cap, d.ytop)))
+
+
+@pytest.fixture(scope="module")
+def denominators():
+    return {caps: moonshine.denominator_product(*caps) for caps in ((14, 14), (20, 10))}
+
+
+@pytest.mark.parametrize("caps", [(14, 14), (20, 10)])
+def test_the_denominator_product_holds_mod_three_primes(denominators, caps):
+    d = denominators[caps]
+    assert (d.cap, d.ytop) == caps
+    assert denominator_holds(d)
+
+
+@pytest.mark.parametrize("delta", _OFFSETS)
+@pytest.mark.parametrize("key", [(0, 14), (14, 0), (7, 7)])  # j(q), j(p) and a mixed zero
+def test_a_wrong_denominator_coefficient_is_caught(denominators, key, delta):
+    d = denominators[14, 14]
+    wrong = BiSeries({**d.coeffs, key: d.coeffs.get(key, 0) + delta}, d.cap, ytop=d.ytop)
+    assert not denominator_holds(wrong)
+
+
+@pytest.mark.parametrize("mutant", ["without 1 - p/q", "q-top one higher"])
+def test_a_wrong_denominator_build_is_caught(monkeypatch, mutant):
+    real = BiSeries.mul_binomials
+
+    def mul_binomials(self, factors):
+        if mutant == "without 1 - p/q":
+            return real(self, [f for f in factors if f[:2] != (1, -1)])
+        out = real(self, factors)
+        return BiSeries(out.coeffs, out.cap, ytop=out.ytop + 1)
+
+    monkeypatch.setattr(BiSeries, "mul_binomials", mul_binomials)
+    d = moonshine.denominator_product(14, 14)
+    assert d.ytop == 15 and not denominator_holds(d)

@@ -9,11 +9,12 @@ of either commit (or only W), the table gives, per end-to-end metric, the
 parent's median with its quartiles in brackets, the change's median, the
 change in percent and in how many pairs the change read lower.  When every
 paired record carries ``floor_s``, the median wall time of ``python3 -c
-pass`` taken as the record was appended, a last row per workload gives each
-side's median floor the same way; older records lack it.  It refuses a
-seed recorded for one side only or twice for one side, fewer than two pairs,
-and records of different ``seconds`` or Python versions in one workload:
-those runs are not alike, so their medians do not compare.
+pass`` taken as the record was appended, a row per workload gives each
+side's median floor the same way, and so does a last row for
+``floor_exit_s``, the floor that skips teardown; older records lack them.
+It refuses a seed recorded for one side only or twice for one side, fewer
+than two pairs, and records of different ``seconds`` or Python versions in
+one workload: those runs are not alike, so their medians do not compare.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from bench_record import END_TO_END, ROOT
+from bench_record import END_TO_END, FLOORS, ROOT
 
 
 def pairs(records: list, parent: str, change: str) -> dict:
@@ -54,10 +55,10 @@ def pairs(records: list, parent: str, change: str) -> dict:
 def compare(paired: dict) -> dict:
     """{metric: (parent median, (q1, q3) of the parent, change median, percent
     change, pairs where the change read lower)} over paired records, for the
-    end-to-end metrics and, if every record carries it, the process floor."""
+    end-to-end metrics and each process floor that every record carries."""
     out = {}
-    floor = all("floor_s" in r for pair in paired.values() for r in pair)
-    for metric in END_TO_END + (("floor_s",) if floor else ()):
+    floors = tuple(f for f in FLOORS if all(f in r for pair in paired.values() for r in pair))
+    for metric in END_TO_END + floors:
         before = [p[metric] for p, _ in paired.values()]
         after = [c[metric] for _, c in paired.values()]
         q1, _, q3 = statistics.quantiles(before, n=4)

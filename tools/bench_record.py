@@ -9,7 +9,9 @@ the run measured, its seed, length and Python, the four end-to-end medians,
 the ops attempted and failed, and ``floor_s``, the process floor: the median
 wall time of 11 ``python3 -c pass`` spawns, taken when the record is
 appended, so that records of slower and faster days can be told apart.
-Records written before the floor was kept have no ``floor_s``.
+``floor_exit_s`` is the same median for ``python3 -c "import os;
+os._exit(0)"``, which skips interpreter teardown as a qmoon process does.
+Records written before a floor was kept lack its field.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("wall_s", "op_p50_s", "peak_rss_mb", "setup_s")
+FLOORS = {"floor_s": "pass", "floor_exit_s": "import os; os._exit(0)"}  # field: python -c code
 
 
 def summarize(run: dict) -> dict:
@@ -38,23 +41,24 @@ def summarize(run: dict) -> dict:
             "attempted": run["attempted"], "failed": run["failed"]}
 
 
-def process_floor(spawns: int = 11) -> float:
-    """The median wall time in seconds of ``spawns`` runs of ``python3 -c pass``."""
+def process_floor(spawns: int = 11, code: str = "pass") -> float:
+    """The median wall time in seconds of ``spawns`` runs of ``python3 -c code``."""
     times = []
     for _ in range(spawns):
         t = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "pass"], check=True)
+        subprocess.run([sys.executable, "-c", code], check=True)
         times.append(time.perf_counter() - t)
     return round(statistics.median(times), 6)
 
 
 def append(run_path: Path, root: Path = ROOT) -> Path:
-    """Append the record of one run, with the process floor now, to its workload's
+    """Append the record of one run, with the process floors now, to its workload's
     trajectory file; return that file."""
     run = json.loads(run_path.read_text(encoding="utf-8"))
     target = root / f"BENCH_{run['workload']}.json"
     records = json.loads(target.read_text(encoding="utf-8")) if target.exists() else []
-    records.append({**summarize(run), "floor_s": process_floor()})
+    records.append({**summarize(run),
+                    **{field: process_floor(code=code) for field, code in FLOORS.items()}})
     target.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     return target
 
