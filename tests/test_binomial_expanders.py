@@ -216,10 +216,12 @@ def test_rows_repack_inside_a_division_run(monkeypatch):
 
 
 def test_ytop_drops_past_what_b_below_zero_factors_carry_down():
-    # (1 - xy)(1 - x/y) has +1 at x^2 y^0, reached from x y above the top
+    # (1 - xy)(1 - x/y) has +1 at x^2 y^0, reached from x y above the top,
+    # so the top drops one y, the one term of 1 - x/y
     got = BiSeries.one(4, ytop=0).mul_binomials([(1, 1, 1, -1), (1, -1, 1, -1)])
     assert (got.coeffs, got.cap, got.ytop) == ({(1, -1): -1}, 4, -1)
-    # the slope is |b| / a, rounded up over the cap's x-steps
+    # the slope is |b| / a, rounded up over the cap's x-steps: 4, as are the
+    # terms used, two of 1 / (1 - x^2/y) and one of (1 + x^3/y^2)^2
     got = BiSeries.one(5, ytop=9).mul_binomials([(2, -1, -1, -1), (3, -2, 2, 1)])
     assert got.ytop == 9 - 4
     # a polynomial constant in x may not step down under a y-top
